@@ -8,7 +8,7 @@ SEEDS ?= 25
 FUZZ_SEED ?= 0
 FUZZ_ITERATIONS ?= 10
 
-.PHONY: test bench bench-hotpath bench-parallel bench-failover bench-fulltable bench-gate fulltable-smoke profile profile-parallel parallel-smoke kv-failover chaos chaos-corpus chaos-ablation controller-chaos fuzz fuzz-corpus fuzz-smoke trace-demo verify
+.PHONY: test bench bench-hotpath bench-parallel bench-failover bench-fulltable bench-gate fulltable-smoke profile profile-parallel parallel-smoke kv-failover chaos chaos-corpus chaos-ablation controller-chaos fuzz fuzz-corpus fuzz-smoke trace-demo nsrbench nsrbench-smoke verify
 
 test:
 	$(PYTHON) -m pytest tests -x -q
@@ -109,8 +109,20 @@ fuzz-smoke:
 trace-demo:
 	$(PYTHON) -m repro.trace.demo
 
+# The whole-simulator benchmark BENCHMARK.json declares (see
+# benchmarks/nsrbench/README.md): five workloads, end-to-end metrics
+# with tracing off.  `python3 benchmarks/nsrbench --workload W --trace 1`
+# gives one workload's per-layer host-time attribution.
+nsrbench:
+	$(PYTHON) benchmarks/nsrbench
+
+# Every nsrbench workload at about 1/10 size with all output checks on;
+# under 30 s, non-zero exit if any check failed.
+nsrbench-smoke:
+	$(PYTHON) benchmarks/nsrbench --smoke
+
 # The full gate: tier-1 tests, perf regression (hot path, parallel,
 # failover drain), chaos corpus, controller-plane chaos, the parallel
 # determinism smoke, the database failover smoke, the bounded fuzz
-# smoke, and the full-table scaling smoke.
-verify: test bench-gate chaos-corpus controller-chaos parallel-smoke kv-failover fuzz-smoke fulltable-smoke
+# smoke, the full-table scaling smoke, and the nsrbench smoke.
+verify: test bench-gate chaos-corpus controller-chaos parallel-smoke kv-failover fuzz-smoke fulltable-smoke nsrbench-smoke

@@ -1,18 +1,25 @@
-"""Hot-path micro-benchmarks: codec, reselect, coalescer, dispatch.
+"""Hot-path micro-benchmarks: codec, reselect, coalescer, dispatch, timers.
 
 Unlike the Fig. 5/6 reproductions these measure *wall-clock* throughput
-of the four code paths the hot-path overhaul targets:
+of the code paths the hot-path overhauls target:
 
 - ``codec``: ``PathAttributes.to_wire()`` with the memoized wire cache
   hit vs the raw encoder (the interning speedup must be >= 2x);
 - ``reselect``: incremental ``LocRib.offer`` over a populated table;
 - ``coalescer``: sets pushed through a ``WriteCoalescer`` + simulated
   KV store to drain;
-- ``dispatch``: engine events fired, exercising the same-instant slots.
+- ``dispatch``: engine events fired, fifty to an instant;
+- ``periodic tick``: one ``Process.every`` chain run far past any prune
+  threshold, so a per-tick cost that grows with the chain's history
+  (an ownership list that retains fired events) shows up as a
+  collapsed rate.
 
 Results land in ``BENCH_hotpath.json`` at the repo root; the committed
 baseline is what ``benchmarks/check_bench_regression.py`` (the
-``make bench-gate`` target) compares against.
+``make bench-gate`` target) compares against.  A ``before`` block in
+that file (rows measured at an earlier commit on the same host, kept
+beside ``results`` as the before/after pair ROADMAP aim 1 asks for) is
+carried over unchanged when the file is rewritten.
 """
 
 import json
@@ -23,7 +30,7 @@ from repro.bgp import AsPath, LocRib, Origin, PathAttributes, Prefix
 from repro.bgp.rib import Route
 from repro.core.replication import WriteCoalescer
 from repro.kvstore import KvClient, KvServer
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import DeterministicRandom, Engine, Network, Process
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
@@ -135,6 +142,23 @@ def test_engine_dispatch(benchmark):
     _record("engine_dispatch", benchmark, ops)
 
 
+def test_process_periodic_tick(benchmark):
+    ticks = 5000
+    interval = 0.001
+
+    def noop():
+        pass
+
+    def run():
+        engine = Engine()
+        task = Process(engine, "ticker").every(interval, noop)
+        engine.run(until=(ticks + 0.5) * interval)
+        assert task.ticks == ticks
+
+    benchmark.pedantic(run, rounds=3, iterations=1)
+    _record("process_periodic_tick", benchmark, ticks)
+
+
 def test_write_results_and_interning_speedup(benchmark):
     expected = {
         "codec_to_wire_uncached",
@@ -142,6 +166,7 @@ def test_write_results_and_interning_speedup(benchmark):
         "rib_incremental_reselect",
         "coalescer_flush",
         "engine_dispatch",
+        "process_periodic_tick",
     }
 
     def finalize():
@@ -156,6 +181,10 @@ def test_write_results_and_interning_speedup(benchmark):
             },
             "codec_interning_speedup": round(speedup, 2),
         }
+        if OUT_PATH.exists():
+            before = json.loads(OUT_PATH.read_text()).get("before")
+            if before is not None:
+                payload["before"] = before
         OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
         return speedup
 

@@ -6,13 +6,20 @@ seconds.  Events scheduled for the same instant fire in scheduling order
 """
 
 import contextlib
-import heapq
 import itertools
-import math
+from heapq import heappop, heappush
+
+_INF = float("inf")
 
 
 class SimulationError(Exception):
     """Raised for invalid uses of the simulation engine."""
+
+
+def _bad_delay(delay):
+    if delay < 0:
+        return SimulationError(f"cannot schedule in the past (delay={delay})")
+    return SimulationError(f"delay must be finite (delay={delay})")
 
 
 class Event:
@@ -21,37 +28,27 @@ class Event:
     Instances are returned by :meth:`Engine.schedule` and can be cancelled.
     Cancellation is O(1): the event is flagged and skipped when popped.
 
-    Events that land on an instant already present in the queue are
-    chained onto the existing heap entry (``members``) instead of being
-    pushed separately — the dominant same-delay workloads (per-peer
-    keepalive ticks, per-update CPU charges, RPC timeout timers armed in
-    one batch) then cost an O(1) list append instead of a heap push, and
-    one heap pop fires the whole slot.  FIFO order at an instant is
-    preserved exactly: members are appended (and fired) in sequence
-    order, and once a slot starts firing it is retired, so late arrivals
-    for the same instant open a fresh, later slot.
+    Events carry no ordering of their own: the engine's heaps hold
+    ``(time, seq, event)`` tuples, which compare in C and never reach
+    the event because ``seq`` is unique.  FIFO order at an instant is
+    the order of ``seq``, the engine's schedule counter.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "members",
-                 "ctx", "scope", "fired")
+    __slots__ = ("time", "callback", "args", "cancelled", "ctx", "scope",
+                 "fired")
 
-    def __init__(self, time, seq, callback, args):
+    def __init__(self, time, callback, args, ctx, scope):
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self.members = None  # later events chained onto this heap slot
-        self.ctx = None  # ambient trace span captured at schedule time
-        self.scope = None  # ambient event scope captured at schedule time
+        self.ctx = ctx  # ambient trace span captured at schedule time
+        self.scope = scope  # ambient event scope captured at schedule time
         self.fired = False
 
     def cancel(self):
         """Prevent the event from firing.  Safe to call multiple times."""
         self.cancelled = True
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self):
         state = "cancelled" if self.cancelled else "pending"
@@ -70,16 +67,15 @@ class Engine:
     """
 
     def __init__(self):
-        self._queue = []
+        self._queue = []  # heap of (time, seq, Event)
         self._counter = itertools.count()
         self._now = 0.0
         self._running = False
         self._stopped = False
-        self._slots = {}  # time -> open (not yet firing) heap Event
         self._trace_hook = None  # a repro.trace.Tracer when tracing is on
         self._named_counters = {}  # name -> itertools.count (see next_id)
         self._ambient_scope = None  # event scope applied to new schedules
-        self._scope_heaps = {}  # scope -> [Event] heap of tagged events
+        self._scope_heaps = {}  # scope -> heap of (time, seq, tagged Event)
 
     def next_id(self, name, start=0):
         """Next value of the named monotonic counter scoped to *this* engine.
@@ -102,7 +98,8 @@ class Engine:
         With a hook installed, :meth:`schedule` captures the ambient span
         onto each event and the run loop restores it around the callback,
         so trace causality follows every scheduling hop.  ``None``
-        uninstalls.
+        uninstalls.  :meth:`run` reads the hook once on entry, so a hook
+        changed from inside a callback takes effect at the next run.
         """
         self._trace_hook = hook
 
@@ -116,32 +113,18 @@ class Engine:
 
         Returns the :class:`Event`, which may be cancelled.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        if not math.isfinite(delay):
-            raise SimulationError(f"delay must be finite (delay={delay})")
+        if not 0.0 <= delay < _INF:  # negative, infinite or NaN
+            raise _bad_delay(delay)
         time = self._now + delay
-        event = Event(time, next(self._counter), callback, args)
+        seq = next(self._counter)
         hook = self._trace_hook
-        if hook is not None and hook.current is not None:
-            event.ctx = hook.current
         scope = self._ambient_scope
+        event = Event(time, callback, args,
+                      None if hook is None else hook.current, scope)
         if scope is not None:
-            event.scope = scope
-            heap = self._scope_heaps.get(scope)
-            if heap is None:
-                heap = self._scope_heaps[scope] = []
-            heapq.heappush(heap, event)
-        head = self._slots.get(time)
-        if head is not None:
-            # Same instant already queued: chain onto its slot (O(1)).
-            if head.members is None:
-                head.members = [event]
-            else:
-                head.members.append(event)
-        else:
-            self._slots[time] = event
-            heapq.heappush(self._queue, event)
+            # scoped() created the heap before the scope could be ambient
+            heappush(self._scope_heaps[scope], (time, seq, event))
+        heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_at(self, when, callback, *args):
@@ -165,6 +148,8 @@ class Engine:
         to track the *outbound-capable* subset of a shard's events — see
         :meth:`next_event_time` and ``repro.sim.parallel``.
         """
+        if scope is not None:
+            self._scope_heaps.setdefault(scope, [])
         previous = self._ambient_scope
         self._ambient_scope = scope
         try:
@@ -175,47 +160,44 @@ class Engine:
     def next_event_time(self, scope=None):
         """Earliest pending event time, or ``None`` when nothing is queued.
 
-        With ``scope=None`` this peeks the global queue (skipping events
-        that are cancelled and carry no live slot members, exactly like
-        the run loop's lazy pop).  With a scope token it answers for the
-        events tagged by :meth:`scoped` only — the earliest instant at
-        which anything inside that scope can happen.  Both forms are
-        O(amortized 1): stale heap heads are discarded as they are seen.
+        With ``scope=None`` this peeks the global queue (skipping
+        cancelled events, exactly like the run loop's lazy pop).  With a
+        scope token it answers for the events tagged by :meth:`scoped`
+        only — the earliest instant at which anything inside that scope
+        can happen.  Both forms are O(amortized 1): stale heap heads are
+        discarded as they are seen.
         """
         if scope is not None:
             heap = self._scope_heaps.get(scope)
             while heap:
-                head = heap[0]
+                time, _, head = heap[0]
                 if head.fired or head.cancelled:
-                    heapq.heappop(heap)
+                    heappop(heap)
                     continue
-                return head.time
+                return time
             return None
         queue = self._queue
-        slots = self._slots
         while queue:
-            head = queue[0]
-            if head.cancelled and head.members is None:
-                heapq.heappop(queue)
-                if slots.get(head.time) is head:
-                    del slots[head.time]
+            time, _, head = queue[0]
+            if head.cancelled:
+                heappop(queue)
                 continue
-            return head.time
+            return time
         return None
 
     def stop(self):
         """Stop a running :meth:`run` loop after the current event."""
         self._stopped = True
 
+    def queued_events(self):
+        """Every queued event, cancelled ones included, in no particular
+        order — for tests and diagnostics; the heap layout stays private."""
+        for _, _, event in self._queue:
+            yield event
+
     def pending(self):
         """Number of non-cancelled events still queued."""
-        total = 0
-        for event in self._queue:
-            if not event.cancelled:
-                total += 1
-            if event.members:
-                total += sum(1 for m in event.members if not m.cancelled)
-        return total
+        return sum(1 for event in self.queued_events() if not event.cancelled)
 
     def run(self, until=None, max_events=None):
         """Run events until the queue drains, ``until`` passes, or
@@ -230,63 +212,30 @@ class Engine:
         self._running = True
         self._stopped = False
         entry_scope = self._ambient_scope
+        queue = self._queue
+        hook = self._trace_hook
+        horizon = _INF if until is None else until
+        budget = _INF if max_events is None else max_events
         executed = 0
         try:
-            while self._queue:
-                if self._stopped:
-                    break
-                if max_events is not None and executed >= max_events:
-                    break
-                event = self._queue[0]
-                slots = self._slots
-                if event.cancelled and event.members is None:
-                    heapq.heappop(self._queue)
-                    if slots.get(event.time) is event:
-                        del slots[event.time]
+            while queue and executed < budget and not self._stopped:
+                time, _, event = queue[0]
+                if event.cancelled:
+                    heappop(queue)
                     continue
-                if until is not None and event.time > until:
+                if time > horizon:
                     break
-                heapq.heappop(self._queue)
-                # Retire the slot before firing: same-instant events
-                # scheduled by the callbacks below open a fresh slot that
-                # pops after the remaining members (their seq is higher).
-                if slots.get(event.time) is event:
-                    del slots[event.time]
-                self._now = event.time
-                if not event.cancelled:
-                    event.fired = True
-                    self._ambient_scope = event.scope
-                    hook = self._trace_hook
-                    if hook is not None and event.ctx is not None:
-                        hook.current = event.ctx
-                        event.callback(*event.args)
-                        hook.current = None
-                    else:
-                        event.callback(*event.args)
-                    executed += 1
-                members = event.members
-                if members:
-                    index = 0
-                    while index < len(members):
-                        if self._stopped or (
-                            max_events is not None and executed >= max_events
-                        ):
-                            self._requeue_members(members, index)
-                            break
-                        member = members[index]
-                        index += 1
-                        if member.cancelled:
-                            continue
-                        member.fired = True
-                        self._ambient_scope = member.scope
-                        hook = self._trace_hook
-                        if hook is not None and member.ctx is not None:
-                            hook.current = member.ctx
-                            member.callback(*member.args)
-                            hook.current = None
-                        else:
-                            member.callback(*member.args)
-                        executed += 1
+                heappop(queue)
+                self._now = time
+                event.fired = True
+                self._ambient_scope = event.scope
+                if hook is None or event.ctx is None:
+                    event.callback(*event.args)
+                else:
+                    hook.current = event.ctx
+                    event.callback(*event.args)
+                    hook.current = None
+                executed += 1
         finally:
             self._running = False
             # fired events made their scope ambient; don't leak the last
@@ -295,15 +244,6 @@ class Engine:
         if until is not None and self._now < until and not self._stopped:
             self._now = until
         return executed
-
-    def _requeue_members(self, members, start):
-        """Push unfired slot members back when a run() is interrupted."""
-        rest = members[start:]
-        head = rest[0]
-        head.members = rest[1:] if len(rest) > 1 else None
-        heapq.heappush(self._queue, head)
-        if head.time not in self._slots:
-            self._slots[head.time] = head
 
     def inject(self, when, callback, *args):
         """Schedule ``callback(*args)`` from *outside* the simulation at

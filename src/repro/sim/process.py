@@ -17,23 +17,41 @@ class Process:
     :meth:`kill` to model a crash: all pending callbacks owned by the
     process are cancelled and further scheduling is rejected, mirroring the
     abrupt death of a real OS process.
+
+    Ownership invariant: every pending event the process scheduled is in
+    ``_owned_events``, and the list never holds more than a constant
+    factor over that pending population.  Fired and cancelled events are
+    dropped by a prune whose threshold doubles with the survivors, so
+    owning an event is amortised O(1) however long the process lives, and
+    a fired event is freed by its refcount instead of lingering in an
+    ``event -> bound method -> process -> list -> event`` cycle.
     """
+
+    #: Smallest ``_owned_events`` length at which a prune runs.
+    _PRUNE_FLOOR = 32
 
     def __init__(self, engine, name="process"):
         self.engine = engine
         self.name = name
         self.alive = True
         self._owned_events = []
+        self._prune_at = self._PRUNE_FLOOR
 
     def after(self, delay, callback, *args):
         """Schedule ``callback`` after ``delay`` seconds, owned by us."""
         if not self.alive:
             raise SimulationError(f"{self.name}: dead process cannot schedule")
         event = self.engine.schedule(delay, self._guarded, callback, args)
-        self._owned_events.append(event)
-        if len(self._owned_events) > 256:
-            self._owned_events = [e for e in self._owned_events if not e.cancelled]
+        self._own(event)
         return event
+
+    def _own(self, event):
+        """Cancel ``event`` if we are killed while it is still pending."""
+        owned = self._owned_events
+        owned.append(event)
+        if len(owned) >= self._prune_at:
+            owned[:] = [e for e in owned if not (e.fired or e.cancelled)]
+            self._prune_at = max(self._PRUNE_FLOOR, 2 * len(owned))
 
     def soon(self, callback, *args):
         """Schedule ``callback`` at the current instant, owned by us."""
@@ -55,6 +73,7 @@ class Process:
         for event in self._owned_events:
             event.cancel()
         self._owned_events.clear()
+        self._prune_at = self._PRUNE_FLOOR
 
     #: Containers supervise heterogeneous process objects through a
     #: ``crash()`` method; for a bare simulated process they coincide.
@@ -121,6 +140,13 @@ class PeriodicTask:
     """A repeating callback with a fixed interval.
 
     The first invocation happens one full interval after :meth:`start`.
+
+    Each tick is one engine event that fires :meth:`_tick` directly and
+    is owned by the process (a kill cancels it).  A tick carries the
+    generation it was armed under; :meth:`start` and :meth:`stop` move
+    the generation on, so a tick left pending by ``stop()`` fires as a
+    no-op instead of running a second chain beside the one a later
+    ``start()`` arms.
     """
 
     def __init__(self, process, interval, callback, args=()):
@@ -132,18 +158,28 @@ class PeriodicTask:
         self.args = args
         self.running = False
         self.ticks = 0
+        self._generation = 0
 
     def start(self):
+        process = self.process
+        if not process.alive:
+            raise SimulationError(
+                f"{process.name}: dead process cannot schedule")
         self.running = True
-        self.process.after(self.interval, self._tick)
+        self._generation += 1
+        process._own(process.engine.schedule(
+            self.interval, self._tick, self._generation))
 
     def stop(self):
         self.running = False
+        self._generation += 1
 
-    def _tick(self):
-        if not self.running or not self.process.alive:
+    def _tick(self, generation):
+        process = self.process
+        if generation != self._generation or not process.alive:
             return
         self.ticks += 1
         self.callback(*self.args)
-        if self.running and self.process.alive:
-            self.process.after(self.interval, self._tick)
+        if generation == self._generation and process.alive:
+            process._own(process.engine.schedule(
+                self.interval, self._tick, generation))

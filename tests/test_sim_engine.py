@@ -54,18 +54,6 @@ def test_cancel_is_idempotent():
     assert engine.run_until_idle() == 0
 
 
-def test_negative_delay_rejected():
-    with pytest.raises(SimulationError):
-        Engine().schedule(-0.1, lambda: None)
-
-
-def test_non_finite_delay_rejected():
-    with pytest.raises(SimulationError):
-        Engine().schedule(float("inf"), lambda: None)
-    with pytest.raises(SimulationError):
-        Engine().schedule(float("nan"), lambda: None)
-
-
 def test_run_until_stops_before_later_events():
     engine = Engine()
     fired = []
@@ -214,27 +202,26 @@ def test_run_stepped_rejects_nonpositive_quantum():
 
 
 # ----------------------------------------------------------------------
-# same-instant slot bookkeeping (the chained-members fast path)
+# same-instant ordering: FIFO by schedule order on every path
 # ----------------------------------------------------------------------
 
-def test_cancelled_slot_head_members_still_fire_fifo():
-    # Cancelling the first event scheduled for an instant must not take
-    # the events chained onto its heap slot down with it: members are
-    # independent events, cancellation is strictly per-event.
+def test_cancelling_one_event_spares_the_rest_of_its_instant():
+    # Cancellation is strictly per-event, wherever in the instant's
+    # FIFO order the cancelled event sits.
     engine = Engine()
     order = []
-    head = engine.schedule(1.0, order.append, "head")
+    first = engine.schedule(1.0, order.append, "first")
     engine.schedule(1.0, order.append, "m1")
+    middle = engine.schedule(1.0, order.append, "middle")
     engine.schedule(1.0, order.append, "m2")
-    head.cancel()
+    first.cancel()
+    middle.cancel()
     engine.run_until_idle()
     assert order == ["m1", "m2"]
     assert engine.now == 1.0
 
 
-def test_schedule_onto_cancelled_heads_instant_still_fires():
-    # A cancelled head stays in _slots until popped, so a later schedule
-    # for the same instant chains onto it — and must still fire.
+def test_schedule_onto_cancelled_events_instant_still_fires():
     engine = Engine()
     fired = []
     head = engine.schedule(1.0, fired.append, "head")
@@ -243,32 +230,99 @@ def test_schedule_onto_cancelled_heads_instant_still_fires():
     engine.run_until_idle()
     assert fired == ["late"]
     assert not late.cancelled
+    assert late.fired and not head.fired
 
 
-def test_cancelled_memberless_head_pops_cleanly():
-    # The run loop's cancelled-and-memberless fast path must clear the
-    # slot entry so a fresh event at the same instant gets its own slot.
+def test_cancelled_event_leaves_nothing_queued_behind():
     engine = Engine()
     fired = []
     head = engine.schedule(1.0, fired.append, "head")
     head.cancel()
-    engine.run_until_idle()
-    assert engine._slots == {}
-    engine.schedule(0.0, fired.append, "fresh")  # now == 1.0
+    assert engine.run_until_idle() == 0
+    assert list(engine.queued_events()) == []
+    engine.schedule(1.0, fired.append, "fresh")
     engine.run_until_idle()
     assert fired == ["fresh"]
 
 
-def test_interrupted_slot_members_requeue_and_resume():
+def test_same_instant_fifo_includes_events_scheduled_while_it_fires():
+    # An event scheduled for the instant that is firing lands after
+    # everything already queued for that instant, never in between.
+    engine = Engine()
+    order = []
+
+    def first():
+        order.append("first")
+        engine.call_soon(order.append, "spawned")
+
+    engine.schedule(1.0, first)
+    engine.schedule(1.0, order.append, "second")
+    engine.schedule(1.0, order.append, "third")
+    engine.run_until_idle()
+    assert order == ["first", "second", "third", "spawned"]
+    assert engine.now == 1.0
+
+
+def test_stop_mid_instant_resumes_in_order():
     engine = Engine()
     order = []
     engine.schedule(1.0, engine.stop)
     for tag in ("a", "b", "c"):
         engine.schedule(1.0, order.append, tag)
     engine.run()
-    assert order == []  # stop lands before the members fire
+    assert order == []  # stop lands before the rest of the instant fires
+    assert engine.pending() == 3
     engine.run_until_idle()
     assert order == ["a", "b", "c"]
+
+
+def test_max_events_mid_instant_resumes_in_order():
+    engine = Engine()
+    order = []
+    for tag in range(6):
+        engine.schedule(1.0, order.append, tag)
+    cancelled = engine.schedule(1.0, order.append, "cancelled")
+    engine.schedule(1.0, order.append, 6)
+    cancelled.cancel()
+    assert engine.run(max_events=2) == 2
+    assert order == [0, 1]
+    # an event that joins the instant between two runs goes to the back
+    engine.schedule_at(1.0, order.append, "joined")
+    assert engine.run(max_events=3) == 3
+    assert order == [0, 1, 2, 3, 4]
+    engine.run_until_idle()
+    assert order == [0, 1, 2, 3, 4, 5, 6, "joined"]
+    assert engine.now == 1.0
+
+
+def test_injections_interleave_with_local_events_by_call_order():
+    engine = Engine()
+    order = []
+    engine.schedule(1.0, order.append, "local-1")
+    engine.inject(1.0, order.append, "injected-1")
+    engine.schedule(1.0, order.append, "local-2")
+    engine.inject(1.0, order.append, "injected-2")
+    engine.inject(0.5, order.append, "earlier")
+    engine.run_until_idle()
+    assert order == ["earlier", "local-1", "injected-1", "local-2",
+                     "injected-2"]
+
+
+@pytest.mark.parametrize("delay", [-1e-9, -1, float("-inf"), float("inf"),
+                                   float("nan")])
+def test_bad_delay_rejected_and_queues_nothing(delay):
+    engine = Engine()
+    with pytest.raises(SimulationError):
+        engine.schedule(delay, lambda: None)
+    assert list(engine.queued_events()) == []
+    assert engine.next_event_time() is None
+
+
+def test_schedule_at_past_instant_rejected():
+    engine = Engine()
+    engine.advance(2.0)
+    with pytest.raises(SimulationError, match="past"):
+        engine.schedule_at(1.0, lambda: None)
 
 
 # ----------------------------------------------------------------------
@@ -352,9 +406,8 @@ def test_next_event_time_skips_cancelled_heads():
     assert engine.next_event_time() == 3.0
 
 
-def test_next_event_time_keeps_cancelled_head_with_live_members():
-    # a cancelled slot head whose chained members are still live must
-    # report the slot's instant — the members fire there
+def test_next_event_time_keeps_instant_whose_first_event_was_cancelled():
+    # cancelling the first event of an instant must not hide the rest
     engine = Engine()
     fired = []
     head = engine.schedule(1.0, fired.append, "head")
@@ -420,3 +473,35 @@ def test_scoped_next_event_skips_cancelled_and_fired():
     assert engine.next_event_time("s") == 2.0
     engine.run_until_idle()
     assert engine.next_event_time("s") is None
+
+
+def test_scoped_next_event_skips_fired_heads_before_the_scope_is_asked():
+    # The scope heap is only cleaned when asked: by then its earliest
+    # entries may have fired (in the global queue's order) or been
+    # cancelled, in any mix, and the answer is the first live one.
+    engine = Engine()
+    with engine.scoped("s"):
+        events = [engine.schedule(float(t), lambda: None) for t in range(1, 7)]
+    engine.schedule(2.5, lambda: None)  # unscoped, never reported for "s"
+    engine.run(until=2.5)  # fires t=1, t=2 and the unscoped one
+    events[2].cancel()  # t=3
+    assert [event.fired for event in events[:3]] == [True, True, False]
+    assert engine.next_event_time("s") == 4.0
+    assert engine.next_event_time() == 4.0
+    events[3].cancel()
+    events[4].cancel()
+    assert engine.next_event_time("s") == 6.0
+    events[5].cancel()
+    assert engine.next_event_time("s") is None
+    assert engine.next_event_time() is None
+
+
+def test_scoped_events_keep_fifo_with_unscoped_ones_at_an_instant():
+    engine = Engine()
+    order = []
+    engine.schedule(1.0, order.append, "plain-1")
+    with engine.scoped("s"):
+        engine.schedule(1.0, order.append, "scoped")
+    engine.schedule(1.0, order.append, "plain-2")
+    engine.run_until_idle()
+    assert order == ["plain-1", "scoped", "plain-2"]

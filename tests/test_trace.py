@@ -180,7 +180,7 @@ def test_rpc_timeout_annotates_client_span(rpc_net):
 def test_disabled_engine_records_no_event_context():
     engine = Engine()  # no tracer installed
     engine.schedule(1.0, lambda: None)
-    (event,) = engine._queue
+    (event,) = engine.queued_events()
     assert event.ctx is None
     engine.run_until_idle()
 
