@@ -4,7 +4,14 @@
 Builds the synthetic DFZ-style table (workloads/fulltable.py) at two
 sizes and holds DESIGN.md §14's scaling claims to numbers:
 
-- ``table_load``: trie-backed Loc-RIB build throughput at the large size;
+- ``table_load``: Loc-RIB build throughput at the large size — the
+  exact-match dict alone, since the prefix store is a derived index;
+- ``materialise``: the first ordered query on the loaded table, which
+  builds that index from the dict (routes indexed per second), and
+  ``lpm``: longest-prefix-match lookups per second once it exists;
+- ``trie_insert``: eager inserts per second into a bare ``RadixTrie`` —
+  what every insert costs when the structure *is* maintained (after the
+  first query, in prefix lists, in the FIB);
 - ``reselect_small`` / ``reselect_large``: incremental churn throughput
   at both sizes — **sub-linear** means the per-operation cost barely
   moves when the table grows 10x (a linear structure would slow ~10x);
@@ -17,8 +24,10 @@ sizes and holds DESIGN.md §14's scaling claims to numbers:
   virtual clock.
 
 Writes ``BENCH_fulltable.json`` at the repo root for the regression
-gate (``check_bench_regression.py --suite fulltable``).  ``--smoke``
-runs reduced sizes and asserts the invariants only, for ``make verify``.
+gate (``check_bench_regression.py --suite fulltable``); a ``before``
+block in that file (rows measured at an earlier commit on the same host
+with this bench file) is carried over unchanged.  ``--smoke`` runs
+reduced sizes and asserts the invariants only, for ``make verify``.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_fulltable.py [--smoke]
@@ -27,12 +36,15 @@ Usage:
 import argparse
 import gc
 import json
+import random
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.bgp.prefixes import Prefix  # noqa: E402
+from repro.bgp.radix import RadixTrie  # noqa: E402
 from repro.core.replication import ReplicationPipeline  # noqa: E402
 from repro.workloads.fulltable import (  # noqa: E402
     FullTableWorkload,
@@ -44,6 +56,7 @@ OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fulltable.json"
 SEED = 11
 CHURN_OPS = 3_000
 CHURN_REPEATS = 3
+LPM_PROBES = 100_000
 
 #: Working set for the *incremental* compaction stage: small, so the
 #: rewritten-chunk count is bounded by the touched prefixes, not the
@@ -118,6 +131,16 @@ def measure_table(size):
     rib, load_s = _timed(workload.build)
     routes = len(rib)
 
+    # The first ordered query derives the structural index from the
+    # loaded table; everything below runs with it live and maintained,
+    # as an aggregating speaker's Loc-RIB would.
+    index, materialise_s = _timed(lambda: rib.store)
+    assert len(index) == routes
+    probes = _lpm_probes(workload)
+    missed, lpm_s = _timed(
+        lambda: sum(rib.lookup(probe) is None for probe in probes))
+    assert missed == 0, f"{missed} probes missed a table with a default"
+
     # Best-of-N: the churn window is short (~0.1 s at full size), so a
     # scheduler hiccup in one repeat must not fail the sub-linearity
     # floor.  Throughput noise is one-sided — the fastest repeat is the
@@ -146,6 +169,9 @@ def measure_table(size):
         "routes": routes,
         "load_s": load_s,
         "load_ops_per_sec": routes / load_s,
+        "materialise_s": materialise_s,
+        "materialise_ops_per_sec": routes / materialise_s,
+        "lpm_ops_per_sec": len(probes) / lpm_s,
         "churn_ops": ops,
         "churn_ops_per_sec": ops / churn_s,
         "full_compact_s": full_compact_s,
@@ -156,6 +182,34 @@ def measure_table(size):
         "snapshot_entries_written": written,
         "aggregation_reduction": 1.0 - written / raw if raw else 0.0,
     }
+
+
+def _lpm_probes(workload):
+    """Half the probes are table prefixes (exact hits), half are host
+    addresses anywhere in the space (a cover some levels up, at worst
+    the default route)."""
+    rng = random.Random(SEED)
+    probes = []
+    for _ in range(LPM_PROBES // 2):
+        probes.append(workload.prefix_at(rng.randrange(workload.total)))
+        probes.append(Prefix(rng.getrandbits(32), 32))
+    return probes
+
+
+def measure_trie_insert(size):
+    """Eager inserts into a bare trie, table order; inserts per second."""
+    workload = FullTableWorkload(seed=SEED, size=size)
+    prefixes = [workload.prefix_at(i) for i in range(workload.total)]
+    trie = RadixTrie()
+
+    def fill():
+        insert = trie.insert
+        for prefix in prefixes:
+            insert(prefix, prefix)
+
+    _, elapsed = _timed(fill)
+    assert len(trie) == len(prefixes)
+    return len(prefixes) / elapsed
 
 
 def check_invariants(small, large, pair_stats):
@@ -191,6 +245,8 @@ def check_invariants(small, large, pair_stats):
 def _print_table(label, stats):
     print(f"{label}: {stats['routes']:,} routes  "
           f"load {stats['load_ops_per_sec']:,.0f} ops/s  "
+          f"materialise {stats['materialise_s']:.2f}s  "
+          f"lpm {stats['lpm_ops_per_sec']:,.0f}/s  "
           f"churn {stats['churn_ops_per_sec']:,.0f} ops/s  "
           f"full-compact {stats['full_compact_s']:.2f}s "
           f"({stats['full_chunks']} chunks)  "
@@ -214,6 +270,9 @@ def main():
     _print_table("small", small)
     large = measure_table(large_size)
     _print_table("large", large)
+    trie_insert = measure_trie_insert(large_size)
+    print(f"trie-insert: {trie_insert:,.0f} inserts/s into a bare trie "
+          f"at {large_size:,}")
 
     pair_stats, pair_wall = _timed(
         lambda: replay_through_pair(size=pair_size,
@@ -255,6 +314,10 @@ def main():
         "results": {
             "table_load": {
                 "ops_per_sec": round(large["load_ops_per_sec"], 1)},
+            "materialise": {
+                "ops_per_sec": round(large["materialise_ops_per_sec"], 1)},
+            "lpm": {"ops_per_sec": round(large["lpm_ops_per_sec"], 1)},
+            "trie_insert": {"ops_per_sec": round(trie_insert, 1)},
             "reselect_small": {
                 "ops_per_sec": round(small["churn_ops_per_sec"], 1)},
             "reselect_large": {
@@ -266,6 +329,10 @@ def main():
                     1.0 / large["incremental_compact_s"], 4)},
         },
     }
+    if OUT_PATH.exists():
+        before = json.loads(OUT_PATH.read_text()).get("before")
+        if before is not None:
+            payload["before"] = before
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUT_PATH.name}")
     return 0

@@ -9,7 +9,7 @@ so the cumulative byte counts that TENSOR's ACK-number inference relies on
 are genuine.
 """
 
-from repro.bgp.prefixes import Prefix, PrefixTrie
+from repro.bgp.prefixes import Prefix
 from repro.bgp.radix import DictPrefixStore, RadixTrie
 from repro.bgp.aggregation import ExportAggregator
 from repro.bgp.attributes import (
@@ -37,7 +37,6 @@ from repro.bgp.speaker import BgpSpeaker, SpeakerConfig
 
 __all__ = [
     "Prefix",
-    "PrefixTrie",
     "RadixTrie",
     "DictPrefixStore",
     "ExportAggregator",

@@ -259,65 +259,68 @@ class PeerSession:
         if not self.established:
             return
         vrf = self.vrf
+        # Resolved once per message, not per route: peer_id is a fresh
+        # f-string on every read.
+        peer_id = self.peer_id
         changes = []
-        for prefix in message.withdrawn:
-            removed = self.adj_rib_in.withdraw(prefix)
-            if removed is not None:
-                old, new = vrf.loc_rib.retract(prefix, self.peer_id)
-                changes.append((prefix, old, new))
+        self._withdraw_routes(message.withdrawn, vrf, peer_id, changes)
         if message.nlri:
             self.updates_received += len(message.nlri)
-            attributes = message.attributes
-            # eBGP loop detection: our AS in the path means reject.  The
-            # check is scoped to eBGP sessions per RFC 4271 — iBGP paths
-            # legitimately circulate inside the AS.
-            if (self.source_kind == "ebgp"
-                    and attributes.as_path.contains(self.speaker.config.local_as)):
+            if not self._learn_routes(message.nlri, message.attributes, vrf,
+                                      peer_id, changes):
                 return
-            for prefix in message.nlri:
-                imported = self.config.import_policy.evaluate(prefix, attributes)
-                if imported is None:
-                    continue
-                route = Route(prefix, imported, self.peer_id, self.source_kind)
-                self.adj_rib_in.update(route)
-                self.routes_learned += 1
-                old, new = vrf.loc_rib.offer(route)
-                changes.append((prefix, old, new))
         self.updates_received += len(message.withdrawn)
-        changes.extend(self._handle_mp_routes(message, vrf))
+        self._handle_mp_routes(message, vrf, peer_id, changes)
         if changes:
             self.speaker.best_paths_changed(self, changes)
 
-    def _handle_mp_routes(self, message, vrf):
+    def _withdraw_routes(self, prefixes, vrf, peer_id, changes):
+        withdraw = self.adj_rib_in.withdraw
+        retract = vrf.loc_rib.retract
+        for prefix in prefixes:
+            if withdraw(prefix) is not None:
+                old, new = retract(prefix, peer_id)
+                changes.append((prefix, old, new))
+
+    def _learn_routes(self, prefixes, attributes, vrf, peer_id, changes):
+        """Import ``prefixes`` sharing ``attributes`` into the Adj-RIB-In
+        and offer them to the Loc-RIB.  Returns False when the whole set
+        is rejected by eBGP loop detection: our AS in the path means
+        reject, scoped to eBGP sessions per RFC 4271 — iBGP paths
+        legitimately circulate inside the AS."""
+        source_kind = self.source_kind
+        if (source_kind == "ebgp"
+                and attributes.as_path.contains(self.speaker.config.local_as)):
+            return False
+        evaluate = self.config.import_policy.evaluate
+        update = self.adj_rib_in.update
+        offer = vrf.loc_rib.offer
+        learned = 0
+        for prefix in prefixes:
+            imported = evaluate(prefix, attributes)
+            if imported is None:
+                continue
+            route = Route(prefix, imported, peer_id, source_kind)
+            update(route)
+            learned += 1
+            old, new = offer(route)
+            changes.append((prefix, old, new))
+        self.routes_learned += learned
+        return True
+
+    def _handle_mp_routes(self, message, vrf, peer_id, changes):
         """IPv6 reachability carried in MP_REACH/MP_UNREACH (RFC 4760)."""
         if message.attributes is None or not message.attributes.unknown:
-            return []
+            return
         from repro.bgp.multiprotocol import mp_routes_of
 
         reach, unreach = mp_routes_of(message.attributes)
-        changes = []
         if unreach is not None:
-            for prefix in unreach.withdrawn:
-                removed = self.adj_rib_in.withdraw(prefix)
-                if removed is not None:
-                    old, new = vrf.loc_rib.retract(prefix, self.peer_id)
-                    changes.append((prefix, old, new))
+            self._withdraw_routes(unreach.withdrawn, vrf, peer_id, changes)
             self.updates_received += len(unreach.withdrawn)
-        if reach is not None:
-            attributes = message.attributes
-            if not (self.source_kind == "ebgp"
-                    and attributes.as_path.contains(self.speaker.config.local_as)):
-                for prefix in reach.nlri:
-                    imported = self.config.import_policy.evaluate(prefix, attributes)
-                    if imported is None:
-                        continue
-                    route = Route(prefix, imported, self.peer_id, self.source_kind)
-                    self.adj_rib_in.update(route)
-                    self.routes_learned += 1
-                    old, new = vrf.loc_rib.offer(route)
-                    changes.append((prefix, old, new))
-                self.updates_received += len(reach.nlri)
-        return changes
+        if reach is not None and self._learn_routes(
+                reach.nlri, message.attributes, vrf, peer_id, changes):
+            self.updates_received += len(reach.nlri)
 
     # ------------------------------------------------------------------
     # send path

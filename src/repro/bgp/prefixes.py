@@ -1,15 +1,16 @@
-"""IP prefixes and a binary trie for longest-prefix matching.
+"""IP prefixes.
 
 Prefixes are the NLRI currency of BGP.  We support IPv4 and IPv6; the
 wire encoding (RFC 4271 §4.3) is a length octet followed by the minimum
-number of prefix octets.
+number of prefix octets.  Longest-prefix matching over sets of them is
+:class:`repro.bgp.radix.RadixTrie`.
 """
 
 
 class Prefix:
     """An immutable IP prefix (network address + mask length + AFI)."""
 
-    __slots__ = ("value", "length", "afi")
+    __slots__ = ("value", "length", "afi", "_hash")
 
     AFI_IPV4 = 1
     AFI_IPV6 = 2
@@ -19,9 +20,12 @@ class Prefix:
         if not 0 <= length <= bits:
             raise ValueError(f"prefix length {length} out of range for afi {afi}")
         mask = ((1 << length) - 1) << (bits - length) if length else 0
-        self.value = value & mask
+        self.value = value = value & mask
         self.length = length
         self.afi = afi
+        # Every RIB dict probe hashes its prefix; compute it once.  Ints
+        # hash the same in every process, so the slot survives pickling.
+        self._hash = hash((value, length, afi))
 
     @property
     def bits(self):
@@ -82,36 +86,6 @@ class Prefix:
         shift = self.bits - self.length
         return (self.value >> shift) == (other.value >> shift)
 
-    def bit_at(self, index):
-        """The prefix bit at position ``index`` (0 = most significant).
-
-        ``index`` must be in ``[0, bits)``.  Out-of-range indices raise
-        IndexError — a negative index would silently read the wrong bit
-        and an index past the AFI width used to surface as a cryptic
-        negative-shift ValueError deep inside trie descent.
-        """
-        if not 0 <= index < self.bits:
-            raise IndexError(
-                f"bit index {index} out of range for {self.bits}-bit prefix"
-            )
-        return (self.value >> (self.bits - 1 - index)) & 1
-
-    def common_prefix_len(self, other, limit=None):
-        """Length of the longest common leading bit-run with ``other``.
-
-        Capped at both prefix lengths (mask bits beyond a prefix's
-        length are not part of its identity) and optionally ``limit``.
-        Both prefixes must share an AFI.
-        """
-        cap = self.length if self.length < other.length else other.length
-        if limit is not None and limit < cap:
-            cap = limit
-        diff = self.value ^ other.value
-        if not diff:
-            return cap
-        shared = self.bits - diff.bit_length()
-        return shared if shared < cap else cap
-
     # -- dunder --------------------------------------------------------------
 
     def __eq__(self, other):
@@ -123,7 +97,7 @@ class Prefix:
         )
 
     def __hash__(self):
-        return hash((self.value, self.length, self.afi))
+        return self._hash
 
     def __lt__(self, other):
         return (self.afi, self.value, self.length) < (
@@ -174,78 +148,3 @@ def _parse_v6(addr):
     for group in groups:
         value = (value << 16) | group
     return value
-
-
-class _TrieNode:
-    __slots__ = ("children", "entry", "has_entry")
-
-    def __init__(self):
-        self.children = [None, None]
-        self.entry = None
-        self.has_entry = False
-
-
-class PrefixTrie:
-    """A binary trie mapping prefixes to values, with longest-prefix match.
-
-    Used by the forwarding-plane examples (FIB lookups) and by policy
-    prefix-lists; the RIBs themselves use exact-match dicts for speed.
-    """
-
-    def __init__(self):
-        self._roots = {Prefix.AFI_IPV4: _TrieNode(), Prefix.AFI_IPV6: _TrieNode()}
-        self._count = 0
-
-    def insert(self, prefix, value):
-        node = self._roots[prefix.afi]
-        for i in range(prefix.length):
-            bit = prefix.bit_at(i)
-            if node.children[bit] is None:
-                node.children[bit] = _TrieNode()
-            node = node.children[bit]
-        if not node.has_entry:
-            self._count += 1
-        node.entry = value
-        node.has_entry = True
-
-    def remove(self, prefix):
-        """Remove an exact prefix; returns True if it existed."""
-        node = self._roots[prefix.afi]
-        for i in range(prefix.length):
-            node = node.children[prefix.bit_at(i)]
-            if node is None:
-                return False
-        if node.has_entry:
-            node.has_entry = False
-            node.entry = None
-            self._count -= 1
-            return True
-        return False
-
-    def exact(self, prefix):
-        node = self._roots[prefix.afi]
-        for i in range(prefix.length):
-            node = node.children[prefix.bit_at(i)]
-            if node is None:
-                return None
-        return node.entry if node.has_entry else None
-
-    def longest_match(self, prefix):
-        """The most specific stored entry covering ``prefix``.
-
-        Returns (matched_length, value) or None.
-        """
-        node = self._roots[prefix.afi]
-        best = None
-        if node.has_entry:
-            best = (0, node.entry)
-        for i in range(prefix.length):
-            node = node.children[prefix.bit_at(i)]
-            if node is None:
-                break
-            if node.has_entry:
-                best = (i + 1, node.entry)
-        return best
-
-    def __len__(self):
-        return self._count

@@ -1,7 +1,8 @@
 """Path-compressed binary radix (Patricia) trie keyed by :class:`Prefix`.
 
-The Loc-RIB's prefix store.  A flat dict answers exact-match queries but
-nothing else; real tables need the order-dependent queries too:
+The structural index behind the Loc-RIB, prefix lists and the FIB.  A
+flat dict answers exact-match queries but nothing else; real tables
+need the order-dependent queries too:
 longest-prefix match (which candidate covers a destination), covered
 walks (every more-specific under an aggregate — the DRAGON aggregation
 engine lives on this), covering chains (every less-specific over a
@@ -17,9 +18,13 @@ child and no entry are never materialized, so the trie holds at most
 ``2n - 1`` nodes for ``n`` entries and descent is bounded by the AFI
 width, not the entry count.
 
-The hot exact-match path (offer/retract runs once per BGP update) never
-walks the tree: an intrusive ``prefix -> node`` index dict gives O(1)
-lookup, and nodes carry parent pointers so removal prunes locally.
+Exact-match queries never walk the tree: an intrusive ``prefix -> node``
+index dict gives O(1) lookup, and nodes carry parent pointers so removal
+prunes locally.  Descent (insert, LPM, covering, covered) runs on the
+nodes' plain-int ``value``/``length`` with shifts and xors — no
+:class:`Prefix` method call per level.  The shape is canonical for the
+key set: whatever order entries arrive in, the same nodes result, which
+is what lets the Loc-RIB build this structure late (DESIGN.md §14).
 
 Iteration order is pre-order (node, 0-child, 1-child), which for this
 bit layout is exactly ascending ``(value, length)`` — a parent's value
@@ -36,35 +41,44 @@ tests run both in lockstep to pin behavior.
 
 from repro.bgp.prefixes import Prefix
 
+#: Address width per AFI; descent shifts against it on plain ints.
+_BITS = {Prefix.AFI_IPV4: 32, Prefix.AFI_IPV6: 128}
+
 
 class RadixNode:
-    """One trie position; carries an entry only when ``has_entry``."""
+    """One trie position; carries an entry only when ``prefix`` is set.
 
-    __slots__ = ("prefix", "parent", "children", "entry", "has_entry")
+    The position is the plain-int pair ``(value, length)`` — descent
+    compares ints and never calls into :class:`Prefix`.  ``prefix`` is
+    the stored key object: None on a pure fork, which is what tells an
+    entry whose value is None from no entry at all.
+    """
 
-    def __init__(self, prefix, parent=None):
-        self.prefix = prefix
+    __slots__ = ("value", "length", "parent", "zero", "one",
+                 "prefix", "entry")
+
+    def __init__(self, value, length, parent=None):
+        self.value = value
+        self.length = length
         self.parent = parent
-        self.children = [None, None]
+        self.zero = None
+        self.one = None
+        self.prefix = None
         self.entry = None
-        self.has_entry = False
 
     def __repr__(self):
-        mark = "*" if self.has_entry else ""
-        return f"<RadixNode {self.prefix}{mark}>"
+        mark = "*" if self.prefix is not None else ""
+        return f"<RadixNode {self.value:#x}/{self.length}{mark}>"
 
 
 class RadixTrie:
     """Prefix -> value map with LPM, covered/covering walks, sorted order."""
 
     def __init__(self):
-        self._roots = {
-            Prefix.AFI_IPV4: RadixNode(Prefix(0, 0, Prefix.AFI_IPV4)),
-            Prefix.AFI_IPV6: RadixNode(Prefix(0, 0, Prefix.AFI_IPV6)),
-        }
+        self._roots = {afi: RadixNode(0, 0) for afi in _BITS}
         self._index = {}  # prefix -> RadixNode (entry-bearing nodes only)
 
-    # -- exact-match surface (the hot path; all O(1) via the index) ---------
+    # -- exact-match surface (all O(1) via the index) ------------------------
 
     def __len__(self):
         return len(self._index)
@@ -83,9 +97,8 @@ class RadixTrie:
         """Insert or replace; returns the node holding the entry."""
         node = self._index.get(prefix)
         if node is None:
-            node = self._attach(prefix)
-            node.has_entry = True
-            self._index[prefix] = node
+            node = self._index[prefix] = self._attach(prefix)
+            node.prefix = prefix
         node.entry = value
         return node
 
@@ -94,8 +107,7 @@ class RadixTrie:
         node = self._index.pop(prefix, None)
         if node is None:
             return False
-        node.entry = None
-        node.has_entry = False
+        node.prefix = node.entry = None
         self._prune(node)
         return True
 
@@ -103,47 +115,57 @@ class RadixTrie:
 
     def _attach(self, prefix):
         """Find or create the node at ``prefix``'s position."""
+        value, length = prefix.value, prefix.length
+        bits = _BITS[prefix.afi]
         node = self._roots[prefix.afi]
         while True:
             # Invariant: node's position covers prefix.
-            if node.prefix.length == prefix.length:
+            at = node.length
+            if at == length:
                 return node
-            bit = prefix.bit_at(node.prefix.length)
-            child = node.children[bit]
+            bit = (value >> (bits - 1 - at)) & 1
+            child = node.one if bit else node.zero
             if child is None:
-                leaf = RadixNode(prefix, node)
-                node.children[bit] = leaf
-                return leaf
-            common = child.prefix.common_prefix_len(prefix)
-            if common == child.prefix.length:
-                # child still covers prefix: keep descending.
-                node = child
-                continue
-            # Diverged inside the compressed edge: split at the fork.
-            mid = RadixNode(Prefix(prefix.value, common, prefix.afi), node)
-            node.children[bit] = mid
-            mid.children[child.prefix.bit_at(common)] = child
-            child.parent = mid
-            if common == prefix.length:
-                # prefix *is* the fork position (it covers child).
-                return mid
-            leaf = RadixNode(prefix, mid)
-            mid.children[prefix.bit_at(common)] = leaf
-            return leaf
+                child = RadixNode(value, length, node)
+            else:
+                common = bits - (child.value ^ value).bit_length()
+                reach = child.length
+                if reach <= common and reach <= length:
+                    node = child  # child still covers prefix: keep descending
+                    continue
+                # Diverged inside the compressed edge: split at the fork,
+                # which is prefix's own position when prefix covers child.
+                if common > length:
+                    common = length
+                keep = bits - common
+                mid = RadixNode(value >> keep << keep, common, node)
+                if (child.value >> (keep - 1)) & 1:
+                    mid.one = child
+                else:
+                    mid.zero = child
+                child.parent = mid
+                child = mid
+            if bit:
+                node.one = child
+            else:
+                node.zero = child
+            node = child  # a new leaf, or the fork to hang it under
 
     def _prune(self, node):
         """Splice out now-useless chain nodes after an entry removal."""
-        while node.parent is not None and not node.has_entry:
-            kids = [child for child in node.children if child is not None]
-            if len(kids) == 2:
+        while node.prefix is None and node.parent is not None:
+            kid = node.zero
+            if kid is None:
+                kid = node.one
+            elif node.one is not None:
                 return  # still a fork point
             parent = node.parent
-            slot = 0 if parent.children[0] is node else 1
-            if kids:
-                kids[0].parent = parent
-                parent.children[slot] = kids[0]
+            if kid is not None:
+                kid.parent = parent
+            if parent.zero is node:
+                parent.zero = kid
             else:
-                parent.children[slot] = None
+                parent.one = kid
             node.parent = None
             node = parent
 
@@ -154,33 +176,26 @@ class RadixTrie:
 
         Returns ``(stored_prefix, value)`` or None.
         """
-        node = self._roots[prefix.afi]
-        best = None
-        while True:
-            if node.has_entry:
-                best = node
-            if node.prefix.length >= prefix.length:
-                break
-            child = node.children[prefix.bit_at(node.prefix.length)]
-            if child is None or not child.prefix.contains(prefix):
-                break
-            node = child
-        if best is None:
-            return None
-        return best.prefix, best.entry
+        match = None
+        for match in self.covering(prefix):
+            pass
+        return match
 
     def covering(self, prefix):
         """Entries covering ``prefix`` (itself included), shortest first."""
+        value, length = prefix.value, prefix.length
+        bits = _BITS[prefix.afi]
         node = self._roots[prefix.afi]
         while True:
-            if node.has_entry:
+            if node.prefix is not None:
                 yield node.prefix, node.entry
-            if node.prefix.length >= prefix.length:
+            at = node.length
+            if at >= length:
                 return
-            child = node.children[prefix.bit_at(node.prefix.length)]
-            if child is None or not child.prefix.contains(prefix):
+            node = node.one if (value >> (bits - 1 - at)) & 1 else node.zero
+            if (node is None or node.length > length
+                    or (node.value ^ value) >> (bits - node.length)):
                 return
-            node = child
 
     def covered(self, prefix):
         """Entries within ``prefix`` (itself included), in sorted order."""
@@ -188,37 +203,22 @@ class RadixTrie:
         if top is not None:
             yield from self._walk_from(top)
 
-    def covered_nodes(self, prefix):
-        """Entry-bearing nodes within ``prefix`` (aggregation engine)."""
-        top = self._subtree_top(prefix)
-        if top is None:
-            return
-        stack = [top]
-        while stack:
-            node = stack.pop()
-            if node.has_entry:
-                yield node
-            if node.children[1] is not None:
-                stack.append(node.children[1])
-            if node.children[0] is not None:
-                stack.append(node.children[0])
-
     def _subtree_top(self, prefix):
         """The shallowest node whose subtree holds exactly the entries
         covered by ``prefix`` — or None when no entry is covered."""
+        value, length = prefix.value, prefix.length
+        bits = _BITS[prefix.afi]
         node = self._roots[prefix.afi]
-        while node.prefix.length < prefix.length:
-            child = node.children[prefix.bit_at(node.prefix.length)]
-            if child is None:
+        while node.length < length:
+            node = (node.one if (value >> (bits - 1 - node.length)) & 1
+                    else node.zero)
+            if node is None:
                 return None
-            if child.prefix.length >= prefix.length:
-                # Jumped past prefix's position along a compressed edge:
-                # the whole child subtree is covered iff the edge stayed
-                # inside prefix.
-                return child if prefix.contains(child.prefix) else None
-            if not child.prefix.contains(prefix):
+            # The edge must stay inside prefix as far as both reach; a
+            # child at or past prefix's position then tops the subtree.
+            reach = node.length if node.length < length else length
+            if (node.value ^ value) >> (bits - reach):
                 return None
-            node = child
         return node
 
     # -- iteration ----------------------------------------------------------
@@ -237,12 +237,12 @@ class RadixTrie:
         stack = [top]
         while stack:
             node = stack.pop()
-            if node.has_entry:
+            if node.prefix is not None:
                 yield node.prefix, node.entry
-            if node.children[1] is not None:
-                stack.append(node.children[1])
-            if node.children[0] is not None:
-                stack.append(node.children[0])
+            if node.one is not None:
+                stack.append(node.one)
+            if node.zero is not None:
+                stack.append(node.zero)
 
 
 class DictPrefixStore:

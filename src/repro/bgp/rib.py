@@ -4,12 +4,13 @@ Per RFC 4271 §3.2: routes learned from each peer land in that peer's
 Adj-RIB-In; the decision process selects one best route per prefix into
 the Loc-RIB; per-peer Adj-RIB-Out holds what has been advertised.
 
-The Loc-RIB keys its per-prefix state (candidates, MED-group counts)
-by a pluggable prefix store — a path-compressed radix trie by default
-(:class:`repro.bgp.radix.RadixTrie`), which adds longest-prefix match,
-covered-subtree walks and sorted iteration on top of the original
-exact-match surface.  ``use_prefix_store`` swaps the backend (e.g. the
-seed-equivalent flat dict) for differential testing.
+The Loc-RIB owns its per-prefix state (candidates, MED-group counts)
+in an exact-match dict, the only structure ``offer``/``retract`` touch.
+Longest-prefix match, covered-subtree walks and sorted iteration come
+from a pluggable prefix store — a path-compressed radix trie by default
+(:class:`repro.bgp.radix.RadixTrie`) — derived from that dict at the
+first ordered query (DESIGN.md §14).  ``use_prefix_store`` swaps the
+backend (e.g. the seed-equivalent flat dict) for differential testing.
 """
 
 import contextlib
@@ -46,8 +47,12 @@ def use_prefix_store(factory):
         _store_factory = previous
 
 
+def _prefix_order(prefix):
+    return prefix.afi, prefix.value, prefix.length
+
+
 class _PrefixSlot:
-    """Per-prefix Loc-RIB state, stored as the prefix store's value.
+    """Per-prefix Loc-RIB state, shared with the prefix store as its value.
 
     ``best`` mirrors the LocRib-level ``_best`` dict so trie queries
     (LPM, covered walks) can answer with the selected route without a
@@ -140,14 +145,16 @@ class LocRib:
         # deterministic trajectory — it stays a plain dict regardless
         # of the store backend.
         self._best = {}  # prefix -> Route
-        # prefix -> _PrefixSlot for every prefix with >= 1 candidate.
-        # The flat dict serves the per-update exact-match path (BGP
-        # updates hit it once each — keeping it a single dict probe
-        # preserves the seed's hot-path cost); the structural store
-        # mirrors the same slot objects for LPM, covered walks and
-        # sorted iteration.
+        # prefix -> _PrefixSlot for every prefix with >= 1 candidate:
+        # the owner of the table, and all the per-update path touches.
         self._slots = {}
+        # The structural index over the same slot objects (LPM, covered
+        # walks, sorted iteration).  The backend is captured here but
+        # stays empty until the first ordered query asks for it (see
+        # :attr:`store`); only from then on do offer/retract mirror
+        # into it.
         self._store = store if store is not None else default_prefix_store()
+        self._indexed = False
         #: Number of best-path selections actually executed: incremental
         #: challenger-vs-incumbent comparisons and full re-scans.  No-op
         #: retracts and trivial single-candidate adoptions do not count.
@@ -180,7 +187,8 @@ class LocRib:
         if slot is None:
             slot = _PrefixSlot()
             self._slots[prefix] = slot
-            self._store.insert(prefix, slot)
+            if self._indexed:
+                self._store.insert(prefix, slot)
         candidates = slot.candidates
         previous = candidates.get(route.peer_id)
         candidates[route.peer_id] = route
@@ -246,7 +254,8 @@ class LocRib:
             self._group_drop(counts, group)
         if not candidates:
             del self._slots[prefix]
-            self._store.remove(prefix)
+            if self._indexed:
+                self._store.remove(prefix)
             self._best.pop(prefix, None)
             return old, None
         if old is not None and old.peer_id != peer_id:
@@ -313,9 +322,21 @@ class LocRib:
 
     @property
     def store(self):
-        """The underlying prefix store (read-only use: aggregation,
-        snapshot walks).  Values are :class:`_PrefixSlot` instances."""
-        return self._store
+        """The prefix store (read-only use: aggregation, snapshot
+        walks).  Values are :class:`_PrefixSlot` instances.
+
+        Built here, once, from the exact-match dict in sorted prefix
+        order — so what it holds depends on the table alone, never on
+        the offer/retract history that produced it — and maintained
+        incrementally afterwards.
+        """
+        store = self._store
+        if not self._indexed:
+            self._indexed = True
+            slots = self._slots
+            for prefix in sorted(slots, key=_prefix_order):
+                store.insert(prefix, slots[prefix])
+        return store
 
     def lookup(self, prefix):
         """Longest-prefix match over *selected* routes: the best route
@@ -324,7 +345,8 @@ class LocRib:
         More-specific-wins receiver semantics — the property that makes
         DRAGON deaggregation holes sound (DESIGN.md §14).
         """
-        match = self._store.longest_match(prefix)
+        store = self.store
+        match = store.longest_match(prefix)
         while match is not None:
             matched, slot = match
             if slot.best is not None:
@@ -334,7 +356,7 @@ class LocRib:
             if matched.length == 0:
                 return None
             shorter = Prefix(matched.value, matched.length - 1, matched.afi)
-            match = self._store.longest_match(shorter)
+            match = store.longest_match(shorter)
         return None
 
     def covered_best(self, prefix):
@@ -342,7 +364,7 @@ class LocRib:
         in ascending prefix order (includes ``prefix`` itself)."""
         return [
             (stored, slot.best)
-            for stored, slot in self._store.covered(prefix)
+            for stored, slot in self.store.covered(prefix)
             if slot.best is not None
         ]
 
@@ -351,7 +373,7 @@ class LocRib:
         shortest first (includes ``prefix`` itself)."""
         return [
             (stored, slot.best)
-            for stored, slot in self._store.covering(prefix)
+            for stored, slot in self.store.covering(prefix)
             if slot.best is not None
         ]
 
@@ -360,7 +382,7 @@ class LocRib:
     def export_entries(self):
         """Serializable view of every candidate path (sorted for determinism)."""
         entries = []
-        for prefix, slot in self._store.walk():
+        for prefix, slot in self.store.walk():
             entries.extend(self._slot_entries(prefix, slot))
         return entries
 

@@ -8,7 +8,8 @@ and, crucially for NSR, the FIB keeps forwarding from its last programmed
 state while the control plane is dead or migrating.
 """
 
-from repro.bgp.prefixes import Prefix, PrefixTrie
+from repro.bgp.prefixes import Prefix
+from repro.bgp.radix import RadixTrie
 from repro.sim.process import Process
 
 #: default RIB->FIB download period (hardware programming latency class)
@@ -34,39 +35,34 @@ class Fib:
 
     def __init__(self, name="fib"):
         self.name = name
-        self._trie = PrefixTrie()
-        self._entries = {}
+        self._trie = RadixTrie()
         self.lookups = 0
         self.misses = 0
 
     def program(self, prefix, next_hop, now=0.0):
-        entry = FibEntry(prefix, next_hop, now)
-        self._entries[prefix] = entry
-        self._trie.insert(prefix, entry)
+        self._trie.insert(prefix, FibEntry(prefix, next_hop, now))
 
     def unprogram(self, prefix):
-        if prefix in self._entries:
-            del self._entries[prefix]
-            self._trie.remove(prefix)
+        self._trie.remove(prefix)
 
     def lookup(self, address):
         """Longest-prefix match for a destination address string."""
         self.lookups += 1
-        host = Prefix.parse(address)
-        match = self._trie.longest_match(host)
+        match = self._trie.longest_match(Prefix.parse(address))
         if match is None:
             self.misses += 1
             return None
         return match[1]
 
     def entries(self):
-        return dict(self._entries)
+        """``{prefix: FibEntry}`` in ascending prefix order."""
+        return dict(self._trie.walk())
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._trie)
 
     def __contains__(self, prefix):
-        return prefix in self._entries
+        return prefix in self._trie
 
 
 class FibSyncer:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bgp import Prefix, PrefixTrie
+from repro.bgp import Prefix, RadixTrie
 
 
 def test_parse_ipv4():
@@ -112,43 +112,56 @@ def test_parse_str_roundtrip_property(text):
 
 
 def test_trie_exact_and_remove():
-    trie = PrefixTrie()
+    trie = RadixTrie()
     p = Prefix.parse("10.0.0.0/8")
     trie.insert(p, "A")
-    assert trie.exact(p) == "A"
+    assert trie.get(p) == "A"
     assert len(trie) == 1
     assert trie.remove(p)
-    assert trie.exact(p) is None
+    assert trie.get(p) is None
     assert not trie.remove(p)
     assert len(trie) == 0
 
 
 def test_trie_longest_match():
-    trie = PrefixTrie()
+    trie = RadixTrie()
     trie.insert(Prefix.parse("10.0.0.0/8"), "eight")
     trie.insert(Prefix.parse("10.1.0.0/16"), "sixteen")
-    assert trie.longest_match(Prefix.parse("10.1.2.0/24")) == (16, "sixteen")
-    assert trie.longest_match(Prefix.parse("10.2.0.0/24")) == (8, "eight")
+    eight, sixteen = Prefix.parse("10.0.0.0/8"), Prefix.parse("10.1.0.0/16")
+    assert trie.longest_match(Prefix.parse("10.1.2.0/24")) == (sixteen, "sixteen")
+    # LPM falls back to the shorter cover when the /16 does not apply.
+    assert trie.longest_match(Prefix.parse("10.2.0.0/24")) == (eight, "eight")
     assert trie.longest_match(Prefix.parse("11.0.0.0/24")) is None
 
 
 def test_trie_default_route_matches_everything():
-    trie = PrefixTrie()
+    trie = RadixTrie()
     trie.insert(Prefix.parse("0.0.0.0/0"), "default")
-    assert trie.longest_match(Prefix.parse("192.0.2.1/32")) == (0, "default")
+    assert trie.longest_match(Prefix.parse("192.0.2.1/32")) == (
+        Prefix.parse("0.0.0.0/0"), "default")
+
+
+def test_trie_host_route_and_remove_then_miss():
+    trie = RadixTrie()
+    host = Prefix.parse("192.0.2.1/32")
+    trie.insert(host, "host")
+    assert trie.longest_match(host) == (host, "host")
+    assert trie.longest_match(Prefix.parse("192.0.2.0/32")) is None
+    assert trie.remove(host)
+    assert trie.longest_match(host) is None
 
 
 def test_trie_update_in_place():
-    trie = PrefixTrie()
+    trie = RadixTrie()
     p = Prefix.parse("10.0.0.0/8")
     trie.insert(p, "one")
     trie.insert(p, "two")
-    assert trie.exact(p) == "two"
+    assert trie.get(p) == "two"
     assert len(trie) == 1
 
 
 def test_trie_v4_v6_independent():
-    trie = PrefixTrie()
+    trie = RadixTrie()
     trie.insert(Prefix.parse("0.0.0.0/0"), "v4")
     trie.insert(Prefix.parse("::/0"), "v6")
     assert trie.longest_match(Prefix.parse("1.2.3.4/32"))[1] == "v4"
@@ -188,34 +201,33 @@ def test_host_route_contains_only_itself():
     assert not v6_host.contains(Prefix.parse("2001:db8::/127"))
 
 
-def test_bit_at_full_range_and_bounds():
-    host = Prefix.parse("255.255.255.255/32")
-    assert [host.bit_at(i) for i in (0, 31)] == [1, 1]
-    lone = Prefix.parse("0.0.0.1/32")
-    assert lone.bit_at(31) == 1
-    assert sum(lone.bit_at(i) for i in range(32)) == 1
-    top = Prefix.parse("128.0.0.0/1")
-    assert top.bit_at(0) == 1
-    with pytest.raises(IndexError):
-        host.bit_at(32)
-    with pytest.raises(IndexError):
-        host.bit_at(-1)
-    with pytest.raises(IndexError):
-        Prefix.parse("::/0").bit_at(128)
-    assert Prefix.parse("::1/128").bit_at(127) == 1
+# ----------------------------------------------------------------------
+# hashing: computed once at construction, stable across every way of
+# building an equal prefix and across pickling
+# ----------------------------------------------------------------------
+
+def test_equal_prefixes_hash_equal_however_built():
+    parsed = Prefix.parse("10.1.0.0/16")
+    wired, _offset = Prefix.from_wire(parsed.to_wire(), 0)
+    unmasked = Prefix(0x0A01FFFF, 16)  # host bits set: masked on the way in
+    assert parsed == wired == unmasked
+    assert hash(parsed) == hash(wired) == hash(unmasked)
+    assert hash(parsed) != hash(Prefix.parse("10.1.0.0/17"))
+    assert len({parsed, wired, unmasked}) == 1
+    v6 = Prefix.parse("2001:db8::/32")
+    wired6, _offset = Prefix.from_wire(v6.to_wire(), 0, Prefix.AFI_IPV6)
+    assert v6 == wired6 and hash(v6) == hash(wired6)
+    assert hash(Prefix.parse("::/0")) != hash(Prefix.parse("0.0.0.0/0"))
 
 
-def test_common_prefix_len_edges():
-    default = Prefix.parse("0.0.0.0/0")
-    host = Prefix.parse("0.0.0.0/32")
-    # capped by the shorter operand
-    assert default.common_prefix_len(host) == 0
-    assert host.common_prefix_len(host) == 32
-    # identical values, differing lengths: capped by the shorter
-    assert Prefix.parse("10.0.0.0/8").common_prefix_len(
-        Prefix.parse("10.0.0.0/24")) == 8
-    # first-bit divergence
-    assert Prefix.parse("0.0.0.0/32").common_prefix_len(
-        Prefix.parse("128.0.0.0/32")) == 0
-    # explicit limit caps further
-    assert host.common_prefix_len(host, limit=5) == 5
+def test_prefix_is_a_dict_key_across_pickling():
+    import pickle
+
+    table = {Prefix.parse("10.1.0.0/16"): "v4", Prefix.parse("2001:db8::/32"): "v6"}
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        shipped = pickle.loads(pickle.dumps(table, protocol))
+        assert shipped == table
+        for prefix, value in table.items():
+            clone = pickle.loads(pickle.dumps(prefix, protocol))
+            assert clone == prefix and hash(clone) == hash(prefix)
+            assert shipped[clone] == table[clone] == value

@@ -118,3 +118,68 @@ def test_withdrawals_batch_through_mrai(engine, network):
     engine.advance(2.0)
     assert len(b.vrfs["v"].loc_rib) == 0
     assert session_a.messages_sent - before <= 3  # packed withdrawals
+
+
+def test_routes_of_one_update_share_one_peer_id(engine, network):
+    """peer_id, source kind, import policy and the RIB entry points are
+    resolved once per UPDATE: every route it teaches — v4 NLRI and the
+    v6 reachability riding in MP_REACH — carries the same peer_id
+    object, with contents exactly as a per-route resolution gave."""
+    from repro.bgp import AsPath, PathAttributes, Prefix
+    from repro.bgp.multiprotocol import attach_mp_reach
+
+    network.enable_fabric(latency=5e-5)
+    a_host = network.add_host("a", "10.0.0.1")
+    b_host = network.add_host("b", "10.0.0.2")
+    a = BgpSpeaker(engine, TcpStack(engine, a_host),
+                   SpeakerConfig("a", 64512, "10.0.0.1"))
+    b = BgpSpeaker(engine, TcpStack(engine, b_host),
+                   SpeakerConfig("b", 65001, "10.0.0.2"))
+    a.add_vrf("v")
+    b.add_vrf("v")
+    a.add_peer(PeerConfig("10.0.0.2", 65001, vrf_name="v", mode="active"))
+    session_b = b.add_peer(
+        PeerConfig("10.0.0.1", 64512, vrf_name="v", mode="passive"))
+    a.start()
+    b.start()
+    engine.advance(3.0)
+    assert session_b.established
+
+    v4 = [Prefix.parse(f"198.51.{i}.0/24") for i in range(6)]
+    v6 = [Prefix.parse("2001:db8:1::/48"), Prefix.parse("2001:db8:2::/48")]
+    attrs = attach_mp_reach(
+        PathAttributes(as_path=AsPath.sequence(64512), next_hop="10.0.0.1"),
+        Prefix.parse("2001:db8::1/128").value, v6)
+    learned_before = session_b.routes_learned
+    received_before = session_b.updates_received
+    session_b.handle_message(UpdateMessage(attributes=attrs, nlri=v4), 64)
+
+    routes = list(session_b.adj_rib_in.routes())
+    assert [route.prefix for route in routes] == v4 + v6
+    assert len({id(route.peer_id) for route in routes}) == 1
+    assert all(route.peer_id == "v:10.0.0.1" == session_b.peer_id
+               and route.source_kind == "ebgp"
+               and route.attributes is attrs for route in routes)
+    loc_rib = b.vrfs["v"].loc_rib
+    assert all(loc_rib.best(route.prefix) is route for route in routes)
+    assert session_b.routes_learned - learned_before == 8
+    assert session_b.updates_received - received_before == 8
+
+    # A later UPDATE withdraws under an equal peer_id, v4 and v6 alike.
+    from repro.bgp.attributes import FLAG_OPTIONAL
+    from repro.bgp.multiprotocol import (TYPE_MP_UNREACH_NLRI,
+                                         encode_mp_unreach)
+    gone = PathAttributes(unknown=(
+        (FLAG_OPTIONAL, TYPE_MP_UNREACH_NLRI, encode_mp_unreach(v6[:1])[3:]),))
+    session_b.handle_message(
+        UpdateMessage(withdrawn=v4[:2], attributes=gone), 64)
+    assert len(session_b.adj_rib_in) == len(loc_rib) == 5
+    assert session_b.updates_received - received_before == 11
+
+    # eBGP loop detection still drops the whole message before any route.
+    looped = PathAttributes(as_path=AsPath.sequence(64512, 65001),
+                            next_hop="10.0.0.1")
+    session_b.handle_message(
+        UpdateMessage(attributes=looped, nlri=[Prefix.parse("203.0.113.0/24")]),
+        64)
+    assert len(session_b.adj_rib_in) == 5

@@ -3,7 +3,7 @@ prefix trie vs brute force, packing/attribute interactions."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bgp import Prefix, PrefixTrie
+from repro.bgp import Prefix, RadixTrie
 from repro.core.replication import WriteCoalescer
 from repro.kvstore import KeyValueStore, KvClient, KvServer
 from repro.sim import DeterministicRandom, Engine, Network
@@ -92,7 +92,7 @@ def prefix_strategy(draw):
        queries=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=10))
 @settings(**_SETTINGS)
 def test_trie_longest_match_equals_bruteforce(entries, queries):
-    trie = PrefixTrie()
+    trie = RadixTrie()
     table = {}
     for index, prefix in enumerate(entries):
         trie.insert(prefix, index)
@@ -102,22 +102,22 @@ def test_trie_longest_match_equals_bruteforce(entries, queries):
         expected = None
         for prefix, value in table.items():
             if prefix.contains(host):
-                if expected is None or prefix.length > expected[0]:
-                    expected = (prefix.length, value)
+                if expected is None or prefix.length > expected[0].length:
+                    expected = (prefix, value)
         assert trie.longest_match(host) == expected
 
 
 @given(entries=st.lists(prefix_strategy(), max_size=25, unique_by=lambda p: (p.value, p.length)))
 @settings(**_SETTINGS)
 def test_trie_remove_restores_previous_state(entries):
-    trie = PrefixTrie()
+    trie = RadixTrie()
     for index, prefix in enumerate(entries):
         trie.insert(prefix, index)
     for prefix in entries:
         assert trie.remove(prefix)
     assert len(trie) == 0
     for prefix in entries:
-        assert trie.exact(prefix) is None
+        assert trie.get(prefix) is None
 
 
 # -- BFD timing property --------------------------------------------------------------

@@ -206,11 +206,69 @@ def test_afi_separation():
     assert trie.longest_match(Prefix.parse("192.0.2.0/24")) is None
 
 
-def test_bit_at_bounds():
-    prefix = Prefix.parse("10.0.0.0/8")
-    with pytest.raises(IndexError):
-        prefix.bit_at(-1)
-    with pytest.raises(IndexError):
-        prefix.bit_at(32)
-    assert prefix.bit_at(0) == 0
-    assert prefix.bit_at(4) == 1  # 10 = 00001010
+# -- int-descent edges: the widest AFI's extremes and forks at stored keys --
+
+V6_TOP = 1 << 127
+
+
+def _v6(value, length):
+    return Prefix(value, length, Prefix.AFI_IPV6)
+
+
+def _build_both_from(prefixes):
+    trie, ref = RadixTrie(), DictPrefixStore()
+    for prefix in prefixes:
+        trie.insert(prefix, str(prefix))
+        ref.insert(prefix, str(prefix))
+    return trie, ref
+
+
+def test_ipv6_extreme_lengths_against_reference():
+    stored = [
+        _v6(0, 0), _v6(0, 1), _v6(V6_TOP, 1),
+        _v6(0, 127), _v6(2, 127), _v6(2**128 - 2, 127),
+        _v6(0, 128), _v6(1, 128), _v6(2**128 - 1, 128), _v6(V6_TOP, 128),
+    ]
+    points = stored + [
+        _v6(3, 128), _v6(2, 128), _v6(V6_TOP | 1, 128), _v6(V6_TOP, 2),
+        _v6(1 << 126, 2), _v6(2**128 - 1, 127), _v6(0, 64), _v6(4, 126),
+    ]
+    for order in (stored, stored[::-1]):
+        trie, ref = _build_both_from(order)
+        _assert_equivalent(trie, ref, points)
+        # shrink from each end: every intermediate shape must agree too
+        for prefix in order[::2]:
+            assert trie.remove(prefix) == ref.remove(prefix) is True
+            _assert_equivalent(trie, ref, points)
+    # the bare extremes, each alone in the trie
+    for lone in (_v6(0, 0), _v6(V6_TOP, 1), _v6(2, 127), _v6(2**128 - 1, 128)):
+        trie, ref = _build_both_from([lone])
+        _assert_equivalent(trie, ref, points)
+
+
+def test_fork_exactly_at_a_stored_prefix():
+    """Two siblings force a fork node at 10.0.0.0/15; storing that very
+    prefix afterwards must land on the fork (not beside it), and storing
+    it first must make the siblings its children."""
+    left, right = _v4(0x0A000000, 16), _v4(0x0A010000, 16)
+    fork = _v4(0x0A000000, 15)
+    points = [fork, left, right, _v4(0x0A000000, 14), _v4(0x0A008000, 17),
+              _v4(0x0A010001, 32), _v4(0x0A020000, 16), _v4(0, 0)]
+    for order in ((left, right, fork), (fork, left, right),
+                  (left, fork, right)):
+        trie, ref = _build_both_from(order)
+        _assert_equivalent(trie, ref, points)
+        assert [p for p, _ in trie.covered(fork)] == [fork, left, right]
+        assert trie.longest_match(_v4(0x0A010001, 32))[0] == right
+        assert trie.longest_match(_v4(0x0A008000, 17))[0] == left
+        # dropping the fork's entry keeps it as a pure branch point
+        assert trie.remove(fork) and ref.remove(fork)
+        _assert_equivalent(trie, ref, points)
+        assert trie.longest_match(_v4(0x0A000000, 15)) is None
+    # the same shape at the IPv6 root: /1 siblings fork at /0 itself
+    zero, one, root = _v6(0, 1), _v6(V6_TOP, 1), _v6(0, 0)
+    trie, ref = _build_both_from([zero, one])
+    _assert_equivalent(trie, ref, [root, zero, one, _v6(V6_TOP, 128)])
+    trie.insert(root, "root")
+    ref.insert(root, "root")
+    _assert_equivalent(trie, ref, [root, zero, one, _v6(V6_TOP, 128)])

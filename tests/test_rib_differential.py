@@ -12,13 +12,18 @@ splits, shared stems), MED-group attribute mixes (exercises the
 incremental-reselect fallbacks), covering chains (/8 over /16 over /24
 over /32), the default route, and bursts of retract-to-empty that force
 node pruning.
+
+The prefix store is a *derived* index: nothing is inserted into it
+until the first ordered query (``store``, ``lookup``, ``covered_best``,
+``covering_best``, ``export_entries``), which fills it from the
+exact-match dict; the second half of this file pins that rule.
 """
 
 import pytest
 
 from repro.bgp import AsPath, LocRib, Origin, PathAttributes, Prefix
-from repro.bgp.radix import DictPrefixStore
-from repro.bgp.rib import Route
+from repro.bgp.radix import DictPrefixStore, RadixTrie
+from repro.bgp.rib import Route, use_prefix_store
 from repro.sim.rand import DeterministicRandom
 
 from tests.rib_reference import ReferenceRib, probe_points, rib_digest_of
@@ -135,3 +140,160 @@ def test_import_entries_round_trip_via_trie():
     clone = LocRib.import_entries(rib.export_entries())
     assert clone.export_entries() == rib.export_entries()
     assert rib_digest_of(clone) == rib_digest_of(rib)
+
+
+# -- the derived index ------------------------------------------------------
+
+
+class RecordingStore(RadixTrie):
+    """A RadixTrie that logs every mutation the Loc-RIB makes to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def insert(self, prefix, value):
+        self.log.append(("insert", prefix))
+        return super().insert(prefix, value)
+
+    def remove(self, prefix):
+        self.log.append(("remove", prefix))
+        return super().remove(prefix)
+
+
+def _churn_step(rng, pool, ribs, reference, retract_bias=0.35):
+    """One seeded offer or retract applied to every rib; returns the
+    prefix touched.  Every return value must match the reference's."""
+    prefix = rng.choice(pool)
+    peer = rng.choice(PEERS)
+    if rng.random() < retract_bias:
+        expected = reference.retract(prefix, peer)
+        for rib in ribs:
+            assert rib.retract(prefix, peer) == expected
+    else:
+        route = Route(prefix, _attributes(rng), peer)
+        expected = reference.offer(route)
+        for rib in ribs:
+            assert rib.offer(route) == expected
+    return prefix
+
+
+def test_receive_path_never_touches_the_store():
+    """offer/retract/best, delta replication and per-prefix snapshot
+    export — everything the NSR receive path calls — run on the
+    exact-match dict alone."""
+    rng = DeterministicRandom(21).stream("rib-derived")
+    pool = _prefix_pool(rng, 30)
+    recorder = RecordingStore()
+    rib, reference = LocRib(store=recorder), ReferenceRib()
+    watermark = 0
+    for step in range(300):
+        prefix = _churn_step(rng, pool, [rib], reference)
+        assert rib.best(prefix) == reference.best(prefix)
+        assert (rib.export_prefix_entries(prefix)
+                == reference.export_prefix_entries(prefix))
+        if step % 50 == 49:
+            watermark, dirty = rib.export_entries_since(watermark)
+            assert dirty and all(
+                entries == reference.export_prefix_entries(changed)
+                for changed, entries in dirty.items())
+    assert len(rib) == len(reference) > 0
+    assert recorder.log == [] and len(recorder) == 0
+    # The first ordered query fills it, once, in sorted prefix order...
+    assert rib.export_entries() == reference.export_entries()
+    filled = [prefix for op, prefix in recorder.log if op == "insert"]
+    assert filled == sorted(reference.prefixes()) and len(filled) == len(rib)
+    assert len(recorder.log) == len(filled)
+    # ...later queries add nothing, later mutations are mirrored one by one.
+    rib.lookup(pool[1])
+    rib.covered_best(pool[0])
+    assert len(recorder.log) == len(filled)
+    newcomer = Prefix.parse("203.0.113.0/24")
+    rib.offer(Route(newcomer, _attributes(rng), "peer0"))
+    rib.retract(newcomer, "peer0")
+    assert recorder.log[len(filled):] == [("insert", newcomer),
+                                          ("remove", newcomer)]
+
+
+@pytest.mark.parametrize("first_query", ["store", "lookup", "covered_best",
+                                         "covering_best", "export_entries"])
+@pytest.mark.parametrize("seed", range(3))
+def test_churn_before_and_after_first_ordered_query(seed, first_query):
+    """Whichever ordered query comes first, and however much history
+    precedes it, answers match the reference at every step after."""
+    rng = DeterministicRandom(seed).stream("rib-derived-churn")
+    pool = _prefix_pool(rng, 24)
+    trie_rib, dict_rib = LocRib(), LocRib(store=DictPrefixStore())
+    reference = ReferenceRib()
+    ribs = [trie_rib, dict_rib]
+    for _ in range(150):
+        _churn_step(rng, pool, ribs, reference)
+    assert not trie_rib._indexed and not dict_rib._indexed
+    for rib in ribs:
+        if first_query == "store":
+            assert len(rib.store) == len(reference)
+        elif first_query == "export_entries":
+            assert rib.export_entries() == reference.export_entries()
+        else:
+            point = pool[3]
+            assert (getattr(rib, first_query)(point)
+                    == getattr(reference, first_query)(point))
+        assert rib._indexed
+    for step in range(150):
+        _churn_step(rng, pool, ribs, reference,
+                    retract_bias=0.7 if step > 100 else 0.35)
+        for rib in ribs:
+            assert rib.export_entries() == reference.export_entries()
+            assert len(rib.store) == len(reference)
+        for point in probe_points(pool, rng, extra=2)[:10]:
+            for rib in ribs:
+                assert rib.lookup(point) == reference.lookup(point)
+                assert (rib.covered_best(point)
+                        == reference.covered_best(point))
+                assert (rib.covering_best(point)
+                        == reference.covering_best(point))
+    assert rib_digest_of(trie_rib) == rib_digest_of(dict_rib) \
+        == reference.digest()
+
+
+def test_retract_to_empty_before_first_query_leaves_nothing_behind():
+    rng = DeterministicRandom(5).stream("rib-derived-empty")
+    pool = _prefix_pool(rng, 20)
+    recorder = RecordingStore()
+    rib = LocRib(store=recorder)
+    survivor, doomed = pool[0], pool[1:]
+    for prefix in pool:
+        for peer in PEERS[:2]:
+            rib.offer(Route(prefix, _attributes(rng), peer))
+    for prefix in doomed:
+        for peer in PEERS[:2]:
+            rib.retract(prefix, peer)
+    assert recorder.log == []
+    assert [p for p, _slot in rib.store.walk()] == [survivor]
+    assert recorder.log == [("insert", survivor)]
+    assert {e["prefix"] for e in rib.export_entries()} == {str(survivor)}
+    for prefix in set(doomed):
+        assert prefix not in rib.store
+        assert rib.covering_best(prefix) == (
+            [(survivor, rib.best(survivor))] if survivor.contains(prefix)
+            else [])
+    for peer in PEERS[:2]:
+        rib.retract(survivor, peer)
+    assert len(rib.store) == 0 and rib.export_entries() == []
+
+
+def test_backend_is_captured_at_construction_not_at_first_query():
+    rng = DeterministicRandom(9).stream("rib-derived-backend")
+    pool = _prefix_pool(rng, 12)
+    with use_prefix_store(DictPrefixStore):
+        inside = LocRib()
+    outside = LocRib()
+    for prefix in pool:
+        route = Route(prefix, _attributes(rng), "peer0")
+        inside.offer(route)
+        outside.offer(route)
+    # Queried after the context exited: still the backend it was built on.
+    assert type(inside.store) is DictPrefixStore
+    assert type(outside.store) is RadixTrie
+    assert len(inside.store) == len(outside.store) == len(set(pool))
+    assert inside.export_entries() == outside.export_entries()
