@@ -1,4 +1,5 @@
-"""Hot-path micro-benchmarks: codec, reselect, coalescer, dispatch, timers.
+"""Hot-path micro-benchmarks: codec, reselect, coalescer, dispatch, timers,
+small-UPDATE receive.
 
 Unlike the Fig. 5/6 reproductions these measure *wall-clock* throughput
 of the code paths the hot-path overhauls target:
@@ -12,13 +13,20 @@ of the code paths the hot-path overhauls target:
 - ``periodic tick``: one ``Process.every`` chain run far past any prune
   threshold, so a per-tick cost that grows with the chain's history
   (an ownership list that retains fired events) shows up as a
-  collapsed rate.
+  collapsed rate;
+- ``small update receive``: 2,500 one-route UPDATEs through one NSR pair
+  until every route is applied and no ACK is held.  Beside the rate the
+  file records compactions, deltas recorded, purge deletes issued and
+  virtual seconds (``small_update_receive``); the gate fails on more
+  than one compaction per 1,000 UPDATEs or more purge deletes than
+  deltas — the compaction storm (DESIGN.md section 8) cannot return
+  silently.
 
 Results land in ``BENCH_hotpath.json`` at the repo root; the committed
 baseline is what ``benchmarks/check_bench_regression.py`` (the
 ``make bench-gate`` target) compares against.  A ``before`` block in
-that file (rows measured at an earlier commit on the same host, kept
-beside ``results`` as the before/after pair ROADMAP aim 1 asks for) is
+that file (rows measured at earlier commits on the same host, kept
+beside ``results`` as the before/after pairs ROADMAP aim 1 asks for) is
 carried over unchanged when the file is rewritten.
 """
 
@@ -29,14 +37,18 @@ from conftest import run_once
 from repro.bgp import AsPath, LocRib, Origin, PathAttributes, Prefix
 from repro.bgp.rib import Route
 from repro.core.replication import WriteCoalescer
+from repro.core.system import PeerNeighborSpec, TensorSystem
 from repro.kvstore import KvClient, KvServer
 from repro.sim import DeterministicRandom, Engine, Network, Process
+from repro.workloads import RouteGenerator, build_remote_peer
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 #: test name -> measured ops/sec, collected across the file's tests and
 #: written out (plus the interning-speedup assertion) by the final test.
 RESULTS = {}
+#: The small-update row's counters, from its last round.
+SMALL_UPDATE_RECEIVE = {}
 
 
 def _sample_attributes(first_as=65001):
@@ -159,6 +171,62 @@ def test_process_periodic_tick(benchmark):
     _record("process_periodic_tick", benchmark, ticks)
 
 
+def test_small_update_receive(benchmark):
+    updates = 2500
+    limit = 60.0  # virtual s; the receive takes under 6
+
+    def setup():
+        system = TensorSystem(seed=3)
+        m1 = system.add_machine("gw-1", "10.1.0.1")
+        m2 = system.add_machine("gw-2", "10.2.0.1")
+        pair = system.create_pair(
+            "pair0", m1, m2, service_addr="10.10.0.1", local_as=65001,
+            router_id="10.10.0.1",
+            neighbors=[PeerNeighborSpec("192.0.2.1", 64512, vrf_name="v0",
+                                        mode="passive")],
+        )
+        remote = build_remote_peer(system, "remote0", "192.0.2.1", 64512,
+                                   link_machines=[m1, m2])
+        session = remote.peer_with("10.10.0.1", 65001, vrf_name="v0",
+                                   mode="active")
+        pair.start()
+        remote.start()
+        system.run(10.0)
+        routes = RouteGenerator(
+            DeterministicRandom(3), 64512, next_hop="192.0.2.1",
+            attr_pool_size=1,
+        ).distinct_routes(updates)
+        remote.speaker.originate_many("v0", routes)
+        return (system, pair, remote, session), {}
+
+    def run(system, pair, remote, session):
+        engine = system.engine
+        loc_rib = pair.speaker.vrfs["v0"].loc_rib
+        tcp_queue = pair.speaker.tcp_queue
+        started = engine.now
+        remote.speaker.readvertise(session)
+        while len(loc_rib) < updates or tcp_queue.held_count():
+            upcoming = engine.next_event_time()
+            assert upcoming is not None and upcoming - started < limit, (
+                f"{len(loc_rib)}/{updates} routes applied,"
+                f" {tcp_queue.held_count()} ACKs held after {limit:.0f}"
+                f" virtual s")
+            engine.run(until=upcoming)
+        virtual_s = engine.now - started
+        assert session.established
+        pipeline = pair.pipeline
+        SMALL_UPDATE_RECEIVE.update(
+            updates=updates,
+            compactions=pipeline.compactions,
+            deltas_recorded=pipeline.deltas_recorded,
+            purge_deletes=pipeline.deltas_purged,
+            virtual_s=round(virtual_s, 4),
+        )
+
+    benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
+    _record("small_update_receive", benchmark, updates)
+
+
 def test_write_results_and_interning_speedup(benchmark):
     expected = {
         "codec_to_wire_uncached",
@@ -167,6 +235,7 @@ def test_write_results_and_interning_speedup(benchmark):
         "coalescer_flush",
         "engine_dispatch",
         "process_periodic_tick",
+        "small_update_receive",
     }
 
     def finalize():
@@ -180,6 +249,7 @@ def test_write_results_and_interning_speedup(benchmark):
                 for name in sorted(RESULTS)
             },
             "codec_interning_speedup": round(speedup, 2),
+            "small_update_receive": SMALL_UPDATE_RECEIVE,
         }
         if OUT_PATH.exists():
             before = json.loads(OUT_PATH.read_text()).get("before")

@@ -197,6 +197,37 @@ def _validate_fulltable(fresh, baseline):
     return failures
 
 
+def _validate_hotpath(fresh, baseline):
+    """The compaction storm must not come back silently (DESIGN.md §8).
+
+    Absolute, independent of the baseline: on the small-UPDATE receive
+    row a compaction is due once per 1,024 deltas, so more than one per
+    1,000 UPDATEs means the trigger fires on something other than the
+    started watermark; and every superseded delta is purged exactly
+    once, so more purge deletes than deltas recorded means overlapping
+    compactions purged from a stale floor again.
+    """
+    failures = []
+    row = fresh.get("small_update_receive")
+    if not row:
+        return ["small_update_receive missing from BENCH_hotpath.json"]
+    per_1k = row["compactions"] * 1000.0 / row["updates"]
+    if per_1k > 1.0:
+        failures.append(
+            f"compaction storm: {row['compactions']} compactions for "
+            f"{row['updates']} UPDATEs ({per_1k:.1f} per 1k > 1.0)")
+    else:
+        print(f"  compactions per 1k UPDATEs: {per_1k:.2f}  ok")
+    if row["purge_deletes"] > row["deltas_recorded"]:
+        failures.append(
+            f"purge deletes {row['purge_deletes']} exceed deltas recorded "
+            f"{row['deltas_recorded']}: a delta was purged more than once")
+    else:
+        print(f"  purge deletes: {row['purge_deletes']} <= "
+              f"{row['deltas_recorded']} deltas  ok")
+    return failures
+
+
 SUITES = {
     "failover": {
         "json": "BENCH_failover.json",
@@ -214,7 +245,7 @@ SUITES = {
                 "-q", "--benchmark-disable-gc"]
                + [f"--ignore-glob={g}" for g in ARTIFACT_GLOBS],
         "threshold": 0.20,
-        "validate": None,
+        "validate": _validate_hotpath,
     },
     "parallel": {
         "json": "BENCH_parallel.json",

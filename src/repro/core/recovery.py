@@ -107,7 +107,11 @@ class RecoveredState:
 
         The recovered process must append past the highest stored delta —
         restarting from 0 would overwrite records still needed by a later
-        recovery (see ReplicationPipeline.resume_delta_log).
+        recovery (see ReplicationPipeline.resume_delta_log).  ``floor`` is
+        the committed marker's, so it seeds the pipeline's durable floor
+        (its next purge starts there); ``live_count`` seeds the started
+        watermark, so the next compaction falls due when the stored live
+        deltas plus the new ones reach the threshold.
         """
         marker = self.rib_markers.get(vrf, {"chunks": 0, "delta_floor": 0})
         floor = marker.get("delta_floor", 0)

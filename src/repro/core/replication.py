@@ -27,6 +27,7 @@ routing-table writes:
 """
 
 import zlib
+from collections import deque
 
 from repro.bgp.aggregation import aggregate_root, collapse_prefix_entries
 from repro.kvstore.client import CAUSE_FENCED
@@ -136,7 +137,9 @@ class WriteCoalescer:
         self.on_unavailable = on_unavailable
         # ("set", key, value, cb) | ("delete", key, None, cb)
         # | ("mdelete", keys_tuple, None, cb)
-        self._pending = []
+        self._pending = deque()
+        #: Records queued and not yet issued (an mdelete counts its keys).
+        self.backlog = 0
         self._in_flight = False
         self.batches_flushed = 0
         self.records_written = 0
@@ -158,10 +161,12 @@ class WriteCoalescer:
 
     def set(self, key, value, on_done=None):
         self._pending.append(("set", key, value, on_done))
+        self.backlog += 1
         self._maybe_flush()
 
     def delete(self, key, on_done=None):
         self._pending.append(("delete", key, None, on_done))
+        self.backlog += 1
         self._maybe_flush()
 
     def delete_many(self, keys, on_done=None):
@@ -178,14 +183,8 @@ class WriteCoalescer:
                 on_done()
             return
         self._pending.append(("mdelete", keys, None, on_done))
+        self.backlog += len(keys)
         self._maybe_flush()
-
-    @property
-    def backlog(self):
-        total = 0
-        for op in self._pending:
-            total += len(op[1]) if op[0] == "mdelete" else 1
-        return total
 
     def _maybe_flush(self):
         if not self._in_flight and self._pending:
@@ -203,18 +202,27 @@ class WriteCoalescer:
         """Pop the longest same-kind prefix of the queue (<= batch_limit
         records; single-key deletes and ranged mdeletes share runs)."""
         self._adapt_batch_limit()
-        head_kind = self._pending[0][0]
-        kind = "delete" if head_kind in ("delete", "mdelete") else head_kind
-        count = 0
-        records = 0
-        for op in self._pending:
-            op_kind = "delete" if op[0] in ("delete", "mdelete") else op[0]
-            if op_kind != kind or records >= self.batch_limit:
+        pending = self._pending
+        is_set = pending[0][0] == "set"
+        limit = self.batch_limit
+        count = records = 0
+        for op in pending:
+            if (op[0] == "set") != is_set or records >= limit:
                 break
             count += 1
             records += len(op[1]) if op[0] == "mdelete" else 1
-        run, self._pending = self._pending[:count], self._pending[count:]
-        return kind, run
+        take = pending.popleft
+        run = [take() for _ in range(count)]
+        self.backlog -= records
+        return ("set" if is_set else "delete"), run
+
+    def _requeue(self, run):
+        """Put an unissued run back at the head, in its original order."""
+        records = self._record_count(run)
+        self._pending.extendleft(reversed(run))
+        self.backlog += records
+        self._in_flight = False
+        return records
 
     def _flush_run(self):
         if not self._pending:
@@ -250,8 +258,7 @@ class WriteCoalescer:
             # the batch at the head of the queue and wait for the
             # controller's push (client.on_repoint -> kick).
             self.fenced += 1
-            self._pending[:0] = run
-            self._in_flight = False
+            self._requeue(run)
             return True
         if self._generation() != generation:
             # A repoint landed mid-attempt: the old endpoint's failures
@@ -345,9 +352,7 @@ class WriteCoalescer:
         to the head of the queue and flushes when the database returns
         (next enqueue or failover kick).
         """
-        self.requeued_deletes += self._record_count(run)
-        self._pending[:0] = run
-        self._in_flight = False
+        self.requeued_deletes += self._requeue(run)
 
 
 class ReplicationPipeline:
@@ -369,7 +374,13 @@ class ReplicationPipeline:
         self.aggregate_snapshots = aggregate_snapshots
         self.fast = WriteCoalescer(fast_client, on_unavailable=on_unavailable,
                                    name="fast")
-        self.bulk = WriteCoalescer(bulk_client, on_unavailable=on_unavailable,
+
+        def bulk_unavailable(records):
+            self._snapshots_went_stale()
+            if on_unavailable is not None:
+                on_unavailable(records)
+
+        self.bulk = WriteCoalescer(bulk_client, on_unavailable=bulk_unavailable,
                                    name="bulk")
         self.fast_client = fast_client
         self.bulk_client = bulk_client
@@ -388,13 +399,19 @@ class ReplicationPipeline:
         )
         self.remote_mode = remote_mode
         self.locks = LockManager()
+        # Delta log positions, per vrf (DESIGN.md "Incremental snapshot
+        # protocol").  ``started`` is what *triggers* a compaction and
+        # moves when one starts; ``floor`` is what a commit *purges from*
+        # and moves only when a marker is durable.
         self._delta_seq = {}  # vrf -> next delta sequence number
-        self._delta_live = {}  # vrf -> count of live (uncompacted) deltas
-        self._delta_floor = {}  # vrf -> first live delta seq
+        self._delta_started = {}  # vrf -> seq folded by the newest compaction
+        self._delta_floor = {}  # vrf -> first delta not purged (durable floor)
         # Incremental-snapshot bookkeeping, per vrf: stable hash-bucket
         # assignment of prefixes to snapshot chunks plus the Loc-RIB
         # change-counter watermark consumed by the last compaction.
         self._snapshot_state = {}  # vrf -> {"buckets", "export_seq", "members", "total"}
+        self.deltas_recorded = 0
+        self.deltas_purged = 0  # delete keys issued, one per superseded delta
         self.compactions = 0
         self.incremental_compactions = 0
         self.snapshot_chunks_written = 0
@@ -468,8 +485,7 @@ class ReplicationPipeline:
         """
         seq = self._delta_seq.get(vrf, 0)
         self._delta_seq[vrf] = seq + 1
-        self._delta_live[vrf] = self._delta_live.get(vrf, 0) + 1
-        self._delta_floor.setdefault(vrf, 0)
+        self.deltas_recorded += 1
         self.bulk.set(rib_delta_key(self.pair_name, vrf, seq), delta, on_done=on_done)
         return seq
 
@@ -493,10 +509,27 @@ class ReplicationPipeline:
         """
         self._delta_seq[vrf] = next_seq
         self._delta_floor[vrf] = floor
-        self._delta_live[vrf] = live
+        # ``live`` stored deltas are unfolded: the next compaction is due
+        # when that count reaches the threshold, exactly as if this
+        # process had recorded them itself.
+        self._delta_started[vrf] = next_seq - live
 
     def needs_compaction(self, vrf, threshold=COMPACTION_THRESHOLD):
-        return self._delta_live.get(vrf, 0) >= threshold
+        """True once ``threshold`` deltas were recorded since the newest
+        compaction *started* — not since one committed: a compaction
+        whose marker is still queued has already folded them, and
+        starting another would fold, write and purge the same range."""
+        return (self._delta_seq.get(vrf, 0)
+                - self._delta_started.get(vrf, 0)) >= threshold
+
+    def _snapshots_went_stale(self):
+        """A bulk set batch was dropped: some chunk, marker or delta may
+        never have landed, so the incremental state (which chunks hold
+        what) is ahead of the store.  The next compaction of every VRF
+        re-buckets and rewrites the full table; its marker's commit
+        purges from the durable floor, covering a dropped marker's range."""
+        for state in self._snapshot_state.values():
+            state["buckets"] = 0
 
     def _chunk_bucket(self, prefix, buckets):
         """Chunk assignment: by full prefix normally, by aggregate root
@@ -582,27 +615,34 @@ class ReplicationPipeline:
         # stale higher-numbered chunks from earlier, larger snapshots)
         # and the delta floor — the sequence number of the first delta
         # NOT folded into this snapshot, i.e. the first live delta a
-        # recovery reader must replay on top of it.  Every delta below
-        # the floor is purged once the marker commits.
-        floor = self._delta_floor.get(vrf, 0)
+        # recovery reader must replay on top of it.
         new_floor = self._delta_seq.get(vrf, 0)
+        self._delta_started[vrf] = new_floor
         marker = {"chunks": state["buckets"], "delta_floor": new_floor}
         self.bulk.set(
             f"tensor:{self.pair_name}:rib:{vrf}:marker",
             marker,
-            on_done=lambda: self._purge_deltas(vrf, floor, new_floor, on_done),
+            on_done=lambda: self._marker_committed(vrf, new_floor, on_done),
         )
 
-    def _purge_deltas(self, vrf, floor, ceiling, on_done):
-        """Drop superseded deltas as ranged key batches, not one op each."""
+    def _marker_committed(self, vrf, ceiling, on_done):
+        """Purge the deltas a now-durable marker supersedes.
+
+        The range starts at the durable floor *as of this commit*, not as
+        of the compaction's start: markers commit in enqueue order, so an
+        earlier compaction that was still in flight when this one began
+        has purged its own range by now, and one whose marker was dropped
+        never moved the floor — its range is swept here.  Either way each
+        delta is deleted exactly once, as ranged key batches.
+        """
+        floor = self._delta_floor.get(vrf, 0)
         for start in range(floor, ceiling, self.bulk.max_batch):
             end = min(start + self.bulk.max_batch, ceiling)
             self.bulk.delete_many(
                 rib_delta_key(self.pair_name, vrf, seq) for seq in range(start, end)
             )
-        # Deltas recorded while the marker write was in flight stay live.
-        self._delta_live[vrf] = self._delta_seq.get(vrf, 0) - ceiling
         self._delta_floor[vrf] = ceiling
+        self.deltas_purged += ceiling - floor
         if on_done is not None:
             on_done()
 

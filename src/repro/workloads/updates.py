@@ -72,3 +72,13 @@ class RouteGenerator:
         prefixes = self.prefixes(count, base=base, length=length)
         attrs = self.attr_pool[0]
         return [(prefix, attrs) for prefix in prefixes]
+
+    def distinct_routes(self, count, base="10.0.0.0", length=24):
+        """``count`` pairs with pairwise distinct attribute sets
+        (worst-case packing: exactly one UPDATE per route)."""
+        prefixes = self.prefixes(count, base=base, length=length)
+        return [
+            (prefix, PathAttributes(as_path=AsPath.sequence(self.origin_as),
+                                    next_hop=self.next_hop, med=index))
+            for index, prefix in enumerate(prefixes)
+        ]

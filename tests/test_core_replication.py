@@ -244,3 +244,171 @@ def test_verify_read_roundtrip(kv_env):
     pipeline.verify_read("somekey", on_value=out.append)
     engine.run_until_idle()
     assert out == [{"x": 1}]
+
+
+# ----------------------------------------------------------------------
+# watermark-driven compaction (DESIGN.md "Incremental snapshot protocol")
+# ----------------------------------------------------------------------
+
+V1_MARKER = "tensor:pair0:rib:v1:marker"
+
+
+def _route(index, next_hop="1.1.1.1", peer="p"):
+    from repro.bgp import PathAttributes, Prefix
+    from repro.bgp.rib import Route
+
+    return Route(Prefix(index << 8, 24), PathAttributes(next_hop=next_hop), peer)
+
+
+def _offer_and_record(pipeline, rib, route, position):
+    """What the TENSOR process does per applied UPDATE, minus the wire."""
+    rib.offer(route)
+    announce = [(str(route.prefix), route.attributes.to_wire(), route.peer_id,
+                 route.source_kind)]
+    return pipeline.record_rib_delta(
+        "v1", {"announce": announce, "withdraw": [], "in_pos": position})
+
+
+def _record_deleted_keys(client):
+    """Every key the client is asked to delete, in order, repeats kept."""
+    deleted = []
+    real_delete = client.delete
+
+    def delete(keys, **kwargs):
+        deleted.extend(keys)
+        return real_delete(keys, **kwargs)
+
+    client.delete = delete
+    return deleted
+
+
+def _recovered_entries(engine, client, vrf="v1"):
+    """The table a backup would rebuild from the store right now."""
+    from repro.core.recovery import BackupRecovery
+
+    loaded = []
+    BackupRecovery(engine, client, "pair0").load(loaded.append)
+    engine.run_until_idle()
+    return loaded[0].rebuild_loc_rib(vrf).export_entries()
+
+
+def test_one_compaction_per_threshold_crossing_while_marker_in_flight(kv_env):
+    """The storm pin: nothing commits between these calls (the engine
+    never runs), so a trigger that waited for the marker's commit would
+    compact on every delta past the 1,024th, each from the same floor."""
+    from repro.bgp import LocRib
+
+    engine, server, fast, bulk = kv_env
+    pipeline = ReplicationPipeline("pair0", fast, bulk)
+    deleted = _record_deleted_keys(bulk)
+    rib = LocRib()
+    for i in range(3000):
+        _offer_and_record(pipeline, rib, _route(i), i)
+        if pipeline.needs_compaction("v1"):
+            pipeline.compact("v1", rib)
+    assert pipeline.compactions == 2  # at the 1,024th and the 2,048th
+    engine.run_until_idle()
+    assert pipeline.compactions == 2
+    # every superseded delta deleted exactly once, none twice
+    assert len(deleted) == len(set(deleted)) == 2048
+    assert pipeline.bulk.records_deleted == pipeline.deltas_purged == 2048
+    assert len(server.store.scan("tensor:pair0:rib:v1:d:")) == 3000 - 2048
+    marker = server.store.get(V1_MARKER)
+    assert marker["delta_floor"] == pipeline._delta_started["v1"] == 2048
+    assert pipeline._delta_floor["v1"] == 2048
+    assert _recovered_entries(engine, fast) == rib.export_entries()
+
+
+def test_overlapping_compactions_purge_disjoint_ranges(kv_env):
+    from repro.bgp import LocRib
+
+    engine, server, fast, bulk = kv_env
+    pipeline = ReplicationPipeline("pair0", fast, bulk)
+    deleted = _record_deleted_keys(bulk)
+    rib = LocRib()
+    for i in range(10):
+        _offer_and_record(pipeline, rib, _route(i), i)
+    pipeline.compact("v1", rib)
+    # The first marker is still queued when the second compaction
+    # starts: its purge range must begin where the first one's ends,
+    # which is only known once the first marker has committed.
+    for i in range(10, 15):
+        _offer_and_record(pipeline, rib, _route(i), i)
+    pipeline.compact("v1", rib)
+    assert pipeline._delta_floor.get("v1", 0) == 0  # nothing durable yet
+    engine.run_until_idle()
+    assert deleted == [rib_delta_key("pair0", "v1", seq) for seq in range(15)]
+    assert server.store.get(V1_MARKER)["delta_floor"] == 15
+    assert pipeline._delta_floor["v1"] == 15
+    assert server.store.scan("tensor:pair0:rib:v1:d:") == []
+
+
+def test_resumed_delta_log_seeds_both_watermarks(kv_env):
+    from repro.bgp import LocRib
+
+    engine, server, fast, bulk = kv_env
+    pipeline = ReplicationPipeline("pair0", fast, bulk)
+    deleted = _record_deleted_keys(bulk)
+    # What recovery hands over: 5,000 deltas ever written, a committed
+    # marker at 4,990, ten live deltas above it.
+    pipeline.resume_delta_log("v1", 5000, 4990, 10)
+    assert not pipeline.needs_compaction("v1")
+    rib = LocRib()
+    assert _offer_and_record(pipeline, rib, _route(0), 1) == 5000
+    assert not pipeline.needs_compaction("v1")  # 11 live, not 5,001
+    assert pipeline.needs_compaction("v1", threshold=11)
+    # ... and the first compaction purges from the recovered floor, not
+    # from zero.
+    pipeline.compact("v1", rib)
+    engine.run_until_idle()
+    assert deleted == [rib_delta_key("pair0", "v1", seq)
+                       for seq in range(4990, 5001)]
+
+
+def test_dropped_snapshot_write_forces_a_full_rewrite(kv_env):
+    """server.fail() mid-compaction: the chunk write is abandoned, the
+    marker behind it commits once the database is back.  The snapshot in
+    the store is then missing a change whose delta the marker purged; an
+    incremental follow-up would never revisit that chunk."""
+    from repro.bgp import LocRib
+
+    engine, server, fast, bulk = kv_env
+    pipeline = ReplicationPipeline("pair0", fast, bulk)
+    rib = LocRib()
+    for i in range(600):
+        _offer_and_record(pipeline, rib, _route(i), i)
+    pipeline.compact("v1", rib)
+    engine.run_until_idle()
+    assert _recovered_entries(engine, fast) == rib.export_entries()
+    buckets = pipeline._snapshot_state["v1"]["buckets"]
+    assert buckets == 2
+    by_bucket = {}
+    for i in range(600):
+        by_bucket.setdefault(
+            pipeline._chunk_bucket(_route(i).prefix, buckets), i)
+
+    # Change one route in chunk 0 and let its delta land.
+    _offer_and_record(pipeline, rib, _route(by_bucket[0], "2.2.2.2", "q"), 600)
+    engine.run_until_idle()
+    server.fail()
+    pipeline.compact("v1", rib)  # chunk 0 goes out alone, marker queues
+    engine.run(until=engine.now + 60.0)
+    assert not pipeline.bulk._in_flight  # chunk batch given up
+    server.recover()
+
+    # A change in the *other* chunk, then the next compaction.  The
+    # enqueue also resumes flushing: the stale marker commits first.
+    _offer_and_record(pipeline, rib, _route(by_bucket[1], "3.3.3.3", "r"), 601)
+    before = pipeline.incremental_compactions
+    pipeline.compact("v1", rib)
+    engine.run_until_idle()
+    assert pipeline.incremental_compactions == before  # full rewrite
+    assert server.store.get(V1_MARKER)["delta_floor"] == 602
+    assert server.store.scan("tensor:pair0:rib:v1:d:") == []
+    assert _recovered_entries(engine, fast) == rib.export_entries()
+    # The one after that is incremental again.
+    _offer_and_record(pipeline, rib, _route(by_bucket[0], "4.4.4.4", "s"), 602)
+    pipeline.compact("v1", rib)
+    engine.run_until_idle()
+    assert pipeline.incremental_compactions == before + 1
+    assert _recovered_entries(engine, fast) == rib.export_entries()

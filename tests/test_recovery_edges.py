@@ -161,3 +161,119 @@ def test_second_recovery_survives_delta_log_resume():
     engine.advance(20.0)
     assert session.established
     assert _gateway_prefixes(pair) == expected | {str(p) for p, _a in extra}
+
+
+# ----------------------------------------------------------------------
+# many small UPDATEs: compaction must stay off the per-message path
+# ----------------------------------------------------------------------
+
+
+def _one_route_updates(count, base="10.64.0.0"):
+    return RouteGenerator(
+        DeterministicRandom(0), 64512, next_hop="192.0.2.1", attr_pool_size=1
+    ).distinct_routes(count, base=base)
+
+
+def _recovered_state(system, pair):
+    """What a backup would read from the store at this instant."""
+    from repro.core.recovery import BackupRecovery
+
+    loaded = []
+    # read from a host no container failure takes down
+    client = system.kv_client(system.controller_host)
+    BackupRecovery(system.engine, client, pair.name).load(loaded.append)
+    while not loaded:
+        system.engine.advance(0.01)
+    client.close()
+    return loaded[0]
+
+
+def _rebuilt_digest(state, pair, vrf_name="v0"):
+    """``TensorSystem.rib_digest`` form of the table ``state`` rebuilds."""
+    rebuilt = state.rebuild_loc_rib(
+        vrf_name, pair.local_as, pair.speaker.config.router_id_int)
+    return tuple(
+        (entry["prefix"], str(entry["peer_id"]), entry["source_kind"],
+         bytes(entry["attributes"]))
+        for entry in rebuilt.export_entries()
+    )
+
+
+def test_2500_one_route_updates_compact_twice_and_stay_recoverable():
+    system, pair, remotes = build_tensor_fixture(seed=605, routes=0)
+    engine = system.engine
+    remote, session = remotes[0]
+    routes = _one_route_updates(2500)
+    remote.speaker.originate_many("v0", routes)
+    remote.speaker.readvertise(session)
+    for _ in range(40):
+        engine.advance(0.25)
+        assert session.established
+        assert pair.established_session_count() == 1
+    speaker = pair.speaker
+    assert len(speaker.vrfs["v0"].loc_rib) == 2500
+    assert speaker.tcp_queue.held_count() == 0
+    assert speaker.duplicate_applies == 0
+    pipeline = pair.pipeline
+    assert pipeline.deltas_recorded == 2500  # one UPDATE per route
+    assert pipeline.compactions == 2  # the storm ran to hundreds
+    assert pipeline.deltas_purged == 2048  # each superseded delta, once
+    assert pipeline.backlog() == 0
+    state = _recovered_state(system, pair)
+    assert state.rib_markers["v0"]["delta_floor"] == 2048
+    assert len(state.rib_deltas["v0"]) == 2500 - 2048
+    assert _rebuilt_digest(state, pair) == system.rib_digest()[("pair0", "v0")]
+
+
+def test_crash_between_overlapping_compactions(monkeypatch):
+    """Two compactions in flight at once; the crash lands after the
+    first marker is durable and before the second.  The store then holds
+    marker 1, chunks partly rewritten by compaction 2, and every delta
+    from marker 1's floor up — recovery must rebuild the exact table and
+    resume the log past it."""
+    from repro.core.replication import ReplicationPipeline
+
+    due = ReplicationPipeline.needs_compaction
+    monkeypatch.setattr(
+        ReplicationPipeline, "needs_compaction",
+        lambda self, vrf, threshold=100: due(self, vrf, threshold))
+    system, pair, remotes = build_tensor_fixture(seed=606, routes=0)
+    engine = system.engine
+    remote, session = remotes[0]
+    routes = _one_route_updates(250)
+    remote.speaker.originate_many("v0", routes)
+    remote.speaker.readvertise(session)
+    marker_key = "tensor:pair0:rib:v0:marker"
+    pipeline = pair.pipeline
+    overlapped = False
+    while True:
+        engine.run(until=engine.next_event_time())
+        marker = system.db.store.get(marker_key)
+        if pipeline.compactions == 2 and marker is None:
+            overlapped = True  # second started, first not yet durable
+        if marker is not None:
+            break
+    assert overlapped
+    assert pipeline.compactions == 2
+    assert marker["delta_floor"] == 100
+    FailureInjector(system).container_failure(pair)
+
+    state = _recovered_state(system, pair)
+    assert state.rib_markers["v0"]["delta_floor"] == 100
+    next_seq, floor, live = state.delta_log_state("v0")
+    stored = [seq for seq, _delta in state.rib_deltas["v0"]]
+    assert floor == 100 and next_seq == stored[-1] + 1
+    assert live == sum(1 for seq in stored if seq >= 100)
+
+    engine.advance(25.0)
+    assert session.established
+    assert _gateway_prefixes(pair) == {str(p) for p, _a in routes}
+    # the contract, on the recovered pipeline: append past the stored
+    # log, purge from the durable floor, count the live deltas as due
+    recovered = pair.pipeline
+    assert recovered is not pipeline
+    assert recovered._delta_seq["v0"] >= next_seq
+    assert recovered._delta_floor["v0"] >= 100
+    assert recovered._delta_started["v0"] >= 100
+    state = _recovered_state(system, pair)
+    assert _rebuilt_digest(state, pair) == system.rib_digest()[("pair0", "v0")]
