@@ -6,6 +6,10 @@ sizes and holds DESIGN.md §14's scaling claims to numbers:
 
 - ``table_load``: Loc-RIB build throughput at the large size — the
   exact-match dict alone, since the prefix store is a derived index;
+- ``bytes_per_route`` / ``tracked_objects_per_route`` at both sizes:
+  resident bytes and GC-tracked objects the loaded table adds per route
+  (what every snapshot, recovery and full collection pays for holding
+  it) — lower is better, and the gate ratchets them like the rates;
 - ``materialise``: the first ordered query on the loaded table, which
   builds that index from the dict (routes indexed per second), and
   ``lpm``: longest-prefix-match lookups per second once it exists;
@@ -37,6 +41,7 @@ import argparse
 import gc
 import json
 import random
+import resource
 import sys
 import time
 from pathlib import Path
@@ -125,11 +130,20 @@ def _timed(fn):
     return result, elapsed
 
 
+def _rss_bytes():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * resource.getpagesize()
+
+
 def measure_table(size):
     """Load + churn + snapshot metrics for one table size."""
     workload = FullTableWorkload(seed=SEED, size=size)
+    gc.collect()
+    rss_before, tracked_before = _rss_bytes(), len(gc.get_objects())
     rib, load_s = _timed(workload.build)
     routes = len(rib)
+    # Memory before the index exists: what a receive-path table costs.
+    rss_after, tracked_after = _rss_bytes(), len(gc.get_objects())
 
     # The first ordered query derives the structural index from the
     # loaded table; everything below runs with it live and maintained,
@@ -169,6 +183,8 @@ def measure_table(size):
         "routes": routes,
         "load_s": load_s,
         "load_ops_per_sec": routes / load_s,
+        "bytes_per_route": (rss_after - rss_before) / routes,
+        "tracked_objects_per_route": (tracked_after - tracked_before) / routes,
         "materialise_s": materialise_s,
         "materialise_ops_per_sec": routes / materialise_s,
         "lpm_ops_per_sec": len(probes) / lpm_s,
@@ -245,6 +261,8 @@ def check_invariants(small, large, pair_stats):
 def _print_table(label, stats):
     print(f"{label}: {stats['routes']:,} routes  "
           f"load {stats['load_ops_per_sec']:,.0f} ops/s  "
+          f"{stats['bytes_per_route']:.0f} B and "
+          f"{stats['tracked_objects_per_route']:.2f} tracked objects/route  "
           f"materialise {stats['materialise_s']:.2f}s  "
           f"lpm {stats['lpm_ops_per_sec']:,.0f}/s  "
           f"churn {stats['churn_ops_per_sec']:,.0f} ops/s  "
@@ -327,6 +345,11 @@ def main():
             "compact_incremental": {
                 "ops_per_sec": round(
                     1.0 / large["incremental_compact_s"], 4)},
+            # lower is better: the gate reads ``per_route`` rows that way
+            **{f"{metric}_{label}": {"per_route": round(stats[metric], 2)}
+               for label, stats in (("small", small), ("large", large))
+               for metric in ("bytes_per_route",
+                              "tracked_objects_per_route")},
         },
     }
     if OUT_PATH.exists():

@@ -3,12 +3,13 @@
 
 Runs every registered benchmark suite to regenerate its ``BENCH_*.json``
 at the repo root, then compares each ``results.*.ops_per_sec`` figure
-against the committed baseline: any metric more than the suite's
-threshold slower fails with a non-zero exit.  Faster-than-baseline
-results are reported but never fail — commit the regenerated files to
-ratchet the baselines.  Suites may also register a validator for
-non-throughput invariants (the parallel suite checks determinism and
-the speedup floor).
+(higher is better) and each ``results.*.per_route`` figure (a cost per
+route, lower is better) against the committed baseline: any metric more
+than the suite's threshold worse fails with a non-zero exit.
+Better-than-baseline results are reported but never fail — commit the
+regenerated files to ratchet the baselines.  Suites may also register a
+validator for non-throughput invariants (the parallel suite checks
+determinism and the speedup floor).
 
 Usage:
     python benchmarks/check_bench_regression.py [--suite NAME]
@@ -279,21 +280,28 @@ def run_suite(suite):
 def compare(baseline, fresh, threshold):
     failures = []
     for name, entry in sorted(baseline["results"].items()):
-        base_ops = entry["ops_per_sec"]
         fresh_entry = fresh["results"].get(name)
         if fresh_entry is None:
             failures.append(f"{name}: missing from fresh results")
             continue
-        fresh_ops = fresh_entry["ops_per_sec"]
-        ratio = fresh_ops / base_ops if base_ops else float("inf")
+        # ratio is "how good against the baseline" for either kind of
+        # row: rate over rate, or baseline cost over fresh cost
+        if "per_route" in entry:
+            base, value = entry["per_route"], fresh_entry["per_route"]
+            unit = "/route"
+            ratio = base / value if value else float("inf")
+        else:
+            base, value = entry["ops_per_sec"], fresh_entry["ops_per_sec"]
+            unit = "ops/s"
+            ratio = value / base if base else float("inf")
         status = "ok"
         if ratio < 1.0 - threshold:
             status = "REGRESSION"
             failures.append(
-                f"{name}: {fresh_ops:,.0f} ops/s vs baseline "
-                f"{base_ops:,.0f} ({ratio:.0%})"
+                f"{name}: {value:,.0f} {unit} vs baseline "
+                f"{base:,.0f} ({ratio:.0%})"
             )
-        print(f"  {name:28s} {fresh_ops:>14,.0f} ops/s  {ratio:>6.0%}  {status}")
+        print(f"  {name:34s} {value:>14,.0f} {unit:6s} {ratio:>6.0%}  {status}")
     return failures
 
 

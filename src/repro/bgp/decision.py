@@ -7,6 +7,8 @@ tests/test_bgp_rib_decision.py).
 
 DEFAULT_LOCAL_PREF = 100
 
+_SOURCE_RANK = {"ebgp": 0, "local": 0, "ibgp": 1}
+
 
 def _peer_tiebreak_key(route):
     """Final deterministic tie-break: lowest peer identifier."""
@@ -32,7 +34,7 @@ def best_path(candidates):
     on a later step — and a bare linear scan over such a comparator is
     order-dependent.  Selection is therefore deterministic-MED: the
     best route of each neighboring-AS group is chosen first (MED
-    applies inside a group, where :func:`_prefer` is a total order),
+    applies inside a group, where :func:`prefer` is a total order),
     then the group winners are compared with the MED step inert (it
     never matches across groups, so that pass is a total order too).
     The result is independent of candidate order.
@@ -55,50 +57,76 @@ def best_path(candidates):
 def _scan(candidates):
     best = candidates[0]
     for challenger in candidates[1:]:
-        if _prefer(challenger, best):
+        if prefer(challenger, best):
             best = challenger
     return best
 
 
-def prefer(challenger, incumbent):
-    """True when ``challenger`` beats ``incumbent`` pairwise.
+def med_group_shared(candidates, route):
+    """True when another of ``candidates`` sits in ``route``'s MED group
+    (:func:`med_group`, inlined here and below: these run per candidate)."""
+    group = route.attributes.as_path.first_as()
+    if group is None:
+        return False
+    for other in candidates:
+        if other is not route and other.attributes.as_path.first_as() == group:
+            return True
+    return False
 
-    Public entry point for the Loc-RIB's incremental re-selection.
-    Only decisive when the challenger shares no MED group with another
-    candidate for the prefix — the Loc-RIB falls back to a full
-    :func:`best_path` re-scan otherwise, because a same-group rival can
-    displace a group winner without beating the incumbent pairwise.
+
+def evicts_group_winner(candidates, departed):
+    """True when ``departed`` (no longer among ``candidates``) was the
+    winner of a MED group that is still populated — its eviction
+    promotes a weaker-in-group route into the finalists, which the
+    MED-blind pass may rank above the incumbent best."""
+    group = departed.attributes.as_path.first_as()
+    if group is None:
+        return False
+    populated = False
+    for other in candidates:
+        if other.attributes.as_path.first_as() == group:
+            if prefer(other, departed):
+                return False
+            populated = True
+    return populated
+
+
+def prefer(a, b):
+    """True when route ``a`` beats route ``b`` pairwise.
+
+    Also the Loc-RIB's incremental re-selection step, where it is only
+    decisive when the challenger shares no MED group with another
+    candidate for the prefix (:func:`med_group_shared`) — the Loc-RIB
+    falls back to a full :func:`best_path` re-scan otherwise, because a
+    same-group rival can displace a group winner without beating the
+    incumbent pairwise.
     """
-    return _prefer(challenger, incumbent)
-
-
-def _prefer(a, b):
-    """True when route ``a`` beats route ``b``."""
+    attrs_a, attrs_b = a.attributes, b.attributes
     # 1. Highest LOCAL_PREF.
-    lp_a = a.attributes.local_pref if a.attributes.local_pref is not None else DEFAULT_LOCAL_PREF
-    lp_b = b.attributes.local_pref if b.attributes.local_pref is not None else DEFAULT_LOCAL_PREF
+    lp_a = attrs_a.local_pref if attrs_a.local_pref is not None else DEFAULT_LOCAL_PREF
+    lp_b = attrs_b.local_pref if attrs_b.local_pref is not None else DEFAULT_LOCAL_PREF
     if lp_a != lp_b:
         return lp_a > lp_b
     # 2. Shortest AS_PATH.
-    len_a = a.attributes.as_path.path_length()
-    len_b = b.attributes.as_path.path_length()
+    path_a, path_b = attrs_a.as_path, attrs_b.as_path
+    len_a = path_a.path_length()
+    len_b = path_b.path_length()
     if len_a != len_b:
         return len_a < len_b
     # 3. Lowest ORIGIN (IGP < EGP < INCOMPLETE).
-    if a.attributes.origin != b.attributes.origin:
-        return a.attributes.origin < b.attributes.origin
+    if attrs_a.origin != attrs_b.origin:
+        return attrs_a.origin < attrs_b.origin
     # 4. Lowest MED, compared only between routes from the same first AS.
-    first_a = a.attributes.as_path.first_as()
-    first_b = b.attributes.as_path.first_as()
-    if first_a is not None and first_a == first_b:
-        med_a = a.attributes.med if a.attributes.med is not None else 0
-        med_b = b.attributes.med if b.attributes.med is not None else 0
+    first_a = path_a.first_as()
+    if first_a is not None and first_a == path_b.first_as():
+        med_a = attrs_a.med if attrs_a.med is not None else 0
+        med_b = attrs_b.med if attrs_b.med is not None else 0
         if med_a != med_b:
             return med_a < med_b
     # 5. eBGP over iBGP.
-    rank = {"ebgp": 0, "local": 0, "ibgp": 1}
-    if rank[a.source_kind] != rank[b.source_kind]:
-        return rank[a.source_kind] < rank[b.source_kind]
+    rank_a, rank_b = _SOURCE_RANK[a.source_kind], _SOURCE_RANK[b.source_kind]
+    if rank_a != rank_b:
+        return rank_a < rank_b
     # 6. Deterministic peer tie-break (stands in for router-ID comparison;
     #    peer identifiers embed the peer address).
     return _peer_tiebreak_key(a) < _peer_tiebreak_key(b)

@@ -107,13 +107,12 @@ class Prefix:
         )
 
     def __str__(self):
+        value = self.value
         if self.afi == self.AFI_IPV4:
-            addr = ".".join(str(b) for b in self.value.to_bytes(4, "big"))
-        else:
-            raw = self.value.to_bytes(16, "big")
-            groups = [f"{(raw[i] << 8) | raw[i + 1]:x}" for i in range(0, 16, 2)]
-            addr = ":".join(groups)
-        return f"{addr}/{self.length}"
+            return (f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}"
+                    f".{value & 255}/{self.length}")
+        groups = [f"{value >> shift & 0xFFFF:x}" for shift in range(112, -16, -16)]
+        return f"{':'.join(groups)}/{self.length}"
 
     def __repr__(self):
         return f"Prefix({str(self)!r})"

@@ -4,19 +4,34 @@ Per RFC 4271 §3.2: routes learned from each peer land in that peer's
 Adj-RIB-In; the decision process selects one best route per prefix into
 the Loc-RIB; per-peer Adj-RIB-Out holds what has been advertised.
 
-The Loc-RIB owns its per-prefix state (candidates, MED-group counts)
-in an exact-match dict, the only structure ``offer``/``retract`` touch.
+The Loc-RIB is a table plus a record of the contests (DESIGN.md §14).
+The table — prefix to selected route, insertion-ordered — is all a
+prefix with one path owns: that path *is* its best route and its only
+candidate, so storing it is one dict store and it adds no object beyond
+the ``Route`` itself.  Only a prefix with a choice to remember — a
+second peer offered it — also has an entry in the contested map, a bare
+``{peer_id: Route}`` dict created on that offer and dropped by the
+retract that leaves one path.  MED-group membership is read off that
+dict by scanning it when a decision needs it; nothing is counted ahead.
+``offer``/``retract`` touch these two dicts and nothing else.
+
 Longest-prefix match, covered-subtree walks and sorted iteration come
 from a pluggable prefix store — a path-compressed radix trie by default
-(:class:`repro.bgp.radix.RadixTrie`) — derived from that dict at the
-first ordered query (DESIGN.md §14).  ``use_prefix_store`` swaps the
-backend (e.g. the seed-equivalent flat dict) for differential testing.
+(:class:`repro.bgp.radix.RadixTrie`) — holding the table's *keys*,
+derived from it at the first ordered query; whatever it matches is then
+read from the table.  ``use_prefix_store`` swaps the backend (e.g. the
+seed-equivalent flat dict) for differential testing.
 """
 
 import contextlib
 
-from repro.bgp.decision import best_path, med_group, prefer
-from repro.bgp.prefixes import Prefix
+from repro.bgp.decision import (
+    best_path,
+    evicts_group_winner,
+    med_group,
+    med_group_shared,
+    prefer,
+)
 from repro.bgp.radix import DictPrefixStore, RadixTrie
 
 __all__ = [
@@ -51,23 +66,8 @@ def _prefix_order(prefix):
     return prefix.afi, prefix.value, prefix.length
 
 
-class _PrefixSlot:
-    """Per-prefix Loc-RIB state, shared with the prefix store as its value.
-
-    ``best`` mirrors the LocRib-level ``_best`` dict so trie queries
-    (LPM, covered walks) can answer with the selected route without a
-    second lookup; the dict stays authoritative for iteration order.
-    """
-
-    __slots__ = ("candidates", "best", "med_counts")
-
-    def __init__(self):
-        self.candidates = {}  # peer_id -> Route
-        self.best = None
-        # first_as -> member count; lets offer/retract decide in O(1)
-        # whether MED is in play for a candidate (None groups — no AS
-        # path — never compare MED and are not counted).
-        self.med_counts = {}
+def _peer_order(route):
+    return str(route.peer_id)
 
 
 class Route:
@@ -140,19 +140,22 @@ class LocRib:
     def __init__(self, local_as=0, router_id=0, store=None):
         self.local_as = local_as
         self.router_id = router_id
-        # Insertion-ordered best map.  Advertisement batching iterates
-        # it, so its mutation pattern is part of the simulation's
-        # deterministic trajectory — it stays a plain dict regardless
-        # of the store backend.
+        # The table: every prefix with at least one path, mapped to its
+        # selected route — for a single-path prefix, the path itself.
+        # Insertion-ordered: advertisement batching iterates it, so its
+        # mutation pattern is part of the simulation's deterministic
+        # trajectory — it stays a plain dict regardless of the store
+        # backend.
         self._best = {}  # prefix -> Route
-        # prefix -> _PrefixSlot for every prefix with >= 1 candidate:
-        # the owner of the table, and all the per-update path touches.
-        self._slots = {}
-        # The structural index over the same slot objects (LPM, covered
+        # Candidate bookkeeping, only where there is a choice to record:
+        # an entry appears when a second peer offers a prefix and goes
+        # when a retract leaves one path.
+        self._contested = {}  # prefix -> {peer_id: Route}, >= 2 paths
+        # The structural index over the table's keys (LPM, covered
         # walks, sorted iteration).  The backend is captured here but
         # stays empty until the first ordered query asks for it (see
         # :attr:`store`); only from then on do offer/retract mirror
-        # into it.
+        # prefix arrivals and departures into it.
         self._store = store if store is not None else default_prefix_store()
         self._indexed = False
         #: Number of best-path selections actually executed: incremental
@@ -164,142 +167,94 @@ class LocRib:
         self.export_seq = 0
         self._changed = {}  # prefix -> export_seq of last mutation
 
-    def _touch(self, prefix):
-        self.export_seq += 1
-        self._changed[prefix] = self.export_seq
-
     def offer(self, route):
         """Add/replace a candidate path and re-run selection for its prefix.
 
         Returns (old_best, new_best); identical values mean no change.
 
-        Selection is incremental: a candidate from a new peer is appended
-        to the prefix's candidate order, so one comparison against the
-        incumbent best finishes the :func:`best_path` linear scan.  A
-        full re-scan runs only when the incumbent itself is displaced
-        (the offering peer *is* the best's peer) or when the challenger
-        joins a populated MED group, where pairwise preference is not
-        decisive (see :func:`repro.bgp.decision.best_path`).
+        Selection is incremental.  The lone path of an uncontested
+        prefix is stored or replaced with nothing to compare.  A path
+        from a new peer that loses to the incumbent pairwise changes
+        nothing: in the incumbent's MED group it loses that group to
+        it, and in any other it either fails to win its group or joins
+        the finalists and loses the MED-blind pass to the route that
+        already won it.  Otherwise one comparison decides, unless MED
+        is in play — the challenger shares a MED group with another
+        candidate, or replaces the winner of a group it left — or the
+        incumbent itself is displaced; then pairwise preference is not
+        decisive and a full re-scan runs (see
+        :func:`repro.bgp.decision.best_path`).
         """
         prefix = route.prefix
-        self._touch(prefix)
-        slot = self._slots.get(prefix)
-        if slot is None:
-            slot = _PrefixSlot()
-            self._slots[prefix] = slot
-            if self._indexed:
-                self._store.insert(prefix, slot)
-        candidates = slot.candidates
-        previous = candidates.get(route.peer_id)
-        candidates[route.peer_id] = route
-        group = med_group(route)
-        prev_group = None
-        counts = slot.med_counts
-        if previous is None:
-            if group is not None:
-                counts[group] = counts.get(group, 0) + 1
-        elif previous is not route:
-            prev_group = med_group(previous)
-            if prev_group != group:
-                if prev_group is not None:
-                    self._group_drop(counts, prev_group)
-                if group is not None:
-                    counts[group] = counts.get(group, 0) + 1
-        old = self._best.get(prefix)
+        self.export_seq = self._changed[prefix] = self.export_seq + 1
+        best = self._best
+        old = best.get(prefix)
         if old is None:
-            # First (or only) candidate: trivially best, nothing to compare.
-            self._best[prefix] = slot.best = route
+            best[prefix] = route
+            if self._indexed:
+                self._store.insert(prefix, None)
             return None, route
-        if route.peer_id == old.peer_id:
-            if len(candidates) == 1:
-                # Replaced the lone candidate: still trivially best.
-                self._best[prefix] = slot.best = route
+        peer_id = route.peer_id
+        candidates = self._contested.get(prefix)
+        if candidates is None:
+            if peer_id == old.peer_id:
+                # Replaced the lone path: still trivially best.
+                best[prefix] = route
                 return old, route
-            return self._full_reselect(prefix, slot)
-        if group is not None and counts[group] > 1:
-            # MED in play: the challenger can displace its group's
-            # winner without beating the incumbent pairwise (and vice
-            # versa), so one comparison cannot decide.
-            return self._full_reselect(prefix, slot)
-        if (prev_group is not None and prev_group != group
-                and counts.get(prev_group)
-                and self._evicts_group_winner(candidates, previous,
-                                              prev_group)):
-            # The replaced route was its old MED group's winner; its
-            # eviction restores a weaker-in-group finalist that may
-            # still beat the incumbent MED-blind.
-            return self._full_reselect(prefix, slot)
+            candidates = self._contested[prefix] = {old.peer_id: old,
+                                                    peer_id: route}
+            previous = None
+        else:
+            previous = candidates.get(peer_id)
+            candidates[peer_id] = route
         self.decision_runs += 1
-        if prefer(route, old):
-            self._best[prefix] = slot.best = route
-            return old, route
-        return old, old
+        if peer_id != old.peer_id:
+            wins = prefer(route, old)
+            if previous is None and not wins:
+                return old, old
+            paths = candidates.values()
+            med_in_play = med_group_shared(paths, route) or (
+                previous is not None and previous is not route
+                and med_group(previous) != med_group(route)
+                and evicts_group_winner(paths, previous))
+            if not med_in_play:
+                if wins:
+                    best[prefix] = route
+                    return old, route
+                return old, old
+        new = best[prefix] = best_path(list(candidates.values()))
+        return old, new
 
     def retract(self, prefix, peer_id):
         """Drop a peer's candidate and re-run selection for the prefix.
 
-        Removing a non-best candidate leaves the best untouched; only
-        losing the best itself triggers a full re-scan.
+        Removing a non-best candidate leaves the best untouched unless
+        it was a MED group winner whose eviction restores a stronger
+        finalist; only then, or on losing the best itself, does a full
+        re-scan run.
         """
-        slot = self._slots.get(prefix)
-        if slot is None or peer_id not in slot.candidates:
-            return self._best.get(prefix), self._best.get(prefix)
-        candidates = slot.candidates
-        removed = candidates.pop(peer_id)
-        self._touch(prefix)
-        old = self._best.get(prefix)
-        group = med_group(removed)
-        counts = slot.med_counts
-        if group is not None:
-            self._group_drop(counts, group)
-        if not candidates:
-            del self._slots[prefix]
+        best = self._best
+        old = best.get(prefix)
+        candidates = self._contested.get(prefix)
+        if candidates is None:
+            if old is None or old.peer_id != peer_id:
+                return old, old
+            self.export_seq = self._changed[prefix] = self.export_seq + 1
+            del best[prefix]
             if self._indexed:
                 self._store.remove(prefix)
-            self._best.pop(prefix, None)
             return old, None
-        if old is not None and old.peer_id != peer_id:
-            if (group is None or not counts.get(group)
-                    or not self._evicts_group_winner(candidates, removed,
-                                                     group)):
-                # Best untouched: the removed route was neither the
-                # overall best nor a MED group winner whose eviction
-                # could restore a stronger finalist.
-                return old, old
-        return self._full_reselect(prefix, slot)
-
-    @staticmethod
-    def _group_drop(counts, group):
-        remaining = counts.get(group, 1) - 1
-        if remaining:
-            counts[group] = remaining
-        else:
-            counts.pop(group, None)
-
-    @staticmethod
-    def _evicts_group_winner(candidates, departed, group):
-        """True when ``departed`` was the winner of its (still-populated)
-        MED group — its eviction promotes a weaker-in-group route into
-        the finalists, which the MED-blind pass may rank higher."""
-        return not any(
-            prefer(other, departed)
-            for other in candidates.values()
-            if med_group(other) == group
-        )
-
-    def _full_reselect(self, prefix, slot=None):
+        removed = candidates.pop(peer_id, None)
+        if removed is None:
+            return old, old
+        self.export_seq = self._changed[prefix] = self.export_seq + 1
+        if len(candidates) == 1:
+            del self._contested[prefix]
+        if (old.peer_id != peer_id
+                and not evicts_group_winner(candidates.values(), removed)):
+            return old, old
         self.decision_runs += 1
-        old = self._best.get(prefix)
-        if slot is None:
-            slot = self._slots.get(prefix)
-        candidates = slot.candidates if slot is not None else None
-        new = best_path(list(candidates.values())) if candidates else None
-        if new is None:
-            self._best.pop(prefix, None)
-        else:
-            self._best[prefix] = new
-        if slot is not None:
-            slot.best = new
+        new = best[prefix] = best_path(list(candidates.values()))
         return old, new
 
     def best(self, prefix):
@@ -312,8 +267,11 @@ class LocRib:
         return self._best.keys()
 
     def candidates(self, prefix):
-        slot = self._slots.get(prefix)
-        return dict(slot.candidates) if slot is not None else {}
+        contested = self._contested.get(prefix)
+        if contested is not None:
+            return dict(contested)
+        route = self._best.get(prefix)
+        return {} if route is None else {route.peer_id: route}
 
     def __len__(self):
         return len(self._best)
@@ -323,19 +281,19 @@ class LocRib:
     @property
     def store(self):
         """The prefix store (read-only use: aggregation, snapshot
-        walks).  Values are :class:`_PrefixSlot` instances.
+        walks).  It holds the table's keys only; read :meth:`best` or
+        :meth:`candidates` for a matched prefix.
 
-        Built here, once, from the exact-match dict in sorted prefix
-        order — so what it holds depends on the table alone, never on
-        the offer/retract history that produced it — and maintained
+        Built here, once, from the table in sorted prefix order — so
+        what it holds depends on the table alone, never on the
+        offer/retract history that produced it — and maintained
         incrementally afterwards.
         """
         store = self._store
         if not self._indexed:
             self._indexed = True
-            slots = self._slots
-            for prefix in sorted(slots, key=_prefix_order):
-                store.insert(prefix, slots[prefix])
+            for prefix in sorted(self._best, key=_prefix_order):
+                store.insert(prefix, None)
         return store
 
     def lookup(self, prefix):
@@ -345,65 +303,51 @@ class LocRib:
         More-specific-wins receiver semantics — the property that makes
         DRAGON deaggregation holes sound (DESIGN.md §14).
         """
-        store = self.store
-        match = store.longest_match(prefix)
-        while match is not None:
-            matched, slot = match
-            if slot.best is not None:
-                return slot.best
-            # Candidate-less slots never exist, but a slot whose best
-            # is mid-withdrawal falls back to the next-shorter cover.
-            if matched.length == 0:
-                return None
-            shorter = Prefix(matched.value, matched.length - 1, matched.afi)
-            match = store.longest_match(shorter)
-        return None
+        match = self.store.longest_match(prefix)
+        return self._best[match[0]] if match is not None else None
 
     def covered_best(self, prefix):
         """(prefix, best route) for selected routes within ``prefix``,
         in ascending prefix order (includes ``prefix`` itself)."""
-        return [
-            (stored, slot.best)
-            for stored, slot in self.store.covered(prefix)
-            if slot.best is not None
-        ]
+        best = self._best
+        return [(stored, best[stored])
+                for stored, _ in self.store.covered(prefix)]
 
     def covering_best(self, prefix):
         """(prefix, best route) for selected routes covering ``prefix``,
         shortest first (includes ``prefix`` itself)."""
-        return [
-            (stored, slot.best)
-            for stored, slot in self.store.covering(prefix)
-            if slot.best is not None
-        ]
+        best = self._best
+        return [(stored, best[stored])
+                for stored, _ in self.store.covering(prefix)]
 
     # -- snapshot support (TENSOR backs the table up in the database) ------
 
     def export_entries(self):
         """Serializable view of every candidate path (sorted for determinism)."""
         entries = []
-        for prefix, slot in self.store.walk():
-            entries.extend(self._slot_entries(prefix, slot))
+        for prefix in self.store:
+            entries.extend(self.export_prefix_entries(prefix))
         return entries
 
     def export_prefix_entries(self, prefix):
         """The :meth:`export_entries` records for one prefix (possibly [])."""
-        slot = self._slots.get(prefix)
-        if slot is None:
-            return []
-        return self._slot_entries(prefix, slot)
-
-    @staticmethod
-    def _slot_entries(prefix, slot):
+        contested = self._contested.get(prefix)
+        if contested is not None:
+            routes = sorted(contested.values(), key=_peer_order)
+        else:
+            route = self._best.get(prefix)
+            if route is None:
+                return []
+            routes = (route,)
+        text = str(prefix)
         return [
             {
-                "prefix": str(prefix),
-                "peer_id": peer_id,
+                "prefix": text,
+                "peer_id": route.peer_id,
                 "source_kind": route.source_kind,
                 "attributes": route.attributes.to_wire(),
             }
-            for peer_id, route in sorted(slot.candidates.items(),
-                                         key=lambda kv: str(kv[0]))
+            for route in routes
         ]
 
     def export_entries_since(self, seq):

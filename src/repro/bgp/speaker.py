@@ -138,6 +138,8 @@ class BgpSpeaker:
         self.stack = stack
         self.config = config
         self.process = Process(engine, f"bgp:{config.name}")
+        #: Peer id under which locally-originated routes enter the Loc-RIB.
+        self.local_peer_id = f"local:{config.name}"
         self.vrfs = {}
         self.sessions = {}
         self.running = False
@@ -337,20 +339,21 @@ class BgpSpeaker:
     def originate(self, vrf_name, prefix, attributes):
         """Inject a locally-originated route and propagate it."""
         vrf = self.vrfs[vrf_name]
-        route = Route(prefix, attributes, f"local:{self.config.name}", "local")
+        route = Route(prefix, attributes, self.local_peer_id, "local")
         old, new = vrf.loc_rib.offer(route)
         self._queue_change(None, vrf, prefix, old, new)
 
     def originate_many(self, vrf_name, routes):
         """Bulk originate [(prefix, attributes), ...] without propagation
         churn (used to preload tables for benchmarks)."""
-        vrf = self.vrfs[vrf_name]
+        offer = self.vrfs[vrf_name].loc_rib.offer
+        peer_id = self.local_peer_id
         for prefix, attributes in routes:
-            vrf.loc_rib.offer(Route(prefix, attributes, f"local:{self.config.name}", "local"))
+            offer(Route(prefix, attributes, peer_id, "local"))
 
     def withdraw_originated(self, vrf_name, prefix):
         vrf = self.vrfs[vrf_name]
-        old, new = vrf.loc_rib.retract(prefix, f"local:{self.config.name}")
+        old, new = vrf.loc_rib.retract(prefix, self.local_peer_id)
         self._queue_change(None, vrf, prefix, old, new)
 
     def session_established(self, session):

@@ -9,37 +9,60 @@ with no clever state to get wrong — the point is that any divergence
 from :class:`repro.bgp.rib.LocRib` under churn indicts the optimized
 implementation, not the oracle (DESIGN.md §14).
 
-Deliberately *not* modeled: ``decision_runs`` (the incremental
-machinery's efficiency counter) and the ``export_seq`` watermark
-protocol — those are performance contracts, pinned by their own unit
-tests; this model pins semantics only.
+``decision_runs`` is modeled as its specification, not its mechanism:
+an offer counts unless the prefix had no path or only the offering
+peer's; a retract counts when it removes the best of several paths, or
+a non-best path that won a MED group other paths still populate.  The
+``export_seq`` watermark protocol is not modeled — a performance
+contract pinned by its own unit tests — but :func:`contested_churn`
+checks what it reports against this model's per-prefix entries.
 """
 
-from repro.bgp.decision import best_path
+from repro.bgp.attributes import AsPath, Origin, PathAttributes
+from repro.bgp.decision import best_path, med_group, prefer
 from repro.bgp.prefixes import Prefix
+from repro.bgp.rib import LocRib, Route
+from repro.sim.rand import DeterministicRandom
 
 
 class ReferenceRib:
     """Dict-of-dicts Loc-RIB with full re-selection on every change."""
 
     def __init__(self):
-        self._candidates = {}  # prefix -> {peer_id: Route}
+        # prefix -> {peer_id: Route}; a prefix enters on its first path
+        # and leaves with its last, so the key order is also the order
+        # LocRib's best map must iterate in.
+        self._candidates = {}
+        self.decision_runs = 0
 
     # -- mutation (mirrors LocRib.offer/retract return contract) ------------
 
     def offer(self, route):
         old = self.best(route.prefix)
-        self._candidates.setdefault(route.prefix, {})[route.peer_id] = route
+        candidates = self._candidates.setdefault(route.prefix, {})
+        if candidates and list(candidates) != [route.peer_id]:
+            self.decision_runs += 1
+        candidates[route.peer_id] = route
         return old, self.best(route.prefix)
 
     def retract(self, prefix, peer_id):
         old = self.best(prefix)
         candidates = self._candidates.get(prefix)
         if candidates is not None:
-            candidates.pop(peer_id, None)
+            removed = candidates.pop(peer_id, None)
             if not candidates:
                 del self._candidates[prefix]
+            elif removed is not None and (
+                    removed is old or self._won_med_group(candidates, removed)):
+                self.decision_runs += 1
         return old, self.best(prefix)
+
+    @staticmethod
+    def _won_med_group(candidates, removed):
+        group = med_group(removed)
+        rivals = [route for route in candidates.values()
+                  if group is not None and med_group(route) == group]
+        return bool(rivals) and not any(prefer(r, removed) for r in rivals)
 
     # -- selection -----------------------------------------------------------
 
@@ -140,3 +163,81 @@ def probe_points(prefixes, rng, extra=8):
     for _ in range(extra):
         points.add(Prefix(rng.randrange(2**32), rng.randrange(33)))
     return sorted(points)
+
+
+# -- contested-prefix churn (the table-plus-contested layout) ----------------
+
+CONTEST_PEERS = ("peer0", "peer1", "peer2")
+CONTEST_PREFIXES = (Prefix(0, 0), Prefix(0x0A000000, 8),
+                    Prefix(0x0A010000, 16), Prefix(0x0A010100, 24),
+                    Prefix(0xC0A80001, 32))
+
+
+def _contest_attributes(rng):
+    """Two neighbouring ASes and a MED spread, so routes join, win and
+    leave MED groups; an empty AS path now and then (no group at all)."""
+    first_as = rng.choice([64500, 64500, 64501, None])
+    path = () if first_as is None else (first_as,) + (64600,) * rng.randrange(2)
+    return PathAttributes(
+        origin=Origin.IGP,
+        as_path=AsPath.sequence(*path),
+        next_hop="1.1.1.1",
+        local_pref=rng.choice([None, 100, 110]),
+        med=rng.choice([None, 0, 10, 20]),
+    )
+
+
+def contested_churn(seed, steps=500, index_at=None):
+    """Drive a LocRib and a ReferenceRib through one seeded offer/retract
+    sequence over five prefixes and three peers, so every prefix keeps
+    crossing 1 -> 2 -> 1 -> 0 paths (same peer re-offering, MED-group
+    joins and evictions, retracts of best and non-best), asserting
+    agreement on everything observable after every step.  ``index_at``
+    is the step before which the derived prefix store is first read
+    (None: only the periodic ``export_entries`` reads it).  Returns the
+    trace of observations, for determinism pins.
+    """
+    rng = DeterministicRandom(seed).stream("rib-contested")
+    rib, reference = LocRib(), ReferenceRib()
+    trace = []
+    watermark, touched, crossings = 0, set(), set()
+    for step in range(steps):
+        if step == index_at:
+            assert list(rib.store) == sorted(reference.prefixes())
+        prefix = rng.choice(CONTEST_PREFIXES)
+        peer = rng.choice(CONTEST_PEERS)
+        before = reference.candidates(prefix)
+        if rng.random() < 0.5:
+            expected = reference.retract(prefix, peer)
+            result = rib.retract(prefix, peer)
+            if peer in before:
+                touched.add(prefix)
+        else:
+            route = Route(prefix, _contest_attributes(rng), peer,
+                          rng.choice(["ebgp", "ibgp"]))
+            expected = reference.offer(route)
+            result = rib.offer(route)
+            touched.add(prefix)
+        crossings.add((len(before), len(reference.candidates(prefix))))
+        assert all(r is e for r, e in zip(result, expected)), (result, expected)
+        assert rib.decision_runs == reference.decision_runs
+        assert (list(rib.candidates(prefix).items())
+                == list(reference.candidates(prefix).items()))
+        assert list(rib.prefixes()) == list(reference._candidates)
+        assert set(rib._contested) == {
+            p for p, paths in reference._candidates.items() if len(paths) > 1}
+        trace.append((str(prefix), peer,
+                      *(None if r is None else r.peer_id for r in result),
+                      rib.decision_runs))
+        if step % 40 == 39:
+            entries = reference.export_entries()
+            assert rib.export_entries() == entries
+            watermark, dirty = rib.export_entries_since(watermark)
+            assert dirty == {p: reference.export_prefix_entries(p)
+                             for p in touched}
+            touched.clear()
+            trace.append([(e["prefix"], e["peer_id"], e["source_kind"],
+                           e["attributes"].hex()) for e in entries])
+    assert crossings >= {(0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 2),
+                         (2, 1), (1, 0), (0, 0)}, crossings
+    return trace

@@ -1,7 +1,9 @@
 """Prefix parsing, wire format, containment, and the trie."""
 
+import ipaddress
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.bgp import Prefix, RadixTrie
 
@@ -106,6 +108,37 @@ def test_wire_roundtrip_property_v6(value, length):
 def test_parse_str_roundtrip_property(text):
     p = Prefix.parse(text)
     assert Prefix.parse(str(p)) == p
+
+
+@given(value=st.integers(min_value=0, max_value=2**32 - 1),
+       length=st.integers(min_value=0, max_value=32))
+@example(value=0, length=0)
+@example(value=2**32 - 1, length=0)
+@example(value=2**32 - 1, length=32)
+@example(value=0x0A000001, length=32)
+def test_str_parse_roundtrip_property_v4(value, length):
+    p = Prefix(value, length)
+    text = str(p)
+    # Dotted quad exactly as the standard library renders it.
+    assert text == f"{ipaddress.IPv4Address(p.value)}/{length}"
+    assert Prefix.parse(text) == p
+    assert str(Prefix.parse(text)) == text
+
+
+@given(value=st.integers(min_value=0, max_value=2**128 - 1),
+       length=st.integers(min_value=0, max_value=128))
+@example(value=0, length=0)
+@example(value=2**128 - 1, length=0)
+@example(value=2**128 - 1, length=128)
+@example(value=1, length=128)
+def test_str_parse_roundtrip_property_v6(value, length):
+    p = Prefix(value, length, Prefix.AFI_IPV6)
+    text = str(p)
+    # Eight uncompressed groups, no leading zeros.
+    exploded = ipaddress.IPv6Address(p.value).exploded.split(":")
+    assert text == ":".join(f"{int(g, 16):x}" for g in exploded) + f"/{length}"
+    assert Prefix.parse(text) == p
+    assert str(Prefix.parse(text)) == text
 
 
 # -- trie ---------------------------------------------------------------------

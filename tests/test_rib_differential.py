@@ -19,6 +19,8 @@ until the first ordered query (``store``, ``lookup``, ``covered_best``,
 exact-match dict; the second half of this file pins that rule.
 """
 
+import gc
+
 import pytest
 
 from repro.bgp import AsPath, LocRib, Origin, PathAttributes, Prefix
@@ -26,7 +28,12 @@ from repro.bgp.radix import DictPrefixStore, RadixTrie
 from repro.bgp.rib import Route, use_prefix_store
 from repro.sim.rand import DeterministicRandom
 
-from tests.rib_reference import ReferenceRib, probe_points, rib_digest_of
+from tests.rib_reference import (
+    ReferenceRib,
+    contested_churn,
+    probe_points,
+    rib_digest_of,
+)
 
 PEERS = [f"peer{i}" for i in range(6)]
 
@@ -297,3 +304,48 @@ def test_backend_is_captured_at_construction_not_at_first_query():
     assert type(outside.store) is RadixTrie
     assert len(inside.store) == len(outside.store) == len(set(pool))
     assert inside.export_entries() == outside.export_entries()
+
+
+# -- the table-plus-contested layout -----------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_contested_layout_matches_reference(seed):
+    """Prefixes crossing 1 -> 2 -> 1 -> 0 paths, with the derived index
+    never built, built first, and built mid-run: returns (by identity),
+    ``decision_runs``, ``candidates()``, best-map order, the contested
+    map's key set, ``export_entries()`` and ``export_entries_since()``
+    all follow the brute-force reference (asserted inside the driver)."""
+    trace = contested_churn(seed, index_at=None)
+    # When the index is built does not show in anything observable.
+    assert contested_churn(seed, index_at=0) == trace
+    assert contested_churn(seed, index_at=250) == trace
+
+
+def test_single_path_load_adds_one_tracked_object_per_route():
+    """The allocation budget of the layout: a single-path route costs
+    its ``Route`` (and the caller's ``Prefix``) and nothing else the
+    collector has to walk — no slot, no candidate dict — and leaves the
+    contested map empty."""
+    count = 10_000
+    attributes = _attributes(DeterministicRandom(1).stream("rib-budget"))
+    prefixes = [Prefix((10 << 24) + (i << 8), 24) for i in range(count)]
+    rib = LocRib()
+    gc.collect()
+    before = len(gc.get_objects())
+    for prefix in prefixes:
+        rib.offer(Route(prefix, attributes, "peer0"))
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert count <= added <= count + 16, added
+    assert not rib._contested and len(rib) == count
+    # A competitor promotes exactly the prefixes it contests, and its
+    # withdrawal demotes them again.
+    for prefix in prefixes[:100]:
+        rib.offer(Route(prefix, attributes, "peer1"))
+    assert set(rib._contested) == set(prefixes[:100])
+    for prefix in prefixes[:100]:
+        rib.retract(prefix, "peer1")
+    assert not rib._contested and len(rib) == count
+    gc.collect()
+    assert len(gc.get_objects()) - before <= count + 16
