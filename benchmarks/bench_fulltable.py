@@ -19,8 +19,14 @@ sizes and holds DESIGN.md §14's scaling claims to numbers:
 - ``reselect_small`` / ``reselect_large``: incremental churn throughput
   at both sizes — **sub-linear** means the per-operation cost barely
   moves when the table grows 10x (a linear structure would slow ~10x);
+- ``compact_full_small`` / ``compact_full_large``: routes per second
+  through the first (whole-table) snapshot compaction at both sizes —
+  the one full-table operation every NSR pair pays for;
 - ``compact_incremental``: after a full snapshot, churn a small working
   set and re-compact — only the dirty chunks may rewrite;
+- ``rebuild``: routes per second through
+  ``RecoveredState.rebuild_loc_rib`` from that snapshot — what the
+  backup pays instead of replaying history;
 - aggregation effectiveness: collapsed snapshot entries must shrink the
   aggregatable workload's replicated records by >= 20%;
 - ``pair_replay``: a table slice end-to-end through a real NSR pair
@@ -50,7 +56,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bgp.prefixes import Prefix  # noqa: E402
 from repro.bgp.radix import RadixTrie  # noqa: E402
-from repro.core.replication import ReplicationPipeline  # noqa: E402
+from repro.core.recovery import RecoveredState  # noqa: E402
+from repro.core.replication import (  # noqa: E402
+    ReplicationPipeline,
+    rib_snapshot_key,
+)
 from repro.workloads.fulltable import (  # noqa: E402
     FullTableWorkload,
     replay_through_pair,
@@ -178,6 +188,15 @@ def measure_table(size):
     _, incr_compact_s = _timed(lambda: pipeline.compact("v", rib))
     incr_chunks = pipeline.snapshot_chunks_written - full_chunks
 
+    # What the backup does with that snapshot: expand and re-offer it.
+    recovered = RecoveredState("bench")
+    marker = recovered.rib_markers["v"] = store.store["tensor:bench:rib:v:marker"]
+    recovered.rib_snapshots["v"] = {
+        index: store.store[rib_snapshot_key("bench", "v", index)]
+        for index in range(marker["chunks"])}
+    rebuilt, rebuild_s = _timed(lambda: len(recovered.rebuild_loc_rib("v")))
+    assert rebuilt == routes, f"rebuilt {rebuilt} of {routes} routes"
+
     return {
         "size": size,
         "routes": routes,
@@ -191,9 +210,12 @@ def measure_table(size):
         "churn_ops": ops,
         "churn_ops_per_sec": ops / churn_s,
         "full_compact_s": full_compact_s,
+        "full_compact_ops_per_sec": routes / full_compact_s,
         "full_chunks": full_chunks,
         "incremental_compact_s": incr_compact_s,
         "incremental_chunks": incr_chunks,
+        "rebuild_s": rebuild_s,
+        "rebuild_ops_per_sec": routes / rebuild_s,
         "snapshot_entries_raw": raw,
         "snapshot_entries_written": written,
         "aggregation_reduction": 1.0 - written / raw if raw else 0.0,
@@ -270,6 +292,7 @@ def _print_table(label, stats):
           f"({stats['full_chunks']} chunks)  "
           f"incr-compact {stats['incremental_compact_s']:.3f}s "
           f"({stats['incremental_chunks']} chunks)  "
+          f"rebuild {stats['rebuild_s']:.2f}s  "
           f"agg -{stats['aggregation_reduction']:.0%}")
 
 
@@ -340,11 +363,18 @@ def main():
                 "ops_per_sec": round(small["churn_ops_per_sec"], 1)},
             "reselect_large": {
                 "ops_per_sec": round(large["churn_ops_per_sec"], 1)},
+            # routes per second through the whole-table compaction
+            "compact_full_small": {
+                "ops_per_sec": round(small["full_compact_ops_per_sec"], 1)},
+            "compact_full_large": {
+                "ops_per_sec": round(large["full_compact_ops_per_sec"], 1)},
             # compactions per second: slower incremental compaction of
             # the large table gates as a regression
             "compact_incremental": {
                 "ops_per_sec": round(
                     1.0 / large["incremental_compact_s"], 4)},
+            "rebuild": {
+                "ops_per_sec": round(large["rebuild_ops_per_sec"], 1)},
             # lower is better: the gate reads ``per_route`` rows that way
             **{f"{metric}_{label}": {"per_route": round(stats[metric], 2)}
                for label, stats in (("small", small), ("large", large))

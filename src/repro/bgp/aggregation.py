@@ -11,7 +11,8 @@ record; recovery expands it back to the identical member set.  Purely
 an encoding: the replicated byte count shrinks, the recovered RIB is
 bit-identical.  Chunk bucketing keys on each prefix's aggregate root so
 siblings co-locate in a chunk and stay collapsible under incremental
-compaction.
+compaction.  :func:`encode_chunk` writes every snapshot chunk, collapsing
+or not, and touches each route once (DESIGN.md §14).
 
 **Export aggregation** (DRAGON route-consistency mode, speaker path):
 for configured aggregate prefixes, advertise one aggregate route when
@@ -29,6 +30,7 @@ out); prefix-matching export policies can tell members apart and are
 rejected by construction nowhere — documented, not enforced (§14).
 """
 
+from repro.bgp.attributes import PathAttributes
 from repro.bgp.prefixes import Prefix
 from repro.bgp.rib import Route
 
@@ -53,70 +55,87 @@ def aggregate_root(prefix, span=AGGREGATE_ROOT_LEN):
 # snapshot aggregation (lossless encode/decode of chunk entries)
 # ---------------------------------------------------------------------------
 
-def collapse_prefix_entries(loc_rib, prefixes):
-    """Encode one chunk's Loc-RIB entries, collapsing complete uniform
-    subtrees.
+def encode_chunk(loc_rib, prefixes, collapse):
+    """Encode one snapshot chunk: the Loc-RIB entries of the set
+    ``prefixes``, complete uniform subtrees collapsed when ``collapse``.
 
-    ``prefixes`` is the chunk's member set.  Multi-candidate prefixes
-    and the default route pass through as plain records.  Returns the
-    encoded entry list in deterministic order.
+    Each route is read once and only what survives is rendered.
+    Contested prefixes always pass through as plain records.  With
+    ``collapse`` the other members group by signature — (afi, length,
+    peer, source kind, attribute bytes) — and sibling pairs inside a
+    group merge bottom-up on plain ints: two complete subtrees at the
+    same position length combine into their parent's complete subtree
+    (a leaf is the trivially complete subtree of its own prefix), so
+    each level keeps what found no sibling and hands the rest up.
+    Returns ``(records, routes)``: the records ordered by text — where
+    texts coincide, plain records (in peer order) ahead of aggregates
+    (by member length) — and the number of routes they encode.
     """
-    plain = []
-    # (afi, value, length, member_length, sig) -> one plain record kept
-    # for the case the item never merges (member_length == length).
-    by_len = {}
-    for prefix in prefixes:
-        records = loc_rib.export_prefix_entries(prefix)
-        if len(records) == 1 and prefix.length > 0:
-            record = records[0]
-            sig = (record["peer_id"], record["source_kind"],
-                   record["attributes"])
-            key = (prefix.afi, prefix.value, prefix.length, prefix.length,
-                   sig)
-            by_len.setdefault(prefix.length, {})[key] = record
-        else:
-            plain.extend(records)
-    # Merge sibling pairs bottom-up: two complete subtrees at the same
-    # position length, member length and signature combine into their
-    # parent's complete subtree.  Completeness is inductive — a leaf is
-    # the (trivially complete) subtree of its own prefix.
-    for length in range(max(by_len, default=0), 0, -1):
-        level = by_len.get(length)
-        if not level:
-            continue
-        for key in list(level):
-            record = level.get(key)
-            if record is None:
-                continue
-            afi, value, _length, member_length, sig = key
-            bits = 32 if afi == Prefix.AFI_IPV4 else 128
-            mask = 1 << (bits - length)
-            sibling = (afi, value ^ mask, length, member_length, sig)
-            twin = level.get(sibling)
-            if twin is None or sibling == key:
-                continue
-            del level[key]
-            del level[sibling]
-            parent = (afi, value & ~mask, length - 1, member_length, sig)
-            by_len.setdefault(length - 1, {})[parent] = record
-    encoded = list(plain)
-    for length in by_len:
-        for key, record in by_len[length].items():
-            afi, value, pos_length, member_length, sig = key
-            if member_length == pos_length:
-                encoded.append(record)  # never merged: plain entry
+    lone, contested = loc_rib.export_paths(prefixes)
+    plain = [route for routes in contested for route in routes]
+    routes = len(prefixes) - len(contested) + len(plain)
+    aggregates = []  # (member length, text, record)
+    if collapse:
+        groups = {}  # signature -> {prefix value: that member's route}
+        for route in lone:
+            prefix = route.prefix
+            signature = (prefix.afi, prefix.length, route.peer_id,
+                         route.source_kind, route.attributes.to_wire())
+            group = groups.get(signature)
+            if group is None:
+                groups[signature] = {prefix.value: route}
             else:
-                encoded.append({
-                    "aggregate": str(Prefix(value, pos_length, afi)),
-                    "member_length": member_length,
-                    "peer_id": sig[0],
-                    "source_kind": sig[1],
-                    "attributes": sig[2],
-                })
-    encoded.sort(key=lambda rec: (rec.get("prefix") or rec["aggregate"],
-                                  rec.get("member_length", -1),
-                                  str(rec["peer_id"])))
-    return encoded
+                group[prefix.value] = route
+        for signature, leaves in groups.items():
+            afi, member_length, peer_id, source_kind, wire = signature
+            bits = 32 if afi == Prefix.AFI_IPV4 else 128
+            length, level = member_length, leaves
+            while level:
+                # No value has the bit above the address width, so the
+                # default route finds no sibling.
+                bit = 1 << (bits - length)
+                parents = {value for value in level
+                           if not value & bit and value | bit in level}
+                unmerged = level if not parents else [
+                    value for value in level if value & ~bit not in parents]
+                if level is leaves:
+                    plain.extend(map(leaves.__getitem__, unmerged))
+                else:
+                    for value in unmerged:
+                        text = str(Prefix(value, length, afi))
+                        aggregates.append((member_length, text, {
+                            "aggregate": text,
+                            "member_length": member_length,
+                            "peer_id": peer_id,
+                            "source_kind": source_kind,
+                            "attributes": wire,
+                        }))
+                length, level = length - 1, parents
+    else:
+        plain.extend(lone)
+    texts = [str(route.prefix) for route in plain]
+    records = [{"prefix": text,
+                "peer_id": route.peer_id,
+                "source_kind": route.source_kind,
+                "attributes": route.attributes.to_wire()}
+               for text, route in zip(texts, plain)]
+    # The sort below is stable and on text alone: it keeps a contested
+    # prefix's records in peer order, plain records ahead of aggregates
+    # and aggregates in member-length order.
+    for _member_length, text, record in sorted(aggregates):
+        texts.append(text)
+        records.append(record)
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    return [records[index] for index in order], routes
+
+
+def _aggregate_members(entry):
+    """The member prefixes of one aggregate record, ascending."""
+    root = Prefix.parse(entry["aggregate"])
+    member_length = entry["member_length"]
+    stride = 1 << (root.bits - member_length)
+    for index in range(1 << (member_length - root.length)):
+        yield Prefix(root.value + index * stride, member_length, root.afi)
 
 
 def expand_snapshot_entry(entry):
@@ -127,11 +146,7 @@ def expand_snapshot_entry(entry):
     if "aggregate" not in entry:
         yield entry
         return
-    root = Prefix.parse(entry["aggregate"])
-    member_length = entry["member_length"]
-    stride = 1 << (root.bits - member_length)
-    for index in range(1 << (member_length - root.length)):
-        member = Prefix(root.value + index * stride, member_length, root.afi)
+    for member in _aggregate_members(entry):
         yield {
             "prefix": str(member),
             "peer_id": entry["peer_id"],
@@ -143,6 +158,22 @@ def expand_snapshot_entry(entry):
 def expand_snapshot_entries(entries):
     for entry in entries:
         yield from expand_snapshot_entry(entry)
+
+
+def expand_snapshot_routes(entries):
+    """Decode snapshot records straight into routes, in the order
+    :func:`expand_snapshot_entries` lists them: only a plain record's
+    prefix is parsed from text, and an aggregate's attributes decode
+    once for all its members."""
+    for entry in entries:
+        attributes = PathAttributes.from_wire(entry["attributes"])
+        peer_id, source_kind = entry["peer_id"], entry["source_kind"]
+        if "aggregate" in entry:
+            for member in _aggregate_members(entry):
+                yield Route(member, attributes, peer_id, source_kind)
+        else:
+            yield Route(Prefix.parse(entry["prefix"]), attributes, peer_id,
+                        source_kind)
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,7 @@ class LocRib:
         #: retracts and trivial single-candidate adoptions do not count.
         self.decision_runs = 0
         #: Monotone change counter for incremental snapshots; bumped on
-        #: every candidate-set mutation (see export_entries_since).
+        #: every candidate-set mutation (see path_counts_since).
         self.export_seq = 0
         self._changed = {}  # prefix -> export_seq of last mutation
 
@@ -350,28 +350,50 @@ class LocRib:
             for route in routes
         ]
 
-    def export_entries_since(self, seq):
+    def export_paths(self, prefixes):
+        """Bulk read for the snapshot chunk encoder: every path of the
+        set ``prefixes``, each of which must be in the table.
+
+        Returns ``(lone, contested)``: an iterator over the routes of
+        the single-path prefixes, and one peer-ordered route list per
+        contested prefix — the routes :meth:`export_prefix_entries`
+        would render, in no particular prefix order.
+        """
+        contested = self._contested
+        shared = contested.keys() & prefixes if contested else ()
+        if shared:
+            prefixes = prefixes - shared
+        return (map(self._best.__getitem__, prefixes),
+                [sorted(contested[prefix].values(), key=_peer_order)
+                 for prefix in shared])
+
+    def path_counts_since(self, seq):
         """Incremental snapshot: what changed after change-counter ``seq``.
 
-        Returns ``(export_seq, dirty)`` where ``dirty`` maps each prefix
-        mutated since ``seq`` to its *current* entry list (empty when the
-        prefix no longer has candidates).  Single-consumer protocol: the
-        caller passes back the returned ``export_seq`` next time, and
+        Returns ``(export_seq, counts)`` where ``counts`` maps each prefix
+        mutated since ``seq`` to its *current* number of paths (0 when
+        the prefix no longer has candidates).  Single-consumer protocol:
+        the caller passes back the returned ``export_seq`` next time, and
         change records at or below the consumed watermark are pruned.
         """
-        dirty = {}
         if seq >= self.export_seq:
-            return self.export_seq, dirty
+            return self.export_seq, {}
         changed = self._changed
-        stale = []
-        for prefix, changed_at in changed.items():
-            if changed_at > seq:
-                dirty[prefix] = self.export_prefix_entries(prefix)
-            else:
-                stale.append(prefix)
-        for prefix in stale:
+        for prefix in [prefix for prefix, changed_at in changed.items()
+                       if changed_at <= seq]:
             del changed[prefix]
-        return self.export_seq, dirty
+        best, contested = self._best, self._contested
+        counts = {prefix: 1 if prefix in best else 0 for prefix in changed}
+        for prefix in contested.keys() & counts.keys():
+            counts[prefix] = len(contested[prefix])
+        return self.export_seq, counts
+
+    def export_entries_since(self, seq):
+        """:meth:`path_counts_since` with each changed prefix mapped to
+        its current entry list instead of the list's length."""
+        export_seq, counts = self.path_counts_since(seq)
+        return export_seq, {prefix: self.export_prefix_entries(prefix)
+                            for prefix in counts}
 
     @classmethod
     def import_entries(cls, entries, local_as=0, router_id=0):

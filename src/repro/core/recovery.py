@@ -19,7 +19,7 @@ finishes with an outbound resync
 withdrawals recorded in the live delta log, re-advertise the table.
 """
 
-from repro.bgp.aggregation import expand_snapshot_entries
+from repro.bgp.aggregation import expand_snapshot_routes
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.prefixes import Prefix
 from repro.bgp.rib import LocRib, Route
@@ -58,15 +58,8 @@ class RecoveredState:
         for index in range(marker["chunks"]):
             # Snapshot-aggregated chunks (DESIGN.md §14) carry collapsed
             # subtree records; expansion is the identity for plain ones.
-            for entry in expand_snapshot_entries(chunks.get(index, [])):
-                rib.offer(
-                    Route(
-                        Prefix.parse(entry["prefix"]),
-                        PathAttributes.from_wire(entry["attributes"]),
-                        entry["peer_id"],
-                        entry["source_kind"],
-                    )
-                )
+            for route in expand_snapshot_routes(chunks.get(index, [])):
+                rib.offer(route)
         floor = marker.get("delta_floor", 0)
         for seq, delta in self.rib_deltas.get(vrf, []):
             if seq < floor:

@@ -24,12 +24,18 @@ routing-table writes:
 - **bulk**: RIB deltas, message deletion after application ("we remove
   the replicated messages that have been applied to routing tables"),
   watermark updates, periodic compaction.
+
+A compaction (:meth:`ReplicationPipeline.compact`) asks the Loc-RIB only
+for the path *count* of each prefix changed since the last one, keeps
+chunk membership from those counts, and re-encodes the chunks that own
+a changed prefix through the one chunk encoder in
+:mod:`repro.bgp.aggregation` (DESIGN.md §8).
 """
 
 import zlib
 from collections import deque
 
-from repro.bgp.aggregation import aggregate_root, collapse_prefix_entries
+from repro.bgp.aggregation import AGGREGATE_ROOT_LEN, aggregate_root, encode_chunk
 from repro.kvstore.client import CAUSE_FENCED
 from repro.kvstore.locks import LockManager
 
@@ -81,16 +87,6 @@ def rib_prefix(pair_name, vrf):
 
 def pair_prefix(pair_name):
     return f"tensor:{pair_name}:"
-
-
-def _bucket_of(prefix, buckets):
-    """Stable chunk assignment for a prefix.
-
-    Must be deterministic across processes and runs (recovery re-reads
-    chunks written by an earlier incarnation), so Python's randomized
-    ``hash()`` is out; CRC-32 of the textual prefix is stable and cheap.
-    """
-    return zlib.crc32(str(prefix).encode()) % buckets
 
 
 class WriteCoalescer:
@@ -409,7 +405,7 @@ class ReplicationPipeline:
         # Incremental-snapshot bookkeeping, per vrf: stable hash-bucket
         # assignment of prefixes to snapshot chunks plus the Loc-RIB
         # change-counter watermark consumed by the last compaction.
-        self._snapshot_state = {}  # vrf -> {"buckets", "export_seq", "members", "total"}
+        self._snapshot_state = {}  # vrf -> the dict compact() creates
         self.deltas_recorded = 0
         self.deltas_purged = 0  # delete keys issued, one per superseded delta
         self.compactions = 0
@@ -529,14 +525,34 @@ class ReplicationPipeline:
         re-buckets and rewrites the full table; its marker's commit
         purges from the durable floor, covering a dropped marker's range."""
         for state in self._snapshot_state.values():
-            state["buckets"] = 0
+            state["stale"] = True
 
-    def _chunk_bucket(self, prefix, buckets):
-        """Chunk assignment: by full prefix normally, by aggregate root
-        under snapshot aggregation (collapse needs siblings together)."""
-        if self.aggregate_snapshots:
-            return _bucket_of(aggregate_root(prefix), buckets)
-        return _bucket_of(prefix, buckets)
+    def _chunk_assigner(self, buckets):
+        """Stable chunk assignment among ``buckets`` chunks, as a
+        function of the prefix good for one compaction.
+
+        Must be deterministic across processes and runs (recovery
+        re-reads chunks written by an earlier incarnation), so Python's
+        randomized ``hash()`` is out; CRC-32 of the textual prefix is
+        stable and cheap.  Under snapshot aggregation the text is the
+        aggregate root's (collapse needs siblings together), rendered
+        once per root and remembered until the compaction ends.
+        """
+        crc32 = zlib.crc32
+        by_full_prefix = not self.aggregate_snapshots
+        by_root = {}
+
+        def assign(prefix):
+            if by_full_prefix or prefix.length <= AGGREGATE_ROOT_LEN:
+                return crc32(str(prefix).encode()) % buckets
+            root = prefix.afi, prefix.value >> (prefix.bits - AGGREGATE_ROOT_LEN)
+            bucket = by_root.get(root)
+            if bucket is None:
+                bucket = by_root[root] = crc32(
+                    str(aggregate_root(prefix)).encode()) % buckets
+            return bucket
+
+        return assign
 
     def compact(self, vrf, loc_rib, on_done=None):
         """Replace accumulated deltas with chunked snapshot records.
@@ -544,71 +560,74 @@ class ReplicationPipeline:
         Prefixes are assigned to snapshot chunks by a stable hash, so a
         compaction only rewrites the chunks holding prefixes that changed
         since the previous one (plus the marker); the first compaction —
-        or one following enough growth/shrinkage to force re-bucketing —
-        writes the full table.
+        or one following enough growth/shrinkage to force re-bucketing,
+        or a dropped snapshot write — writes the full table.
         """
         self.compactions += 1
         state = self._snapshot_state.get(vrf)
         if state is None:
             state = self._snapshot_state[vrf] = {
-                "buckets": 0,      # chunk count of the current snapshot
+                "buckets": 0,      # chunk count of the snapshot last written
+                "stale": False,    # a write of it may never have landed
                 "export_seq": 0,   # Loc-RIB change watermark consumed
-                "members": {},     # chunk index -> set of prefix objects
+                "members": [],     # per chunk, its set of prefix objects
                 "sizes": {},       # prefix -> live entry count
                 "total": 0,        # entries across all chunks
             }
-        export_seq, dirty = loc_rib.export_entries_since(state["export_seq"])
+        export_seq, dirty = loc_rib.path_counts_since(state["export_seq"])
         state["export_seq"] = export_seq
         members = state["members"]
         sizes = state["sizes"]
+        written = state["buckets"]
+        incremental = written > 0 and not state["stale"]
+        assign = self._chunk_assigner(written) if incremental else None
+        dirty_buckets = set()
+        total = state["total"]
         # Fold the dirty prefixes into the size and bucket-membership
         # maps first so the total reflects the post-change table when
         # sizing buckets.
-        dirty_buckets = set()
-        for prefix, entries in dirty.items():
-            state["total"] += len(entries) - sizes.pop(prefix, 0)
-            if entries:
-                sizes[prefix] = len(entries)
-            if state["buckets"]:
-                bucket = self._chunk_bucket(prefix, state["buckets"])
-                dirty_buckets.add(bucket)
-                bucket_members = members.setdefault(bucket, set())
-                if entries:
-                    bucket_members.add(prefix)
+        for prefix, count in dirty.items():
+            previous = sizes.get(prefix, 0)
+            if count != previous:
+                total += count - previous
+                if count:
+                    sizes[prefix] = count
                 else:
-                    bucket_members.discard(prefix)
-        total = state["total"]
-        grown = total > state["buckets"] * 2 * SNAPSHOT_CHUNK_ROUTES
-        shrunk = state["buckets"] > 1 and total < (state["buckets"] // 2) * SNAPSHOT_CHUNK_ROUTES
-        if state["buckets"] == 0 or grown or shrunk:
-            previous_buckets = state["buckets"]
+                    del sizes[prefix]
+            if incremental:
+                bucket = assign(prefix)
+                dirty_buckets.add(bucket)
+                if count:
+                    members[bucket].add(prefix)
+                else:
+                    members[bucket].discard(prefix)
+        state["total"] = total
+        grown = total > written * 2 * SNAPSHOT_CHUNK_ROUTES
+        shrunk = written > 1 and total < (written // 2) * SNAPSHOT_CHUNK_ROUTES
+        if not incremental or grown or shrunk:
             buckets = max(1, -(-total // SNAPSHOT_CHUNK_ROUTES))
-            members = {}
+            assign = self._chunk_assigner(buckets)
+            members = state["members"] = [set() for _ in range(buckets)]
             for prefix in sizes:
-                members.setdefault(self._chunk_bucket(prefix, buckets), set()).add(prefix)
+                members[assign(prefix)].add(prefix)
             state["buckets"] = buckets
-            state["members"] = members
-            dirty_buckets = set(range(buckets))
+            state["stale"] = False
+            dirty_buckets = range(buckets)
             # Chunks past the new count are stale; readers ignore them,
             # but delete the ones a larger previous snapshot left behind.
-            if previous_buckets > buckets:
+            if written > buckets:
                 self.bulk.delete_many(
                     rib_snapshot_key(self.pair_name, vrf, index)
-                    for index in range(buckets, previous_buckets)
+                    for index in range(buckets, written)
                 )
         else:
             self.incremental_compactions += 1
+        collapse = self.aggregate_snapshots
         for index in sorted(dirty_buckets):
-            bucket_prefixes = sorted(members.get(index, ()), key=str)
-            if self.aggregate_snapshots:
-                raw = sum(sizes.get(prefix, 0) for prefix in bucket_prefixes)
-                entries = collapse_prefix_entries(loc_rib, bucket_prefixes)
+            entries, raw = encode_chunk(loc_rib, members[index], collapse)
+            if collapse:
                 self.snapshot_entries_raw += raw
                 self.snapshot_entries_written += len(entries)
-            else:
-                entries = []
-                for prefix in bucket_prefixes:
-                    entries.extend(loc_rib.export_prefix_entries(prefix))
             self.bulk.set(rib_snapshot_key(self.pair_name, vrf, index), entries)
             self.snapshot_chunks_written += 1
         # Snapshot marker: how many chunks are current (readers ignore

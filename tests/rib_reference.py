@@ -9,6 +9,14 @@ with no clever state to get wrong — the point is that any divergence
 from :class:`repro.bgp.rib.LocRib` under churn indicts the optimized
 implementation, not the oracle (DESIGN.md §14).
 
+The snapshot half is the same idea: :func:`collapse_prefix_entries` is
+the chunk encoder the replication pipeline used before
+:func:`repro.bgp.aggregation.encode_chunk` replaced it (a record list
+per prefix, 5-tuple merge keys, a lambda sort), and
+:func:`reference_chunks` is a from-scratch compaction built on it — what
+the store must hold after *any* sequence of full, incremental,
+re-bucketing and stale-forced compactions.
+
 ``decision_runs`` is modeled as its specification, not its mechanism:
 an offer counts unless the prefix had no path or only the offering
 peer's; a retract counts when it removes the best of several paths, or
@@ -18,6 +26,9 @@ contract pinned by its own unit tests — but :func:`contested_churn`
 checks what it reports against this model's per-prefix entries.
 """
 
+import zlib
+
+from repro.bgp.aggregation import aggregate_root
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.decision import best_path, med_group, prefer
 from repro.bgp.prefixes import Prefix
@@ -146,6 +157,117 @@ def rib_digest_of(loc_rib):
     )
 
 
+# -- snapshot chunks (the encoder compact() used before encode_chunk) --------
+
+def collapse_prefix_entries(loc_rib, prefixes):
+    """Encode one chunk's Loc-RIB entries, collapsing complete uniform
+    subtrees.
+
+    ``prefixes`` is the chunk's member set.  Multi-candidate prefixes
+    and the default route pass through as plain records.  Returns the
+    encoded entry list in deterministic order.
+    """
+    plain = []
+    # (afi, value, length, member_length, sig) -> one plain record kept
+    # for the case the item never merges (member_length == length).
+    by_len = {}
+    for prefix in prefixes:
+        records = loc_rib.export_prefix_entries(prefix)
+        if len(records) == 1 and prefix.length > 0:
+            record = records[0]
+            sig = (record["peer_id"], record["source_kind"],
+                   record["attributes"])
+            key = (prefix.afi, prefix.value, prefix.length, prefix.length,
+                   sig)
+            by_len.setdefault(prefix.length, {})[key] = record
+        else:
+            plain.extend(records)
+    # Merge sibling pairs bottom-up: two complete subtrees at the same
+    # position length, member length and signature combine into their
+    # parent's complete subtree.  Completeness is inductive — a leaf is
+    # the (trivially complete) subtree of its own prefix.
+    for length in range(max(by_len, default=0), 0, -1):
+        level = by_len.get(length)
+        if not level:
+            continue
+        for key in list(level):
+            record = level.get(key)
+            if record is None:
+                continue
+            afi, value, _length, member_length, sig = key
+            bits = 32 if afi == Prefix.AFI_IPV4 else 128
+            mask = 1 << (bits - length)
+            sibling = (afi, value ^ mask, length, member_length, sig)
+            twin = level.get(sibling)
+            if twin is None or sibling == key:
+                continue
+            del level[key]
+            del level[sibling]
+            parent = (afi, value & ~mask, length - 1, member_length, sig)
+            by_len.setdefault(length - 1, {})[parent] = record
+    encoded = list(plain)
+    for length in by_len:
+        for key, record in by_len[length].items():
+            afi, value, pos_length, member_length, sig = key
+            if member_length == pos_length:
+                encoded.append(record)  # never merged: plain entry
+            else:
+                encoded.append({
+                    "aggregate": str(Prefix(value, pos_length, afi)),
+                    "member_length": member_length,
+                    "peer_id": sig[0],
+                    "source_kind": sig[1],
+                    "attributes": sig[2],
+                })
+    encoded.sort(key=lambda rec: (rec.get("prefix") or rec["aggregate"],
+                                  rec.get("member_length", -1),
+                                  str(rec["peer_id"])))
+    return encoded
+
+
+class MemoryKv:
+    """Synchronous in-memory stand-in for both of a pipeline's KV
+    clients: compaction tests compare what is stored, not how it
+    travelled."""
+
+    def __init__(self):
+        self.store = {}
+
+    def mset(self, items, on_done=None, on_error=None):
+        self.store.update(items)
+        if on_done is not None:
+            on_done()
+
+    def delete(self, keys, on_done=None, on_error=None):
+        removed = sum(self.store.pop(key, None) is not None for key in keys)
+        if on_done is not None:
+            on_done(removed)
+
+
+def reference_chunk_of(prefix, buckets, aggregate):
+    """Chunk index: CRC-32 of the prefix's text, or of its aggregate
+    root's under snapshot aggregation."""
+    keyed = aggregate_root(prefix) if aggregate else prefix
+    return zlib.crc32(str(keyed).encode()) % buckets
+
+
+def reference_chunks(rib, buckets, aggregate):
+    """``{chunk index: record list}`` of a from-scratch snapshot of
+    ``rib`` (a :class:`ReferenceRib` or a LocRib) in ``buckets`` chunks."""
+    members = {index: [] for index in range(buckets)}
+    for prefix in rib.prefixes():
+        members[reference_chunk_of(prefix, buckets, aggregate)].append(prefix)
+    chunks = {}
+    for index, prefixes in members.items():
+        prefixes.sort(key=str)
+        if aggregate:
+            chunks[index] = collapse_prefix_entries(rib, prefixes)
+        else:
+            chunks[index] = [record for prefix in prefixes
+                             for record in rib.export_prefix_entries(prefix)]
+    return chunks
+
+
 def probe_points(prefixes, rng, extra=8):
     """Deterministic LPM probe positions for a differential run: every
     stored prefix, its parent, a sibling perturbation, a one-longer
@@ -232,7 +354,14 @@ def contested_churn(seed, steps=500, index_at=None):
         if step % 40 == 39:
             entries = reference.export_entries()
             assert rib.export_entries() == entries
+            # The count walk and its entry-list wrapper read the same
+            # change records: the first call prunes, the second (same
+            # watermark) must still see every prefix it reported.
+            advanced, counts = rib.path_counts_since(watermark)
+            assert counts == {p: len(reference.export_prefix_entries(p))
+                              for p in touched}
             watermark, dirty = rib.export_entries_since(watermark)
+            assert watermark == advanced == rib.export_seq
             assert dirty == {p: reference.export_prefix_entries(p)
                              for p in touched}
             touched.clear()

@@ -7,7 +7,7 @@ from repro.bgp import BgpSpeaker, LocRib, PeerConfig, Prefix, SpeakerConfig
 from repro.bgp.aggregation import (
     ExportAggregator,
     aggregate_root,
-    collapse_prefix_entries,
+    encode_chunk,
     expand_snapshot_entries,
 )
 from repro.bgp.attributes import AsPath, PathAttributes
@@ -17,6 +17,8 @@ from repro.core.replication import ReplicationPipeline
 from repro.kvstore import KvClient, KvServer
 from repro.sim import DeterministicRandom, Engine, Network
 from repro.tcpsim import TcpStack
+
+from tests.rib_reference import collapse_prefix_entries
 
 
 def _attrs(**overrides):
@@ -48,9 +50,11 @@ def _plain_export(rib, prefixes):
 
 
 def _round_trip(rib, prefixes):
-    encoded = collapse_prefix_entries(rib, prefixes)
+    encoded, routes = encode_chunk(rib, set(prefixes), collapse=True)
+    assert encoded == collapse_prefix_entries(rib, prefixes)
     expanded = sorted(expand_snapshot_entries(encoded), key=_record_key)
     assert expanded == _plain_export(rib, prefixes)
+    assert routes == len(expanded)
     return encoded
 
 
@@ -123,6 +127,27 @@ def test_collapse_differs_by_peer_signature():
     rib.offer(Route(members[1], _attrs(), "p2", "ebgp"))
     encoded = _round_trip(rib, members)
     assert all("prefix" in rec for rec in encoded)
+
+
+def test_coinciding_texts_order_plain_then_member_length():
+    # One chunk where three records share a text: the default route, the
+    # /1 pair merged into "0.0.0.0/0", and — under 10.250.0.0/22 — the
+    # /22 itself, its complete /24s and its complete /25s.
+    rib = LocRib()
+    halves = _block(0, 2, length=1)
+    root = Prefix.parse("10.250.0.0/22")
+    members = ([Prefix(0, 0), root] + halves + _block(root.value, 4)
+               + _block(root.value, 8, length=25))
+    _fill(rib, members)
+    rib.offer(Route(Prefix(0, 0), _attrs(local_pref=50), "p0", "ibgp"))
+    encoded = _round_trip(rib, members)
+    assert [(rec.get("prefix") or rec["aggregate"],
+             rec.get("member_length"), rec["peer_id"]) for rec in encoded] == [
+        ("0.0.0.0/0", None, "p0"), ("0.0.0.0/0", None, "p1"),
+        ("0.0.0.0/0", 1, "p1"),
+        ("10.250.0.0/22", None, "p1"),
+        ("10.250.0.0/22", 24, "p1"), ("10.250.0.0/22", 25, "p1"),
+    ]
 
 
 def test_collapse_fuzz_round_trip():

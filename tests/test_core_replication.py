@@ -383,9 +383,9 @@ def test_dropped_snapshot_write_forces_a_full_rewrite(kv_env):
     buckets = pipeline._snapshot_state["v1"]["buckets"]
     assert buckets == 2
     by_bucket = {}
+    assign = pipeline._chunk_assigner(buckets)
     for i in range(600):
-        by_bucket.setdefault(
-            pipeline._chunk_bucket(_route(i).prefix, buckets), i)
+        by_bucket.setdefault(assign(_route(i).prefix), i)
 
     # Change one route in chunk 0 and let its delta land.
     _offer_and_record(pipeline, rib, _route(by_bucket[0], "2.2.2.2", "q"), 600)
@@ -408,6 +408,40 @@ def test_dropped_snapshot_write_forces_a_full_rewrite(kv_env):
     assert _recovered_entries(engine, fast) == rib.export_entries()
     # The one after that is incremental again.
     _offer_and_record(pipeline, rib, _route(by_bucket[0], "4.4.4.4", "s"), 602)
+    pipeline.compact("v1", rib)
+    engine.run_until_idle()
+    assert pipeline.incremental_compactions == before + 1
+    assert _recovered_entries(engine, fast) == rib.export_entries()
+
+
+def test_stale_rebucket_deletes_chunks_past_the_new_count(kv_env):
+    """Staleness used to be recorded by zeroing the chunk count — the
+    only record of how many chunks the store holds — so a table that
+    shrank while its snapshot was stale kept its high-numbered chunks
+    for ever: marker says 1, store holds 6."""
+    from repro.bgp import LocRib
+
+    engine, server, fast, bulk = kv_env
+    pipeline = ReplicationPipeline("pair0", fast, bulk)
+    rib = LocRib()
+    for i in range(3000):
+        rib.offer(_route(i))
+    pipeline.compact("v1", rib)
+    engine.run_until_idle()
+    assert len(server.store.scan("tensor:pair0:rib:v1:s:")) == 6
+    pipeline._snapshots_went_stale()
+    for i in range(2600):
+        rib.retract(_route(i).prefix, "p")
+    before = pipeline.incremental_compactions
+    pipeline.compact("v1", rib)
+    engine.run_until_idle()
+    assert pipeline.incremental_compactions == before  # forced re-bucket
+    assert server.store.get(V1_MARKER)["chunks"] == 1
+    assert [key for key, _ in server.store.scan("tensor:pair0:rib:v1:s:")] == [
+        "tensor:pair0:rib:v1:s:00000000"]
+    assert _recovered_entries(engine, fast) == rib.export_entries()
+    # Stale is a one-shot: the next compaction is incremental again.
+    rib.offer(_route(2999, "2.2.2.2"))
     pipeline.compact("v1", rib)
     engine.run_until_idle()
     assert pipeline.incremental_compactions == before + 1
