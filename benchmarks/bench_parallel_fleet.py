@@ -40,6 +40,12 @@ sequential run, and ``bytes_reduction_4w`` (pipe bytes / shm bytes)
 must stay >= 3x.  A fourth workload row runs the 1024-container fleet
 (16 sites x 32 pairs) sequentially for the scale ratchet.
 
+The gated ``results`` rows are wall-based: ``fleet_virtual_seq`` and
+``fleet1k_virtual_seq`` are container-virtual-seconds simulated per host
+second at workers=1 (containers x virtual duration / wall).  Events per
+second is not gated — it *falls* when the fleet gets faster by doing
+less — and the event counts stay under ``workload`` and ``fleet1k``.
+
 Usage:
     PYTHONPATH=src python benchmarks/bench_parallel_fleet.py [--quick]
 """
@@ -211,27 +217,30 @@ def main(argv=None):
         suffix = "" if transport == "shm" else f"_{transport}"
         return f"workers_{workers}{suffix}"
 
-    total_events = reference.executed
+    containers = sum(
+        r["containers"] for r in reference.shard_results.values()
+    )
     results = {
-        "fleet_events_seq": {
-            "ops_per_sec": round(total_events / runs[(1, "shm")].wall, 1),
+        "fleet_virtual_seq": {
+            "ops_per_sec": round(
+                containers * DURATION / runs[(1, "shm")].wall, 1),
         },
     }
     if fleet1k is not None:
-        results["fleet1k_events_seq"] = {
-            "ops_per_sec": round(fleet1k["events"] / fleet1k["wall_s"], 1),
+        results["fleet1k_virtual_seq"] = {
+            "ops_per_sec": round(
+                fleet1k["containers"] * fleet1k["duration"]
+                / fleet1k["wall_s"], 1),
         }
     payload = {
         "workload": {
             "sites": SITES if not args.quick else 4,
             "pairs_per_site": PAIRS if not args.quick else 2,
-            "containers": sum(
-                r["containers"] for r in reference.shard_results.values()
-            ),
+            "containers": containers,
             "duration": DURATION,
             "windows": reference.windows,
             "lookahead": reference.lookahead,
-            "events": total_events,
+            "events": reference.executed,
         },
         "cpu_count": cpu_count,
         "results": results,

@@ -5,7 +5,10 @@ Runs every registered benchmark suite to regenerate its ``BENCH_*.json``
 at the repo root, then compares each ``results.*.ops_per_sec`` figure
 (higher is better) and each ``results.*.per_route`` figure (a cost per
 route, lower is better) against the committed baseline: any metric more
-than the suite's threshold worse fails with a non-zero exit.
+than the suite's threshold worse fails with a non-zero exit.  Only rows
+both files have are compared; a row one side lacks (a metric renamed or
+redefined) is printed, not failed, and gates again once the regenerated
+file is the committed one.
 Better-than-baseline results are reported but never fail — commit the
 regenerated files to ratchet the baselines.  Suites may also register a
 validator for non-throughput invariants (the parallel suite checks
@@ -279,10 +282,12 @@ def run_suite(suite):
 
 def compare(baseline, fresh, threshold):
     failures = []
+    for name in sorted(set(fresh["results"]) - set(baseline["results"])):
+        print(f"  {name:34s} not in the baseline: not compared")
     for name, entry in sorted(baseline["results"].items()):
         fresh_entry = fresh["results"].get(name)
         if fresh_entry is None:
-            failures.append(f"{name}: missing from fresh results")
+            print(f"  {name:34s} not in the fresh results: not compared")
             continue
         # ratio is "how good against the baseline" for either kind of
         # row: rate over rate, or baseline cost over fresh cost

@@ -27,6 +27,7 @@ class BfdProcess:
         self.socket.on_receive = self._on_datagram
         self.sessions = {}  # (vrf, remote_addr) -> BfdSession
         self.alive = True
+        self.on_exit = None  # called when the process dies (crash or stop)
 
     def add_session(self, vrf, remote_addr, on_state_change=None,
                     tx_interval=BFD_TX_INTERVAL, detect_mult=BFD_DETECT_MULT,
@@ -70,12 +71,16 @@ class BfdProcess:
         self.alive = False
         for session in self.sessions.values():
             session.crash()
+        if self.on_exit is not None:
+            self.on_exit()
 
     def stop(self):
         self.alive = False
         for session in self.sessions.values():
             session.stop()
         self.socket.close()
+        if self.on_exit is not None:
+            self.on_exit()
 
     def export_relay_specs(self):
         """What the agent needs to mimic our sessions: one spec per VRF."""

@@ -83,8 +83,7 @@ class Underlay:
         if previous is not None:
             self.moves += 1
             # the old endpoint stops answering for the address
-            if self.network.hosts.get(address) is previous.endpoint:
-                del self.network.hosts[address]
+            self.network.remove_host(previous.endpoint)
         self._vni_counter += 1
         vxlan = VxlanSegment(self._vni_counter, machine)
         veth = VethPair(container, vrf_name)
@@ -98,8 +97,8 @@ class Underlay:
 
     def release(self, address):
         binding = self._bindings.pop(address, None)
-        if binding is not None and self.network.hosts.get(address) is binding.endpoint:
-            del self.network.hosts[address]
+        if binding is not None:
+            self.network.remove_host(binding.endpoint)
         return binding
 
     def binding(self, address):

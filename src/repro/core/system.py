@@ -485,8 +485,13 @@ class TensorPair:
                     session.my_disc,
                     session.your_disc,
                 )
+        self.speaker.on_exit = self.bfd.on_exit = self._process_exited
         container.add_process("bgp", _BgpApp(self.speaker, self.stack))
         container.add_process("bfd", self.bfd)
+
+    def _process_exited(self):
+        if self.supervisor is not None:
+            self.supervisor.process_exited()
 
     def _register_monitoring(self):
         container = self.active_container
@@ -865,16 +870,68 @@ class _BgpApp:
 
 
 class AppSupervisor:
-    """In-container process watchdog (the E1 detector, ~10 ms polls)."""
+    """In-container process watchdog (the E1 detector, ~10 ms polls).
+
+    Polls happen on a fixed grid — the instants ``t <- t + interval``
+    accumulated from :meth:`start`, float for float what a periodic task
+    would fire at — but a poll becomes an engine event only when it could
+    see something: the first one after ``start()``, the first grid
+    instant after a supervised process reports its own exit
+    (:meth:`process_exited`), and every grid instant while a supervised
+    process of the active container is dead.  Whatever else a poll reads
+    (the pair's suppress flag, the report latch, the container's state,
+    which container is active) it reads on the grid during that window,
+    so none of it needs a hook; with everything alive the supervisor
+    holds no event at all.
+
+    Tie rule: a process that dies *at* an exact grid instant, with no
+    poll pending for it, is seen at the next one.
+    """
 
     def __init__(self, pair, interval=APP_MONITOR_INTERVAL):
         self.pair = pair
         self.interval = interval
         self.process = Process(pair.engine, f"supervisor:{pair.name}")
         self._reported = False
+        self._next = None  # the next grid instant; None until start()
+        self._armed = False  # an engine event is pending for _next
 
     def start(self):
-        self.process.every(self.interval, self._poll)
+        self._arm(self.interval)
+
+    def _arm(self, delay):
+        self._next = self.pair.engine.now + delay
+        self._armed = True
+        self.process.after(delay, self._tick)
+
+    def process_exited(self):
+        """A supervised process died: poll at the next grid instant."""
+        if self._armed or self._next is None:
+            return
+        now = self.pair.engine.now
+        nxt = self._next
+        while nxt <= now:
+            nxt += self.interval
+        # nxt - now is exact (Sterbenz: now >= interval after the first
+        # poll, so nxt <= 2 * now) and the event lands on the grid
+        delay = nxt - now
+        assert now + delay == nxt
+        self._arm(delay)
+
+    def _tick(self):
+        self._armed = False
+        self._poll()
+        if self._dead_process(self.pair.active_container) is None:
+            self._next = self.pair.engine.now + self.interval  # dormant
+        else:
+            self._arm(self.interval)
+
+    @staticmethod
+    def _dead_process(container):
+        for name in ("bgp", "bfd"):
+            if name in container.processes and not container.process_alive(name):
+                return name
+        return None
 
     def _poll(self):
         pair = self.pair
@@ -883,18 +940,17 @@ class AppSupervisor:
         container = pair.active_container
         if not container.running:
             return  # container-level failure: the Docker monitor's job
-        for name in ("bgp", "bfd"):
-            if name in container.processes and not container.process_alive(name):
-                self._reported = True
-                # report rides a gRPC hop to the controller
-                pair.engine.schedule(
-                    0.002,
-                    pair.system.controller.docker_event,
-                    "process-dead",
-                    container,
-                    name,
-                )
-                return
+        name = self._dead_process(container)
+        if name is not None:
+            self._reported = True
+            # report rides a gRPC hop to the controller
+            pair.engine.schedule(
+                0.002,
+                pair.system.controller.docker_event,
+                "process-dead",
+                container,
+                name,
+            )
 
     def stop(self):
         self.process.kill()

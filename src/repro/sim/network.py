@@ -45,7 +45,8 @@ class Packet:
 
 
 class _TxQueue:
-    """One direction of a transmission pipe: serialization + queueing."""
+    """One direction of a transmission pipe: ``busy_until`` is when the
+    last bit queued so far leaves the NIC (see ``Network._path_delay``)."""
 
     __slots__ = ("bandwidth", "busy_until")
 
@@ -53,12 +54,30 @@ class _TxQueue:
         self.bandwidth = bandwidth
         self.busy_until = 0.0
 
-    def enqueue(self, now, size):
-        """Return the instant the last bit of ``size`` bytes leaves the NIC."""
-        tx_time = (size * 8.0) / self.bandwidth
-        start = max(now, self.busy_until)
-        self.busy_until = start + tx_time
-        return self.busy_until
+
+class _Path:
+    """The topology half of one flow, resolved once (see ``transmit``).
+
+    ``hops`` is the destination endpoint's anchor chain, endpoint first;
+    ``src_name`` names the source's physical host.  ``partition_key`` is
+    None when both ends sit on one physical host; otherwise the flow
+    crosses ``link``, or the fabric when there is no link, or nothing at
+    all (``latency`` None: no link, fabric disabled).  A fabric flow
+    takes its ``tx`` queue when its first packet needs one.
+    """
+
+    __slots__ = ("endpoint", "hops", "src_name", "partition_key", "link",
+                 "tx", "latency")
+
+    def __init__(self, endpoint, hops, src_name, partition_key, link, tx,
+                 latency):
+        self.endpoint = endpoint
+        self.hops = hops
+        self.src_name = src_name
+        self.partition_key = partition_key
+        self.link = link
+        self.tx = tx
+        self.latency = latency
 
 
 class Link:
@@ -171,15 +190,21 @@ class Host:
 
     def send(self, packet):
         """Hand a packet to the fabric.  Returns False if we are down."""
-        if not self.reachable():
-            return False
+        host = self
+        while host is not None:  # reachable(), walked in place
+            if not host.up or not host.network_up:
+                return False
+            host = host.anchor_host
         self.tx_packets += 1
         self.network.transmit(self, packet)
         return True
 
     def deliver(self, packet):
-        if not self.reachable():
-            return
+        host = self
+        while host is not None:
+            if not host.up or not host.network_up:
+                return
+            host = host.anchor_host
         handler = self._ports.get((packet.protocol, packet.dport))
         if handler is None:
             # a protocol-wide wildcard (port None) models a whole stack
@@ -212,6 +237,9 @@ class Network:
         self._fabric_tx = {}
         #: administratively partitioned physical-host pairs (chaos lever)
         self._partitions = set()
+        #: source Host -> {destination address: _Path}; holds topology
+        #: only, and every method that changes topology empties it
+        self._paths = {}
         self.packets_sent = 0
         self.packets_dropped = 0
         self.taps = []
@@ -229,10 +257,18 @@ class Network:
             raise SimulationError(f"duplicate address {address}")
         host = Host(self, name, address, anchor=anchor)
         self.hosts[address] = host
+        self._paths.clear()
         return host
 
     def remove_host(self, host):
-        self.hosts.pop(host.address, None)
+        """Stop ``host`` answering for its address — the only way an
+        address leaves the registry.  A host whose address has since
+        moved to another endpoint (a migrated service address) is not
+        registered any more: removing it leaves the new owner answering.
+        """
+        if self.hosts.get(host.address) is host:
+            del self.hosts[host.address]
+            self._paths.clear()
 
     def host_by_address(self, address):
         return self.hosts.get(address)
@@ -242,6 +278,7 @@ class Network:
         key = frozenset((a.name, b.name))
         link = Link(a, b, latency, bandwidth, loss)
         self._links[key] = link
+        self._paths.clear()
         return link
 
     def link_between(self, a, b):
@@ -258,6 +295,7 @@ class Network:
         """Enable the non-blocking switch fallback between physical hosts."""
         self.fabric_latency = latency
         self.fabric_bandwidth = bandwidth
+        self._paths.clear()
 
     def tap(self, fn):
         """Register ``fn(packet, delivered)`` observing every transmit."""
@@ -270,39 +308,75 @@ class Network:
 
         Drops silently (like a real network) when the destination is
         unknown/unreachable, the path is down, or the loss model fires.
+
+        What only a topology change can alter — which endpoint owns the
+        destination address, its anchor chain, the link or fabric between
+        the two physical hosts, the transmit queue and the latency — is
+        resolved on a flow's first packet and kept until ``add_host``,
+        ``remove_host``, ``connect`` or ``enable_fabric`` runs.  State is
+        never kept: ``up``/``network_up`` of every hop, ``link.up``, the
+        loss draw, the partition set and the queue's backlog are read for
+        each packet, so no failure lever has to announce itself.
         """
         self.packets_sent += 1
-        dst_host = self.hosts.get(packet.dst)
-        delivered = True
-        if dst_host is None or not dst_host.reachable():
-            delivered = False
-        else:
-            delay = self._path_delay(src_host.anchor(), dst_host.anchor(), packet.size)
-            if delay is None:
-                delivered = False
+        flows = self._paths.get(src_host)
+        path = flows.get(packet.dst) if flows is not None else None
+        if path is None:
+            path = self._resolve(src_host, packet.dst)
+        delay = None
+        if path is not None:
+            for hop in path.hops:
+                if not hop.up or not hop.network_up:
+                    break
+            else:
+                delay = self._path_delay(path, packet.size)
+        delivered = delay is not None
         if delivered:
-            export = dst_host.boundary_export
+            export = path.endpoint.boundary_export
             if export is not None:
                 export(packet, self.engine.now + delay)
             else:
-                self.engine.schedule(delay, dst_host.deliver, packet)
+                self.engine.schedule(delay, path.endpoint.deliver, packet)
         else:
             self.packets_dropped += 1
         for tap in self.taps:
             tap(packet, delivered)
         return delivered
 
-    def _path_delay(self, src_anchor, dst_anchor, size):
-        """Latency+serialization for the physical path, or None if down/lost."""
-        if src_anchor is dst_anchor:
-            return self.LOCAL_LATENCY
+    def _resolve(self, src_host, address):
+        """Build and remember the path from ``src_host`` to ``address``
+        (None, and nothing remembered, when no host owns the address)."""
+        endpoint = self.hosts.get(address)
+        if endpoint is None:
+            return None
+        hops = [endpoint]
+        while hops[-1].anchor_host is not None:
+            hops.append(hops[-1].anchor_host)
+        src_anchor, dst_anchor = src_host.anchor(), hops[-1]
+        key = link = tx = None
+        latency = self.LOCAL_LATENCY
+        if src_anchor is not dst_anchor:
+            key = frozenset((src_anchor.name, dst_anchor.name))
+            link = self._links.get(key)
+            if link is not None:
+                tx, latency = link.tx_queue(src_anchor.name), link.latency
+            else:
+                latency = self.fabric_latency
+        path = _Path(endpoint, tuple(hops), src_anchor.name, key, link, tx,
+                     latency)
+        self._paths.setdefault(src_host, {})[address] = path
+        return path
+
+    def _path_delay(self, path, size):
+        """Latency+serialization for one packet, or None if down/lost."""
+        key = path.partition_key
+        if key is None:
+            return path.latency
         # fast path: the set is empty except while a chaos partition is
         # active, and membership checks never touch the loss rng
-        if (self._partitions
-                and frozenset((src_anchor.name, dst_anchor.name)) in self._partitions):
+        if self._partitions and key in self._partitions:
             return None
-        link = self.link_between(src_anchor, dst_anchor)
-        now = self.engine.now
+        link, tx = path.link, path.tx
         if link is not None:
             if not link.up:
                 return None
@@ -310,19 +384,23 @@ class Network:
                 return None
             link.packets_carried += 1
             link.bytes_carried += size
-            done = link.tx_queue(src_anchor.name).enqueue(now, size)
-            return (done - now) + link.latency
-        if self.fabric_latency is None:
+        elif path.latency is None:
             raise SimulationError(
-                f"no path between {src_anchor.name} and {dst_anchor.name}"
+                f"no path between {path.src_name} and {path.hops[-1].name}"
                 " (no link, fabric disabled)"
             )
-        tx = self._fabric_tx.get(src_anchor.name)
-        if tx is None:
-            tx = _TxQueue(self.fabric_bandwidth)
-            self._fabric_tx[src_anchor.name] = tx
-        done = tx.enqueue(now, size)
-        return (done - now) + self.fabric_latency
+        elif tx is None:
+            tx = self._fabric_tx.get(path.src_name)
+            if tx is None:
+                tx = _TxQueue(self.fabric_bandwidth)
+                self._fabric_tx[path.src_name] = tx
+            path.tx = tx
+        # serialization behind whatever the queue already holds
+        now = self.engine.now
+        busy = tx.busy_until
+        done = tx.busy_until = (
+            (busy if busy > now else now) + (size * 8.0) / tx.bandwidth)
+        return (done - now) + path.latency
 
     def __repr__(self):
         return f"<Network hosts={len(self.hosts)} links={len(self._links)}>"

@@ -37,16 +37,10 @@ class DatagramSocket:
         """
         if self._closed:
             raise SimulationError("sendto on closed socket")
-        packet = Packet(
-            src=src_override or self.host.address,
-            dst=dst_addr,
-            protocol=self.protocol,
-            sport=self.port,
-            dport=dst_port,
-            payload=payload,
-            size=size,
-        )
-        return self.host.send(packet)
+        host = self.host
+        return host.send(Packet(src_override or host.address, dst_addr,
+                                self.protocol, self.port, dst_port, payload,
+                                size))
 
     def _deliver(self, packet):
         if self.on_receive is not None:
@@ -118,6 +112,9 @@ class RpcServer:
     ``handler(method, body) -> reply_body`` runs application logic; a
     ``service_time(method, body) -> seconds`` hook models server-side
     processing cost (the KV store uses it for its calibrated op costs).
+    A server without the hook answers inside the event that delivered
+    the request — one engine event per RPC direction, not two; with it,
+    the reply waits out the service time on an event of its own.
     """
 
     def __init__(self, engine, host, port, handler, service_time=None, protocol="rpc"):
@@ -133,11 +130,12 @@ class RpcServer:
     def _on_frame(self, src_addr, src_port, frame):
         if frame.kind != "req":
             return
-        delay = 0.0
-        if self.service_time is not None:
-            delay = self.service_time(frame.method, frame.body)
+        if self.service_time is None:
+            self._finish(src_addr, src_port, frame, self.engine.now)
+            return
         self.engine.schedule(
-            delay, self._finish, src_addr, src_port, frame, self.engine.now
+            self.service_time(frame.method, frame.body),
+            self._finish, src_addr, src_port, frame, self.engine.now
         )
 
     def _finish(self, src_addr, src_port, frame, received_at):
@@ -348,7 +346,7 @@ def _body_size(body, default=256):
     if isinstance(body, dict):
         total = 64
         for key, value in body.items():
-            total += len(str(key))
+            total += len(key if type(key) is str else str(key))
             if isinstance(value, (bytes, bytearray, str)):
                 total += len(value)
             else:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.containers import HostMachine, Underlay
 from repro.sim import DeterministicRandom, Engine, Network, Packet
 from repro.sim.engine import SimulationError
 
@@ -205,3 +206,82 @@ def test_link_statistics(engine, net):
     engine.run_until_idle()
     assert link.packets_carried == 1
     assert link.bytes_carried == 500
+
+
+# -- the registry has one door ------------------------------------------------
+
+
+def _moved_service(engine, net):
+    """A service address claimed on gw-1 and then moved to gw-2, with one
+    packet already sent to it from ``client`` (so its path is resolved)."""
+    net.enable_fabric()
+    first = HostMachine(engine, net, "gw-1", "10.1.0.1")
+    second = HostMachine(engine, net, "gw-2", "10.2.0.1")
+    client = net.add_host("client", "10.3.0.1")
+    underlay = Underlay(net)
+    old = underlay.claim("10.99.0.1", first, first.create_container("a"), "v1")
+    new = underlay.claim("10.99.0.1", second, second.create_container("b"), "v1")
+    got = []
+    old.endpoint.bind("udp", 2000, lambda p: got.append("old"))
+    new.endpoint.bind("udp", 2000, lambda p: got.append("new"))
+    client.send(_packet("10.3.0.1", "10.99.0.1"))
+    engine.run_until_idle()
+    assert got == ["new"]
+    return underlay, client, old, new, got
+
+
+def test_remove_host_of_a_moved_address_leaves_the_new_owner(engine, net):
+    """``remove_host(host)`` used to pop whatever owned ``host.address``:
+    after a migration that is the new active endpoint."""
+    _underlay, client, old, new, got = _moved_service(engine, net)
+    net.remove_host(old.endpoint)
+    assert net.host_by_address("10.99.0.1") is new.endpoint
+    client.send(_packet("10.3.0.1", "10.99.0.1"))
+    engine.run_until_idle()
+    assert got == ["new", "new"]
+
+
+def test_release_after_a_move_drops_the_next_packet(engine, net):
+    """``Underlay`` leaves the registry through ``remove_host``, so a
+    path resolved before the release cannot outlive it."""
+    underlay, client, _old, new, got = _moved_service(engine, net)
+    underlay.release("10.99.0.1")
+    assert net.host_by_address("10.99.0.1") is None
+    dropped = net.packets_dropped
+    client.send(_packet("10.3.0.1", "10.99.0.1"))  # resolved path, now stale
+    fresh = net.add_host("fresh", "10.4.0.1")
+    fresh.send(_packet("10.4.0.1", "10.99.0.1"))  # no path resolved yet
+    engine.run_until_idle()
+    assert got == ["new"]
+    assert net.packets_dropped == dropped + 2
+    assert new.endpoint.rx_packets == 1
+
+
+def test_unreachable_and_pathless_destination_is_a_silent_drop(engine, net):
+    a = net.add_host("a", "1.1.1.1")
+    b = net.add_host("b", "1.1.1.2")
+    b.fail()
+    assert a.send(_packet("1.1.1.1", "1.1.1.2")) is True  # no link, no fabric
+    assert net.packets_dropped == 1
+    b.recover()
+    with pytest.raises(SimulationError):
+        a.send(_packet("1.1.1.1", "1.1.1.2"))
+
+
+def test_direct_state_poke_is_seen_by_a_resolved_path(engine, net):
+    a = net.add_host("a", "1.1.1.1")
+    machine = net.add_host("m", "1.1.1.2")
+    b = net.add_host("b", "1.1.1.3", anchor=machine)
+    net.connect(a, machine)
+    got = []
+    b.bind("udp", 2000, got.append)
+    a.send(_packet("1.1.1.1", "1.1.1.3"))
+    machine.network_up = False  # no lever called: state is read per packet
+    a.send(_packet("1.1.1.1", "1.1.1.3"))
+    machine.network_up = True
+    b.up = False
+    a.send(_packet("1.1.1.1", "1.1.1.3"))
+    b.up = True
+    a.send(_packet("1.1.1.1", "1.1.1.3"))
+    engine.run_until_idle()
+    assert len(got) == 2 and net.packets_dropped == 2

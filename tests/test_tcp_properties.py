@@ -85,8 +85,9 @@ def test_stream_integrity_across_migration(payload_size, crash_after, seed):
         return  # handshake had not completed; nothing to migrate
     state = export_tcp_state(server_conn[0])
     sb.destroy()
-    network.host_by_address("10.0.0.2").fail()
-    del network.hosts["10.0.0.2"]
+    old = network.host_by_address("10.0.0.2")
+    old.fail()
+    network.remove_host(old)
     b2 = network.add_host("b2", "10.0.0.2")
     network.connect(a, b2, latency=100e-6, bandwidth=1e9)
     sb2 = TcpStack(engine, b2)

@@ -42,8 +42,9 @@ def _migrate_server(engine, network, sb, server_conn):
     """Kill the server host and rebuild its connection on a new host."""
     state = export_tcp_state(server_conn)
     sb.destroy()
-    network.host_by_address("10.0.0.2").fail()
-    del network.hosts["10.0.0.2"]
+    old = network.host_by_address("10.0.0.2")
+    old.fail()
+    network.remove_host(old)
     b2 = network.add_host("b2", "10.0.0.2")
     network.connect(network.host_by_address("10.0.0.1"), b2,
                     latency=100e-6, bandwidth=100e9)
@@ -119,8 +120,9 @@ def test_send_queue_retransmitted_after_import(engine, network):
     state = export_tcp_state(server)
     assert len(state.send_queue) == 5000
     sb.destroy()
-    network.host_by_address("10.0.0.2").fail()
-    del network.hosts["10.0.0.2"]
+    old = network.host_by_address("10.0.0.2")
+    old.fail()
+    network.remove_host(old)
     b2 = network.add_host("b2", "10.0.0.2")
     network.connect(a, b2, latency=100e-6, bandwidth=100e9)
     sb2 = TcpStack(engine, b2)
@@ -152,8 +154,9 @@ def test_duplicate_retransmissions_trimmed_after_migration(engine, network):
     engine.advance(1.0)  # client now has all 3000 bytes
     assert bytes(got_client) == b"C" * 3000
     sb.destroy()
-    network.host_by_address("10.0.0.2").fail()
-    del network.hosts["10.0.0.2"]
+    old = network.host_by_address("10.0.0.2")
+    old.fail()
+    network.remove_host(old)
     b2 = network.add_host("b2", "10.0.0.2")
     network.connect(a, b2, latency=100e-6, bandwidth=100e9)
     conn2 = import_tcp_state(TcpStack(engine, b2), state)
