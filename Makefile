@@ -8,7 +8,7 @@ SEEDS ?= 25
 FUZZ_SEED ?= 0
 FUZZ_ITERATIONS ?= 10
 
-.PHONY: test bench bench-hotpath bench-parallel bench-failover bench-fulltable bench-gate fulltable-smoke profile profile-parallel parallel-smoke kv-failover chaos chaos-corpus chaos-ablation controller-chaos fuzz fuzz-corpus fuzz-smoke trace-demo nsrbench nsrbench-smoke verify
+.PHONY: test bench bench-hotpath bench-parallel bench-failover bench-fulltable bench-gate fulltable-smoke profile profile-parallel profile-packed parallel-smoke kv-failover chaos chaos-corpus chaos-ablation controller-chaos fuzz fuzz-corpus fuzz-smoke trace-demo nsrbench nsrbench-smoke verify
 
 test:
 	$(PYTHON) -m pytest tests -x -q
@@ -60,6 +60,11 @@ profile:
 # dispatch / serialization split (the time_split in BENCH_parallel.json).
 profile-parallel:
 	$(PYTHON) benchmarks/profile_hotspots.py --parallel
+
+# Packed receive only (90K routes in full UPDATEs), plus its originate /
+# advertise / decode / apply / persist / gc-by-generation split.
+profile-packed:
+	$(PYTHON) benchmarks/profile_hotspots.py --packed
 
 # Two-site fleet, workers=1 vs workers=2: results must be bit-identical.
 parallel-smoke:

@@ -1,5 +1,5 @@
 """Hot-path micro-benchmarks: codec, reselect, coalescer, dispatch, timers,
-small-UPDATE receive.
+small-UPDATE and packed-UPDATE receive.
 
 Unlike the Fig. 5/6 reproductions these measure *wall-clock* throughput
 of the code paths the hot-path overhauls target:
@@ -20,7 +20,14 @@ of the code paths the hot-path overhauls target:
   virtual seconds (``small_update_receive``); the gate fails on more
   than one compaction per 1,000 UPDATEs or more purge deletes than
   deltas — the compaction storm (DESIGN.md section 8) cannot return
-  silently.
+  silently;
+- ``packed update receive``: 45,000 routes in 64 attribute sets, so
+  UPDATEs packed to the 4,096-byte limit, originated, advertised,
+  received, applied and persisted through one NSR pair.  Beside the rate
+  the file records how many bytes of RIB delta record the store holds
+  per route (``packed_update_delta_bytes``, a cost: lower is better)
+  and, under ``packed_update_receive``, UPDATEs against delta records —
+  the gate fails unless they are one to one.
 
 Results land in ``BENCH_hotpath.json`` at the repo root; the committed
 baseline is what ``benchmarks/check_bench_regression.py`` (the
@@ -49,6 +56,8 @@ OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 RESULTS = {}
 #: The small-update row's counters, from its last round.
 SMALL_UPDATE_RECEIVE = {}
+#: The packed row's counters, from its last round.
+PACKED_UPDATE_RECEIVE = {}
 
 
 def _sample_attributes(first_as=65001):
@@ -171,49 +180,61 @@ def test_process_periodic_tick(benchmark):
     _record("process_periodic_tick", benchmark, ticks)
 
 
+def _nsr_pair_lab(seed):
+    """One NSR pair and one remote AS, session established."""
+    system = TensorSystem(seed=seed)
+    m1 = system.add_machine("gw-1", "10.1.0.1")
+    m2 = system.add_machine("gw-2", "10.2.0.1")
+    pair = system.create_pair(
+        "pair0", m1, m2, service_addr="10.10.0.1", local_as=65001,
+        router_id="10.10.0.1",
+        neighbors=[PeerNeighborSpec("192.0.2.1", 64512, vrf_name="v0",
+                                    mode="passive")],
+    )
+    remote = build_remote_peer(system, "remote0", "192.0.2.1", 64512,
+                               link_machines=[m1, m2])
+    session = remote.peer_with("10.10.0.1", 65001, vrf_name="v0",
+                               mode="active")
+    pair.start()
+    remote.start()
+    system.run(10.0)
+    return system, pair, remote, session
+
+
+def _receive(system, pair, remote, session, expected, limit):
+    """Readvertise and run until ``expected`` routes are applied and no
+    ACK is held; returns the virtual seconds it took."""
+    engine = system.engine
+    loc_rib = pair.speaker.vrfs["v0"].loc_rib
+    tcp_queue = pair.speaker.tcp_queue
+    started = engine.now
+    remote.speaker.readvertise(session)
+    while len(loc_rib) < expected or tcp_queue.held_count():
+        upcoming = engine.next_event_time()
+        assert upcoming is not None and upcoming - started < limit, (
+            f"{len(loc_rib)}/{expected} routes applied,"
+            f" {tcp_queue.held_count()} ACKs held after {limit:.0f}"
+            f" virtual s")
+        engine.run(until=upcoming)
+    assert session.established
+    return engine.now - started
+
+
 def test_small_update_receive(benchmark):
     updates = 2500
     limit = 60.0  # virtual s; the receive takes under 6
 
     def setup():
-        system = TensorSystem(seed=3)
-        m1 = system.add_machine("gw-1", "10.1.0.1")
-        m2 = system.add_machine("gw-2", "10.2.0.1")
-        pair = system.create_pair(
-            "pair0", m1, m2, service_addr="10.10.0.1", local_as=65001,
-            router_id="10.10.0.1",
-            neighbors=[PeerNeighborSpec("192.0.2.1", 64512, vrf_name="v0",
-                                        mode="passive")],
-        )
-        remote = build_remote_peer(system, "remote0", "192.0.2.1", 64512,
-                                   link_machines=[m1, m2])
-        session = remote.peer_with("10.10.0.1", 65001, vrf_name="v0",
-                                   mode="active")
-        pair.start()
-        remote.start()
-        system.run(10.0)
+        lab = _nsr_pair_lab(seed=3)
         routes = RouteGenerator(
             DeterministicRandom(3), 64512, next_hop="192.0.2.1",
             attr_pool_size=1,
         ).distinct_routes(updates)
-        remote.speaker.originate_many("v0", routes)
-        return (system, pair, remote, session), {}
+        lab[2].speaker.originate_many("v0", routes)
+        return lab, {}
 
     def run(system, pair, remote, session):
-        engine = system.engine
-        loc_rib = pair.speaker.vrfs["v0"].loc_rib
-        tcp_queue = pair.speaker.tcp_queue
-        started = engine.now
-        remote.speaker.readvertise(session)
-        while len(loc_rib) < updates or tcp_queue.held_count():
-            upcoming = engine.next_event_time()
-            assert upcoming is not None and upcoming - started < limit, (
-                f"{len(loc_rib)}/{updates} routes applied,"
-                f" {tcp_queue.held_count()} ACKs held after {limit:.0f}"
-                f" virtual s")
-            engine.run(until=upcoming)
-        virtual_s = engine.now - started
-        assert session.established
+        virtual_s = _receive(system, pair, remote, session, updates, limit)
         pipeline = pair.pipeline
         SMALL_UPDATE_RECEIVE.update(
             updates=updates,
@@ -227,6 +248,50 @@ def test_small_update_receive(benchmark):
     _record("small_update_receive", benchmark, updates)
 
 
+def _record_bytes(value):
+    """Payload bytes of a stored record: text and byte strings by
+    length, numbers as eight, containers as the sum of what they hold."""
+    if isinstance(value, (bytes, str)):
+        return len(value)
+    if isinstance(value, dict):
+        return sum(_record_bytes(k) + _record_bytes(v)
+                   for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return sum(_record_bytes(item) for item in value)
+    return 8
+
+
+def test_packed_update_receive(benchmark):
+    count = 45_000
+    limit = 60.0  # virtual s; the receive takes under 1
+
+    def setup():
+        lab = _nsr_pair_lab(seed=5)
+        routes = RouteGenerator(
+            DeterministicRandom(5), 64512, next_hop="192.0.2.1",
+            attr_pool_size=64,
+        ).routes(count)
+        return lab + (routes,), {}
+
+    def run(system, pair, remote, session, routes):
+        # origination is part of the row: the sender's table load is on
+        # the path nsrbench's update_recv_packed times
+        remote.speaker.originate_many("v0", routes)
+        virtual_s = _receive(system, pair, remote, session, count, limit)
+        deltas = system.db.store.scan("tensor:pair0:rib:v0:d:")
+        gateway_session = next(iter(pair.speaker.sessions.values()))
+        PACKED_UPDATE_RECEIVE.update(
+            routes=count,
+            updates=gateway_session.messages_received - 2,  # OPEN, KEEPALIVE
+            deltas_recorded=pair.pipeline.deltas_recorded,
+            delta_bytes=sum(_record_bytes(delta) for _key, delta in deltas),
+            virtual_s=round(virtual_s, 4),
+        )
+
+    benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
+    _record("packed_update_receive", benchmark, count)
+
+
 def test_write_results_and_interning_speedup(benchmark):
     expected = {
         "codec_to_wire_uncached",
@@ -236,6 +301,7 @@ def test_write_results_and_interning_speedup(benchmark):
         "engine_dispatch",
         "process_periodic_tick",
         "small_update_receive",
+        "packed_update_receive",
     }
 
     def finalize():
@@ -243,13 +309,18 @@ def test_write_results_and_interning_speedup(benchmark):
         speedup = (
             RESULTS["codec_to_wire_interned"] / RESULTS["codec_to_wire_uncached"]
         )
+        results = {
+            name: {"ops_per_sec": round(RESULTS[name], 1)}
+            for name in sorted(RESULTS)
+        }
+        results["packed_update_delta_bytes"] = {"per_route": round(
+            PACKED_UPDATE_RECEIVE["delta_bytes"]
+            / PACKED_UPDATE_RECEIVE["routes"], 2)}
         payload = {
-            "results": {
-                name: {"ops_per_sec": round(RESULTS[name], 1)}
-                for name in sorted(RESULTS)
-            },
+            "results": results,
             "codec_interning_speedup": round(speedup, 2),
             "small_update_receive": SMALL_UPDATE_RECEIVE,
+            "packed_update_receive": PACKED_UPDATE_RECEIVE,
         }
         if OUT_PATH.exists():
             before = json.loads(OUT_PATH.read_text()).get("before")

@@ -229,6 +229,20 @@ def _validate_hotpath(fresh, baseline):
     else:
         print(f"  purge deletes: {row['purge_deletes']} <= "
               f"{row['deltas_recorded']} deltas  ok")
+    # One delta record per applied UPDATE, whatever it carried: a
+    # per-route or per-run record would multiply KV sets and move every
+    # virtual clock behind the packed receive.
+    packed = fresh.get("packed_update_receive")
+    if not packed:
+        failures.append("packed_update_receive missing from "
+                        "BENCH_hotpath.json")
+    elif packed["deltas_recorded"] != packed["updates"]:
+        failures.append(
+            f"packed receive: {packed['deltas_recorded']} delta records for "
+            f"{packed['updates']} UPDATEs (must be one to one)")
+    else:
+        print(f"  packed receive: {packed['updates']} UPDATEs, one delta "
+              f"record each  ok")
     return failures
 
 

@@ -13,6 +13,14 @@ and prints the top-25 cumulative-time functions for each:
 Deterministic workloads, so two profiles of the same tree are directly
 comparable; use this to aim optimization work before touching code.
 
+``--packed`` profiles the packed receive instead — 90,000 routes in 64
+attribute sets through one NSR pair, the shape of nsrbench's
+``update_recv_packed`` — and, from a second run with the profiler off,
+prints where its wall time goes by stage of the UPDATE's path (sender
+table load and advertise, then decode / apply / persist on the
+gateway) and what the cyclic collector took, generation by generation.
+Collector time is taken out of the stage it interrupted.
+
 ``--parallel`` (``make profile-parallel``) restricts the run to the
 parallel fleet workload and prints the coordinator's timing split
 (compute vs barrier-wait vs dispatch vs serialization, with the
@@ -26,13 +34,16 @@ unprofiled workers=2 shared-memory run and prints its split too.
 
 Usage:
     PYTHONPATH=src python benchmarks/profile_hotspots.py [--top N]
-        [--parallel]
+        [--parallel | --packed]
 """
 
 import argparse
 import cProfile
+import functools
+import gc
 import pstats
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -57,6 +68,99 @@ def profile_parallel_fleet(workers=1):
                              churn_ticks=2)
     result = ParallelRunner(specs, workers=workers).run(25.0)
     return result
+
+
+def profile_packed_receive(routes=90_000, before_timing=lambda: None):
+    """Returns the wall seconds from origination to the last ACK
+    released; ``before_timing`` runs once set-up is over."""
+    from bench_hotpath import _nsr_pair_lab, _receive
+    from repro.sim import DeterministicRandom
+    from repro.workloads import RouteGenerator
+
+    system, pair, remote, session = _nsr_pair_lab(seed=0)
+    table = RouteGenerator(DeterministicRandom(0), 64512,
+                           next_hop="192.0.2.1",
+                           attr_pool_size=64).routes(routes)
+    before_timing()
+    started = time.perf_counter()
+    remote.speaker.originate_many("v0", table)
+    _receive(system, pair, remote, session, routes, limit=300.0)
+    return time.perf_counter() - started
+
+
+#: stage -> (module, class, method): the calls one UPDATE's path is made
+#: of, none nested in another.
+PACKED_STAGES = (
+    ("originate (sender table load)",
+     "repro.bgp.speaker", "BgpSpeaker", "originate_many"),
+    ("advertise (export, group, pack, Adj-RIB-Out)",
+     "repro.bgp.speaker", "BgpSpeaker", "readvertise"),
+    ("decode (stream to messages, NLRI blocks)",
+     "repro.bgp.messages", "MessageDecoder", "_try_decode_one"),
+    ("apply (policy, Adj-RIB-In, Loc-RIB)",
+     "repro.bgp.peer", "PeerSession", "handle_message"),
+    ("persist (RIB delta, compaction)",
+     "repro.core.tensor_process", "TensorBgpSpeaker", "_persist_rib_delta"),
+)
+
+
+def print_packed_stage_split():
+    """Run the packed receive with a wall-clock timer around each stage
+    and around every collection, then print the split."""
+    import importlib
+
+    stage_s = {}
+    collector = {"since": 0.0, "total": 0.0, "by_generation": {}}
+
+    def forget_setup():
+        stage_s.clear()
+        collector.update(total=0.0, by_generation={})
+
+    def on_gc(phase, info):
+        if phase == "start":
+            collector["since"] = time.perf_counter()
+            return
+        spent = time.perf_counter() - collector["since"]
+        collector["total"] += spent
+        by_generation = collector["by_generation"]
+        runs, total = by_generation.get(info["generation"], (0, 0.0))
+        by_generation[info["generation"]] = (runs + 1, total + spent)
+
+    def timed(stage, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            began, collected = time.perf_counter(), collector["total"]
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stage_s[stage] = stage_s.get(stage, 0.0) + (
+                    time.perf_counter() - began
+                    - (collector["total"] - collected))
+        return wrapper
+
+    patched = []
+    for stage, module_name, cls_name, method in PACKED_STAGES:
+        cls = getattr(importlib.import_module(module_name), cls_name)
+        original = cls.__dict__[method]
+        setattr(cls, method, timed(stage, original))
+        patched.append((cls, method, original))
+    gc.callbacks.append(on_gc)
+    try:
+        wall = profile_packed_receive(before_timing=forget_setup)
+    finally:
+        gc.callbacks.remove(on_gc)
+        for cls, method, original in patched:
+            setattr(cls, method, original)
+    print(f"\npacked receive stage split (profiler off, wall {wall:.3f}s):")
+    for stage, _module, _cls, _method in PACKED_STAGES:
+        spent = stage_s.get(stage, 0.0)
+        print(f"  {stage:46s} {spent:7.3f}s  ({spent / wall:5.1%})")
+    for generation, (runs, spent) in sorted(collector["by_generation"].items()):
+        label = f"gc generation {generation} ({runs} collections)"
+        print(f"  {label:46s} {spent:7.3f}s  ({spent / wall:5.1%})")
+    rest = wall - sum(stage_s.values()) - collector["total"]
+    label = "everything else (engine, tcpsim, KV, ACKs)"
+    print(f"  {label:46s} {rest:7.3f}s  ({rest / wall:5.1%})")
 
 
 WORKLOADS = (
@@ -105,7 +209,16 @@ def main(argv=None):
     parser.add_argument("--parallel", action="store_true",
                         help="profile only the parallel fleet workload and"
                              " print the coordinator timing split")
+    parser.add_argument("--packed", action="store_true",
+                        help="profile only the packed receive (90K routes, "
+                             "full UPDATEs) and print its decode / apply / "
+                             "persist / advertise / gc split")
     args = parser.parse_args(argv)
+    if args.packed:
+        run_profile("packed receive (TENSOR, 90K routes in full UPDATEs)",
+                    profile_packed_receive, args.top)
+        print_packed_stage_split()
+        return 0
     if args.parallel:
         result = run_profile("parallel fleet (4 sites, workers=1)",
                              profile_parallel_fleet, args.top)

@@ -10,8 +10,13 @@ number and the cumulative size of all the previously received messages",
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.capabilities import Capabilities
-from repro.bgp.errors import BgpError, HeaderSubcode, NotificationCode
-from repro.bgp.prefixes import Prefix
+from repro.bgp.errors import (
+    BgpError,
+    HeaderSubcode,
+    NotificationCode,
+    UpdateSubcode,
+)
+from repro.bgp.prefixes import Prefix, decode_nlri_block, encode_nlri_block
 
 BGP_PORT = 179
 MARKER = b"\xff" * 16
@@ -30,6 +35,15 @@ AS_TRANS = 23456
 
 def _header(msg_type, body_len):
     return MARKER + (HEADER_SIZE + body_len).to_bytes(2, "big") + bytes([msg_type])
+
+
+def _malformed_attribute_list(field):
+    """RFC 4271 §6.3: a length field pointing past the message body."""
+    return BgpError(
+        NotificationCode.UPDATE_MESSAGE_ERROR,
+        UpdateSubcode.MALFORMED_ATTRIBUTE_LIST,
+        message=f"{field} runs past the UPDATE body",
+    )
 
 
 class OpenMessage:
@@ -89,19 +103,41 @@ class UpdateMessage:
 
     Treated as immutable after construction: the wire encoding is
     memoized so the pack-once fan-out can hand one message object to
-    hundreds of peers and only serialize it the first time.
+    hundreds of peers and only serialize it the first time.  The two
+    NLRI blocks are kept as bytes beside their prefixes — sliced out of
+    the body on decode, joined once on encode — so the RIB delta of a
+    received UPDATE can persist the bytes that arrived.
     """
 
     msg_type = TYPE_UPDATE
 
-    __slots__ = ("withdrawn", "attributes", "nlri", "_wire", "_pack_key")
+    __slots__ = ("withdrawn", "attributes", "nlri", "_wire",
+                 "_withdrawn_wire", "_nlri_wire")
 
-    def __init__(self, withdrawn=(), attributes=None, nlri=()):
+    def __init__(self, withdrawn=(), attributes=None, nlri=(),
+                 withdrawn_wire=None, nlri_wire=None):
         self.withdrawn = tuple(withdrawn)
         self.attributes = attributes  # PathAttributes or None (pure withdraw)
         self.nlri = tuple(nlri)
         self._wire = None
-        self._pack_key = None  # speaker's cross-peer generation-cache key
+        self._withdrawn_wire = withdrawn_wire
+        self._nlri_wire = nlri_wire
+
+    @property
+    def withdrawn_wire(self):
+        """The withdrawn-routes block as it travels."""
+        wire = self._withdrawn_wire
+        if wire is None:
+            wire = self._withdrawn_wire = encode_nlri_block(self.withdrawn)
+        return wire
+
+    @property
+    def nlri_wire(self):
+        """The NLRI block as it travels."""
+        wire = self._nlri_wire
+        if wire is None:
+            wire = self._nlri_wire = encode_nlri_block(self.nlri)
+        return wire
 
     def to_wire(self):
         wire = self._wire
@@ -110,15 +146,14 @@ class UpdateMessage:
         return wire
 
     def _encode(self):
-        withdrawn_wire = b"".join(p.to_wire() for p in self.withdrawn)
+        withdrawn_wire = self.withdrawn_wire
         attrs_wire = self.attributes.to_wire() if self.attributes else b""
-        nlri_wire = b"".join(p.to_wire() for p in self.nlri)
         body = (
             len(withdrawn_wire).to_bytes(2, "big")
             + withdrawn_wire
             + len(attrs_wire).to_bytes(2, "big")
             + attrs_wire
-            + nlri_wire
+            + self.nlri_wire
         )
         wire = _header(self.msg_type, len(body)) + body
         if len(wire) > MAX_MESSAGE_SIZE:
@@ -131,24 +166,23 @@ class UpdateMessage:
 
     @classmethod
     def from_body(cls, body):
-        withdrawn_len = int.from_bytes(body[0:2], "big")
-        offset = 2
-        withdrawn = []
-        end = offset + withdrawn_len
-        while offset < end:
-            prefix, offset = Prefix.from_wire(body, offset)
-            withdrawn.append(prefix)
-        attrs_len = int.from_bytes(body[offset : offset + 2], "big")
-        offset += 2
+        size = len(body)
+        attrs_at = 2 + int.from_bytes(body[0:2], "big")
+        if attrs_at + 2 > size:
+            raise _malformed_attribute_list("withdrawn routes length")
+        nlri_at = attrs_at + 2 + int.from_bytes(body[attrs_at:attrs_at + 2], "big")
+        if nlri_at > size:
+            raise _malformed_attribute_list("total path attribute length")
         attributes = None
-        if attrs_len:
-            attributes = PathAttributes.from_wire(bytes(body[offset : offset + attrs_len]))
-            offset += attrs_len
-        nlri = []
-        while offset < len(body):
-            prefix, offset = Prefix.from_wire(body, offset)
-            nlri.append(prefix)
-        return cls(withdrawn, attributes, nlri)
+        if nlri_at > attrs_at + 2:
+            attributes = PathAttributes.from_wire(body[attrs_at + 2:nlri_at])
+        return cls(
+            decode_nlri_block(body, Prefix.AFI_IPV4, 2, attrs_at),
+            attributes,
+            decode_nlri_block(body, Prefix.AFI_IPV4, nlri_at, size),
+            withdrawn_wire=body[2:attrs_at],
+            nlri_wire=body[nlri_at:],
+        )
 
     def route_count(self):
         """Routing updates carried: announcements plus withdrawals."""

@@ -15,19 +15,22 @@ from repro.bgp.attributes import (
 )
 from repro.bgp.capabilities import SAFI_UNICAST
 from repro.bgp.errors import BgpError, NotificationCode, UpdateSubcode
-from repro.bgp.prefixes import Prefix
+from repro.bgp.prefixes import Prefix, decode_nlri_block, encode_nlri_block
 
 
 class MpReach:
-    """Decoded MP_REACH_NLRI: (afi, safi, next_hop, nlri)."""
+    """Decoded MP_REACH_NLRI: (afi, safi, next_hop, nlri), plus the NLRI
+    block's bytes as they arrived."""
 
-    __slots__ = ("afi", "safi", "next_hop", "nlri")
+    __slots__ = ("afi", "safi", "next_hop", "nlri", "nlri_wire")
 
-    def __init__(self, afi, safi, next_hop, nlri):
+    def __init__(self, afi, safi, next_hop, nlri, nlri_wire=None):
         self.afi = afi
         self.safi = safi
         self.next_hop = next_hop  # Prefix-style address value (int)
         self.nlri = tuple(nlri)
+        self.nlri_wire = (encode_nlri_block(self.nlri) if nlri_wire is None
+                          else nlri_wire)
 
     def __eq__(self, other):
         return isinstance(other, MpReach) and (
@@ -39,14 +42,17 @@ class MpReach:
 
 
 class MpUnreach:
-    """Decoded MP_UNREACH_NLRI: (afi, safi, withdrawn)."""
+    """Decoded MP_UNREACH_NLRI: (afi, safi, withdrawn), plus the
+    withdrawn block's bytes as they arrived."""
 
-    __slots__ = ("afi", "safi", "withdrawn")
+    __slots__ = ("afi", "safi", "withdrawn", "withdrawn_wire")
 
-    def __init__(self, afi, safi, withdrawn):
+    def __init__(self, afi, safi, withdrawn, withdrawn_wire=None):
         self.afi = afi
         self.safi = safi
         self.withdrawn = tuple(withdrawn)
+        self.withdrawn_wire = (encode_nlri_block(self.withdrawn)
+                               if withdrawn_wire is None else withdrawn_wire)
 
     def __eq__(self, other):
         return isinstance(other, MpUnreach) and (
@@ -55,6 +61,14 @@ class MpUnreach:
 
     def __repr__(self):
         return f"<MpUnreach afi={self.afi} -{len(self.withdrawn)}>"
+
+
+def _v6_block(prefixes):
+    prefixes = tuple(prefixes)
+    for prefix in prefixes:
+        if prefix.afi != Prefix.AFI_IPV6:
+            raise ValueError(f"{prefix} is not IPv6")
+    return encode_nlri_block(prefixes)
 
 
 def encode_mp_reach(next_hop_v6, nlri, safi=SAFI_UNICAST):
@@ -69,10 +83,7 @@ def encode_mp_reach(next_hop_v6, nlri, safi=SAFI_UNICAST):
     body.append(16)  # next-hop length
     body += next_hop_v6.to_bytes(16, "big")
     body.append(0)  # reserved (SNPA count)
-    for prefix in nlri:
-        if prefix.afi != Prefix.AFI_IPV6:
-            raise ValueError(f"{prefix} is not IPv6")
-        body += prefix.to_wire()
+    body += _v6_block(nlri)
     return _encode_attr(FLAG_OPTIONAL, TYPE_MP_REACH_NLRI, bytes(body))
 
 
@@ -81,10 +92,7 @@ def encode_mp_unreach(withdrawn, safi=SAFI_UNICAST):
     body = bytearray()
     body += (Prefix.AFI_IPV6).to_bytes(2, "big")
     body.append(safi)
-    for prefix in withdrawn:
-        if prefix.afi != Prefix.AFI_IPV6:
-            raise ValueError(f"{prefix} is not IPv6")
-        body += prefix.to_wire()
+    body += _v6_block(withdrawn)
     return _encode_attr(FLAG_OPTIONAL, TYPE_MP_UNREACH_NLRI, bytes(body))
 
 
@@ -105,11 +113,8 @@ def decode_mp_reach(value):
     next_hop = int.from_bytes(value[offset : offset + nh_len], "big")
     offset += nh_len
     offset += 1  # reserved
-    nlri = []
-    while offset < len(value):
-        prefix, offset = Prefix.from_wire(value, offset, afi=afi)
-        nlri.append(prefix)
-    return MpReach(afi, safi, next_hop, nlri)
+    return MpReach(afi, safi, next_hop, decode_nlri_block(value, afi, offset),
+                   nlri_wire=value[offset:])
 
 
 def decode_mp_unreach(value):
@@ -120,12 +125,8 @@ def decode_mp_unreach(value):
                        message="short MP_UNREACH_NLRI")
     afi = int.from_bytes(value[0:2], "big")
     safi = value[2]
-    offset = 3
-    withdrawn = []
-    while offset < len(value):
-        prefix, offset = Prefix.from_wire(value, offset, afi=afi)
-        withdrawn.append(prefix)
-    return MpUnreach(afi, safi, withdrawn)
+    return MpUnreach(afi, safi, decode_nlri_block(value, afi, 3),
+                     withdrawn_wire=value[3:])
 
 
 def mp_routes_of(attributes):
@@ -147,12 +148,20 @@ def mp_routes_of(attributes):
 
 def attach_mp_reach(attributes, next_hop_v6, nlri, safi=SAFI_UNICAST):
     """Return a copy of ``attributes`` carrying the given v6 NLRI."""
-    wire = encode_mp_reach(next_hop_v6, nlri, safi)
+    return _attach(attributes, TYPE_MP_REACH_NLRI,
+                   encode_mp_reach(next_hop_v6, nlri, safi))
+
+
+def attach_mp_unreach(attributes, withdrawn, safi=SAFI_UNICAST):
+    """Return a copy of ``attributes`` withdrawing the given v6 prefixes."""
+    return _attach(attributes, TYPE_MP_UNREACH_NLRI,
+                   encode_mp_unreach(withdrawn, safi))
+
+
+def _attach(attributes, attr_type, wire):
     # strip the generic attr header: flags, type, length
     header_len = 4 if len(wire) - 3 > 255 else 3
-    value = wire[header_len:]
     unknown = tuple(
-        entry for entry in attributes.unknown
-        if entry[1] != TYPE_MP_REACH_NLRI
-    ) + ((FLAG_OPTIONAL, TYPE_MP_REACH_NLRI, value),)
+        entry for entry in attributes.unknown if entry[1] != attr_type
+    ) + ((FLAG_OPTIONAL, attr_type, wire[header_len:]),)
     return attributes.replace(unknown=unknown)

@@ -16,7 +16,64 @@ Two distinct economies fall out of packing:
    famously lacks this, which is what Fig. 6(c) shows.
 """
 
+from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import HEADER_SIZE, MAX_MESSAGE_SIZE, UpdateMessage
+from repro.bgp.multiprotocol import attach_mp_unreach
+from repro.bgp.prefixes import Prefix, nlri_wires
+
+
+def group_routes(routes):
+    """Group (prefix, attributes) pairs by address family and attribute
+    set, in one pass.
+
+    Returns ``[(afi, attributes, [prefix, ...]), ...]``: groups in the
+    order their first route was seen, prefixes in the order given.
+    Routes overwhelmingly share attribute *objects* (interned on decode,
+    pooled at origination), so an object is hashed once, on first
+    sight, and found by identity from then on.
+    """
+    groups = {}  # (afi, attributes) -> members
+    appends = {}  # (afi, id(attributes)) -> that group's members.append
+    seen = []  # every object whose id is a key above: ids stay unique
+    for prefix, attributes in routes:
+        key = prefix.afi, id(attributes)
+        append = appends.get(key)
+        if append is None:
+            members = groups.setdefault((key[0], attributes), [])
+            append = appends[key] = members.append
+            seen.append(attributes)
+        append(prefix)
+    return [(afi, attributes, members)
+            for (afi, attributes), members in groups.items()]
+
+
+def _cuts(wires, budget):
+    """``(start, stop)`` index pairs cutting ``wires`` into the fewest
+    consecutive batches of at most ``budget`` bytes each."""
+    start = used = 0
+    for index, wire in enumerate(wires):
+        size = len(wire)
+        if used + size > budget and index > start:
+            yield start, index
+            start, used = index, 0
+        used += size
+    if wires:
+        yield start, len(wires)
+
+
+def pack_group(attributes, prefixes, max_message_size=MAX_MESSAGE_SIZE):
+    """Pack ``prefixes`` sharing ``attributes`` into minimal UPDATEs.
+
+    Each prefix is encoded once: its wire length fills the budget and
+    the same bytes, joined, are the message's NLRI block.
+    """
+    budget = max_message_size - HEADER_SIZE - 4 - len(attributes.to_wire())
+    wires = nlri_wires(prefixes)
+    return [
+        UpdateMessage(attributes=attributes, nlri=prefixes[start:stop],
+                      nlri_wire=b"".join(wires[start:stop]))
+        for start, stop in _cuts(wires, budget)
+    ]
 
 
 def pack_routes(routes, max_message_size=MAX_MESSAGE_SIZE):
@@ -26,49 +83,33 @@ def pack_routes(routes, max_message_size=MAX_MESSAGE_SIZE):
     ``max_message_size`` on the wire.  Returns a list of
     :class:`UpdateMessage`.
     """
-    groups = {}
-    order = []
-    for prefix, attributes in routes:
-        key = attributes.key()
-        if key not in groups:
-            groups[key] = (attributes, [])
-            order.append(key)
-        groups[key][1].append(prefix)
-
-    messages = []
-    for key in order:
-        attributes, prefixes = groups[key]
-        attrs_wire_len = len(attributes.to_wire())
-        budget = max_message_size - HEADER_SIZE - 4 - attrs_wire_len
-        batch = []
-        used = 0
-        for prefix in prefixes:
-            size = prefix.wire_size
-            if batch and used + size > budget:
-                messages.append(UpdateMessage(attributes=attributes, nlri=batch))
-                batch = []
-                used = 0
-            batch.append(prefix)
-            used += size
-        if batch:
-            messages.append(UpdateMessage(attributes=attributes, nlri=batch))
-    return messages
+    return [
+        message
+        for _afi, attributes, prefixes in group_routes(routes)
+        for message in pack_group(attributes, prefixes, max_message_size)
+    ]
 
 
 def pack_withdrawals(prefixes, max_message_size=MAX_MESSAGE_SIZE):
-    """Group withdrawn prefixes into minimal UPDATE messages."""
-    messages = []
-    budget = max_message_size - HEADER_SIZE - 4
-    batch = []
-    used = 0
-    for prefix in prefixes:
-        size = prefix.wire_size
-        if batch and used + size > budget:
-            messages.append(UpdateMessage(withdrawn=batch))
-            batch = []
-            used = 0
-        batch.append(prefix)
-        used += size
-    if batch:
-        messages.append(UpdateMessage(withdrawn=batch))
+    """Group withdrawn prefixes into minimal UPDATE messages: IPv4 ones
+    in the withdrawn-routes field, IPv6 ones in MP_UNREACH_NLRI
+    attributes (RFC 4760)."""
+    v4 = [prefix for prefix in prefixes if prefix.afi == Prefix.AFI_IPV4]
+    v6 = [prefix for prefix in prefixes if prefix.afi == Prefix.AFI_IPV6]
+    room = max_message_size - HEADER_SIZE - 4
+    v4_wires = nlri_wires(v4)
+    messages = [
+        UpdateMessage(withdrawn=v4[start:stop],
+                      withdrawn_wire=b"".join(v4_wires[start:stop]))
+        for start, stop in _cuts(v4_wires, room)
+    ]
+    messages.extend(
+        UpdateMessage(attributes=attach_mp_unreach(
+            _BARE_ATTRIBUTES, v6[start:stop]))
+        for start, stop in _cuts(nlri_wires(v6), room - _MP_UNREACH_OVERHEAD))
     return messages
+
+
+_BARE_ATTRIBUTES = PathAttributes()
+#: The bare attributes, an extended-length attribute header, AFI and SAFI.
+_MP_UNREACH_OVERHEAD = len(_BARE_ATTRIBUTES.to_wire()) + 4 + 3

@@ -7,7 +7,7 @@ through speaker hooks so the TENSOR subclass can interpose replication.
 """
 
 from repro.bgp import fsm
-from repro.bgp.errors import NotificationCode, OpenSubcode
+from repro.bgp.errors import BgpError, NotificationCode, OpenSubcode
 from repro.bgp.messages import (
     BGP_PORT,
     KeepaliveMessage,
@@ -17,7 +17,9 @@ from repro.bgp.messages import (
     RouteRefreshMessage,
     UpdateMessage,
 )
+from repro.bgp.multiprotocol import mp_routes_of
 from repro.bgp.policy import PERMIT_ALL
+from repro.bgp.prefixes import encode_nlri_block
 from repro.bgp.rib import AdjRibIn, AdjRibOut, Route
 from repro.sim.process import Timer
 
@@ -57,10 +59,9 @@ class PeerConfig:
         #: in a per-peer mode (``SpeakerConfig.mrai_mode != "per_speaker"``);
         #: ``None`` inherits the speaker-level interval.
         self.mrai = mrai
-
-    @property
-    def peer_id(self):
-        return f"{self.vrf_name}:{self.remote_addr}"
+        #: Nothing reassigns ``vrf_name`` or ``remote_addr`` after
+        #: construction, so the identity is rendered once, not per read.
+        self.peer_id = f"{vrf_name}:{remote_addr}"
 
 
 class PeerSession:
@@ -70,6 +71,7 @@ class PeerSession:
         self.speaker = speaker
         self.config = config
         self.engine = speaker.engine
+        self.peer_id = config.peer_id
         self.state = fsm.SessionState.IDLE
         self.conn = None
         self.decoder = MessageDecoder()
@@ -108,10 +110,6 @@ class PeerSession:
     # ------------------------------------------------------------------
     # identity / properties
     # ------------------------------------------------------------------
-
-    @property
-    def peer_id(self):
-        return self.config.peer_id
 
     @property
     def vrf(self):
@@ -194,14 +192,24 @@ class PeerSession:
             # First bytes of a fresh message (multi-segment messages keep
             # the mark from the segment that started them).
             self._trace_rx_since = self.engine.now
-        for message, size in self.decoder.feed(data):
-            self.cumulative_received += size
-            self.messages_received += 1
-            if tracing:
-                self.last_rx_began = self._trace_rx_since
-                # any further message in this batch arrived with this segment
-                self._trace_rx_since = self.engine.now
-            self.speaker.dispatch_received(self, message, size)
+        try:
+            for message, size in self.decoder.feed(data):
+                self.cumulative_received += size
+                self.messages_received += 1
+                if tracing:
+                    self.last_rx_began = self._trace_rx_since
+                    # any further message in this batch arrived with this
+                    # segment
+                    self._trace_rx_since = self.engine.now
+                self.speaker.dispatch_received(self, message, size)
+        except BgpError as error:
+            # RFC 4271 §6: a malformed message ends the session with the
+            # NOTIFICATION that names what was wrong with it.
+            self.speaker.log(f"{self.peer_id}: protocol error: {error}")
+            self.send_message(NotificationMessage(error.code, error.subcode,
+                                                  bytes(error.data)))
+            self._drop_session(notify_peer=False)
+            return
         if tracing and self.decoder.pending_bytes == 0:
             self._trace_rx_since = None
         self.speaker.stream_progress(self)
@@ -218,13 +226,17 @@ class PeerSession:
         return self.initial_ack + self.cumulative_received
 
     def handle_message(self, message, size):
-        """Apply one decoded message (runs after the CPU-cost charge)."""
+        """Apply one decoded message (runs after the CPU-cost charge).
+
+        An UPDATE applied on an established session returns the runs it
+        stored (:meth:`_handle_update`); everything else returns None.
+        """
+        if isinstance(message, UpdateMessage):
+            return self._handle_update(message)
         if isinstance(message, OpenMessage):
             self._handle_open(message)
         elif isinstance(message, KeepaliveMessage):
             self._handle_keepalive()
-        elif isinstance(message, UpdateMessage):
-            self._handle_update(message)
         elif isinstance(message, NotificationMessage):
             self.speaker.log(f"{self.peer_id}: NOTIFICATION {message!r}")
             self._drop_session(notify_peer=False)
@@ -256,70 +268,112 @@ class PeerSession:
             self.speaker.session_established(self)
 
     def _handle_update(self, message):
+        """Apply one UPDATE to the Adj-RIB-In and the Loc-RIB.
+
+        Returns what it stored, as the two run lists of a RIB delta
+        (:meth:`repro.core.replication.ReplicationPipeline.record_rib_delta`)
+        — or None when the session is not established and nothing was
+        applied.
+        """
         if not self.established:
-            return
+            return None
         vrf = self.vrf
-        # Resolved once per message, not per route: peer_id is a fresh
-        # f-string on every read.
-        peer_id = self.peer_id
         changes = []
-        self._withdraw_routes(message.withdrawn, vrf, peer_id, changes)
+        withdrawn_runs = []
+        announced_runs = []
+        if message.withdrawn:
+            self._withdraw_routes(message.withdrawn, message.withdrawn_wire,
+                                  vrf, changes, withdrawn_runs)
+            self.updates_received += len(message.withdrawn)
         if message.nlri:
             self.updates_received += len(message.nlri)
-            if not self._learn_routes(message.nlri, message.attributes, vrf,
-                                      peer_id, changes):
-                return
-        self.updates_received += len(message.withdrawn)
-        self._handle_mp_routes(message, vrf, peer_id, changes)
+            self._learn_routes(message.nlri, message.nlri_wire,
+                               message.attributes, vrf, changes, announced_runs)
+        self._handle_mp_routes(message, vrf, changes, withdrawn_runs,
+                               announced_runs)
+        # A loop-rejected NLRI half does not take the withdrawals (or an
+        # earlier family's routes) down with it: whatever changed is
+        # propagated.
         if changes:
             self.speaker.best_paths_changed(self, changes)
+        return withdrawn_runs, announced_runs
 
-    def _withdraw_routes(self, prefixes, vrf, peer_id, changes):
+    def _withdraw_routes(self, prefixes, block_wire, vrf, changes, runs):
+        """Retract ``prefixes`` (one withdrawn block, ``block_wire`` on
+        the wire) and record the block as one withdraw run."""
+        peer_id = self.peer_id
         withdraw = self.adj_rib_in.withdraw
         retract = vrf.loc_rib.retract
         for prefix in prefixes:
             if withdraw(prefix) is not None:
                 old, new = retract(prefix, peer_id)
                 changes.append((prefix, old, new))
+        runs.append((prefixes[0].afi, block_wire, peer_id))
 
-    def _learn_routes(self, prefixes, attributes, vrf, peer_id, changes):
-        """Import ``prefixes`` sharing ``attributes`` into the Adj-RIB-In
-        and offer them to the Loc-RIB.  Returns False when the whole set
-        is rejected by eBGP loop detection: our AS in the path means
+    def _learn_routes(self, prefixes, block_wire, attributes, vrf, changes,
+                      runs):
+        """Import ``prefixes`` (one NLRI block, ``block_wire`` on the
+        wire) sharing ``attributes`` into the Adj-RIB-In, offer them to
+        the Loc-RIB, and record each run of routes sharing post-policy
+        attributes in ``runs``.  Returns False when the whole set is
+        rejected by eBGP loop detection: our AS in the path means
         reject, scoped to eBGP sessions per RFC 4271 — iBGP paths
-        legitimately circulate inside the AS."""
+        legitimately circulate inside the AS.
+
+        The import route map is evaluated once for the block when none
+        of its clauses can tell one prefix from another; the one run is
+        then the block itself, bytes reused.  Otherwise each prefix gets
+        its own verdict and the survivors are re-joined run by run.
+        """
         source_kind = self.source_kind
         if (source_kind == "ebgp"
                 and attributes.as_path.contains(self.speaker.config.local_as)):
             return False
-        evaluate = self.config.import_policy.evaluate
-        update = self.adj_rib_in.update
+        policy = self.config.import_policy
+        if policy.prefix_independent:
+            imported = policy.evaluate(None, attributes)
+            kept = [] if imported is None else [(imported, prefixes)]
+        else:
+            kept = []  # [(post-policy attributes, [prefix, ...])], in order
+            evaluate = policy.evaluate
+            for prefix in prefixes:
+                imported = evaluate(prefix, attributes)
+                if imported is None:
+                    continue
+                if not kept or imported != kept[-1][0]:
+                    kept.append((imported, []))
+                kept[-1][1].append(prefix)
+        peer_id = self.peer_id
+        afi = prefixes[0].afi
+        store = self.adj_rib_in.store
         offer = vrf.loc_rib.offer
         learned = 0
-        for prefix in prefixes:
-            imported = evaluate(prefix, attributes)
-            if imported is None:
-                continue
-            route = Route(prefix, imported, peer_id, source_kind)
-            update(route)
-            learned += 1
-            old, new = offer(route)
-            changes.append((prefix, old, new))
+        for imported, run in kept:
+            for prefix in run:
+                route = Route(prefix, imported, peer_id, source_kind)
+                store(route)
+                old, new = offer(route)
+                changes.append((prefix, old, new))
+            learned += len(run)
+            wire = (block_wire if len(run) == len(prefixes)
+                    else encode_nlri_block(run))
+            runs.append((afi, wire, imported.to_wire(), peer_id, source_kind))
         self.routes_learned += learned
         return True
 
-    def _handle_mp_routes(self, message, vrf, peer_id, changes):
+    def _handle_mp_routes(self, message, vrf, changes, withdrawn_runs,
+                          announced_runs):
         """IPv6 reachability carried in MP_REACH/MP_UNREACH (RFC 4760)."""
         if message.attributes is None or not message.attributes.unknown:
             return
-        from repro.bgp.multiprotocol import mp_routes_of
-
         reach, unreach = mp_routes_of(message.attributes)
-        if unreach is not None:
-            self._withdraw_routes(unreach.withdrawn, vrf, peer_id, changes)
+        if unreach is not None and unreach.withdrawn:
+            self._withdraw_routes(unreach.withdrawn, unreach.withdrawn_wire,
+                                  vrf, changes, withdrawn_runs)
             self.updates_received += len(unreach.withdrawn)
-        if reach is not None and self._learn_routes(
-                reach.nlri, message.attributes, vrf, peer_id, changes):
+        if reach is not None and reach.nlri and self._learn_routes(
+                reach.nlri, reach.nlri_wire, message.attributes, vrf,
+                changes, announced_runs):
             self.updates_received += len(reach.nlri)
 
     # ------------------------------------------------------------------

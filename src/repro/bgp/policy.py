@@ -113,6 +113,13 @@ class RouteMap:
         self.entries.append(entry)
         return entry
 
+    @property
+    def prefix_independent(self):
+        """True when no clause matches on a prefix list: the verdict is
+        then a function of the attributes alone, so one evaluation
+        covers every prefix that shares them (``evaluate(None, ...)``)."""
+        return all(entry.match_prefix_list is None for entry in self.entries)
+
     def evaluate(self, prefix, attributes):
         """Return rewritten attributes, or None when the route is denied."""
         for entry in self.entries:

@@ -2,9 +2,14 @@
 
 Prefixes are the NLRI currency of BGP.  We support IPv4 and IPv6; the
 wire encoding (RFC 4271 §4.3) is a length octet followed by the minimum
-number of prefix octets.  Longest-prefix matching over sets of them is
+number of prefix octets, and a run of them back to back is an NLRI
+block — decoded whole by :func:`decode_nlri_block`, wherever it sits
+(withdrawn routes, NLRI, MP_REACH/MP_UNREACH, a stored RIB delta).
+Longest-prefix matching over sets of prefixes is
 :class:`repro.bgp.radix.RadixTrie`.
 """
+
+from repro.bgp.errors import BgpError, NotificationCode, UpdateSubcode
 
 
 class Prefix:
@@ -45,21 +50,6 @@ class Prefix:
         if ":" in addr:
             return cls(_parse_v6(addr), length, cls.AFI_IPV6)
         return cls(_parse_v4(addr), length, cls.AFI_IPV4)
-
-    @classmethod
-    def from_wire(cls, data, offset, afi=AFI_IPV4):
-        """Decode one wire prefix; returns (prefix, new_offset)."""
-        length = data[offset]
-        offset += 1
-        octets = (length + 7) // 8
-        bits = 32 if afi == cls.AFI_IPV4 else 128
-        if length > bits:
-            raise ValueError(f"prefix length {length} exceeds AFI width {bits}")
-        raw = bytes(data[offset : offset + octets])
-        if len(raw) < octets:
-            raise ValueError("truncated prefix")
-        value = int.from_bytes(raw + b"\x00" * (bits // 8 - octets), "big")
-        return cls(value, length, afi), offset + octets
 
     # -- encoding -----------------------------------------------------------
 
@@ -116,6 +106,86 @@ class Prefix:
 
     def __repr__(self):
         return f"Prefix({str(self)!r})"
+
+
+def _block_table(bits):
+    """Per mask length: (octets on the wire, left shift that puts them
+    at the top of the address, mask clearing the bits past the length)."""
+    table = []
+    for length in range(bits + 1):
+        octets = (length + 7) // 8
+        mask = ((1 << length) - 1) << (bits - length)
+        table.append((octets, bits - 8 * octets, mask))
+    return tuple(table)
+
+
+_V4_TABLE = _block_table(32)
+_WIDE_TABLE = _block_table(128)  # IPv6, and any family that is not IPv4
+_LENGTH_OCTETS = tuple(bytes((length,)) for length in range(129))
+
+
+def nlri_wires(prefixes):
+    """The wire form of each prefix, as a list (``Prefix.to_wire`` over
+    a batch; their concatenation is the NLRI block)."""
+    v4, wide, length_octets = _V4_TABLE, _WIDE_TABLE, _LENGTH_OCTETS
+    wires = []
+    append = wires.append
+    for prefix in prefixes:
+        length = prefix.length
+        octets, shift, _mask = (v4 if prefix.afi == 1 else wide)[length]
+        append(length_octets[length]
+               + (prefix.value >> shift).to_bytes(octets, "big"))
+    return wires
+
+
+def encode_nlri_block(prefixes):
+    """``prefixes`` back to back on the wire."""
+    return b"".join(nlri_wires(prefixes))
+
+
+def decode_nlri_block(data, afi=Prefix.AFI_IPV4, offset=0, end=None):
+    """Decode the wire prefixes in ``data[offset:end]``, in order.
+
+    Every field a peer controls is checked: a length octet over the
+    AFI's width, or a prefix running past ``end``, is the RFC 4271 §6.3
+    "Invalid Network Field" UPDATE error.
+    """
+    if end is None:
+        end = len(data)
+    table = _V4_TABLE if afi == Prefix.AFI_IPV4 else _WIDE_TABLE
+    widest = len(table) - 1
+    new = Prefix.__new__
+    from_bytes = int.from_bytes
+    prefixes = []
+    append = prefixes.append
+    while offset < end:
+        length = data[offset]
+        if length > widest:
+            raise BgpError(
+                NotificationCode.UPDATE_MESSAGE_ERROR,
+                UpdateSubcode.INVALID_NETWORK_FIELD,
+                message=f"prefix length {length} exceeds AFI width {widest}",
+            )
+        octets, shift, mask = table[length]
+        offset += 1
+        stop = offset + octets
+        if stop > end:
+            raise BgpError(
+                NotificationCode.UPDATE_MESSAGE_ERROR,
+                UpdateSubcode.INVALID_NETWORK_FIELD,
+                message="truncated prefix",
+            )
+        value = from_bytes(data[offset:stop], "big") << shift & mask
+        offset = stop
+        # What Prefix.__init__ computes, without re-validating a length
+        # the table lookup above already bounded.
+        prefix = new(Prefix)
+        prefix.value = value
+        prefix.length = length
+        prefix.afi = afi
+        prefix._hash = hash((value, length, afi))
+        append(prefix)
+    return prefixes
 
 
 def _parse_v4(addr):

@@ -112,6 +112,11 @@ class AdjRibIn:
         self._routes[route.prefix] = route
         return old
 
+    def store(self, route):
+        """Insert/replace, for the caller with no use for what it
+        displaced (one dict store, no probe)."""
+        self._routes[route.prefix] = route
+
     def withdraw(self, prefix):
         """Remove; returns the removed route or None."""
         return self._routes.pop(prefix, None)
@@ -425,6 +430,11 @@ class AdjRibOut:
 
     def record_advertise(self, prefix, attributes):
         self._routes[prefix] = attributes
+
+    def record_advertised(self, prefixes, attributes):
+        """One UPDATE's worth: ``prefixes`` all went out with
+        ``attributes``."""
+        self._routes.update(dict.fromkeys(prefixes, attributes))
 
     def record_withdraw(self, prefix):
         self._routes.pop(prefix, None)

@@ -17,9 +17,11 @@ from repro.bgp.messages import (
     KeepaliveMessage,
     UpdateMessage,
 )
-from repro.bgp.packing import pack_routes, pack_withdrawals
+from repro.bgp.attributes import PathAttributes, ipv4_to_int
+from repro.bgp.multiprotocol import attach_mp_reach
+from repro.bgp.packing import group_routes, pack_group, pack_withdrawals
 from repro.bgp.peer import PeerConfig, PeerSession
-from repro.bgp.attributes import ipv4_to_int
+from repro.bgp.prefixes import Prefix
 from repro.bgp.rib import Route
 from repro.bgp.vrf import Vrf
 from repro.sim.calibration import (
@@ -107,27 +109,48 @@ class SpeakerConfig:
 class _FanoutPlan:
     """Shared per-export state for one advertisement fan-out.
 
-    Memoizes the AFI split and the packed UPDATE messages so a group of
-    sessions with identical exports serializes and packs exactly once;
-    per-peer state (Adj-RIB-Out records, CPU charges) stays per session.
+    Holds one export — the routes after export policy, grouped by
+    address family and attribute set — and memoizes the UPDATE messages
+    built from it, so a group of sessions with identical exports
+    exports, groups, packs and serializes exactly once; per-peer state
+    (Adj-RIB-Out records, CPU charges) stays per session.
     """
 
-    __slots__ = ("export", "_split", "_messages")
+    __slots__ = ("v4", "v6", "_v4_messages", "_v6_messages")
 
-    def __init__(self, export):
-        self.export = export
-        self._split = None
-        self._messages = None
+    def __init__(self, v4, v6):
+        #: IPv4 routes (classic NLRI).  With update packing, one
+        #: ``(attributes, prefixes)`` group per attribute set; without,
+        #: the flat ``(prefix, attributes)`` pairs in table order.
+        self.v4 = v4
+        #: IPv6 routes (MP_REACH_NLRI), always grouped.
+        self.v6 = v6
+        self._v4_messages = None
+        self._v6_messages = None
 
-    def split(self, speaker):
-        if self._split is None:
-            self._split = speaker._split_by_afi(self.export)
-        return self._split
+    def __bool__(self):
+        return bool(self.v4 or self.v6)
 
-    def packed(self, v4_export):
-        if self._messages is None:
-            self._messages = pack_routes(v4_export)
-        return self._messages
+    def v4_messages(self):
+        """The packed UPDATEs of the IPv4 groups."""
+        if self._v4_messages is None:
+            self._v4_messages = [
+                message
+                for attributes, prefixes in self.v4
+                for message in pack_group(attributes, prefixes)
+            ]
+        return self._v4_messages
+
+    def v6_messages(self, next_hop_v6):
+        """One ``(UPDATE, prefixes)`` per IPv6 group, the prefixes
+        riding in the message's MP_REACH_NLRI attribute."""
+        if self._v6_messages is None:
+            self._v6_messages = [
+                (UpdateMessage(attributes=attach_mp_reach(
+                    attributes, next_hop_v6, prefixes)), prefixes)
+                for attributes, prefixes in self.v6
+            ]
+        return self._v6_messages
 
 
 class BgpSpeaker:
@@ -287,12 +310,14 @@ class BgpSpeaker:
         return CONTROL_MESSAGE_COST
 
     def _apply_received(self, session, message, size):
+        """Apply one message; returns what an UPDATE did to the table
+        (see :meth:`PeerSession.handle_message`), else None."""
         if not self.running:
-            return
+            return None
         if isinstance(message, UpdateMessage):
             self.total_updates_received += message.route_count()
             self.last_apply_time = self.engine.now
-        session.handle_message(message, size)
+        return session.handle_message(message, size)
 
     # ------------------------------------------------------------------
     # send path (hookable)
@@ -364,9 +389,7 @@ class BgpSpeaker:
     def session_established(self, session):
         """Initial table advertisement to a newly-established peer."""
         self.charge(self.config.per_peer_cost, lambda: None)
-        routes = self._full_table_for(session)
-        if routes:
-            self.advertise_routes_to_sessions(routes, [session])
+        self.readvertise(session)
 
     def session_down(self, session):
         """Hook: a session left ESTABLISHED (failure or admin)."""
@@ -374,17 +397,20 @@ class BgpSpeaker:
             self.aggregator.drop_session(session.peer_id)
 
     def readvertise(self, session):
-        routes = self._full_table_for(session)
-        if routes:
-            self.advertise_routes_to_sessions(routes, [session])
+        """Advertise the whole table to ``session``."""
+        self.advertise_routes_to_sessions(self._full_table_for(session),
+                                          [session])
 
     def _full_table_for(self, session):
+        """The (prefix, attributes) pairs of every best route ``session``
+        did not itself supply; good for one iteration."""
         vrf = session.vrf
-        routes = [
+        peer_id = session.peer_id
+        routes = (
             (route.prefix, route.attributes)
             for route in vrf.loc_rib.best_routes()
-            if route.peer_id != session.peer_id
-        ]
+            if route.peer_id != peer_id
+        )
         if self.aggregator is not None:
             routes = self.aggregator.transform_table(vrf.loc_rib, session, routes)
         return routes
@@ -406,55 +432,57 @@ class BgpSpeaker:
         self.readvertise(session)
 
     def best_paths_changed(self, origin_session, changes):
-        """Queue best-path changes for propagation to other peers."""
+        """Queue the best-path changes one received UPDATE (or one
+        session teardown) made, for propagation to the other peers."""
         self.last_apply_time = self.engine.now
-        origin_id = origin_session.peer_id if origin_session else None
-        for prefix, old, new in changes:
-            if old is new:
-                continue
-            vrf = (
-                origin_session.vrf
-                if origin_session
-                else self._vrf_of_prefix(prefix, old, new)
-            )
-            self._queue_change(origin_session, vrf, prefix, old, new)
-
-    def _vrf_of_prefix(self, prefix, old, new):
-        route = new or old
-        for vrf in self.vrfs.values():
-            if vrf.loc_rib.best(prefix) is route or route.peer_id in vrf.peer_ids or route.peer_id.startswith("local:"):
-                return vrf
-        return next(iter(self.vrfs.values()))
+        targets = self._advert_targets(origin_session, origin_session.vrf)
+        if targets:
+            self._queue_changes(targets, [
+                change for change in changes if change[1] is not change[2]
+            ])
 
     def _queue_change(self, origin_session, vrf, prefix, old, new):
+        targets = self._advert_targets(origin_session, vrf)
+        if targets:
+            self._queue_changes(targets, ((prefix, old, new),))
+
+    def _advert_targets(self, origin_session, vrf):
+        """Who may hear about a change in ``vrf``: its established
+        sessions other than the one the change came from, each as
+        ``(session, peer_id, is_ibgp)`` — settled once per batch of
+        changes, not once per route."""
+        return [
+            (session, session.peer_id, session.source_kind == "ibgp")
+            for session in self.sessions.values()
+            if session.config.vrf_name == vrf.name
+            and session is not origin_session
+            and session.established
+        ]
+
+    def _queue_changes(self, targets, changes):
+        """Queue ``[(prefix, old best, new best), ...]`` for ``targets``
+        and make sure a flush is coming."""
         hook = self.engine._trace_hook
         ambient = hook.current if hook is not None else None
-        for session in self.sessions.values():
-            if session.config.vrf_name != vrf.name:
-                continue
-            if origin_session is not None and session is origin_session:
-                continue
-            if not session.established:
-                continue
+        per_speaker = self.config.mrai_mode == "per_speaker"
+        pending = self._pending_adverts
+        for prefix, _old, new in changes:
             # iBGP split horizon: routes learned from iBGP do not propagate
             # to other iBGP peers (the joint-container design of §3.2.4 uses
             # full-mesh iBGP between joint and member containers).
-            if (
-                new is not None
-                and new.source_kind == "ibgp"
-                and session.source_kind == "ibgp"
-            ):
-                continue
-            self._pending_adverts.setdefault(session.peer_id, {})[prefix] = new
-            if ambient is not None:
-                self._pending_advert_links.add(ambient.trace_id)
-            if self.config.mrai_mode != "per_speaker":
-                self._schedule_session_flush(session)
-        if (
-            self.config.mrai_mode == "per_speaker"
-            and self._pending_adverts
-            and not self._flush_scheduled
-        ):
+            from_ibgp = new is not None and new.source_kind == "ibgp"
+            for session, peer_id, is_ibgp in targets:
+                if from_ibgp and is_ibgp:
+                    continue
+                queued = pending.get(peer_id)
+                if queued is None:
+                    queued = pending[peer_id] = {}
+                queued[prefix] = new
+                if ambient is not None:
+                    self._pending_advert_links.add(ambient.trace_id)
+                if not per_speaker:
+                    self._schedule_session_flush(session)
+        if per_speaker and pending and not self._flush_scheduled:
             self._flush_scheduled = True
             self.engine.schedule(self.config.mrai, self._flush_adverts)
 
@@ -567,13 +595,13 @@ class BgpSpeaker:
             self.advertise_routes_to_sessions(announcements, sessions)
 
     def _send_withdrawals(self, session, prefixes):
+        for prefix in prefixes:
+            session.adj_rib_out.record_withdraw(prefix)
         for message in pack_withdrawals(prefixes):
-            for prefix in message.withdrawn:
-                session.adj_rib_out.record_withdraw(prefix)
             session.send_message(message)
 
     def advertise_routes_to_sessions(self, routes, sessions):
-        """Fan out ``[(prefix, attributes), ...]`` to ``sessions``.
+        """Fan out ``(prefix, attributes)`` pairs to ``sessions``.
 
         With update packing, generation cost is paid once per distinct
         packed attribute set; further peers pay only the copy cost
@@ -581,20 +609,20 @@ class BgpSpeaker:
         full generation for every route, one UPDATE per route.
 
         Pack-once: sessions sharing an export policy and session kind
-        produce identical exports, so the export, the AFI split and the
-        packed UPDATE messages are computed once per distinct
-        (policy, kind) pair and the *same* message objects fan out to
-        every matching peer — their memoized ``to_wire`` serializes once.
+        produce identical exports, so the export, its grouping by
+        attribute set and the packed UPDATE messages are computed once
+        per distinct (policy, kind) pair and the *same* message objects
+        fan out to every matching peer — their memoized ``to_wire``
+        serializes once.  ``routes`` is read once per such pair: hand
+        over a sequence unless there is a single session.
         """
         shared = {}  # (export_policy id, source_kind) -> _FanoutPlan
         for session in sessions:
             plan_key = (id(session.config.export_policy), session.source_kind)
             plan = shared.get(plan_key)
             if plan is None:
-                plan = shared[plan_key] = _FanoutPlan(
-                    self._export_routes(session, routes)
-                )
-            if not plan.export:
+                plan = shared[plan_key] = self._plan_fanout(session, routes)
+            if not plan:
                 continue
             self.charge(self._per_peer_fanout_cost(), lambda: None)
             if self.config.update_packing:
@@ -608,110 +636,109 @@ class BgpSpeaker:
             cost += BIRD_PER_PEER_SUPERLINEAR * len(self.sessions)
         return cost
 
+    def _plan_fanout(self, session, routes):
+        """Export ``routes`` for ``session`` and split the result: v4
+        rides classic NLRI, v6 rides MP_REACH_NLRI (RFC 4760)."""
+        exported = self._export_routes(session, routes)
+        if self.config.update_packing:
+            groups = group_routes(exported)
+            v4 = [(attributes, prefixes) for afi, attributes, prefixes in groups
+                  if afi == Prefix.AFI_IPV4]
+        else:
+            # One UPDATE per v4 route, in table order: nothing to group.
+            exported = list(exported)
+            v4 = [pair for pair in exported if pair[0].afi == Prefix.AFI_IPV4]
+            groups = group_routes(pair for pair in exported
+                                  if pair[0].afi == Prefix.AFI_IPV6)
+        v6 = [(attributes, prefixes) for afi, attributes, prefixes in groups
+              if afi == Prefix.AFI_IPV6]
+        return _FanoutPlan(v4, v6)
+
     def _export_routes(self, session, routes):
-        """Apply export policy + eBGP attribute rules for one peer.
+        """Apply export policy + eBGP attribute rules for one peer;
+        yields the surviving ``(prefix, exported attributes)`` pairs.
 
-        The post-policy attribute rewrite is memoized per distinct
-        attribute set (routes packed into one received UPDATE share
-        their ``PathAttributes``), and rewritten sets are interned so
-        successive fan-out rounds reuse one flyweight whose wire
-        encoding is already cached.
+        The verdict and the post-policy rewrite are memoized per
+        distinct attribute object when no clause of the export policy
+        can tell one prefix from another (routes packed into one
+        received UPDATE share their ``PathAttributes``), and rewritten
+        sets are interned so successive fan-out rounds reuse one
+        flyweight whose wire encoding is already cached.
         """
-        from repro.bgp.attributes import PathAttributes
-
         local_as = self.config.local_as
         is_ebgp = session.source_kind == "ebgp"
-        evaluate = session.config.export_policy.evaluate
+        next_hop = self.stack.host.address
+        policy = session.config.export_policy
+        evaluate = policy.evaluate
         rewritten = {}  # post-policy attributes -> rewritten attributes
-        out = []
-        for prefix, attributes in routes:
+
+        def export(prefix, attributes):
             exported = evaluate(prefix, attributes)
-            if exported is None:
-                continue
-            if is_ebgp:
-                cached = rewritten.get(exported)
-                if cached is None:
-                    cached = PathAttributes.intern(
-                        exported.replace(
-                            as_path=exported.as_path.prepend(local_as),
-                            next_hop=self.stack.host.address,
-                            local_pref=None,
-                        )
+            if exported is None or not (is_ebgp or exported.next_hop is None):
+                return exported
+            cached = rewritten.get(exported)
+            if cached is None:
+                if is_ebgp:
+                    cached = exported.replace(
+                        as_path=exported.as_path.prepend(local_as),
+                        next_hop=next_hop,
+                        local_pref=None,
                     )
-                    rewritten[exported] = cached
-                exported = cached
-            elif exported.next_hop is None:
-                cached = rewritten.get(exported)
-                if cached is None:
-                    cached = PathAttributes.intern(
-                        exported.replace(next_hop=self.stack.host.address)
-                    )
-                    rewritten[exported] = cached
-                exported = cached
-            out.append((prefix, exported))
-        return out
+                else:
+                    cached = exported.replace(next_hop=next_hop)
+                cached = rewritten[exported] = PathAttributes.intern(cached)
+            return cached
 
-    def _split_by_afi(self, export):
-        """Partition (prefix, attrs) pairs: v4 rides classic NLRI, v6
-        rides MP_REACH_NLRI (RFC 4760)."""
-        from repro.bgp.multiprotocol import attach_mp_reach
-        from repro.bgp.prefixes import Prefix
+        # A verdict holds for every route sharing the attribute object
+        # unless some clause can tell prefixes apart.
+        memoize = policy.prefix_independent
+        verdicts = {}  # id(attributes) -> exported attributes, or None
+        seen = []  # every object whose id is a key above: ids stay unique
+        for prefix, attributes in routes:
+            key = id(attributes)
+            if key in verdicts:
+                exported = verdicts[key]
+            else:
+                exported = export(prefix, attributes)
+                if memoize:
+                    verdicts[key] = exported
+                    seen.append(attributes)
+            if exported is not None:
+                yield prefix, exported
 
-        v4 = [(p, a) for p, a in export if p.afi == Prefix.AFI_IPV4]
-        v6 = [(p, a) for p, a in export if p.afi == Prefix.AFI_IPV6]
-        if not v6:
-            return v4, []
-        # v4-mapped next hop of this speaker (a real deployment would use
-        # the interface's global v6 address)
-        next_hop_v6 = (0xFFFF << 32) | ipv4_to_int(self.stack.host.address)
-        by_attrs = {}
-        order = []
-        for prefix, attrs in v6:
-            key = attrs.key()
-            if key not in by_attrs:
-                by_attrs[key] = (attrs, [])
-                order.append(key)
-            by_attrs[key][1].append(prefix)
-        v6_messages = []
-        for key in order:
-            attrs, prefixes = by_attrs[key]
-            mp_attrs = attach_mp_reach(attrs, next_hop_v6, prefixes)
-            v6_messages.append((UpdateMessage(attributes=mp_attrs), len(prefixes)))
-        return v4, v6_messages
+    def _next_hop_v6(self):
+        """v4-mapped next hop of this speaker (a real deployment would
+        use the interface's global v6 address)."""
+        return (0xFFFF << 32) | ipv4_to_int(self.stack.host.address)
 
     def _advertise_packed(self, session, plan):
-        from repro.bgp.multiprotocol import mp_routes_of
-
-        v4_export, v6_messages = plan.split(self)
-        for message, route_count in v6_messages:
-            reach, _unreach = mp_routes_of(message.attributes)
-            for prefix in reach.nlri:
-                session.adj_rib_out.record_advertise(prefix, message.attributes)
-            cost = CONTROL_MESSAGE_COST + self.config.send_cost * route_count
+        record = session.adj_rib_out.record_advertised
+        send_cost = self.config.send_cost
+        for message, prefixes in plan.v6_messages(self._next_hop_v6()):
+            record(prefixes, message.attributes)
+            cost = CONTROL_MESSAGE_COST + send_cost * len(prefixes)
             self.dispatch_send(session, message, generation_cost=cost)
-        for message in plan.packed(v4_export):
-            cache_key = message._pack_key
-            if cache_key is None:
-                cache_key = message._pack_key = (
-                    message.attributes.key(), message.nlri,
-                )
-            if cache_key in self._generation_cache:
+        generated = self._generation_cache
+        for message in plan.v4_messages():
+            # A message already generated for another peer travels again
+            # as the same bytes: its two variable blocks are its identity.
+            key = message.attributes.to_wire(), message.nlri_wire
+            if key in generated:
                 cost = CONTROL_MESSAGE_COST + self.config.packed_copy_cost * len(message.nlri)
             else:
-                self._generation_cache.add(cache_key)
-                if len(self._generation_cache) > 4096:
-                    self._generation_cache.clear()
+                generated.add(key)
+                if len(generated) > 4096:
+                    generated.clear()
                 cost = None  # full generation cost
-            for prefix in message.nlri:
-                session.adj_rib_out.record_advertise(prefix, message.attributes)
+            record(message.nlri, message.attributes)
             self.dispatch_send(session, message, generation_cost=cost)
 
     def _advertise_unpacked(self, session, plan):
-        v4_export, v6_messages = plan.split(self)
-        for message, route_count in v6_messages:
-            cost = CONTROL_MESSAGE_COST + self.config.send_cost * route_count
+        send_cost = self.config.send_cost
+        for message, prefixes in plan.v6_messages(self._next_hop_v6()):
+            cost = CONTROL_MESSAGE_COST + send_cost * len(prefixes)
             self.dispatch_send(session, message, generation_cost=cost)
-        for prefix, attributes in v4_export:
+        for prefix, attributes in plan.v4:
             session.adj_rib_out.record_advertise(prefix, attributes)
             self.dispatch_send(session, UpdateMessage(attributes=attributes, nlri=[prefix]))
 

@@ -21,8 +21,9 @@ withdrawals recorded in the live delta log, re-advertise the table.
 
 from repro.bgp.aggregation import expand_snapshot_routes
 from repro.bgp.attributes import PathAttributes
-from repro.bgp.prefixes import Prefix
+from repro.bgp.prefixes import decode_nlri_block
 from repro.bgp.rib import LocRib, Route
+from repro.core.replication import delta_runs
 from repro.sim.calibration import TCP_MSS
 from repro.tcpsim.repair import TcpRepairState
 
@@ -64,21 +65,18 @@ class RecoveredState:
         for seq, delta in self.rib_deltas.get(vrf, []):
             if seq < floor:
                 continue  # superseded by the snapshot
-            for prefix_str, attrs_wire, peer_id, source_kind in delta["announce"]:
-                rib.offer(
-                    Route(
-                        Prefix.parse(prefix_str),
-                        PathAttributes.from_wire(attrs_wire),
-                        peer_id,
-                        source_kind,
-                    )
-                )
-            for prefix_str, peer_id in delta["withdraw"]:
-                rib.retract(Prefix.parse(prefix_str), peer_id)
+            withdrawn, announced = delta_runs(delta)
+            for afi, nlri_wire, peer_id in withdrawn:
+                for prefix in decode_nlri_block(nlri_wire, afi):
+                    rib.retract(prefix, peer_id)
+            for afi, nlri_wire, attrs_wire, peer_id, source_kind in announced:
+                attributes = PathAttributes.from_wire(attrs_wire)
+                for prefix in decode_nlri_block(nlri_wire, afi):
+                    rib.offer(Route(prefix, attributes, peer_id, source_kind))
         return rib
 
     def recent_withdrawn_prefixes(self, vrf):
-        """Prefix strings withdrawn by any live (uncompacted) delta.
+        """Prefixes withdrawn by any live (uncompacted) delta.
 
         The outbound resync re-sends withdrawals for these: a withdraw
         applied just before the crash is durable as a delta, but the
@@ -91,8 +89,8 @@ class RecoveredState:
         for seq, delta in self.rib_deltas.get(vrf, []):
             if seq < floor:
                 continue
-            for prefix_str, _peer_id in delta["withdraw"]:
-                withdrawn.add(prefix_str)
+            for afi, nlri_wire, _peer_id in delta_runs(delta)[0]:
+                withdrawn.update(decode_nlri_block(nlri_wire, afi))
         return withdrawn
 
     def delta_log_state(self, vrf):

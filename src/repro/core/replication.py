@@ -12,7 +12,8 @@ client", values are whole BGP messages capped at 4 KB):
                                        offset after the message
     tensor:{pair}:msg:{conn}:o:{pos}   one outgoing message
     tensor:{pair}:rib:{vrf}:d:{seq}    one routing-table delta (the effect
-                                       of one applied UPDATE)
+                                       of one applied UPDATE; layout at
+                                       :func:`rib_delta`)
     tensor:{pair}:rib:{vrf}:s:{chunk}  compacted snapshot chunks
 
 Two channels with separate clients keep latency-critical message
@@ -87,6 +88,45 @@ def rib_prefix(pair_name, vrf):
 
 def pair_prefix(pair_name):
     return f"tensor:{pair_name}:"
+
+
+#: Version of the RIB delta record written by :func:`rib_delta`.  Layout
+#: 1 (no ``layout`` field) held one ``(prefix text, attrs_wire, peer_id,
+#: source_kind)`` tuple per route; a reader meeting anything but the
+#: current layout refuses it (:func:`delta_runs`).
+DELTA_LAYOUT = 2
+
+
+def rib_delta(in_pos, withdrawn=(), announced=()):
+    """The record of what one applied UPDATE did to the table.
+
+    Routes are held by the *run*, not one by one: ``withdrawn`` is a
+    list of ``(afi, nlri_wire, peer_id)`` and ``announced`` a list of
+    ``(afi, nlri_wire, attrs_wire, peer_id, source_kind)``, where
+    ``nlri_wire`` is a block of wire prefixes of family ``afi`` (RFC
+    4271 §4.3; :func:`repro.bgp.prefixes.decode_nlri_block` reads it
+    back) that all left the peer's Adj-RIB-In, or all entered it with
+    the post-import-policy attributes ``attrs_wire``.  A reader applies
+    the withdrawn runs first, then the announced ones, as the UPDATE
+    itself was applied.  ``in_pos`` is the receive-stream offset after
+    the UPDATE.
+    """
+    return {"layout": DELTA_LAYOUT, "in_pos": in_pos,
+            "withdraw": list(withdrawn), "announce": list(announced)}
+
+
+def delta_runs(delta):
+    """``(withdrawn runs, announced runs)`` of a stored delta.
+
+    A record in any other layout is an error, never a guess at what
+    its tuples might mean.
+    """
+    layout = delta.get("layout")
+    if layout != DELTA_LAYOUT:
+        raise ValueError(
+            f"RIB delta in layout {layout!r}, not {DELTA_LAYOUT}: the store"
+            f" was written by an incompatible build; refusing to read it")
+    return delta["withdraw"], delta["announce"]
 
 
 class WriteCoalescer:
@@ -474,11 +514,9 @@ class ReplicationPipeline:
     # ------------------------------------------------------------------
 
     def record_rib_delta(self, vrf, delta, on_done=None):
-        """Persist the effect of one applied UPDATE message.
-
-        ``delta`` is ``{"announce": [(prefix_str, attrs_wire, peer_id)],
-        "withdraw": [(prefix_str, peer_id)], "in_pos": int}``.
-        """
+        """Persist the effect of one applied UPDATE message: ``delta``
+        is a :func:`rib_delta` record.  One call is one KV set, whatever
+        the UPDATE carried.  Returns the delta's sequence number."""
         seq = self._delta_seq.get(vrf, 0)
         self._delta_seq[vrf] = seq + 1
         self.deltas_recorded += 1

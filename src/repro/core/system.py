@@ -14,7 +14,6 @@ for E1; NSR migration for E2/E4 and machine-level failures).
 from repro.bfd.packet import BfdState
 from repro.bfd.process import BfdProcess
 from repro.bgp.peer import PeerConfig
-from repro.bgp.prefixes import Prefix
 from repro.bgp.speaker import DEFAULT_MRAI, SpeakerConfig
 from repro.containers.host import HostMachine, ProcessMonitor
 from repro.control.controller import Controller
@@ -771,14 +770,12 @@ class TensorPair:
         # withdrawals from the durable delta log, re-advertise the table.
         for session in adopted:
             vrf = session.vrf
+            # text order: the order the withdrawals go out in, which the
+            # chaos corpus verdicts are pinned to
             dead = [
                 prefix
-                for prefix in (
-                    Prefix.parse(text)
-                    for text in sorted(
-                        state.recent_withdrawn_prefixes(vrf.name)
-                    )
-                )
+                for prefix in sorted(
+                    state.recent_withdrawn_prefixes(vrf.name), key=str)
                 if vrf.loc_rib.best(prefix) is None
             ]
             self.speaker.resync_session(session, dead)

@@ -15,10 +15,9 @@ Interposes on the three paths of §3.1.2:
 """
 
 from repro.bgp.messages import UpdateMessage
-from repro.bgp.rib import Route
 from repro.bgp.speaker import BgpSpeaker
 from repro.core.ack_matching import TcpQueueThread
-from repro.core.replication import ConnectionKeys
+from repro.core.replication import ConnectionKeys, rib_delta
 from repro.trace.tracer import tracer_of
 
 
@@ -213,9 +212,9 @@ class TensorBgpSpeaker(BgpSpeaker):
             self.duplicate_applies += 1
         else:
             self._applied_in_pos[session.peer_id] = position
-        self._apply_received(session, message, size)
-        if isinstance(message, UpdateMessage) and session.established:
-            self._persist_rib_delta(session, message, position)
+        applied = self._apply_received(session, message, size)
+        if applied is not None:
+            self._persist_rib_delta(session, applied, position)
         # "we remove the replicated messages that have been applied to
         #  routing tables from the database" — but not before tcp_queue
         # has verified the record: pruning earlier races the verification
@@ -237,21 +236,13 @@ class TensorBgpSpeaker(BgpSpeaker):
         )
         self._prune_outgoing(session, keys)
 
-    def _persist_rib_delta(self, session, message, position):
+    def _persist_rib_delta(self, session, applied, position):
+        """Record what one applied UPDATE did to the table: the runs the
+        apply step stored, as they are — nothing is looked up again."""
         vrf_name = session.config.vrf_name
-        announce = []
-        if message.nlri and message.attributes is not None:
-            route = session.adj_rib_in  # post-import-policy attributes live here
-            for prefix in message.nlri:
-                stored = route.get(prefix)
-                if stored is not None:
-                    announce.append(
-                        (str(prefix), stored.attributes.to_wire(), session.peer_id,
-                         stored.source_kind)
-                    )
-        withdraw = [(str(prefix), session.peer_id) for prefix in message.withdrawn]
-        delta = {"announce": announce, "withdraw": withdraw, "in_pos": position}
-        self.pipeline.record_rib_delta(vrf_name, delta)
+        withdrawn, announced = applied
+        self.pipeline.record_rib_delta(
+            vrf_name, rib_delta(position, withdrawn, announced))
         if self.pipeline.needs_compaction(vrf_name):
             self.pipeline.compact(vrf_name, self.vrfs[vrf_name].loc_rib)
 

@@ -15,8 +15,11 @@ from repro.bgp import (
 )
 from repro.bgp.attributes import AsPath
 from repro.bgp.capabilities import Capabilities
-from repro.bgp.errors import BgpError, NotificationCode
+from repro.bgp.errors import BgpError, NotificationCode, UpdateSubcode
 from repro.bgp.messages import HEADER_SIZE, MAX_MESSAGE_SIZE, decode_message
+from repro.bgp.prefixes import decode_nlri_block, encode_nlri_block
+
+from nlri_reference import decode_block_reference
 
 
 def test_keepalive_is_bare_header():
@@ -194,3 +197,102 @@ def test_decoder_arbitrary_fragmentation_property(splits, count):
     out.extend(decoder.feed(stream[offset:]))
     assert len(out) == count
     assert decoder.bytes_consumed == len(stream)
+
+
+# ----------------------------------------------------------------------
+# the NLRI block decoder against the per-prefix loop it replaced
+# ----------------------------------------------------------------------
+
+def _reference_verdict(block, afi):
+    try:
+        return decode_block_reference(block, afi)
+    except (ValueError, IndexError):
+        return None
+
+
+def _block_verdict(block, afi):
+    try:
+        return decode_nlri_block(block, afi)
+    except BgpError as error:
+        assert error.code == NotificationCode.UPDATE_MESSAGE_ERROR
+        assert error.subcode == UpdateSubcode.INVALID_NETWORK_FIELD
+        return None
+
+
+@st.composite
+def nlri_blocks(draw):
+    """(afi, prefixes, wire) of a well-formed block of either family."""
+    afi = draw(st.sampled_from([Prefix.AFI_IPV4, Prefix.AFI_IPV6]))
+    bits = 32 if afi == Prefix.AFI_IPV4 else 128
+    prefixes = draw(st.lists(st.builds(
+        Prefix,
+        st.integers(min_value=0, max_value=2**bits - 1),
+        st.integers(min_value=0, max_value=bits),
+        st.just(afi)), max_size=40))
+    return afi, prefixes, b"".join(prefix.to_wire() for prefix in prefixes)
+
+
+@given(block=nlri_blocks())
+def test_block_decoder_matches_reference_on_valid_blocks(block):
+    afi, prefixes, wire = block
+    decoded = decode_nlri_block(wire, afi)
+    assert decoded == prefixes == decode_block_reference(wire, afi)
+    assert [hash(prefix) for prefix in decoded] == [hash(p) for p in prefixes]
+    assert encode_nlri_block(decoded) == wire
+    # anywhere inside a larger buffer, bounded by offset and end
+    framed = b"\xff\xff" + wire + b"\xff"
+    assert decode_nlri_block(framed, afi, 2, 2 + len(wire)) == prefixes
+
+
+@given(wire=st.binary(max_size=48),
+       afi=st.sampled_from([Prefix.AFI_IPV4, Prefix.AFI_IPV6]))
+def test_block_decoder_rejects_what_the_reference_rejects(wire, afi):
+    assert _block_verdict(wire, afi) == _reference_verdict(wire, afi)
+
+
+@given(block=nlri_blocks(), cut=st.integers(min_value=1, max_value=17),
+       length=st.integers(min_value=0, max_value=255))
+def test_block_decoder_rejects_damaged_blocks_like_the_reference(block, cut,
+                                                                 length):
+    afi, _prefixes, wire = block
+    for damaged in (wire[:-cut], bytes([length]) + wire[1:],
+                    wire + bytes([length])):
+        assert _block_verdict(damaged, afi) == _reference_verdict(damaged, afi)
+
+
+def _update_wire(body):
+    return (b"\xff" * 16 + (HEADER_SIZE + len(body)).to_bytes(2, "big")
+            + b"\x02" + body)
+
+
+@pytest.mark.parametrize("body, subcode", [
+    (b"\x00\x00\x00\x00\x21\x0a\x00\x00\x00\x00",
+     UpdateSubcode.INVALID_NETWORK_FIELD),      # /33 in the NLRI
+    (b"\x00\x00\x00\x00\x18\x0a\x01",
+     UpdateSubcode.INVALID_NETWORK_FIELD),      # /24 with two octets
+    (b"\x00\x02\x18\x0a\x00\x00",
+     UpdateSubcode.INVALID_NETWORK_FIELD),      # withdrawn /24 cut by its length
+    (b"\x00\x09\x18\x0a\x01\x01\x00\x00",
+     UpdateSubcode.MALFORMED_ATTRIBUTE_LIST),   # withdrawn length past the body
+    (b"\x00\x00\x00\x40\x40\x01\x01\x00",
+     UpdateSubcode.MALFORMED_ATTRIBUTE_LIST),   # attribute length past the body
+    (b"\x00\x00\x00",
+     UpdateSubcode.MALFORMED_ATTRIBUTE_LIST),   # no room for the second length
+])
+def test_malformed_update_is_a_protocol_error_not_a_crash(body, subcode):
+    with pytest.raises(BgpError) as raised:
+        list(MessageDecoder().feed(_update_wire(body)))
+    assert raised.value.code == NotificationCode.UPDATE_MESSAGE_ERROR
+    assert raised.value.subcode == subcode
+
+
+def test_update_keeps_the_blocks_that_arrived():
+    msg = UpdateMessage(
+        withdrawn=[Prefix.parse("10.9.0.0/16")],
+        attributes=PathAttributes(next_hop="1.2.3.4"),
+        nlri=[Prefix.parse("10.1.0.0/16"), Prefix.parse("10.2.3.0/24")],
+    )
+    decoded = decode_message(msg.to_wire())
+    assert decoded.withdrawn_wire == msg.withdrawn_wire == b"\x10\x0a\x09"
+    assert decoded.nlri_wire == msg.nlri_wire == b"\x10\x0a\x01\x18\x0a\x02\x03"
+    assert decoded.to_wire() == msg.to_wire()

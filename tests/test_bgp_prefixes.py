@@ -5,7 +5,8 @@ import ipaddress
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.bgp import Prefix, RadixTrie
+from repro.bgp import BgpError, Prefix, RadixTrie
+from repro.bgp.prefixes import decode_nlri_block
 
 
 def test_parse_ipv4():
@@ -50,9 +51,8 @@ def test_wire_roundtrip_v4():
     p = Prefix.parse("203.0.113.0/25")
     wire = p.to_wire()
     assert len(wire) == p.wire_size == 1 + 4
-    decoded, offset = Prefix.from_wire(wire, 0)
-    assert decoded == p
-    assert offset == len(wire)
+    assert decode_nlri_block(wire) == [p]
+    assert decode_nlri_block(b"\x00" + wire + wire, offset=1) == [p, p]
 
 
 def test_wire_minimal_octets():
@@ -62,8 +62,8 @@ def test_wire_minimal_octets():
 
 
 def test_wire_truncated_raises():
-    with pytest.raises(ValueError):
-        Prefix.from_wire(b"\x18\x0a", 0)  # /24 needs 3 octets
+    with pytest.raises(BgpError):
+        decode_nlri_block(b"\x18\x0a")  # /24 needs 3 octets
 
 
 def test_contains():
@@ -90,16 +90,14 @@ def test_ordering_and_hash():
        length=st.integers(min_value=0, max_value=32))
 def test_wire_roundtrip_property_v4(value, length):
     p = Prefix(value, length)
-    decoded, _ = Prefix.from_wire(p.to_wire(), 0)
-    assert decoded == p
+    assert decode_nlri_block(p.to_wire()) == [p]
 
 
 @given(value=st.integers(min_value=0, max_value=2**128 - 1),
        length=st.integers(min_value=0, max_value=128))
 def test_wire_roundtrip_property_v6(value, length):
     p = Prefix(value, length, Prefix.AFI_IPV6)
-    decoded, _ = Prefix.from_wire(p.to_wire(), 0, Prefix.AFI_IPV6)
-    assert decoded == p
+    assert decode_nlri_block(p.to_wire(), Prefix.AFI_IPV6) == [p]
 
 
 @given(text=st.from_regex(r"(25[0-5]|2[0-4][0-9]|1?[0-9]?[0-9])"
@@ -241,14 +239,14 @@ def test_host_route_contains_only_itself():
 
 def test_equal_prefixes_hash_equal_however_built():
     parsed = Prefix.parse("10.1.0.0/16")
-    wired, _offset = Prefix.from_wire(parsed.to_wire(), 0)
+    wired, = decode_nlri_block(parsed.to_wire())
     unmasked = Prefix(0x0A01FFFF, 16)  # host bits set: masked on the way in
     assert parsed == wired == unmasked
     assert hash(parsed) == hash(wired) == hash(unmasked)
     assert hash(parsed) != hash(Prefix.parse("10.1.0.0/17"))
     assert len({parsed, wired, unmasked}) == 1
     v6 = Prefix.parse("2001:db8::/32")
-    wired6, _offset = Prefix.from_wire(v6.to_wire(), 0, Prefix.AFI_IPV6)
+    wired6, = decode_nlri_block(v6.to_wire(), Prefix.AFI_IPV6)
     assert v6 == wired6 and hash(v6) == hash(wired6)
     assert hash(Prefix.parse("::/0")) != hash(Prefix.parse("0.0.0.0/0"))
 

@@ -4,7 +4,7 @@
 import pytest
 
 from repro.bgp import BgpSpeaker, PeerConfig, Prefix, SpeakerConfig
-from repro.bgp.messages import RouteRefreshMessage
+from repro.bgp.messages import RouteRefreshMessage, UpdateMessage
 from repro.bgp.policy import PolicyAction, PrefixList, RouteMap, RouteMapEntry
 from repro.sim import DeterministicRandom, Engine, Network
 from repro.tcpsim import TcpStack
@@ -215,3 +215,38 @@ def test_best_path_switchover_propagates(engine, network):
     sink_route = speakers["sink"].vrfs["v"].loc_rib.best(prefix)
     assert sink_route.attributes.as_path.path_length() < first_path_len
     assert 64513 in sink_route.attributes.as_path.as_list()
+
+
+def test_withdrawals_survive_a_loop_rejected_nlri_half(engine, network):
+    """One UPDATE withdraws p and announces q with the receiver's AS in
+    the path: q is refused, but p is gone — from the receiver, from its
+    counters, and from the peer beyond it."""
+    speakers = _mesh(engine, network, {
+        "a": ("10.0.0.1", 64512),
+        "b": ("10.0.0.2", 65001),
+        "c": ("10.0.0.3", 64513),
+    })
+    a_to_b = _connect(engine, speakers, "a", "b")
+    _connect(engine, speakers, "c", "b")
+    for speaker in speakers.values():
+        speaker.start()
+    engine.advance(3.0)
+    gen = RouteGenerator(DeterministicRandom(8), 64512, next_hop="10.0.0.1")
+    p, q = Prefix.parse("10.20.0.0/16"), Prefix.parse("10.21.0.0/16")
+    speakers["a"].originate("v", p, gen.attr_pool[0])
+    engine.advance(3.0)
+    b_rib = speakers["b"].vrfs["v"].loc_rib
+    c_rib = speakers["c"].vrfs["v"].loc_rib
+    assert b_rib.best(p) is not None and c_rib.best(p) is not None
+
+    b_from_a = speakers["b"].sessions["v:10.0.0.1"]
+    received = b_from_a.updates_received
+    looped = gen.attr_pool[1].replace(
+        as_path=gen.attr_pool[1].as_path.prepend(65001))
+    a_to_b.send_message(UpdateMessage(withdrawn=[p], attributes=looped,
+                                      nlri=[q]))
+    engine.advance(3.0)
+    assert b_rib.best(q) is None and c_rib.best(q) is None
+    assert b_rib.best(p) is None
+    assert c_rib.best(p) is None
+    assert b_from_a.updates_received == received + 2

@@ -21,7 +21,7 @@ from repro.bgp.attributes import (
     int_to_ipv4,
 )
 from repro.bgp.messages import HEADER_SIZE, UpdateMessage
-from repro.bgp.prefixes import Prefix
+from repro.bgp.prefixes import Prefix, decode_nlri_block
 from repro.sim import DeterministicRandom
 
 try:
@@ -118,9 +118,8 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(prefix=v4_prefixes)
     def test_prefix_roundtrip(prefix):
-        decoded, offset = Prefix.from_wire(prefix.to_wire(), 0)
-        assert decoded == prefix
-        assert offset == prefix.wire_size
+        assert decode_nlri_block(prefix.to_wire()) == [prefix]
+        assert len(prefix.to_wire()) == prefix.wire_size
 
     @needs_hypothesis
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -130,10 +129,7 @@ if HAVE_HYPOTHESIS:
     )
     def test_prefix_v6_roundtrip(value, length):
         prefix = Prefix(value, length, afi=Prefix.AFI_IPV6)
-        decoded, _offset = Prefix.from_wire(
-            prefix.to_wire(), 0, afi=Prefix.AFI_IPV6
-        )
-        assert decoded == prefix
+        assert decode_nlri_block(prefix.to_wire(), Prefix.AFI_IPV6) == [prefix]
 
     @needs_hypothesis
     @settings(max_examples=60, deadline=None, derandomize=True)

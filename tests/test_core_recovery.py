@@ -9,6 +9,7 @@ from repro.core.recovery import BackupRecovery, RecoveredState
 from repro.core.replication import (
     ConnectionKeys,
     ReplicationPipeline,
+    rib_delta,
     rib_delta_key,
     rib_snapshot_key,
 )
@@ -25,14 +26,19 @@ def _state_with(pair="pair0"):
     return RecoveredState(pair)
 
 
+def _announce(text, attrs, peer_id):
+    """One announced run of one v4 prefix, as the apply step records it."""
+    return (Prefix.AFI_IPV4, Prefix.parse(text).to_wire(), attrs.to_wire(),
+            peer_id, "ebgp")
+
+
 def test_rebuild_loc_rib_from_deltas():
     state = _state_with()
+    ten = Prefix.parse("10.0.0.0/8").to_wire()
     state.rib_deltas["v1"] = [
-        (0, {"announce": [("10.0.0.0/8", _attrs().to_wire(), "p1", "ebgp")],
-             "withdraw": [], "in_pos": 100}),
-        (1, {"announce": [("10.0.0.0/8", _attrs(200).to_wire(), "p2", "ebgp")],
-             "withdraw": [], "in_pos": 200}),
-        (2, {"announce": [], "withdraw": [("10.0.0.0/8", "p1")], "in_pos": 300}),
+        (0, rib_delta(100, announced=[_announce("10.0.0.0/8", _attrs(), "p1")])),
+        (1, rib_delta(200, announced=[_announce("10.0.0.0/8", _attrs(200), "p2")])),
+        (2, rib_delta(300, withdrawn=[(Prefix.AFI_IPV4, ten, "p1")])),
     ]
     rib = state.rebuild_loc_rib("v1")
     best = rib.best(Prefix.parse("10.0.0.0/8"))
@@ -50,10 +56,8 @@ def test_rebuild_loc_rib_snapshot_plus_deltas():
     state.rib_markers["v1"] = {"chunks": 2, "delta_floor": 7}
     # deltas below the floor are superseded and must be skipped
     state.rib_deltas["v1"] = [
-        (5, {"announce": [("99.0.0.0/8", _attrs().to_wire(), "px", "ebgp")],
-             "withdraw": [], "in_pos": 1}),
-        (7, {"announce": [("42.0.0.0/8", _attrs().to_wire(), "p1", "ebgp")],
-             "withdraw": [], "in_pos": 2}),
+        (5, rib_delta(1, announced=[_announce("99.0.0.0/8", _attrs(), "px")])),
+        (7, rib_delta(2, announced=[_announce("42.0.0.0/8", _attrs(), "p1")])),
     ]
     rebuilt = state.rebuild_loc_rib("v1")
     assert len(rebuilt) == 11  # 10 snapshot + 1 live delta
@@ -129,8 +133,7 @@ def test_backup_recovery_load_parses_keyspace(engine):
     db.store.set(keys.tcp_status, {"in_pos": 10, "out_pruned": 0})
     db.store.set(keys.message("i", 30), {"in_pos": 30})
     db.store.set(keys.message("o", 19), {"wire": b"k" * 19})
-    db.store.set(rib_delta_key("pair0", "v1", 0),
-                 {"announce": [], "withdraw": [], "in_pos": 10})
+    db.store.set(rib_delta_key("pair0", "v1", 0), rib_delta(10))
     db.store.set(rib_snapshot_key("pair0", "v1", 0), [])
     db.store.set("tensor:pair0:rib:v1:marker", {"chunks": 1, "delta_floor": 0})
     db.store.set("tensor:OTHER:sess:x", {"not": "ours"})

@@ -6,6 +6,7 @@ from repro.core.replication import (
     ConnectionKeys,
     ReplicationPipeline,
     WriteCoalescer,
+    rib_delta,
     rib_delta_key,
 )
 from repro.kvstore import KvClient, KvServer
@@ -118,9 +119,9 @@ def test_pipeline_delete_message_prunes(kv_env):
 def test_rib_delta_sequencing(kv_env):
     engine, server, fast, bulk = kv_env
     pipeline = ReplicationPipeline("pair0", fast, bulk)
-    s0 = pipeline.record_rib_delta("v1", {"announce": [], "withdraw": [], "in_pos": 1})
-    s1 = pipeline.record_rib_delta("v1", {"announce": [], "withdraw": [], "in_pos": 2})
-    s_other = pipeline.record_rib_delta("v2", {"announce": [], "withdraw": [], "in_pos": 1})
+    s0 = pipeline.record_rib_delta("v1", rib_delta(1))
+    s1 = pipeline.record_rib_delta("v1", rib_delta(2))
+    s_other = pipeline.record_rib_delta("v2", rib_delta(1))
     engine.run_until_idle()
     assert (s0, s1, s_other) == (0, 1, 0)
     assert rib_delta_key("pair0", "v1", 0) in server.store
@@ -135,7 +136,7 @@ def test_compaction_replaces_deltas_with_snapshot(kv_env):
     rib = LocRib()
     for i in range(600):
         rib.offer(Route(Prefix(i << 8, 24), PathAttributes(next_hop="1.1.1.1"), "p"))
-        pipeline.record_rib_delta("v1", {"announce": [], "withdraw": [], "in_pos": i})
+        pipeline.record_rib_delta("v1", rib_delta(i))
     engine.run_until_idle()
     assert pipeline.needs_compaction("v1", threshold=500)
     pipeline.compact("v1", rib)
@@ -188,7 +189,7 @@ def test_compaction_marker_floor_is_first_live_delta(kv_env):
     rib = LocRib()
     for i in range(10):
         rib.offer(Route(Prefix(i << 8, 24), PathAttributes(next_hop="1.1.1.1"), "p"))
-        pipeline.record_rib_delta("v1", {"announce": [], "withdraw": [], "in_pos": i})
+        pipeline.record_rib_delta("v1", rib_delta(i))
     engine.run_until_idle()
     pipeline.compact("v1", rib)
     engine.run_until_idle()
@@ -199,7 +200,7 @@ def test_compaction_marker_floor_is_first_live_delta(kv_env):
     # A second round: the floor advances to the next unwritten seq and
     # only the deltas recorded since the first compaction get purged.
     for i in range(3):
-        pipeline.record_rib_delta("v1", {"announce": [], "withdraw": [], "in_pos": 10 + i})
+        pipeline.record_rib_delta("v1", rib_delta(10 + i))
     engine.run_until_idle()
     pipeline.compact("v1", rib)
     engine.run_until_idle()
@@ -263,10 +264,10 @@ def _route(index, next_hop="1.1.1.1", peer="p"):
 def _offer_and_record(pipeline, rib, route, position):
     """What the TENSOR process does per applied UPDATE, minus the wire."""
     rib.offer(route)
-    announce = [(str(route.prefix), route.attributes.to_wire(), route.peer_id,
-                 route.source_kind)]
+    announced = [(route.prefix.afi, route.prefix.to_wire(),
+                  route.attributes.to_wire(), route.peer_id, route.source_kind)]
     return pipeline.record_rib_delta(
-        "v1", {"announce": announce, "withdraw": [], "in_pos": position})
+        "v1", rib_delta(position, announced=announced))
 
 
 def _record_deleted_keys(client):

@@ -7,9 +7,12 @@ other.  Nothing that reaches a digest, a snapshot or a return value may
 depend on either: a fresh interpreter per ``PYTHONHASHSEED`` value runs
 a 2,000-route pair replay (``rib_digest`` is ``export_entries()`` of
 every Loc-RIB, attributes in wire form), the contested-prefix
-differential, and a snapshot compaction — whose chunk membership lives
+differential, a snapshot compaction — whose chunk membership lives
 in sets of ``Prefix`` and whose merge groups are keyed by tuples holding
-peer-id strings — and must print the same bytes every time.
+peer-id strings — and a packed receive through a prefix-matching import
+policy whose stored RIB delta records (runs of NLRI bytes, re-joined
+where the policy split a block) are hashed as they sit in the store,
+and must print the same bytes every time.
 """
 
 import os
@@ -24,6 +27,7 @@ import hashlib
 from repro.bgp.rib import Route
 from repro.core.replication import ReplicationPipeline
 from repro.workloads.fulltable import FullTableWorkload, replay_through_pair
+from tests.conftest import build_tensor_fixture
 from tests.rib_reference import MemoryKv, contested_churn
 
 def sha(value):
@@ -57,6 +61,34 @@ for aggregate in (True, False):
     assert pipeline.incremental_compactions == 1
     print("store", aggregate, len(kv.store), pipeline.snapshot_chunks_written,
           sha(sorted(kv.store.items())))
+
+
+# The delta records of a packed receive, as stored: 600 routes in full
+# UPDATEs, every fifth /24 of 10.0/16 denied on import and 10.1/16
+# re-preferred, so the log holds blocks cut into runs and re-joined.
+from repro.bgp import Prefix
+from repro.bgp.policy import PolicyAction, PrefixList, RouteMap, RouteMapEntry
+from repro.workloads.updates import RouteGenerator
+from repro.sim import DeterministicRandom
+
+system, pair, remotes = build_tensor_fixture(seed=11, routes=0)
+gateway_session = next(iter(pair.speaker.sessions.values()))
+gateway_session.config.import_policy = RouteMap("split", [
+    RouteMapEntry(permit=False, match_prefix_list=PrefixList(
+        "fifth", [Prefix.parse(f"10.0.{i}.0/24") for i in range(0, 256, 5)])),
+    RouteMapEntry(action=PolicyAction(set_local_pref=200),
+                  match_prefix_list=PrefixList(
+                      "ten-one", [Prefix.parse("10.1.0.0/16")])),
+], default_permit=True)
+remote, session = remotes[0]
+remote.speaker.originate_many("v0", RouteGenerator(
+    DeterministicRandom(11), 64512, next_hop="192.0.2.1").routes(600))
+remote.speaker.readvertise(session)
+system.run(5.0)
+deltas = system.db.store.scan("tensor:pair0:rib:v0:d:")
+runs = [run for _key, delta in deltas for run in delta["announce"]]
+assert len(pair.speaker.vrfs["v0"].loc_rib) == 600 - 52 and len(runs) > len(deltas)
+print("deltas", len(deltas), len(runs), sha(deltas))
 """
 
 
@@ -74,6 +106,6 @@ def _probe(hash_seed):
 def test_rib_digest_and_contested_trace_identical_under_hash_seeds():
     outputs = {seed: _probe(seed) for seed in ("0", "1", "4242")}
     reference = outputs["0"]
-    assert reference.count(b"\n") == 10, reference
+    assert reference.count(b"\n") == 11, reference
     for seed, output in outputs.items():
         assert output == reference, f"PYTHONHASHSEED={seed} diverged"
