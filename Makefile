@@ -8,7 +8,7 @@ SEEDS ?= 25
 FUZZ_SEED ?= 0
 FUZZ_ITERATIONS ?= 10
 
-.PHONY: test bench bench-hotpath bench-parallel bench-failover bench-fulltable bench-gate fulltable-smoke profile profile-parallel profile-packed parallel-smoke kv-failover chaos chaos-corpus chaos-ablation controller-chaos fuzz fuzz-corpus fuzz-smoke trace-demo nsrbench nsrbench-smoke verify
+.PHONY: test bench bench-hotpath bench-parallel bench-failover bench-fulltable bench-gate fulltable-smoke profile profile-parallel profile-packed parallel-smoke kv-failover chaos chaos-corpus chaos-ablation controller-chaos fuzz fuzz-corpus fuzz-smoke trace-demo nsrbench nsrbench-smoke loc verify
 
 test:
 	$(PYTHON) -m pytest tests -x -q
@@ -71,7 +71,8 @@ parallel-smoke:
 	$(PYTHON) -m repro.sim.parallel.smoke
 
 # Randomized multi-failure NSR testing (DESIGN.md §9).  On a violation
-# the engine shrinks the schedule and writes chaos_repro_<seed>.py.
+# the harness shrinks the schedule and writes chaos_repro_<seed>.py.
+# `--seed N` re-runs one seed in the flavour the corpus runs it in.
 chaos:
 	$(PYTHON) -m repro.failures.chaos --seeds $(SEEDS)
 
@@ -125,6 +126,11 @@ nsrbench:
 # under 30 s, non-zero exit if any check failed.
 nsrbench-smoke:
 	$(PYTHON) benchmarks/nsrbench --smoke
+
+# ROADMAP aim 2's metric: Python line totals of src/ and tests/.
+loc:
+	@printf 'src/   %s\n' "$$(find src -name '*.py' -exec cat {} + | wc -l)"
+	@printf 'tests/ %s\n' "$$(find tests -name '*.py' -exec cat {} + | wc -l)"
 
 # The full gate: tier-1 tests, perf regression (hot path, parallel,
 # failover drain), chaos corpus, controller-plane chaos, the parallel

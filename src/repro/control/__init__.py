@@ -18,7 +18,7 @@ from repro.control.ipsla import IpSlaProber
 from repro.control.detector import FailureDetector, FailureReport
 from repro.control.fencing import FencingRegistry
 from repro.control.migration import MigrationRecord
-from repro.control.controller import Controller
+from repro.control.panel import ControllerPanel
 
 __all__ = [
     "GrpcChannel",
@@ -28,5 +28,5 @@ __all__ = [
     "FailureReport",
     "FencingRegistry",
     "MigrationRecord",
-    "Controller",
+    "ControllerPanel",
 ]

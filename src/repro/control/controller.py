@@ -1,33 +1,25 @@
-"""The TKE-based controller (§3.2.2, §3.3.3).
+"""The controller's recovery policy (§3.2.2, §3.3.3).
 
-Logically centralized: it owns the gRPC channels to every machine,
-container and the agent server, receives the aggregated failure signals
-through the :class:`~repro.control.detector.FailureDetector`, decides the
-recovery action, and drives it on the registered container *pairs*.
-
-Pairs are TENSOR-specific objects (see :mod:`repro.core.system`) exposing
-a small interface:
+The controller is logically centralized: it owns the gRPC channels to
+every machine, container and the agent server, receives the aggregated
+failure signals through :class:`~repro.control.detector.FailureDetector`,
+decides the recovery action, and drives it on the registered container
+*pairs* (:class:`~repro.core.system.TensorPair`):
 
 - ``name``
 - ``primary_machine_name`` / ``backup_machine_name``
 - ``primary_container_name`` / ``backup_container_name``
-- ``restart_application(record, on_done)``   (E1: reboot in place)
-- ``activate_backup(record, on_done, cold)`` (E2/E4/E3/E5: NSR migration)
-- ``refresh_standby()``                      (replace a dead backup)
+- ``restart_application(record, on_done, epoch)``   (E1: reboot in place)
+- ``activate_backup(record, on_done, cold, epoch)`` (E2/E4/E3/E5: NSR migration)
+- ``refresh_standby(epoch)``                        (replace a dead backup)
 
-The recovery *policy* lives in :class:`RecoveryActions`, shared verbatim
-with the replicated :class:`~repro.control.panel.ControllerPanel`
-(DESIGN.md §15): the panel substitutes quorum-gated report intake and
-epoch-stamped execution via the small hook methods at the top of the
-mixin, while the single-controller deployment keeps every hook at its
-no-op default — which is what keeps a panel-of-1 bit-identical to this
-class.
+This module is the *acting* half — classify → decide → drive → bound —
+as :class:`RecoveryActions`.  The *sensing* half, quorum-gated report
+intake and the leadership epoch every action is stamped with live in
+:class:`~repro.control.panel.ControllerPanel` (DESIGN.md §15), the only
+controller: a deployment without replication is a panel of one.
 """
 
-from repro.control.channels import GrpcChannel, HealthServer, next_grpc_port
-from repro.control.db_monitor import DbFailoverMonitor
-from repro.control.detector import FailureDetector
-from repro.control.fencing import FencingRegistry
 from repro.control.migration import MigrationRecord
 from repro.sim.calibration import (
     CONFIG_LOAD_TIME_PER_ENTRY,
@@ -36,43 +28,19 @@ from repro.sim.calibration import (
     HOST_MIGRATION_STAGGER,
     RECOVERY_DEADLINE,
 )
-from repro.sim.process import Process
 
 
 class RecoveryActions:
-    """Shared recovery policy: classify → decide → drive → bound.
+    """The recovery policy of :class:`~repro.control.panel.ControllerPanel`.
 
-    Subclasses provide ``engine``, ``process``, ``fencing``, ``machines``,
-    ``pairs``, ``records``, ``events``, ``_recovering``,
-    ``_active_recovery`` and ``abandoned_records``.
+    The panel provides the state (``engine``, ``process``, ``fencing``,
+    ``machines``, ``pairs``, ``records``, ``events``, ``_recovering``,
+    ``_active_recovery``, ``abandoned_records``) and the replication
+    side of every decision: ``_action_epoch()`` (the leadership epoch
+    stamped on an action), ``_action_still_valid(epoch)`` (the recheck
+    at execution time), ``_rearm_target(name)`` / ``_reset_target(name)``
+    (detector latches and quorum votes) and ``_pair_recovered(pair)``.
     """
-
-    # -- replication hooks (panel overrides; defaults = single controller)
-
-    def _action_epoch(self):
-        """Leadership epoch stamped on recovery actions (None = unfenced)."""
-        return None
-
-    def _action_still_valid(self, epoch):
-        """Recheck a decision at execution time (panel: am I still leader?)."""
-        return True
-
-    def _rearm_target(self, name):
-        self.detector.rearm_target(name)
-
-    def _reset_target(self, name):
-        self.detector.reset_target(name)
-
-    def _pair_recovered(self, pair):
-        """Called after a pair's recovery closes (panel: reset quorum)."""
-
-    @staticmethod
-    def _pair_call(fn, *args, epoch=None, **kwargs):
-        # Pairs (and test stubs) predating the epoch fence take no
-        # ``epoch`` kwarg; only stamp the call when there is a stamp.
-        if epoch is None:
-            return fn(*args, **kwargs)
-        return fn(*args, epoch=epoch, **kwargs)
 
     # ------------------------------------------------------------------
     # failure handling (§3.3.3)
@@ -102,7 +70,7 @@ class RecoveryActions:
             self._check_recovery_deadline, pair, record,
         )
 
-    def _initiate_container_recovery(self, pair, record, report, epoch=None):
+    def _initiate_container_recovery(self, pair, record, report, epoch):
         if not self._action_still_valid(epoch):
             self._action_rejected(pair, record, report.kind, "leader-superseded")
             return
@@ -110,8 +78,7 @@ class RecoveryActions:
         done = lambda: self._recovery_done(pair, record)
         if report.kind == "application":
             record.note("in-place application restart")
-            ok = self._pair_call(pair.restart_application, record, done,
-                                 epoch=epoch)
+            ok = pair.restart_application(record, done, epoch=epoch)
             if ok is False:
                 self._action_rejected(pair, record, report.kind, "stale-epoch")
         else:
@@ -119,14 +86,13 @@ class RecoveryActions:
                 # "the controller will kill the primary container through
                 #  TKE while starting the BGP NSR migration"
                 record.note("killing primary container via TKE")
-                ok = self._pair_call(pair.kill_primary_container, epoch=epoch)
+                ok = pair.kill_primary_container(epoch=epoch)
                 if ok is False:
                     self._action_rejected(pair, record, report.kind,
                                           "stale-epoch")
                     return
             record.note("NSR migration to backup container")
-            ok = self._pair_call(pair.activate_backup, record, done,
-                                 cold=False, epoch=epoch)
+            ok = pair.activate_backup(record, done, cold=False, epoch=epoch)
             if ok is False:
                 self._action_rejected(pair, record, report.kind, "stale-epoch")
 
@@ -173,7 +139,7 @@ class RecoveryActions:
         refresh = getattr(pair, "refresh_standby", None)
         if refresh is None:
             return
-        ok = self._pair_call(refresh, epoch=epoch)
+        ok = refresh(epoch=epoch)
         if ok is False:
             self.events.append(
                 (self.engine.now, "action-rejected",
@@ -223,15 +189,15 @@ class RecoveryActions:
                 self._check_recovery_deadline, pair, record,
             )
 
-    def _initiate_machine_recovery(self, pair, record, epoch=None):
+    def _initiate_machine_recovery(self, pair, record, epoch):
         if not self._action_still_valid(epoch):
             self._action_rejected(pair, record, "machine", "leader-superseded")
             return
         record.initiated_at = self.engine.now
         record.note("mass NSR migration after machine failure")
-        ok = self._pair_call(
-            pair.activate_backup, record,
-            lambda: self._recovery_done(pair, record), cold=True, epoch=epoch,
+        ok = pair.activate_backup(
+            record, lambda: self._recovery_done(pair, record),
+            cold=True, epoch=epoch,
         )
         if ok is False:
             self._action_rejected(pair, record, "machine", "stale-epoch")
@@ -350,157 +316,3 @@ class RecoveryActions:
 
     def completed_records(self):
         return [r for r in self.records if r.complete]
-
-
-class Controller(RecoveryActions):
-    """The cluster controller."""
-
-    def __init__(self, engine, host, fencing=None):
-        self.engine = engine
-        self.host = host  # controller's network endpoint
-        self.process = Process(engine, "controller")
-        self.detector = FailureDetector(engine, self._on_failure)
-        # explicit None-check: an empty registry is falsy (it has __len__)
-        self.fencing = fencing if fencing is not None else FencingRegistry(engine)
-        self.machines = {}  # name -> HostMachine
-        self.pairs = {}  # name -> pair object
-        self._machine_channels = {}
-        self._container_channels = {}
-        self.records = []
-        self.events = []
-        self._recovering = set()
-        self._active_recovery = {}  # pair name -> in-flight MigrationRecord
-        self.abandoned_records = []
-        self.failure_hooks = []  # fn(report) observers (tests/benchmarks)
-        self.db_monitor = None
-
-    # ------------------------------------------------------------------
-    # registration / wiring
-    # ------------------------------------------------------------------
-
-    def register_machine(self, machine, health_port=None):
-        """Track a machine: gRPC channel + its Docker-monitor events."""
-        self.machines[machine.name] = machine
-        port = health_port if health_port is not None else next_grpc_port(self.engine)
-        HealthServer(
-            self.engine,
-            machine.host,
-            status_fn=lambda m=machine: _machine_status(m),
-            port=port,
-        )
-        channel = GrpcChannel(
-            self.engine,
-            self.host,
-            machine.name,
-            machine.address,
-            target_port=port,
-            on_unhealthy=lambda ch: self.detector.note_machine_grpc(ch.target_name, False),
-            on_healthy=lambda ch: self.detector.note_machine_grpc(ch.target_name, True),
-            on_status=lambda ch, status: self.detector.note_machine_status(
-                ch.target_name, status
-            ),
-        )
-        channel.start()
-        self._machine_channels[machine.name] = channel
-        return channel
-
-    def register_container_channel(self, container, machine):
-        """gRPC channel to one container's management endpoint."""
-        if container.endpoint is None:
-            raise RuntimeError(f"container {container.name} has no endpoint (not booted)")
-        port = next_grpc_port(self.engine)
-        HealthServer(
-            self.engine,
-            container.endpoint,
-            status_fn=lambda c=container: _container_status(c),
-            port=port,
-        )
-        channel = GrpcChannel(
-            self.engine,
-            self.host,
-            container.name,
-            container.endpoint.address,
-            target_port=port,
-            on_unhealthy=lambda ch: self.detector.note_container_grpc(
-                ch.target_name, False, machine.name
-            ),
-            on_healthy=lambda ch: self.detector.note_container_grpc(
-                ch.target_name, True, machine.name
-            ),
-        )
-        channel.start()
-        self._container_channels[container.name] = channel
-        return channel
-
-    def register_pair(self, pair):
-        self.pairs[pair.name] = pair
-
-    def attach_database(self, cluster, on_failover=None):
-        """Watch a replicated KV cluster and fail it over automatically.
-
-        On a confirmed primary death the monitor promotes the replica
-        under the next cluster epoch; ``on_failover(new_addr, epoch)``
-        is then invoked (the system uses it to repoint every KV client).
-        """
-
-        def record(new_addr, epoch):
-            self.events.append(
-                (self.engine.now, "database-failover", (new_addr, epoch))
-            )
-            if on_failover is not None:
-                on_failover(new_addr, epoch)
-
-        self.db_monitor = DbFailoverMonitor(
-            self.engine, self.host, cluster, on_failover=record
-        )
-        return self.db_monitor
-
-    def docker_event(self, kind, container, detail):
-        """Entry point for ProcessMonitor events forwarded over gRPC."""
-        if kind == "container-dead":
-            self.detector.note_container_dead(container.name)
-        elif kind == "process-dead":
-            self.detector.note_process_dead(
-                container.name, detail, container.machine.name
-            )
-
-    def peer_ipsla_report(self, origin_machine_name, target_name, reachable):
-        """Inter-machine IP SLA verdict about ``target_name``.
-
-        The single controller trusts every origin; the panel gates this
-        on which replicas can currently reach the *origin* machine.
-        """
-        self.detector.note_machine_peer_ipsla(target_name, reachable)
-
-    def _on_failure(self, report):
-        self.events.append((self.engine.now, "failure-report", report))
-        for hook in self.failure_hooks:
-            hook(report)
-        if report.kind == "machine_unreachable":
-            self._handle_machine_failure(report)
-        else:
-            self._handle_container_level_failure(report)
-
-
-def _machine_status(machine):
-    return {
-        "containers": {
-            name: {
-                "running": container.running,
-                "processes": {
-                    pname: container.process_alive(pname)
-                    for pname in container.processes
-                },
-            }
-            for name, container in machine.containers.items()
-        },
-    }
-
-
-def _container_status(container):
-    return {
-        "running": container.running,
-        "processes": {
-            name: container.process_alive(name) for name in container.processes
-        },
-    }

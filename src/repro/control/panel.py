@@ -1,12 +1,12 @@
-"""Replicated controller panel: quorum-voted, epoch-fenced recovery.
+"""The controller: a replicated panel with quorum-voted, epoch-fenced recovery.
 
-DESIGN.md §15.  The single :class:`~repro.control.controller.Controller`
-is both a single point of failure and a single point of *trust*: one
-wrong verdict fences a healthy machine fleet-wide.  The panel replicates
-the *sensing* — each :class:`PanelReplica` runs its own
-:class:`FailureDetector` over its own gRPC channels and its own
-:class:`DbFailoverMonitor` probes — and centralizes the *acting* behind
-two guards, in the spirit of P4BFT's comparator voting:
+DESIGN.md §15.  An unreplicated controller is both a single point of
+failure and a single point of *trust*: one wrong verdict fences a
+healthy machine fleet-wide.  The panel replicates the *sensing* — each
+:class:`PanelReplica` runs its own :class:`FailureDetector` over its own
+gRPC channels and its own :class:`DbFailoverMonitor` probes — and
+centralizes the *acting* behind two guards, in the spirit of P4BFT's
+comparator voting:
 
 - **Quorum**: a recovery action fires only when a majority of replicas
   independently confirmed the same (kind, target) incident.  One
@@ -16,19 +16,15 @@ two guards, in the spirit of P4BFT's comparator voting:
   the fencing registry and the KV cluster reject stale stamps, so a
   deposed ex-leader's in-flight decisions die at the receiver.
 
-The recovery policy itself is the shared
-:class:`~repro.control.controller.RecoveryActions` mixin — a panel of
-one replica therefore behaves bit-identically to the plain controller
-(pinned by the chaos-corpus differential test).
+The recovery policy itself is
+:class:`~repro.control.controller.RecoveryActions`.  A panel of one
+replica (quorum of one, a leader that never changes) is the default
+deployment; ``tests/test_controller_determinism.py`` pins it to what the
+unreplicated controller it replaced produced on the chaos corpus.
 """
 
 from repro.control.channels import GrpcChannel, HealthServer, next_grpc_port
-from repro.control.controller import (
-    Controller,
-    RecoveryActions,
-    _container_status,
-    _machine_status,
-)
+from repro.control.controller import RecoveryActions
 from repro.control.db_monitor import DbFailoverMonitor
 from repro.control.detector import FailureDetector, FailureReport
 from repro.control.fencing import FencingRegistry
@@ -37,18 +33,26 @@ from repro.sim.calibration import PANEL_LIE_INTERVAL, PANEL_TICK
 from repro.sim.process import Process
 
 
-class PanelReplica(Controller):
+class PanelReplica:
     """One controller replica: an independent witness with its own senses.
 
-    Inherits the plain controller's wiring (detector, channel callbacks)
-    but *publishes* confirmed failures to the panel instead of acting on
-    them; the panel's quorum decides.
+    A replica is sensing only — a failure detector fed by its own gRPC
+    channels (dialed from its own host, so a controller<->machine
+    partition starves exactly one replica) and its own database monitor.
+    It *publishes* confirmed failures to the panel; the panel's quorum
+    decides and acts.
     """
 
-    def __init__(self, panel, index, engine, host, fencing):
-        super().__init__(engine, host, fencing=fencing)
+    def __init__(self, panel, index, engine, host):
         self.panel = panel
         self.index = index
+        self.engine = engine
+        self.host = host  # this replica's network endpoint
+        self.process = Process(engine, f"controller-replica{index}")
+        self.detector = FailureDetector(engine, self._on_failure)
+        self._machine_channels = {}
+        self._container_channels = {}
+        self.db_monitor = None
         self.alive = True
         #: bumps on every reboot; stamps verdicts with the detector
         #: incarnation that produced them
@@ -71,7 +75,6 @@ class PanelReplica(Controller):
     # -- channel wiring (panel-driven; one shared HealthServer) --------
 
     def _dial_machine(self, machine, port):
-        self.machines[machine.name] = machine
         channel = GrpcChannel(
             self.engine,
             self.host,
@@ -86,7 +89,6 @@ class PanelReplica(Controller):
         )
         channel.start()
         self._machine_channels[machine.name] = channel
-        return channel
 
     def _dial_container(self, container, machine, port):
         channel = GrpcChannel(
@@ -104,14 +106,12 @@ class PanelReplica(Controller):
         )
         channel.start()
         self._container_channels[container.name] = channel
-        return channel
 
     def _attach_db_monitor(self, cluster):
         self.db_monitor = DbFailoverMonitor(
             self.engine, self.host, cluster,
-            on_failover=None, propose=self._propose_db_failover,
+            propose=self._propose_db_failover,
         )
-        return self.db_monitor
 
     def _propose_db_failover(self, monitor):
         if not self.alive or self.corruption is not None:
@@ -187,41 +187,34 @@ class PanelReplica(Controller):
 
 
 class _DetectorFanout:
-    """The panel's ``detector`` facade.
+    """The panel's ``detector``: the agent's single-origin IP SLA
+    verdicts, fanned out to every live replica's own detector."""
 
-    Shared single-origin feeds (the agent's IP SLA verdicts) fan out to
-    every live replica's detector; anything else — mostly test and
-    benchmark introspection — reads through to the current leader's.
-    """
-
-    def __init__(self, panel):
-        self._panel = panel
+    def __init__(self, replicas):
+        self._replicas = replicas
 
     def note_machine_agent_ipsla(self, machine_name, reachable):
-        for replica in self._panel.replicas:
+        for replica in self._replicas:
             if replica.alive:
                 replica.detector.note_machine_agent_ipsla(machine_name, reachable)
 
     def note_container_ipsla(self, container_name, reachable, machine_name):
-        for replica in self._panel.replicas:
+        for replica in self._replicas:
             if replica.alive:
                 replica.detector.note_container_ipsla(
                     container_name, reachable, machine_name
                 )
 
-    def __getattr__(self, name):
-        return getattr(self._panel.lease.leader().detector, name)
-
 
 class ControllerPanel(RecoveryActions):
-    """3–5 replicated controllers behind one quorum + epoch fence."""
+    """The cluster controller: 1–5 sensing replicas behind one quorum
+    and one epoch fence."""
 
     def __init__(self, engine, hosts, fencing=None, epoch_gate=None):
         self.engine = engine
         self.hosts = list(hosts)
         if not self.hosts:
             raise ValueError("ControllerPanel needs at least one host")
-        self.host = self.hosts[0]  # compat: primary management endpoint
         self.process = Process(engine, "controller-panel")
         self.epoch_gate = epoch_gate if epoch_gate is not None else EpochGate()
         # explicit None-check: an empty registry is falsy (it has __len__)
@@ -229,12 +222,13 @@ class ControllerPanel(RecoveryActions):
             engine, epoch_gate=self.epoch_gate
         )
         self.replicas = [
-            PanelReplica(self, index, engine, host, self.fencing)
+            PanelReplica(self, index, engine, host)
             for index, host in enumerate(self.hosts)
         ]
         self.quorum = QuorumTracker(len(self.replicas))
         self.lease = LeaderLease(self.replicas)
         self.epoch_gate.announce(self.lease.epoch)
+        self.detector = _DetectorFanout(self.replicas)
 
         self.machines = {}  # name -> HostMachine
         self.pairs = {}  # name -> pair object
@@ -246,8 +240,7 @@ class ControllerPanel(RecoveryActions):
         self._recovering = set()
         self._active_recovery = {}
         self.abandoned_records = []
-        self.failure_hooks = []
-        self.db_monitor = None  # compat handle: replica 0's monitor
+        self.failure_hooks = []  # fn(report) observers (tests/benchmarks)
         self._db_cluster = None
         self._db_on_failover = None
         #: (replica index, machine name) pairs currently partitioned
@@ -269,15 +262,23 @@ class ControllerPanel(RecoveryActions):
                  (self.lease.leader_index, self.lease.epoch))
             )
 
-    # -- RecoveryActions hooks -----------------------------------------
+    @property
+    def leader(self):
+        """The replica currently holding the lease (its ``detector`` is
+        the one to inspect when a single view of the signals is wanted)."""
+        return self.lease.leader()
+
+    # -- the replication side of RecoveryActions -----------------------
 
     def _action_epoch(self):
+        """The leadership epoch stamped on every recovery action."""
         self._ensure_leader()
         return self.lease.epoch
 
     def _action_still_valid(self, epoch):
+        """Recheck a decision at execution time: am I still leader?"""
         self._ensure_leader()
-        return epoch == self.lease.epoch and self.lease.leader().alive
+        return epoch == self.lease.epoch and self.leader.alive
 
     def _rearm_target(self, name):
         for replica in self.replicas:
@@ -299,12 +300,13 @@ class ControllerPanel(RecoveryActions):
             self.quorum.reset_target(backup_name)
 
     # ------------------------------------------------------------------
-    # registration / wiring (mirrors Controller's surface)
+    # registration / wiring
     # ------------------------------------------------------------------
 
-    def register_machine(self, machine, health_port=None):
+    def register_machine(self, machine):
+        """Track a machine: one health server, a gRPC channel per replica."""
         self.machines[machine.name] = machine
-        port = health_port if health_port is not None else next_grpc_port(self.engine)
+        port = next_grpc_port(self.engine)
         HealthServer(
             self.engine,
             machine.host,
@@ -312,14 +314,12 @@ class ControllerPanel(RecoveryActions):
             port=port,
         )
         self._machine_registry[machine.name] = (machine, port)
-        first = None
         for replica in self.replicas:
             if replica.alive:
-                channel = replica._dial_machine(machine, port)
-                first = first if first is not None else channel
-        return first
+                replica._dial_machine(machine, port)
 
     def register_container_channel(self, container, machine):
+        """gRPC channels to one container's management endpoint."""
         if container.endpoint is None:
             raise RuntimeError(
                 f"container {container.name} has no endpoint (not booted)"
@@ -332,37 +332,36 @@ class ControllerPanel(RecoveryActions):
             port=port,
         )
         self._container_registry[container.name] = (container, machine, port)
-        first = None
         for replica in self.replicas:
             if replica.alive:
-                channel = replica._dial_container(container, machine, port)
-                first = first if first is not None else channel
-        return first
+                replica._dial_container(container, machine, port)
 
     def register_pair(self, pair):
         self.pairs[pair.name] = pair
 
     def attach_database(self, cluster, on_failover=None):
+        """Watch a replicated KV cluster and fail it over automatically.
+
+        On a quorum-confirmed primary death the leader promotes the
+        replica under the next cluster epoch; ``on_failover(new_addr,
+        epoch)`` is then invoked (the system uses it to repoint every KV
+        client).
+        """
         self._db_cluster = cluster
         self._db_on_failover = on_failover
         for replica in self.replicas:
             if replica.alive:
                 replica._attach_db_monitor(cluster)
-        self.db_monitor = self.replicas[0].db_monitor
-        return self.db_monitor
 
     # ------------------------------------------------------------------
     # signal intake
     # ------------------------------------------------------------------
 
-    @property
-    def detector(self):
-        return _DetectorFanout(self)
-
     def _replica_sees(self, replica, machine_name):
         return replica.alive and (replica.index, machine_name) not in self._partitions
 
     def docker_event(self, kind, container, detail):
+        """Entry point for ProcessMonitor events forwarded over gRPC."""
         machine_name = container.machine.name
         for replica in self.replicas:
             if not self._replica_sees(replica, machine_name):
@@ -375,6 +374,7 @@ class ControllerPanel(RecoveryActions):
                 )
 
     def peer_ipsla_report(self, origin_machine_name, target_name, reachable):
+        """Inter-machine IP SLA verdict about ``target_name``."""
         # gate on the *origin*: a replica partitioned from gw-1 must not
         # hear gw-1's opinion of its peers through the back door
         for replica in self.replicas:
@@ -400,15 +400,14 @@ class ControllerPanel(RecoveryActions):
         elif self.quorum.acted(key):
             # late confirmation of an incident quorum already accepted: a
             # container failure surfaces through several signals (docker
-            # event, supervisor, gRPC heartbeat) and the plain controller
-            # logged and dispatched every one (dispatch dedupes on the
-            # in-flight recovery).  Mirror that — it is what keeps a
-            # panel of one bit-identical to the plain controller.
+            # event, supervisor, gRPC heartbeat); every one is logged and
+            # dispatched (dispatch dedupes on the in-flight recovery), as
+            # the unreplicated controller did — the golden pins hold a
+            # panel of one to that event log.
             self._accept_report(report)
 
     def _accept_report(self, report):
-        # mirrors Controller._on_failure: this is the panel's canonical
-        # failure intake once quorum agreed the report is real
+        # the canonical failure intake, once quorum agreed the report is real
         self.events.append((self.engine.now, "failure-report", report))
         for hook in self.failure_hooks:
             hook(report)
@@ -431,7 +430,7 @@ class ControllerPanel(RecoveryActions):
 
     def _execute_db_failover(self, monitor):
         self._ensure_leader()
-        leader = self.lease.leader()
+        leader = self.leader
         executor = monitor
         if leader.alive and leader.db_monitor is not None:
             executor = leader.db_monitor
@@ -497,3 +496,27 @@ class ControllerPanel(RecoveryActions):
             f"<ControllerPanel n={len(self.replicas)}"
             f" alive={self.alive_count()} {self.lease!r}>"
         )
+
+
+def _machine_status(machine):
+    return {
+        "containers": {
+            name: {
+                "running": container.running,
+                "processes": {
+                    pname: container.process_alive(pname)
+                    for pname in container.processes
+                },
+            }
+            for name, container in machine.containers.items()
+        },
+    }
+
+
+def _container_status(container):
+    return {
+        "running": container.running,
+        "processes": {
+            name: container.process_alive(name) for name in container.processes
+        },
+    }

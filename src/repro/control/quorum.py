@@ -133,8 +133,8 @@ class EpochGate:
 
     ``announce(epoch)`` raises the floor (monotonic); ``accepts(stamp)``
     is the check every receiver runs before executing a recovery action.
-    A ``None`` stamp always passes — it marks a legacy (unreplicated)
-    controller, whose actions are not epoch-fenced.
+    A ``None`` stamp always passes — it marks an action the controller
+    did not issue (an operator or a test driving a pair directly).
     """
 
     def __init__(self):

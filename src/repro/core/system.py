@@ -16,7 +16,6 @@ from repro.bfd.process import BfdProcess
 from repro.bgp.peer import PeerConfig
 from repro.bgp.speaker import DEFAULT_MRAI, SpeakerConfig
 from repro.containers.host import HostMachine, ProcessMonitor
-from repro.control.controller import Controller
 from repro.control.fencing import FencingRegistry
 from repro.control.panel import ControllerPanel
 from repro.control.quorum import EpochGate
@@ -86,15 +85,13 @@ class TensorSystem:
 
     def __init__(self, engine=None, seed=0, verify_reads=True, hold_acks=True,
                  hook_technology="netfilter", remote_db=None, tracing=False,
-                 controller_replicas=1, legacy_controller=False):
+                 controller_replicas=1):
         """``remote_db``: None, or {"latency": seconds, "mode": "sync"|"async"}
         to add a disaster-recovery store in another facility (§5).
         ``tracing=True`` installs a causal tracer on the engine (DESIGN.md
         §10); query the spans through :attr:`trace_store`.
-        ``controller_replicas`` sizes the replicated controller panel
-        (DESIGN.md §15); 1 keeps the panel bit-identical to the plain
-        controller, which ``legacy_controller=True`` instantiates
-        directly (the differential determinism test pins the two)."""
+        ``controller_replicas`` sizes the controller panel (DESIGN.md
+        §15); the default is a panel of one."""
         self.engine = engine or Engine()
         self.tracer = None
         if tracing:
@@ -113,9 +110,7 @@ class TensorSystem:
 
         # One leadership-epoch fence shared by every receiver of
         # controller actions: the fencing registry, the pairs (via
-        # ``_epoch_accepted``) and the KV cluster.  ``accepts(None)`` is
-        # always true, so the legacy unreplicated controller — which
-        # stamps nothing — is unaffected by the gate's presence.
+        # ``_epoch_accepted``) and the KV cluster.
         self.controller_epoch_gate = EpochGate()
         self.controller_host = self.network.add_host("controller", "10.255.0.1")
         self.controller_hosts = [self.controller_host]
@@ -128,17 +123,12 @@ class TensorSystem:
         self.fencing = FencingRegistry(
             self.engine, epoch_gate=self.controller_epoch_gate
         )
-        if legacy_controller:
-            self.controller = Controller(
-                self.engine, self.controller_host, self.fencing
-            )
-        else:
-            self.controller = ControllerPanel(
-                self.engine,
-                self.controller_hosts,
-                fencing=self.fencing,
-                epoch_gate=self.controller_epoch_gate,
-            )
+        self.controller = ControllerPanel(
+            self.engine,
+            self.controller_hosts,
+            fencing=self.fencing,
+            epoch_gate=self.controller_epoch_gate,
+        )
 
         # Default database topology (§4.1): a replicated KV cluster —
         # primary + synchronous replica on separate hosts — watched by

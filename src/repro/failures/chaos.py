@@ -1,695 +1,58 @@
-"""Chaos schedule engine: randomized multi-failure NSR testing.
+"""Chaos schedule engine: randomized multi-failure NSR testing (DESIGN.md §9).
 
-TENSOR's claim is that a failure at *any* instant — including failures
-overlapping an in-flight recovery — loses no routing state and never
-flaps the remote session.  This module searches that claim's input space
+``python -m repro.failures.chaos`` and the chaos-facing names of the
+scenario harness.  The engine searches the NSR claim's input space
 automatically:
 
 1. :func:`generate_schedule` derives a :class:`ChaosSchedule` from a
-   seed: 2–5 overlapping injections from the scenario registry at
-   randomized instants, under a randomized advertise/withdraw workload
-   across 1–3 neighbors.  Generation is a pure function of the seed.
-2. :func:`run_schedule` builds a fresh :class:`TensorSystem`, replays
-   the schedule, and checks the :class:`~repro.failures.oracles.OracleSuite`
-   after every 50 ms engine slice.  Running is a pure function of
-   ``(schedule, hold_acks)``, so every violation replays exactly.
-3. On violation, :func:`shrink_schedule` minimizes the schedule (drop
-   injections, drop/halve workload bursts, coarsen instants, trim the
-   horizon) and :func:`write_repro_script` emits a self-contained
+   seed (:mod:`repro.failures.schedule`).
+2. :func:`run_schedule` — the harness's
+   :func:`~repro.failures.harness.run_scenario` — builds a fresh
+   :class:`TensorSystem`, replays the schedule, and checks the
+   :class:`~repro.failures.oracles.OracleSuite` after every 50 ms engine
+   slice.  Running is a pure function of ``(schedule, hold_acks,
+   tracing)``, so every violation replays exactly.
+3. On violation, :func:`shrink_schedule`
+   (:func:`~repro.failures.shrink.shrink_scenario`) minimizes the
+   schedule and :func:`write_repro_script` emits a self-contained
    ``chaos_repro_<seed>.py`` that re-runs the shrunk schedule.
-
-Schedule composition rules keep every generated run *recoverable by
-design* (violations then always indicate real bugs, not impossible
-topologies): hard injections are spaced wider than a full recovery, at
-most one machine-level failure fires per schedule (fencing removes the
-machine until a manual reset), transient network blips stay under the
-3 s confirmation timer, and database blips stay under the write-retry
-budget.  Soft injections may land anywhere — including deliberately
-inside the recovery window of a hard one.
 """
 
 import argparse
-import json
 import sys
 
-from repro.core.system import PeerNeighborSpec, TensorSystem
-from repro.failures.injector import FailureInjector
-from repro.failures.oracles import OracleSuite, Violation
-from repro.sim.rand import DeterministicRandom
-from repro.workloads.topology import build_remote_peer
-from repro.workloads.updates import RouteGenerator
-
-#: Hard injections are spaced at least this far apart so each recovery
-#: (detection + migration + TCP repair + route resync) completes.
-HARD_SPACING = (18.0, 25.0)
-
-#: Settle tail appended after the last scheduled event.
-SETTLE_TAIL = 30.0
-
-#: The oracle-check granularity (virtual seconds).
-CHECK_QUANTUM = 0.05
-
-#: Seeds run by tier-1 (`make test`) as the fixed regression corpus.
-CORPUS_SEEDS = (0, 1, 2, 3, 4, 5)
-
-#: Seeds run with the causal tracer enabled (DESIGN.md §10).  These
-#: exercise the phase-latency oracle: at every settle point the suite
-#: checks that no delayed ACK escaped before its replication span
-#: closed, straight from the trace store.
-TRACED_CORPUS_SEEDS = (6, 7, 8, 9)
-
-#: Seeds run with a permanent KV-primary kill spliced in (DESIGN.md
-#: §12): the controller's failover monitor must promote the replica and
-#: drain held ACKs with no test-side intervention.
-DB_FAILOVER_CORPUS_SEEDS = (10, 11, 12)
-
-#: Seeds run with controller-plane chaos spliced in (DESIGN.md §15):
-#: the 3-replica controller panel takes replica crashes, controller<->
-#: machine partitions and lying monitors while the data-plane schedule
-#: runs, and the ``wrong_failover`` oracle asserts no fence/promote
-#: ever targeted a healthy node.  The seeds are picked so the corpus
-#: covers every controller-plane event kind and both lying modes.
-CONTROLLER_CORPUS_SEEDS = (13, 14, 15, 16, 17, 43)
-
-
-class ChaosSchedule:
-    """One self-contained chaos run: topology knobs + timed events.
-
-    All event times are relative to the oracle arming instant (the end
-    of initial convergence).  ``injections`` entries::
-
-        {"at": 12.5, "scenario": "container", "target": "active"|"standby"|None,
-         "duration": 1.2 | None}
-
-    ``workload`` entries::
-
-        {"at": 3.0, "remote": 0, "action": "advertise"|"withdraw",
-         "base": "10.0.0.0", "length": 24, "count": 120}
-    """
-
-    def __init__(self, seed, neighbors=1, shared_vrf=False, initial_routes=100,
-                 injections=(), workload=(), duration=60.0,
-                 controller_replicas=1):
-        self.seed = seed
-        self.neighbors = neighbors
-        self.shared_vrf = shared_vrf
-        self.initial_routes = initial_routes
-        self.injections = [dict(event) for event in injections]
-        self.workload = [dict(event) for event in workload]
-        self.duration = duration
-        self.controller_replicas = controller_replicas
-
-    def to_dict(self):
-        return {
-            "seed": self.seed,
-            "neighbors": self.neighbors,
-            "shared_vrf": self.shared_vrf,
-            "initial_routes": self.initial_routes,
-            "injections": [dict(event) for event in self.injections],
-            "workload": [dict(event) for event in self.workload],
-            "duration": self.duration,
-            "controller_replicas": self.controller_replicas,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            data["seed"],
-            neighbors=data["neighbors"],
-            shared_vrf=data["shared_vrf"],
-            initial_routes=data["initial_routes"],
-            injections=data["injections"],
-            workload=data["workload"],
-            duration=data["duration"],
-            controller_replicas=data.get("controller_replicas", 1),
-        )
-
-    def copy(self):
-        return ChaosSchedule.from_dict(self.to_dict())
-
-    def __repr__(self):
-        return (
-            f"<ChaosSchedule seed={self.seed} neighbors={self.neighbors}"
-            f" injections={len(self.injections)} bursts={len(self.workload)}"
-            f" duration={self.duration:.1f}s>"
-        )
-
-
-# ----------------------------------------------------------------------
-# generation
-# ----------------------------------------------------------------------
-
-def generate_schedule(seed, db_failover=False, controller_chaos=False):
-    """Derive a schedule from ``seed`` (pure function, no simulation).
-
-    ``db_failover`` splices one permanent KV-primary kill into the
-    schedule, drawn from a *separate* named stream so the base schedule
-    for the seed is unchanged — seed N with and without the flag differ
-    only by the added injection.
-
-    ``controller_chaos`` sizes the controller panel to 3 replicas and
-    splices 1–2 controller-plane events (replica crash+reboot,
-    controller<->machine partition, lying monitor, standby-container
-    kill) from another separate stream.  Events are sequential and
-    non-overlapping: each fault heals before the next fires, so a
-    3-replica panel always retains an honest quorum — any wrong
-    failover is then a real bug, not an impossible fault load.
-    """
-    r = DeterministicRandom(seed).stream("schedule")
-    neighbors = r.choice((1, 2, 2, 3))
-    shared_vrf = neighbors > 1 and r.random() < 0.6
-    initial_routes = r.choice((0, 100, 250))
-
-    # -- hard injections: spaced so each recovery completes ---------------
-    count = r.randint(2, 5)
-    hard_count = max(1, min(r.randint(1, 3), count))
-    soft_count = count - hard_count
-    include_machine = r.random() < 0.5
-    hard_kinds = [
-        r.choice(("application", "container", "container_network"))
-        for _ in range(hard_count)
-    ]
-    if include_machine:
-        # At most one machine-level failure, and always the final hard
-        # one: fencing leaves only one usable machine afterwards.
-        hard_kinds[-1] = r.choice(("host_machine", "host_network"))
-    injections = []
-    at = r.uniform(3.0, 10.0)
-    for kind in hard_kinds:
-        injections.append({
-            "at": round(at, 3),
-            "scenario": kind,
-            "target": "active",
-            "duration": None,
-        })
-        at += r.uniform(*HARD_SPACING)
-    last_hard = injections[-1]["at"]
-
-    # -- soft injections: overlap anything, including recovery windows ----
-    agent_used = False
-    for _ in range(soft_count):
-        kind = r.choice(("transient_network", "database_blip", "agent"))
-        if kind == "agent" and agent_used:
-            kind = "database_blip"
-        agent_used = agent_used or kind == "agent"
-        # The agent is the detection witness: a hard failure with the
-        # agent already dead is undetectable (machine confirmation needs
-        # the agent's IP SLA signal), which is a double fault outside the
-        # paper's fault model.  Agent death therefore only lands once the
-        # last hard injection has fired AND its 3-second confirmation
-        # window has safely passed.
-        earliest = last_hard + 6.0 if kind == "agent" else 1.0
-        event = {
-            "at": round(r.uniform(earliest, last_hard + 12.0), 3),
-            "scenario": kind,
-            "target": None,
-            "duration": None,
-        }
-        if kind == "transient_network":
-            event["target"] = r.choice(("active", "standby"))
-            event["duration"] = round(r.uniform(0.3, 2.0), 3)
-        elif kind == "database_blip":
-            event["duration"] = round(r.uniform(0.4, 1.2), 3)
-        injections.append(event)
-    if db_failover:
-        dbr = DeterministicRandom(seed).stream("db-failover")
-        injections.append({
-            "at": round(dbr.uniform(2.0, last_hard + 6.0), 3),
-            "scenario": "database_failover",
-            "target": None,
-            "duration": None,
-        })
-    controller_replicas = 1
-    if controller_chaos:
-        controller_replicas = 3
-        cr = DeterministicRandom(seed).stream("controller-chaos")
-        at = cr.uniform(2.0, 8.0)
-        for _ in range(cr.randint(1, 2)):
-            kind = cr.choice((
-                "controller_replica_crash", "controller_partition",
-                "lying_monitor", "backup_container",
-            ))
-            event = {
-                "at": round(at, 3), "scenario": kind,
-                "target": None, "duration": None,
-            }
-            hold = 0.0
-            if kind == "controller_replica_crash":
-                event["target"] = cr.randrange(controller_replicas)
-                event["duration"] = round(cr.uniform(4.0, 9.0), 3)
-                hold = event["duration"]
-            elif kind == "controller_partition":
-                event["target"] = cr.randrange(controller_replicas)
-                event["machine"] = cr.choice(("gw-1", "gw-2"))
-                event["duration"] = round(cr.uniform(4.0, 9.0), 3)
-                hold = event["duration"]
-            elif kind == "lying_monitor":
-                event["target"] = cr.randrange(controller_replicas)
-                event["mode"] = cr.choice(("accuse_machine", "accuse_container"))
-                event["duration"] = round(cr.uniform(5.0, 10.0), 3)
-                hold = event["duration"]
-            else:  # backup_container: kill the standby, panel must refresh
-                event["target"] = "standby"
-            injections.append(event)
-            at += hold + cr.uniform(3.0, 6.0)
-    injections.sort(key=lambda event: event["at"])
-
-    # -- workload bursts ---------------------------------------------------
-    burst_times = sorted(
-        round(r.uniform(1.0, last_hard + 8.0), 3)
-        for _ in range(r.randint(2, 5))
-    )
-    workload = []
-    advertised = [[] for _ in range(neighbors)]  # live blocks per remote
-    for at in burst_times:
-        remote = r.randrange(neighbors)
-        if advertised[remote] and r.random() < 0.35:
-            block = advertised[remote].pop(r.randrange(len(advertised[remote])))
-            workload.append({"at": at, "remote": remote, "action": "withdraw",
-                             **block})
-        else:
-            index = sum(1 for event in workload if event["remote"] == remote)
-            block = {
-                # disjoint /24 blocks per (remote, burst): remotes get
-                # distinct first octets, bursts distinct second octets
-                "base": f"{10 + remote}.{(index * 8) % 248}.0.0",
-                "length": 24,
-                "count": r.choice((50, 120, 200)),
-            }
-            advertised[remote].append(block)
-            workload.append({"at": at, "remote": remote, "action": "advertise",
-                             **block})
-
-    horizon = max(
-        [event["at"] for event in injections]
-        + [event["at"] for event in workload]
-    )
-    return ChaosSchedule(
-        seed,
-        neighbors=neighbors,
-        shared_vrf=shared_vrf,
-        initial_routes=initial_routes,
-        injections=injections,
-        workload=workload,
-        duration=round(horizon + SETTLE_TAIL, 3),
-        controller_replicas=controller_replicas,
-    )
-
-
-# ----------------------------------------------------------------------
-# execution
-# ----------------------------------------------------------------------
-
-class ChaosResult:
-    """Outcome of one schedule run.
-
-    ``completed`` distinguishes a run that covered its whole horizon
-    (or halted *on purpose* at a violation) from one whose engine
-    stalled early: a partial run has no oracle verdict for the tail it
-    never executed, so "no violations" must not read as a pass.
-    """
-
-    def __init__(self, schedule, suite, system, events_executed,
-                 completed=True):
-        self.schedule = schedule
-        self.suite = suite
-        self.system = system
-        self.events_executed = events_executed
-        self.completed = completed
-
-    @property
-    def partial(self):
-        return not self.completed
-
-    @property
-    def violations(self):
-        return self.suite.violations
-
-    @property
-    def first_violation(self):
-        return self.suite.first_violation
-
-    def summary(self):
-        return self.suite.summary()
-
-
-class _WorkloadDriver:
-    """Fires advertise/withdraw bursts and keeps the oracle model true.
-
-    The oracle RIB is *intent*: the driver records what each remote was
-    asked to originate, never what the system under test ended up with.
-    """
-
-    def __init__(self, remotes, suite, rand):
-        self.remotes = remotes
-        self.suite = suite
-        self.gens = [
-            RouteGenerator(
-                rand.fork(f"workload:{index}"),
-                64512 + index,
-                next_hop=f"192.0.2.{index + 1}",
-            )
-            for index in range(len(remotes))
-        ]
-
-    def fire(self, event):
-        index = event["remote"]
-        remote, session = self.remotes[index]
-        vrf_name = session.config.vrf_name
-        gen = self.gens[index]
-        if event["action"] == "advertise":
-            routes = gen.routes(
-                event["count"], base=event["base"], length=event["length"]
-            )
-            for prefix, attributes in routes:
-                remote.speaker.originate(vrf_name, prefix, attributes)
-            self.suite.note_originate(index, [p for p, _a in routes])
-        else:
-            prefixes = gen.prefixes(
-                event["count"], base=event["base"], length=event["length"]
-            )
-            live = self.suite.live[index]
-            withdrawn = [p for p in prefixes if str(p) in live]
-            for prefix in withdrawn:
-                remote.speaker.withdraw_originated(vrf_name, prefix)
-            self.suite.note_withdraw(index, withdrawn)
-
-
-def _build_system(schedule, hold_acks, tracing=False, legacy_controller=False):
-    """A converged TensorSystem matching the schedule's topology knobs."""
-    system = TensorSystem(
-        seed=schedule.seed, hold_acks=hold_acks, tracing=tracing,
-        controller_replicas=schedule.controller_replicas,
-        legacy_controller=legacy_controller,
-    )
-    engine = system.engine
-    m1 = system.add_machine("gw-1", "10.1.0.1")
-    m2 = system.add_machine("gw-2", "10.2.0.1")
-    vrf_of = (
-        (lambda i: "v0") if schedule.shared_vrf else (lambda i: f"v{i}")
-    )
-    specs = [
-        PeerNeighborSpec(
-            f"192.0.2.{i + 1}", 64512 + i, vrf_name=vrf_of(i), mode="passive"
-        )
-        for i in range(schedule.neighbors)
-    ]
-    pair = system.create_pair(
-        "pair0", m1, m2, service_addr="10.10.0.1", local_as=65001,
-        router_id="10.10.0.1", neighbors=specs,
-    )
-    remotes = []
-    for i in range(schedule.neighbors):
-        remote = build_remote_peer(
-            system, f"remote{i}", f"192.0.2.{i + 1}", 64512 + i,
-            link_machines=[m1, m2],
-        )
-        session = remote.peer_with(
-            "10.10.0.1", 65001, vrf_name=vrf_of(i), mode="active"
-        )
-        remotes.append((remote, session))
-    pair.start()
-    for remote, _session in remotes:
-        remote.start()
-    engine.advance(10.0)
-    return system, pair, remotes
-
-
-class _PreparedRun:
-    """A built, converged, armed chaos run that has not advanced yet.
-
-    Splits :func:`run_schedule` into *prepare* (build the system, preload
-    routes, arm the oracles, schedule every injection and workload burst)
-    and *advance* (:meth:`step_to`), so a schedule can be driven either
-    in one shot (:func:`run_schedule`) or window-by-window as a closed
-    shard under the parallel runtime (:func:`build_chaos_shard`) — the
-    two drivers execute the identical event sequence.
-    """
-
-    def __init__(self, schedule, hold_acks=True, stop_on_violation=True,
-                 tracing=False, legacy_controller=False):
-        self.schedule = schedule
-        rand = DeterministicRandom(schedule.seed)
-        self.system, self.pair, self.remotes = _build_system(
-            schedule, hold_acks, tracing, legacy_controller=legacy_controller
-        )
-        engine = self.system.engine
-        self.suite = OracleSuite(
-            self.system, self.pair, self.remotes,
-            stop_on_violation=stop_on_violation,
-        )
-        self.driver = _WorkloadDriver(self.remotes, self.suite, rand)
-
-        if schedule.initial_routes:
-            for index, (remote, session) in enumerate(self.remotes):
-                gen = self.driver.gens[index]
-                routes = gen.routes(
-                    schedule.initial_routes, base=f"{10 + index}.248.0.0"
-                )
-                remote.speaker.originate_many(
-                    session.config.vrf_name, routes
-                )
-                remote.speaker.readvertise(session)
-                self.suite.live[index].update(
-                    {str(p): True for p, _a in routes}
-                )
-            engine.advance(5.0)
-        self.suite.arm()
-
-        self.injector = FailureInjector(self.system)
-        for event in schedule.injections:
-            engine.schedule(
-                event["at"], _fire_injection,
-                self.injector, self.system, self.pair, self.suite, event,
-            )
-        for event in schedule.workload:
-            engine.schedule(event["at"], self.driver.fire, event)
-
-        self.deadline = engine.now + schedule.duration
-        self.executed = 0
-        # run() resets the engine's stop flag on entry, so a violation
-        # halt must stick across windows here, not in the engine
-        self.halted = False
-        self._finished = False
-
-    @property
-    def engine(self):
-        return self.system.engine
-
-    def step_to(self, until):
-        """Advance to ``min(until, deadline)`` under continuous oracles.
-
-        Returns events executed.  Once an oracle stops the run (or the
-        deadline passes) further steps are no-ops.
-        """
-        engine = self.system.engine
-        target = min(until, self.deadline)
-        if self.halted or target <= engine.now:
-            return 0
-        executed = engine.run_stepped(
-            target, self.suite.check, quantum=CHECK_QUANTUM
-        )
-        self.executed += executed
-        if self.suite.stop_on_violation and self.suite.first_violation is not None:
-            self.halted = True
-        return executed
-
-    def finish(self):
-        """Post-run bookkeeping; idempotent.  Returns the ChaosResult."""
-        if not self._finished:
-            self._finished = True
-            _check_record_bookkeeping(self.injector, self.suite)
-        completed = (
-            self.halted
-            or self.system.engine.now + 1e-9 >= self.deadline
-        )
-        return ChaosResult(
-            self.schedule, self.suite, self.system, self.executed,
-            completed=completed,
-        )
-
-
-def run_schedule(schedule, hold_acks=True, stop_on_violation=True,
-                 tracing=False, legacy_controller=False):
-    """Replay ``schedule`` under continuous oracles.
-
-    Pure function of ``(schedule, hold_acks, tracing)``: two calls
-    return identical violations at identical virtual instants.  With
-    ``tracing`` the system runs under a :class:`repro.trace.Tracer`
-    and the suite additionally enforces the phase-latency oracle.
-    ``legacy_controller`` swaps the panel-of-1 for the plain controller
-    (the differential determinism test pins the two bit-identical).
-    """
-    prepared = _PreparedRun(
-        schedule, hold_acks=hold_acks,
-        stop_on_violation=stop_on_violation, tracing=tracing,
-        legacy_controller=legacy_controller,
-    )
-    prepared.step_to(prepared.deadline)
-    return prepared.finish()
-
-
-def _fire_injection(injector, system, pair, suite, event):
-    """Resolve the target *at fire time* (roles swap across migrations)."""
-    kind = event["scenario"]
-    if kind == "controller_replica_crash":
-        index = event["target"]
-        suite.note_injection(kind, target_name=f"replica{index}",
-                             duration=event["duration"] or 0.0)
-        injector.controller_replica_crash(index,
-                                          reboot_after=event["duration"])
-        return
-    if kind == "controller_partition":
-        index = event["target"]
-        suite.note_injection(
-            kind, target_name=f"replica{index}:{event['machine']}",
-            duration=event["duration"] or 0.0,
-        )
-        injector.controller_partition(index, event["machine"],
-                                      duration=event["duration"])
-        return
-    if kind == "lying_monitor":
-        index = event["target"]
-        suite.note_injection(kind, target_name=f"replica{index}:{event['mode']}",
-                             duration=event["duration"] or 0.0)
-        injector.lying_monitor(index, mode=event["mode"],
-                               duration=event["duration"])
-        return
-    machine = (
-        pair.standby_machine if event["target"] == "standby"
-        else pair.active_machine
-    )
-    container_name = (
-        pair.backup_container_name if kind == "backup_container"
-        else pair.primary_container_name
-    )
-    suite.note_injection(
-        kind,
-        target_name=machine.name,
-        duration=event["duration"] or 0.0,
-        container_name=container_name,
-        pair_name=pair.name,
-    )
-    if kind == "application":
-        injector.application_failure(pair)
-    elif kind == "container":
-        injector.container_failure(pair)
-    elif kind == "container_network":
-        injector.container_network_failure(pair)
-    elif kind == "backup_container":
-        injector.backup_container_failure(pair)
-    elif kind == "host_machine":
-        injector.host_machine_failure(machine)
-    elif kind == "host_network":
-        injector.host_network_failure(machine)
-    elif kind == "transient_network":
-        injector.transient_host_network_failure(machine, event["duration"])
-    elif kind == "database_blip":
-        injector.transient_database_failure(event["duration"])
-    elif kind == "database_failover":
-        injector.database_failover()
-    elif kind == "agent":
-        injector.agent_failure()
-    else:
-        raise ValueError(f"unknown chaos scenario {kind!r}")
-
-
-def _check_record_bookkeeping(injector, suite):
-    """Post-run: stamping must give every completed record a ground
-    truth that is not in the future of its detection."""
-    injector.stamp_records()
-    for record in injector.system.controller.completed_records():
-        if record.failed_at is None:
-            suite.violations.append(Violation(
-                injector.engine.now, "record_bookkeeping",
-                f"completed record {record!r} has no ground-truth failed_at",
-            ))
-        elif record.failed_at > record.detected_at:
-            suite.violations.append(Violation(
-                injector.engine.now, "record_bookkeeping",
-                f"record {record!r} stamped after its own detection",
-            ))
-
-
-# ----------------------------------------------------------------------
-# chaos schedules as parallel-runtime shards
-# ----------------------------------------------------------------------
-
-class ChaosShardProgram:
-    """One chaos seed as a *closed* shard (no cross-shard links).
-
-    A closed shard free-runs to the horizon in a single window, so the
-    execution is literally the single-process :func:`run_schedule` — the
-    parallel runtime only distributes the seeds across workers.
-    """
-
-    def __init__(self, shard_id, params, boundary):
-        schedule_data = params.get("schedule")
-        schedule = (
-            ChaosSchedule.from_dict(schedule_data)
-            if schedule_data is not None
-            else generate_schedule(
-                params["seed"], db_failover=params.get("db_failover", False),
-                controller_chaos=params.get("controller_chaos", False),
-            )
-        )
-        self.prepared = _PreparedRun(
-            schedule,
-            hold_acks=params.get("hold_acks", True),
-            stop_on_violation=params.get("stop_on_violation", True),
-            tracing=params.get("tracing", False),
-            legacy_controller=params.get("legacy_controller", False),
-        )
-        self.engine = self.prepared.system.engine
-        self._result = None
-
-    def run_window(self, until):
-        return self.prepared.step_to(until)
-
-    def finalize(self):
-        self._result = self.prepared.finish()
-
-    def results(self):
-        result = self._result or self.prepared.finish()
-        suite = result.suite
-        out = {
-            "seed": result.schedule.seed,
-            "verdict": suite.summary(),
-            "violations": tuple(
-                (v.time, v.oracle, v.detail) for v in suite.violations
-            ),
-            "rib": result.system.rib_digest(),
-            "executed": result.events_executed,
-            "completed": result.completed,
-        }
-        store = result.system.trace_store
-        if store is not None:
-            out["phase_summary"] = store.phase_summary()
-        return out
-
-
-def build_chaos_shard(shard_id, params, boundary):
-    """Spawn-safe builder (``repro.failures.chaos:build_chaos_shard``)."""
-    return ChaosShardProgram(shard_id, params, boundary)
+from repro.failures.harness import (  # noqa: F401  (chaos-facing names)
+    ScenarioResult,
+    _PreparedRun,
+    run_scenario as run_schedule,
+    scenario_shard_specs,
+)
+from repro.failures.schedule import (  # noqa: F401
+    CONTROLLER_CORPUS_SEEDS,
+    CORPUS_SEEDS,
+    DB_FAILOVER_CORPUS_SEEDS,
+    TRACED_CORPUS_SEEDS,
+    ChaosSchedule,
+    corpus_flavour,
+    generate_schedule,
+)
+from repro.failures.shrink import (  # noqa: F401
+    ShrinkBudget,
+    shrink_and_report,
+    shrink_scenario as shrink_schedule,
+    write_repro_script,
+)
 
 
 def chaos_corpus_specs(seeds=CORPUS_SEEDS, hold_acks=True, tracing=False,
-                       db_failover=False, controller_chaos=False,
-                       legacy_controller=False):
+                       db_failover=False, controller_chaos=False):
     """ShardSpecs running one chaos seed per shard (all closed shards)."""
-    from repro.sim.parallel.runtime import ShardSpec
-
-    return [
-        ShardSpec(
-            f"chaos{seed}",
-            "repro.failures.chaos:build_chaos_shard",
-            params={"seed": seed, "hold_acks": hold_acks, "tracing": tracing,
-                    "db_failover": db_failover,
-                    "controller_chaos": controller_chaos,
-                    "legacy_controller": legacy_controller},
-        )
-        for seed in seeds
-    ]
+    return scenario_shard_specs(
+        [generate_schedule(seed, db_failover=db_failover,
+                           controller_chaos=controller_chaos)
+         for seed in seeds],
+        hold_acks=hold_acks, tracing=tracing,
+    )
 
 
 def chaos_corpus_horizon(seeds=CORPUS_SEEDS, db_failover=False,
@@ -702,254 +65,6 @@ def chaos_corpus_horizon(seeds=CORPUS_SEEDS, db_failover=False,
                           controller_chaos=controller_chaos).duration
         for seed in seeds
     ) + 1.0
-
-
-# ----------------------------------------------------------------------
-# shrinking
-# ----------------------------------------------------------------------
-
-class ShrinkBudget:
-    """Per-dimension rerun budget for shrinking.
-
-    The historical shrinker shared one ``max_runs`` pool across every
-    shrink dimension, so an expensive schedule pass (dropping dozens of
-    injections one at a time) could starve the config/topology passes
-    entirely — and nothing reported that it had.  Each dimension now
-    draws from its own pool, and :meth:`exhausted` names the pools that
-    ran dry so the caller can say *why* a repro is not smaller.
-    """
-
-    def __init__(self, limits):
-        self.limits = dict(limits)
-        self.used = {dimension: 0 for dimension in self.limits}
-
-    @classmethod
-    def split(cls, max_runs, config_share=0.25):
-        """The default split: schedule shrinking keeps the bulk of the
-        pool, config/topology shrinking gets its own reserved slice."""
-        config_runs = max(2, int(max_runs * config_share))
-        return cls({
-            "schedule": max(1, max_runs - config_runs),
-            "config": config_runs,
-        })
-
-    def take(self, dimension):
-        """Consume one run from ``dimension``; False once that pool is dry."""
-        if self.used[dimension] >= self.limits[dimension]:
-            return False
-        self.used[dimension] += 1
-        return True
-
-    def remaining(self, dimension):
-        return self.limits[dimension] - self.used[dimension]
-
-    @property
-    def total_used(self):
-        return sum(self.used.values())
-
-    def exhausted(self):
-        """Dimensions whose pool ran dry, sorted for stable reporting."""
-        return tuple(sorted(
-            dimension for dimension, limit in self.limits.items()
-            if self.used[dimension] >= limit
-        ))
-
-    def describe(self):
-        parts = ", ".join(
-            f"{dimension} {self.used[dimension]}/{self.limits[dimension]}"
-            for dimension in sorted(self.limits)
-        )
-        dry = self.exhausted()
-        return parts + (f" (exhausted: {', '.join(dry)})" if dry else "")
-
-
-def shrink_schedule(schedule, hold_acks=True, expect_oracle=None, max_runs=40,
-                    budget=None):
-    """Minimize ``schedule`` while it still trips an oracle.
-
-    Deterministic greedy reduction: drop injections, drop workload
-    bursts, halve burst sizes, zero the preloaded table, coarsen
-    injection instants, then trim the horizon to just past the
-    violation.  Returns ``(shrunk, final_result, runs_used)``.
-
-    Schedule-shaped passes (injections, bursts, instants, horizon) and
-    config/topology passes (the preloaded table) draw from separate
-    pools of a :class:`ShrinkBudget` — pass your own ``budget`` to
-    control the split and inspect which dimension exhausted it
-    afterwards; ``max_runs`` alone uses :meth:`ShrinkBudget.split`.
-    """
-    if budget is None:
-        budget = ShrinkBudget.split(max_runs)
-
-    def still_fails(candidate, dimension):
-        if not budget.take(dimension):
-            return None  # this dimension's pool is dry: stop shrinking it
-        result = run_schedule(candidate, hold_acks=hold_acks)
-        violation = result.first_violation
-        if violation is None:
-            return False
-        if expect_oracle is not None and violation.oracle != expect_oracle:
-            return False
-        return result
-
-    best = schedule.copy()
-    result = still_fails(best, "schedule")
-    if not result:
-        return best, None, budget.total_used
-
-    def try_mutation(mutate, dimension):
-        nonlocal best, result
-        candidate = best.copy()
-        if mutate(candidate) is False:
-            return
-        outcome = still_fails(candidate, dimension)
-        if outcome:
-            best, result = candidate, outcome
-
-    # 1. drop injections, one at a time, until a fixed point
-    changed = True
-    while changed and budget.remaining("schedule") > 0:
-        changed = False
-        for index in range(len(best.injections) - 1, -1, -1):
-            before = len(best.injections)
-
-            def drop(candidate, index=index):
-                del candidate.injections[index]
-
-            try_mutation(drop, "schedule")
-            if len(best.injections) != before:
-                changed = True
-    # 2. drop workload bursts
-    for index in range(len(best.workload) - 1, -1, -1):
-        def drop(candidate, index=index):
-            del candidate.workload[index]
-
-        try_mutation(drop, "schedule")
-    # 3. halve remaining burst sizes
-    for index in range(len(best.workload)):
-        while (best.workload[index]["count"] > 25
-               and budget.remaining("schedule") > 0):
-            before = best.workload[index]["count"]
-
-            def halve(candidate, index=index):
-                candidate.workload[index]["count"] //= 2
-
-            try_mutation(halve, "schedule")
-            if best.workload[index]["count"] == before:
-                break
-    # 4. drop the preloaded table (a config/topology knob: its pool is
-    # reserved so the schedule passes above cannot starve it)
-    if best.initial_routes:
-        def zero(candidate):
-            candidate.initial_routes = 0
-
-        try_mutation(zero, "config")
-    # 5. coarsen injection instants (whole seconds read better in repros)
-    for index in range(len(best.injections)):
-        def roundto(candidate, index=index):
-            rounded = float(round(candidate.injections[index]["at"]))
-            if rounded == candidate.injections[index]["at"] or rounded < 0.1:
-                return False
-            candidate.injections[index]["at"] = rounded
-
-        try_mutation(roundto, "schedule")
-    # 6. trim the horizon to just past the violation (violation times are
-    # absolute; arming happens at >= 10 s, so this over-covers slightly —
-    # the verification rerun below keeps it honest)
-    trimmed = round(max(5.0, result.first_violation.time - 5.0), 3)
-    if trimmed < best.duration:
-        def trim(candidate):
-            candidate.duration = trimmed
-
-        try_mutation(trim, "schedule")
-    return best, result, budget.total_used
-
-
-# ----------------------------------------------------------------------
-# repro scripts
-# ----------------------------------------------------------------------
-
-REPRO_TEMPLATE = '''#!/usr/bin/env python3
-"""Auto-generated chaos repro — seed {seed}, oracle {oracle}.
-
-Shrunk schedule: {injections} injection(s), {bursts} workload burst(s).
-Replay (from the repository root):
-
-    PYTHONPATH=src python {filename}
-
-Exits 0 when the violation reproduces at the same oracle.
-"""
-import json
-import sys
-
-SEED = {seed}
-HOLD_ACKS = {hold_acks}
-EXPECT_ORACLE = {oracle!r}
-SCHEDULE = json.loads(r\'\'\'
-{schedule_json}
-\'\'\')
-
-
-def main():
-    from repro.failures.chaos import ChaosSchedule, run_schedule
-
-    result = run_schedule(
-        ChaosSchedule.from_dict(SCHEDULE), hold_acks=HOLD_ACKS
-    )
-    violation = result.first_violation
-    if violation is None:
-        print("did NOT reproduce: all oracles passed")
-        return 2
-    print(
-        "reproduced: %s @%.3f -- %s"
-        % (violation.oracle, violation.time, violation.detail)
-    )
-    return 0 if violation.oracle == EXPECT_ORACLE else 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())
-'''
-
-
-def write_repro_script(schedule, violation, hold_acks, path):
-    """Emit a self-contained replay script for a shrunk schedule."""
-    filename = path.split("/")[-1]
-    script = REPRO_TEMPLATE.format(
-        seed=schedule.seed,
-        oracle=violation.oracle,
-        injections=len(schedule.injections),
-        bursts=len(schedule.workload),
-        filename=filename,
-        hold_acks=hold_acks,
-        schedule_json=json.dumps(schedule.to_dict(), indent=2, sort_keys=True),
-    )
-    with open(path, "w") as handle:
-        handle.write(script)
-    return path
-
-
-def shrink_and_report(schedule, first_result, hold_acks, out_dir=".",
-                      prefix="chaos_repro"):
-    """The failure path of a sweep: shrink, write the repro, describe it."""
-    violation = first_result.first_violation
-    budget = ShrinkBudget.split(40)
-    shrunk, final, runs = shrink_schedule(
-        schedule, hold_acks=hold_acks, expect_oracle=violation.oracle,
-        budget=budget,
-    )
-    path = f"{out_dir}/{prefix}_{schedule.seed}.py"
-    write_repro_script(shrunk, violation, hold_acks, path)
-    print(
-        f"seed {schedule.seed}: VIOLATION {violation.oracle}"
-        f" @{violation.time:.3f} — {violation.detail}"
-    )
-    print(
-        f"  shrunk to {len(shrunk.injections)} injection(s),"
-        f" {len(shrunk.workload)} burst(s) in {runs} rerun(s)"
-        f" [{budget.describe()}]; repro: {path}"
-    )
-    return shrunk, path
 
 
 # ----------------------------------------------------------------------
@@ -992,8 +107,8 @@ def _run_one(seed, hold_acks=True, out_dir=".", tracing=False,
         )
         return "ok"
     prefix = "panel_repro" if controller_chaos else "chaos_repro"
-    shrink_and_report(schedule, result, hold_acks, out_dir=out_dir,
-                      prefix=prefix)
+    shrink_and_report(schedule, result, hold_acks, tracing=tracing,
+                      out_dir=out_dir, prefix=prefix)
     return "violation"
 
 
@@ -1004,7 +119,9 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, default=None,
                         help="sweep seeds 0..N-1")
     parser.add_argument("--seed", type=int, default=None,
-                        help="run one seed verbosely")
+                        help="run one seed, in the flavour (traced,"
+                             " db-failover, controller) the corpus runs it"
+                             " in; --controller-corpus forces that flavour")
     parser.add_argument("--corpus", action="store_true",
                         help="run the fixed tier-1 corpus seeds")
     parser.add_argument("--controller-corpus", action="store_true",
@@ -1033,24 +150,21 @@ def main(argv=None):
         return 0
 
     if args.seed is not None:
-        status = _run_one(args.seed, out_dir=args.out,
-                          stop_on_violation=stop_on_violation)
-        return {"ok": 0, "violation": 1, "partial": 2}[status]
-
-    if args.controller_corpus:
-        seeds = [(seed, False, False, True) for seed in CONTROLLER_CORPUS_SEEDS]
+        seeds = (args.seed,)
+    elif args.controller_corpus:
+        seeds = CONTROLLER_CORPUS_SEEDS
     elif args.corpus:
-        seeds = [(seed, False, False, False) for seed in CORPUS_SEEDS]
-        seeds += [(seed, True, False, False) for seed in TRACED_CORPUS_SEEDS]
-        seeds += [(seed, False, True, False)
-                  for seed in DB_FAILOVER_CORPUS_SEEDS]
+        seeds = CORPUS_SEEDS + TRACED_CORPUS_SEEDS + DB_FAILOVER_CORPUS_SEEDS
     else:
-        seeds = [
-            (seed, False, False, False)
-            for seed in range(args.seeds if args.seeds is not None else 10)
-        ]
+        seeds = range(args.seeds if args.seeds is not None else 10)
     failures = partials = 0
-    for seed, tracing, db_failover, controller_chaos in seeds:
+    for seed in seeds:
+        if args.controller_corpus:
+            tracing, db_failover, controller_chaos = False, False, True
+        elif args.seed is not None or args.corpus:
+            tracing, db_failover, controller_chaos = corpus_flavour(seed)
+        else:  # a sweep runs every seed plain
+            tracing = db_failover = controller_chaos = False
         status = _run_one(seed, out_dir=args.out, tracing=tracing,
                           db_failover=db_failover,
                           stop_on_violation=stop_on_violation,

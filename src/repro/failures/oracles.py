@@ -31,8 +31,9 @@ Oracles (names are stable; repro scripts and docs reference them):
   or lies (DESIGN.md §15).
 - ``convergence`` — at settle points, the gateway's per-VRF Loc-RIB
   equals the union of the live originated sets the workload model
-  tracks, and (shared-VRF topologies) every remote sees every other
-  remote's live set.
+  tracks — minus whatever the gateway's import policy towards that
+  remote denies — and (shared-VRF topologies) every remote sees every
+  other remote's accepted set.
 - ``bfd_continuity`` — at settle points every remote BFD session is UP
   (skipped when the schedule kills the agent: the relay dies with it).
 - ``storage_bound`` — message records stay within the §3.1.2 64 KB
@@ -80,13 +81,28 @@ class OracleSuite:
     is fed by the driver via :meth:`note_originate` / :meth:`note_withdraw`
     — the oracle RIB is *derived from intent*, never read back from the
     system under test.
+
+    ``import_policies[i]`` is the gateway's import RouteMap towards
+    remote ``i`` (or None).  The expected Loc-RIB is then the live
+    originated set *minus* whatever that policy denies — evaluated on
+    the recorded origination attributes, so the oracle stays a pure
+    model even when a policy censors a block.
     """
 
     def __init__(self, system, pair, remotes, settle_grace=4.0,
-                 check_bfd=True, stop_on_violation=True):
+                 check_bfd=True, stop_on_violation=True,
+                 import_policies=None):
         self.system = system
         self.pair = pair
         self.remotes = list(remotes)  # [(RemotePeerAs, remote session)]
+        self.import_policies = (
+            list(import_policies) if import_policies is not None
+            else [None] * len(self.remotes)
+        )
+        # prefix_str -> (Prefix, PathAttributes) per policy-filtered
+        # remote, recorded at origination time so policy evaluation
+        # replays the intent
+        self.attrs = [dict() for _ in self.remotes]
         self.settle_grace = settle_grace
         self.check_bfd = check_bfd
         self.stop_on_violation = stop_on_violation
@@ -137,6 +153,15 @@ class OracleSuite:
         for prefix in prefixes:
             live[str(prefix)] = True
         self.note_activity()
+
+    def note_originate_routes(self, remote_index, routes):
+        """:meth:`note_originate` from ``(prefix, attributes)`` pairs;
+        the attributes are kept where an import policy will judge them."""
+        if self.import_policies[remote_index] is not None:
+            recorded = self.attrs[remote_index]
+            for prefix, attributes in routes:
+                recorded[str(prefix)] = (prefix, attributes)
+        self.note_originate(remote_index, [p for p, _a in routes])
 
     def note_withdraw(self, remote_index, prefixes):
         live = self.live[remote_index]
@@ -431,12 +456,29 @@ class OracleSuite:
                         " database failure",
                     )
 
+    def _accepted(self, remote_index):
+        """The live set of ``remote_index`` after the gateway's import
+        policy — what the Loc-RIB (and other peers) should see."""
+        policy = self.import_policies[remote_index]
+        live = self.live[remote_index]
+        if policy is None:
+            return live.keys()
+        recorded = self.attrs[remote_index]
+        accepted = set()
+        for prefix_str in live:
+            prefix, attributes = recorded[prefix_str]
+            if policy.evaluate(prefix, attributes) is not None:
+                accepted.add(prefix_str)
+        return accepted
+
     def _check_convergence(self, _now):
         if any(self.live):
             self.exercised.add("convergence")
         expected_by_vrf = {}
         for index, vrf_name in enumerate(self.vrfs):
-            expected_by_vrf.setdefault(vrf_name, set()).update(self.live[index])
+            expected_by_vrf.setdefault(vrf_name, set()).update(
+                self._accepted(index)
+            )
         for vrf_name, expected in expected_by_vrf.items():
             vrf = self.pair.speaker.vrfs.get(vrf_name)
             actual = set() if vrf is None else {
@@ -452,13 +494,14 @@ class OracleSuite:
                     f" (missing={missing} extra={extra})",
                 )
         # Shared-VRF cross-peer visibility: each remote must hold every
-        # other remote's live set (its own is held locally by construction).
+        # other remote's accepted set (its own is held locally by
+        # construction).
         for index, (remote, session) in enumerate(self.remotes):
             vrf_name = self.vrfs[index]
             others = set()
             for other_index, other_vrf in enumerate(self.vrfs):
                 if other_index != index and other_vrf == vrf_name:
-                    others.update(self.live[other_index])
+                    others.update(self._accepted(other_index))
             if not others:
                 continue
             remote_vrf = remote.speaker.vrfs.get(session.config.vrf_name)

@@ -10,30 +10,28 @@ executed-event buckets.  Specs that reach novel coverage stay in the
 corpus and are mutated further; specs that trip an oracle are shrunk
 across both schedule and config/topology dimensions into replayable
 ``fuzz_repro_<seed>.py`` scripts.
+
+This package is the spec space (:mod:`repro.fuzz.spec`) and the campaign
+loop (:mod:`repro.fuzz.loop`).  Running, judging, shrinking and replaying
+a spec is the scenario harness's job (:mod:`repro.failures.harness`,
+:mod:`repro.failures.shrink`) — the same code that runs a chaos
+schedule; ``run_fuzz_spec`` is its :func:`run_scenario`.
 """
 
-from repro.fuzz.build import (
-    FuzzResult,
-    build_fuzz_shard,
-    fuzz_corpus_specs,
-    run_fuzz_spec,
+from repro.failures.harness import (
+    coverage_key,
+    run_profile,
+    run_scenario as run_fuzz_spec,
 )
-from repro.fuzz.coverage import coverage_key, profile_from_chaos, run_profile
-from repro.fuzz.loop import fuzz_loop, shrink_fuzz_spec, write_fuzz_repro
+from repro.fuzz.loop import fuzz_loop
 from repro.fuzz.spec import FuzzSpec, generate_fuzz_spec, mutate_fuzz_spec
 
 __all__ = [
-    "FuzzResult",
     "FuzzSpec",
-    "build_fuzz_shard",
     "coverage_key",
-    "fuzz_corpus_specs",
     "fuzz_loop",
     "generate_fuzz_spec",
     "mutate_fuzz_spec",
-    "profile_from_chaos",
     "run_fuzz_spec",
     "run_profile",
-    "shrink_fuzz_spec",
-    "write_fuzz_repro",
 ]

@@ -18,14 +18,14 @@ mismatch; 2 partial runs (no verdict for the uncovered tail).
 import argparse
 import sys
 
-from repro.failures.chaos import (
+from repro.failures.harness import coverage_key, run_profile, run_scenario
+from repro.failures.schedule import (
     CORPUS_SEEDS,
     DB_FAILOVER_CORPUS_SEEDS,
     TRACED_CORPUS_SEEDS,
 )
-from repro.fuzz.coverage import chaos_baseline_profiles, coverage_key, run_profile
-from repro.fuzz.build import run_fuzz_spec
 from repro.fuzz.loop import (
+    chaos_baseline_profiles,
     fuzz_loop,
     load_manifest,
     manifest_entries,
@@ -58,7 +58,7 @@ def _replay(path):
     baseline_keys = set(manifest["baseline"])
     mismatches = novel = 0
     for spec, expected_key, _profile in manifest_entries(manifest):
-        result = run_fuzz_spec(spec, tracing=True)
+        result = run_scenario(spec, tracing=True)
         key = coverage_key(run_profile(result))
         ok = key == expected_key
         mismatches += not ok

@@ -1,235 +1,22 @@
-"""The coverage-guided loop, the two-budget shrinker, and corpus I/O.
+"""The coverage-guided loop and corpus I/O.
 
 The loop is seed-deterministic end to end: iteration ``i`` either
 generates a fresh spec or mutates a corpus entry, with every choice
 drawn from one named stream of the loop seed.  Novel coverage keys
 (not in the chaos baseline, not seen this campaign) admit the spec to
-the corpus; violations are shrunk — schedule dimensions and
-config/topology dimensions on *separate* :class:`ShrinkBudget` pools —
-and written out as replayable ``fuzz_repro_<seed>.py`` scripts.
+the corpus; violations go to the harness's shrinker
+(:func:`~repro.failures.shrink.shrink_scenario` — schedule dimensions
+and config/topology dimensions on *separate* :class:`ShrinkBudget`
+pools) and come back as replayable ``fuzz_repro_<seed>.py`` scripts.
 """
 
 import json
 
-from repro.failures.chaos import SETTLE_TAIL, ShrinkBudget
-from repro.fuzz.build import run_fuzz_spec
-from repro.fuzz.coverage import coverage_key, run_profile
-from repro.fuzz.spec import (
-    FuzzSpec,
-    SpecError,
-    generate_fuzz_spec,
-    mutate_fuzz_spec,
-    validate_fuzz_spec,
-)
+from repro.failures.harness import coverage_key, run_profile, run_scenario
+from repro.failures.schedule import SETTLE_TAIL, generate_schedule
+from repro.failures.shrink import ShrinkBudget, shrink_and_report
+from repro.fuzz.spec import FuzzSpec, generate_fuzz_spec, mutate_fuzz_spec
 from repro.sim.rand import DeterministicRandom
-
-
-# ----------------------------------------------------------------------
-# shrinking across schedule AND config/topology dimensions
-# ----------------------------------------------------------------------
-
-def shrink_fuzz_spec(spec, hold_acks=True, expect_oracle=None,
-                     max_runs=40, budget=None):
-    """Minimize a violating spec; returns ``(shrunk, final_result,
-    runs_used)`` like :func:`chaos.shrink_schedule`.
-
-    Schedule passes (drop injections/bursts, halve counts, trim the
-    horizon) and config/topology passes (drop trailing neighbors, strip
-    policies, reset MRAI/BFD knobs, zero the preload) draw from separate
-    :class:`ShrinkBudget` pools, so neither dimension can starve the
-    other; inspect ``budget.exhausted()`` to see which pool ran dry.
-    """
-    if budget is None:
-        budget = ShrinkBudget.split(max_runs, config_share=0.4)
-
-    def still_fails(candidate, dimension):
-        if not budget.take(dimension):
-            return None
-        try:
-            validate_fuzz_spec(candidate)
-        except SpecError:
-            return False
-        result = run_fuzz_spec(candidate, hold_acks=hold_acks)
-        violation = result.first_violation
-        if violation is None:
-            return False
-        if expect_oracle is not None and violation.oracle != expect_oracle:
-            return False
-        return result
-
-    best = spec.copy()
-    result = still_fails(best, "schedule")
-    if not result:
-        return best, None, budget.total_used
-
-    def try_mutation(mutate, dimension):
-        nonlocal best, result
-        candidate = best.copy()
-        if mutate(candidate) is False:
-            return
-        outcome = still_fails(candidate, dimension)
-        if outcome:
-            best, result = candidate, outcome
-
-    # -- schedule dimensions ----------------------------------------------
-    changed = True
-    while changed and budget.remaining("schedule") > 0:
-        changed = False
-        for index in range(len(best.injections) - 1, -1, -1):
-            before = len(best.injections)
-
-            def drop(candidate, index=index):
-                del candidate.injections[index]
-
-            try_mutation(drop, "schedule")
-            if len(best.injections) != before:
-                changed = True
-    for index in range(len(best.workload) - 1, -1, -1):
-        def drop(candidate, index=index):
-            del candidate.workload[index]
-
-        try_mutation(drop, "schedule")
-    for index in range(len(best.workload)):
-        while (best.workload[index]["count"] > 25
-               and budget.remaining("schedule") > 0):
-            before = best.workload[index]["count"]
-
-            def halve(candidate, index=index):
-                candidate.workload[index]["count"] //= 2
-
-            try_mutation(halve, "schedule")
-            if best.workload[index]["count"] == before:
-                break
-
-    # -- config/topology dimensions ---------------------------------------
-    # drop trailing neighbors (with their bursts; injections retarget to
-    # pair 0 since the plan reshapes)
-    while len(best.neighbors) > 1 and budget.remaining("config") > 0:
-        before = len(best.neighbors)
-
-        def drop_neighbor(candidate):
-            index = len(candidate.neighbors) - 1
-            del candidate.neighbors[index]
-            candidate.workload = [
-                event for event in candidate.workload
-                if event["remote"] != index
-            ]
-            pairs = candidate.pair_count()
-            for event in candidate.injections:
-                if event.get("pair", 0) >= pairs:
-                    event["pair"] = 0
-            candidate.max_peers_per_container = max(
-                candidate.vrf_group_sizes(), default=1
-            )
-
-        try_mutation(drop_neighbor, "config")
-        if len(best.neighbors) == before:
-            break
-    for index in range(len(best.neighbors)):
-        def strip_policies(candidate, index=index):
-            neighbor = candidate.neighbors[index]
-            if not neighbor["import_policy"] and not neighbor["export_policy"]:
-                return False
-            neighbor["import_policy"] = None
-            neighbor["export_policy"] = None
-
-        try_mutation(strip_policies, "config")
-
-        def reset_timers(candidate, index=index):
-            neighbor = candidate.neighbors[index]
-            if (neighbor["mrai"] is None
-                    and neighbor["bfd_tx_interval"] is None):
-                return False
-            neighbor["mrai"] = None
-            neighbor["bfd_tx_interval"] = None
-            neighbor["bfd_detect_mult"] = None
-
-        try_mutation(reset_timers, "config")
-    if best.mrai_mode != "per_speaker" or best.mrai is not None:
-        def reset_mrai(candidate):
-            candidate.mrai_mode = "per_speaker"
-            candidate.mrai = None
-
-        try_mutation(reset_mrai, "config")
-    if best.initial_routes:
-        def zero(candidate):
-            candidate.initial_routes = 0
-
-        try_mutation(zero, "config")
-
-    # -- horizon ----------------------------------------------------------
-    trimmed = round(max(5.0, result.first_violation.time - 5.0), 3)
-    if trimmed < best.duration:
-        def trim(candidate):
-            candidate.duration = trimmed
-
-        try_mutation(trim, "schedule")
-    return best, result, budget.total_used
-
-
-# ----------------------------------------------------------------------
-# repro scripts
-# ----------------------------------------------------------------------
-
-FUZZ_REPRO_TEMPLATE = '''#!/usr/bin/env python3
-"""Auto-generated fuzz repro — seed {seed}, oracle {oracle}.
-
-Shrunk spec: {neighbors} neighbor(s), {pairs} pair(s),
-{injections} injection(s), {bursts} burst(s).
-Replay (from the repository root):
-
-    PYTHONPATH=src python {filename}
-
-Exits 0 when the violation reproduces at the same oracle.
-"""
-import json
-import sys
-
-SEED = {seed}
-HOLD_ACKS = {hold_acks}
-EXPECT_ORACLE = {oracle!r}
-SPEC = json.loads(r\'\'\'
-{spec_json}
-\'\'\')
-
-
-def main():
-    from repro.fuzz import FuzzSpec, run_fuzz_spec
-
-    result = run_fuzz_spec(FuzzSpec.from_dict(SPEC), hold_acks=HOLD_ACKS)
-    violation = result.first_violation
-    if violation is None:
-        print("did NOT reproduce: all oracles passed")
-        return 2
-    print(
-        "reproduced: %s @%.3f -- %s"
-        % (violation.oracle, violation.time, violation.detail)
-    )
-    return 0 if violation.oracle == EXPECT_ORACLE else 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())
-'''
-
-
-def write_fuzz_repro(spec, violation, hold_acks, path):
-    """Emit a self-contained replay script for a shrunk spec."""
-    filename = path.split("/")[-1]
-    script = FUZZ_REPRO_TEMPLATE.format(
-        seed=spec.seed,
-        oracle=violation.oracle,
-        neighbors=len(spec.neighbors),
-        pairs=spec.pair_count(),
-        injections=len(spec.injections),
-        bursts=len(spec.workload),
-        filename=filename,
-        hold_acks=hold_acks,
-        spec_json=json.dumps(spec.to_dict(), indent=2, sort_keys=True),
-    )
-    with open(path, "w") as handle:
-        handle.write(script)
-    return path
 
 
 # ----------------------------------------------------------------------
@@ -285,28 +72,19 @@ def fuzz_loop(seed=0, iterations=10, baseline_keys=(), hold_acks=True,
             if not spec.injections:
                 spec = generate_fuzz_spec(spec_seed)
 
-        result = run_fuzz_spec(spec, hold_acks=hold_acks, tracing=tracing)
+        result = run_scenario(spec, hold_acks=hold_acks, tracing=tracing)
         report.runs += 1
         if result.partial:
             report.partial += 1
         violation = result.first_violation
         if violation is not None:
-            budget = ShrinkBudget.split(40, config_share=0.4)
-            shrunk, _final, runs = shrink_fuzz_spec(
-                spec, hold_acks=hold_acks,
-                expect_oracle=violation.oracle, budget=budget,
+            shrunk, path = shrink_and_report(
+                spec, result, hold_acks, tracing=tracing, out_dir=out_dir,
+                budget=ShrinkBudget.split(40, config_share=0.4), log=log,
             )
-            path = f"{out_dir}/fuzz_repro_{spec.seed}.py"
-            write_fuzz_repro(shrunk, violation, hold_acks, path)
             report.violations.append({
                 "spec": shrunk, "oracle": violation.oracle, "repro": path,
             })
-            log(
-                f"[{iteration}] seed {spec.seed}: VIOLATION"
-                f" {violation.oracle} @{violation.time:.3f};"
-                f" shrunk in {runs} rerun(s) [{budget.describe()}];"
-                f" repro: {path}"
-            )
             continue
         profile = run_profile(result)
         key = coverage_key(profile)
@@ -332,11 +110,27 @@ def fuzz_loop(seed=0, iterations=10, baseline_keys=(), hold_acks=True,
 # manifest I/O (tests/fuzz_corpus/manifest.json)
 # ----------------------------------------------------------------------
 
+def chaos_baseline_profiles(plain=(), traced=(), db_failover=()):
+    """Run chaos corpus seeds in their tier-1 configurations and return
+    ``{key: {"seed": ..., "profile": ...}}`` — the coverage floor a fuzz
+    corpus entry must escape to count as novel."""
+    baseline = {}
+    runs = [(seed, {}, {}) for seed in plain]
+    runs += [(seed, {}, {"tracing": True}) for seed in traced]
+    runs += [(seed, {"db_failover": True}, {}) for seed in db_failover]
+    for seed, generate_kw, run_kw in runs:
+        profile = run_profile(
+            run_scenario(generate_schedule(seed, **generate_kw), **run_kw)
+        )
+        baseline[coverage_key(profile)] = {"seed": seed, "profile": profile}
+    return baseline
+
+
 def save_manifest(path, report, baseline):
     """Persist a campaign as the checked-in regression corpus.
 
     ``baseline``: {key: {"seed", "profile"}} from
-    :func:`~repro.fuzz.coverage.chaos_baseline_profiles`.
+    :func:`chaos_baseline_profiles`.
     """
     manifest = {
         "loop_seed": report.seed,

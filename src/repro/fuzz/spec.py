@@ -2,8 +2,21 @@
 
 A spec fully determines a run — :func:`generate_fuzz_spec` and
 :func:`mutate_fuzz_spec` are pure functions of their seeds, and
-``build_fuzz_system`` materializes the spec deterministically — so every
-corpus entry and every repro script replays bit-identically.
+:meth:`FuzzSpec.build` materializes the spec deterministically — so every
+corpus entry and every repro script replays bit-identically.  A spec is
+a *scenario* of the harness (:mod:`repro.failures.harness`), like a
+chaos schedule: it supplies the topology builder, its shrink passes and
+its coverage shape, and the harness does everything else.
+
+The differences the fuzzer introduces — multiple split pairs from
+:func:`~repro.core.splitting.plan_split`, per-neighbor BFD/MRAI timers,
+routing policies — each get their own knob threaded through the existing
+:class:`PeerNeighborSpec` / ``create_pair`` surface, so a fuzz topology
+is an ordinary deployment the config loader could also have built.  Each
+pair gets its own oracle suite (the wire-tap ACK oracle filters by
+service address, so suites do not cross-talk), handed the pair's import
+policies so convergence is judged against workload intent *filtered
+through them*.
 
 Composition rules extend the chaos engine's recoverable-by-design
 guarantees to the new dimensions:
@@ -20,10 +33,19 @@ guarantees to the new dimensions:
   of workload intent.
 """
 
+from functools import partial
+
+from repro.bgp.policy import policy_from_dict
 from repro.bgp.speaker import MRAI_MODES
 from repro.core.splitting import PeeringSpec, plan_split
-from repro.failures.chaos import HARD_SPACING, SETTLE_TAIL
+from repro.core.system import PeerNeighborSpec, TensorSystem
+from repro.failures.schedule import (
+    HARD_SPACING,
+    SETTLE_TAIL,
+    zero_initial_routes,
+)
 from repro.sim.rand import DeterministicRandom
+from repro.workloads.topology import build_remote_peer
 
 VRF_LAYOUTS = ("shared", "per_peer", "grouped")
 
@@ -83,6 +105,9 @@ class FuzzSpec:
     ``injections`` follow the chaos schema plus a ``"pair"`` index;
     ``workload`` entries are identical to the chaos schema.
     """
+
+    #: names the scenario kind in shard ids and repro scripts
+    kind = "fuzz"
 
     def __init__(self, seed, neighbors=(), vrf_layout="per_peer",
                  mrai_mode="per_speaker", mrai=None,
@@ -174,6 +199,128 @@ class FuzzSpec:
     def copy(self):
         return FuzzSpec.from_dict(self.to_dict())
 
+    # -- what the harness asks of a scenario -----------------------------
+
+    @property
+    def uniform_attributes(self):
+        """Uniform layouts share one attribute set per burst."""
+        return self.aggregation_layout in ("uniform", "snapshot")
+
+    def validate(self):
+        return validate_fuzz_spec(self)
+
+    def build(self, hold_acks=True, tracing=False):
+        """A converged system for the spec: one TensorPair per planned
+        split container at ``10.10.<p>.1``, remotes linked to both
+        machines.
+
+        Returns ``(system, [(pair, remote indices, import policies)],
+        remotes)`` with ``remotes`` the ``(RemotePeerAs, session)`` list.
+        """
+        validate_fuzz_spec(self)
+        system = TensorSystem(
+            seed=self.seed, hold_acks=hold_acks, tracing=tracing
+        )
+        m1 = system.add_machine("gw-1", "10.1.0.1")
+        m2 = system.add_machine("gw-2", "10.2.0.1")
+        addr_to_index = {
+            self.remote_addr(index): index
+            for index in range(len(self.neighbors))
+        }
+        placed = []
+        pair_of_index = {}
+        for p, assignment in enumerate(self.split_plan().assignments):
+            members = [addr_to_index[peering.remote_addr]
+                       for peering in assignment.peerings]
+            policies = [
+                policy_from_dict(self.neighbors[index]["import_policy"])
+                for index in members
+            ]
+            specs = []
+            for index, import_policy in zip(members, policies):
+                neighbor = self.neighbors[index]
+                specs.append(PeerNeighborSpec(
+                    self.remote_addr(index),
+                    neighbor["remote_as"],
+                    vrf_name=neighbor["vrf"],
+                    mode="passive",
+                    hold_time=neighbor["hold_time"],
+                    keepalive_interval=neighbor["keepalive_interval"],
+                    bfd_tx_interval=neighbor["bfd_tx_interval"],
+                    bfd_detect_mult=neighbor["bfd_detect_mult"],
+                    mrai=neighbor["mrai"],
+                    import_policy=import_policy,
+                    export_policy=policy_from_dict(neighbor["export_policy"]),
+                ))
+            pair = system.create_pair(
+                f"pair{p}", m1, m2,
+                service_addr=f"10.10.{p}.1",
+                local_as=65001,
+                router_id=f"10.10.{p}.1",
+                neighbors=specs,
+                mrai=self.mrai,
+                mrai_mode=self.mrai_mode,
+                aggregate_snapshots=self.aggregation_layout == "snapshot",
+            )
+            placed.append((pair, members, policies))
+            for index in members:
+                pair_of_index[index] = pair
+
+        remotes = []
+        for index, neighbor in enumerate(self.neighbors):
+            remote = build_remote_peer(
+                system, f"remote{index}", self.remote_addr(index),
+                neighbor["remote_as"], link_machines=[m1, m2],
+            )
+            session = remote.peer_with(
+                pair_of_index[index].service_addr, 65001,
+                vrf_name=neighbor["vrf"], mode="active",
+                hold_time=neighbor["hold_time"],
+                keepalive_interval=neighbor["keepalive_interval"],
+            )
+            remotes.append((remote, session))
+
+        for pair, _members, _policies in placed:
+            pair.start()
+        for remote, _session in remotes:
+            remote.start()
+        system.engine.advance(10.0)
+        return system, placed, remotes
+
+    def config_shrink_passes(self):
+        """The config/topology mutators the shrinker may try, in order:
+        drop trailing neighbors, strip policies and timer overrides per
+        neighbor, reset the MRAI mode, zero the preload."""
+        passes = [_drop_last_neighbor]
+        for index in range(len(self.neighbors)):
+            passes.append(partial(_strip_policies, index=index))
+            passes.append(partial(_reset_timers, index=index))
+        return passes + [_reset_mrai, zero_initial_routes]
+
+    def profile_shape(self):
+        """The configured half of the coverage profile."""
+        return {
+            "topology": {
+                "pairs": self.pair_count(),
+                "neighbors": len(self.neighbors),
+                "vrf_groups": list(self.vrf_group_sizes()),
+                "mrai_mode": self.mrai_mode,
+                "policies": [
+                    sum(1 for n in self.neighbors if n["import_policy"]),
+                    sum(1 for n in self.neighbors if n["export_policy"]),
+                ],
+            },
+            "workload": {
+                "density": self.prefix_density,
+                "aggregation": self.aggregation_layout,
+            },
+        }
+
+    def describe(self):
+        return (f"{len(self.neighbors)} neighbor(s), {self.pair_count()}"
+                f" pair(s), {len(self.injections)} injection(s),"
+                f" {len(self.workload)} burst(s)")
+
     def __repr__(self):
         return (
             f"<FuzzSpec seed={self.seed} neighbors={len(self.neighbors)}"
@@ -259,6 +406,56 @@ def validate_fuzz_spec(spec):
     if spec.duration <= last_hard:
         raise SpecError("duration must cover every injection")
     return spec
+
+
+# ----------------------------------------------------------------------
+# config/topology shrink passes (each returns False when it has nothing
+# left to remove, so the shrinker spends no rerun on it)
+# ----------------------------------------------------------------------
+
+def _drop_last_neighbor(spec):
+    """Drop the trailing neighbor with its bursts; injections retarget
+    to pair 0 where the reshaped plan lost their pair."""
+    if len(spec.neighbors) <= 1:
+        return False
+    index = len(spec.neighbors) - 1
+    del spec.neighbors[index]
+    spec.workload = [
+        event for event in spec.workload if event["remote"] != index
+    ]
+    pairs = spec.pair_count()
+    for event in spec.injections:
+        if event.get("pair", 0) >= pairs:
+            event["pair"] = 0
+    spec.max_peers_per_container = max(spec.vrf_group_sizes(), default=1)
+
+
+def _strip_policies(spec, index):
+    if index >= len(spec.neighbors):
+        return False
+    neighbor = spec.neighbors[index]
+    if not neighbor["import_policy"] and not neighbor["export_policy"]:
+        return False
+    neighbor["import_policy"] = None
+    neighbor["export_policy"] = None
+
+
+def _reset_timers(spec, index):
+    if index >= len(spec.neighbors):
+        return False
+    neighbor = spec.neighbors[index]
+    if neighbor["mrai"] is None and neighbor["bfd_tx_interval"] is None:
+        return False
+    neighbor["mrai"] = None
+    neighbor["bfd_tx_interval"] = None
+    neighbor["bfd_detect_mult"] = None
+
+
+def _reset_mrai(spec):
+    if spec.mrai_mode == "per_speaker" and spec.mrai is None:
+        return False
+    spec.mrai_mode = "per_speaker"
+    spec.mrai = None
 
 
 # ----------------------------------------------------------------------

@@ -239,6 +239,55 @@ def test_ablation_trips_shrinks_and_replays(tmp_path):
     assert "reproduced: ack_durability" in proc.stdout
 
 
+#: Seeds a phase_latency violation into every traced run (the oracle
+#: reads ``TraceStore.delayed_ack_violations`` at each settle point); an
+#: untraced run has no trace store and so can never trip it.
+SEED_PHASE_VIOLATION = (
+    "import repro.trace.store as store;"
+    " store.TraceStore.delayed_ack_violations ="
+    " lambda self: ['seeded: ack_release began before replicate ended']"
+)
+
+
+def test_traced_violation_shrinks_and_replays_traced(tmp_path, monkeypatch):
+    """Regression: the run options travel with the scenario.  The
+    shrinker and the repro script used to re-run *untraced*, so a
+    ``phase_latency`` violation (traced runs only) shrank to nothing in
+    one rerun and its script printed "did NOT reproduce"."""
+    from repro.trace.store import TraceStore
+
+    monkeypatch.setattr(
+        TraceStore, "delayed_ack_violations",
+        lambda self: ["seeded: ack_release began before replicate ended"],
+    )
+    schedule = generate_schedule(TRACED_CORPUS_SEEDS[0])
+    result = run_schedule(schedule, tracing=True)
+    violation = result.first_violation
+    assert violation is not None and violation.oracle == "phase_latency"
+    # the seeded violation needs the tracer, nothing else
+    assert run_schedule(schedule).first_violation is None
+
+    shrunk, final, runs = shrink_schedule(
+        schedule, tracing=True, expect_oracle="phase_latency", max_runs=16,
+    )
+    assert final is not None and runs > 1
+    assert final.first_violation.oracle == "phase_latency"
+    assert not shrunk.injections and not shrunk.workload
+
+    path = str(tmp_path / "chaos_repro_6.py")
+    write_repro_script(shrunk, violation, True, path, tracing=True)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    replay = (f"{SEED_PHASE_VIOLATION}; import runpy;"
+              f" runpy.run_path({path!r}, run_name='__main__')")
+    proc = subprocess.run(
+        [sys.executable, "-c", replay],
+        capture_output=True, text=True, env=env, cwd=str(root),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "reproduced: phase_latency" in proc.stdout
+
+
 # ----------------------------------------------------------------------
 # shrink budgets and partial-run detection
 # ----------------------------------------------------------------------
@@ -321,8 +370,8 @@ def test_cli_exit_codes_distinguish_partial_runs(monkeypatch, capsys):
 
     def fake_run(schedule, hold_acks=True, stop_on_violation=True,
                  tracing=False):
-        return chaos.ChaosResult(
-            schedule, _FakeSuite(), _FakeSystem(), 100,
+        return chaos.ScenarioResult(
+            schedule, [_FakeSuite()], _FakeSystem(), 100,
             completed=stop_on_violation,  # partial only when kept going
         )
 
@@ -332,3 +381,42 @@ def test_cli_exit_codes_distinguish_partial_runs(monkeypatch, capsys):
     assert chaos.main(["--corpus", "--keep-going"]) == 2
     out = capsys.readouterr().out
     assert "PARTIAL" in out
+
+
+def test_cli_single_seed_runs_in_its_corpus_flavour(monkeypatch, capsys):
+    """`--seed N` used to ignore the flavour flags and run the plain
+    schedule, so a failing controller / db-failover / traced corpus seed
+    could not be re-run on its own.  It now composes with an explicit
+    flag, and without one looks the seed up in the corpus tables."""
+    from repro.failures import chaos
+
+    seen = []
+    real_run = chaos.run_schedule
+
+    def spy(schedule, **options):
+        seen.append((schedule, options))
+        schedule = schedule.copy()
+        schedule.injections, schedule.workload = [], []
+        schedule.initial_routes, schedule.duration = 0, 1.0
+        return real_run(schedule, **options)
+
+    monkeypatch.setattr(chaos, "run_schedule", spy)
+    assert chaos.main(["--seed", "14", "--controller-corpus"]) == 0
+    assert chaos.main(["--seed", "14"]) == 0
+    assert chaos.main(["--seed", "20", "--controller-corpus"]) == 0
+    for schedule, _options in seen:
+        assert schedule.controller_replicas == 3
+        assert schedule.to_dict() == generate_schedule(
+            schedule.seed, controller_chaos=True).to_dict()
+    assert "panel x3" in capsys.readouterr().out
+
+    del seen[:]
+    assert chaos.main(["--seed", "6"]) == 0    # a traced corpus seed
+    assert chaos.main(["--seed", "10"]) == 0   # a db-failover corpus seed
+    assert chaos.main(["--seed", "3"]) == 0    # a plain one
+    (traced, t_opts), (failover, f_opts), (plain, p_opts) = seen
+    assert t_opts["tracing"] and not f_opts["tracing"] and not p_opts["tracing"]
+    assert any(e["scenario"] == "database_failover"
+               for e in failover.injections)
+    assert plain.to_dict() == generate_schedule(3).to_dict()
+    assert plain.controller_replicas == traced.controller_replicas == 1

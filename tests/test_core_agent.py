@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.agent import AgentServer
-from repro.control.controller import Controller
+from repro.control.panel import ControllerPanel
 from repro.control.ipsla import IpSlaResponder
 from repro.sim import DeterministicRandom, Engine, Network
 
@@ -13,7 +13,7 @@ def env(engine):
     network = Network(engine, DeterministicRandom(21))
     network.enable_fabric(latency=5e-5)
     controller_host = network.add_host("ctrl", "10.255.0.1")
-    controller = Controller(engine, controller_host)
+    controller = ControllerPanel(engine, [controller_host])
     agent_host = network.add_host("agent", "10.253.0.1")
     agent = AgentServer(engine, agent_host, controller,
                         rng=DeterministicRandom(21).stream("agent"))
@@ -64,7 +64,7 @@ def test_agent_probe_feeds_detector(env):
     engine.advance(1.0)
     machine_host.fail()
     engine.advance(2.0)
-    signals = controller.detector._machine("gw-1")
+    signals = controller.leader.detector._machine("gw-1")
     assert signals.agent_ipsla_down
 
 

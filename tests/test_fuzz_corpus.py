@@ -15,7 +15,7 @@ import pathlib
 import pytest
 
 from repro.failures.chaos import generate_schedule, run_schedule
-from repro.fuzz import coverage_key, profile_from_chaos, run_fuzz_spec, run_profile
+from repro.fuzz import coverage_key, run_fuzz_spec, run_profile
 from repro.fuzz.loop import load_manifest, manifest_entries
 from repro.fuzz.spec import validate_fuzz_spec
 
@@ -95,5 +95,5 @@ def test_baseline_spot_check_matches_fresh_chaos_profiles(manifest):
                for key, entry in manifest["baseline"].items()}
     for seed in (0, 1):
         result = run_schedule(generate_schedule(seed))
-        key = coverage_key(profile_from_chaos(result))
+        key = coverage_key(run_profile(result))
         assert by_seed.get(seed) == key

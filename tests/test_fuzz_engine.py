@@ -11,16 +11,22 @@ import pathlib
 import subprocess
 import sys
 
-from repro.failures.chaos import ShrinkBudget
+import pytest
+
+from repro.failures.harness import _PreparedRun
+from repro.failures.schedule import generate_schedule
+from repro.failures.shrink import (
+    ShrinkBudget,
+    shrink_scenario,
+    write_repro_script,
+)
 from repro.fuzz import (
+    FuzzSpec,
     coverage_key,
     generate_fuzz_spec,
     run_fuzz_spec,
     run_profile,
-    shrink_fuzz_spec,
-    write_fuzz_repro,
 )
-from repro.fuzz.build import FuzzPreparedRun
 from repro.fuzz.loop import fuzz_loop
 
 
@@ -79,7 +85,7 @@ def test_ablation_trips_shrinks_on_both_budgets_and_replays(tmp_path):
     assert violation.oracle == "ack_durability"
 
     budget = ShrinkBudget.split(40, config_share=0.4)
-    shrunk, final, runs = shrink_fuzz_spec(
+    shrunk, final, runs = shrink_scenario(
         spec, hold_acks=False, expect_oracle="ack_durability", budget=budget,
     )
     assert final is not None
@@ -93,7 +99,7 @@ def test_ablation_trips_shrinks_on_both_budgets_and_replays(tmp_path):
     assert runs == budget.total_used
 
     path = str(tmp_path / "fuzz_repro_1.py")
-    write_fuzz_repro(shrunk, violation, False, path)
+    write_repro_script(shrunk, violation, False, path)
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
@@ -106,7 +112,7 @@ def test_ablation_trips_shrinks_on_both_budgets_and_replays(tmp_path):
 
 def test_partial_fuzz_run_is_not_a_pass():
     spec = generate_fuzz_spec(1)
-    prepared = FuzzPreparedRun(spec, stop_on_violation=False)
+    prepared = _PreparedRun(spec, stop_on_violation=False)
     prepared.step_to(prepared.engine.now + 1.0)
     result = prepared.finish()
     assert result.partial
@@ -122,3 +128,42 @@ def test_fuzz_loop_is_seed_deterministic(tmp_path):
     assert [e["key"] for e in first.corpus] == [e["key"] for e in second.corpus]
     assert first.runs == second.runs == 3
     assert len(logs) == 3
+
+
+def _equivalent_spec(schedule):
+    """The single-pair FuzzSpec that expresses ``schedule``'s topology
+    (possible when all its neighbors share one VRF: the split planner
+    gives each VRF its own pair, the chaos builder never splits)."""
+    assert schedule.neighbors == 1 or schedule.shared_vrf
+    return FuzzSpec(
+        schedule.seed,
+        neighbors=[
+            {"remote_as": 64512 + index, "vrf": "v0", "hold_time": 90,
+             "keepalive_interval": 30, "mrai": None,
+             "bfd_tx_interval": None, "bfd_detect_mult": None,
+             "import_policy": None, "export_policy": None}
+            for index in range(schedule.neighbors)
+        ],
+        vrf_layout="shared",
+        max_peers_per_container=schedule.neighbors,
+        initial_routes=schedule.initial_routes,
+        injections=schedule.injections,
+        workload=schedule.workload,
+        duration=schedule.duration,
+    )
+
+
+@pytest.mark.parametrize("seed", (2, 4))
+def test_chaos_schedule_and_equivalent_fuzz_spec_run_identically(seed):
+    """One harness: the chaos corpus is the fixed-topology special case
+    of a fuzz spec, so the two scenario kinds must not differ in
+    anything but the system they build."""
+    schedule = generate_schedule(seed)
+    chaos = run_fuzz_spec(schedule)
+    fuzz = run_fuzz_spec(_equivalent_spec(schedule))
+    assert fuzz.summary() == chaos.summary() == "all oracles passed"
+    assert fuzz.verdict_bitmap() == chaos.verdict_bitmap()
+    assert fuzz.system.rib_digest() == chaos.system.rib_digest()
+    assert fuzz.system.engine.now == chaos.system.engine.now
+    assert fuzz.events_executed == chaos.events_executed
+    assert run_profile(fuzz) == run_profile(chaos)

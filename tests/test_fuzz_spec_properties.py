@@ -17,7 +17,6 @@ covers the same properties without it.
 
 import pytest
 
-from repro.fuzz.build import build_fuzz_system
 from repro.fuzz.spec import (
     FuzzSpec,
     generate_fuzz_spec,
@@ -64,7 +63,7 @@ def _assert_deterministic(seed):
 def _assert_builds_valid_system(seed):
     spec = generate_fuzz_spec(seed)
     validate_fuzz_spec(spec)
-    system, pairs, remotes = build_fuzz_system(spec)
+    system, pairs, remotes = spec.build()
     # every neighbor's session established against its assigned pair
     assert len(remotes) == len(spec.neighbors)
     for remote, session in remotes:
@@ -73,14 +72,14 @@ def _assert_builds_valid_system(seed):
     # speaker, and no pair hosts a VRF the spec never named
     spec_vrfs = {neighbor["vrf"] for neighbor in spec.neighbors}
     homes = {}
-    for pair, members in pairs:
+    for pair, _members, _policies in pairs:
         for vrf_name in pair.speaker.vrfs:
             assert vrf_name in spec_vrfs, f"dangling VRF {vrf_name}"
             assert homes.setdefault(vrf_name, pair.name) == pair.name
     assert set(homes) == spec_vrfs
     # no dangling peers: each pair's configured neighbors are exactly
     # its split-plan members
-    for pair, members in pairs:
+    for pair, members, _policies in pairs:
         configured = {spec_n.remote_addr for spec_n in pair.neighbors}
         assert configured == {spec.remote_addr(i) for i in members}
 

@@ -251,12 +251,13 @@ FUZZ_SEEDS = (1, 4)
 
 @functools.lru_cache(maxsize=None)
 def fuzz_run(workers):
-    from repro.fuzz import fuzz_corpus_specs, generate_fuzz_spec
+    from repro.failures.harness import scenario_shard_specs
+    from repro.fuzz import generate_fuzz_spec
 
     specs = [generate_fuzz_spec(seed) for seed in FUZZ_SEEDS]
     horizon = max(spec.duration for spec in specs) + 20.0
     return ParallelRunner(
-        fuzz_corpus_specs(specs, tracing=True), workers=workers
+        scenario_shard_specs(specs, tracing=True), workers=workers
     ).run(horizon)
 
 
