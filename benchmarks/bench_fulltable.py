@@ -54,7 +54,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bgp.prefixes import Prefix  # noqa: E402
+from repro.bgp.prefixes import prefix_key  # noqa: E402
 from repro.bgp.radix import RadixTrie  # noqa: E402
 from repro.core.recovery import RecoveredState  # noqa: E402
 from repro.core.replication import (  # noqa: E402
@@ -87,6 +87,11 @@ RESELECT_RATIO_FLOOR = 0.4
 #: §14 acceptance: aggregation must shrink replicated snapshot entries
 #: by at least this much on the aggregatable workload.
 AGGREGATION_FLOOR = 0.20
+
+#: A loaded route is one GC-tracked object, the ``Route``: its key is a
+#: plain int and its attributes are pooled (DESIGN.md §14).  A second
+#: tracked object per route is what every full collection then walks.
+TRACKED_PER_ROUTE_CEILING = 1.05
 
 #: An incremental compaction after touching a small working set may
 #: rewrite at most this fraction of the snapshot's chunks (secondary
@@ -230,7 +235,7 @@ def _lpm_probes(workload):
     probes = []
     for _ in range(LPM_PROBES // 2):
         probes.append(workload.prefix_at(rng.randrange(workload.total)))
-        probes.append(Prefix(rng.getrandbits(32), 32))
+        probes.append(prefix_key(rng.getrandbits(32), 32))
     return probes
 
 
@@ -261,6 +266,10 @@ def check_invariants(small, large, pair_stats):
         f"aggregation reduced snapshot entries by only "
         f"{large['aggregation_reduction']:.0%} (floor {AGGREGATION_FLOOR:.0%})")
     for stats in (small, large):
+        assert stats["tracked_objects_per_route"] <= TRACKED_PER_ROUTE_CEILING, (
+            f"{stats['tracked_objects_per_route']:.2f} GC-tracked objects "
+            f"per loaded route at {stats['size']:,} "
+            f"(ceiling {TRACKED_PER_ROUTE_CEILING})")
         assert stats["incremental_chunks"] <= INCR_TOUCH_BOUND, (
             f"incremental compaction rewrote {stats['incremental_chunks']} "
             f"chunks for a working set of <= {INCR_TOUCH_BOUND} prefixes "

@@ -147,6 +147,9 @@ def print_packed_stage_split():
     gc.callbacks.append(on_gc)
     try:
         wall = profile_packed_receive(before_timing=forget_setup)
+        # What every full collection walks: taken before anything the
+        # run built is let go.
+        tracked = len(gc.get_objects())
     finally:
         gc.callbacks.remove(on_gc)
         for cls, method, original in patched:
@@ -158,6 +161,7 @@ def print_packed_stage_split():
     for generation, (runs, spent) in sorted(collector["by_generation"].items()):
         label = f"gc generation {generation} ({runs} collections)"
         print(f"  {label:46s} {spent:7.3f}s  ({spent / wall:5.1%})")
+    print(f"  {'gc-tracked objects at the end':46s} {tracked:7,d}")
     rest = wall - sum(stage_s.values()) - collector["total"]
     label = "everything else (engine, tcpsim, KV, ACKs)"
     print(f"  {label:46s} {rest:7.3f}s  ({rest / wall:5.1%})")

@@ -10,7 +10,7 @@ are genuine.
 """
 
 from repro.bgp.prefixes import Prefix
-from repro.bgp.radix import DictPrefixStore, RadixTrie
+from repro.bgp.radix import RadixTrie
 from repro.bgp.aggregation import ExportAggregator
 from repro.bgp.attributes import (
     AsPath,
@@ -38,7 +38,6 @@ from repro.bgp.speaker import BgpSpeaker, SpeakerConfig
 __all__ = [
     "Prefix",
     "RadixTrie",
-    "DictPrefixStore",
     "ExportAggregator",
     "AsPath",
     "Origin",

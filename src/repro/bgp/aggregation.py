@@ -31,7 +31,15 @@ rejected by construction nowhere — documented, not enforced (§14).
 """
 
 from repro.bgp.attributes import PathAttributes
-from repro.bgp.prefixes import Prefix
+from repro.bgp.prefixes import (
+    AFI_IPV4,
+    parse_prefix,
+    prefix_ancestor,
+    prefix_contains,
+    prefix_fields,
+    prefix_key,
+    prefix_text,
+)
 from repro.bgp.rib import Route
 
 #: Aggregate-root span for snapshot chunk bucketing: prefixes bucket by
@@ -46,9 +54,7 @@ MIN_AGGREGATE_MEMBERS = 2
 def aggregate_root(prefix, span=AGGREGATE_ROOT_LEN):
     """The chunk-bucketing root for ``prefix``: its ancestor at ``span``
     (or the prefix itself when already shorter)."""
-    if prefix.length <= span:
-        return prefix
-    return Prefix(prefix.value, span, prefix.afi)
+    return prefix_ancestor(prefix, span)
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +84,17 @@ def encode_chunk(loc_rib, prefixes, collapse):
     if collapse:
         groups = {}  # signature -> {prefix value: that member's route}
         for route in lone:
-            prefix = route.prefix
-            signature = (prefix.afi, prefix.length, route.peer_id,
-                         route.source_kind, route.attributes.to_wire())
+            afi, value, length = prefix_fields(route.prefix)
+            signature = (afi, length, route.peer_id, route.source_kind,
+                         route.attributes.to_wire())
             group = groups.get(signature)
             if group is None:
-                groups[signature] = {prefix.value: route}
+                groups[signature] = {value: route}
             else:
-                group[prefix.value] = route
+                group[value] = route
         for signature, leaves in groups.items():
             afi, member_length, peer_id, source_kind, wire = signature
-            bits = 32 if afi == Prefix.AFI_IPV4 else 128
+            bits = 32 if afi == AFI_IPV4 else 128
             length, level = member_length, leaves
             while level:
                 # No value has the bit above the address width, so the
@@ -102,7 +108,7 @@ def encode_chunk(loc_rib, prefixes, collapse):
                     plain.extend(map(leaves.__getitem__, unmerged))
                 else:
                     for value in unmerged:
-                        text = str(Prefix(value, length, afi))
+                        text = prefix_text(prefix_key(value, length, afi))
                         aggregates.append((member_length, text, {
                             "aggregate": text,
                             "member_length": member_length,
@@ -113,7 +119,7 @@ def encode_chunk(loc_rib, prefixes, collapse):
                 length, level = length - 1, parents
     else:
         plain.extend(lone)
-    texts = [str(route.prefix) for route in plain]
+    texts = [prefix_text(route.prefix) for route in plain]
     records = [{"prefix": text,
                 "peer_id": route.peer_id,
                 "source_kind": route.source_kind,
@@ -131,11 +137,11 @@ def encode_chunk(loc_rib, prefixes, collapse):
 
 def _aggregate_members(entry):
     """The member prefixes of one aggregate record, ascending."""
-    root = Prefix.parse(entry["aggregate"])
+    afi, value, length = prefix_fields(parse_prefix(entry["aggregate"]))
     member_length = entry["member_length"]
-    stride = 1 << (root.bits - member_length)
-    for index in range(1 << (member_length - root.length)):
-        yield Prefix(root.value + index * stride, member_length, root.afi)
+    stride = 1 << ((32 if afi == AFI_IPV4 else 128) - member_length)
+    for index in range(1 << (member_length - length)):
+        yield prefix_key(value + index * stride, member_length, afi)
 
 
 def expand_snapshot_entry(entry):
@@ -148,7 +154,7 @@ def expand_snapshot_entry(entry):
         return
     for member in _aggregate_members(entry):
         yield {
-            "prefix": str(member),
+            "prefix": prefix_text(member),
             "peer_id": entry["peer_id"],
             "source_kind": entry["source_kind"],
             "attributes": entry["attributes"],
@@ -172,7 +178,7 @@ def expand_snapshot_routes(entries):
             for member in _aggregate_members(entry):
                 yield Route(member, attributes, peer_id, source_kind)
         else:
-            yield Route(Prefix.parse(entry["prefix"]), attributes, peer_id,
+            yield Route(parse_prefix(entry["prefix"]), attributes, peer_id,
                         source_kind)
 
 
@@ -207,7 +213,7 @@ class ExportAggregator:
         """The configured aggregate covering ``prefix``, if any (the
         shortest wins when nested aggregates overlap)."""
         for aggregate in self.aggregates:
-            if aggregate.contains(prefix) and aggregate != prefix:
+            if prefix_contains(aggregate, prefix) and aggregate != prefix:
                 return aggregate
         return None
 
@@ -304,10 +310,11 @@ class ExportAggregator:
             if previous is not None:
                 # Completeness broke (or a real aggregate-prefix route
                 # appeared): withdraw the aggregate, re-export every
-                # surviving member individually.
+                # surviving member individually — in prefix order: ``out``
+                # is walked in insertion order to build the UPDATEs.
                 out[aggregate] = None
-                for prefix in (set(previous["holes"])
-                               | previous["suppressed"]):
+                for prefix in sorted(set(previous["holes"])
+                                     | previous["suppressed"]):
                     best = loc_rib.best(prefix)
                     out[prefix] = best if (
                         best is not None and best.peer_id != session.peer_id
@@ -336,7 +343,7 @@ class ExportAggregator:
                 # the withdrawal when nothing was ever advertised.
                 out[prefix] = None
                 self.members_suppressed += 1
-        for prefix in tracked - set(holes) - set(suppressed):
+        for prefix in sorted(tracked - set(holes) - set(suppressed)):
             out[prefix] = None  # member left the table entirely
         state[aggregate] = {
             "attrs": attrs,
@@ -354,6 +361,6 @@ class ExportAggregator:
         # Members withdrawn from the table need explicit withdrawal;
         # covered_best no longer lists them, but Adj-RIB-Out does.
         for prefix in session.adj_rib_out.prefixes():
-            if (aggregate.contains(prefix) and prefix != aggregate
+            if (prefix_contains(aggregate, prefix) and prefix != aggregate
                     and loc_rib.best(prefix) is None):
                 yield prefix, None

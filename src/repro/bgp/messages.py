@@ -16,7 +16,7 @@ from repro.bgp.errors import (
     NotificationCode,
     UpdateSubcode,
 )
-from repro.bgp.prefixes import Prefix, decode_nlri_block, encode_nlri_block
+from repro.bgp.prefixes import AFI_IPV4, decode_nlri_block, encode_nlri_block
 
 BGP_PORT = 179
 MARKER = b"\xff" * 16
@@ -177,9 +177,9 @@ class UpdateMessage:
         if nlri_at > attrs_at + 2:
             attributes = PathAttributes.from_wire(body[attrs_at + 2:nlri_at])
         return cls(
-            decode_nlri_block(body, Prefix.AFI_IPV4, 2, attrs_at),
+            decode_nlri_block(body, AFI_IPV4, 2, attrs_at),
             attributes,
-            decode_nlri_block(body, Prefix.AFI_IPV4, nlri_at, size),
+            decode_nlri_block(body, AFI_IPV4, nlri_at, size),
             withdrawn_wire=body[2:attrs_at],
             nlri_wire=body[nlri_at:],
         )

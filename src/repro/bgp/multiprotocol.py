@@ -15,7 +15,13 @@ from repro.bgp.attributes import (
 )
 from repro.bgp.capabilities import SAFI_UNICAST
 from repro.bgp.errors import BgpError, NotificationCode, UpdateSubcode
-from repro.bgp.prefixes import Prefix, decode_nlri_block, encode_nlri_block
+from repro.bgp.prefixes import (
+    AFI_IPV6,
+    decode_nlri_block,
+    encode_nlri_block,
+    prefix_afi,
+    prefix_text,
+)
 
 
 class MpReach:
@@ -66,8 +72,8 @@ class MpUnreach:
 def _v6_block(prefixes):
     prefixes = tuple(prefixes)
     for prefix in prefixes:
-        if prefix.afi != Prefix.AFI_IPV6:
-            raise ValueError(f"{prefix} is not IPv6")
+        if prefix_afi(prefix) != AFI_IPV6:
+            raise ValueError(f"{prefix_text(prefix)} is not IPv6")
     return encode_nlri_block(prefixes)
 
 
@@ -75,10 +81,10 @@ def encode_mp_reach(next_hop_v6, nlri, safi=SAFI_UNICAST):
     """Encode an MP_REACH_NLRI attribute for IPv6 unicast.
 
     ``next_hop_v6`` is a 128-bit int (use Prefix.parse("...") .value);
-    ``nlri`` is an iterable of v6 :class:`~repro.bgp.prefixes.Prefix`.
+    ``nlri`` is an iterable of v6 prefix keys.
     """
     body = bytearray()
-    body += (Prefix.AFI_IPV6).to_bytes(2, "big")
+    body += AFI_IPV6.to_bytes(2, "big")
     body.append(safi)
     body.append(16)  # next-hop length
     body += next_hop_v6.to_bytes(16, "big")
@@ -90,7 +96,7 @@ def encode_mp_reach(next_hop_v6, nlri, safi=SAFI_UNICAST):
 def encode_mp_unreach(withdrawn, safi=SAFI_UNICAST):
     """Encode an MP_UNREACH_NLRI attribute for IPv6 unicast."""
     body = bytearray()
-    body += (Prefix.AFI_IPV6).to_bytes(2, "big")
+    body += AFI_IPV6.to_bytes(2, "big")
     body.append(safi)
     body += _v6_block(withdrawn)
     return _encode_attr(FLAG_OPTIONAL, TYPE_MP_UNREACH_NLRI, bytes(body))

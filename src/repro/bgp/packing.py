@@ -19,7 +19,7 @@ Two distinct economies fall out of packing:
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import HEADER_SIZE, MAX_MESSAGE_SIZE, UpdateMessage
 from repro.bgp.multiprotocol import attach_mp_unreach
-from repro.bgp.prefixes import Prefix, nlri_wires
+from repro.bgp.prefixes import AFI_IPV4, AFI_IPV6, nlri_wires, prefix_afi
 
 
 def group_routes(routes):
@@ -36,7 +36,7 @@ def group_routes(routes):
     appends = {}  # (afi, id(attributes)) -> that group's members.append
     seen = []  # every object whose id is a key above: ids stay unique
     for prefix, attributes in routes:
-        key = prefix.afi, id(attributes)
+        key = prefix_afi(prefix), id(attributes)
         append = appends.get(key)
         if append is None:
             members = groups.setdefault((key[0], attributes), [])
@@ -94,8 +94,8 @@ def pack_withdrawals(prefixes, max_message_size=MAX_MESSAGE_SIZE):
     """Group withdrawn prefixes into minimal UPDATE messages: IPv4 ones
     in the withdrawn-routes field, IPv6 ones in MP_UNREACH_NLRI
     attributes (RFC 4760)."""
-    v4 = [prefix for prefix in prefixes if prefix.afi == Prefix.AFI_IPV4]
-    v6 = [prefix for prefix in prefixes if prefix.afi == Prefix.AFI_IPV6]
+    v4 = [prefix for prefix in prefixes if prefix_afi(prefix) == AFI_IPV4]
+    v6 = [prefix for prefix in prefixes if prefix_afi(prefix) == AFI_IPV6]
     room = max_message_size - HEADER_SIZE - 4
     v4_wires = nlri_wires(v4)
     messages = [

@@ -19,7 +19,7 @@ from repro.bgp.messages import (
 )
 from repro.bgp.multiprotocol import mp_routes_of
 from repro.bgp.policy import PERMIT_ALL
-from repro.bgp.prefixes import encode_nlri_block
+from repro.bgp.prefixes import encode_nlri_block, prefix_afi
 from repro.bgp.rib import AdjRibIn, AdjRibOut, Route
 from repro.sim.process import Timer
 
@@ -308,7 +308,7 @@ class PeerSession:
             if withdraw(prefix) is not None:
                 old, new = retract(prefix, peer_id)
                 changes.append((prefix, old, new))
-        runs.append((prefixes[0].afi, block_wire, peer_id))
+        runs.append((prefix_afi(prefixes[0]), block_wire, peer_id))
 
     def _learn_routes(self, prefixes, block_wire, attributes, vrf, changes,
                       runs):
@@ -344,7 +344,7 @@ class PeerSession:
                     kept.append((imported, []))
                 kept[-1][1].append(prefix)
         peer_id = self.peer_id
-        afi = prefixes[0].afi
+        afi = prefix_afi(prefixes[0])
         store = self.adj_rib_in.store
         offer = vrf.loc_rib.offer
         learned = 0

@@ -8,6 +8,7 @@ export (Adj-RIB-Out) time, as the centralized controller would push them
 to the gateway's BGP containers.
 """
 
+from repro.bgp.prefixes import parse_prefix, prefix_text
 from repro.bgp.radix import RadixTrie
 
 
@@ -152,7 +153,7 @@ def policy_to_dict(route_map):
             "permit": entry.permit,
             "match_prefixes": (
                 None if entry.match_prefix_list is None
-                else sorted(str(p) for p in entry.match_prefix_list.entries)
+                else sorted(map(prefix_text, entry.match_prefix_list.entries))
             ),
             "match_community": entry.match_community,
             "match_as": entry.match_as,
@@ -173,15 +174,13 @@ def policy_from_dict(data):
     """Rebuild a :class:`RouteMap` from :func:`policy_to_dict` output."""
     if data is None:
         return None
-    from repro.bgp.prefixes import Prefix
-
     entries = []
     for spec in data.get("entries", ()):
         prefix_list = None
         if spec.get("match_prefixes") is not None:
             prefix_list = PrefixList(
                 f"{data['name']}-pl",
-                entries=[Prefix.parse(p) for p in spec["match_prefixes"]],
+                entries=map(parse_prefix, spec["match_prefixes"]),
             )
         entries.append(RouteMapEntry(
             permit=spec.get("permit", True),

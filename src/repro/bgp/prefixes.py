@@ -5,117 +5,135 @@ wire encoding (RFC 4271 §4.3) is a length octet followed by the minimum
 number of prefix octets, and a run of them back to back is an NLRI
 block — decoded whole by :func:`decode_nlri_block`, wherever it sits
 (withdrawn routes, NLRI, MP_REACH/MP_UNREACH, a stored RIB delta).
-Longest-prefix matching over sets of prefixes is
-:class:`repro.bgp.radix.RadixTrie`.
+Longest-prefix matching is :class:`repro.bgp.radix.RadixTrie`.
+
+A prefix is one packed ``int``, the *key* every table holds (DESIGN.md
+§14): ``(afi - 1) << 136 | value << 8 | length`` orders natively as
+``(afi, value, length)``, hashes in C and is not tracked by the
+collector.  ``0.0.0.0/0`` is the key ``0``: test keys with ``is None``,
+never for truth.  Bulk producers yield plain ints; :class:`Prefix` is
+the same int with names on it, for the edges.  A stored key may be
+either, so read one through the ``prefix_*`` functions only.
 """
 
 from repro.bgp.errors import BgpError, NotificationCode, UpdateSubcode
 
+AFI_IPV4 = 1
+AFI_IPV6 = 2
+_AFI_SHIFT = 136
+_VALUE_MASK = (1 << 128) - 1
+_DECIMAL = tuple(map(str, range(256)))  # rendering an int costs twice this
 
-class Prefix:
-    """An immutable IP prefix (network address + mask length + AFI)."""
 
-    __slots__ = ("value", "length", "afi", "_hash")
+def prefix_key(value, length, afi=AFI_IPV4):
+    """The key of ``value/length``, host bits cleared."""
+    bits = 32 if afi == AFI_IPV4 else 128
+    if not 0 <= length <= bits:
+        raise ValueError(f"prefix length {length} out of range for afi {afi}")
+    keep = bits - length
+    return ((afi - 1) << _AFI_SHIFT
+            | (value & ((1 << bits) - 1)) >> keep << keep + 8 | length)
 
-    AFI_IPV4 = 1
-    AFI_IPV6 = 2
 
-    def __init__(self, value, length, afi=AFI_IPV4):
-        bits = 32 if afi == self.AFI_IPV4 else 128
-        if not 0 <= length <= bits:
-            raise ValueError(f"prefix length {length} out of range for afi {afi}")
-        mask = ((1 << length) - 1) << (bits - length) if length else 0
-        self.value = value = value & mask
-        self.length = length
-        self.afi = afi
-        # Every RIB dict probe hashes its prefix; compute it once.  Ints
-        # hash the same in every process, so the slot survives pickling.
-        self._hash = hash((value, length, afi))
+def parse_prefix(text):
+    """The key of ``"10.1.0.0/16"`` or ``"2001:db8::/32"``."""
+    addr, slash, length_text = text.partition("/")
+    if ":" in addr:
+        return prefix_key(_parse_v6(addr),
+                          int(length_text) if slash else 128, AFI_IPV6)
+    return prefix_key(_parse_v4(addr), int(length_text) if slash else 32)
 
-    @property
-    def bits(self):
-        return 32 if self.afi == self.AFI_IPV4 else 128
 
-    # -- construction -------------------------------------------------------
+def prefix_afi(key):
+    return (key >> _AFI_SHIFT) + 1
+
+
+def prefix_bits(key):
+    return 128 if key >> _AFI_SHIFT else 32
+
+
+def prefix_value(key):
+    return key >> 8 & _VALUE_MASK
+
+
+def prefix_length(key):
+    return key & 255
+
+
+def prefix_fields(key):
+    """``(afi, value, length)`` in one call."""
+    return (key >> _AFI_SHIFT) + 1, key >> 8 & _VALUE_MASK, key & 255
+
+
+def prefix_ancestor(key, length):
+    """``key`` cut back to ``length``; itself when it is no longer."""
+    if key & 255 <= length:
+        return key
+    keep = (128 if key >> _AFI_SHIFT else 32) - length + 8
+    return key >> keep << keep | length
+
+
+def prefix_contains(key, other):
+    """True when ``other`` lies within ``key``: it is no shorter, and
+    the two agree above ``key``'s host bits, family included."""
+    shift = prefix_bits(key) - (key & 255) + 8
+    return key & 255 <= other & 255 and key >> shift == other >> shift
+
+
+def prefix_text(key):
+    if not key >> _AFI_SHIFT:
+        return (f"{_DECIMAL[key >> 32]}.{_DECIMAL[key >> 24 & 255]}."
+                f"{_DECIMAL[key >> 16 & 255]}.{_DECIMAL[key >> 8 & 255]}"
+                f"/{_DECIMAL[key & 255]}")
+    value = key >> 8 & _VALUE_MASK
+    groups = [f"{value >> shift & 0xFFFF:x}" for shift in range(112, -16, -16)]
+    return f"{':'.join(groups)}/{key & 255}"
+
+
+class Prefix(int):
+    """The key as an edge type: named fields, text as ``str()``."""
+
+    __slots__ = ()
+
+    AFI_IPV4 = AFI_IPV4
+    AFI_IPV6 = AFI_IPV6
+
+    def __new__(cls, value, length, afi=AFI_IPV4):
+        return int.__new__(cls, prefix_key(value, length, afi))
 
     @classmethod
     def parse(cls, text):
-        """Parse ``"10.1.0.0/16"`` or ``"2001:db8::/32"``."""
-        if "/" in text:
-            addr, _slash, length_text = text.partition("/")
-            length = int(length_text)
-        else:
-            addr = text
-            length = 128 if ":" in text else 32
-        if ":" in addr:
-            return cls(_parse_v6(addr), length, cls.AFI_IPV6)
-        return cls(_parse_v4(addr), length, cls.AFI_IPV4)
+        return int.__new__(cls, parse_prefix(text))
 
-    # -- encoding -----------------------------------------------------------
+    def __getnewargs__(self):
+        return self.value, self.length, self.afi
+
+    value = property(prefix_value)
+    length = property(prefix_length)
+    afi = property(prefix_afi)
+    bits = property(prefix_bits)
+    contains = prefix_contains
+    __str__ = prefix_text
 
     def to_wire(self):
-        octets = (self.length + 7) // 8
-        raw = self.value.to_bytes(self.bits // 8, "big")[:octets]
-        return bytes([self.length]) + raw
+        return nlri_wires((self,))[0]
 
     @property
     def wire_size(self):
         return 1 + (self.length + 7) // 8
 
-    # -- relations ----------------------------------------------------------
-
-    def contains(self, other):
-        """True when ``other`` (Prefix of same AFI) is within this prefix."""
-        if self.afi != other.afi or other.length < self.length:
-            return False
-        if self.length == 0:
-            # The default route covers every same-AFI prefix; the shift
-            # compare below would shift by the full width, which is legal
-            # but pointless (both sides collapse to 0 anyway).
-            return True
-        shift = self.bits - self.length
-        return (self.value >> shift) == (other.value >> shift)
-
-    # -- dunder --------------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Prefix)
-            and self.value == other.value
-            and self.length == other.length
-            and self.afi == other.afi
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return (self.afi, self.value, self.length) < (
-            other.afi,
-            other.value,
-            other.length,
-        )
-
-    def __str__(self):
-        value = self.value
-        if self.afi == self.AFI_IPV4:
-            return (f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}"
-                    f".{value & 255}/{self.length}")
-        groups = [f"{value >> shift & 0xFFFF:x}" for shift in range(112, -16, -16)]
-        return f"{':'.join(groups)}/{self.length}"
-
     def __repr__(self):
-        return f"Prefix({str(self)!r})"
+        return f"Prefix({prefix_text(self)!r})"
 
 
 def _block_table(bits):
-    """Per mask length: (octets on the wire, left shift that puts them
-    at the top of the address, mask clearing the bits past the length)."""
+    """Per mask length: (octets on the wire, the left shift that puts
+    them in a key's value field, the key mask of the bits it keeps)."""
     table = []
     for length in range(bits + 1):
         octets = (length + 7) // 8
         mask = ((1 << length) - 1) << (bits - length)
-        table.append((octets, bits - 8 * octets, mask))
+        table.append((octets, bits - 8 * octets + 8, mask << 8))
     return tuple(table)
 
 
@@ -125,16 +143,15 @@ _LENGTH_OCTETS = tuple(bytes((length,)) for length in range(129))
 
 
 def nlri_wires(prefixes):
-    """The wire form of each prefix, as a list (``Prefix.to_wire`` over
-    a batch; their concatenation is the NLRI block)."""
+    """The wire form of each prefix, in a list (joined: the NLRI block)."""
     v4, wide, length_octets = _V4_TABLE, _WIDE_TABLE, _LENGTH_OCTETS
     wires = []
     append = wires.append
-    for prefix in prefixes:
-        length = prefix.length
-        octets, shift, _mask = (v4 if prefix.afi == 1 else wide)[length]
+    for key in prefixes:
+        length = key & 255
+        octets, shift, mask = (wide if key >> _AFI_SHIFT else v4)[length]
         append(length_octets[length]
-               + (prefix.value >> shift).to_bytes(octets, "big"))
+               + ((key & mask) >> shift).to_bytes(octets, "big"))
     return wires
 
 
@@ -143,8 +160,8 @@ def encode_nlri_block(prefixes):
     return b"".join(nlri_wires(prefixes))
 
 
-def decode_nlri_block(data, afi=Prefix.AFI_IPV4, offset=0, end=None):
-    """Decode the wire prefixes in ``data[offset:end]``, in order.
+def decode_nlri_block(data, afi=AFI_IPV4, offset=0, end=None):
+    """Decode the wire prefixes in ``data[offset:end]`` to plain keys.
 
     Every field a peer controls is checked: a length octet over the
     AFI's width, or a prefix running past ``end``, is the RFC 4271 §6.3
@@ -152,53 +169,38 @@ def decode_nlri_block(data, afi=Prefix.AFI_IPV4, offset=0, end=None):
     """
     if end is None:
         end = len(data)
-    table = _V4_TABLE if afi == Prefix.AFI_IPV4 else _WIDE_TABLE
+    table = _V4_TABLE if afi == AFI_IPV4 else _WIDE_TABLE
     widest = len(table) - 1
-    new = Prefix.__new__
+    family = (afi - 1) << _AFI_SHIFT
     from_bytes = int.from_bytes
     prefixes = []
     append = prefixes.append
     while offset < end:
         length = data[offset]
         if length > widest:
-            raise BgpError(
-                NotificationCode.UPDATE_MESSAGE_ERROR,
-                UpdateSubcode.INVALID_NETWORK_FIELD,
-                message=f"prefix length {length} exceeds AFI width {widest}",
-            )
+            raise _invalid_network_field(
+                f"prefix length {length} exceeds AFI width {widest}")
         octets, shift, mask = table[length]
         offset += 1
         stop = offset + octets
         if stop > end:
-            raise BgpError(
-                NotificationCode.UPDATE_MESSAGE_ERROR,
-                UpdateSubcode.INVALID_NETWORK_FIELD,
-                message="truncated prefix",
-            )
-        value = from_bytes(data[offset:stop], "big") << shift & mask
+            raise _invalid_network_field("truncated prefix")
+        append(family | from_bytes(data[offset:stop], "big") << shift & mask
+               | length)
         offset = stop
-        # What Prefix.__init__ computes, without re-validating a length
-        # the table lookup above already bounded.
-        prefix = new(Prefix)
-        prefix.value = value
-        prefix.length = length
-        prefix.afi = afi
-        prefix._hash = hash((value, length, afi))
-        append(prefix)
     return prefixes
 
 
+def _invalid_network_field(message):
+    return BgpError(NotificationCode.UPDATE_MESSAGE_ERROR,
+                    UpdateSubcode.INVALID_NETWORK_FIELD, message=message)
+
+
 def _parse_v4(addr):
-    parts = addr.split(".")
-    if len(parts) != 4:
+    octets = [int(part) for part in addr.split(".")]
+    if len(octets) != 4 or any(not 0 <= octet <= 255 for octet in octets):
         raise ValueError(f"bad IPv4 address {addr!r}")
-    value = 0
-    for part in parts:
-        octet = int(part)
-        if not 0 <= octet <= 255:
-            raise ValueError(f"bad IPv4 octet {part!r}")
-        value = (value << 8) | octet
-    return value
+    return int.from_bytes(bytes(octets), "big")
 
 
 def _parse_v6(addr):
@@ -213,7 +215,5 @@ def _parse_v6(addr):
         groups = [int(g, 16) for g in addr.split(":")]
     if len(groups) != 8 or any(not 0 <= g <= 0xFFFF for g in groups):
         raise ValueError(f"bad IPv6 address {addr!r}")
-    value = 0
-    for group in groups:
-        value = (value << 16) | group
-    return value
+    return int.from_bytes(
+        b"".join(group.to_bytes(2, "big") for group in groups), "big")

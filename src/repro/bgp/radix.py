@@ -1,4 +1,5 @@
-"""Path-compressed binary radix (Patricia) trie keyed by :class:`Prefix`.
+"""Path-compressed binary radix (Patricia) trie keyed by packed prefix
+ints (:mod:`repro.bgp.prefixes`).
 
 The structural index behind the Loc-RIB, prefix lists and the FIB.  A
 flat dict answers exact-match queries but nothing else; real tables
@@ -21,37 +22,34 @@ width, not the entry count.
 Exact-match queries never walk the tree: an intrusive ``prefix -> node``
 index dict gives O(1) lookup, and nodes carry parent pointers so removal
 prunes locally.  Descent (insert, LPM, covering, covered) runs on the
-nodes' plain-int ``value``/``length`` with shifts and xors — no
-:class:`Prefix` method call per level.  The shape is canonical for the
-key set: whatever order entries arrive in, the same nodes result, which
-is what lets the Loc-RIB build this structure late (DESIGN.md §14).
+nodes' plain-int ``value``/``length`` with shifts and xors.  The shape
+is canonical for the key set: whatever order entries arrive in, the same
+nodes result, which is what lets the Loc-RIB build this structure late
+(DESIGN.md §14).
 
 Iteration order is pre-order (node, 0-child, 1-child), which for this
 bit layout is exactly ascending ``(value, length)`` — a parent's value
 is its child's value with trailing bits cleared, so the parent sorts
 first, and the 0-subtree's values all precede the 1-subtree's.  Walking
-AFIs in ascending order makes the full walk equal ``sorted(prefixes)``
-under :meth:`Prefix.__lt__`; the Loc-RIB's snapshot determinism rides
-on this (property-tested against sorted() in test_radix_properties.py).
-
-:class:`DictPrefixStore` is the seed-equivalent flat-dict backend with
-the same interface (linear scans for the tree queries); differential
-tests run both in lockstep to pin behavior.
+AFIs in ascending order makes the full walk equal ``sorted(keys)`` —
+the keys' native int order; the Loc-RIB's snapshot determinism rides
+on this (property-tested against sorted() in test_radix_properties.py,
+whose flat-dict reference store lives in tests/rib_reference.py).
 """
 
-from repro.bgp.prefixes import Prefix
+from repro.bgp.prefixes import AFI_IPV4, AFI_IPV6, prefix_fields
 
 #: Address width per AFI; descent shifts against it on plain ints.
-_BITS = {Prefix.AFI_IPV4: 32, Prefix.AFI_IPV6: 128}
+_BITS = {AFI_IPV4: 32, AFI_IPV6: 128}
 
 
 class RadixNode:
     """One trie position; carries an entry only when ``prefix`` is set.
 
-    The position is the plain-int pair ``(value, length)`` — descent
-    compares ints and never calls into :class:`Prefix`.  ``prefix`` is
-    the stored key object: None on a pure fork, which is what tells an
-    entry whose value is None from no entry at all.
+    The position is the plain-int pair ``(value, length)``.  ``prefix``
+    is the stored key: None on a pure fork, which is what tells an
+    entry whose value is None from no entry at all (and the default
+    route's key is 0, so test it with ``is None``).
     """
 
     __slots__ = ("value", "length", "parent", "zero", "one",
@@ -115,9 +113,9 @@ class RadixTrie:
 
     def _attach(self, prefix):
         """Find or create the node at ``prefix``'s position."""
-        value, length = prefix.value, prefix.length
-        bits = _BITS[prefix.afi]
-        node = self._roots[prefix.afi]
+        afi, value, length = prefix_fields(prefix)
+        bits = _BITS[afi]
+        node = self._roots[afi]
         while True:
             # Invariant: node's position covers prefix.
             at = node.length
@@ -183,9 +181,9 @@ class RadixTrie:
 
     def covering(self, prefix):
         """Entries covering ``prefix`` (itself included), shortest first."""
-        value, length = prefix.value, prefix.length
-        bits = _BITS[prefix.afi]
-        node = self._roots[prefix.afi]
+        afi, value, length = prefix_fields(prefix)
+        bits = _BITS[afi]
+        node = self._roots[afi]
         while True:
             if node.prefix is not None:
                 yield node.prefix, node.entry
@@ -206,9 +204,9 @@ class RadixTrie:
     def _subtree_top(self, prefix):
         """The shallowest node whose subtree holds exactly the entries
         covered by ``prefix`` — or None when no entry is covered."""
-        value, length = prefix.value, prefix.length
-        bits = _BITS[prefix.afi]
-        node = self._roots[prefix.afi]
+        afi, value, length = prefix_fields(prefix)
+        bits = _BITS[afi]
+        node = self._roots[afi]
         while node.length < length:
             node = (node.one if (value >> (bits - 1 - node.length)) & 1
                     else node.zero)
@@ -224,7 +222,7 @@ class RadixTrie:
     # -- iteration ----------------------------------------------------------
 
     def walk(self):
-        """All ``(prefix, value)`` entries in ascending Prefix order."""
+        """All ``(prefix, value)`` entries in ascending key order."""
         for afi in sorted(self._roots):
             yield from self._walk_from(self._roots[afi])
 
@@ -243,64 +241,3 @@ class RadixTrie:
                 stack.append(node.one)
             if node.zero is not None:
                 stack.append(node.zero)
-
-
-class DictPrefixStore:
-    """Flat-dict prefix store: the seed Loc-RIB's data layout.
-
-    Same interface as :class:`RadixTrie`; the tree queries fall back to
-    linear scans (and :meth:`walk` to a sort), so it is only suitable
-    for small tables — chaos/fuzz scenarios and differential tests that
-    pin the trie against the original dict semantics.
-    """
-
-    def __init__(self):
-        self._entries = {}
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, prefix):
-        return prefix in self._entries
-
-    def __iter__(self):
-        return iter(sorted(self._entries))
-
-    def get(self, prefix, default=None):
-        return self._entries.get(prefix, default)
-
-    def insert(self, prefix, value):
-        self._entries[prefix] = value
-
-    def remove(self, prefix):
-        return self._entries.pop(prefix, None) is not None
-
-    def longest_match(self, prefix):
-        best = None
-        for stored, value in self._entries.items():
-            if stored.contains(prefix):
-                if best is None or stored.length > best[0].length:
-                    best = (stored, value)
-        return best
-
-    def covering(self, prefix):
-        found = [
-            (stored, value)
-            for stored, value in self._entries.items()
-            if stored.contains(prefix)
-        ]
-        found.sort(key=lambda kv: kv[0].length)
-        yield from found
-
-    def covered(self, prefix):
-        found = [
-            (stored, value)
-            for stored, value in self._entries.items()
-            if prefix.contains(stored)
-        ]
-        found.sort(key=lambda kv: kv[0])
-        yield from found
-
-    def walk(self):
-        for prefix in sorted(self._entries):
-            yield prefix, self._entries[prefix]

@@ -16,14 +16,14 @@ dict by scanning it when a decision needs it; nothing is counted ahead.
 ``offer``/``retract`` touch these two dicts and nothing else.
 
 Longest-prefix match, covered-subtree walks and sorted iteration come
-from a pluggable prefix store — a path-compressed radix trie by default
-(:class:`repro.bgp.radix.RadixTrie`) — holding the table's *keys*,
-derived from it at the first ordered query; whatever it matches is then
-read from the table.  ``use_prefix_store`` swaps the backend (e.g. the
-seed-equivalent flat dict) for differential testing.
-"""
+from a prefix store — the path-compressed radix trie
+(:class:`repro.bgp.radix.RadixTrie`), or whatever ``LocRib(store=...)``
+is handed — holding the table's *keys*, derived from it at the first
+ordered query; whatever it matches is then read from the table.
 
-import contextlib
+Every table here is keyed by the packed prefix int of
+:mod:`repro.bgp.prefixes`: hashed, compared and sorted natively.
+"""
 
 from repro.bgp.decision import (
     best_path,
@@ -32,38 +32,10 @@ from repro.bgp.decision import (
     med_group_shared,
     prefer,
 )
-from repro.bgp.radix import DictPrefixStore, RadixTrie
+from repro.bgp.prefixes import parse_prefix, prefix_text
+from repro.bgp.radix import RadixTrie
 
-__all__ = [
-    "Route", "AdjRibIn", "LocRib", "AdjRibOut",
-    "use_prefix_store", "default_prefix_store",
-    "RadixTrie", "DictPrefixStore",
-]
-
-_store_factory = RadixTrie
-
-
-def default_prefix_store():
-    """Construct a prefix store with the currently-selected backend."""
-    return _store_factory()
-
-
-@contextlib.contextmanager
-def use_prefix_store(factory):
-    """Temporarily back new Loc-RIBs with ``factory`` (e.g.
-    :class:`repro.bgp.radix.DictPrefixStore` for differential runs
-    against the seed dict semantics)."""
-    global _store_factory
-    previous = _store_factory
-    _store_factory = factory
-    try:
-        yield
-    finally:
-        _store_factory = previous
-
-
-def _prefix_order(prefix):
-    return prefix.afi, prefix.value, prefix.length
+__all__ = ["Route", "AdjRibIn", "LocRib", "AdjRibOut", "RadixTrie"]
 
 
 def _peer_order(route):
@@ -96,7 +68,8 @@ class Route:
         return hash((self.prefix, self.attributes, self.peer_id, self.source_kind))
 
     def __repr__(self):
-        return f"<Route {self.prefix} via {self.peer_id} ({self.source_kind})>"
+        return (f"<Route {prefix_text(self.prefix)} via {self.peer_id}"
+                f" ({self.source_kind})>")
 
 
 class AdjRibIn:
@@ -149,19 +122,18 @@ class LocRib:
         # selected route — for a single-path prefix, the path itself.
         # Insertion-ordered: advertisement batching iterates it, so its
         # mutation pattern is part of the simulation's deterministic
-        # trajectory — it stays a plain dict regardless of the store
-        # backend.
+        # trajectory.
         self._best = {}  # prefix -> Route
         # Candidate bookkeeping, only where there is a choice to record:
         # an entry appears when a second peer offers a prefix and goes
         # when a retract leaves one path.
         self._contested = {}  # prefix -> {peer_id: Route}, >= 2 paths
         # The structural index over the table's keys (LPM, covered
-        # walks, sorted iteration).  The backend is captured here but
-        # stays empty until the first ordered query asks for it (see
-        # :attr:`store`); only from then on do offer/retract mirror
-        # prefix arrivals and departures into it.
-        self._store = store if store is not None else default_prefix_store()
+        # walks, sorted iteration).  It stays empty until the first
+        # ordered query asks for it (see :attr:`store`); only from then
+        # on do offer/retract mirror prefix arrivals and departures
+        # into it.
+        self._store = store if store is not None else RadixTrie()
         self._indexed = False
         #: Number of best-path selections actually executed: incremental
         #: challenger-vs-incumbent comparisons and full re-scans.  No-op
@@ -297,7 +269,7 @@ class LocRib:
         store = self._store
         if not self._indexed:
             self._indexed = True
-            for prefix in sorted(self._best, key=_prefix_order):
+            for prefix in sorted(self._best):
                 store.insert(prefix, None)
         return store
 
@@ -344,7 +316,7 @@ class LocRib:
             if route is None:
                 return []
             routes = (route,)
-        text = str(prefix)
+        text = prefix_text(prefix)
         return [
             {
                 "prefix": text,
@@ -404,12 +376,11 @@ class LocRib:
     def import_entries(cls, entries, local_as=0, router_id=0):
         """Rebuild a LocRib from :meth:`export_entries` output."""
         from repro.bgp.attributes import PathAttributes
-        from repro.bgp.prefixes import Prefix
 
         rib = cls(local_as=local_as, router_id=router_id)
         for entry in entries:
             route = Route(
-                Prefix.parse(entry["prefix"]),
+                parse_prefix(entry["prefix"]),
                 PathAttributes.from_wire(entry["attributes"]),
                 entry["peer_id"],
                 entry["source_kind"],

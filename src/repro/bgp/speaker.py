@@ -21,7 +21,7 @@ from repro.bgp.attributes import PathAttributes, ipv4_to_int
 from repro.bgp.multiprotocol import attach_mp_reach
 from repro.bgp.packing import group_routes, pack_group, pack_withdrawals
 from repro.bgp.peer import PeerConfig, PeerSession
-from repro.bgp.prefixes import Prefix
+from repro.bgp.prefixes import AFI_IPV4, AFI_IPV6, prefix_afi
 from repro.bgp.rib import Route
 from repro.bgp.vrf import Vrf
 from repro.sim.calibration import (
@@ -643,15 +643,16 @@ class BgpSpeaker:
         if self.config.update_packing:
             groups = group_routes(exported)
             v4 = [(attributes, prefixes) for afi, attributes, prefixes in groups
-                  if afi == Prefix.AFI_IPV4]
+                  if afi == AFI_IPV4]
         else:
             # One UPDATE per v4 route, in table order: nothing to group.
             exported = list(exported)
-            v4 = [pair for pair in exported if pair[0].afi == Prefix.AFI_IPV4]
+            v4 = [pair for pair in exported
+                  if prefix_afi(pair[0]) == AFI_IPV4]
             groups = group_routes(pair for pair in exported
-                                  if pair[0].afi == Prefix.AFI_IPV6)
+                                  if prefix_afi(pair[0]) == AFI_IPV6)
         v6 = [(attributes, prefixes) for afi, attributes, prefixes in groups
-              if afi == Prefix.AFI_IPV6]
+              if afi == AFI_IPV6]
         return _FanoutPlan(v4, v6)
 
     def _export_routes(self, session, routes):

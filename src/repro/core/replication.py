@@ -36,7 +36,8 @@ a changed prefix through the one chunk encoder in
 import zlib
 from collections import deque
 
-from repro.bgp.aggregation import AGGREGATE_ROOT_LEN, aggregate_root, encode_chunk
+from repro.bgp.aggregation import aggregate_root, encode_chunk
+from repro.bgp.prefixes import prefix_text
 from repro.kvstore.client import CAUSE_FENCED
 from repro.kvstore.locks import LockManager
 
@@ -581,13 +582,13 @@ class ReplicationPipeline:
         by_root = {}
 
         def assign(prefix):
-            if by_full_prefix or prefix.length <= AGGREGATE_ROOT_LEN:
-                return crc32(str(prefix).encode()) % buckets
-            root = prefix.afi, prefix.value >> (prefix.bits - AGGREGATE_ROOT_LEN)
+            root = prefix if by_full_prefix else aggregate_root(prefix)
+            if root is prefix:  # its own root: no sibling shares the text
+                return crc32(prefix_text(prefix).encode()) % buckets
             bucket = by_root.get(root)
             if bucket is None:
                 bucket = by_root[root] = crc32(
-                    str(aggregate_root(prefix)).encode()) % buckets
+                    prefix_text(root).encode()) % buckets
             return bucket
 
         return assign
@@ -608,7 +609,7 @@ class ReplicationPipeline:
                 "buckets": 0,      # chunk count of the snapshot last written
                 "stale": False,    # a write of it may never have landed
                 "export_seq": 0,   # Loc-RIB change watermark consumed
-                "members": [],     # per chunk, its set of prefix objects
+                "members": [],     # per chunk, its set of prefix keys
                 "sizes": {},       # prefix -> live entry count
                 "total": 0,        # entries across all chunks
             }

@@ -14,6 +14,7 @@ for E1; NSR migration for E2/E4 and machine-level failures).
 from repro.bfd.packet import BfdState
 from repro.bfd.process import BfdProcess
 from repro.bgp.peer import PeerConfig
+from repro.bgp.prefixes import prefix_text
 from repro.bgp.speaker import DEFAULT_MRAI, SpeakerConfig
 from repro.containers.host import HostMachine, ProcessMonitor
 from repro.control.fencing import FencingRegistry
@@ -765,7 +766,8 @@ class TensorPair:
             dead = [
                 prefix
                 for prefix in sorted(
-                    state.recent_withdrawn_prefixes(vrf.name), key=str)
+                    state.recent_withdrawn_prefixes(vrf.name),
+                    key=prefix_text)
                 if vrf.loc_rib.best(prefix) is None
             ]
             self.speaker.resync_session(session, dead)

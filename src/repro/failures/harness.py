@@ -159,7 +159,7 @@ class _WorkloadDriver:
                 event["count"], base=event["base"], length=event["length"]
             )
             live = suite.live[local]
-            withdrawn = [p for p in prefixes if str(p) in live]
+            withdrawn = [p for p in prefixes if p in live]
             for prefix in withdrawn:
                 remote.speaker.withdraw_originated(vrf_name, prefix)
             suite.note_withdraw(local, withdrawn)

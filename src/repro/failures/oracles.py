@@ -46,6 +46,7 @@ Oracles (names are stable; repro scripts and docs reference them):
 """
 
 from repro.bfd.packet import BfdState
+from repro.bgp.prefixes import prefix_text
 
 #: Held ACKs / locks may legitimately persist for a database blip plus
 #: the write-retry budget (client timeout x WRITE_RETRIES); anything
@@ -99,9 +100,8 @@ class OracleSuite:
             list(import_policies) if import_policies is not None
             else [None] * len(self.remotes)
         )
-        # prefix_str -> (Prefix, PathAttributes) per policy-filtered
-        # remote, recorded at origination time so policy evaluation
-        # replays the intent
+        # prefix -> PathAttributes per policy-filtered remote, recorded
+        # at origination time so policy evaluation replays the intent
         self.attrs = [dict() for _ in self.remotes]
         self.settle_grace = settle_grace
         self.check_bfd = check_bfd
@@ -117,7 +117,7 @@ class OracleSuite:
         self._injected_truth = []
         self._wf_cursor = 0  # controller events judged so far
         self.downtime = 0.0
-        # workload model: per remote, {prefix_str: True} of live originations
+        # workload model: per remote, {prefix: True} of live originations
         self.live = [dict() for _ in self.remotes]
         self.vrfs = [session.config.vrf_name for _r, session in self.remotes]
         self._armed_at = None
@@ -149,24 +149,20 @@ class OracleSuite:
             self._tap_installed = True
 
     def note_originate(self, remote_index, prefixes):
-        live = self.live[remote_index]
-        for prefix in prefixes:
-            live[str(prefix)] = True
+        self.live[remote_index].update(dict.fromkeys(prefixes, True))
         self.note_activity()
 
     def note_originate_routes(self, remote_index, routes):
         """:meth:`note_originate` from ``(prefix, attributes)`` pairs;
         the attributes are kept where an import policy will judge them."""
         if self.import_policies[remote_index] is not None:
-            recorded = self.attrs[remote_index]
-            for prefix, attributes in routes:
-                recorded[str(prefix)] = (prefix, attributes)
+            self.attrs[remote_index].update(routes)
         self.note_originate(remote_index, [p for p, _a in routes])
 
     def note_withdraw(self, remote_index, prefixes):
         live = self.live[remote_index]
         for prefix in prefixes:
-            live.pop(str(prefix), None)
+            live.pop(prefix, None)
         self.note_activity()
 
     def note_activity(self):
@@ -465,10 +461,9 @@ class OracleSuite:
             return live.keys()
         recorded = self.attrs[remote_index]
         accepted = set()
-        for prefix_str in live:
-            prefix, attributes = recorded[prefix_str]
-            if policy.evaluate(prefix, attributes) is not None:
-                accepted.add(prefix_str)
+        for prefix in live:
+            if policy.evaluate(prefix, recorded[prefix]) is not None:
+                accepted.add(prefix)
         return accepted
 
     def _check_convergence(self, _now):
@@ -481,12 +476,10 @@ class OracleSuite:
             )
         for vrf_name, expected in expected_by_vrf.items():
             vrf = self.pair.speaker.vrfs.get(vrf_name)
-            actual = set() if vrf is None else {
-                str(prefix) for prefix in vrf.loc_rib.prefixes()
-            }
+            actual = set() if vrf is None else set(vrf.loc_rib.prefixes())
             if actual != expected:
-                missing = sorted(expected - actual)[:3]
-                extra = sorted(actual - expected)[:3]
+                missing = sorted(map(prefix_text, expected - actual))[:3]
+                extra = sorted(map(prefix_text, actual - expected))[:3]
                 self._violate(
                     "convergence",
                     f"gateway Loc-RIB[{vrf_name}] has {len(actual)} prefixes,"
@@ -505,15 +498,14 @@ class OracleSuite:
             if not others:
                 continue
             remote_vrf = remote.speaker.vrfs.get(session.config.vrf_name)
-            actual = set() if remote_vrf is None else {
-                str(prefix) for prefix in remote_vrf.loc_rib.prefixes()
-            }
-            missing = others - actual
+            actual = () if remote_vrf is None else remote_vrf.loc_rib.prefixes()
+            missing = others.difference(actual)
             if missing:
                 self._violate(
                     "convergence",
                     f"remote{index} is missing {len(missing)} cross-peer"
-                    f" prefix(es), e.g. {sorted(missing)[:3]}",
+                    f" prefix(es), e.g."
+                    f" {sorted(map(prefix_text, missing))[:3]}",
                 )
 
     def _check_bfd(self, _now):

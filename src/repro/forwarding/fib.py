@@ -8,7 +8,7 @@ and, crucially for NSR, the FIB keeps forwarding from its last programmed
 state while the control plane is dead or migrating.
 """
 
-from repro.bgp.prefixes import Prefix
+from repro.bgp.prefixes import parse_prefix, prefix_text
 from repro.bgp.radix import RadixTrie
 from repro.sim.process import Process
 
@@ -27,7 +27,7 @@ class FibEntry:
         self.programmed_at = programmed_at
 
     def __repr__(self):
-        return f"<FibEntry {self.prefix} -> {self.next_hop}>"
+        return f"<FibEntry {prefix_text(self.prefix)} -> {self.next_hop}>"
 
 
 class Fib:
@@ -48,7 +48,7 @@ class Fib:
     def lookup(self, address):
         """Longest-prefix match for a destination address string."""
         self.lookups += 1
-        match = self._trie.longest_match(Prefix.parse(address))
+        match = self._trie.longest_match(parse_prefix(address))
         if match is None:
             self.misses += 1
             return None

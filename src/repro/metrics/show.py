@@ -7,6 +7,7 @@ string (callers print it), built on the same table formatter the
 benchmark harness uses.
 """
 
+from repro.bgp.prefixes import prefix_text
 from repro.metrics.report import format_table
 
 
@@ -46,7 +47,7 @@ def show_rib(vrf, limit=20):
     for route in sorted(vrf.loc_rib.best_routes(), key=lambda r: r.prefix):
         attrs = route.attributes
         rows.append([
-            str(route.prefix),
+            prefix_text(route.prefix),
             attrs.next_hop or "-",
             "/".join(str(a) for a in attrs.as_path.as_list()) or "-",
             attrs.local_pref if attrs.local_pref is not None else "-",
@@ -87,7 +88,7 @@ def show_fib(fib, limit=20):
     """`show ip fib` for one forwarding table."""
     rows = []
     for prefix, entry in sorted(fib.entries().items(), key=lambda kv: kv[0]):
-        rows.append([str(prefix), entry.next_hop, f"{entry.programmed_at:.3f}"])
+        rows.append([prefix_text(prefix), entry.next_hop, f"{entry.programmed_at:.3f}"])
         if len(rows) >= limit:
             rows.append([f"... {len(fib) - limit} more", "", ""])
             break

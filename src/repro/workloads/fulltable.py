@@ -19,7 +19,7 @@ measurement on the virtual clock.
 """
 
 from repro.bgp.attributes import PathAttributes
-from repro.bgp.prefixes import Prefix
+from repro.bgp.prefixes import prefix_key
 from repro.bgp.rib import LocRib, Route
 from repro.sim.rand import DeterministicRandom
 from repro.workloads.updates import RouteGenerator
@@ -65,20 +65,20 @@ class FullTableWorkload:
     # -- table layout -------------------------------------------------------
 
     def prefix_at(self, index):
-        """The ``index``-th table prefix (aggregatable first, then
-        scattered, then the host-route band, then the default)."""
+        """The ``index``-th table prefix, a plain key (aggregatable
+        first, then scattered, then the host-route band, then the
+        default)."""
         if index < self.aggregatable_count:
-            return Prefix(AGG_BASE + (index << 8), 24)
+            return prefix_key(AGG_BASE + (index << 8), 24)
         index -= self.aggregatable_count
         if index < self.scattered_count:
             length = SCATTER_LENGTHS[index % len(SCATTER_LENGTHS)]
             value = SCATTER_BASE + index * SCATTER_SLOT
-            shift = 32 - length
-            return Prefix((value >> shift) << shift, length)
+            return prefix_key(value, length)
         index -= self.scattered_count
         if index < HOST_ROUTES:
-            return Prefix(SCATTER_BASE - (index + 1) * 256, 32)
-        return Prefix(0, 0)
+            return prefix_key(SCATTER_BASE - (index + 1) * 256, 32)
+        return prefix_key(0, 0)
 
     def attrs_at(self, index):
         """Block-uniform in the aggregatable region, per-prefix pooled

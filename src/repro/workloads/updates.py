@@ -7,7 +7,7 @@ packing effective).
 """
 
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
-from repro.bgp.prefixes import Prefix
+from repro.bgp.prefixes import parse_prefix, prefix_key, prefix_value
 
 
 class RouteGenerator:
@@ -51,13 +51,11 @@ class RouteGenerator:
         )
 
     def prefixes(self, count, base="10.0.0.0", length=24):
-        """``count`` distinct IPv4 prefixes, deterministic order."""
-        base_prefix = Prefix.parse(f"{base}/{length}")
+        """``count`` distinct IPv4 prefixes (plain keys), deterministic
+        order."""
+        first = prefix_value(parse_prefix(f"{base}/{length}"))
         step = 1 << (32 - length)
-        return [
-            Prefix((base_prefix.value + i * step) & 0xFFFFFFFF, length)
-            for i in range(count)
-        ]
+        return [prefix_key(first + i * step, length) for i in range(count)]
 
     def routes(self, count, base="10.0.0.0", length=24):
         """``count`` (prefix, attributes) pairs sharing pooled attributes."""

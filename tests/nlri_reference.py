@@ -12,7 +12,7 @@ reference the differential tests compare it with.
   run-based delta to the same per-route shape.
 """
 
-from repro.bgp.prefixes import Prefix, decode_nlri_block
+from repro.bgp.prefixes import Prefix, decode_nlri_block, prefix_text
 from repro.core.replication import delta_runs
 
 
@@ -52,9 +52,9 @@ def per_route_delta(session, message):
         for prefix in message.nlri:
             stored = session.adj_rib_in.get(prefix)
             if stored is not None:
-                announce.append((str(prefix), stored.attributes.to_wire(),
+                announce.append((prefix_text(prefix), stored.attributes.to_wire(),
                                  session.peer_id, stored.source_kind))
-    withdraw = [(str(prefix), session.peer_id) for prefix in message.withdrawn]
+    withdraw = [(prefix_text(prefix), session.peer_id) for prefix in message.withdrawn]
     return announce, withdraw
 
 
@@ -63,12 +63,12 @@ def delta_routes(delta):
     shape."""
     withdrawn, announced = delta_runs(delta)
     announce = [
-        (str(prefix), attrs_wire, peer_id, source_kind)
+        (prefix_text(prefix), attrs_wire, peer_id, source_kind)
         for afi, nlri_wire, attrs_wire, peer_id, source_kind in announced
         for prefix in decode_nlri_block(nlri_wire, afi)
     ]
     withdraw = [
-        (str(prefix), peer_id)
+        (prefix_text(prefix), peer_id)
         for afi, nlri_wire, peer_id in withdrawn
         for prefix in decode_nlri_block(nlri_wire, afi)
     ]

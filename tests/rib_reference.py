@@ -27,11 +27,20 @@ checks what it reports against this model's per-prefix entries.
 """
 
 import zlib
+from unittest import mock
 
+from repro.bgp import rib as rib_module
 from repro.bgp.aggregation import aggregate_root
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.decision import best_path, med_group, prefer
-from repro.bgp.prefixes import Prefix
+from repro.bgp.prefixes import (
+    Prefix,
+    prefix_afi,
+    prefix_contains,
+    prefix_length,
+    prefix_text,
+    prefix_value,
+)
 from repro.bgp.rib import LocRib, Route
 from repro.sim.rand import DeterministicRandom
 
@@ -96,23 +105,23 @@ class ReferenceRib:
 
     def lookup(self, prefix):
         """Longest-prefix match over selected routes."""
-        covers = [p for p in self._candidates if p.contains(prefix)]
+        covers = [p for p in self._candidates if prefix_contains(p, prefix)]
         if not covers:
             return None
-        return self.best(max(covers, key=lambda p: p.length))
+        return self.best(max(covers, key=prefix_length))
 
     def covered_best(self, prefix):
         return [
             (stored, self.best(stored))
             for stored in sorted(self._candidates)
-            if prefix.contains(stored)
+            if prefix_contains(prefix, stored)
         ]
 
     def covering_best(self, prefix):
         return [
             (stored, self.best(stored))
-            for stored in sorted(self._candidates, key=lambda p: p.length)
-            if stored.contains(prefix)
+            for stored in sorted(self._candidates, key=prefix_length)
+            if prefix_contains(stored, prefix)
         ]
 
     # -- snapshot ------------------------------------------------------------
@@ -129,7 +138,7 @@ class ReferenceRib:
             return []
         return [
             {
-                "prefix": str(prefix),
+                "prefix": prefix_text(prefix),
                 "peer_id": peer_id,
                 "source_kind": route.source_kind,
                 "attributes": route.attributes.to_wire(),
@@ -157,6 +166,59 @@ def rib_digest_of(loc_rib):
     )
 
 
+# -- the flat-dict prefix store (the seed Loc-RIB's data layout) -------------
+
+class DictPrefixStore:
+    """Same interface as :class:`repro.bgp.radix.RadixTrie`, the tree
+    queries by linear scan and :meth:`walk` by a sort — what the trie is
+    pinned against, directly and behind whole chaos and fuzz runs."""
+
+    def __init__(self):
+        self._entries = {}
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __contains__(self, prefix):
+        return prefix in self._entries
+
+    def __iter__(self):
+        return iter(sorted(self._entries))
+
+    def get(self, prefix, default=None):
+        return self._entries.get(prefix, default)
+
+    def insert(self, prefix, value):
+        self._entries[prefix] = value
+
+    def remove(self, prefix):
+        return self._entries.pop(prefix, None) is not None
+
+    def longest_match(self, prefix):
+        found = list(self.covering(prefix))
+        return found[-1] if found else None
+
+    def covering(self, prefix):
+        found = [item for item in self._entries.items()
+                 if prefix_contains(item[0], prefix)]
+        found.sort(key=lambda item: prefix_length(item[0]))
+        yield from found
+
+    def covered(self, prefix):
+        yield from sorted(item for item in self._entries.items()
+                          if prefix_contains(prefix, item[0]))
+
+    def walk(self):
+        yield from sorted(self._entries.items())
+
+
+def use_prefix_store(factory):
+    """Context manager: Loc-RIBs constructed inside are backed by
+    ``factory()`` — a patch of the one name ``LocRib.__init__``
+    constructs; ``LocRib(store=...)`` injects a single one."""
+    return mock.patch.object(rib_module, "RadixTrie", factory)
+
+
 # -- snapshot chunks (the encoder compact() used before encode_chunk) --------
 
 def collapse_prefix_entries(loc_rib, prefixes):
@@ -173,13 +235,14 @@ def collapse_prefix_entries(loc_rib, prefixes):
     by_len = {}
     for prefix in prefixes:
         records = loc_rib.export_prefix_entries(prefix)
-        if len(records) == 1 and prefix.length > 0:
+        length = prefix_length(prefix)
+        if len(records) == 1 and length > 0:
             record = records[0]
             sig = (record["peer_id"], record["source_kind"],
                    record["attributes"])
-            key = (prefix.afi, prefix.value, prefix.length, prefix.length,
+            key = (prefix_afi(prefix), prefix_value(prefix), length, length,
                    sig)
-            by_len.setdefault(prefix.length, {})[key] = record
+            by_len.setdefault(length, {})[key] = record
         else:
             plain.extend(records)
     # Merge sibling pairs bottom-up: two complete subtrees at the same
@@ -248,7 +311,7 @@ def reference_chunk_of(prefix, buckets, aggregate):
     """Chunk index: CRC-32 of the prefix's text, or of its aggregate
     root's under snapshot aggregation."""
     keyed = aggregate_root(prefix) if aggregate else prefix
-    return zlib.crc32(str(keyed).encode()) % buckets
+    return zlib.crc32(prefix_text(keyed).encode()) % buckets
 
 
 def reference_chunks(rib, buckets, aggregate):
@@ -259,7 +322,7 @@ def reference_chunks(rib, buckets, aggregate):
         members[reference_chunk_of(prefix, buckets, aggregate)].append(prefix)
     chunks = {}
     for index, prefixes in members.items():
-        prefixes.sort(key=str)
+        prefixes.sort(key=prefix_text)
         if aggregate:
             chunks[index] = collapse_prefix_entries(rib, prefixes)
         else:

@@ -333,6 +333,33 @@ def test_transform_table_inert_when_real_aggregate_route_exists():
     assert exported[aggregate] == real
 
 
+def test_broken_aggregate_reexports_and_withdraws_members_ascending():
+    """``transform_changes`` output is walked in insertion order to build
+    the UPDATEs, so members leaving an aggregate's state come out in
+    prefix order, never in set order (which the key's hash decides)."""
+    rib = LocRib()
+    aggregate = Prefix.parse("10.0.0.0/16")
+    members = _block(aggregate.value, 12)
+    _fill(rib, members)
+    aggregator = ExportAggregator("spk", [aggregate])
+    session = _StubSession()
+    aggregator.transform_table(rib, session, [])
+    # Three members leave the table while the aggregate stands: withdrawn.
+    gone = [members[9], members[2], members[5]]
+    for prefix in gone:
+        rib.retract(prefix, "p1")
+    out = aggregator.transform_changes(rib, session, dict.fromkeys(gone))
+    assert list(out) == sorted(gone) and set(out.values()) == {None}
+    # A real route at the aggregate's own prefix breaks it: the aggregate
+    # is withdrawn and every surviving member re-exported.
+    rib.offer(Route(aggregate, _attrs(local_pref=200), "p7", "ebgp"))
+    out = aggregator.transform_changes(rib, session, {members[0]: None})
+    survivors = sorted(set(members) - set(gone))
+    assert list(out) == [aggregate] + survivors
+    assert out.pop(aggregate) is None
+    assert [route.prefix for route in out.values()] == survivors
+
+
 # ---------------------------------------------------------------------------
 # export aggregation: live speaker mesh (delta path)
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ dimension, so the three modes need direct behavioural pins:
 
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.peer import PeerConfig
-from repro.bgp.prefixes import Prefix
+from repro.bgp.prefixes import Prefix, prefix_text
 from repro.bgp.speaker import BgpSpeaker, SpeakerConfig
 from repro.sim import Engine, Network
 from repro.tcpsim.stack import TcpStack
@@ -61,7 +61,7 @@ def _build_pair_of_speakers(mrai_mode="per_speaker", gateway_mrai=0.05,
 
 
 def _learned(remote):
-    return {str(p) for p in remote.vrfs["v0"].loc_rib.prefixes()}
+    return set(map(prefix_text, remote.vrfs["v0"].loc_rib.prefixes()))
 
 
 def test_per_speaker_mode_is_the_default_and_flushes_globally():

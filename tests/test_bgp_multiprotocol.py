@@ -16,6 +16,7 @@ from repro.bgp.multiprotocol import (
     encode_mp_unreach,
     mp_routes_of,
 )
+from repro.bgp.prefixes import prefix_afi
 
 V6_NH = Prefix.parse("2001:db8::1/128").value
 V6_PREFIXES = [
@@ -106,7 +107,7 @@ def test_v6_routes_learnable_over_session(engine, two_hosts):
     spk_b.readvertise(sess_b)
     engine.advance(2.0)
     learned = [r for r in spk_a.vrfs["default"].loc_rib.best_routes()
-               if r.prefix.afi == Prefix.AFI_IPV6]
+               if prefix_afi(r.prefix) == Prefix.AFI_IPV6]
     assert len(learned) == 3
     reach, _ = mp_routes_of(learned[0].attributes)
     # eBGP next-hop-self: the advertising speaker rewrote the MP next hop

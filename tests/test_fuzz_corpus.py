@@ -74,7 +74,7 @@ def test_corpus_replay_identical_under_dict_prefix_store(manifest):
     """§14 differential: a corpus entry replayed with the brute-force
     DictPrefixStore Loc-RIB backend must reproduce the trie run's
     digest, verdict, profile and coverage key bit-for-bit."""
-    from repro.bgp.rib import DictPrefixStore, use_prefix_store
+    from tests.rib_reference import DictPrefixStore, use_prefix_store
 
     spec, expected_key, expected_profile = manifest_entries(manifest)[0]
     trie_result = run_fuzz_spec(spec, tracing=True)

@@ -322,7 +322,7 @@ def test_chaos_shard_matches_plain_run_schedule():
 # trie bug that changes selection order, export order, or timing.
 
 def test_chaos_corpus_identical_under_dict_prefix_store():
-    from repro.bgp.rib import DictPrefixStore, use_prefix_store
+    from tests.rib_reference import DictPrefixStore, use_prefix_store
 
     trie = chaos_run(1)
     for seed in CHAOS_SEEDS:
@@ -335,7 +335,7 @@ def test_chaos_corpus_identical_under_dict_prefix_store():
 
 
 def test_db_failover_chaos_identical_under_dict_prefix_store():
-    from repro.bgp.rib import DictPrefixStore, use_prefix_store
+    from tests.rib_reference import DictPrefixStore, use_prefix_store
 
     trie = db_failover_run(1)
     for seed in DB_FAILOVER_SEEDS:
@@ -349,7 +349,7 @@ def test_db_failover_chaos_identical_under_dict_prefix_store():
 
 
 def test_fuzz_runs_identical_under_dict_prefix_store():
-    from repro.bgp.rib import DictPrefixStore, use_prefix_store
+    from tests.rib_reference import DictPrefixStore, use_prefix_store
     from repro.fuzz import (
         coverage_key,
         generate_fuzz_spec,

@@ -1,7 +1,7 @@
 """RadixTrie property tests (DESIGN.md §14).
 
 The path-compressed trie must agree with the brute-force flat-dict
-reference (:class:`repro.bgp.radix.DictPrefixStore`) on every query —
+reference (:class:`tests.rib_reference.DictPrefixStore`) on every query —
 exact get, membership, longest-prefix match, covering chains, covered
 walks, and full sorted iteration — over random prefix sets that include
 the edge positions: 0.0.0.0/0 (the root carries an entry), /32 host
@@ -16,8 +16,9 @@ same properties without it.
 import pytest
 
 from repro.bgp.prefixes import Prefix
-from repro.bgp.radix import DictPrefixStore, RadixTrie
+from repro.bgp.radix import RadixTrie
 from repro.sim import DeterministicRandom
+from tests.rib_reference import DictPrefixStore
 
 try:
     from hypothesis import given, settings
@@ -201,7 +202,7 @@ def test_afi_separation():
     trie.insert(v6, "v6")
     assert trie.longest_match(Prefix.parse("10.1.0.0/16")) == (v4, "v4")
     assert trie.longest_match(Prefix.parse("2001:db8:1::/48")) == (v6, "v6")
-    # Walk order: v4 AFI before v6, matching Prefix.__lt__.
+    # Walk order: v4 AFI before v6, the keys' native int order.
     assert [p for p, _ in trie.walk()] == [v4, v6]
     assert trie.longest_match(Prefix.parse("192.0.2.0/24")) is None
 

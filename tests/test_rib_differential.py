@@ -24,15 +24,17 @@ import gc
 import pytest
 
 from repro.bgp import AsPath, LocRib, Origin, PathAttributes, Prefix
-from repro.bgp.radix import DictPrefixStore, RadixTrie
-from repro.bgp.rib import Route, use_prefix_store
+from repro.bgp.radix import RadixTrie
+from repro.bgp.rib import Route
 from repro.sim.rand import DeterministicRandom
 
 from tests.rib_reference import (
+    DictPrefixStore,
     ReferenceRib,
     contested_churn,
     probe_points,
     rib_digest_of,
+    use_prefix_store,
 )
 
 PEERS = [f"peer{i}" for i in range(6)]

@@ -1,14 +1,13 @@
 """Loc-RIB determinism across interpreters and hash seeds (ROADMAP 5(b)).
 
-``Prefix`` caches an int-tuple hash on the argument that int hashes are
-process-independent, while peer ids are strings, whose hashes are not;
-the Loc-RIB keys its table by the one and its contested records by the
-other.  Nothing that reaches a digest, a snapshot or a return value may
+A prefix is a packed int, whose hash is process-independent, while peer
+ids are strings, whose hashes are not; the Loc-RIB keys its table by the
+one and its contested records by the other.  Nothing that reaches a digest, a snapshot or a return value may
 depend on either: a fresh interpreter per ``PYTHONHASHSEED`` value runs
 a 2,000-route pair replay (``rib_digest`` is ``export_entries()`` of
 every Loc-RIB, attributes in wire form), the contested-prefix
 differential, a snapshot compaction — whose chunk membership lives
-in sets of ``Prefix`` and whose merge groups are keyed by tuples holding
+in sets of prefix keys and whose merge groups are keyed by tuples holding
 peer-id strings — and a packed receive through a prefix-matching import
 policy whose stored RIB delta records (runs of NLRI bytes, re-joined
 where the policy split a block) are hashed as they sit in the store,
