@@ -20,7 +20,9 @@ bench-hotpath:
 	$(PYTHON) -m pytest benchmarks/bench_hotpath.py -q
 
 # The 112-container fleet under the conservative parallel runtime at
-# workers=1/2/4; writes BENCH_parallel.json (determinism + speedup).
+# workers=1/2/4 (best of 3 each), the frame-heavy border row at
+# workers=1/2 and the 1024-container row; writes BENCH_parallel.json
+# (determinism, measured speedup, quiet-window reduction).
 bench-parallel:
 	$(PYTHON) benchmarks/bench_parallel_fleet.py
 
@@ -57,7 +59,7 @@ profile:
 	$(PYTHON) benchmarks/profile_hotspots.py
 
 # Parallel fleet only, plus the coordinator's compute / barrier-wait /
-# dispatch / serialization split (the time_split in BENCH_parallel.json).
+# dispatch / pickling split (the time_split in BENCH_parallel.json).
 profile-parallel:
 	$(PYTHON) benchmarks/profile_hotspots.py --parallel
 
@@ -66,7 +68,8 @@ profile-parallel:
 profile-packed:
 	$(PYTHON) benchmarks/profile_hotspots.py --packed
 
-# Two-site fleet, workers=1 vs workers=2: results must be bit-identical.
+# Two-site fleet, workers=1 (frames by reference) vs workers=2 (frames
+# pickled across processes): results must be bit-identical.
 parallel-smoke:
 	$(PYTHON) -m repro.sim.parallel.smoke
 

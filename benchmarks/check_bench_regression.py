@@ -12,7 +12,7 @@ file is the committed one.
 Better-than-baseline results are reported but never fail — commit the
 regenerated files to ratchet the baselines.  Suites may also register a
 validator for non-throughput invariants (the parallel suite checks
-determinism and the speedup floor).
+determinism and the measured speedup floor).
 
 Usage:
     python benchmarks/check_bench_regression.py [--suite NAME]
@@ -49,16 +49,15 @@ def ignored_artifacts():
 def _validate_parallel(fresh, baseline):
     """Parallel-suite invariants beyond raw throughput.
 
-    Determinism must hold outright.  The >= 2x speedup floor applies to
-    the *measured* wall ratio on hosts with at least 4 cores; on smaller
-    hosts the OS serializes the workers, so the floor applies to the
-    critical-path projection computed from measured per-shard compute
-    (see bench_parallel_fleet.py).  ``cpu_count`` in the JSON records
-    which regime produced a committed baseline — a multi-core host must
-    not quietly gate its measured numbers against a baseline that was
-    generated (and ratcheted) on a smaller machine, so that mismatch is
-    an explicit failure with a re-baseline instruction, not a silent
-    apples-to-oranges comparison.
+    Determinism must hold outright.  On any host with at least 2 cores
+    the *measured* wall ratio workers=1 / workers=4 (each the best of
+    three runs, see bench_parallel_fleet.py) must stay >= 1.1x; the
+    critical-path projection is printed as a diagnostic, never gated.
+    ``cpu_count`` in the JSON records which host produced a committed
+    baseline — a single-core baseline cannot speak for a multi-core
+    host's measured numbers, so that mismatch is an explicit failure
+    with a re-baseline instruction, not a silent apples-to-oranges
+    comparison.
     """
     failures = []
     if not fresh.get("determinism_ok", False):
@@ -66,7 +65,7 @@ def _validate_parallel(fresh, baseline):
                         "shard results diverged")
     cores = os.cpu_count() or 1
     baseline_cores = (baseline or {}).get("cpu_count")
-    if cores >= 4 and baseline_cores is not None and baseline_cores < 4:
+    if cores >= 2 and baseline_cores is not None and baseline_cores < 2:
         failures.append(
             f"baseline BENCH_parallel.json was generated on a "
             f"{baseline_cores}-core host but this host has {cores} cores: "
@@ -74,18 +73,20 @@ def _validate_parallel(fresh, baseline):
             f"`make bench-parallel` on this host and commit the "
             f"regenerated BENCH_parallel.json to re-baseline"
         )
-    if cores >= 4:
-        speedup = fresh.get("measured_speedup_4w", 0.0)
-        label = "measured"
-    else:
-        speedup = fresh.get("projected_speedup_4w", 0.0)
-        label = f"projected (host has {cores} core(s))"
-    if speedup < 2.0:
+    projected = fresh.get("projected_speedup_4w")
+    if projected is not None:
+        print(f"  projected speedup (not gated): {projected:.2f}x")
+    speedup = fresh.get("measured_speedup_4w", 0.0)
+    if cores < 2:
+        print(f"  measured speedup: {speedup:.2f}x (not gated: host has "
+              f"{cores} core)")
+    elif speedup < 1.1:
         failures.append(
-            f"parallel speedup floor: {speedup:.2f}x {label} < 2.0x"
+            f"parallel speedup floor: {speedup:.2f}x measured < 1.1x "
+            f"(host has {cores} cores)"
         )
     else:
-        print(f"  speedup floor: {speedup:.2f}x {label}  ok")
+        print(f"  measured speedup floor: {speedup:.2f}x >= 1.1x  ok")
     quiet = fresh.get("window_stats", {}).get("quiet_window_reduction")
     if quiet is None:
         failures.append("window_stats.quiet_window_reduction missing from "
@@ -97,20 +98,9 @@ def _validate_parallel(fresh, baseline):
         )
     else:
         print(f"  quiet-window reduction: {quiet:.1f}x  ok")
-    reduction = fresh.get("bytes_reduction_4w")
-    if reduction is None:
-        failures.append("bytes_reduction_4w missing from "
-                        "BENCH_parallel.json (re-run make bench-parallel)")
-    elif reduction < 3.0:
-        failures.append(
-            f"barrier bytes: shm codec only {reduction:.2f}x smaller than "
-            f"the pickle-over-pipe reference (< 3x floor)"
-        )
-    else:
-        print(f"  barrier bytes reduction: {reduction:.2f}x  ok")
-    # serialization and dispatch must stay a sliver of the workers=4
-    # wall: the shm transport's whole point is that barrier traffic is
-    # cheap.  Absolute floors keep the ratio meaningful on fast hosts
+    # pickling and dispatch must stay a sliver of the workers=4 wall:
+    # barrier traffic is cheap, or the transport needs another look.
+    # Absolute floors keep the ratio meaningful on fast hosts
     # where both sides of it are noise-sized.
     wall = fresh.get("wall", {}).get("workers_4", 0.0)
     split = fresh.get("time_split", {}).get("workers_4", {})

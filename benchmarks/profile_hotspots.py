@@ -23,14 +23,12 @@ Collector time is taken out of the stage it interrupted.
 
 ``--parallel`` (``make profile-parallel``) restricts the run to the
 parallel fleet workload and prints the coordinator's timing split
-(compute vs barrier-wait vs dispatch vs serialization, with the
-serialization side broken out into frame encode, decode, and
-shared-memory ring-copy time) alongside the profile — the same split
-``make bench-parallel`` records under ``time_split`` in
-BENCH_parallel.json — so window-protocol overhead can be attributed
-before reading a single profiler row.  Because the transport split is
-all zeros at workers=1, ``--parallel`` follows the profiled run with an
-unprofiled workers=2 shared-memory run and prints its split too.
+(compute vs barrier-wait vs dispatch vs pickling) alongside the
+profile — the same split ``make bench-parallel`` records under
+``time_split`` in BENCH_parallel.json — so window-protocol overhead can
+be attributed before reading a single profiler row.  Because nothing is
+pickled at workers=1, ``--parallel`` follows the profiled run with an
+unprofiled workers=2 run and prints its split too.
 
 Usage:
     PYTHONPATH=src python benchmarks/profile_hotspots.py [--top N]
@@ -177,22 +175,15 @@ def _print_timing_split(result):
     timing = result.timing
     wall = timing.get("wall_s") or 1.0
     transport = result.transport
+    where = "in-process" if transport["in_process"] else "pickled"
     print(f"\ncoordinator timing split"
-          f" ({transport['kind']}, {result.windows} windows,"
-          f" wall {wall:.2f}s):")
+          f" ({where}, {result.windows} windows, wall {wall:.2f}s):")
     for key in ("compute_s", "barrier_wait_s", "barrier_send_s",
-                "serialize_s", "rebalance_s"):
+                "serialize_s"):
         value = timing.get(key, 0.0)
         print(f"  {key:16s} {value:8.3f}s  ({value / wall:5.1%} of wall)")
-    # frame codec encode/decode (these two sum to serialize_s) plus the
-    # raw memcpy into / out of the shared-memory rings
-    for key in ("encode_s", "decode_s", "ring_copy_s"):
-        value = timing.get(key, 0.0)
-        print(f"    {key:14s} {value:8.3f}s  ({value / wall:5.1%} of wall)")
     print(f"  transport        {transport['frames']} frames"
-          f" / {transport['batches']} batches / {transport['bytes']} bytes"
-          f" / {transport.get('ring_wraps', 0)} ring wraps"
-          f" / {transport.get('overflow_batches', 0)} overflow batches")
+          f" / {transport['batches']} batches / {transport['bytes']} bytes")
 
 
 def run_profile(title, workload, top):
@@ -227,7 +218,7 @@ def main(argv=None):
         result = run_profile("parallel fleet (4 sites, workers=1)",
                              profile_parallel_fleet, args.top)
         _print_timing_split(result)
-        # the transport split only has content with real worker
+        # the pickling split only has content with real worker
         # processes; run workers=2 outside the profiler (child-process
         # time is invisible to cProfile anyway)
         _print_timing_split(profile_parallel_fleet(workers=2))

@@ -1,38 +1,23 @@
 """Conservative parallel simulation runtime (sharded multi-process execution).
 
-See :mod:`repro.sim.parallel.runtime` for the execution model and the
-scenario-builder contract, :mod:`repro.sim.parallel.boundary` for how
-packets cross shard boundaries, and :mod:`repro.sim.parallel.transport`
-for the pluggable barrier transports (shared-memory rings vs the
-pickle-over-pipe reference).
+See :mod:`repro.sim.parallel.runtime` for the execution model, the
+barrier transport and the scenario-builder contract,
+:mod:`repro.sim.parallel.boundary` for how packets cross shard
+boundaries, and :mod:`repro.sim.parallel.partition` for the static LPT
+placement of shards on workers.
 """
 
 from repro.sim.parallel.boundary import BoundaryLink, CrossShardFrame, ShardBoundary
-from repro.sim.parallel.partition import (
-    assign_shards,
-    partition_items,
-    rebalance_moves,
-)
-from repro.sim.parallel.runtime import (
-    ParallelResult,
-    ParallelRunner,
-    RebalanceConfig,
-    ShardSpec,
-)
-from repro.sim.parallel.transport import FrameCodec, PickleCodec, ShmRing
+from repro.sim.parallel.partition import assign_shards, partition_items
+from repro.sim.parallel.runtime import ParallelResult, ParallelRunner, ShardSpec
 
 __all__ = [
     "BoundaryLink",
     "CrossShardFrame",
-    "FrameCodec",
     "ParallelResult",
     "ParallelRunner",
-    "PickleCodec",
-    "RebalanceConfig",
     "ShardBoundary",
     "ShardSpec",
-    "ShmRing",
     "assign_shards",
     "partition_items",
-    "rebalance_moves",
 ]

@@ -45,70 +45,3 @@ def assign_shards(specs, workers):
     )
     return [group for group in groups if group]
 
-
-def rebalance_moves(busy, assignment, workers, min_gain=0.05, max_moves=1):
-    """Pick shard migrations that shrink the projected makespan.
-
-    A pure function of its arguments: ``busy`` maps shard_id to
-    accumulated compute seconds, ``assignment`` maps shard_id to its
-    current worker index.  Greedily moves the best-fitting shard from
-    the most-loaded worker to the least-loaded one, up to ``max_moves``
-    times, accepting a move only when it improves the makespan (the
-    most-loaded worker's total) by more than ``min_gain`` as a fraction.
-    Ties break by worker index then shard id, so identical inputs yield
-    identical moves on every host.  Returns ``[(shard_id, to_worker)]``.
-
-    Note the runtime's bit-identity guarantee does not rest on this
-    function: shard placement never affects simulation results (see
-    DESIGN.md §11), so rebalancing driven by *measured* — hence noisy —
-    busy stats is still safe.  Determinism here only makes runs
-    reproducible given the same stats.
-    """
-    if workers < 2 or max_moves < 1:
-        return []
-    loads = [0.0] * workers
-    placed = {index: [] for index in range(workers)}
-    for sid in sorted(assignment):
-        index = assignment[sid]
-        loads[index] += busy.get(sid, 0.0)
-        placed[index].append(sid)
-    moves = []
-    for _ in range(max_moves):
-        src = max(range(workers), key=lambda i: (loads[i], -i))
-        dst = min(range(workers), key=lambda i: (loads[i], i))
-        if src == dst:
-            break
-        makespan = max(loads)
-        best = None
-        # candidates ordered heaviest-first, shard id breaking ties; a
-        # worker never gives up its last shard
-        if len(placed[src]) < 2:
-            break
-        for sid in sorted(placed[src],
-                          key=lambda s: (-busy.get(s, 0.0), s)):
-            cost = busy.get(sid, 0.0)
-            if cost <= 0.0:
-                continue
-            new_src = loads[src] - cost
-            new_dst = loads[dst] + cost
-            others = max(
-                (loads[i] for i in range(workers) if i not in (src, dst)),
-                default=0.0,
-            )
-            new_makespan = max(new_src, new_dst, others)
-            if new_makespan >= makespan:
-                continue
-            gain = (makespan - new_makespan) / makespan if makespan else 0.0
-            if gain <= min_gain:
-                continue
-            best = (sid, cost)
-            break
-        if best is None:
-            break
-        sid, cost = best
-        loads[src] -= cost
-        loads[dst] += cost
-        placed[src].remove(sid)
-        placed[dst].append(sid)
-        moves.append((sid, dst))
-    return moves

@@ -32,34 +32,16 @@ merged at barriers in the deterministic order
 links (a *closed* shard) reports no outbound-capable time and
 free-runs to the horizon.
 
-Cross-shard frame batches are encoded **once** in the sending worker,
-routed through the coordinator as an opaque *handle*, and decoded once
-in the receiving worker — the coordinator never re-pickles frame
-payloads.  How the encoded bytes travel is a pluggable transport
-(:mod:`repro.sim.parallel.transport`): the default ``shm`` transport
-writes compact binary batches into per-worker shared-memory rings and
-ships only tiny ring references over the control pipes, while the
-``pipe`` transport (PR 6's pickle-blob-on-the-pipe) remains selectable
-as the reference implementation for differential runs.  Each barrier
-costs exactly one message pair per worker: frame delivery rides the
-``run`` dispatch, and a worker whose window executed nothing
-acknowledges with a tiny constant message.
-
-Dynamic rebalancing (``rebalance=RebalanceConfig(...)``) migrates whole
-shards between workers at barrier points using the per-window busy
-accounting: every ``every`` windows the coordinator evaluates
-:func:`~repro.sim.parallel.partition.rebalance_moves` (a pure function
-of the accumulated busy stats and the current assignment) and moves
-shards off the straggler worker.  Migration is *replay-based*: a shard
-is rebuilt on the target worker from its spec and re-run through the
-exact recorded window sequence with the exact recorded inbound frame
-batches, which reproduces its state bit-for-bit (shard state is a pure
-function of builder + params + window edges + injected frames).  The
-runtime asserts the replay landed exactly — the rebuilt shard's
-``next_outbound_time()`` must equal the original's — and because the
-adaptive horizon is itself a pure function of shard state, placement
-never affects results or window edges (see DESIGN.md §11 for the full
-safety argument).
+Shards are placed on workers once, before the run, by LPT over their
+declared weights (:func:`~repro.sim.parallel.partition.assign_shards`).
+A window's cross-shard frames are pickled **once** in the sending
+worker, one blob per destination shard; the coordinator routes the
+blob over the control pipes without opening it, and the receiving
+worker unpickles it once.  Each barrier costs exactly one message pair
+per worker: frame delivery rides the ``run`` dispatch, and a worker
+whose window executed nothing acknowledges with a tiny constant
+message.  The in-process executor (``workers=1``) hands frame lists
+across by reference and never pickles.
 
 Scenario contract
 -----------------
@@ -93,20 +75,13 @@ produced it fails the run loudly instead of corrupting determinism.
 
 import importlib
 import multiprocessing
+import pickle
 import time
 import traceback
 
 from repro.sim.engine import SimulationError
 from repro.sim.parallel.boundary import ShardBoundary
-from repro.sim.parallel.partition import assign_shards, rebalance_moves
-from repro.sim.parallel.transport import (
-    DEFAULT_RING_BYTES,
-    TRANSPORT_KINDS,
-    TransportContext,
-    WorkerTransport,
-    WorkerTransportSpec,
-    handle_bytes,
-)
+from repro.sim.parallel.partition import assign_shards
 
 
 class ShardSpec:
@@ -124,29 +99,6 @@ class ShardSpec:
             f"<ShardSpec {self.shard_id!r} links={len(self.links)}"
             f" weight={self.weight}>"
         )
-
-
-class RebalanceConfig:
-    """Between-window shard migration policy.
-
-    Every ``every`` windows the coordinator evaluates
-    :func:`~repro.sim.parallel.partition.rebalance_moves` over the busy
-    seconds accumulated so far and migrates up to ``max_moves`` shards
-    whose move improves the projected makespan by more than ``min_gain``
-    (a fraction).  ``force_moves`` is a test hook: a mapping of window
-    index to explicit ``[(shard_id, worker_index), ...]`` moves applied
-    instead of the policy at that barrier — it exercises the migration
-    machinery even on perfectly balanced workloads.
-    """
-
-    def __init__(self, every=8, min_gain=0.05, max_moves=1,
-                 force_moves=None):
-        if every < 1:
-            raise SimulationError(f"rebalance every= must be >= 1: {every}")
-        self.every = int(every)
-        self.min_gain = float(min_gain)
-        self.max_moves = int(max_moves)
-        self.force_moves = dict(force_moves or {})
 
 
 def _resolve_builder(builder):
@@ -218,50 +170,21 @@ def _build_shards(specs):
     return {spec.shard_id: _ShardHost(spec) for spec in specs}
 
 
-def _replay_shard(spec, window_edges, inbound_log, codec):
-    """Rebuild a migrating shard bit-for-bit via deterministic replay.
-
-    The shard's state at a barrier is a pure function of its builder,
-    params, the window-edge sequence, and the frames injected at each
-    barrier — so building it fresh and re-running the recorded windows
-    with the recorded inbound batches reproduces the original exactly.
-    Replay exports are discarded *before* encoding (downstream shards
-    already received them from the original), which also leaves the
-    adopting worker's encoder interning tables for this shard empty —
-    matching the epoch bump that resets the downstream decoders.
-    """
-    host = _ShardHost(spec)
-    for index in range(1, len(window_edges)):
-        blobs = inbound_log.get(index - 1, ())
-        frames = [
-            frame for blob in blobs
-            for frame in codec.decode_batch(blob, spec.shard_id)
-        ]
-        host.run_window(window_edges[index], frames)
-    return host
-
-
 # ----------------------------------------------------------------------
 # worker protocol (shared by the in-process and spawned executors)
 # ----------------------------------------------------------------------
 #
-#   -> ("run", w_end[, {shard_id: [handle, ...]}])  handles optional
+#   -> ("run", w_end[, {shard_id: [blob, ...]}])  blobs optional
 #   <- ("idle",)                 nothing ran, nothing changed
 #   <- ("quiet", eots)           nothing ran, but injections moved eots
-#   <- ("ran", outbound, eots, busy, executed, tstats)
-#        outbound = {dst_shard: (count, min_arrival, handle)}
-#        tstats   = {"enc","dec","copy" per-window seconds;
-#                    "wraps","overflow" cumulative counters}
-#   -> ("drop", [shard_id, ...])          <- ("dropped",)
-#   -> ("adopt", [(spec, edges, log, generation), ...])
-#                                         <- ("adopted", {shard_id: eot})
+#   <- ("ran", outbound, eots, busy, executed, serialize_s)
+#        outbound = {dst_shard: (count, min_arrival, blob)}
 #   -> ("finish",)  <- ("results", {shard_id: results})
 #   -> ("stop",)
 #
-# A *handle* is a transport-staged encoded batch the coordinator routes
-# opaquely: raw codec bytes on the pipe transport, a shared-memory ring
-# reference ("r", worker, start, length) or inline-fallback ("i", bytes)
-# on the shm transport, and the raw frame list in-process.
+# A *blob* is one window's frames for one destination shard, pickled
+# once by the sending worker and routed unopened by the coordinator;
+# in-process it is the frame list itself.
 
 
 def _run_all(shards, w_end, inbound):
@@ -303,12 +226,9 @@ def _run_all(shards, w_end, inbound):
     return outbound, eots, busy, executed
 
 
-def _worker_main(conn, specs, transport_spec):
+def _worker_main(conn, specs):
     """Entry point of a spawned worker: build shards, serve windows."""
-    transport = None
     try:
-        transport = WorkerTransport(transport_spec)
-        codec = transport.codec
         shards = _build_shards(specs)
         conn.send(("ready", {
             sid: (host.engine.now, host.next_outbound_time())
@@ -319,24 +239,16 @@ def _worker_main(conn, specs, transport_spec):
             kind = message[0]
             if kind == "run":
                 w_end = message[1]
-                handles = message[2] if len(message) > 2 else None
-                transport.rotate()
-                tstats = {"enc": 0.0, "dec": 0.0, "copy": 0.0}
+                serialize = 0.0
                 inbound = {}
-                if handles:
-                    start = time.perf_counter()
-                    raw = {
-                        sid: [transport.fetch(handle) for handle in batch]
-                        for sid, batch in handles.items()
-                    }
-                    tstats["copy"] += time.perf_counter() - start
+                if len(message) > 2:
                     start = time.perf_counter()
                     inbound = {
                         sid: [frame for blob in blobs
-                              for frame in codec.decode_batch(blob, sid)]
-                        for sid, blobs in raw.items()
+                              for frame in pickle.loads(blob)]
+                        for sid, blobs in message[2].items()
                     }
-                    tstats["dec"] += time.perf_counter() - start
+                    serialize = time.perf_counter() - start
                 outbound, eots, busy, executed = _run_all(
                     shards, w_end, inbound
                 )
@@ -345,32 +257,14 @@ def _worker_main(conn, specs, transport_spec):
                     # acknowledged with one constant-size message
                     conn.send(("quiet", eots) if inbound else ("idle",))
                     continue
-                encoded = {}
-                for dst, (frames, min_arrival) in outbound.items():
-                    start = time.perf_counter()
-                    blob = codec.encode_batch(dst, frames)
-                    tstats["enc"] += time.perf_counter() - start
-                    start = time.perf_counter()
-                    handle = transport.stage(blob)
-                    tstats["copy"] += time.perf_counter() - start
-                    encoded[dst] = (len(frames), min_arrival, handle)
-                tstats["wraps"] = transport.ring_wraps
-                tstats["overflow"] = transport.inline_fallbacks
-                conn.send(("ran", encoded, eots, busy, executed, tstats))
-            elif kind == "drop":
-                for sid in message[1]:
-                    del shards[sid]
-                    codec.drop_shard(sid)
-                conn.send(("dropped",))
-            elif kind == "adopt":
-                adopted = {}
-                for spec, edges, log, generation in message[1]:
-                    codec.drop_shard(spec.shard_id)
-                    codec.set_epoch(spec.shard_id, generation)
-                    host = _replay_shard(spec, edges, log, codec)
-                    shards[spec.shard_id] = host
-                    adopted[spec.shard_id] = host.next_outbound_time()
-                conn.send(("adopted", adopted))
+                start = time.perf_counter()
+                encoded = {
+                    dst: (len(frames), min_arrival,
+                          pickle.dumps(frames, pickle.HIGHEST_PROTOCOL))
+                    for dst, (frames, min_arrival) in outbound.items()
+                }
+                serialize += time.perf_counter() - start
+                conn.send(("ran", encoded, eots, busy, executed, serialize))
             elif kind == "finish":
                 for sid in sorted(shards):
                     shards[sid].finalize()
@@ -385,22 +279,20 @@ def _worker_main(conn, specs, transport_spec):
         except (BrokenPipeError, OSError):
             pass
     finally:
-        if transport is not None:
-            transport.close()
         conn.close()
 
 
 class _LocalWorker:
-    """The workers=1 executor: same protocol, direct calls, no encoding.
+    """The workers=1 executor: same protocol, direct calls, no pickling.
 
     ``dispatch`` only stages the window; the shards run inside
     ``collect`` so the coordinator's timing split buckets in-process
     compute under barrier-wait, mirroring where the process executor's
-    time is spent.  Handles are the raw frame lists themselves.
+    time is spent.  Blobs are the raw frame lists themselves.
     """
 
     def __init__(self, specs):
-        self.specs = specs
+        self.shard_ids = sorted(spec.shard_id for spec in specs)
         self.shards = _build_shards(specs)
         self._staged = None
 
@@ -427,9 +319,7 @@ class _LocalWorker:
             dst: (len(frames), min_arrival, frames)
             for dst, (frames, min_arrival) in outbound.items()
         }
-        return ("ran", encoded, eots, busy, executed,
-                {"enc": 0.0, "dec": 0.0, "copy": 0.0,
-                 "wraps": 0, "overflow": 0})
+        return ("ran", encoded, eots, busy, executed, 0.0)
 
     def send_finish(self):
         for sid in sorted(self.shards):
@@ -449,19 +339,20 @@ class _LocalWorker:
 class _ProcessWorker:
     """A spawned OS worker owning a subset of the shards."""
 
-    def __init__(self, specs, context, join_timeout=10.0,
-                 transport_spec=None):
-        if transport_spec is None:
-            transport_spec = WorkerTransportSpec("pipe", 0)
-        self.specs = specs
+    def __init__(self, specs, context, join_timeout=10.0):
+        self.shard_ids = sorted(spec.shard_id for spec in specs)
         self.join_timeout = join_timeout
         self.conn, child = multiprocessing.Pipe()
         self.process = context.Process(
-            target=_worker_main, args=(child, specs, transport_spec),
-            daemon=True,
+            target=_worker_main, args=(child, specs), daemon=True,
         )
-        self.process.start()
-        child.close()
+        try:
+            self.process.start()
+        except BaseException:
+            self.conn.close()
+            raise
+        finally:
+            child.close()
 
     def _recv(self, *expected):
         try:
@@ -495,14 +386,6 @@ class _ProcessWorker:
     def collect(self):
         return self._recv("idle", "quiet", "ran")
 
-    def send_drop(self, sids):
-        self.conn.send(("drop", list(sids)))
-        self._recv("dropped")
-
-    def send_adopt(self, payloads):
-        self.conn.send(("adopt", payloads))
-        return self._recv("adopted")[1]
-
     def send_finish(self):
         self.conn.send(("finish",))
 
@@ -534,17 +417,14 @@ class ParallelResult:
     the run), ``window_edges`` records only the barrier instants
     (floats, ``windows + 1`` of them including the start), and
     ``timing`` splits the coordinator's wall into compute, barrier-wait,
-    dispatch, encode/decode/ring-copy, and rebalance seconds so
-    regressions in the window protocol are attributable.  ``transport``
-    identifies the transport (``kind``/``in_process``) and counts
-    frames, batches, encoded bytes, ring wraparounds, and full-ring
-    inline fallbacks; ``migrations`` records every dynamic-rebalance
-    move as ``(window_index, shard_id, from_worker, to_worker)``.
+    dispatch and pickling seconds so regressions in the window protocol
+    are attributable.  ``transport`` says whether frames stayed
+    in-process and counts frames, batches and pickled bytes.
     """
 
     def __init__(self, specs, workers, lookahead, shard_results, windows,
                  window_edges, busy, executed, wall, projections, timing,
-                 transport, migrations=()):
+                 transport):
         self.specs = specs
         self.workers = workers
         self.lookahead = lookahead
@@ -559,7 +439,6 @@ class ParallelResult:
         self.timing["compute_s"] = sum(busy.values())
         self.timing["wall_s"] = wall
         self.transport = transport
-        self.migrations = list(migrations)
 
     def window_widths(self):
         """Virtual-time width of every window, in barrier order."""
@@ -590,16 +469,15 @@ class ParallelResult:
         compute; the window costs the slowest worker; barriers sum.
         Ignores IPC and OS scheduling — an upper bound on achievable
         speedup for this partition, computed from *measured* per-shard
-        busy time, used by the benchmark gate on hosts whose core count
-        cannot realize the parallelism physically.  Accumulated during
-        the run for the counts in ``ParallelRunner.projection_workers``.
+        busy time; a diagnostic, never a result.  Accumulated during the
+        run for powers of two up to the shard count, plus the shard
+        count and the configured worker count.
         """
         try:
             return self.projections[workers]
         except KeyError:
             raise SimulationError(
-                f"no projection for workers={workers}: pass"
-                f" projection_workers= to ParallelRunner (have"
+                f"no projection for workers={workers} (have"
                 f" {sorted(self.projections)})"
             ) from None
 
@@ -613,28 +491,11 @@ class ParallelRunner:
     with LPT weight balancing.  Either way the windowed barrier protocol
     is identical — the adaptive horizon is a pure function of shard
     state — so per-shard results are bit-identical across worker counts.
-
-    ``transport`` picks how encoded frame batches travel between
-    workers: ``"shm"`` (default — shared-memory rings + compact codec)
-    or ``"pipe"`` (the pickle-over-pipe reference); workers=1 uses
-    neither (in-process, no encoding).  ``rebalance`` enables dynamic
-    shard migration between windows (see :class:`RebalanceConfig`);
-    placement never affects results.  ``horizon_cap`` bounds the
-    virtual-time width of every window — chiefly so scenarios without
-    cross-shard links (whose natural horizon is the whole run) still
-    hit barriers where rebalancing can act.
-
-    ``projection_workers`` names the worker counts whose critical-path
-    projection is accumulated during the run (default: powers of two up
-    to the shard count, plus the shard count and the configured worker
-    count).  ``worker_join_timeout`` bounds how long ``close()`` waits
-    for a worker before terminating it.
+    ``worker_join_timeout`` bounds how long ``close()`` waits for a
+    worker before terminating it.
     """
 
-    def __init__(self, specs, workers=1, start_method="spawn",
-                 projection_workers=None, worker_join_timeout=10.0,
-                 transport="shm", rebalance=None, horizon_cap=None,
-                 ring_capacity=DEFAULT_RING_BYTES):
+    def __init__(self, specs, workers=1, worker_join_timeout=10.0):
         specs = list(specs)
         if not specs:
             raise SimulationError("no shards to run")
@@ -651,29 +512,9 @@ class ParallelRunner:
                         f" {link.remote_shard!r}"
                     )
                 latencies.append(link.latency)
-        if transport not in TRANSPORT_KINDS:
-            raise SimulationError(
-                f"unknown transport {transport!r} (expected one of"
-                f" {TRANSPORT_KINDS})"
-            )
-        if horizon_cap is not None and horizon_cap <= 0:
-            raise SimulationError(
-                f"horizon_cap must be positive (got {horizon_cap})"
-            )
         self.specs = specs
         self.workers = max(1, int(workers))
-        self.start_method = start_method
-        self.transport = transport
-        self.rebalance = rebalance
-        self.horizon_cap = horizon_cap
-        self.ring_capacity = ring_capacity
         self.lookahead = min(latencies) if latencies else None
-        if projection_workers is None:
-            candidates = {1, 2, 4, 8, 16, 32, self.workers, len(specs)}
-            projection_workers = sorted(
-                count for count in candidates if 1 <= count <= len(specs)
-            )
-        self.projection_workers = tuple(projection_workers)
         self.worker_join_timeout = worker_join_timeout
 
     def _horizon(self, now, until, eots, pending_min):
@@ -684,8 +525,7 @@ class ParallelRunner:
         before ``T``, so nothing can *arrive* before ``T + L`` and every
         shard may safely run to ``min(until, T + L)``.  With no bound at
         all (closed shards, or a fully drained boundary) the horizon is
-        the run's end.  ``horizon_cap`` only ever *narrows* a window, so
-        it cannot weaken the conservative guarantee.
+        the run's end.
         """
         if self.lookahead is None:
             horizon = until
@@ -704,74 +544,36 @@ class ParallelRunner:
                     # shard into its past
                     t = now
                 horizon = min(until, t + self.lookahead)
-        if self.horizon_cap is not None:
-            horizon = min(horizon, now + self.horizon_cap)
         return horizon
 
-    def _apply_rebalance(self, moves, workers, worker_sids, assignment,
-                         generation, window_edges, inbound_log, windows,
-                         migrations):
-        """Migrate ``moves`` at a barrier via drop + replay-based adopt.
-
-        The rebuilt shard must land exactly where the original stands:
-        its post-replay ``next_outbound_time()`` is checked against the
-        original's by the caller (via the returned eots), making replay
-        divergence a loud failure instead of silent corruption.
-        """
-        adopted_eots = {}
-        drops = {}
-        adopts = {}
-        for sid, to_index in moves:
-            from_index = assignment[sid]
-            if to_index == from_index or not (0 <= to_index < len(workers)):
-                continue
-            drops.setdefault(from_index, []).append(sid)
-            generation[sid] = generation.get(sid, 0) + 1
-            spec = next(s for s in self.specs if s.shard_id == sid)
-            adopts.setdefault(to_index, []).append(
-                (spec, list(window_edges), dict(inbound_log.get(sid, {})),
-                 generation[sid])
-            )
-            assignment[sid] = to_index
-            worker_sids[from_index].discard(sid)
-            worker_sids[to_index].add(sid)
-            migrations.append((windows, sid, from_index, to_index))
-        for index in sorted(drops):
-            workers[index].send_drop(sorted(drops[index]))
-        for index in sorted(adopts):
-            adopted_eots.update(workers[index].send_adopt(adopts[index]))
-        return adopted_eots
+    def _projection_groups(self):
+        """Shard-id groups per candidate worker count, for
+        :meth:`ParallelResult.projected_wall`."""
+        shards = len(self.specs)
+        counts = {1, 2, 4, 8, 16, 32, self.workers, shards}
+        return {
+            count: [
+                [spec.shard_id for spec in group]
+                for group in assign_shards(self.specs, count)
+            ]
+            for count in sorted(c for c in counts if c <= shards)
+        }
 
     def run(self, duration):
         """Execute all shards for ``duration`` virtual seconds past the
         latest build-time clock, and collect their results."""
         start_wall = time.perf_counter()
-        rebalance = self.rebalance if self.workers > 1 else None
-        tctx = None
-        if self.workers == 1:
-            workers = [_LocalWorker(self.specs)]
-            transport_kind = "in_process"
-        else:
-            context = multiprocessing.get_context(self.start_method)
-            groups = assign_shards(self.specs, self.workers)
-            tctx = TransportContext(
-                self.transport, len(groups), self.ring_capacity
-            )
-            transport_kind = tctx.kind
-            workers = [
-                _ProcessWorker(group, context, self.worker_join_timeout,
-                               tctx.worker_spec(index))
-                for index, group in enumerate(groups)
-            ]
-        assignment = {
-            spec.shard_id: index
-            for index, worker in enumerate(workers)
-            for spec in worker.specs
-        }
-        worker_sids = [
-            {spec.shard_id for spec in worker.specs} for worker in workers
-        ]
+        in_process = self.workers == 1
+        workers = []
         try:
+            if in_process:
+                workers.append(_LocalWorker(self.specs))
+            else:
+                context = multiprocessing.get_context("spawn")
+                for group in assign_shards(self.specs, self.workers):
+                    workers.append(_ProcessWorker(
+                        group, context, self.worker_join_timeout
+                    ))
             eots = {}
             t0 = 0.0
             for worker in workers:
@@ -780,83 +582,36 @@ class ParallelRunner:
                     t0 = max(t0, clock)
             until = t0 + duration
             now = t0
-            pending = {}  # shard_id -> [handle, ...] (opaque, staged)
+            pending = {}  # shard_id -> [blob, ...] (opaque, unopened)
             pending_min = None  # min arrival among pending frames
             windows = 0
             window_edges = [t0]
             busy = {}
             executed = 0
-            migrations = []
-            generation = {}
-            inbound_log = {}  # sid -> {window_index: [raw batch bytes]}
             transport = {
-                "kind": transport_kind,
-                "in_process": transport_kind == "in_process",
+                "in_process": in_process,
                 "frames": 0, "batches": 0, "bytes": 0,
-                "overflow_batches": 0, "ring_wraps": 0,
             }
-            worker_counters = {}
             timing = {
                 "serialize_s": 0.0,
-                "encode_s": 0.0,
-                "decode_s": 0.0,
-                "ring_copy_s": 0.0,
-                "rebalance_s": 0.0,
                 "barrier_send_s": 0.0,
                 "barrier_wait_s": 0.0,
             }
-            proj_groups = {
-                count: [
-                    [spec.shard_id for spec in group]
-                    for group in assign_shards(self.specs, count)
-                ]
-                for count in self.projection_workers
-            }
+            proj_groups = self._projection_groups()
             projections = {count: 0.0 for count in proj_groups}
             while now < until:
-                if (rebalance is not None and windows > 0
-                        and windows % rebalance.every == 0):
-                    stamp = time.perf_counter()
-                    moves = rebalance.force_moves.get(windows)
-                    if moves is None:
-                        moves = rebalance_moves(
-                            busy, assignment, len(workers),
-                            min_gain=rebalance.min_gain,
-                            max_moves=rebalance.max_moves,
-                        )
-                    if moves:
-                        adopted = self._apply_rebalance(
-                            moves, workers, worker_sids, assignment,
-                            generation, window_edges, inbound_log,
-                            windows, migrations,
-                        )
-                        for sid, eot in adopted.items():
-                            if eot != eots[sid]:
-                                raise SimulationError(
-                                    f"shard {sid!r} replay diverged during"
-                                    f" migration: next_outbound_time"
-                                    f" {eot!r} != expected {eots[sid]!r}"
-                                )
-                    timing["rebalance_s"] += time.perf_counter() - stamp
                 w_end = self._horizon(now, until, eots, pending_min)
                 stamp = time.perf_counter()
-                for index, worker in enumerate(workers):
-                    inbound = {
+                for worker in workers:
+                    worker.dispatch(w_end, {
                         sid: pending.pop(sid)
-                        for sid in sorted(worker_sids[index])
-                        if sid in pending
-                    }
-                    if rebalance is not None and tctx is not None:
-                        for sid, handles in inbound.items():
-                            inbound_log.setdefault(sid, {})[windows] = [
-                                tctx.fetch(handle) for handle in handles
-                            ]
-                    worker.dispatch(w_end, inbound)
+                        for sid in worker.shard_ids if sid in pending
+                    })
                 timing["barrier_send_s"] += time.perf_counter() - stamp
                 pending_min = None
                 this_window = None
                 stamp = time.perf_counter()
-                for index, worker in enumerate(workers):
+                for worker in workers:
                     reply = worker.collect()
                     kind = reply[0]
                     if kind == "idle":
@@ -864,28 +619,23 @@ class ParallelRunner:
                     if kind == "quiet":
                         eots.update(reply[1])
                         continue
-                    _kind, outbound, worker_eots, worker_busy, fired, tstats \
-                        = reply
+                    _kind, outbound, worker_eots, worker_busy, fired, \
+                        serialize = reply
                     eots.update(worker_eots)
                     executed += fired
-                    timing["encode_s"] += tstats["enc"]
-                    timing["decode_s"] += tstats["dec"]
-                    timing["ring_copy_s"] += tstats["copy"]
-                    worker_counters[index] = (
-                        tstats["wraps"], tstats["overflow"]
-                    )
+                    timing["serialize_s"] += serialize
                     for sid, seconds in worker_busy.items():
                         busy[sid] = busy.get(sid, 0.0) + seconds
                     if this_window is None:
                         this_window = dict(worker_busy)
                     else:
                         this_window.update(worker_busy)
-                    for dst, (count, min_arrival, handle) in outbound.items():
-                        pending.setdefault(dst, []).append(handle)
+                    for dst, (count, min_arrival, blob) in outbound.items():
+                        pending.setdefault(dst, []).append(blob)
                         transport["frames"] += count
                         transport["batches"] += 1
-                        if transport_kind != "in_process":
-                            transport["bytes"] += handle_bytes(handle)
+                        if not in_process:
+                            transport["bytes"] += len(blob)
                         if pending_min is None or min_arrival < pending_min:
                             pending_min = min_arrival
                 timing["barrier_wait_s"] += time.perf_counter() - stamp
@@ -906,15 +656,9 @@ class ParallelRunner:
         finally:
             for worker in workers:
                 worker.close()
-            if tctx is not None:
-                tctx.close()
         wall = time.perf_counter() - start_wall
-        timing["serialize_s"] = timing["encode_s"] + timing["decode_s"]
-        for wraps, overflow in worker_counters.values():
-            transport["ring_wraps"] += wraps
-            transport["overflow_batches"] += overflow
         return ParallelResult(
             self.specs, len(workers), self.lookahead, shard_results,
             windows, window_edges, busy, executed, wall, projections,
-            timing, transport, migrations,
+            timing, transport,
         )

@@ -1,10 +1,10 @@
 """Parallel-runtime smoke check (``make parallel-smoke``).
 
-Runs a miniature two-site fleet three times — workers=1 (sequential
-sharded reference) and workers=2 over each barrier transport
-(shared-memory rings, then the pickle-over-pipe reference) — and exits
-non-zero unless all runs are bit-identical and the cross-site border
-BGP mesh actually converged.  Fast enough for ``make verify``.
+Runs a miniature two-site fleet twice — workers=1 (sequential sharded
+reference) and workers=2 (two spawned workers exchanging pickled frame
+batches) — and exits non-zero unless both runs are bit-identical and
+the cross-site border BGP mesh actually converged.  Fast enough for
+``make verify``.
 
 Usage::
 
@@ -28,19 +28,16 @@ def _specs():
 def main():
     start = time.perf_counter()
     sequential = ParallelRunner(_specs(), workers=1).run(DURATION)
-    shm = ParallelRunner(_specs(), workers=2, transport="shm").run(DURATION)
-    pipe = ParallelRunner(_specs(), workers=2, transport="pipe").run(DURATION)
+    sharded = ParallelRunner(_specs(), workers=2).run(DURATION)
     elapsed = time.perf_counter() - start
 
     failures = []
-    if sequential.shard_results != shm.shard_results:
-        failures.append("workers=1 and workers=2 (shm) results differ")
-    if sequential.shard_results != pipe.shard_results:
-        failures.append("workers=1 and workers=2 (pipe) results differ")
-    if shm.transport.get("kind") != "shm":
-        failures.append(f"shm run used transport {shm.transport.get('kind')!r}")
-    if pipe.transport.get("kind") != "pipe":
-        failures.append(f"pipe run used transport {pipe.transport.get('kind')!r}")
+    if sequential.shard_results != sharded.shard_results:
+        failures.append("workers=1 and workers=2 results differ")
+    if sequential.window_edges != sharded.window_edges:
+        failures.append("workers=1 and workers=2 window sequences differ")
+    if sharded.transport["in_process"] or not sharded.transport["bytes"]:
+        failures.append("workers=2 run pickled no cross-shard frames")
     for sid in sorted(sequential.shard_results):
         result = sequential.shard_results[sid]
         if result["border_established"] < 1:
@@ -59,8 +56,7 @@ def main():
         for line in failures:
             print(f"  FAIL: {line}")
         return 1
-    print("parallel-smoke: workers=1 == workers=2 over shm and pipe"
-          " (bit-identical); ok")
+    print("parallel-smoke: workers=1 == workers=2 (bit-identical); ok")
     return 0
 
 

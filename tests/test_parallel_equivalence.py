@@ -33,10 +33,9 @@ CHAOS_SEEDS = (0, 1, 2)
 
 
 @functools.lru_cache(maxsize=None)
-def fleet_run(workers, transport="shm"):
+def fleet_run(workers):
     specs = fleet_site_specs(2, **FLEET_KW)
-    return ParallelRunner(specs, workers=workers,
-                          transport=transport).run(FLEET_DURATION)
+    return ParallelRunner(specs, workers=workers).run(FLEET_DURATION)
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,17 +83,6 @@ def test_fleet_run_exercises_the_cross_shard_ring():
         # per-pair Loc-RIBs converged and non-trivial
         assert site_result["rib"]
         assert all(site_result["rib"].values())
-
-
-def test_fleet_sharded_run_is_bit_identical_across_transports():
-    # the compact shared-memory codec and the pickle-over-pipe reference
-    # must carry byte-for-byte the same simulation: full shard results
-    # (traced phase summaries included) and the window sequence agree
-    shm, pipe = fleet_run(4), fleet_run(4, "pipe")
-    assert shm.shard_results == pipe.shard_results
-    assert shm.window_edges == pipe.window_edges
-    assert shm.shard_results == fleet_run(1).shard_results
-    assert pipe.transport["kind"] == "pipe"
 
 
 def test_fleet_trace_phase_summaries_match_across_worker_counts():

@@ -276,21 +276,12 @@ def test_result_accounting_and_projection():
     for key in ("serialize_s", "barrier_send_s", "barrier_wait_s"):
         assert result.timing[key] >= 0.0
     # in-process transport never pickles: frames counted, zero blob
-    # bytes — and the explicit marker says the zero means "no encoding
-    # happened", not "encoding was free"
+    # bytes — and the explicit marker says the zero means "no pickling
+    # happened", not "pickling was free"
     assert result.transport["frames"] > 0
     assert result.transport["bytes"] == 0
-    assert result.transport["kind"] == "in_process"
     assert result.transport["in_process"] is True
-
-
-def test_projection_workers_override():
-    runner = ParallelRunner(ping_specs(), workers=1,
-                            projection_workers=(1,))
-    result = runner.run(1.0)
-    assert sorted(result.projections) == [1]
-    with pytest.raises(SimulationError, match="no projection"):
-        result.projected_wall(2)
+    assert result.timing["serialize_s"] == 0.0
 
 
 def test_process_mode_matches_local_mode():
@@ -300,6 +291,80 @@ def test_process_mode_matches_local_mode():
     assert local.shard_results == spawned.shard_results
     assert spawned.transport["in_process"] is False
     assert spawned.transport["bytes"] > 0
+
+
+class FancyPacket(Packet):
+    """A ``Packet`` subclass; module-level so pickle finds it by name."""
+
+    __slots__ = ()
+
+
+class OddPacketProgram(PingProgram):
+    """Ping-pong whose packets are not the plain IPv4 ``Packet`` of
+    ``PingProgram``: the ``variant`` param picks what is odd."""
+
+    def __init__(self, shard_id, params, boundary):
+        self.variant = params["variant"]
+        super().__init__(shard_id, params, boundary)
+
+    def _send(self, n):
+        self.log.append(("tx", round(self.engine.now, 6), n))
+        cls = FancyPacket if self.variant == "subclass" else Packet
+        payload = n
+        if self.variant == "object-payload":
+            payload = {"n": n, "route": ("10.0.0.0/8", [65001, 65002])}
+        self.host.send(cls(self.host.address, self.peer, "udp", 7, 7,
+                           payload, 100))
+
+    def _on_packet(self, packet):
+        payload = packet.payload
+        self.log.append(("rx", round(self.engine.now, 6),
+                         type(packet).__name__, packet.src, packet.dst,
+                         payload, packet.size))
+        n = payload["n"] if isinstance(payload, dict) else payload
+        if n < self.limit:
+            self._send(n + 1)
+
+
+def build_odd_packet(shard_id, params, boundary):
+    return OddPacketProgram(shard_id, params, boundary)
+
+
+def odd_packet_specs(variant):
+    a, b = ("fe80::1", "fe80::2") if variant == "ipv6" else (
+        "10.0.0.1", "10.0.0.2")
+    return [
+        ShardSpec(
+            "A", build_odd_packet,
+            {"addr": a, "peer": b, "starts": True, "variant": variant},
+            links=[BoundaryLink(a, b, "B", LATENCY)],
+        ),
+        ShardSpec(
+            "B", build_odd_packet,
+            {"addr": b, "peer": a, "variant": variant},
+            links=[BoundaryLink(b, a, "A", LATENCY)],
+        ),
+    ]
+
+
+@pytest.mark.parametrize("variant", ["subclass", "ipv6", "object-payload"])
+def test_odd_packets_cross_process_shards_unchanged(variant):
+    # a Packet subclass, a non-IPv4 address and a non-bytes payload all
+    # ride the pickled barrier blobs; the receiving shard must see what
+    # the in-process run (frames passed by reference) sees
+    local = ParallelRunner(odd_packet_specs(variant), workers=1).run(1.0)
+    spawned = ParallelRunner(odd_packet_specs(variant), workers=2).run(1.0)
+    assert spawned.transport["bytes"] > 0
+    assert spawned.shard_results == local.shard_results
+    received = [e for e in spawned.shard_results["B"] if e[0] == "rx"]
+    assert len(received) == 4
+    _rx, _t, kind, src, dst, payload, size = received[0]
+    assert kind == ("FancyPacket" if variant == "subclass" else "Packet")
+    assert (src, dst) == (("fe80::1", "fe80::2") if variant == "ipv6"
+                          else ("10.0.0.1", "10.0.0.2"))
+    assert payload == ({"n": 0, "route": ("10.0.0.0/8", [65001, 65002])}
+                       if variant == "object-payload" else 0)
+    assert size == 100
 
 
 def test_local_mode_propagates_builder_errors():

@@ -1,365 +1,70 @@
-"""Unit tests for the pluggable barrier transports.
+"""Runtime-level guarantees of the one barrier transport.
 
-Covers the shared-memory ring (wraparound, full-ring backpressure,
-lifecycle), the compact frame codec (roundtrips, interning, migration
-epochs), and the runtime-level guarantees: bit-identical results across
-transports, inline fallback under tiny rings, and no leaked /dev/shm
-segments after clean exits *and* worker crashes.
+Frames cross worker processes as one pickle per destination shard over
+the control pipes; nothing else is configurable.  These tests pin the
+runner's option surface and that no run — clean, crashed mid-window,
+or failed while starting its workers — leaves a child process or a
+``/dev/shm`` segment behind.
 """
 
 import glob
-import pickle
+import multiprocessing
+import threading
 
 import pytest
 
-from repro.sim.network import Packet
-from repro.sim.parallel import FrameCodec, ParallelRunner, PickleCodec, ShmRing
-from repro.sim.parallel.boundary import CrossShardFrame
-from repro.sim.parallel.transport import (
-    TransportContext,
-    WorkerTransport,
-    WorkerTransportSpec,
-    handle_bytes,
-)
-from repro.tcpsim.segment import Segment
-from test_parallel_runtime import crash_pair_specs, ping_specs
+from repro.sim.parallel import BoundaryLink, ParallelRunner, ShardSpec
+from test_parallel_runtime import LATENCY, build_ping, crash_pair_specs, ping_specs
 
 
 def _shm_entries():
     return set(glob.glob("/dev/shm/rppar-*"))
 
 
-# ----------------------------------------------------------------------
-# ShmRing
-# ----------------------------------------------------------------------
+def test_runner_rejects_unknown_transport():
+    # specs, workers and worker_join_timeout are the whole signature
+    with pytest.raises(TypeError):
+        ParallelRunner(ping_specs(), workers=2, transport="pipe")
 
-def test_ring_roundtrips_within_capacity():
-    ring = ShmRing(capacity=256, create=True)
-    try:
-        first = ring.write(b"a" * 100)
-        second = ring.write(b"b" * 100)
-        assert ring.read(*first) == b"a" * 100
-        assert ring.read(*second) == b"b" * 100
-        assert ring.wraps == 0
-    finally:
-        ring.close()
-        ring.unlink()
-
-
-def test_ring_wraps_across_physical_end():
-    ring = ShmRing(capacity=256, create=True)
-    try:
-        ring.write(b"x" * 200)
-        ring.rotate()          # cycle 2: the 200 bytes stay live
-        ring.rotate()          # cycle 3: they are dead, space reclaimed
-        handle = ring.write(b"y" * 100)  # 200..300 crosses the end
-        assert ring.wraps == 1
-        assert ring.read(*handle) == b"y" * 100
-    finally:
-        ring.close()
-        ring.unlink()
-
-
-def test_ring_refuses_overflow_of_two_live_cycles():
-    ring = ShmRing(capacity=256, create=True)
-    try:
-        assert ring.write(b"x" * 150) is not None
-        ring.rotate()
-        # previous cycle's 150 bytes are still live: only 106 left
-        assert ring.free_bytes() == 106
-        assert ring.write(b"y" * 150) is None
-        assert ring.overflows == 1
-        assert ring.write(b"y" * 100) is not None
-        ring.rotate()
-        ring.rotate()  # both old cycles retired
-        assert ring.free_bytes() == 256
-    finally:
-        ring.close()
-        ring.unlink()
-
-
-def test_ring_attach_sees_creator_bytes_and_unlink_cleans_up():
-    import os.path
-
-    ring = ShmRing(capacity=128, create=True)
-    handle = ring.write(b"hello rings")
-    reader = ShmRing(name=ring.name, capacity=128)
-    try:
-        assert reader.read(*handle) == b"hello rings"
-        assert os.path.exists(f"/dev/shm/{ring.name}")
-    finally:
-        reader.close()
-        ring.close()
-        ring.unlink()
-    assert not os.path.exists(f"/dev/shm/{ring.name}")
-
-
-# ----------------------------------------------------------------------
-# FrameCodec
-# ----------------------------------------------------------------------
-
-def _packet(payload, size=100, src="10.0.0.1", dst="10.0.0.2"):
-    return Packet(src, dst, "tcp", 179, 40000, payload, size)
-
-
-def _frame(seq, packet, arrival=1.0, src_shard="A"):
-    return CrossShardFrame("B", arrival, src_shard, seq, packet)
-
-
-def _assert_packets_equal(left, right):
-    assert type(left) is type(right)
-    for slot in Packet.__slots__:
-        lv, rv = getattr(left, slot), getattr(right, slot)
-        if isinstance(lv, Segment):
-            for sslot in Segment.__slots__:
-                assert getattr(lv, sslot) == getattr(rv, sslot), sslot
-        else:
-            assert lv == rv, slot
-
-
-def _assert_roundtrip(frames):
-    blob = FrameCodec().encode_batch("B", frames)
-    decoded = FrameCodec().decode_batch(blob, "B")
-    assert len(decoded) == len(frames)
-    for orig, back in zip(frames, decoded):
-        assert back.dst_shard == "B"
-        assert back.arrival_time == orig.arrival_time
-        assert back.src_shard == orig.src_shard
-        assert back.seq == orig.seq
-        _assert_packets_equal(orig.packet, back.packet)
-    return blob
-
-
-def test_codec_roundtrips_segment_packets():
-    frames = [
-        _frame(0, _packet(Segment(100, 200, Segment.SYN, 65535,
-                                  mss=1460))),
-        _frame(1, _packet(Segment(100, 200, Segment.ACK, 65535,
-                                  payload=b"\x01" * 64))),
-        _frame(2, _packet(Segment(164, 200, Segment.ACK | Segment.FIN,
-                                  32768, payload=b""))),
-    ]
-    _assert_roundtrip(frames)
-
-
-def test_codec_roundtrips_bytes_none_and_pickle_payloads():
-    frames = [
-        _frame(0, _packet(b"raw bytes payload")),
-        _frame(1, _packet(None)),
-        _frame(2, _packet(("tuple", 42))),  # pickle fallback path
-    ]
-    blob = FrameCodec().encode_batch("B", frames)
-    decoded = FrameCodec().decode_batch(blob, "B")
-    assert decoded[0].packet.payload == b"raw bytes payload"
-    assert decoded[1].packet.payload is None
-    assert decoded[2].packet.payload == ("tuple", 42)
-
-
-class FancyPacket(Packet):
-    """Module-level so the whole-packet pickle fallback can find it."""
-
-    __slots__ = ()
-
-
-def test_codec_handles_non_ipv4_addresses_and_packet_subclasses():
-    frames = [
-        _frame(0, _packet(b"x", src="fe80::1", dst="host-name")),
-        _frame(1, FancyPacket("10.0.0.1", "10.0.0.2", "udp", 7, 7,
-                              b"y", 60)),
-    ]
-    blob = FrameCodec().encode_batch("B", frames)
-    decoded = FrameCodec().decode_batch(blob, "B")
-    assert decoded[0].packet.src == "fe80::1"
-    assert decoded[0].packet.dst == "host-name"
-    # subclasses take the whole-packet pickle path but still roundtrip
-    assert type(decoded[1].packet) is FancyPacket
-    assert decoded[1].packet.payload == b"y"
-
-
-def test_codec_interning_shrinks_repeated_payloads():
-    payload = b"the same BGP UPDATE bytes, repeated verbatim" * 4
-    frames = [
-        _frame(i, _packet(Segment(1000 + i, 200, Segment.ACK, 65535,
-                                  payload=payload)),
-               arrival=1.0 + i * 0.001)
-        for i in range(12)
-    ]
-    encoder = FrameCodec()
-    blob = encoder.encode_batch("B", frames)
-    # an interned blob costs a varint ref after its first appearance
-    assert len(blob) < len(payload) * 3
-    decoded = FrameCodec().decode_batch(blob, "B")
-    assert all(f.packet.payload.payload == payload for f in decoded)
-
-
-def test_codec_stream_state_carries_across_batches():
-    encoder, decoder = FrameCodec(), FrameCodec()
-    payload = b"carried-across-batches payload data!"
-    first = encoder.encode_batch("B", [
-        _frame(0, _packet(Segment(10, 0, Segment.ACK, 65535,
-                                  payload=payload)))
-    ])
-    second = encoder.encode_batch("B", [
-        _frame(1, _packet(Segment(10 + len(payload), 0, Segment.ACK,
-                                  65535, payload=payload)),
-               arrival=1.001)
-    ])
-    # second batch reuses the interned payload and the predicted seq
-    assert len(second) < len(first) - len(payload) // 2
-    decoder.decode_batch(first, "B")
-    (frame,) = decoder.decode_batch(second, "B")
-    assert frame.packet.payload.payload == payload
-    assert frame.packet.payload.seq == 10 + len(payload)
-
-
-def test_codec_decoding_out_of_order_batches_fails_loudly():
-    encoder = FrameCodec()
-    payload = b"stream state is order-sensitive!"
-    batches = [
-        encoder.encode_batch("B", [
-            _frame(i, _packet(Segment(10, 0, Segment.ACK, 65535,
-                                      payload=payload)))
-        ])
-        for i in range(2)
-    ]
-    fresh = FrameCodec()
-    # batch 1 references stream state established by batch 0
-    with pytest.raises(Exception):
-        frames = fresh.decode_batch(batches[1], "B")
-        assert frames[0].packet.payload.payload == payload
-
-
-def test_codec_epoch_change_resets_decoder_state():
-    encoder, decoder = FrameCodec(), FrameCodec()
-    payload = b"payload interned under the old epoch"
-    decoder.decode_batch(encoder.encode_batch("B", [
-        _frame(0, _packet(Segment(10, 0, Segment.ACK, 65535,
-                                  payload=payload)))
-    ]), "B")
-    # shard A migrates: its new worker encodes from scratch at epoch 1
-    migrated = FrameCodec()
-    migrated.set_epoch("A", 1)
-    (frame,) = decoder.decode_batch(migrated.encode_batch("B", [
-        _frame(1, _packet(Segment(10, 0, Segment.ACK, 65535,
-                                  payload=payload)))
-    ]), "B")
-    assert frame.packet.payload.payload == payload
-
-
-def test_codec_beats_pickle_on_fleet_like_traffic():
-    payload = bytes(range(64)) * 2
-    frames = [
-        _frame(i, _packet(Segment(5000 + i * 128, 9000, Segment.ACK,
-                                  131072, payload=payload)),
-               arrival=2.0 + i * 1e-4)
-        for i in range(32)
-    ]
-    compact = FrameCodec().encode_batch("B", frames)
-    fat = PickleCodec().encode_batch("B", frames)
-    assert pickle.loads(fat)  # sanity: the reference is plain pickle
-    assert len(fat) / len(compact) > 3.0
-
-
-# ----------------------------------------------------------------------
-# endpoints and context
-# ----------------------------------------------------------------------
-
-def test_worker_transport_pipe_stages_raw_bytes():
-    transport = WorkerTransport(WorkerTransportSpec("pipe", 0))
-    handle = transport.stage(b"blob")
-    assert handle == b"blob"
-    assert handle_bytes(handle) == 4
-    assert transport.fetch(handle) == b"blob"
-    transport.close()
-
-
-def test_transport_context_shm_roundtrip_and_cleanup():
-    before = _shm_entries()
-    context = TransportContext("shm", worker_count=2, capacity=4096)
-    assert context.kind == "shm"
-    writer = WorkerTransport(context.worker_spec(0))
-    reader = WorkerTransport(context.worker_spec(1))
-    try:
-        handle = writer.stage(b"cross-worker bytes")
-        assert handle[0] == "r"
-        assert handle_bytes(handle) == len(b"cross-worker bytes")
-        assert reader.fetch(handle) == b"cross-worker bytes"
-        assert context.fetch(handle) == b"cross-worker bytes"
-    finally:
-        writer.close()
-        reader.close()
-        context.close()
-    assert _shm_entries() == before
-
-
-def test_transport_context_inline_fallback_when_ring_full():
-    context = TransportContext("shm", worker_count=1, capacity=64)
-    writer = WorkerTransport(context.worker_spec(0))
-    try:
-        handle = writer.stage(b"z" * 200)  # cannot fit: inline fallback
-        assert handle[0] == "i"
-        assert writer.inline_fallbacks == 1
-        assert writer.fetch(handle) == b"z" * 200
-        assert context.fetch(handle) == b"z" * 200
-    finally:
-        writer.close()
-        context.close()
-
-
-# ----------------------------------------------------------------------
-# runtime integration
-# ----------------------------------------------------------------------
 
 def test_transports_produce_identical_results():
+    # in-process frames pass by reference, spawned workers pickle them
+    # once per destination shard: the simulation must not notice
     local = ParallelRunner(ping_specs(), workers=1).run(1.5)
-    shm = ParallelRunner(ping_specs(), workers=2,
-                         transport="shm").run(1.5)
-    pipe = ParallelRunner(ping_specs(), workers=2,
-                          transport="pipe").run(1.5)
-    assert local.shard_results == shm.shard_results == pipe.shard_results
-    assert local.window_edges == shm.window_edges == pipe.window_edges
-    assert pipe.transport["kind"] == "pipe"
-    if shm.transport["kind"] == "shm":  # hosts without /dev/shm degrade
-        assert shm.transport["bytes"] <= pipe.transport["bytes"]
-
-
-def test_tiny_ring_overflows_inline_without_changing_results():
-    reference = ParallelRunner(ping_specs(), workers=2).run(1.5)
-    tiny = ParallelRunner(ping_specs(), workers=2,
-                          ring_capacity=16).run(1.5)
-    assert tiny.shard_results == reference.shard_results
-    if tiny.transport["kind"] == "shm":
-        assert tiny.transport["overflow_batches"] > 0
-
-
-def test_small_ring_wraps_without_changing_results():
-    reference = ParallelRunner(ping_specs(), workers=2).run(2.5)
-    small = ParallelRunner(ping_specs(), workers=2,
-                           ring_capacity=96).run(2.5)
-    assert small.shard_results == reference.shard_results
-    if small.transport["kind"] == "shm":
-        # batches are tens of bytes: a 96-byte ring must eventually
-        # wrap (or overflow inline) but results stay bit-identical
-        assert (small.transport["ring_wraps"] > 0
-                or small.transport["overflow_batches"] > 0)
-
-
-def test_runner_rejects_unknown_transport():
-    from repro.sim.engine import SimulationError
-
-    with pytest.raises(SimulationError, match="unknown transport"):
-        ParallelRunner(ping_specs(), workers=2, transport="carrier-pigeon")
+    spawned = ParallelRunner(ping_specs(), workers=2).run(1.5)
+    assert local.shard_results == spawned.shard_results
+    assert local.window_edges == spawned.window_edges
+    assert local.transport["frames"] == spawned.transport["frames"]
+    assert local.transport["bytes"] == 0 < spawned.transport["bytes"]
 
 
 def test_clean_run_leaves_no_shm_segments():
     before = _shm_entries()
-    ParallelRunner(ping_specs(), workers=2, transport="shm").run(1.0)
+    ParallelRunner(ping_specs(), workers=2).run(1.0)
     assert _shm_entries() == before
+    assert multiprocessing.active_children() == []
 
 
 def test_worker_crash_under_shm_raises_and_leaves_no_segments():
     before = _shm_entries()
     with pytest.raises(RuntimeError, match="kaboom mid-window"):
-        ParallelRunner(crash_pair_specs(), workers=2,
-                       transport="shm").run(2.0)
+        ParallelRunner(crash_pair_specs(), workers=2).run(2.0)
+    assert _shm_entries() == before
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_start_failure_leaves_no_children_or_segments():
+    # the second shard's params cannot be pickled for the spawn, so the
+    # second worker fails inside Process.start() after the first one is
+    # already running: the run must raise and still reap the first
+    specs = ping_specs()
+    specs[1] = ShardSpec(
+        "B", build_ping,
+        {"addr": "10.0.0.2", "peer": "10.0.0.1", "lock": threading.Lock()},
+        links=[BoundaryLink("10.0.0.2", "10.0.0.1", "A", LATENCY)],
+    )
+    before = _shm_entries()
+    with pytest.raises(TypeError, match="pickle"):
+        ParallelRunner(specs, workers=2).run(1.0)
+    assert multiprocessing.active_children() == []
     assert _shm_entries() == before
