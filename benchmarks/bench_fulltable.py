@@ -88,10 +88,11 @@ RESELECT_RATIO_FLOOR = 0.4
 #: by at least this much on the aggregatable workload.
 AGGREGATION_FLOOR = 0.20
 
-#: A loaded route is one GC-tracked object, the ``Route``: its key is a
-#: plain int and its attributes are pooled (DESIGN.md §14).  A second
-#: tracked object per route is what every full collection then walks.
-TRACKED_PER_ROUTE_CEILING = 1.05
+#: A loaded route adds no GC-tracked object: its key is a plain int and
+#: its path is shared by every prefix with the same attributes
+#: (DESIGN.md §14).  A tracked object per route is what every full
+#: collection then walks.
+TRACKED_PER_ROUTE_CEILING = 0.05
 
 #: An incremental compaction after touching a small working set may
 #: rewrite at most this fraction of the snapshot's chunks (secondary

@@ -38,18 +38,18 @@ carried over unchanged when the file is rewritten.
 """
 
 import json
-from pathlib import Path
+import pathlib
 
 from conftest import run_once
 from repro.bgp import AsPath, LocRib, Origin, PathAttributes, Prefix
-from repro.bgp.rib import Route
+from repro.bgp.rib import Path
 from repro.core.replication import WriteCoalescer
 from repro.core.system import PeerNeighborSpec, TensorSystem
 from repro.kvstore import KvClient, KvServer
 from repro.sim import DeterministicRandom, Engine, Network, Process
 from repro.workloads import RouteGenerator, build_remote_peer
 
-OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
+OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 #: test name -> measured ops/sec, collected across the file's tests and
 #: written out (plus the interning-speedup assertion) by the final test.
@@ -108,15 +108,15 @@ def test_rib_incremental_reselect(benchmark):
     offers = []
     for index, prefix in enumerate(prefixes):
         for peer_index, peer in enumerate(peers):
-            route = Route(prefix, _sample_attributes(64500 + peer_index), peer)
-            rib.offer(route)
-            offers.append(route)
+            path = Path(_sample_attributes(64500 + peer_index), peer)
+            rib.offer(prefix, path)
+            offers.append((prefix, path))
     ops = len(offers)
 
     def run():
         offer = rib.offer
-        for route in offers:
-            offer(route)
+        for prefix, path in offers:
+            offer(prefix, path)
 
     benchmark(run)
     _record("rib_incremental_reselect", benchmark, ops)

@@ -27,7 +27,7 @@ from repro.bgp.messages import (
     UpdateMessage,
 )
 from repro.bgp.errors import BgpError, NotificationCode
-from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, Route
+from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, Path, Route
 from repro.bgp.decision import best_path
 from repro.bgp.policy import PolicyAction, RouteMap, RouteMapEntry
 from repro.bgp.vrf import Vrf
@@ -51,6 +51,7 @@ __all__ = [
     "RouteRefreshMessage",
     "BgpError",
     "NotificationCode",
+    "Path",
     "Route",
     "AdjRibIn",
     "LocRib",

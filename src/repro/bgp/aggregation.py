@@ -40,7 +40,7 @@ from repro.bgp.prefixes import (
     prefix_key,
     prefix_text,
 )
-from repro.bgp.rib import Route
+from repro.bgp.rib import Path
 
 #: Aggregate-root span for snapshot chunk bucketing: prefixes bucket by
 #: their ancestor at this length, so a /16's /24s co-locate in a chunk.
@@ -78,20 +78,20 @@ def encode_chunk(loc_rib, prefixes, collapse):
     (by member length) — and the number of routes they encode.
     """
     lone, contested = loc_rib.export_paths(prefixes)
-    plain = [route for routes in contested for route in routes]
+    plain = [(prefix, path) for prefix, paths in contested for path in paths]
     routes = len(prefixes) - len(contested) + len(plain)
     aggregates = []  # (member length, text, record)
     if collapse:
-        groups = {}  # signature -> {prefix value: that member's route}
-        for route in lone:
-            afi, value, length = prefix_fields(route.prefix)
-            signature = (afi, length, route.peer_id, route.source_kind,
-                         route.attributes.to_wire())
+        groups = {}  # signature -> {prefix value: (prefix, path)}
+        for prefix, path in lone:
+            afi, value, length = prefix_fields(prefix)
+            signature = (afi, length, path.peer_id, path.source_kind,
+                         path.attributes.to_wire())
             group = groups.get(signature)
             if group is None:
-                groups[signature] = {value: route}
+                groups[signature] = {value: (prefix, path)}
             else:
-                group[value] = route
+                group[value] = (prefix, path)
         for signature, leaves in groups.items():
             afi, member_length, peer_id, source_kind, wire = signature
             bits = 32 if afi == AFI_IPV4 else 128
@@ -119,12 +119,12 @@ def encode_chunk(loc_rib, prefixes, collapse):
                 length, level = length - 1, parents
     else:
         plain.extend(lone)
-    texts = [prefix_text(route.prefix) for route in plain]
+    texts = [prefix_text(prefix) for prefix, _path in plain]
     records = [{"prefix": text,
-                "peer_id": route.peer_id,
-                "source_kind": route.source_kind,
-                "attributes": route.attributes.to_wire()}
-               for text, route in zip(texts, plain)]
+                "peer_id": path.peer_id,
+                "source_kind": path.source_kind,
+                "attributes": path.attributes.to_wire()}
+               for text, (_prefix, path) in zip(texts, plain)]
     # The sort below is stable and on text alone: it keeps a contested
     # prefix's records in peer order, plain records ahead of aggregates
     # and aggregates in member-length order.
@@ -166,20 +166,19 @@ def expand_snapshot_entries(entries):
         yield from expand_snapshot_entry(entry)
 
 
-def expand_snapshot_routes(entries):
-    """Decode snapshot records straight into routes, in the order
-    :func:`expand_snapshot_entries` lists them: only a plain record's
-    prefix is parsed from text, and an aggregate's attributes decode
-    once for all its members."""
+def expand_snapshot_paths(entries):
+    """Decode snapshot records straight into ``(prefix, path)`` pairs,
+    in the order :func:`expand_snapshot_entries` lists them: only a
+    plain record's prefix is parsed from text, and each record decodes
+    into one :class:`~repro.bgp.rib.Path` that all its members share."""
     for entry in entries:
-        attributes = PathAttributes.from_wire(entry["attributes"])
-        peer_id, source_kind = entry["peer_id"], entry["source_kind"]
+        path = Path(PathAttributes.from_wire(entry["attributes"]),
+                    entry["peer_id"], entry["source_kind"])
         if "aggregate" in entry:
             for member in _aggregate_members(entry):
-                yield Route(member, attributes, peer_id, source_kind)
+                yield member, path
         else:
-            yield Route(parse_prefix(entry["prefix"]), attributes, peer_id,
-                        source_kind)
+            yield parse_prefix(entry["prefix"]), path
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +327,7 @@ class ExportAggregator:
             return
         attrs, holes, suppressed = evaluation
         if previous is None or previous["attrs"] != attrs:
-            out[aggregate] = Route(aggregate, attrs, self.peer_id, "local")
+            out[aggregate] = Path(attrs, self.peer_id, "local")
             self.aggregates_advertised += 1
         known_holes = previous["holes"] if previous else {}
         tracked = (set(known_holes) | previous["suppressed"]) if previous else set()

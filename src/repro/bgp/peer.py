@@ -20,7 +20,7 @@ from repro.bgp.messages import (
 from repro.bgp.multiprotocol import mp_routes_of
 from repro.bgp.policy import PERMIT_ALL
 from repro.bgp.prefixes import encode_nlri_block, prefix_afi
-from repro.bgp.rib import AdjRibIn, AdjRibOut, Route
+from repro.bgp.rib import AdjRibIn, AdjRibOut, Path
 from repro.sim.process import Timer
 
 CONNECT_RETRY_INTERVAL = 5.0
@@ -315,7 +315,8 @@ class PeerSession:
         """Import ``prefixes`` (one NLRI block, ``block_wire`` on the
         wire) sharing ``attributes`` into the Adj-RIB-In, offer them to
         the Loc-RIB, and record each run of routes sharing post-policy
-        attributes in ``runs``.  Returns False when the whole set is
+        attributes in ``runs``.  A run's prefixes share one
+        :class:`~repro.bgp.rib.Path`.  Returns False when the whole set is
         rejected by eBGP loop detection: our AS in the path means
         reject, scoped to eBGP sessions per RFC 4271 — iBGP paths
         legitimately circulate inside the AS.
@@ -349,10 +350,10 @@ class PeerSession:
         offer = vrf.loc_rib.offer
         learned = 0
         for imported, run in kept:
+            path = Path(imported, peer_id, source_kind)
             for prefix in run:
-                route = Route(prefix, imported, peer_id, source_kind)
-                store(route)
-                old, new = offer(route)
+                store(prefix, path)
+                old, new = offer(prefix, path)
                 changes.append((prefix, old, new))
             learned += len(run)
             wire = (block_wire if len(run) == len(prefixes)

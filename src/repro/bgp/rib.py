@@ -4,13 +4,24 @@ Per RFC 4271 §3.2: routes learned from each peer land in that peer's
 Adj-RIB-In; the decision process selects one best route per prefix into
 the Loc-RIB; per-peer Adj-RIB-Out holds what has been advertised.
 
-The Loc-RIB is a table plus a record of the contests (DESIGN.md §14).
-The table — prefix to selected route, insertion-ordered — is all a
-prefix with one path owns: that path *is* its best route and its only
-candidate, so storing it is one dict store and it adds no object beyond
-the ``Route`` itself.  Only a prefix with a choice to remember — a
+A route here is a key and a path (DESIGN.md §14).  The key is the
+packed prefix int of :mod:`repro.bgp.prefixes` — hashed, compared and
+sorted natively — and the :class:`Path` is everything else: attributes,
+the peer it came from and how.  Routes that differ only by prefix share
+one path object: whoever stores a batch of them (one UPDATE's run, one
+snapshot record, one originated attribute set) makes one path and hands
+it to every key, so a table of N routes holds N keys and a handful of
+paths — nothing per route the collector has to walk.  :class:`Route`,
+a path bound to its prefix, exists only at the edges that hand one out
+(:meth:`LocRib.lookup`, :meth:`LocRib.covered_best`,
+:meth:`LocRib.covering_best`, :meth:`LocRib.best_routes`).
+
+The Loc-RIB is a table plus a record of the contests.  The table — key
+to selected path, insertion-ordered — is all a prefix with one path
+owns: that path *is* its best route and its only candidate, so storing
+it is one dict store.  Only a prefix with a choice to remember — a
 second peer offered it — also has an entry in the contested map, a bare
-``{peer_id: Route}`` dict created on that offer and dropped by the
+``{peer_id: Path}`` dict created on that offer and dropped by the
 retract that leaves one path.  MED-group membership is read off that
 dict by scanning it when a decision needs it; nothing is counted ahead.
 ``offer``/``retract`` touch these two dicts and nothing else.
@@ -20,9 +31,6 @@ from a prefix store — the path-compressed radix trie
 (:class:`repro.bgp.radix.RadixTrie`), or whatever ``LocRib(store=...)``
 is handed — holding the table's *keys*, derived from it at the first
 ordered query; whatever it matches is then read from the table.
-
-Every table here is keyed by the packed prefix int of
-:mod:`repro.bgp.prefixes`: hashed, compared and sorted natively.
 """
 
 from repro.bgp.decision import (
@@ -35,15 +43,43 @@ from repro.bgp.decision import (
 from repro.bgp.prefixes import parse_prefix, prefix_text
 from repro.bgp.radix import RadixTrie
 
-__all__ = ["Route", "AdjRibIn", "LocRib", "AdjRibOut", "RadixTrie"]
+__all__ = ["Path", "Route", "AdjRibIn", "LocRib", "AdjRibOut", "RadixTrie"]
 
 
-def _peer_order(route):
-    return str(route.peer_id)
+def _peer_order(path):
+    return str(path.peer_id)
+
+
+class Path:
+    """What a route is apart from its prefix, shared by every prefix
+    that has it: attributes, the peer it came from (or goes to) and how
+    it was learned."""
+
+    __slots__ = ("attributes", "peer_id", "source_kind")
+
+    def __init__(self, attributes, peer_id, source_kind="ebgp"):
+        self.attributes = attributes
+        self.peer_id = peer_id
+        self.source_kind = source_kind  # "ebgp" | "ibgp" | "local"
+
+    def at(self, prefix):
+        """This path bound to ``prefix``: a :class:`Route`."""
+        return Route(prefix, self.attributes, self.peer_id, self.source_kind)
+
+    def __eq__(self, other):
+        return isinstance(other, Path) and (
+            self.attributes, self.peer_id, self.source_kind,
+        ) == (other.attributes, other.peer_id, other.source_kind)
+
+    def __hash__(self):
+        return hash((self.attributes, self.peer_id, self.source_kind))
+
+    def __repr__(self):
+        return f"<Path via {self.peer_id} ({self.source_kind})>"
 
 
 class Route:
-    """One path for one prefix, learned from (or destined to) a peer."""
+    """One path for one prefix: the type handed out at the edges."""
 
     __slots__ = ("prefix", "attributes", "peer_id", "source_kind")
 
@@ -73,25 +109,18 @@ class Route:
 
 
 class AdjRibIn:
-    """Routes received from one peer, post-inbound-policy."""
+    """Paths received from one peer, post-inbound-policy, by prefix."""
 
     def __init__(self, peer_id):
         self.peer_id = peer_id
-        self._routes = {}  # prefix -> Route
+        self._routes = {}  # prefix -> Path
 
-    def update(self, route):
-        """Insert/replace; returns the displaced route or None."""
-        old = self._routes.get(route.prefix)
-        self._routes[route.prefix] = route
-        return old
-
-    def store(self, route):
-        """Insert/replace, for the caller with no use for what it
-        displaced (one dict store, no probe)."""
-        self._routes[route.prefix] = route
+    def store(self, prefix, path):
+        """Insert/replace (one dict store, no probe)."""
+        self._routes[prefix] = path
 
     def withdraw(self, prefix):
-        """Remove; returns the removed route or None."""
+        """Remove; returns the removed path or None."""
         return self._routes.pop(prefix, None)
 
     def get(self, prefix):
@@ -100,8 +129,9 @@ class AdjRibIn:
     def prefixes(self):
         return self._routes.keys()
 
-    def routes(self):
-        return self._routes.values()
+    def items(self):
+        """``(prefix, path)`` pairs, in arrival order."""
+        return self._routes.items()
 
     def clear(self):
         doomed = list(self._routes.keys())
@@ -113,21 +143,21 @@ class AdjRibIn:
 
 
 class LocRib:
-    """The selected best route per prefix, plus all candidate paths."""
+    """The selected best path per prefix, plus all candidate paths."""
 
     def __init__(self, local_as=0, router_id=0, store=None):
         self.local_as = local_as
         self.router_id = router_id
         # The table: every prefix with at least one path, mapped to its
-        # selected route — for a single-path prefix, the path itself.
+        # selected path — for a single-path prefix, its only one.
         # Insertion-ordered: advertisement batching iterates it, so its
         # mutation pattern is part of the simulation's deterministic
         # trajectory.
-        self._best = {}  # prefix -> Route
+        self._best = {}  # prefix -> Path
         # Candidate bookkeeping, only where there is a choice to record:
         # an entry appears when a second peer offers a prefix and goes
         # when a retract leaves one path.
-        self._contested = {}  # prefix -> {peer_id: Route}, >= 2 paths
+        self._contested = {}  # prefix -> {peer_id: Path}, >= 2 paths
         # The structural index over the table's keys (LPM, covered
         # walks, sorted iteration).  It stays empty until the first
         # ordered query asks for it (see :attr:`store`); only from then
@@ -144,17 +174,22 @@ class LocRib:
         self.export_seq = 0
         self._changed = {}  # prefix -> export_seq of last mutation
 
-    def offer(self, route):
-        """Add/replace a candidate path and re-run selection for its prefix.
+    def offer(self, prefix, path):
+        """Add/replace ``prefix``'s candidate from ``path.peer_id`` and
+        re-run selection for it.
 
-        Returns (old_best, new_best); identical values mean no change.
+        Returns ``(old_best, new_best)``, and ``old_best is new_best``
+        exactly when the offer left the selection alone.  Offering the
+        path that is already the prefix's best — the same object, as a
+        prefix repeated in one NLRI block is — re-stores it, and counts
+        as a change like any re-announce: it returns ``(None, path)``.
 
         Selection is incremental.  The lone path of an uncontested
         prefix is stored or replaced with nothing to compare.  A path
         from a new peer that loses to the incumbent pairwise changes
         nothing: in the incumbent's MED group it loses that group to
         it, and in any other it either fails to win its group or joins
-        the finalists and loses the MED-blind pass to the route that
+        the finalists and loses the MED-blind pass to the path that
         already won it.  Otherwise one comparison decides, unless MED
         is in play — the challenger shares a MED group with another
         candidate, or replaces the winner of a group it left — or the
@@ -162,45 +197,44 @@ class LocRib:
         decisive and a full re-scan runs (see
         :func:`repro.bgp.decision.best_path`).
         """
-        prefix = route.prefix
         self.export_seq = self._changed[prefix] = self.export_seq + 1
         best = self._best
         old = best.get(prefix)
         if old is None:
-            best[prefix] = route
+            best[prefix] = path
             if self._indexed:
                 self._store.insert(prefix, None)
-            return None, route
-        peer_id = route.peer_id
+            return None, path
+        peer_id = path.peer_id
         candidates = self._contested.get(prefix)
         if candidates is None:
             if peer_id == old.peer_id:
                 # Replaced the lone path: still trivially best.
-                best[prefix] = route
-                return old, route
+                best[prefix] = path
+                return (None if old is path else old), path
             candidates = self._contested[prefix] = {old.peer_id: old,
-                                                    peer_id: route}
+                                                    peer_id: path}
             previous = None
         else:
             previous = candidates.get(peer_id)
-            candidates[peer_id] = route
+            candidates[peer_id] = path
         self.decision_runs += 1
         if peer_id != old.peer_id:
-            wins = prefer(route, old)
+            wins = prefer(path, old)
             if previous is None and not wins:
                 return old, old
             paths = candidates.values()
-            med_in_play = med_group_shared(paths, route) or (
-                previous is not None and previous is not route
-                and med_group(previous) != med_group(route)
+            med_in_play = med_group_shared(paths, path) or (
+                previous is not None and previous is not path
+                and med_group(previous) != med_group(path)
                 and evicts_group_winner(paths, previous))
             if not med_in_play:
                 if wins:
-                    best[prefix] = route
-                    return old, route
+                    best[prefix] = path
+                    return old, path
                 return old, old
         new = best[prefix] = best_path(list(candidates.values()))
-        return old, new
+        return (None if old is path else old), new
 
     def retract(self, prefix, peer_id):
         """Drop a peer's candidate and re-run selection for the prefix.
@@ -235,20 +269,42 @@ class LocRib:
         return old, new
 
     def best(self, prefix):
+        """The selected path of ``prefix``, or None."""
         return self._best.get(prefix)
 
+    def items(self):
+        """``(prefix, selected path)`` pairs, in table order."""
+        return self._best.items()
+
     def best_routes(self):
-        return self._best.values()
+        """Every selected path bound to its prefix, in table order: a
+        :class:`Route` per prefix, made on the call."""
+        return [path.at(prefix) for prefix, path in self._best.items()]
 
     def prefixes(self):
         return self._best.keys()
 
     def candidates(self, prefix):
+        """``{peer_id: path}`` of every candidate path of ``prefix``."""
         contested = self._contested.get(prefix)
         if contested is not None:
             return dict(contested)
-        route = self._best.get(prefix)
-        return {} if route is None else {route.peer_id: route}
+        path = self._best.get(prefix)
+        return {} if path is None else {path.peer_id: path}
+
+    def paths_from(self, peer_id):
+        """``(prefix, path)`` for every candidate path ``peer_id``
+        supplied, in table order: one pass over the table, reading the
+        contested map only for the prefixes it holds."""
+        contested = self._contested
+        for prefix, path in self._best.items():
+            candidates = contested.get(prefix) if contested else None
+            if candidates is not None:
+                path = candidates.get(peer_id)
+                if path is not None:
+                    yield prefix, path
+            elif path.peer_id == peer_id:
+                yield prefix, path
 
     def __len__(self):
         return len(self._best)
@@ -281,20 +337,22 @@ class LocRib:
         DRAGON deaggregation holes sound (DESIGN.md §14).
         """
         match = self.store.longest_match(prefix)
-        return self._best[match[0]] if match is not None else None
+        if match is None:
+            return None
+        return self._best[match[0]].at(match[0])
 
     def covered_best(self, prefix):
         """(prefix, best route) for selected routes within ``prefix``,
         in ascending prefix order (includes ``prefix`` itself)."""
         best = self._best
-        return [(stored, best[stored])
+        return [(stored, best[stored].at(stored))
                 for stored, _ in self.store.covered(prefix)]
 
     def covering_best(self, prefix):
         """(prefix, best route) for selected routes covering ``prefix``,
         shortest first (includes ``prefix`` itself)."""
         best = self._best
-        return [(stored, best[stored])
+        return [(stored, best[stored].at(stored))
                 for stored, _ in self.store.covering(prefix)]
 
     # -- snapshot support (TENSOR backs the table up in the database) ------
@@ -310,38 +368,39 @@ class LocRib:
         """The :meth:`export_entries` records for one prefix (possibly [])."""
         contested = self._contested.get(prefix)
         if contested is not None:
-            routes = sorted(contested.values(), key=_peer_order)
+            paths = sorted(contested.values(), key=_peer_order)
         else:
-            route = self._best.get(prefix)
-            if route is None:
+            path = self._best.get(prefix)
+            if path is None:
                 return []
-            routes = (route,)
+            paths = (path,)
         text = prefix_text(prefix)
         return [
             {
                 "prefix": text,
-                "peer_id": route.peer_id,
-                "source_kind": route.source_kind,
-                "attributes": route.attributes.to_wire(),
+                "peer_id": path.peer_id,
+                "source_kind": path.source_kind,
+                "attributes": path.attributes.to_wire(),
             }
-            for route in routes
+            for path in paths
         ]
 
     def export_paths(self, prefixes):
         """Bulk read for the snapshot chunk encoder: every path of the
         set ``prefixes``, each of which must be in the table.
 
-        Returns ``(lone, contested)``: an iterator over the routes of
-        the single-path prefixes, and one peer-ordered route list per
-        contested prefix — the routes :meth:`export_prefix_entries`
-        would render, in no particular prefix order.
+        Returns ``(lone, contested)``: an iterator over the ``(prefix,
+        path)`` pairs of the single-path prefixes, and a ``(prefix,
+        peer-ordered path list)`` pair per contested prefix — the paths
+        :meth:`export_prefix_entries` would render, in no particular
+        prefix order.
         """
         contested = self._contested
         shared = contested.keys() & prefixes if contested else ()
         if shared:
             prefixes = prefixes - shared
-        return (map(self._best.__getitem__, prefixes),
-                [sorted(contested[prefix].values(), key=_peer_order)
+        return (zip(prefixes, map(self._best.__getitem__, prefixes)),
+                [(prefix, sorted(contested[prefix].values(), key=_peer_order))
                  for prefix in shared])
 
     def path_counts_since(self, seq):
@@ -379,13 +438,11 @@ class LocRib:
 
         rib = cls(local_as=local_as, router_id=router_id)
         for entry in entries:
-            route = Route(
-                parse_prefix(entry["prefix"]),
+            rib.offer(parse_prefix(entry["prefix"]), Path(
                 PathAttributes.from_wire(entry["attributes"]),
                 entry["peer_id"],
                 entry["source_kind"],
-            )
-            rib.offer(route)
+            ))
         return rib
 
 

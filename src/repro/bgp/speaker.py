@@ -22,7 +22,7 @@ from repro.bgp.multiprotocol import attach_mp_reach
 from repro.bgp.packing import group_routes, pack_group, pack_withdrawals
 from repro.bgp.peer import PeerConfig, PeerSession
 from repro.bgp.prefixes import AFI_IPV4, AFI_IPV6, prefix_afi
-from repro.bgp.rib import Route
+from repro.bgp.rib import Path
 from repro.bgp.vrf import Vrf
 from repro.sim.calibration import (
     PACKED_COPY_COST_PER_UPDATE,
@@ -169,7 +169,7 @@ class BgpSpeaker:
         self.on_exit = None  # called when the process dies (crash or shutdown)
         self._listening = False
         self._cpu_busy_until = 0.0
-        self._pending_adverts = {}  # session.peer_id -> {prefix: route-or-None}
+        self._pending_adverts = {}  # session.peer_id -> {prefix: path-or-None}
         self._flush_scheduled = False
         # Per-peer MRAI modes: peers with a scheduled session flush, and
         # (per_prefix mode) the earliest instant each (peer, prefix) may
@@ -369,17 +369,23 @@ class BgpSpeaker:
     def originate(self, vrf_name, prefix, attributes):
         """Inject a locally-originated route and propagate it."""
         vrf = self.vrfs[vrf_name]
-        route = Route(prefix, attributes, self.local_peer_id, "local")
-        old, new = vrf.loc_rib.offer(route)
+        old, new = vrf.loc_rib.offer(
+            prefix, Path(attributes, self.local_peer_id, "local"))
         self._queue_change(None, vrf, prefix, old, new)
 
     def originate_many(self, vrf_name, routes):
         """Bulk originate [(prefix, attributes), ...] without propagation
-        churn (used to preload tables for benchmarks)."""
+        churn (used to preload tables for benchmarks).  Routes with the
+        same attributes object share one path."""
         offer = self.vrfs[vrf_name].loc_rib.offer
         peer_id = self.local_peer_id
+        paths = {}  # id(attributes) -> Path, which keeps them alive
         for prefix, attributes in routes:
-            offer(Route(prefix, attributes, peer_id, "local"))
+            path = paths.get(id(attributes))
+            if path is None:
+                path = paths[id(attributes)] = Path(attributes, peer_id,
+                                                    "local")
+            offer(prefix, path)
 
     def withdraw_originated(self, vrf_name, prefix):
         vrf = self.vrfs[vrf_name]
@@ -407,9 +413,9 @@ class BgpSpeaker:
         vrf = session.vrf
         peer_id = session.peer_id
         routes = (
-            (route.prefix, route.attributes)
-            for route in vrf.loc_rib.best_routes()
-            if route.peer_id != peer_id
+            (prefix, path.attributes)
+            for prefix, path in vrf.loc_rib.items()
+            if path.peer_id != peer_id
         )
         if self.aggregator is not None:
             routes = self.aggregator.transform_table(vrf.loc_rib, session, routes)
@@ -574,12 +580,12 @@ class BgpSpeaker:
                 )
             announcements = []
             withdrawals = []
-            for prefix, route in changes.items():
-                if route is None:
+            for prefix, path in changes.items():
+                if path is None:
                     if session.adj_rib_out.advertised(prefix) is not None:
                         withdrawals.append(prefix)
                 else:
-                    announcements.append((prefix, route.attributes))
+                    announcements.append((prefix, path.attributes))
             if withdrawals:
                 self._send_withdrawals(session, withdrawals)
             if announcements:

@@ -19,10 +19,10 @@ finishes with an outbound resync
 withdrawals recorded in the live delta log, re-advertise the table.
 """
 
-from repro.bgp.aggregation import expand_snapshot_routes
+from repro.bgp.aggregation import expand_snapshot_paths
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.prefixes import decode_nlri_block
-from repro.bgp.rib import LocRib, Route
+from repro.bgp.rib import LocRib, Path
 from repro.core.replication import delta_runs
 from repro.sim.calibration import TCP_MSS
 from repro.tcpsim.repair import TcpRepairState
@@ -52,15 +52,16 @@ class RecoveredState:
         return sorted(names)
 
     def rebuild_loc_rib(self, vrf, local_as=0, router_id=0):
-        """Snapshot chunks + ordered deltas -> a fresh Loc-RIB."""
+        """Snapshot chunks + ordered deltas -> a fresh Loc-RIB, one
+        shared path per snapshot record or delta run."""
         rib = LocRib(local_as=local_as, router_id=router_id)
         marker = self.rib_markers.get(vrf, {"chunks": 0, "delta_floor": 0})
         chunks = self.rib_snapshots.get(vrf, {})
         for index in range(marker["chunks"]):
             # Snapshot-aggregated chunks (DESIGN.md §14) carry collapsed
             # subtree records; expansion is the identity for plain ones.
-            for route in expand_snapshot_routes(chunks.get(index, [])):
-                rib.offer(route)
+            for prefix, path in expand_snapshot_paths(chunks.get(index, [])):
+                rib.offer(prefix, path)
         floor = marker.get("delta_floor", 0)
         for seq, delta in self.rib_deltas.get(vrf, []):
             if seq < floor:
@@ -70,9 +71,10 @@ class RecoveredState:
                 for prefix in decode_nlri_block(nlri_wire, afi):
                     rib.retract(prefix, peer_id)
             for afi, nlri_wire, attrs_wire, peer_id, source_kind in announced:
-                attributes = PathAttributes.from_wire(attrs_wire)
+                path = Path(PathAttributes.from_wire(attrs_wire), peer_id,
+                            source_kind)
                 for prefix in decode_nlri_block(nlri_wire, afi):
-                    rib.offer(Route(prefix, attributes, peer_id, source_kind))
+                    rib.offer(prefix, path)
         return rib
 
     def recent_withdrawn_prefixes(self, vrf):

@@ -364,12 +364,11 @@ class TensorBgpSpeaker(BgpSpeaker):
         return session
 
     def _rebuild_adj_rib_in(self, session):
-        """Repopulate the peer's Adj-RIB-In from Loc-RIB candidates."""
-        vrf = session.vrf
-        for prefix in list(vrf.loc_rib.prefixes()):
-            for peer_id, route in vrf.loc_rib.candidates(prefix).items():
-                if peer_id == session.peer_id:
-                    session.adj_rib_in.update(route)
+        """Repopulate the peer's Adj-RIB-In from its Loc-RIB candidates,
+        storing the Loc-RIB's shared paths."""
+        store = session.adj_rib_in.store
+        for prefix, path in session.vrf.loc_rib.paths_from(session.peer_id):
+            store(prefix, path)
 
     def apply_recovered_message(self, session, record):
         """Replay one stored-but-unapplied incoming message."""

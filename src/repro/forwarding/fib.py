@@ -93,9 +93,9 @@ class FibSyncer:
             return 0  # control plane down: hold the programmed state
         self.sync_count += 1
         desired = {
-            route.prefix: route.attributes.next_hop
-            for route in loc_rib.best_routes()
-            if route.attributes.next_hop is not None
+            prefix: path.attributes.next_hop
+            for prefix, path in loc_rib.items()
+            if path.attributes.next_hop is not None
         }
         changes = 0
         for prefix, entry in list(self.fib.entries().items()):

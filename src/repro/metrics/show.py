@@ -44,15 +44,17 @@ def show_bgp_summary(speaker):
 def show_rib(vrf, limit=20):
     """`show bgp vrf <name>`: best routes (truncated at ``limit``)."""
     rows = []
-    for route in sorted(vrf.loc_rib.best_routes(), key=lambda r: r.prefix):
-        attrs = route.attributes
+    loc_rib = vrf.loc_rib
+    for prefix in sorted(loc_rib.prefixes()):
+        path = loc_rib.best(prefix)
+        attrs = path.attributes
         rows.append([
-            prefix_text(route.prefix),
+            prefix_text(prefix),
             attrs.next_hop or "-",
             "/".join(str(a) for a in attrs.as_path.as_list()) or "-",
             attrs.local_pref if attrs.local_pref is not None else "-",
-            route.source_kind,
-            route.peer_id,
+            path.source_kind,
+            path.peer_id,
         ])
         if len(rows) >= limit:
             rows.append([f"... {len(vrf.loc_rib) - limit} more", "", "", "", "", ""])

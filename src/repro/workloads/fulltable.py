@@ -20,7 +20,7 @@ measurement on the virtual clock.
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.prefixes import prefix_key
-from repro.bgp.rib import LocRib, Route
+from repro.bgp.rib import LocRib, Path
 from repro.sim.rand import DeterministicRandom
 from repro.workloads.updates import RouteGenerator
 
@@ -80,31 +80,36 @@ class FullTableWorkload:
             return prefix_key(SCATTER_BASE - (index + 1) * 256, 32)
         return prefix_key(0, 0)
 
-    def attrs_at(self, index):
-        """Block-uniform in the aggregatable region, per-prefix pooled
-        in the scattered one."""
-        pool = self.attr_pool
+    def _pool_index(self, index):
+        """Which attribute-pool entry the ``index``-th prefix carries:
+        block-uniform in the aggregatable region, per-prefix pooled in
+        the scattered one."""
         if index < self.aggregatable_count:
-            return pool[(index >> BLOCK_MEMBER_BITS) % len(pool)]
-        return pool[(index * 7 + 3) % len(pool)]
+            return (index >> BLOCK_MEMBER_BITS) % len(self.attr_pool)
+        return (index * 7 + 3) % len(self.attr_pool)
+
+    def attrs_at(self, index):
+        """The ``index``-th prefix's attributes."""
+        return self.attr_pool[self._pool_index(index)]
+
+    def _paths(self, peer_id):
+        """One :class:`Path` per pool entry, learned from ``peer_id``:
+        what every prefix carrying that entry shares."""
+        return [Path(attributes, peer_id, "ebgp")
+                for attributes in self.attr_pool]
 
     @property
     def total(self):
         return self.size + HOST_ROUTES + 1
 
-    def routes(self):
-        for index in range(self.total):
-            yield Route(self.prefix_at(index), self.attrs_at(index),
-                        self.peer_id, "ebgp")
-
     def load(self, loc_rib):
         """Offer the whole table; returns the number of routes."""
         offer = loc_rib.offer
-        count = 0
-        for route in self.routes():
-            offer(route)
-            count += 1
-        return count
+        prefix_at, pool_index = self.prefix_at, self._pool_index
+        paths = self._paths(self.peer_id)
+        for index in range(self.total):
+            offer(prefix_at(index), paths[pool_index(index)])
+        return self.total
 
     def build(self):
         rib = LocRib()
@@ -123,7 +128,7 @@ class FullTableWorkload:
         """
         rng = DeterministicRandom(self.seed if seed is None
                                   else seed).stream("churn")
-        pool = self.attr_pool
+        rivals, primaries = self._paths(competitor), self._paths(self.peer_id)
         applied = 0
         for op in range(ops):
             # Groups of three share a multiplicatively-scattered base
@@ -132,15 +137,13 @@ class FullTableWorkload:
             base = ((op // 3) * 2654435761) % self.size
             kind = op % 3
             if kind == 0:
-                loc_rib.offer(Route(self.prefix_at(base),
-                                    pool[rng.randrange(len(pool))],
-                                    competitor, "ebgp"))
+                loc_rib.offer(self.prefix_at(base),
+                              rivals[rng.randrange(len(rivals))])
             elif kind == 1:
                 loc_rib.retract(self.prefix_at(base), competitor)
             else:
-                loc_rib.offer(Route(self.prefix_at((base + 1) % self.size),
-                                    pool[rng.randrange(len(pool))],
-                                    self.peer_id, "ebgp"))
+                loc_rib.offer(self.prefix_at((base + 1) % self.size),
+                              primaries[rng.randrange(len(primaries))])
             applied += 1
         return applied
 

@@ -41,7 +41,7 @@ from repro.bgp.prefixes import (
     prefix_text,
     prefix_value,
 )
-from repro.bgp.rib import LocRib, Route
+from repro.bgp.rib import LocRib, Path
 from repro.sim.rand import DeterministicRandom
 
 
@@ -49,7 +49,7 @@ class ReferenceRib:
     """Dict-of-dicts Loc-RIB with full re-selection on every change."""
 
     def __init__(self):
-        # prefix -> {peer_id: Route}; a prefix enters on its first path
+        # prefix -> {peer_id: Path}; a prefix enters on its first path
         # and leaves with its last, so the key order is also the order
         # LocRib's best map must iterate in.
         self._candidates = {}
@@ -57,13 +57,15 @@ class ReferenceRib:
 
     # -- mutation (mirrors LocRib.offer/retract return contract) ------------
 
-    def offer(self, route):
-        old = self.best(route.prefix)
-        candidates = self._candidates.setdefault(route.prefix, {})
-        if candidates and list(candidates) != [route.peer_id]:
+    def offer(self, prefix, path):
+        """``(old best, new best)``, where re-offering the object that
+        is already the best counts as a change: ``(None, path)``."""
+        old = self.best(prefix)
+        candidates = self._candidates.setdefault(prefix, {})
+        if candidates and list(candidates) != [path.peer_id]:
             self.decision_runs += 1
-        candidates[route.peer_id] = route
-        return old, self.best(route.prefix)
+        candidates[path.peer_id] = path
+        return (None if old is path else old), self.best(prefix)
 
     def retract(self, prefix, peer_id):
         old = self.best(prefix)
@@ -80,8 +82,8 @@ class ReferenceRib:
     @staticmethod
     def _won_med_group(candidates, removed):
         group = med_group(removed)
-        rivals = [route for route in candidates.values()
-                  if group is not None and med_group(route) == group]
+        rivals = [path for path in candidates.values()
+                  if group is not None and med_group(path) == group]
         return bool(rivals) and not any(prefer(r, removed) for r in rivals)
 
     # -- selection -----------------------------------------------------------
@@ -101,25 +103,26 @@ class ReferenceRib:
     def __len__(self):
         return len(self._candidates)
 
-    # -- tree queries, by linear scan ----------------------------------------
+    # -- tree queries, by linear scan (these hand out Routes) ----------------
 
     def lookup(self, prefix):
         """Longest-prefix match over selected routes."""
         covers = [p for p in self._candidates if prefix_contains(p, prefix)]
         if not covers:
             return None
-        return self.best(max(covers, key=prefix_length))
+        match = max(covers, key=prefix_length)
+        return self.best(match).at(match)
 
     def covered_best(self, prefix):
         return [
-            (stored, self.best(stored))
+            (stored, self.best(stored).at(stored))
             for stored in sorted(self._candidates)
             if prefix_contains(prefix, stored)
         ]
 
     def covering_best(self, prefix):
         return [
-            (stored, self.best(stored))
+            (stored, self.best(stored).at(stored))
             for stored in sorted(self._candidates, key=prefix_length)
             if prefix_contains(stored, prefix)
         ]
@@ -140,10 +143,10 @@ class ReferenceRib:
             {
                 "prefix": prefix_text(prefix),
                 "peer_id": peer_id,
-                "source_kind": route.source_kind,
-                "attributes": route.attributes.to_wire(),
+                "source_kind": path.source_kind,
+                "attributes": path.attributes.to_wire(),
             }
-            for peer_id, route in sorted(candidates.items(),
+            for peer_id, path in sorted(candidates.items(),
                                          key=lambda kv: str(kv[0]))
         ]
 
@@ -375,17 +378,19 @@ def _contest_attributes(rng):
 def contested_churn(seed, steps=500, index_at=None):
     """Drive a LocRib and a ReferenceRib through one seeded offer/retract
     sequence over five prefixes and three peers, so every prefix keeps
-    crossing 1 -> 2 -> 1 -> 0 paths (same peer re-offering, MED-group
-    joins and evictions, retracts of best and non-best), asserting
-    agreement on everything observable after every step.  ``index_at``
-    is the step before which the derived prefix store is first read
-    (None: only the periodic ``export_entries`` reads it).  Returns the
-    trace of observations, for determinism pins.
+    crossing 1 -> 2 -> 1 -> 0 paths (same peer re-offering — a new path
+    or the very path object it already has there — MED-group joins and
+    evictions, retracts of best and non-best), asserting agreement on
+    everything observable after every step, returns by identity.
+    ``index_at`` is the step before which the derived prefix store is
+    first read (None: only the periodic ``export_entries`` reads it).
+    Returns the trace of observations, for determinism pins.
     """
     rng = DeterministicRandom(seed).stream("rib-contested")
     rib, reference = LocRib(), ReferenceRib()
     trace = []
     watermark, touched, crossings = 0, set(), set()
+    restored_best = 0
     for step in range(steps):
         if step == index_at:
             assert list(rib.store) == sorted(reference.prefixes())
@@ -398,11 +403,18 @@ def contested_churn(seed, steps=500, index_at=None):
             if peer in before:
                 touched.add(prefix)
         else:
-            route = Route(prefix, _contest_attributes(rng), peer,
-                          rng.choice(["ebgp", "ibgp"]))
-            expected = reference.offer(route)
-            result = rib.offer(route)
+            path = before.get(peer)
+            if path is None or rng.random() < 0.75:
+                path = Path(_contest_attributes(rng), peer,
+                            rng.choice(["ebgp", "ibgp"]))
+            elif path is reference.best(prefix):
+                restored_best += 1
+            expected = reference.offer(prefix, path)
+            result = rib.offer(prefix, path)
             touched.add(prefix)
+            # Re-storing the best path object is a change, like any
+            # re-announce: the caller must not read it as "no change".
+            assert result[0] is not result[1] or path is not result[1]
         crossings.add((len(before), len(reference.candidates(prefix))))
         assert all(r is e for r, e in zip(result, expected)), (result, expected)
         assert rib.decision_runs == reference.decision_runs
@@ -432,4 +444,5 @@ def contested_churn(seed, steps=500, index_at=None):
                            e["attributes"].hex()) for e in entries])
     assert crossings >= {(0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 2),
                          (2, 1), (1, 0), (0, 0)}, crossings
+    assert restored_best, "no step re-offered a prefix's best path object"
     return trace

@@ -11,7 +11,7 @@ from repro.bgp.aggregation import (
     expand_snapshot_entries,
 )
 from repro.bgp.attributes import AsPath, PathAttributes
-from repro.bgp.rib import AdjRibOut, Route
+from repro.bgp.rib import AdjRibOut, Path
 from repro.core.recovery import BackupRecovery
 from repro.core.replication import ReplicationPipeline
 from repro.kvstore import KvClient, KvServer
@@ -29,7 +29,7 @@ def _attrs(**overrides):
 
 def _fill(rib, prefixes, attrs=None, peer="p1"):
     for prefix in prefixes:
-        rib.offer(Route(prefix, attrs or _attrs(), peer, "ebgp"))
+        rib.offer(prefix, Path(attrs or _attrs(), peer, "ebgp"))
 
 
 def _block(base, count, length=24):
@@ -111,9 +111,9 @@ def test_multi_candidate_and_default_route_pass_through():
     rib = LocRib()
     members = _block(Prefix.parse("10.1.0.0/23").value, 2)
     _fill(rib, members)
-    rib.offer(Route(members[0], _attrs(local_pref=50), "p2", "ebgp"))
+    rib.offer(members[0], Path(_attrs(local_pref=50), "p2", "ebgp"))
     default = Prefix(0, 0)
-    rib.offer(Route(default, _attrs(), "p1", "ebgp"))
+    rib.offer(default, Path(_attrs(), "p1", "ebgp"))
     encoded = _round_trip(rib, members + [default])
     # the two-candidate prefix and the default route forbid any merge
     assert all("prefix" in rec for rec in encoded)
@@ -123,8 +123,8 @@ def test_multi_candidate_and_default_route_pass_through():
 def test_collapse_differs_by_peer_signature():
     rib = LocRib()
     members = _block(Prefix.parse("10.1.0.0/23").value, 2)
-    rib.offer(Route(members[0], _attrs(), "p1", "ebgp"))
-    rib.offer(Route(members[1], _attrs(), "p2", "ebgp"))
+    rib.offer(members[0], Path(_attrs(), "p1", "ebgp"))
+    rib.offer(members[1], Path(_attrs(), "p2", "ebgp"))
     encoded = _round_trip(rib, members)
     assert all("prefix" in rec for rec in encoded)
 
@@ -139,7 +139,7 @@ def test_coinciding_texts_order_plain_then_member_length():
     members = ([Prefix(0, 0), root] + halves + _block(root.value, 4)
                + _block(root.value, 8, length=25))
     _fill(rib, members)
-    rib.offer(Route(Prefix(0, 0), _attrs(local_pref=50), "p0", "ibgp"))
+    rib.offer(Prefix(0, 0), Path(_attrs(local_pref=50), "p0", "ibgp"))
     encoded = _round_trip(rib, members)
     assert [(rec.get("prefix") or rec["aggregate"],
              rec.get("member_length"), rec["peer_id"]) for rec in encoded] == [
@@ -164,9 +164,9 @@ def test_collapse_fuzz_round_trip():
             prefixes.add(prefix)
             attrs = _attrs(med=rng.choice([0, 0, 0, 50]))
             peer = rng.choice(["p1", "p1", "p2"])
-            rib.offer(Route(prefix, attrs, peer, "ebgp"))
+            rib.offer(prefix, Path(attrs, peer, "ebgp"))
             if rng.random() < 0.2:
-                rib.offer(Route(prefix, _attrs(local_pref=90), "p3", "ebgp"))
+                rib.offer(prefix, Path(_attrs(local_pref=90), "p3", "ebgp"))
         _round_trip(rib, sorted(prefixes))
 
 
@@ -229,7 +229,7 @@ def test_aggregated_incremental_compaction_stays_correct(kv_env):
     # Punch a divergence into one block, then touch another block's
     # member: only dirty chunks rewrite, and recovery still matches.
     hole = Prefix.parse("10.2.3.0/24")
-    rib.offer(Route(hole, _attrs(med=99), "p1", "ebgp"))
+    rib.offer(hole, Path(_attrs(med=99), "p1", "ebgp"))
     rib.retract(Prefix.parse("10.1.5.0/24"), "p1")
     pipeline.compact("v1", rib)
     engine.run_until_idle()
@@ -279,7 +279,7 @@ def test_transform_table_collapses_uniform_members():
     _fill(rib, members)
     aggregator = ExportAggregator("spk", [aggregate])
     session = _StubSession()
-    routes = [(route.prefix, route.attributes) for route in rib.best_routes()]
+    routes = [(prefix, path.attributes) for prefix, path in rib.items()]
     out = aggregator.transform_table(rib, session, routes)
     assert [prefix for prefix, _ in out] == [aggregate]
     assert aggregator.aggregates_advertised == 1
@@ -294,7 +294,7 @@ def test_transform_table_punches_hole_for_divergent_member():
     _fill(rib, members[3:], attrs=divergent)
     aggregator = ExportAggregator("spk", [aggregate])
     out = aggregator.transform_table(rib, _StubSession(), [
-        (route.prefix, route.attributes) for route in rib.best_routes()
+        (prefix, path.attributes) for prefix, path in rib.items()
     ])
     exported = dict(out)
     assert set(exported) == {aggregate, members[3]}
@@ -310,7 +310,7 @@ def test_transform_table_inert_below_min_members():
     _fill(rib, [only])
     aggregator = ExportAggregator("spk", [aggregate])
     out = aggregator.transform_table(rib, _StubSession(), [
-        (route.prefix, route.attributes) for route in rib.best_routes()
+        (prefix, path.attributes) for prefix, path in rib.items()
     ])
     assert [prefix for prefix, _ in out] == [only]
     assert aggregator.aggregates_advertised == 0
@@ -322,10 +322,10 @@ def test_transform_table_inert_when_real_aggregate_route_exists():
     members = _block(aggregate.value, 4)
     _fill(rib, members)
     real = _attrs(local_pref=200)
-    rib.offer(Route(aggregate, real, "p7", "ebgp"))
+    rib.offer(aggregate, Path(real, "p7", "ebgp"))
     aggregator = ExportAggregator("spk", [aggregate])
     out = aggregator.transform_table(rib, _StubSession(), [
-        (route.prefix, route.attributes) for route in rib.best_routes()
+        (prefix, path.attributes) for prefix, path in rib.items()
     ])
     exported = dict(out)
     # the real /22 route passes through; members export individually
@@ -352,12 +352,12 @@ def test_broken_aggregate_reexports_and_withdraws_members_ascending():
     assert list(out) == sorted(gone) and set(out.values()) == {None}
     # A real route at the aggregate's own prefix breaks it: the aggregate
     # is withdrawn and every surviving member re-exported.
-    rib.offer(Route(aggregate, _attrs(local_pref=200), "p7", "ebgp"))
+    rib.offer(aggregate, Path(_attrs(local_pref=200), "p7", "ebgp"))
     out = aggregator.transform_changes(rib, session, {members[0]: None})
     survivors = sorted(set(members) - set(gone))
     assert list(out) == [aggregate] + survivors
     assert out.pop(aggregate) is None
-    assert [route.prefix for route in out.values()] == survivors
+    assert all(out[prefix] is rib.best(prefix) for prefix in survivors)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_mp_routes_of_empty():
 def test_v6_routes_learnable_over_session(engine, two_hosts):
     """A v6 table carried in MP_REACH applies into a v6-keyed Loc-RIB."""
     from repro.bgp import BgpSpeaker, PeerConfig, SpeakerConfig
-    from repro.bgp.rib import Route
+    from repro.bgp.rib import Path
     from repro.tcpsim import TcpStack
 
     a, b = two_hosts
@@ -102,8 +102,9 @@ def test_v6_routes_learnable_over_session(engine, two_hosts):
     # NLRI keying works because Prefix is AFI-aware
     attrs = PathAttributes(as_path=AsPath.sequence(64512), next_hop="10.0.0.2")
     v6_attrs = attach_mp_reach(attrs, V6_NH, V6_PREFIXES)
+    path = Path(v6_attrs, "local:b", "local")
     for prefix in V6_PREFIXES:
-        spk_b.vrfs["default"].loc_rib.offer(Route(prefix, v6_attrs, "local:b", "local"))
+        spk_b.vrfs["default"].loc_rib.offer(prefix, path)
     spk_b.readvertise(sess_b)
     engine.advance(2.0)
     learned = [r for r in spk_a.vrfs["default"].loc_rib.best_routes()

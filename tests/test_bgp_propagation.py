@@ -250,3 +250,79 @@ def test_withdrawals_survive_a_loop_rejected_nlri_half(engine, network):
     assert b_rib.best(p) is None
     assert c_rib.best(p) is None
     assert b_from_a.updates_received == received + 2
+
+
+# -- offer's (old, new) identity contract, end to end -------------------------
+#
+# A speaker propagates a change unless ``old is new``.  One UPDATE's run of
+# prefixes shares one path object, so re-storing that object (a prefix
+# repeated in the block) must still read as a change, exactly as a fresh
+# per-route object did.
+
+
+def _chain(engine, network):
+    """a (AS 64512) -> b (AS 65001) -> c (AS 64513); returns the a->b
+    session, b's session from a, c's session from b, and b's change log:
+    ``(prefix, changed)`` per change b's sessions handed the speaker."""
+    speakers = _mesh(engine, network, {
+        "a": ("10.0.0.1", 64512),
+        "b": ("10.0.0.2", 65001),
+        "c": ("10.0.0.3", 64513),
+    })
+    a_to_b = _connect(engine, speakers, "a", "b")
+    _connect(engine, speakers, "c", "b")
+    for speaker in speakers.values():
+        speaker.start()
+    engine.advance(3.0)
+    b = speakers["b"]
+    log = []
+    propagate = b.best_paths_changed
+
+    def logged(origin_session, changes):
+        log.extend((prefix, old is not new) for prefix, old, new in changes)
+        propagate(origin_session, changes)
+
+    b.best_paths_changed = logged
+    return (a_to_b, b.sessions["v:10.0.0.1"],
+            speakers["c"].sessions["v:10.0.0.2"], log)
+
+
+def _attrs(local_pref=None):
+    gen = RouteGenerator(DeterministicRandom(9), 64512, next_hop="10.0.0.1")
+    return gen.attr_pool[0].replace(local_pref=local_pref)
+
+
+def test_equal_reannounce_in_a_later_update_still_propagates(engine, network):
+    a_to_b, _b_from_a, c_from_b, log = _chain(engine, network)
+    p = Prefix.parse("10.30.0.0/16")
+    for _ in range(2):
+        a_to_b.send_message(UpdateMessage(attributes=_attrs(), nlri=[p]))
+        engine.advance(3.0)
+    assert log == [(p, True), (p, True)]
+    assert c_from_b.updates_received == 2
+    assert c_from_b.speaker.vrfs["v"].loc_rib.best(p) is not None
+
+
+def test_prefix_repeated_in_one_nlri_block_is_two_changes(engine, network):
+    a_to_b, b_from_a, c_from_b, log = _chain(engine, network)
+    p, q = Prefix.parse("10.31.0.0/16"), Prefix.parse("10.32.0.0/16")
+    a_to_b.send_message(UpdateMessage(attributes=_attrs(), nlri=[p, q, p]))
+    engine.advance(3.0)
+    assert log == [(p, True), (q, True), (p, True)]
+    assert b_from_a.updates_received == 3 and len(b_from_a.adj_rib_in) == 2
+    assert c_from_b.updates_received == 2  # queued per prefix: p once
+
+
+def test_withdraw_then_announce_in_one_update(engine, network):
+    a_to_b, b_from_a, c_from_b, log = _chain(engine, network)
+    p = Prefix.parse("10.33.0.0/16")
+    a_to_b.send_message(UpdateMessage(attributes=_attrs(), nlri=[p]))
+    engine.advance(3.0)
+    a_to_b.send_message(UpdateMessage(withdrawn=[p], attributes=_attrs(200),
+                                      nlri=[p]))
+    engine.advance(3.0)
+    assert log == [(p, True), (p, True), (p, True)]
+    assert b_from_a.adj_rib_in.get(p).attributes.local_pref == 200
+    # c hears the announcement, never a withdrawal of p.
+    assert c_from_b.updates_received == 2
+    assert c_from_b.speaker.vrfs["v"].loc_rib.best(p) is not None

@@ -5,17 +5,16 @@ from hypothesis import given, strategies as st
 
 from repro.bgp import AdjRibIn, AsPath, LocRib, Origin, PathAttributes, Prefix
 from repro.bgp.decision import best_path
-from repro.bgp.rib import Route
+from repro.bgp.rib import Path, Route
 from repro.sim.rand import DeterministicRandom
 
 P1 = Prefix.parse("10.0.0.0/8")
 P2 = Prefix.parse("192.0.2.0/24")
 
 
-def _route(peer, prefix=P1, local_pref=None, path=(65001,), origin=Origin.IGP,
-           med=None, source_kind="ebgp"):
-    return Route(
-        prefix,
+def _path(peer, local_pref=None, path=(65001,), origin=Origin.IGP, med=None,
+          source_kind="ebgp"):
+    return Path(
         PathAttributes(
             origin=origin,
             as_path=AsPath.sequence(*path),
@@ -33,11 +32,12 @@ def _route(peer, prefix=P1, local_pref=None, path=(65001,), origin=Origin.IGP,
 
 def test_adj_rib_in_update_and_withdraw():
     rib = AdjRibIn("peer1")
-    route = _route("peer1")
-    assert rib.update(route) is None
-    assert rib.get(P1) is route
-    replacement = _route("peer1", local_pref=50)
-    assert rib.update(replacement) is route
+    path = _path("peer1")
+    rib.store(P1, path)
+    assert rib.get(P1) is path
+    replacement = _path("peer1", local_pref=50)
+    rib.store(P1, replacement)
+    assert list(rib.items()) == [(P1, replacement)]
     assert rib.withdraw(P1) is replacement
     assert rib.withdraw(P1) is None
     assert len(rib) == 0
@@ -45,8 +45,9 @@ def test_adj_rib_in_update_and_withdraw():
 
 def test_adj_rib_in_clear_returns_prefixes():
     rib = AdjRibIn("p")
-    rib.update(_route("p", P1))
-    rib.update(_route("p", P2))
+    shared = _path("p")
+    rib.store(P1, shared)
+    rib.store(P2, shared)
     assert set(rib.clear()) == {P1, P2}
 
 
@@ -54,38 +55,38 @@ def test_adj_rib_in_clear_returns_prefixes():
 
 
 def test_higher_local_pref_wins():
-    low = _route("a", local_pref=100)
-    high = _route("b", local_pref=200)
+    low = _path("a", local_pref=100)
+    high = _path("b", local_pref=200)
     assert best_path([low, high]) is high
 
 
 def test_missing_local_pref_defaults_100():
-    default = _route("a")
-    lower = _route("b", local_pref=50)
+    default = _path("a")
+    lower = _path("b", local_pref=50)
     assert best_path([default, lower]) is default
 
 
 def test_shorter_as_path_wins():
-    short = _route("a", path=(65001,))
-    long = _route("b", path=(65001, 65002, 65003))
+    short = _path("a", path=(65001,))
+    long = _path("b", path=(65001, 65002, 65003))
     assert best_path([long, short]) is short
 
 
 def test_lower_origin_wins():
-    igp = _route("a", origin=Origin.IGP)
-    incomplete = _route("b", origin=Origin.INCOMPLETE)
+    igp = _path("a", origin=Origin.IGP)
+    incomplete = _path("b", origin=Origin.INCOMPLETE)
     assert best_path([incomplete, igp]) is igp
 
 
 def test_med_compared_within_same_first_as():
-    low_med = _route("a", path=(65001,), med=10)
-    high_med = _route("b", path=(65001,), med=50)
+    low_med = _path("a", path=(65001,), med=10)
+    high_med = _path("b", path=(65001,), med=50)
     assert best_path([high_med, low_med]) is low_med
 
 
 def test_med_ignored_across_different_as():
-    a = _route("a", path=(65001,), med=50)
-    b = _route("b", path=(65002,), med=10)
+    a = _path("a", path=(65001,), med=50)
+    b = _path("b", path=(65002,), med=10)
     # MED skipped; falls to peer tie-break ("a" < "b")
     assert best_path([a, b]) is a
 
@@ -101,9 +102,9 @@ def test_med_cycle_is_order_independent():
     """
     import itertools
 
-    a = _route("a", path=(65001,), med=10, source_kind="ebgp")
-    b = _route("b", path=(65002,), med=99, source_kind="ibgp")
-    c = _route("c", path=(65001,), med=5, source_kind="ibgp")
+    a = _path("a", path=(65001,), med=10, source_kind="ebgp")
+    b = _path("b", path=(65002,), med=99, source_kind="ibgp")
+    c = _path("c", path=(65001,), med=5, source_kind="ibgp")
     for order in itertools.permutations([a, b, c]):
         assert best_path(list(order)) is b, [r.peer_id for r in order]
 
@@ -115,14 +116,14 @@ def test_loc_rib_incremental_matches_med_semantics():
     import itertools
 
     routes = {
-        "a": _route("a", path=(65001,), med=10, source_kind="ebgp"),
-        "b": _route("b", path=(65002,), med=99, source_kind="ibgp"),
-        "c": _route("c", path=(65001,), med=5, source_kind="ibgp"),
+        "a": _path("a", path=(65001,), med=10, source_kind="ebgp"),
+        "b": _path("b", path=(65002,), med=99, source_kind="ibgp"),
+        "c": _path("c", path=(65001,), med=5, source_kind="ibgp"),
     }
     for order in itertools.permutations(routes):
         rib = LocRib()
         for peer in order:
-            rib.offer(routes[peer])
+            rib.offer(P1, routes[peer])
         assert rib.best(P1).peer_id == "b", order
         # evicting the MED-group winner restores the eBGP route as a
         # finalist, which then beats b — a non-best retract that must
@@ -132,14 +133,14 @@ def test_loc_rib_incremental_matches_med_semantics():
 
 
 def test_ebgp_beats_ibgp():
-    ebgp = _route("z-ebgp", source_kind="ebgp")
-    ibgp = _route("a-ibgp", source_kind="ibgp")
+    ebgp = _path("z-ebgp", source_kind="ebgp")
+    ibgp = _path("a-ibgp", source_kind="ibgp")
     assert best_path([ibgp, ebgp]) is ebgp
 
 
 def test_deterministic_peer_tiebreak():
-    a = _route("peer-a")
-    b = _route("peer-b")
+    a = _path("peer-a")
+    b = _path("peer-b")
     assert best_path([b, a]) is a
 
 
@@ -152,18 +153,40 @@ def test_empty_candidates_returns_none():
 
 def test_loc_rib_offer_and_best():
     rib = LocRib()
-    old, new = rib.offer(_route("a", local_pref=100))
+    old, new = rib.offer(P1, _path("a", local_pref=100))
     assert old is None and new.peer_id == "a"
-    old, new = rib.offer(_route("b", local_pref=200))
+    old, new = rib.offer(P1, _path("b", local_pref=200))
     assert old.peer_id == "a" and new.peer_id == "b"
     assert rib.best(P1).peer_id == "b"
     assert len(rib) == 1
 
 
+def test_reoffering_the_best_path_object_is_a_change():
+    """``offer``'s identity contract: ``old is new`` means the selection
+    did not change.  Re-storing the very object that is already best —
+    one shared path, as for a prefix repeated in one NLRI block — is a
+    re-announce, reported as ``(None, path)``; re-storing a losing path
+    changes nothing."""
+    rib = LocRib()
+    path = _path("a")
+    assert rib.offer(P1, path) == (None, path)
+    old, new = rib.offer(P1, path)
+    assert old is None and new is path
+    rival = _path("b", local_pref=50)
+    old, new = rib.offer(P1, rival)
+    assert old is new is path
+    old, new = rib.offer(P1, rival)
+    assert old is new is path
+    old, new = rib.offer(P1, path)
+    assert old is None and new is path
+    assert rib.best(P1) is path and rib.candidates(P1) == {"a": path,
+                                                           "b": rival}
+
+
 def test_loc_rib_retract_falls_back():
     rib = LocRib()
-    rib.offer(_route("a", local_pref=100))
-    rib.offer(_route("b", local_pref=200))
+    rib.offer(P1, _path("a", local_pref=100))
+    rib.offer(P1, _path("b", local_pref=200))
     old, new = rib.retract(P1, "b")
     assert old.peer_id == "b" and new.peer_id == "a"
     old, new = rib.retract(P1, "a")
@@ -173,23 +196,23 @@ def test_loc_rib_retract_falls_back():
 
 def test_loc_rib_retract_unknown_is_noop():
     rib = LocRib()
-    rib.offer(_route("a"))
+    rib.offer(P1, _path("a"))
     old, new = rib.retract(P1, "nobody")
     assert old is new
 
 
 def test_loc_rib_candidates_view():
     rib = LocRib()
-    rib.offer(_route("a"))
-    rib.offer(_route("b"))
+    rib.offer(P1, _path("a"))
+    rib.offer(P1, _path("b"))
     assert set(rib.candidates(P1)) == {"a", "b"}
 
 
 def test_loc_rib_export_import_roundtrip():
     rib = LocRib(local_as=65001, router_id=7)
-    rib.offer(_route("a", P1, local_pref=100))
-    rib.offer(_route("b", P1, local_pref=200))
-    rib.offer(_route("a", P2))
+    rib.offer(P1, _path("a", local_pref=100))
+    rib.offer(P1, _path("b", local_pref=200))
+    rib.offer(P2, _path("a"))
     entries = rib.export_entries()
     rebuilt = LocRib.import_entries(entries, 65001, 7)
     assert len(rebuilt) == len(rib)
@@ -198,30 +221,30 @@ def test_loc_rib_export_import_roundtrip():
 
 
 def test_route_hashable_by_value():
-    a = _route("a")
-    b = _route("a")
+    a = _path("a").at(P1)
+    b = _path("a").at(P1)
     assert a == b and a is not b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1  # value-equal routes collapse in a set
-    assert len({a, b, _route("c")}) == 2
+    assert len({a, b, _path("c").at(P1)}) == 2
 
 
 def test_decision_runs_counts_offer_selections():
     rib = LocRib()
-    rib.offer(_route("a", local_pref=100))
+    rib.offer(P1, _path("a", local_pref=100))
     assert rib.decision_runs == 0  # first candidate: trivial adoption
-    rib.offer(_route("a", local_pref=150))
+    rib.offer(P1, _path("a", local_pref=150))
     assert rib.decision_runs == 0  # lone-candidate replacement: trivial
-    rib.offer(_route("b", local_pref=200))
+    rib.offer(P1, _path("b", local_pref=200))
     assert rib.decision_runs == 1  # challenger vs incumbent comparison
-    rib.offer(_route("b", local_pref=50))
+    rib.offer(P1, _path("b", local_pref=50))
     assert rib.decision_runs == 2  # best's own peer replaced: full re-scan
 
 
 def test_decision_runs_counts_retract_selections():
     rib = LocRib()
-    rib.offer(_route("a", local_pref=100))
-    rib.offer(_route("b", local_pref=200))
+    rib.offer(P1, _path("a", local_pref=100))
+    rib.offer(P1, _path("b", local_pref=200))
     runs = rib.decision_runs
     rib.retract(P1, "nobody")
     assert rib.decision_runs == runs  # no-op retract: nothing to select
@@ -229,8 +252,8 @@ def test_decision_runs_counts_retract_selections():
     assert rib.decision_runs == runs  # non-best retract: best untouched
     rib.retract(P1, "b")
     assert rib.decision_runs == runs  # last candidate gone: no selection
-    rib.offer(_route("a", local_pref=100))
-    rib.offer(_route("b", local_pref=200))
+    rib.offer(P1, _path("a", local_pref=100))
+    rib.offer(P1, _path("b", local_pref=200))
     runs = rib.decision_runs
     rib.retract(P1, "b")
     assert rib.decision_runs == runs + 1  # best lost: full re-scan
@@ -245,7 +268,7 @@ def test_incremental_reselect_matches_full_rescan_10k():
     prefixes = [Prefix(i << 12, 20) for i in range(400)]
     peers = [f"peer{i}" for i in range(8)]
     rib = LocRib()
-    shadow = {}  # prefix -> {peer: Route}, mutated in the same order
+    shadow = {}  # prefix -> {peer: Path}, mutated in the same order
     for _step in range(10_000):
         prefix = rng.choice(prefixes)
         peer = rng.choice(peers)
@@ -257,16 +280,15 @@ def test_incremental_reselect_matches_full_rescan_10k():
                 if not table:
                     del shadow[prefix]
         else:
-            route = _route(
+            path = _path(
                 peer,
-                prefix,
                 local_pref=rng.choice((None, 50, 100, 200)),
                 path=tuple(rng.sample(range(64500, 64600), rng.randint(1, 4))),
                 med=rng.choice((None, 0, 10)),
                 source_kind=rng.choice(("ebgp", "ibgp")),
             )
-            rib.offer(route)
-            shadow.setdefault(prefix, {})[peer] = route
+            rib.offer(prefix, path)
+            shadow.setdefault(prefix, {})[peer] = path
     # Byte-identical export: every candidate path, same order, same wire.
     expected_entries = []
     for prefix in sorted(shadow):
@@ -274,10 +296,10 @@ def test_incremental_reselect_matches_full_rescan_10k():
             {
                 "prefix": str(prefix),
                 "peer_id": peer,
-                "source_kind": route.source_kind,
-                "attributes": route.attributes.to_wire(),
+                "source_kind": path.source_kind,
+                "attributes": path.attributes.to_wire(),
             }
-            for peer, route in sorted(shadow[prefix].items(), key=lambda kv: str(kv[0]))
+            for peer, path in sorted(shadow[prefix].items(), key=lambda kv: str(kv[0]))
         )
     assert rib.export_entries() == expected_entries
     # And the incrementally-maintained best equals a full re-scan.
@@ -291,7 +313,7 @@ def test_incremental_reselect_matches_full_rescan_10k():
 
 @st.composite
 def route_strategy(draw, peer_pool=("a", "b", "c", "d", "e")):
-    return _route(
+    return _path(
         draw(st.sampled_from(peer_pool)),
         local_pref=draw(st.one_of(st.none(), st.integers(0, 500))),
         path=tuple(draw(st.lists(st.integers(1, 2**16), min_size=1, max_size=5))),
@@ -323,7 +345,7 @@ def test_loc_rib_matches_direct_selection(routes):
     """Incremental offer() converges to the same best as one-shot selection."""
     rib = LocRib()
     for route in routes:
-        rib.offer(route)
+        rib.offer(P1, route)
     last_by_peer = {}
     for route in routes:
         last_by_peer[route.peer_id] = route

@@ -154,14 +154,16 @@ def test_routes_of_one_update_share_one_peer_id(engine, network):
     received_before = session_b.updates_received
     session_b.handle_message(UpdateMessage(attributes=attrs, nlri=v4), 64)
 
-    routes = list(session_b.adj_rib_in.routes())
-    assert [route.prefix for route in routes] == v4 + v6
-    assert len({id(route.peer_id) for route in routes}) == 1
-    assert all(route.peer_id == "v:10.0.0.1" == session_b.peer_id
-               and route.source_kind == "ebgp"
-               and route.attributes is attrs for route in routes)
+    stored = list(session_b.adj_rib_in.items())
+    assert [prefix for prefix, _path in stored] == v4 + v6
+    paths = {id(path): path for _prefix, path in stored}
+    assert len(paths) == 2  # one per run: the v4 block, the v6 block
+    assert len({id(path.peer_id) for path in paths.values()}) == 1
+    assert all(path.peer_id == "v:10.0.0.1" == session_b.peer_id
+               and path.source_kind == "ebgp"
+               and path.attributes is attrs for path in paths.values())
     loc_rib = b.vrfs["v"].loc_rib
-    assert all(loc_rib.best(route.prefix) is route for route in routes)
+    assert all(loc_rib.best(prefix) is path for prefix, path in stored)
     assert session_b.routes_learned - learned_before == 8
     assert session_b.updates_received - received_before == 8
 

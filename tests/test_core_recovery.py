@@ -4,7 +4,7 @@ import pytest
 
 from repro.bgp import LocRib, PathAttributes, Prefix
 from repro.bgp.attributes import AsPath
-from repro.bgp.rib import Route
+from repro.bgp.rib import Path
 from repro.core.recovery import BackupRecovery, RecoveredState
 from repro.core.replication import (
     ConnectionKeys,
@@ -50,7 +50,7 @@ def test_rebuild_loc_rib_snapshot_plus_deltas():
     state = _state_with()
     rib = LocRib()
     for i in range(10):
-        rib.offer(Route(Prefix(i << 8, 24), _attrs(), "p1"))
+        rib.offer(Prefix(i << 8, 24), Path(_attrs(), "p1"))
     entries = rib.export_entries()
     state.rib_snapshots["v1"] = {0: entries[:5], 1: entries[5:]}
     state.rib_markers["v1"] = {"chunks": 2, "delta_floor": 7}

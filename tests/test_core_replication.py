@@ -129,13 +129,13 @@ def test_rib_delta_sequencing(kv_env):
 
 def test_compaction_replaces_deltas_with_snapshot(kv_env):
     from repro.bgp import LocRib, PathAttributes, Prefix
-    from repro.bgp.rib import Route
+    from repro.bgp.rib import Path
 
     engine, server, fast, bulk = kv_env
     pipeline = ReplicationPipeline("pair0", fast, bulk)
     rib = LocRib()
     for i in range(600):
-        rib.offer(Route(Prefix(i << 8, 24), PathAttributes(next_hop="1.1.1.1"), "p"))
+        rib.offer(Prefix(i << 8, 24), Path(PathAttributes(next_hop="1.1.1.1"), "p"))
         pipeline.record_rib_delta("v1", rib_delta(i))
     engine.run_until_idle()
     assert pipeline.needs_compaction("v1", threshold=500)
@@ -182,13 +182,13 @@ def test_coalescer_retry_exhaustion_drops_and_resumes(kv_env):
 
 def test_compaction_marker_floor_is_first_live_delta(kv_env):
     from repro.bgp import LocRib, PathAttributes, Prefix
-    from repro.bgp.rib import Route
+    from repro.bgp.rib import Path
 
     engine, server, fast, bulk = kv_env
     pipeline = ReplicationPipeline("pair0", fast, bulk)
     rib = LocRib()
     for i in range(10):
-        rib.offer(Route(Prefix(i << 8, 24), PathAttributes(next_hop="1.1.1.1"), "p"))
+        rib.offer(Prefix(i << 8, 24), Path(PathAttributes(next_hop="1.1.1.1"), "p"))
         pipeline.record_rib_delta("v1", rib_delta(i))
     engine.run_until_idle()
     pipeline.compact("v1", rib)
@@ -212,20 +212,20 @@ def test_compaction_marker_floor_is_first_live_delta(kv_env):
 
 def test_incremental_compaction_rewrites_only_dirty_chunks(kv_env):
     from repro.bgp import LocRib, PathAttributes, Prefix
-    from repro.bgp.rib import Route
+    from repro.bgp.rib import Path
 
     engine, server, fast, bulk = kv_env
     pipeline = ReplicationPipeline("pair0", fast, bulk)
     rib = LocRib()
     for i in range(600):
-        rib.offer(Route(Prefix(i << 8, 24), PathAttributes(next_hop="1.1.1.1"), "p"))
+        rib.offer(Prefix(i << 8, 24), Path(PathAttributes(next_hop="1.1.1.1"), "p"))
     pipeline.compact("v1", rib)
     engine.run_until_idle()
     first_round = pipeline.snapshot_chunks_written
     assert first_round == 2  # full snapshot: every chunk written
     assert pipeline.incremental_compactions == 0
     # Touch one prefix: the follow-up compaction rewrites one chunk.
-    rib.offer(Route(Prefix(0, 24), PathAttributes(next_hop="2.2.2.2"), "q"))
+    rib.offer(Prefix(0, 24), Path(PathAttributes(next_hop="2.2.2.2"), "q"))
     pipeline.compact("v1", rib)
     engine.run_until_idle()
     assert pipeline.incremental_compactions == 1
@@ -255,17 +255,19 @@ V1_MARKER = "tensor:pair0:rib:v1:marker"
 
 
 def _route(index, next_hop="1.1.1.1", peer="p"):
+    """``(prefix, path)`` of the ``index``-th /24."""
     from repro.bgp import PathAttributes, Prefix
-    from repro.bgp.rib import Route
+    from repro.bgp.rib import Path
 
-    return Route(Prefix(index << 8, 24), PathAttributes(next_hop=next_hop), peer)
+    return Prefix(index << 8, 24), Path(PathAttributes(next_hop=next_hop), peer)
 
 
 def _offer_and_record(pipeline, rib, route, position):
     """What the TENSOR process does per applied UPDATE, minus the wire."""
-    rib.offer(route)
-    announced = [(route.prefix.afi, route.prefix.to_wire(),
-                  route.attributes.to_wire(), route.peer_id, route.source_kind)]
+    prefix, path = route
+    rib.offer(prefix, path)
+    announced = [(prefix.afi, prefix.to_wire(), path.attributes.to_wire(),
+                  path.peer_id, path.source_kind)]
     return pipeline.record_rib_delta(
         "v1", rib_delta(position, announced=announced))
 
@@ -386,7 +388,7 @@ def test_dropped_snapshot_write_forces_a_full_rewrite(kv_env):
     by_bucket = {}
     assign = pipeline._chunk_assigner(buckets)
     for i in range(600):
-        by_bucket.setdefault(assign(_route(i).prefix), i)
+        by_bucket.setdefault(assign(_route(i)[0]), i)
 
     # Change one route in chunk 0 and let its delta land.
     _offer_and_record(pipeline, rib, _route(by_bucket[0], "2.2.2.2", "q"), 600)
@@ -426,13 +428,13 @@ def test_stale_rebucket_deletes_chunks_past_the_new_count(kv_env):
     pipeline = ReplicationPipeline("pair0", fast, bulk)
     rib = LocRib()
     for i in range(3000):
-        rib.offer(_route(i))
+        rib.offer(*_route(i))
     pipeline.compact("v1", rib)
     engine.run_until_idle()
     assert len(server.store.scan("tensor:pair0:rib:v1:s:")) == 6
     pipeline._snapshots_went_stale()
     for i in range(2600):
-        rib.retract(_route(i).prefix, "p")
+        rib.retract(_route(i)[0], "p")
     before = pipeline.incremental_compactions
     pipeline.compact("v1", rib)
     engine.run_until_idle()
@@ -442,7 +444,7 @@ def test_stale_rebucket_deletes_chunks_past_the_new_count(kv_env):
         "tensor:pair0:rib:v1:s:00000000"]
     assert _recovered_entries(engine, fast) == rib.export_entries()
     # Stale is a one-shot: the next compaction is incremental again.
-    rib.offer(_route(2999, "2.2.2.2"))
+    rib.offer(*_route(2999, "2.2.2.2"))
     pipeline.compact("v1", rib)
     engine.run_until_idle()
     assert pipeline.incremental_compactions == before + 1

@@ -6,14 +6,14 @@ import pytest
 
 from repro.bgp import LocRib, PathAttributes, Prefix
 from repro.bgp.attributes import AsPath
-from repro.bgp.rib import Route
+from repro.bgp.rib import Path
 from repro.forwarding import DataPlane, Fib, FibSyncer, TrafficFlow
 from repro.sim import DeterministicRandom, Engine, Network
 
 
 def _route(prefix_text, next_hop, peer="p1", lp=None):
-    return Route(
-        Prefix.parse(prefix_text),
+    """``(prefix, path)`` for ``LocRib.offer``."""
+    return Prefix.parse(prefix_text), Path(
         PathAttributes(as_path=AsPath.sequence(64512), next_hop=next_hop,
                        local_pref=lp),
         peer,
@@ -57,8 +57,8 @@ def test_fib_reprogram_updates_next_hop():
 
 def test_syncer_programs_from_loc_rib(engine):
     rib = LocRib()
-    rib.offer(_route("10.0.0.0/8", "1.1.1.1"))
-    rib.offer(_route("192.0.2.0/24", "2.2.2.2"))
+    rib.offer(*_route("10.0.0.0/8", "1.1.1.1"))
+    rib.offer(*_route("192.0.2.0/24", "2.2.2.2"))
     fib = Fib()
     syncer = FibSyncer(engine, fib, lambda: rib)
     changes = syncer.sync_now()
@@ -69,11 +69,11 @@ def test_syncer_programs_from_loc_rib(engine):
 
 def test_syncer_tracks_withdrawals_and_best_changes(engine):
     rib = LocRib()
-    rib.offer(_route("10.0.0.0/8", "1.1.1.1", peer="a", lp=100))
+    rib.offer(*_route("10.0.0.0/8", "1.1.1.1", peer="a", lp=100))
     fib = Fib()
     syncer = FibSyncer(engine, fib, lambda: rib)
     syncer.sync_now()
-    rib.offer(_route("10.0.0.0/8", "9.9.9.9", peer="b", lp=200))  # better path
+    rib.offer(*_route("10.0.0.0/8", "9.9.9.9", peer="b", lp=200))  # better path
     syncer.sync_now()
     assert fib.lookup("10.0.0.1").next_hop == "9.9.9.9"
     rib.retract(Prefix.parse("10.0.0.0/8"), "b")
@@ -84,7 +84,7 @@ def test_syncer_tracks_withdrawals_and_best_changes(engine):
 
 def test_syncer_holds_state_when_control_plane_down(engine):
     rib_holder = [LocRib()]
-    rib_holder[0].offer(_route("10.0.0.0/8", "1.1.1.1"))
+    rib_holder[0].offer(*_route("10.0.0.0/8", "1.1.1.1"))
     fib = Fib()
     syncer = FibSyncer(engine, fib, lambda: rib_holder[0])
     syncer.sync_now()
@@ -99,7 +99,7 @@ def test_syncer_periodic(engine):
     syncer = FibSyncer(engine, fib, lambda: rib, interval=0.1)
     syncer.start()
     engine.advance(0.05)
-    rib.offer(_route("10.0.0.0/8", "1.1.1.1"))
+    rib.offer(*_route("10.0.0.0/8", "1.1.1.1"))
     engine.advance(0.2)
     assert len(fib) == 1
 

@@ -33,7 +33,7 @@ from repro.bgp.prefixes import (
     prefix_value,
 )
 from repro.bgp.radix import RadixTrie
-from repro.bgp.rib import LocRib, Route
+from repro.bgp.rib import LocRib, Path
 from repro.core.recovery import BackupRecovery
 from repro.core.replication import ReplicationPipeline
 from repro.sim import DeterministicRandom
@@ -114,7 +114,7 @@ def test_default_route_is_the_falsy_key_and_still_a_member():
     default = parse_prefix("0.0.0.0/0")
     assert default == 0 and prefix_text(default) == "0.0.0.0/0"
     rib = LocRib()
-    rib.offer(Route(default, _ATTRS, "p1"))
+    rib.offer(default, Path(_ATTRS, "p1"))
     assert rib.best(default) is not None and default in rib.store
     assert rib.lookup(parse_prefix("203.0.113.9/32")).prefix == default
     assert [e["prefix"] for e in rib.export_entries()] == ["0.0.0.0/0"]
@@ -168,7 +168,7 @@ def test_bulk_producers_yield_plain_ints():
     assert _all_plain(workload.prefix_at(i) for i in range(workload.total))
     rib = workload.build()
     assert _all_plain(rib.prefixes())
-    assert _all_plain(route.prefix for route in rib.best_routes())
+    assert _all_plain(key for key, _path in rib.items())
     assert _all_plain(rib.store) and _all_plain(key for key, _ in rib.store.walk())
     assert _all_plain(key for key, _ in rib.covered_best(parse_prefix("8.0.0.0/8")))
     rebuilt = _rebuilt(_snapshot(rib))
@@ -191,9 +191,9 @@ def test_named_and_decoded_keys_give_one_digest_and_one_store():
     for keys in (named, decoded, mixed):
         rib = LocRib()
         for index, key in enumerate(keys):
-            rib.offer(Route(key, workload.attrs_at(index), "edge0"))
+            rib.offer(key, Path(workload.attrs_at(index), "edge0"))
             if index % 7 == 0:
-                rib.offer(Route(key, workload.attrs_at(index + 1), "edge1"))
+                rib.offer(key, Path(workload.attrs_at(index + 1), "edge1"))
         ribs.append(rib)
     first = ribs[0]
     assert [e["prefix"] for e in first.export_entries()[:1]] == ["0.0.0.0/0"]
@@ -207,21 +207,22 @@ def test_named_and_decoded_keys_give_one_digest_and_one_store():
     assert all(first.best(key) is not None for key in decoded)
 
 
-# -- the collector has one object per route to walk ---------------------------
+# -- the collector has nothing per route to walk ------------------------------
 
-def test_loaded_table_adds_one_tracked_object_per_route():
+def test_loaded_table_adds_no_tracked_object_per_route():
     generator = RouteGenerator(DeterministicRandom(9), 64512)
     wire = encode_nlri_block(generator.prefixes(10_000))
     attrs = generator.attr_pool
     rib = LocRib()
     gc.collect()
     before = len(gc.get_objects())
+    # One path per attribute set, shared by every prefix carrying it.
+    paths = [Path(attributes, "edge0") for attributes in attrs]
     for index, key in enumerate(decode_nlri_block(wire)):
-        rib.offer(Route(key, attrs[index % len(attrs)], "edge0"))
+        rib.offer(key, paths[index % len(paths)])
     added = len(gc.get_objects()) - before
     assert len(rib) == 10_000
-    assert added <= 1.05 * len(rib), added / len(rib)
+    assert added <= 0.05 * len(rib), added / len(rib)
     assert not any(map(gc.is_tracked, rib.prefixes()))
     assert not any(map(gc.is_tracked, rib._changed))
-    assert not any(gc.is_tracked(route.prefix) for route in rib.best_routes())
     assert not any(gc.is_tracked(key) for key in rib.store)

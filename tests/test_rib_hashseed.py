@@ -23,7 +23,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 PROBE = """
 import hashlib
-from repro.bgp.rib import Route
+from repro.bgp.rib import Path
 from repro.core.replication import ReplicationPipeline
 from repro.workloads.fulltable import FullTableWorkload, replay_through_pair
 from tests.conftest import build_tensor_fixture
@@ -49,8 +49,8 @@ for aggregate in (True, False):
     workload = FullTableWorkload(seed=11, size=2000)
     rib, kv = workload.build(), MemoryKv()
     for index in range(0, workload.total, 7):
-        rib.offer(Route(workload.prefix_at(index), workload.attrs_at(index + 16),
-                        f"edge{1 + index % 3}", "ebgp"))
+        rib.offer(workload.prefix_at(index), Path(workload.attrs_at(index + 16),
+                                                  f"edge{1 + index % 3}", "ebgp"))
     pipeline = ReplicationPipeline("pair", kv, kv, aggregate_snapshots=aggregate)
     pipeline.compact("v", rib)
     workload.churn(rib, 150, seed=3)

@@ -20,7 +20,7 @@ import pytest
 
 from repro.bgp import AsPath, LocRib, PathAttributes, Prefix
 from repro.bgp.aggregation import expand_snapshot_entries
-from repro.bgp.rib import Route
+from repro.bgp.rib import Path
 from repro.core import replication
 from repro.core.recovery import RecoveredState
 from repro.core.replication import ReplicationPipeline, rib_snapshot_key
@@ -72,9 +72,9 @@ class Lockstep:
     # -- mutation -----------------------------------------------------------
 
     def offer(self, prefix, attrs, peer="edge0", kind="ebgp"):
-        route = Route(prefix, attrs, peer, kind)
-        self.rib.offer(route)
-        self.reference.offer(route)
+        path = Path(attrs, peer, kind)
+        self.rib.offer(prefix, path)
+        self.reference.offer(prefix, path)
         self.touched.add(prefix)
 
     def retract(self, prefix, peer="edge0"):

@@ -169,6 +169,44 @@ def test_recovery_preserves_loc_rib_exactly():
     assert before == after
 
 
+def test_application_failure_rebuilds_adj_rib_in_with_contested_prefixes():
+    """E1 on a table where two remotes offer the same prefixes: every
+    recovered session's Adj-RIB-In holds exactly what it held before the
+    crash, read out of the rebuilt Loc-RIB's candidates."""
+    from repro.sim import DeterministicRandom
+    from repro.workloads.updates import RouteGenerator
+
+    system, pair, remotes = build_tensor_fixture(
+        seed=112, routes=200, neighbors=2, shared_vrf=True)
+    remote1, _session1 = remotes[1]
+    rival = RouteGenerator(DeterministicRandom(112).fork("rival"), 64513,
+                           next_hop="192.0.2.2")
+    for prefix, attrs in rival.routes(60, base="10.248.0.0"):
+        remote1.speaker.originate("v0", prefix, attrs)
+    system.engine.advance(5.0)
+
+    def adj_ribs_in():
+        return {peer_id: dict(session.adj_rib_in.items())
+                for peer_id, session in pair.speaker.sessions.items()}
+
+    before = adj_ribs_in()
+    # remote1 advertises only the rival routes it prefers to the ones
+    # it learned from the gateway.
+    contested = len(pair.speaker.vrfs["v0"].loc_rib._contested)
+    assert contested > 40
+    assert sorted(map(len, before.values())) == [200, 200 + contested]
+    old_speaker = pair.speaker
+    FailureInjector(system).application_failure(pair)
+    system.engine.advance(40.0)
+    assert pair.speaker is not old_speaker
+    assert adj_ribs_in() == before
+    loc_rib = pair.speaker.vrfs["v0"].loc_rib
+    assert len(loc_rib._contested) == contested
+    for session in pair.speaker.sessions.values():
+        for prefix, path in session.adj_rib_in.items():
+            assert loc_rib.candidates(prefix)[session.peer_id] is path
+
+
 def test_double_failure_primary_then_new_standby():
     """After one migration, a second failure migrates back to the
     re-provisioned standby on the original machine."""

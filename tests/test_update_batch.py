@@ -260,6 +260,29 @@ def test_route_map_is_evaluated_once_per_message_unless_it_matches_prefixes():
 # ----------------------------------------------------------------------
 
 
+def test_packed_receive_holds_no_tracked_object_per_route():
+    """9,000 routes in full UPDATEs through an NSR pair: the gateway's
+    Adj-RIB-In and Loc-RIB hold plain-int keys and one shared path per
+    run of an UPDATE — together well under one GC-tracked object per 20
+    routes."""
+    import gc
+
+    _system, pair, _remotes = build_tensor_fixture(seed=13, routes=9_000)
+    session = next(iter(pair.speaker.sessions.values()))
+    loc_rib = pair.speaker.vrfs["v0"].loc_rib
+    assert len(loc_rib) == len(session.adj_rib_in) == 9_000
+    assert not loc_rib._contested
+    held = {}
+    for table in (session.adj_rib_in.items(), loc_rib.items()):
+        for key, path in table:
+            for value in (key, path):
+                if gc.is_tracked(value):
+                    held[id(value)] = value
+    assert len(held) <= 0.05 * 9_000, len(held)
+    assert all(loc_rib.best(prefix) is path
+               for prefix, path in session.adj_rib_in.items())
+
+
 def test_old_layout_delta_is_rejected_loudly():
     state = RecoveredState("pair0")
     state.rib_deltas["v0"] = [(0, {
