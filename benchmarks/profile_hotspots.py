@@ -70,7 +70,8 @@ def profile_parallel_fleet(workers=1):
 
 def profile_packed_receive(routes=90_000, before_timing=lambda: None):
     """Returns the wall seconds from origination to the last ACK
-    released; ``before_timing`` runs once set-up is over."""
+    released, and the two speakers by role; ``before_timing`` runs once
+    set-up is over."""
     from bench_hotpath import _nsr_pair_lab, _receive
     from repro.sim import DeterministicRandom
     from repro.workloads import RouteGenerator
@@ -83,7 +84,8 @@ def profile_packed_receive(routes=90_000, before_timing=lambda: None):
     started = time.perf_counter()
     remote.speaker.originate_many("v0", table)
     _receive(system, pair, remote, session, routes, limit=300.0)
-    return time.perf_counter() - started
+    return (time.perf_counter() - started,
+            {"gateway": pair.speaker, "remote": remote.speaker})
 
 
 #: stage -> (module, class, method): the calls one UPDATE's path is made
@@ -144,7 +146,7 @@ def print_packed_stage_split():
         patched.append((cls, method, original))
     gc.callbacks.append(on_gc)
     try:
-        wall = profile_packed_receive(before_timing=forget_setup)
+        wall, speakers = profile_packed_receive(before_timing=forget_setup)
         # What every full collection walks: taken before anything the
         # run built is let go.
         tracked = len(gc.get_objects())
@@ -160,6 +162,12 @@ def print_packed_stage_split():
         label = f"gc generation {generation} ({runs} collections)"
         print(f"  {label:46s} {spent:7.3f}s  ({spent / wall:5.1%})")
     print(f"  {'gc-tracked objects at the end':46s} {tracked:7,d}")
+    for role, speaker in speakers.items():
+        # A Loc-RIB keeps its change record only once a snapshot read it.
+        changed = speaker.vrfs["v0"].loc_rib._changed
+        label = f"{role} Loc-RIB change-record entries"
+        print(f"  {label:46s} {len(changed or ()):7,d}"
+              f"{'  (no record)' if changed is None else ''}")
     rest = wall - sum(stage_s.values()) - collector["total"]
     label = "everything else (engine, tcpsim, KV, ACKs)"
     print(f"  {label:46s} {rest:7.3f}s  ({rest / wall:5.1%})")

@@ -169,11 +169,17 @@ def expand_snapshot_entries(entries):
 def expand_snapshot_paths(entries):
     """Decode snapshot records straight into ``(prefix, path)`` pairs,
     in the order :func:`expand_snapshot_entries` lists them: only a
-    plain record's prefix is parsed from text, and each record decodes
-    into one :class:`~repro.bgp.rib.Path` that all its members share."""
+    plain record's prefix is parsed from text, and every record of one
+    call with the same (attributes, peer, source kind) — an aggregate's
+    members and plain records alike — shares one
+    :class:`~repro.bgp.rib.Path`, decoded on its first sight."""
+    paths = {}  # (attributes wire, peer_id, source_kind) -> Path
     for entry in entries:
-        path = Path(PathAttributes.from_wire(entry["attributes"]),
-                    entry["peer_id"], entry["source_kind"])
+        key = entry["attributes"], entry["peer_id"], entry["source_kind"]
+        path = paths.get(key)
+        if path is None:
+            path = paths[key] = Path(PathAttributes.from_wire(key[0]),
+                                     key[1], key[2])
         if "aggregate" in entry:
             for member in _aggregate_members(entry):
                 yield member, path

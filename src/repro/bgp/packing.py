@@ -19,7 +19,13 @@ Two distinct economies fall out of packing:
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import HEADER_SIZE, MAX_MESSAGE_SIZE, UpdateMessage
 from repro.bgp.multiprotocol import attach_mp_unreach
-from repro.bgp.prefixes import AFI_IPV4, AFI_IPV6, nlri_wires, prefix_afi
+from repro.bgp.prefixes import (
+    AFI_IPV4,
+    AFI_IPV6,
+    AFI_SHIFT,
+    nlri_wires,
+    prefix_afi,
+)
 
 
 def group_routes(routes):
@@ -43,6 +49,39 @@ def group_routes(routes):
             append = appends[key] = members.append
             seen.append(attributes)
         append(prefix)
+    return [(afi, attributes, members)
+            for (afi, attributes), members in groups.items()]
+
+
+_UNSEEN = object()
+
+
+def group_paths(routes, export):
+    """:func:`group_routes` of a table's ``(prefix, path)`` pairs, paying
+    per path, not per route.
+
+    ``export(path)`` returns the attributes ``path`` goes out with, or
+    None to skip it; it runs once per path and address family, on the
+    first route seen with them, which resolves that pair to the members
+    list of its ``(afi, exported attributes)`` group — shared with any
+    other path exporting an equal set — or to "skip".  Every later route
+    is one dict probe and an append, in the order given, so the result
+    is ``group_routes((prefix, export(path)) ...)`` of the survivors:
+    the same groups, in the same order, with the same members.  Paths
+    are told apart by identity: whatever ``routes`` walks (a live
+    table) must keep them alive until the walk ends.
+    """
+    groups = {}  # (afi, exported attributes) -> members
+    appends = ({}, {})  # per family: id(path) -> members.append, or None
+    for prefix, path in routes:
+        by_path = appends[prefix >> AFI_SHIFT]
+        append = by_path.get(id(path), _UNSEEN)
+        if append is _UNSEEN:
+            exported = export(path)
+            append = by_path[id(path)] = None if exported is None else (
+                groups.setdefault((prefix_afi(prefix), exported), []).append)
+        if append is not None:
+            append(prefix)
     return [(afi, attributes, members)
             for (afi, attributes), members in groups.items()]
 

@@ -346,13 +346,13 @@ class PeerSession:
                 kept[-1][1].append(prefix)
         peer_id = self.peer_id
         afi = prefix_afi(prefixes[0])
-        store = self.adj_rib_in.store
+        store_run = self.adj_rib_in.store_run
         offer = vrf.loc_rib.offer
         learned = 0
         for imported, run in kept:
             path = Path(imported, peer_id, source_kind)
+            store_run(run, path)
             for prefix in run:
-                store(prefix, path)
                 old, new = offer(prefix, path)
                 changes.append((prefix, old, new))
             learned += len(run)

@@ -20,7 +20,8 @@ from repro.bgp.errors import BgpError, NotificationCode, UpdateSubcode
 
 AFI_IPV4 = 1
 AFI_IPV6 = 2
-_AFI_SHIFT = 136
+#: ``key >> AFI_SHIFT`` is the key's ``afi - 1``: 0 for IPv4, 1 for IPv6.
+AFI_SHIFT = 136
 _VALUE_MASK = (1 << 128) - 1
 _DECIMAL = tuple(map(str, range(256)))  # rendering an int costs twice this
 
@@ -31,7 +32,7 @@ def prefix_key(value, length, afi=AFI_IPV4):
     if not 0 <= length <= bits:
         raise ValueError(f"prefix length {length} out of range for afi {afi}")
     keep = bits - length
-    return ((afi - 1) << _AFI_SHIFT
+    return ((afi - 1) << AFI_SHIFT
             | (value & ((1 << bits) - 1)) >> keep << keep + 8 | length)
 
 
@@ -45,11 +46,11 @@ def parse_prefix(text):
 
 
 def prefix_afi(key):
-    return (key >> _AFI_SHIFT) + 1
+    return (key >> AFI_SHIFT) + 1
 
 
 def prefix_bits(key):
-    return 128 if key >> _AFI_SHIFT else 32
+    return 128 if key >> AFI_SHIFT else 32
 
 
 def prefix_value(key):
@@ -62,14 +63,14 @@ def prefix_length(key):
 
 def prefix_fields(key):
     """``(afi, value, length)`` in one call."""
-    return (key >> _AFI_SHIFT) + 1, key >> 8 & _VALUE_MASK, key & 255
+    return (key >> AFI_SHIFT) + 1, key >> 8 & _VALUE_MASK, key & 255
 
 
 def prefix_ancestor(key, length):
     """``key`` cut back to ``length``; itself when it is no longer."""
     if key & 255 <= length:
         return key
-    keep = (128 if key >> _AFI_SHIFT else 32) - length + 8
+    keep = (128 if key >> AFI_SHIFT else 32) - length + 8
     return key >> keep << keep | length
 
 
@@ -81,7 +82,7 @@ def prefix_contains(key, other):
 
 
 def prefix_text(key):
-    if not key >> _AFI_SHIFT:
+    if not key >> AFI_SHIFT:
         return (f"{_DECIMAL[key >> 32]}.{_DECIMAL[key >> 24 & 255]}."
                 f"{_DECIMAL[key >> 16 & 255]}.{_DECIMAL[key >> 8 & 255]}"
                 f"/{_DECIMAL[key & 255]}")
@@ -149,7 +150,7 @@ def nlri_wires(prefixes):
     append = wires.append
     for key in prefixes:
         length = key & 255
-        octets, shift, mask = (wide if key >> _AFI_SHIFT else v4)[length]
+        octets, shift, mask = (wide if key >> AFI_SHIFT else v4)[length]
         append(length_octets[length]
                + ((key & mask) >> shift).to_bytes(octets, "big"))
     return wires
@@ -171,7 +172,7 @@ def decode_nlri_block(data, afi=AFI_IPV4, offset=0, end=None):
         end = len(data)
     table = _V4_TABLE if afi == AFI_IPV4 else _WIDE_TABLE
     widest = len(table) - 1
-    family = (afi - 1) << _AFI_SHIFT
+    family = (afi - 1) << AFI_SHIFT
     from_bytes = int.from_bytes
     prefixes = []
     append = prefixes.append

@@ -119,6 +119,11 @@ class AdjRibIn:
         """Insert/replace (one dict store, no probe)."""
         self._routes[prefix] = path
 
+    def store_run(self, prefixes, path):
+        """Insert/replace every prefix of one run with its shared path,
+        in one dict update."""
+        self._routes.update(dict.fromkeys(prefixes, path))
+
     def withdraw(self, prefix):
         """Remove; returns the removed path or None."""
         return self._routes.pop(prefix, None)
@@ -172,7 +177,10 @@ class LocRib:
         #: Monotone change counter for incremental snapshots; bumped on
         #: every candidate-set mutation (see path_counts_since).
         self.export_seq = 0
-        self._changed = {}  # prefix -> export_seq of last mutation
+        # prefix -> export_seq of its last mutation, kept only from the
+        # first path_counts_since call on: a table no snapshot reads
+        # records nothing.
+        self._changed = None
 
     def offer(self, prefix, path):
         """Add/replace ``prefix``'s candidate from ``path.peer_id`` and
@@ -197,7 +205,9 @@ class LocRib:
         decisive and a full re-scan runs (see
         :func:`repro.bgp.decision.best_path`).
         """
-        self.export_seq = self._changed[prefix] = self.export_seq + 1
+        self.export_seq += 1
+        if self._changed is not None:
+            self._changed[prefix] = self.export_seq
         best = self._best
         old = best.get(prefix)
         if old is None:
@@ -250,7 +260,9 @@ class LocRib:
         if candidates is None:
             if old is None or old.peer_id != peer_id:
                 return old, old
-            self.export_seq = self._changed[prefix] = self.export_seq + 1
+            self.export_seq += 1
+            if self._changed is not None:
+                self._changed[prefix] = self.export_seq
             del best[prefix]
             if self._indexed:
                 self._store.remove(prefix)
@@ -258,7 +270,9 @@ class LocRib:
         removed = candidates.pop(peer_id, None)
         if removed is None:
             return old, old
-        self.export_seq = self._changed[prefix] = self.export_seq + 1
+        self.export_seq += 1
+        if self._changed is not None:
+            self._changed[prefix] = self.export_seq
         if len(candidates) == 1:
             del self._contested[prefix]
         if (old.peer_id != peer_id
@@ -411,16 +425,30 @@ class LocRib:
         the prefix no longer has candidates).  Single-consumer protocol:
         the caller passes back the returned ``export_seq`` next time, and
         change records at or below the consumed watermark are pruned.
+
+        The change record starts at the first call, which must read from
+        0: at counter 0 the table was empty, so a read from 0 answers
+        with the present table's path counts — exactly what a first, full
+        compaction folds — and, unlike a later read, lists no prefix
+        whose history ended at 0 paths.  Until that call, offer and
+        retract only bump the counter.
         """
         if seq >= self.export_seq:
             return self.export_seq, {}
-        changed = self._changed
-        for prefix in [prefix for prefix, changed_at in changed.items()
-                       if changed_at <= seq]:
-            del changed[prefix]
         best, contested = self._best, self._contested
-        counts = {prefix: 1 if prefix in best else 0 for prefix in changed}
-        for prefix in contested.keys() & counts.keys():
+        if not seq:
+            if self._changed is None:
+                self._changed = {}
+            counts = dict.fromkeys(best, 1)
+            rivals = contested.keys()
+        else:
+            changed = self._changed
+            for prefix in [prefix for prefix, changed_at in changed.items()
+                           if changed_at <= seq]:
+                del changed[prefix]
+            counts = {prefix: 1 if prefix in best else 0 for prefix in changed}
+            rivals = contested.keys() & counts.keys()
+        for prefix in rivals:
             counts[prefix] = len(contested[prefix])
         return self.export_seq, counts
 

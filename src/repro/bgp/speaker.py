@@ -19,7 +19,12 @@ from repro.bgp.messages import (
 )
 from repro.bgp.attributes import PathAttributes, ipv4_to_int
 from repro.bgp.multiprotocol import attach_mp_reach
-from repro.bgp.packing import group_routes, pack_group, pack_withdrawals
+from repro.bgp.packing import (
+    group_paths,
+    group_routes,
+    pack_group,
+    pack_withdrawals,
+)
 from repro.bgp.peer import PeerConfig, PeerSession
 from repro.bgp.prefixes import AFI_IPV4, AFI_IPV6, prefix_afi
 from repro.bgp.rib import Path
@@ -127,6 +132,16 @@ class _FanoutPlan:
         self.v6 = v6
         self._v4_messages = None
         self._v6_messages = None
+
+    @classmethod
+    def of_groups(cls, groups):
+        """The plan of :func:`~repro.bgp.packing.group_routes`-shaped
+        ``(afi, attributes, prefixes)`` groups, split by family."""
+        return cls(
+            [(attributes, prefixes) for afi, attributes, prefixes in groups
+             if afi == AFI_IPV4],
+            [(attributes, prefixes) for afi, attributes, prefixes in groups
+             if afi == AFI_IPV6])
 
     def __bool__(self):
         return bool(self.v4 or self.v6)
@@ -292,9 +307,6 @@ class BgpSpeaker:
         self._cpu_busy_until = start + cost
         self.engine.schedule(self._cpu_busy_until - now, callback, *args)
 
-    def cpu_queue_depth(self):
-        return max(0.0, self._cpu_busy_until - self.engine.now)
-
     # ------------------------------------------------------------------
     # receive path (hookable)
     # ------------------------------------------------------------------
@@ -403,9 +415,31 @@ class BgpSpeaker:
             self.aggregator.drop_session(session.peer_id)
 
     def readvertise(self, session):
-        """Advertise the whole table to ``session``."""
-        self.advertise_routes_to_sessions(self._full_table_for(session),
-                                          [session])
+        """Advertise the whole table to ``session``.
+
+        A packed export with no aggregator, under a policy that cannot
+        tell one prefix from another, is planned per path
+        (:meth:`_table_plan`); anything else goes route by route.
+        """
+        if (self.config.update_packing and self.aggregator is None
+                and session.config.export_policy.prefix_independent):
+            plan = self._table_plan(session)
+        else:
+            plan = self._plan_fanout(session, self._full_table_for(session))
+        self._advertise_plan(session, plan)
+
+    def _table_plan(self, session):
+        """The packed plan of the whole table for ``session``: the
+        groups :meth:`_plan_fanout` makes of :meth:`_full_table_for`'s
+        routes, exported once per path and address family
+        (:func:`~repro.bgp.packing.group_paths`) — the session's own
+        paths are skipped like denied ones."""
+        export = self._exporter(session)
+        own = session.peer_id
+        return _FanoutPlan.of_groups(group_paths(
+            session.vrf.loc_rib.items(),
+            lambda path: (None if path.peer_id == own
+                          else export(None, path.attributes))))
 
     def _full_table_for(self, session):
         """The (prefix, attributes) pairs of every best route ``session``
@@ -628,13 +662,17 @@ class BgpSpeaker:
             plan = shared.get(plan_key)
             if plan is None:
                 plan = shared[plan_key] = self._plan_fanout(session, routes)
-            if not plan:
-                continue
-            self.charge(self._per_peer_fanout_cost(), lambda: None)
-            if self.config.update_packing:
-                self._advertise_packed(session, plan)
-            else:
-                self._advertise_unpacked(session, plan)
+            self._advertise_plan(session, plan)
+
+    def _advertise_plan(self, session, plan):
+        """Send one session its share of ``plan``."""
+        if not plan:
+            return
+        self.charge(self._per_peer_fanout_cost(), lambda: None)
+        if self.config.update_packing:
+            self._advertise_packed(session, plan)
+        else:
+            self._advertise_unpacked(session, plan)
 
     def _per_peer_fanout_cost(self):
         cost = self.config.per_peer_cost
@@ -647,36 +685,24 @@ class BgpSpeaker:
         rides classic NLRI, v6 rides MP_REACH_NLRI (RFC 4760)."""
         exported = self._export_routes(session, routes)
         if self.config.update_packing:
-            groups = group_routes(exported)
-            v4 = [(attributes, prefixes) for afi, attributes, prefixes in groups
-                  if afi == AFI_IPV4]
-        else:
-            # One UPDATE per v4 route, in table order: nothing to group.
-            exported = list(exported)
-            v4 = [pair for pair in exported
-                  if prefix_afi(pair[0]) == AFI_IPV4]
-            groups = group_routes(pair for pair in exported
-                                  if prefix_afi(pair[0]) == AFI_IPV6)
-        v6 = [(attributes, prefixes) for afi, attributes, prefixes in groups
-              if afi == AFI_IPV6]
-        return _FanoutPlan(v4, v6)
+            return _FanoutPlan.of_groups(group_routes(exported))
+        # One UPDATE per v4 route, in table order: nothing to group.
+        exported = list(exported)
+        v6 = group_routes(pair for pair in exported
+                          if prefix_afi(pair[0]) == AFI_IPV6)
+        return _FanoutPlan(
+            [pair for pair in exported if prefix_afi(pair[0]) == AFI_IPV4],
+            [(attributes, prefixes) for _afi, attributes, prefixes in v6])
 
-    def _export_routes(self, session, routes):
-        """Apply export policy + eBGP attribute rules for one peer;
-        yields the surviving ``(prefix, exported attributes)`` pairs.
-
-        The verdict and the post-policy rewrite are memoized per
-        distinct attribute object when no clause of the export policy
-        can tell one prefix from another (routes packed into one
-        received UPDATE share their ``PathAttributes``), and rewritten
-        sets are interned so successive fan-out rounds reuse one
-        flyweight whose wire encoding is already cached.
-        """
+    def _exporter(self, session):
+        """``export(prefix, attributes)``: export policy + eBGP attribute
+        rules for one peer, None for a denied route.  Rewritten sets are
+        memoized by value and interned, so successive fan-out rounds
+        reuse one flyweight whose wire encoding is already cached."""
         local_as = self.config.local_as
         is_ebgp = session.source_kind == "ebgp"
         next_hop = self.stack.host.address
-        policy = session.config.export_policy
-        evaluate = policy.evaluate
+        evaluate = session.config.export_policy.evaluate
         rewritten = {}  # post-policy attributes -> rewritten attributes
 
         def export(prefix, attributes):
@@ -696,9 +722,21 @@ class BgpSpeaker:
                 cached = rewritten[exported] = PathAttributes.intern(cached)
             return cached
 
+        return export
+
+    def _export_routes(self, session, routes):
+        """Export ``routes`` for one peer (:meth:`_exporter`); yields the
+        surviving ``(prefix, exported attributes)`` pairs.
+
+        The verdict is memoized per distinct attribute object when no
+        clause of the export policy can tell one prefix from another
+        (routes packed into one received UPDATE share their
+        ``PathAttributes``).
+        """
+        export = self._exporter(session)
         # A verdict holds for every route sharing the attribute object
         # unless some clause can tell prefixes apart.
-        memoize = policy.prefix_independent
+        memoize = session.config.export_policy.prefix_independent
         verdicts = {}  # id(attributes) -> exported attributes, or None
         seen = []  # every object whose id is a key above: ids stay unique
         for prefix, attributes in routes:

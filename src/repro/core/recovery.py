@@ -19,6 +19,8 @@ finishes with an outbound resync
 withdrawals recorded in the live delta log, re-advertise the table.
 """
 
+from itertools import chain
+
 from repro.bgp.aggregation import expand_snapshot_paths
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.prefixes import decode_nlri_block
@@ -52,16 +54,17 @@ class RecoveredState:
         return sorted(names)
 
     def rebuild_loc_rib(self, vrf, local_as=0, router_id=0):
-        """Snapshot chunks + ordered deltas -> a fresh Loc-RIB, one
-        shared path per snapshot record or delta run."""
+        """Snapshot chunks + ordered deltas -> a fresh Loc-RIB: the
+        snapshot's routes share one path per (attributes, peer, source
+        kind), a delta run's one per run."""
         rib = LocRib(local_as=local_as, router_id=router_id)
         marker = self.rib_markers.get(vrf, {"chunks": 0, "delta_floor": 0})
         chunks = self.rib_snapshots.get(vrf, {})
-        for index in range(marker["chunks"]):
-            # Snapshot-aggregated chunks (DESIGN.md §14) carry collapsed
-            # subtree records; expansion is the identity for plain ones.
-            for prefix, path in expand_snapshot_paths(chunks.get(index, [])):
-                rib.offer(prefix, path)
+        # Snapshot-aggregated chunks (DESIGN.md §14) carry collapsed
+        # subtree records; expansion is the identity for plain ones.
+        for prefix, path in expand_snapshot_paths(chain.from_iterable(
+                chunks.get(index, []) for index in range(marker["chunks"]))):
+            rib.offer(prefix, path)
         floor = marker.get("delta_floor", 0)
         for seq, delta in self.rib_deltas.get(vrf, []):
             if seq < floor:

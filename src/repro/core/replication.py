@@ -84,9 +84,6 @@ def rib_delta_key(pair_name, vrf, seq):
 def rib_snapshot_key(pair_name, vrf, chunk):
     return f"tensor:{pair_name}:rib:{vrf}:s:{chunk:08d}"
 
-def rib_prefix(pair_name, vrf):
-    return f"tensor:{pair_name}:rib:{vrf}:"
-
 def pair_prefix(pair_name):
     return f"tensor:{pair_name}:"
 

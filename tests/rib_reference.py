@@ -21,9 +21,10 @@ re-bucketing and stale-forced compactions.
 an offer counts unless the prefix had no path or only the offering
 peer's; a retract counts when it removes the best of several paths, or
 a non-best path that won a MED group other paths still populate.  The
-``export_seq`` watermark protocol is not modeled — a performance
-contract pinned by its own unit tests — but :func:`contested_churn`
-checks what it reports against this model's per-prefix entries.
+``export_seq`` watermark is not modeled — a performance contract pinned
+by its own unit tests — but what a read reports is
+(:meth:`ReferenceRib.counts_since_last_read`), and :func:`contested_churn`
+checks ``path_counts_since`` against it.
 """
 
 import zlib
@@ -54,6 +55,9 @@ class ReferenceRib:
         # LocRib's best map must iterate in.
         self._candidates = {}
         self.decision_runs = 0
+        # Prefixes offered or retracted since the last read; None until
+        # the first read, as the Loc-RIB keeps no change record before it.
+        self._touched = None
 
     # -- mutation (mirrors LocRib.offer/retract return contract) ------------
 
@@ -61,6 +65,8 @@ class ReferenceRib:
         """``(old best, new best)``, where re-offering the object that
         is already the best counts as a change: ``(None, path)``."""
         old = self.best(prefix)
+        if self._touched is not None:
+            self._touched.add(prefix)
         candidates = self._candidates.setdefault(prefix, {})
         if candidates and list(candidates) != [path.peer_id]:
             self.decision_runs += 1
@@ -72,6 +78,8 @@ class ReferenceRib:
         candidates = self._candidates.get(prefix)
         if candidates is not None:
             removed = candidates.pop(peer_id, None)
+            if removed is not None and self._touched is not None:
+                self._touched.add(prefix)
             if not candidates:
                 del self._candidates[prefix]
             elif removed is not None and (
@@ -85,6 +93,18 @@ class ReferenceRib:
         rivals = [path for path in candidates.values()
                   if group is not None and med_group(path) == group]
         return bool(rivals) and not any(prefer(r, removed) for r in rivals)
+
+    def counts_since_last_read(self):
+        """What one consumer of ``path_counts_since`` reads now: at the
+        first read every present prefix, later every prefix offered or
+        retracted since the previous read (0 for one left with no
+        path), mapped to its number of paths."""
+        reported = (self._candidates if self._touched is None
+                    else self._touched)
+        counts = {prefix: len(self._candidates.get(prefix, ()))
+                  for prefix in reported}
+        self._touched = set()
+        return counts
 
     # -- selection -----------------------------------------------------------
 
@@ -389,7 +409,7 @@ def contested_churn(seed, steps=500, index_at=None):
     rng = DeterministicRandom(seed).stream("rib-contested")
     rib, reference = LocRib(), ReferenceRib()
     trace = []
-    watermark, touched, crossings = 0, set(), set()
+    watermark, crossings = 0, set()
     restored_best = 0
     for step in range(steps):
         if step == index_at:
@@ -400,8 +420,6 @@ def contested_churn(seed, steps=500, index_at=None):
         if rng.random() < 0.5:
             expected = reference.retract(prefix, peer)
             result = rib.retract(prefix, peer)
-            if peer in before:
-                touched.add(prefix)
         else:
             path = before.get(peer)
             if path is None or rng.random() < 0.75:
@@ -411,7 +429,6 @@ def contested_churn(seed, steps=500, index_at=None):
                 restored_best += 1
             expected = reference.offer(prefix, path)
             result = rib.offer(prefix, path)
-            touched.add(prefix)
             # Re-storing the best path object is a change, like any
             # re-announce: the caller must not read it as "no change".
             assert result[0] is not result[1] or path is not result[1]
@@ -433,13 +450,11 @@ def contested_churn(seed, steps=500, index_at=None):
             # change records: the first call prunes, the second (same
             # watermark) must still see every prefix it reported.
             advanced, counts = rib.path_counts_since(watermark)
-            assert counts == {p: len(reference.export_prefix_entries(p))
-                              for p in touched}
+            assert counts == reference.counts_since_last_read()
             watermark, dirty = rib.export_entries_since(watermark)
             assert watermark == advanced == rib.export_seq
             assert dirty == {p: reference.export_prefix_entries(p)
-                             for p in touched}
-            touched.clear()
+                             for p in counts}
             trace.append([(e["prefix"], e["peer_id"], e["source_kind"],
                            e["attributes"].hex()) for e in entries])
     assert crossings >= {(0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 2),

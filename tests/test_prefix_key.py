@@ -12,7 +12,10 @@ import copy
 import gc
 import pickle
 
+import pytest
 from hypothesis import example, given, strategies as st
+
+from repro.bgp.aggregation import expand_snapshot_entries
 
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.prefixes import (
@@ -224,5 +227,31 @@ def test_loaded_table_adds_no_tracked_object_per_route():
     assert len(rib) == 10_000
     assert added <= 0.05 * len(rib), added / len(rib)
     assert not any(map(gc.is_tracked, rib.prefixes()))
-    assert not any(map(gc.is_tracked, rib._changed))
+    assert rib._changed is None  # no snapshot read it: nothing recorded
     assert not any(gc.is_tracked(key) for key in rib.store)
+
+
+@pytest.mark.parametrize("aggregate", [False, True], ids=["plain", "aggregated"])
+def test_rebuilt_table_shares_its_paths(aggregate):
+    """A Loc-RIB rebuilt from the 80,000-route table's snapshot holds one
+    path per (attributes, peer, source kind), not one per plain record,
+    and offers the records in the order the snapshot lists them."""
+    live = FullTableWorkload(seed=11, size=80_000).build()
+    store = _snapshot(live, aggregate)
+    state = BackupRecovery(None, None, "pair0")._parse(sorted(store.items()))
+    gc.collect()
+    gc.collect()
+    before = len(gc.get_objects())
+    rebuilt = state.rebuild_loc_rib("v0")
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert len(rebuilt) == len(live)
+    assert added <= 0.05 * len(rebuilt), added / len(rebuilt)
+    assert len({id(path) for _prefix, path in rebuilt.items()}) == len(
+        {(path.attributes.to_wire(), path.peer_id, path.source_kind)
+         for _prefix, path in live.items()})
+    chunks = state.rib_snapshots["v0"]
+    assert list(rebuilt.prefixes()) == [
+        parse_prefix(entry["prefix"])
+        for index in range(state.rib_markers["v0"]["chunks"])
+        for entry in expand_snapshot_entries(chunks[index])]

@@ -254,33 +254,46 @@ def test_store_matches_reference_across_compaction_kinds(
 
 
 def test_count_walk_watermark_contract():
-    """``path_counts_since`` against the reference: counts equal the
-    number of reference entries, a watermark at or past ``export_seq``
-    yields nothing, and change records at or below the consumed
-    watermark are pruned on the next call — the single-consumer
-    protocol ``export_entries_since`` always had."""
+    """``path_counts_since`` against the reference.  The change record
+    starts at the first read: before it, offers and retracts keep none,
+    and the read, from 0, lists the present table's path counts — never
+    a prefix whose history ended at 0 paths.  A watermark at or past
+    ``export_seq`` yields nothing.  Later reads list every prefix touched
+    since, 0 for one left with no path, and change records at or below
+    the consumed watermark are pruned on the next call — the
+    single-consumer protocol ``export_entries_since`` always had."""
     run = Lockstep(5, aggregate=False)
     run.load_table(blocks=12)
+    gone = Prefix(0xC0A80010, 32)
+    run.retract(gone)  # its history ends at 0 paths before any read
     rib, reference = run.rib, run.reference
+    assert rib._changed is None and rib.export_seq > 0
     first, counts = rib.path_counts_since(0)
     assert first == rib.export_seq
-    assert set(counts) == run.touched
-    assert counts == {p: len(reference.export_prefix_entries(p))
-                      for p in run.touched}
+    assert counts == reference.counts_since_last_read()
+    assert set(counts) == reference.prefixes() == run.touched - {gone}
+    assert rib._changed == {}
     assert rib.path_counts_since(first) == (first, {})
     assert rib.path_counts_since(first + 10) == (first, {})
-    assert len(rib._changed) == len(counts)  # nothing pruned yet
+    assert rib.path_counts_since(0) == (first, counts)  # a first read again
 
     run.touched.clear()
     run.churn(30)
-    run.retract(Prefix(0xC0A80010, 32))  # to no path at all
+    for peer in reference.candidates(Prefix(0, 0)):
+        run.retract(Prefix(0, 0), peer)  # to no path at all
+    assert set(rib._changed) == run.touched
     second, counts = rib.path_counts_since(first)
     assert second == rib.export_seq > first
-    assert counts == {p: len(reference.export_prefix_entries(p))
-                      for p in run.touched}
+    assert counts == reference.counts_since_last_read()
+    assert set(counts) == run.touched
     assert {0, 1, 2} <= set(counts.values())
-    assert set(rib._changed) == run.touched  # the first batch is gone
     # The wrapper reads the same records and keeps the same contract.
     assert rib.export_entries_since(first) == (
-        second, {p: reference.export_prefix_entries(p) for p in run.touched})
+        second, {p: reference.export_prefix_entries(p) for p in counts})
     assert rib.export_entries_since(second) == (second, {})
+
+    run.touched.clear()
+    run.churn(10)
+    third, counts = rib.path_counts_since(second)
+    assert counts == reference.counts_since_last_read()
+    assert set(rib._changed) == run.touched  # the earlier batches are gone

@@ -267,7 +267,7 @@ def test_packed_receive_holds_no_tracked_object_per_route():
     routes."""
     import gc
 
-    _system, pair, _remotes = build_tensor_fixture(seed=13, routes=9_000)
+    _system, pair, remotes = build_tensor_fixture(seed=13, routes=9_000)
     session = next(iter(pair.speaker.sessions.values()))
     loc_rib = pair.speaker.vrfs["v0"].loc_rib
     assert len(loc_rib) == len(session.adj_rib_in) == 9_000
@@ -281,6 +281,11 @@ def test_packed_receive_holds_no_tracked_object_per_route():
     assert len(held) <= 0.05 * 9_000, len(held)
     assert all(loc_rib.best(prefix) is path
                for prefix, path in session.adj_rib_in.items())
+    # No snapshot has read either speaker's table, so neither keeps a
+    # change record: the receive paid for none.
+    remote, _session = remotes[0]
+    assert loc_rib.export_seq >= 9_000 and loc_rib._changed is None
+    assert remote.speaker.vrfs["v0"].loc_rib._changed is None
 
 
 def test_old_layout_delta_is_rejected_loudly():
