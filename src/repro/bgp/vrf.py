@@ -24,9 +24,6 @@ class Vrf:
     def attach_peer(self, peer_id):
         self.peer_ids.add(peer_id)
 
-    def detach_peer(self, peer_id):
-        self.peer_ids.discard(peer_id)
-
     def route_count(self):
         return len(self.loc_rib)
 

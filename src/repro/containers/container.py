@@ -100,9 +100,6 @@ class Container:
         self.processes[name] = process
         return process
 
-    def remove_process(self, name):
-        self.processes.pop(name, None)
-
     def process_alive(self, name):
         process = self.processes.get(name)
         if process is None:
@@ -118,12 +115,6 @@ class Container:
     # ------------------------------------------------------------------
     # failure levers (paper E1/E2/E4)
     # ------------------------------------------------------------------
-
-    def crash_process(self, name):
-        """E1: application failure inside the container."""
-        process = self.processes.get(name)
-        if process is not None and hasattr(process, "crash"):
-            process.crash()
 
     def fail(self):
         """E2: the container itself dies; all its processes die with it."""

@@ -27,16 +27,16 @@ routing-table writes:
   watermark updates, periodic compaction.
 
 A compaction (:meth:`ReplicationPipeline.compact`) asks the Loc-RIB only
-for the path *count* of each prefix changed since the last one, keeps
-chunk membership from those counts, and re-encodes the chunks that own
-a changed prefix through the one chunk encoder in
-:mod:`repro.bgp.aggregation` (DESIGN.md §8).
+for the prefixes changed since the last one and patches each into its
+chunk's kept encoding (:class:`repro.bgp.aggregation.SnapshotChunk`);
+a full one encodes every chunk through the one chunk encoder,
+:func:`repro.bgp.aggregation.encode_chunk` (DESIGN.md §8).
 """
 
 import zlib
 from collections import deque
 
-from repro.bgp.aggregation import aggregate_root, encode_chunk
+from repro.bgp.aggregation import SnapshotChunk, aggregate_root, encode_chunk
 from repro.bgp.prefixes import prefix_text
 from repro.kvstore.client import CAUSE_FENCED
 from repro.kvstore.locks import LockManager
@@ -440,9 +440,9 @@ class ReplicationPipeline:
         self._delta_seq = {}  # vrf -> next delta sequence number
         self._delta_started = {}  # vrf -> seq folded by the newest compaction
         self._delta_floor = {}  # vrf -> first delta not purged (durable floor)
-        # Incremental-snapshot bookkeeping, per vrf: stable hash-bucket
-        # assignment of prefixes to snapshot chunks plus the Loc-RIB
-        # change-counter watermark consumed by the last compaction.
+        # Incremental-snapshot bookkeeping, per vrf: each written
+        # chunk's kept encoding plus the Loc-RIB change-counter
+        # watermark consumed by the last compaction.
         self._snapshot_state = {}  # vrf -> the dict compact() creates
         self.deltas_recorded = 0
         self.deltas_purged = 0  # delete keys issued, one per superseded delta
@@ -593,60 +593,52 @@ class ReplicationPipeline:
     def compact(self, vrf, loc_rib, on_done=None):
         """Replace accumulated deltas with chunked snapshot records.
 
-        Prefixes are assigned to snapshot chunks by a stable hash, so a
-        compaction only rewrites the chunks holding prefixes that changed
-        since the previous one (plus the marker); the first compaction —
-        or one following enough growth/shrinkage to force re-bucketing,
-        or a dropped snapshot write — writes the full table.
+        Prefixes are assigned to snapshot chunks by a stable hash, and
+        each written chunk's encoding is kept: a compaction patches each
+        prefix changed since the previous one into its chunk and
+        rewrites only those chunks (plus the marker).  The first
+        compaction — or one following enough growth/shrinkage to force
+        re-bucketing, or a dropped snapshot write — encodes and writes
+        the full table.
         """
         self.compactions += 1
         state = self._snapshot_state.get(vrf)
         if state is None:
             state = self._snapshot_state[vrf] = {
-                "buckets": 0,      # chunk count of the snapshot last written
                 "stale": False,    # a write of it may never have landed
                 "export_seq": 0,   # Loc-RIB change watermark consumed
-                "members": [],     # per chunk, its set of prefix keys
-                "sizes": {},       # prefix -> live entry count
-                "total": 0,        # entries across all chunks
+                "chunks": [],      # per chunk written, its SnapshotChunk
             }
         export_seq, dirty = loc_rib.path_counts_since(state["export_seq"])
         state["export_seq"] = export_seq
-        members = state["members"]
-        sizes = state["sizes"]
-        written = state["buckets"]
-        incremental = written > 0 and not state["stale"]
-        assign = self._chunk_assigner(written) if incremental else None
-        dirty_buckets = set()
-        total = state["total"]
-        # Fold the dirty prefixes into the size and bucket-membership
-        # maps first so the total reflects the post-change table when
-        # sizing buckets.
-        for prefix, count in dirty.items():
-            previous = sizes.get(prefix, 0)
-            if count != previous:
-                total += count - previous
-                if count:
-                    sizes[prefix] = count
-                else:
-                    del sizes[prefix]
-            if incremental:
+        chunks = state["chunks"]
+        written = len(chunks)
+        collapse = self.aggregate_snapshots
+        if chunks:
+            # Patch first: the chunks' route counts then total the
+            # post-change table, which sizes the buckets.
+            assign = self._chunk_assigner(written)
+            dirty_buckets = set()
+            for prefix in dirty:
                 bucket = assign(prefix)
                 dirty_buckets.add(bucket)
-                if count:
-                    members[bucket].add(prefix)
-                else:
-                    members[bucket].discard(prefix)
-        state["total"] = total
+                chunks[bucket].patch(
+                    prefix, loc_rib.export_prefix_entries(prefix), collapse)
+            total = sum(chunk.routes for chunk in chunks)
+        else:
+            total = sum(dirty.values())  # a first read lists the table
         grown = total > written * 2 * SNAPSHOT_CHUNK_ROUTES
         shrunk = written > 1 and total < (written // 2) * SNAPSHOT_CHUNK_ROUTES
-        if not incremental or grown or shrunk:
+        if not chunks or state["stale"] or grown or shrunk:
             buckets = max(1, -(-total // SNAPSHOT_CHUNK_ROUTES))
             assign = self._chunk_assigner(buckets)
-            members = state["members"] = [set() for _ in range(buckets)]
-            for prefix in sizes:
+            members = [set() for _ in range(buckets)]
+            for prefix in loc_rib.prefixes():
                 members[assign(prefix)].add(prefix)
-            state["buckets"] = buckets
+            state["chunks"] = chunks = []  # let the old encodings go first
+            for prefixes in members:
+                chunks.append(SnapshotChunk(
+                    *encode_chunk(loc_rib, prefixes, collapse)))
             state["stale"] = False
             dirty_buckets = range(buckets)
             # Chunks past the new count are stale; readers ignore them,
@@ -658,13 +650,15 @@ class ReplicationPipeline:
                 )
         else:
             self.incremental_compactions += 1
-        collapse = self.aggregate_snapshots
         for index in sorted(dirty_buckets):
-            entries, raw = encode_chunk(loc_rib, members[index], collapse)
+            chunk = chunks[index]
             if collapse:
-                self.snapshot_entries_raw += raw
-                self.snapshot_entries_written += len(entries)
-            self.bulk.set(rib_snapshot_key(self.pair_name, vrf, index), entries)
+                self.snapshot_entries_raw += chunk.routes
+                self.snapshot_entries_written += len(chunk.records)
+            # A copy: the store keeps what it is handed, and the next
+            # patch edits the chunk's own list in place.
+            self.bulk.set(rib_snapshot_key(self.pair_name, vrf, index),
+                          list(chunk.records))
             self.snapshot_chunks_written += 1
         # Snapshot marker: how many chunks are current (readers ignore
         # stale higher-numbered chunks from earlier, larger snapshots)
@@ -673,7 +667,7 @@ class ReplicationPipeline:
         # recovery reader must replay on top of it.
         new_floor = self._delta_seq.get(vrf, 0)
         self._delta_started[vrf] = new_floor
-        marker = {"chunks": state["buckets"], "delta_floor": new_floor}
+        marker = {"chunks": len(chunks), "delta_floor": new_floor}
         self.bulk.set(
             f"tensor:{self.pair_name}:rib:{vrf}:marker",
             marker,

@@ -293,19 +293,6 @@ class TensorSystem:
         return digest
 
 
-def partition_fleet(cells, shards, weight=None):
-    """Split fleet cells (site descriptors, pair specs, ...) into ``shards``
-    balanced groups for the parallel runtime.
-
-    Thin delegation to :func:`repro.sim.parallel.partition.partition_items`
-    so topology-level code has a partitioner without importing the runtime
-    package directly; same determinism guarantees.
-    """
-    from repro.sim.parallel.partition import partition_items
-
-    return partition_items(cells, shards, weight=weight)
-
-
 class TensorPair:
     """One primary/backup container pair (one BGP process, one BFD)."""
 

@@ -127,13 +127,6 @@ class FailureInjector:
         self.engine.schedule(duration, machine.recover_network)
         return injection
 
-    def database_failure(self):
-        """The KV store dies (multi-point scenarios are out of scope for
-        NSR, but the ablations exercise the fail-safe: ACKs stay held)."""
-        injection = self._record("database", "db")
-        self.system.db.fail()
-        return injection
-
     def transient_database_failure(self, duration):
         """Database blip: the KV store is unavailable for ``duration``.
 

@@ -125,6 +125,3 @@ class ReplicatedKvCluster:
         self._resync_inflight = False
         if on_done is not None:
             on_done()
-
-    def total_records(self):
-        return len(self.primary.store)

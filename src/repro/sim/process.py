@@ -53,10 +53,6 @@ class Process:
             owned[:] = [e for e in owned if not (e.fired or e.cancelled)]
             self._prune_at = max(self._PRUNE_FLOOR, 2 * len(owned))
 
-    def soon(self, callback, *args):
-        """Schedule ``callback`` at the current instant, owned by us."""
-        return self.after(0.0, callback, *args)
-
     def every(self, interval, callback, *args):
         """Run ``callback`` every ``interval`` seconds until killed."""
         task = PeriodicTask(self, interval, callback, args)

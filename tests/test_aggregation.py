@@ -50,7 +50,7 @@ def _plain_export(rib, prefixes):
 
 
 def _round_trip(rib, prefixes):
-    encoded, routes = encode_chunk(rib, set(prefixes), collapse=True)
+    encoded, _keys, routes = encode_chunk(rib, set(prefixes), collapse=True)
     assert encoded == collapse_prefix_entries(rib, prefixes)
     expanded = sorted(expand_snapshot_entries(encoded), key=_record_key)
     assert expanded == _plain_export(rib, prefixes)

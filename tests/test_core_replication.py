@@ -383,7 +383,7 @@ def test_dropped_snapshot_write_forces_a_full_rewrite(kv_env):
     pipeline.compact("v1", rib)
     engine.run_until_idle()
     assert _recovered_entries(engine, fast) == rib.export_entries()
-    buckets = pipeline._snapshot_state["v1"]["buckets"]
+    buckets = len(pipeline._snapshot_state["v1"]["chunks"])
     assert buckets == 2
     by_bucket = {}
     assign = pipeline._chunk_assigner(buckets)

@@ -13,13 +13,20 @@ and one with nothing to do) the store must hold exactly what
 :func:`tests.rib_reference.reference_chunks` — the encoder this one
 replaced, run from scratch over the reference — says it should: the same
 keys, the same record lists in the same order, nothing past the
-marker's chunk count.
+marker's chunk count.  An incremental compaction patches each chunk's
+kept encoding instead of re-encoding it; the patch corners (a block
+split and merged back, a member flipped, contested, or withdrawn under
+a twin text, the /1 pair's cross-root merge, an IPv6 split) each get
+their own compaction, and no value already handed to the store is ever
+changed afterwards.
 """
+
+import copy
 
 import pytest
 
 from repro.bgp import AsPath, LocRib, PathAttributes, Prefix
-from repro.bgp.aggregation import expand_snapshot_entries
+from repro.bgp.aggregation import encode_chunk, expand_snapshot_entries
 from repro.bgp.rib import Path
 from repro.core import replication
 from repro.core.recovery import RecoveredState
@@ -56,14 +63,30 @@ def _block(root_value, root_length, member_length, afi=Prefix.AFI_IPV4):
             for i in range(1 << (member_length - root_length))]
 
 
+class HandOffKv(MemoryKv):
+    """A :class:`MemoryKv` that keeps every snapshot chunk value it is
+    handed beside a deep copy taken on the spot."""
+
+    def __init__(self):
+        super().__init__()
+        self.handed = []  # (value as stored, deep copy at hand-over)
+
+    def mset(self, items, on_done=None, on_error=None):
+        items = list(items)
+        self.handed.extend((value, copy.deepcopy(value))
+                           for key, value in items if ":s:" in key)
+        super().mset(items, on_done, on_error)
+
+
 class Lockstep:
     """One LocRib behind a pipeline, one ReferenceRib beside it."""
 
-    def __init__(self, seed, aggregate):
+    def __init__(self, seed, aggregate, chunk_routes=CHUNK_ROUTES):
         self.rng = DeterministicRandom(seed).stream("snapshot-differential")
         self.aggregate = aggregate
+        self.chunk_routes = chunk_routes
         self.rib, self.reference = LocRib(), ReferenceRib()
-        self.kv = MemoryKv()
+        self.kv = HandOffKv()
         self.pipeline = ReplicationPipeline("p", self.kv, self.kv,
                                             aggregate_snapshots=aggregate)
         self.touched = set()
@@ -72,7 +95,9 @@ class Lockstep:
     # -- mutation -----------------------------------------------------------
 
     def offer(self, prefix, attrs, peer="edge0", kind="ebgp"):
-        path = Path(attrs, peer, kind)
+        self.offer_path(prefix, Path(attrs, peer, kind))
+
+    def offer_path(self, prefix, path):
         self.rib.offer(prefix, path)
         self.reference.offer(prefix, path)
         self.touched.add(prefix)
@@ -145,14 +170,14 @@ class Lockstep:
         ``expect`` is "full", "incremental" or "stale"."""
         pipeline, reference = self.pipeline, self.reference
         total = sum(len(reference.candidates(p)) for p in reference.prefixes())
-        written = self.buckets
+        written, routes = self.buckets, self.chunk_routes
         rebucket = (
             expect == "stale" or written == 0
-            or total > written * 2 * CHUNK_ROUTES
-            or (written > 1 and total < (written // 2) * CHUNK_ROUTES))
+            or total > written * 2 * routes
+            or (written > 1 and total < (written // 2) * routes))
         assert rebucket == (expect != "incremental")
         if rebucket:
-            self.buckets = max(1, -(-total // CHUNK_ROUTES))
+            self.buckets = max(1, -(-total // routes))
             rewritten = set(range(self.buckets))
         else:
             rewritten = {reference_chunk_of(p, written, self.aggregate)
@@ -161,8 +186,13 @@ class Lockstep:
                   pipeline.snapshot_entries_raw,
                   pipeline.snapshot_entries_written,
                   pipeline.incremental_compactions)
+        handed, self.kv.handed = self.kv.handed, []
         pipeline.compact("v", self.rib)
         self.touched.clear()
+        # What the store was handed before is never edited afterwards:
+        # neither the lists nor the record dicts they share with the
+        # pipeline's kept chunk encodings.
+        assert all(value == kept for value, kept in handed)
 
         expected = reference_chunks(reference, self.buckets, self.aggregate)
         assert self.kv.store[MARKER]["chunks"] == self.buckets
@@ -251,6 +281,107 @@ def test_store_matches_reference_across_compaction_kinds(
     run.churn(10)
     run.check_round_trip(run.compact("incremental"))
     run.check_round_trip(run.compact("incremental"))  # nothing changed
+
+
+def _aggregates(run):
+    """``{(text, member length): record}`` of every aggregate stored."""
+    return {(record["aggregate"], record["member_length"]): record
+            for key, records in run.kv.store.items() if ":s:" in key
+            for record in records if "aggregate" in record}
+
+
+def _refuse(*_args):
+    raise AssertionError("an incremental compaction re-encoded a chunk")
+
+
+def test_patch_corners_split_and_merge_back(monkeypatch):
+    """Every corner of a chunk patch, each its own incremental compaction
+    held to the reference: a block split and merged back to an equal
+    record, a member flipped and flipped back, contested and lone again,
+    the /1 pair's cross-root merge broken and restored, a /25 withdrawn
+    under a text two aggregates spell, an IPv6 block split.  None of
+    them calls the chunk encoder; a re-bucketing compaction calls it
+    once per chunk."""
+    routes = 70  # five chunks: the one count that puts both /1s in one
+    monkeypatch.setattr(replication, "SNAPSHOT_CHUNK_ROUTES", routes)
+    run = Lockstep(0, aggregate=True, chunk_routes=routes)
+    run.load_table(blocks=36)
+    run.check_round_trip(run.compact("full"))
+    assert run.buckets == 5
+    before = _aggregates(run)
+    block, pair = ("10.0.0.0/20", 24), ("0.0.0.0/0", 1)
+    twin24, twin25 = ("10.250.0.0/22", 24), ("10.250.0.0/22", 25)
+    v6_root = (0x20010DB8 << 96) + (5 << 84)
+    v6 = (str(Prefix(v6_root, 44, V6)), 48)
+    assert {block, pair, twin24, twin25, v6} <= set(before)
+    monkeypatch.setattr(replication, "encode_chunk", _refuse)
+
+    def step():
+        run.check_round_trip(run.compact("incremental"))
+        return _aggregates(run)
+
+    # (a) A route at the /20's own text, so the merged-back aggregate
+    # lands beside a plain record; then a member leaves and the very
+    # path object it had comes back.
+    run.offer(Prefix(0x0A000000, 20), _attrs(9))
+    member = Prefix(0x0A000500, 24)
+    path = run.rib.best(member)
+    run.retract(member)
+    assert block not in step()
+    run.offer_path(member, path)
+    assert step()[block] == before[block]
+
+    # (b) A member flips to another attribute set, and back.
+    member = Prefix(0x0A000900, 24)
+    run.offer(member, _attrs(1))
+    assert block not in step()
+    run.offer(member, _attrs(0))
+    assert step()[block] == before[block]
+
+    # (c) A member is contested, its lone sibling is re-offered beside
+    # it — and must not merge with it — then the member is lone again.
+    member = Prefix(0x0A000300, 24)
+    run.offer(member, _attrs(0), peer="edge2")
+    assert block not in step()
+    run.offer(Prefix(0x0A000200, 24), _attrs(0))
+    assert block not in step()
+    run.retract(member, "edge2")
+    assert step()[block] == before[block]
+
+    # (d) The /1 pair's merge across aggregate roots breaks and heals.
+    half = Prefix(0x80000000, 1)
+    path = run.rib.best(half)
+    run.retract(half)
+    assert pair not in step()
+    run.offer_path(half, path)
+    assert step()[pair] == before[pair]
+
+    # (e) One /25 leaves "10.250.0.0/22": the /25s' aggregate splits,
+    # the /24s' aggregate of the same text stays.
+    member = Prefix(0x0AFA0180, 25)
+    path = run.rib.best(member)
+    run.retract(member)
+    now = step()
+    assert twin25 not in now and now[twin24] == before[twin24]
+    run.offer_path(member, path)
+    assert step()[twin25] == before[twin25]
+
+    # (f) An IPv6 block splits.
+    run.retract(Prefix(v6_root + (3 << 80), 48, V6))
+    assert v6 not in step()
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return encode_chunk(*args)
+
+    monkeypatch.setattr(replication, "encode_chunk", counted)
+    for index in range(40, 70):  # grow past twice the chunk capacity
+        for member in _block(0x0B000000 + (index << 12), 20, 24):
+            run.offer(member, _attrs(index))
+    run.check_round_trip(run.compact("full"))
+    assert len(calls) == run.buckets > 5
 
 
 def test_count_walk_watermark_contract():
