@@ -18,15 +18,14 @@ from conftest import run_once
 from repro.bgp import PeerConfig, SpeakerConfig
 from repro.bgp.speaker import BgpSpeaker
 from repro.containers import HostMachine
+from repro.config import build_system, lab_spec
 from repro.core.replication import ReplicationPipeline
-from repro.core.system import PeerNeighborSpec, TensorSystem
 from repro.core.tensor_process import TensorBgpSpeaker
 from repro.failures import FailureInjector
 from repro.kvstore import KvClient, KvServer
 from repro.metrics import format_table
 from repro.sim import DeterministicRandom, Engine, Network
 from repro.tcpsim import TcpStack
-from repro.workloads.topology import build_remote_peer
 from repro.workloads.updates import RouteGenerator
 
 
@@ -34,21 +33,11 @@ from repro.workloads.updates import RouteGenerator
 
 
 def _crash_with_lagging_db(hold_acks):
-    system = TensorSystem(seed=500, hold_acks=hold_acks)
-    m1 = system.add_machine("gw-1", "10.1.0.1")
-    m2 = system.add_machine("gw-2", "10.2.0.1")
-    pair = system.create_pair(
-        "pair0", m1, m2, service_addr="10.10.0.1", local_as=65001,
-        router_id="10.10.0.1",
-        neighbors=[PeerNeighborSpec("192.0.2.1", 64512, vrf_name="v0",
-                                    mode="passive")],
-    )
-    remote = build_remote_peer(system, "remote0", "192.0.2.1", 64512,
-                               link_machines=[m1, m2])
-    session = remote.peer_with("10.10.0.1", 65001, vrf_name="v0", mode="active")
-    pair.start()
-    remote.start()
+    system, pairs, remotes = build_system(
+        {**lab_spec(500), "hold_acks": hold_acks})
     system.engine.advance(10.0)
+    pair, remote = pairs["pair0"], remotes["remote0"]
+    session = remote.sessions[0]
     gen = RouteGenerator(random.Random(13), 64512, next_hop="192.0.2.1")
     remote.speaker.originate_many("v0", gen.routes(800))
     system.db.fail()  # replication lags behind acknowledgment
@@ -71,20 +60,8 @@ def ablation_delayed_ack():
 
 
 def _migration_bfd_flaps(relay_enabled):
-    system = TensorSystem(seed=501)
-    m1 = system.add_machine("gw-1", "10.1.0.1")
-    m2 = system.add_machine("gw-2", "10.2.0.1")
-    pair = system.create_pair(
-        "pair0", m1, m2, service_addr="10.10.0.1", local_as=65001,
-        router_id="10.10.0.1",
-        neighbors=[PeerNeighborSpec("192.0.2.1", 64512, vrf_name="v0",
-                                    mode="passive")],
-    )
-    remote = build_remote_peer(system, "remote0", "192.0.2.1", 64512,
-                               link_machines=[m1, m2])
-    remote.peer_with("10.10.0.1", 65001, vrf_name="v0", mode="active")
-    pair.start()
-    remote.start()
+    system, pairs, remotes = build_system(lab_spec(501))
+    pair, remote = pairs["pair0"], remotes["remote0"]
     if not relay_enabled:
         pair._register_relay = lambda: None
         system.agent.stop_relay("pair0")

@@ -14,31 +14,20 @@ Both are §5 discussion items the paper leaves open:
 import random
 
 from conftest import run_once
-from repro.core.system import PeerNeighborSpec, TensorSystem
+from repro.config import build_system, lab_spec
 from repro.metrics import format_table
-from repro.workloads.topology import build_remote_peer
 from repro.workloads.updates import RouteGenerator
 
 ROUTES = 20_000
 
 
-def _transfer_fully_acked(**kwargs):
-    """Seconds for a 20K-update table transfer to be fully acknowledged."""
-    system = TensorSystem(seed=900, **kwargs)
-    m1 = system.add_machine("gw-1", "10.1.0.1")
-    m2 = system.add_machine("gw-2", "10.2.0.1")
-    pair = system.create_pair(
-        "pair0", m1, m2, service_addr="10.10.0.1", local_as=65001,
-        router_id="10.10.0.1",
-        neighbors=[PeerNeighborSpec("192.0.2.1", 64512, vrf_name="v0",
-                                    mode="passive")],
-    )
-    remote = build_remote_peer(system, "remote0", "192.0.2.1", 64512,
-                               link_machines=[m1, m2])
-    session = remote.peer_with("10.10.0.1", 65001, vrf_name="v0", mode="active")
-    pair.start()
-    remote.start()
+def _transfer_fully_acked(**options):
+    """Seconds for a 20K-update table transfer to be fully acknowledged
+    in the standard lab with system ``options``."""
+    system, pairs, remotes = build_system({**lab_spec(900), **options})
     system.engine.advance(10.0)
+    pair, remote = pairs["pair0"], remotes["remote0"]
+    session = remote.sessions[0]
     gen = RouteGenerator(random.Random(4), 64512, next_hop="192.0.2.1")
     remote.speaker.originate_many("v0", gen.routes(ROUTES))
     start = system.engine.now

@@ -32,10 +32,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.system import PeerNeighborSpec, TensorSystem  # noqa: E402
+from repro.config import build_system, lab_spec  # noqa: E402
 from repro.failures import FailureInjector  # noqa: E402
 from repro.sim import DeterministicRandom  # noqa: E402
-from repro.workloads.topology import build_remote_peer  # noqa: E402
 from repro.workloads.updates import RouteGenerator  # noqa: E402
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_failover.json"
@@ -47,23 +46,11 @@ BURST = 150
 DRAIN_BUDGET = 6.0
 
 
-def build_system(seed, routes):
-    system = TensorSystem(seed=seed)
-    m1 = system.add_machine("gw-1", "10.1.0.1")
-    m2 = system.add_machine("gw-2", "10.2.0.1")
-    pair = system.create_pair(
-        "pair0", m1, m2,
-        service_addr="10.10.0.1", local_as=65001, router_id="10.10.0.1",
-        neighbors=[PeerNeighborSpec("192.0.2.1", 64512, vrf_name="v0",
-                                    mode="passive")],
-    )
-    remote = build_remote_peer(system, "remote0", "192.0.2.1", 64512,
-                               link_machines=[m1, m2])
-    session = remote.peer_with("10.10.0.1", 65001, vrf_name="v0",
-                               mode="active")
-    pair.start()
-    remote.start()
+def build_lab(seed, routes):
+    system, pairs, remotes = build_system(lab_spec(seed))
     system.engine.advance(10.0)
+    pair, remote = pairs["pair0"], remotes["remote0"]
+    session = remote.sessions[0]
     gen = RouteGenerator(DeterministicRandom(seed).fork("workload"), 64512,
                          next_hop="192.0.2.1")
     remote.speaker.originate_many("v0", gen.routes(routes))
@@ -73,7 +60,7 @@ def build_system(seed, routes):
 
 
 def run_failover_once(seed, routes=ROUTES, burst=BURST):
-    system, pair, remote, session = build_system(seed, routes)
+    system, pair, remote, session = build_lab(seed, routes)
     engine = system.engine
 
     gen = RouteGenerator(DeterministicRandom(seed).fork("burst"), 64512,

@@ -43,11 +43,11 @@ import pathlib
 from conftest import run_once
 from repro.bgp import AsPath, LocRib, Origin, PathAttributes, Prefix
 from repro.bgp.rib import Path
+from repro.config import build_system, lab_spec
 from repro.core.replication import WriteCoalescer
-from repro.core.system import PeerNeighborSpec, TensorSystem
 from repro.kvstore import KvClient, KvServer
 from repro.sim import DeterministicRandom, Engine, Network, Process
-from repro.workloads import RouteGenerator, build_remote_peer
+from repro.workloads import RouteGenerator
 
 OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
@@ -182,23 +182,10 @@ def test_process_periodic_tick(benchmark):
 
 def _nsr_pair_lab(seed):
     """One NSR pair and one remote AS, session established."""
-    system = TensorSystem(seed=seed)
-    m1 = system.add_machine("gw-1", "10.1.0.1")
-    m2 = system.add_machine("gw-2", "10.2.0.1")
-    pair = system.create_pair(
-        "pair0", m1, m2, service_addr="10.10.0.1", local_as=65001,
-        router_id="10.10.0.1",
-        neighbors=[PeerNeighborSpec("192.0.2.1", 64512, vrf_name="v0",
-                                    mode="passive")],
-    )
-    remote = build_remote_peer(system, "remote0", "192.0.2.1", 64512,
-                               link_machines=[m1, m2])
-    session = remote.peer_with("10.10.0.1", 65001, vrf_name="v0",
-                               mode="active")
-    pair.start()
-    remote.start()
+    system, pairs, remotes = build_system(lab_spec(seed))
     system.run(10.0)
-    return system, pair, remote, session
+    remote = remotes["remote0"]
+    return system, pairs["pair0"], remote, remote.sessions[0]
 
 
 def _receive(system, pair, remote, session, expected, limit):

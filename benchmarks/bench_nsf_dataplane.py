@@ -16,11 +16,10 @@ import random
 
 from conftest import run_once
 from repro.baselines import baseline_recovery_row
-from repro.core.system import PeerNeighborSpec, TensorSystem
+from repro.config import build_system, lab_spec
 from repro.failures import FailureInjector
 from repro.forwarding import DataPlane, Fib, FibSyncer, TrafficFlow
 from repro.metrics import format_table
-from repro.workloads.topology import build_remote_peer
 from repro.workloads.updates import RouteGenerator
 
 ROUTES = 500
@@ -29,21 +28,10 @@ PACKET_BYTES = 1000
 
 
 def tensor_loss():
-    system = TensorSystem(seed=800)
-    m1 = system.add_machine("gw-1", "10.1.0.1")
-    m2 = system.add_machine("gw-2", "10.2.0.1")
-    pair = system.create_pair(
-        "pair0", m1, m2, service_addr="10.10.0.1", local_as=65001,
-        router_id="10.10.0.1",
-        neighbors=[PeerNeighborSpec("192.0.2.1", 64512, vrf_name="v0",
-                                    mode="passive")],
-    )
-    remote = build_remote_peer(system, "remote0", "192.0.2.1", 64512,
-                               link_machines=[m1, m2])
-    session = remote.peer_with("10.10.0.1", 65001, vrf_name="v0", mode="active")
-    pair.start()
-    remote.start()
+    system, pairs, remotes = build_system(lab_spec(800))
     system.engine.advance(10.0)
+    pair, remote = pairs["pair0"], remotes["remote0"]
+    session = remote.sessions[0]
     gen = RouteGenerator(random.Random(8), 64512, next_hop="192.0.2.1")
     remote.speaker.originate_many("v0", gen.routes(ROUTES))
     remote.speaker.readvertise(session)

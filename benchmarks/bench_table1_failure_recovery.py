@@ -17,14 +17,19 @@ import random
 
 from conftest import run_once
 from repro.baselines import baseline_recovery_row
-from repro.core.system import PeerNeighborSpec, TensorSystem
+from repro.config import build_system, lab_spec
 from repro.failures import FailureInjector
 from repro.metrics import format_table, mean
-from repro.workloads.topology import DowntimeObserver, build_remote_peer
+from repro.workloads.topology import DowntimeObserver
 from repro.workloads.updates import RouteGenerator
 
 ROUTES = 300
 PAIRS_FOR_MACHINE_SCENARIOS = 10
+
+#: A fixed seed per failure class (a ``hash(kind)`` seed would move
+#: with ``PYTHONHASHSEED``).
+KIND_SEEDS = {"application": 1, "container": 2, "host_machine": 3,
+              "host_network": 4}
 
 PAPER_ROWS = {
     "application": (0.01, 0.10, 1.09, 1.06, 2.26),
@@ -34,29 +39,30 @@ PAPER_ROWS = {
 }
 
 
-def build_system(seed, pair_count):
-    system = TensorSystem(seed=seed)
-    m1 = system.add_machine("gw-1", "10.1.0.1")
-    m2 = system.add_machine("gw-2", "10.2.0.1")
-    observers = []
-    for i in range(pair_count):
-        pair = system.create_pair(
-            f"pair{i}", m1, m2,
-            service_addr=f"10.10.{i}.1",
-            local_as=65001, router_id=f"10.10.{i}.1",
-            neighbors=[PeerNeighborSpec(f"192.0.2.{i + 1}", 64512 + i,
-                                        vrf_name="v0", mode="passive")],
-            # ~150 config entries per container: the cold-boot time this
-            # implies (~2.8 s) reproduces the paper's mass-migration phase
-            config_entries=150,
-        )
-        remote = build_remote_peer(system, f"remote{i}", f"192.0.2.{i + 1}",
-                                   64512 + i, link_machines=[m1, m2])
-        session = remote.peer_with(f"10.10.{i}.1", 65001, vrf_name="v0",
-                                   mode="active")
-        pair.start()
-        remote.start()
-        observers.append((pair, remote, session))
+def build_deployment(seed, pair_count):
+    """``pair_count`` pairs on gw-1/gw-2, each with one remote AS."""
+    spec = lab_spec(seed)
+    spec["pairs"] = [
+        {"name": f"pair{i}", "primary": "gw-1", "backup": "gw-2",
+         "service_addr": f"10.10.{i}.1", "local_as": 65001,
+         "router_id": f"10.10.{i}.1",
+         "neighbors": [{"remote_addr": f"192.0.2.{i + 1}",
+                        "remote_as": 64512 + i, "vrf": "v0"}],
+         # ~150 config entries per container: the cold-boot time this
+         # implies (~2.8 s) reproduces the paper's mass-migration phase
+         "config_entries": 150}
+        for i in range(pair_count)
+    ]
+    spec["remotes"] = [
+        {"name": f"remote{i}", "address": f"192.0.2.{i + 1}",
+         "asn": 64512 + i, "links": ["gw-1", "gw-2"],
+         "peer": {"gateway": f"10.10.{i}.1", "gateway_as": 65001,
+                  "vrf": "v0"}}
+        for i in range(pair_count)
+    ]
+    system, pairs, remotes = build_system(spec)
+    observers = [(pair, remote, remote.sessions[0])
+                 for pair, remote in zip(pairs.values(), remotes.values())]
     system.engine.advance(10.0)
     gen = RouteGenerator(random.Random(seed), 64512, next_hop="192.0.2.1")
     for _pair, remote, session in observers:
@@ -75,7 +81,8 @@ def build_system(seed, pair_count):
 
 def run_scenario(kind):
     pair_count = PAIRS_FOR_MACHINE_SCENARIOS if kind.startswith("host") else 1
-    system, observers, watchers = build_system(hash(kind) % 1000, pair_count)
+    system, observers, watchers = build_deployment(KIND_SEEDS[kind],
+                                                   pair_count)
     injector = FailureInjector(system)
     pair0 = observers[0][0]
     if kind == "application":

@@ -12,31 +12,24 @@ Run:  python examples/failover_drill.py
 import random
 
 from repro.baselines import baseline_recovery_row
-from repro.core.system import PeerNeighborSpec, TensorSystem
+from repro.config import build_system, lab_spec
 from repro.failures import FailureInjector
 from repro.metrics import format_table
-from repro.workloads.topology import DowntimeObserver, build_remote_peer
+from repro.workloads.topology import DowntimeObserver
 from repro.workloads.updates import RouteGenerator
 
 ROUTES = 500
 
+#: One fixed seed per failure class.
+KIND_SEEDS = {"application": 1, "container": 2, "host_machine": 3,
+              "host_network": 4}
+
 
 def build(seed):
-    system = TensorSystem(seed=seed)
-    m1 = system.add_machine("gw-1", "10.1.0.1")
-    m2 = system.add_machine("gw-2", "10.2.0.1")
-    pair = system.create_pair(
-        "pair0", m1, m2, service_addr="10.10.0.1", local_as=65001,
-        router_id="10.10.0.1",
-        neighbors=[PeerNeighborSpec("192.0.2.1", 64512, vrf_name="v0",
-                                    mode="passive")],
-    )
-    remote = build_remote_peer(system, "remote0", "192.0.2.1", 64512,
-                               link_machines=[m1, m2])
-    session = remote.peer_with("10.10.0.1", 65001, vrf_name="v0", mode="active")
-    pair.start()
-    remote.start()
+    system, pairs, remotes = build_system(lab_spec(seed))
     system.run(10.0)
+    pair, remote = pairs["pair0"], remotes["remote0"]
+    session = remote.sessions[0]
     generator = RouteGenerator(random.Random(seed), 64512, next_hop="192.0.2.1")
     remote.speaker.originate_many("v0", generator.routes(ROUTES))
     remote.speaker.readvertise(session)
@@ -68,7 +61,7 @@ def drill(kind, seed):
 def main():
     rows = []
     for kind in ("application", "container", "host_machine", "host_network"):
-        record, downtime, established = drill(kind, seed=hash(kind) % 97)
+        record, downtime, established = drill(kind, seed=KIND_SEEDS[kind])
         baseline = baseline_recovery_row(kind)
         baseline_total = (
             f"~{baseline['total']:.0f}s offline" if baseline["total"] else "N/A"

@@ -12,43 +12,29 @@ Run:  python examples/quickstart.py
 
 import random
 
-from repro.core.system import PeerNeighborSpec, TensorSystem
+from repro.config import build_system, lab_spec
 from repro.failures import FailureInjector
-from repro.workloads.topology import DowntimeObserver, build_remote_peer
+from repro.workloads.topology import DowntimeObserver
 from repro.workloads.updates import RouteGenerator
 
 
 def main():
-    # 1. The gateway cluster: controller + database + agent come built in.
-    system = TensorSystem(seed=1)
-    machine_a = system.add_machine("gw-1", "10.1.0.1")
-    machine_b = system.add_machine("gw-2", "10.2.0.1")
+    # 1. The standard lab as a plain spec: two gateway machines, one
+    #    primary/backup container pair serving one peering AS (AS 64512),
+    #    and that AS's border router (an FRR-profile speaker + BFD).  The
+    #    controller, database and agent come built in.
+    spec = lab_spec(seed=1)
+    spec["remotes"][0]["name"] = "remote-as"
 
-    # 2. One container pair serving one peering AS (AS 64512).
-    pair = system.create_pair(
-        "pair0",
-        machine_a,
-        machine_b,
-        service_addr="10.10.0.1",
-        local_as=65001,
-        router_id="10.10.0.1",
-        neighbors=[PeerNeighborSpec("192.0.2.1", 64512, vrf_name="v0", mode="passive")],
-    )
-
-    # 3. The remote AS's border router (an FRR-profile speaker + BFD).
-    remote = build_remote_peer(
-        system, "remote-as", "192.0.2.1", 64512,
-        link_machines=[machine_a, machine_b],
-    )
-    session = remote.peer_with("10.10.0.1", 65001, vrf_name="v0", mode="active")
-
-    pair.start()
-    remote.start()
+    # 2. Build and boot it; the sessions establish within seconds.
+    system, pairs, remotes = build_system(spec)
+    pair, remote = pairs["pair0"], remotes["remote-as"]
+    session = remote.sessions[0]
     system.run(10.0)
     print(f"[t={system.engine.now:5.1f}s] session {session.state.value}, "
           f"BFD {list(remote.bfd.session_states().values())[0].name}")
 
-    # 4. The remote advertises 1000 routes; TENSOR replicates while learning.
+    # 3. The remote advertises 1000 routes; TENSOR replicates while learning.
     generator = RouteGenerator(random.Random(7), 64512, next_hop="192.0.2.1")
     remote.speaker.originate_many("v0", generator.routes(1000))
     remote.speaker.readvertise(session)
@@ -57,7 +43,7 @@ def main():
           f"{len(pair.speaker.vrfs['v0'].loc_rib)} routes; "
           f"database holds {len(system.db.store)} records")
 
-    # 5. Watch the remote's view while we kill the primary container.
+    # 4. Watch the remote's view while we kill the primary container.
     observer = DowntimeObserver(system.engine, session,
                                 remote.speaker.vrfs["v0"], expect_routes=1000)
     observer.start()

@@ -6,6 +6,7 @@ Example spec::
       "seed": 7,
       "hook_technology": "netfilter",          # or "ebpf"
       "remote_db": {"latency": 0.005, "mode": "async"},   # optional
+      "tracing": false, "controller_replicas": 1,          # optional
       "machines": [
         {"name": "gw-1", "address": "10.1.0.1"},
         {"name": "gw-2", "address": "10.2.0.1"}
@@ -29,6 +30,8 @@ Example spec::
          "peer": {"gateway": "10.10.0.1", "gateway_as": 65001, "vrf": "v0"}}
       ]
     }
+
+Optional keys and their defaults are the ``*_DEFAULTS`` tables below.
 """
 
 import json
@@ -37,6 +40,68 @@ from repro.bgp.policy import policy_from_dict
 from repro.bgp.speaker import MRAI_MODES
 from repro.core.system import PeerNeighborSpec, TensorSystem
 from repro.workloads.topology import build_remote_peer
+
+#: Top-level keys: exactly the parameters of :class:`TensorSystem`.
+SYSTEM_DEFAULTS = {
+    "seed": 0, "hold_acks": True, "hook_technology": "netfilter",
+    "remote_db": None, "tracing": False, "controller_replicas": 1,
+}
+PAIR_DEFAULTS = {
+    "config_entries": 100, "preheat_backup": True, "mrai": None,
+    "mrai_mode": "per_speaker", "aggregate_snapshots": False,
+}
+NEIGHBOR_DEFAULTS = {
+    "vrf": "default", "mode": "passive", "hold_time": 90,
+    "keepalive_interval": 30, "bfd_tx_interval": None,
+    "bfd_detect_mult": None, "mrai": None, "import_policy": None,
+    "export_policy": None,
+}
+#: A remote's ``peer`` block: its session towards the gateway.
+PEER_DEFAULTS = {
+    "vrf": "default", "mode": "active", "hold_time": 90,
+    "keepalive_interval": 30,
+}
+
+
+def non_default(defaults, **values):
+    """The ``values`` a spec has to spell out: those that differ from
+    ``defaults``.  Two specs built this way compare equal exactly when
+    they build the same deployment."""
+    return {key: value for key, value in values.items()
+            if value != defaults[key]}
+
+
+def lab_spec(seed, neighbors=1, shared_vrf=False):
+    """The standard lab as a plain dict: machines gw-1/gw-2, ``pair0`` at
+    10.10.0.1 (AS 65001), and ``remote{i}`` at 192.0.2.{i+1} (AS
+    64512+i) linked to both machines, in VRF ``v{i}`` — or all in ``v0``
+    with ``shared_vrf``.  Override fields with ``{**lab_spec(...), ...}``.
+    """
+    vrfs = ["v0" if shared_vrf else f"v{i}" for i in range(neighbors)]
+    return {
+        "seed": seed,
+        "machines": [
+            {"name": "gw-1", "address": "10.1.0.1"},
+            {"name": "gw-2", "address": "10.2.0.1"},
+        ],
+        "pairs": [{
+            "name": "pair0", "primary": "gw-1", "backup": "gw-2",
+            "service_addr": "10.10.0.1", "local_as": 65001,
+            "router_id": "10.10.0.1",
+            "neighbors": [
+                {"remote_addr": f"192.0.2.{i + 1}", "remote_as": 64512 + i,
+                 "vrf": vrf}
+                for i, vrf in enumerate(vrfs)
+            ],
+        }],
+        "remotes": [
+            {"name": f"remote{i}", "address": f"192.0.2.{i + 1}",
+             "asn": 64512 + i, "links": ["gw-1", "gw-2"],
+             "peer": {"gateway": "10.10.0.1", "gateway_as": 65001,
+                      "vrf": vrf}}
+            for i, vrf in enumerate(vrfs)
+        ],
+    }
 
 
 class ConfigError(ValueError):
@@ -59,6 +124,11 @@ def _require(mapping, key, path, types=None):
     return value
 
 
+def _optional(mapping, key, path, types, what):
+    if mapping.get(key) is not None and not isinstance(mapping[key], types):
+        raise ConfigError(f"{path}.{key}", f"must be {what}")
+
+
 def validate_spec(spec):
     """Validate a deployment spec; raises :class:`ConfigError`."""
     if not isinstance(spec, dict):
@@ -77,7 +147,7 @@ def validate_spec(spec):
 
     pairs = _require(spec, "pairs", "$", list)
     pair_names = set()
-    service_addrs = set()
+    pair_at = {}  # service address -> pair spec
     for index, pair in enumerate(pairs):
         path = f"$.pairs[{index}]"
         name = _require(pair, "name", path, str)
@@ -94,18 +164,16 @@ def validate_spec(spec):
                 " (the whole point of the pair)"
             )
         addr = _require(pair, "service_addr", path, str)
-        if addr in service_addrs:
+        if addr in pair_at:
             raise ConfigError(f"{path}.service_addr", f"duplicate address {addr!r}")
-        service_addrs.add(addr)
+        pair_at[addr] = pair
         _require(pair, "local_as", path, int)
         _require(pair, "router_id", path, str)
         mrai_mode = pair.get("mrai_mode", "per_speaker")
         if mrai_mode not in MRAI_MODES:
             raise ConfigError(f"{path}.mrai_mode", f"unknown mode {mrai_mode!r}")
-        if pair.get("mrai") is not None and not isinstance(
-            pair["mrai"], (int, float)
-        ):
-            raise ConfigError(f"{path}.mrai", "must be a number of seconds")
+        _optional(pair, "mrai", path, (int, float), "a number of seconds")
+        _optional(pair, "aggregate_snapshots", path, bool, "a boolean")
         neighbors = _require(pair, "neighbors", path, list)
         if not neighbors:
             raise ConfigError(f"{path}.neighbors", "a pair needs >= 1 neighbor")
@@ -116,32 +184,55 @@ def validate_spec(spec):
             mode = neighbor.get("mode", "passive")
             if mode not in ("active", "passive"):
                 raise ConfigError(f"{n_path}.mode", f"bad mode {mode!r}")
-            if neighbor.get("mrai") is not None and not isinstance(
-                neighbor["mrai"], (int, float)
-            ):
-                raise ConfigError(f"{n_path}.mrai", "must be a number of seconds")
+            _optional(neighbor, "mrai", n_path, (int, float),
+                      "a number of seconds")
             for knob in ("bfd_tx_interval", "bfd_detect_mult"):
-                if neighbor.get(knob) is not None and not isinstance(
-                    neighbor[knob], (int, float)
-                ):
-                    raise ConfigError(f"{n_path}.{knob}", "must be a number")
+                _optional(neighbor, knob, n_path, (int, float), "a number")
             for side in ("import_policy", "export_policy"):
                 policy = neighbor.get(side)
                 if policy is not None:
                     _require(policy, "name", f"{n_path}.{side}", str)
 
+    remote_names = set()
+    remote_addrs = set()
     for index, remote in enumerate(spec.get("remotes", ())):
         path = f"$.remotes[{index}]"
-        _require(remote, "name", path, str)
-        _require(remote, "address", path, str)
-        _require(remote, "asn", path, int)
+        name = _require(remote, "name", path, str)
+        if name in remote_names:
+            raise ConfigError(f"{path}.name", f"duplicate remote {name!r}")
+        remote_names.add(name)
+        address = _require(remote, "address", path, str)
+        if address in remote_addrs:
+            raise ConfigError(f"{path}.address",
+                              f"duplicate address {address!r}")
+        remote_addrs.add(address)
+        asn = _require(remote, "asn", path, int)
         for link in remote.get("links", ()):
             if link not in machine_names:
                 raise ConfigError(f"{path}.links", f"unknown machine {link!r}")
         peer = remote.get("peer")
-        if peer is not None:
-            _require(peer, "gateway", f"{path}.peer", str)
-            _require(peer, "gateway_as", f"{path}.peer", int)
+        if peer is None:
+            continue
+        p_path = f"{path}.peer"
+        gateway = _require(peer, "gateway", p_path, str)
+        gateway_as = _require(peer, "gateway_as", p_path, int)
+        for knob in ("hold_time", "keepalive_interval"):
+            _optional(peer, knob, p_path, (int, float), "a number of seconds")
+        # a session that cannot establish is a spec error, not a silent
+        # dead peer: the gateway must be a pair that expects this remote
+        pair = pair_at.get(gateway)
+        if pair is None:
+            raise ConfigError(f"{p_path}.gateway",
+                              f"no pair serves {gateway!r}")
+        if gateway_as != pair["local_as"]:
+            raise ConfigError(f"{p_path}.gateway_as",
+                              f"{pair['name']} is AS {pair['local_as']}")
+        expected = [n["remote_as"] for n in pair["neighbors"]
+                    if n["remote_addr"] == address]
+        if asn not in expected:
+            raise ConfigError(
+                f"{path}.asn", f"{pair['name']} expects {address} as AS"
+                f" {expected[0] if expected else '(no neighbor)'}, not {asn}")
 
     tech = spec.get("hook_technology", "netfilter")
     if tech not in ("netfilter", "ebpf"):
@@ -151,22 +242,22 @@ def validate_spec(spec):
         _require(remote_db, "latency", "$.remote_db", (int, float))
         if remote_db.get("mode", "sync") not in ("sync", "async"):
             raise ConfigError("$.remote_db.mode", "must be 'sync' or 'async'")
+    _optional(spec, "tracing", "$", bool, "a boolean")
+    _optional(spec, "controller_replicas", "$", int, "an int")
     return spec
 
 
 def build_system(spec, start=True):
     """Build (system, pairs, remotes) from a validated spec.
 
+    ``pairs`` and ``remotes`` are dicts by name, in spec order.
     ``start=True`` also boots every pair and remote; advance the engine
-    afterwards to let sessions establish.
+    afterwards to let sessions establish.  A remote's session towards
+    its gateway is ``remote.sessions[0]``.
     """
     validate_spec(spec)
     system = TensorSystem(
-        seed=spec.get("seed", 0),
-        verify_reads=spec.get("verify_reads", True),
-        hold_acks=spec.get("hold_acks", True),
-        hook_technology=spec.get("hook_technology", "netfilter"),
-        remote_db=spec.get("remote_db"),
+        **{key: spec.get(key, value) for key, value in SYSTEM_DEFAULTS.items()}
     )
     machines = {}
     for machine_spec in spec["machines"]:
@@ -175,23 +266,18 @@ def build_system(spec, start=True):
         )
     pairs = {}
     for pair_spec in spec["pairs"]:
-        neighbors = [
-            PeerNeighborSpec(
-                neighbor["remote_addr"],
-                neighbor["remote_as"],
-                vrf_name=neighbor.get("vrf", "default"),
-                mode=neighbor.get("mode", "passive"),
-                hold_time=neighbor.get("hold_time", 90),
-                keepalive_interval=neighbor.get("keepalive_interval", 30),
-                bfd=neighbor.get("bfd", True),
-                bfd_tx_interval=neighbor.get("bfd_tx_interval"),
-                bfd_detect_mult=neighbor.get("bfd_detect_mult"),
-                mrai=neighbor.get("mrai"),
-                import_policy=policy_from_dict(neighbor.get("import_policy")),
-                export_policy=policy_from_dict(neighbor.get("export_policy")),
-            )
-            for neighbor in pair_spec["neighbors"]
-        ]
+        neighbors = []
+        for neighbor_spec in pair_spec["neighbors"]:
+            n = {**NEIGHBOR_DEFAULTS, **neighbor_spec}
+            neighbors.append(PeerNeighborSpec(
+                n["remote_addr"], n["remote_as"], vrf_name=n["vrf"],
+                mode=n["mode"], hold_time=n["hold_time"],
+                keepalive_interval=n["keepalive_interval"],
+                bfd_tx_interval=n["bfd_tx_interval"],
+                bfd_detect_mult=n["bfd_detect_mult"], mrai=n["mrai"],
+                import_policy=policy_from_dict(n["import_policy"]),
+                export_policy=policy_from_dict(n["export_policy"]),
+            ))
         pairs[pair_spec["name"]] = system.create_pair(
             pair_spec["name"],
             machines[pair_spec["primary"]],
@@ -200,10 +286,8 @@ def build_system(spec, start=True):
             local_as=pair_spec["local_as"],
             router_id=pair_spec["router_id"],
             neighbors=neighbors,
-            config_entries=pair_spec.get("config_entries", 100),
-            preheat_backup=pair_spec.get("preheat_backup", True),
-            mrai=pair_spec.get("mrai"),
-            mrai_mode=pair_spec.get("mrai_mode", "per_speaker"),
+            **{key: pair_spec.get(key, value)
+               for key, value in PAIR_DEFAULTS.items()},
         )
     remotes = {}
     for remote_spec in spec.get("remotes", ()):
@@ -214,13 +298,15 @@ def build_system(spec, start=True):
             remote_spec["asn"],
             link_machines=[machines[name] for name in remote_spec.get("links", ())],
         )
-        peer = remote_spec.get("peer")
-        if peer is not None:
+        if remote_spec.get("peer") is not None:
+            peer = {**PEER_DEFAULTS, **remote_spec["peer"]}
             remote.peer_with(
                 peer["gateway"],
                 peer["gateway_as"],
-                vrf_name=peer.get("vrf", "default"),
-                mode=peer.get("mode", "active"),
+                vrf_name=peer["vrf"],
+                mode=peer["mode"],
+                hold_time=peer["hold_time"],
+                keepalive_interval=peer["keepalive_interval"],
             )
         remotes[remote_spec["name"]] = remote
     if start:

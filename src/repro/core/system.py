@@ -49,7 +49,7 @@ class PeerNeighborSpec:
     """One remote BGP neighbour of a pair."""
 
     def __init__(self, remote_addr, remote_as, vrf_name="default", mode="active",
-                 hold_time=90, keepalive_interval=30, bfd=True,
+                 hold_time=90, keepalive_interval=30,
                  bfd_tx_interval=None, bfd_detect_mult=None, mrai=None,
                  import_policy=None, export_policy=None):
         self.remote_addr = remote_addr
@@ -58,7 +58,6 @@ class PeerNeighborSpec:
         self.mode = mode
         self.hold_time = hold_time
         self.keepalive_interval = keepalive_interval
-        self.bfd = bfd
         #: BFD timer overrides; ``None`` uses the calibrated defaults.
         self.bfd_tx_interval = bfd_tx_interval
         self.bfd_detect_mult = bfd_detect_mult
@@ -84,16 +83,15 @@ class PeerNeighborSpec:
 class TensorSystem:
     """The whole gateway cluster."""
 
-    def __init__(self, engine=None, seed=0, verify_reads=True, hold_acks=True,
-                 hook_technology="netfilter", remote_db=None, tracing=False,
-                 controller_replicas=1):
+    def __init__(self, seed=0, hold_acks=True, hook_technology="netfilter",
+                 remote_db=None, tracing=False, controller_replicas=1):
         """``remote_db``: None, or {"latency": seconds, "mode": "sync"|"async"}
         to add a disaster-recovery store in another facility (§5).
         ``tracing=True`` installs a causal tracer on the engine (DESIGN.md
         §10); query the spans through :attr:`trace_store`.
         ``controller_replicas`` sizes the controller panel (DESIGN.md
         §15); the default is a panel of one."""
-        self.engine = engine or Engine()
+        self.engine = Engine()
         self.tracer = None
         if tracing:
             from repro.trace import Tracer
@@ -105,7 +103,6 @@ class TensorSystem:
             latency=CLUSTER_FABRIC_LATENCY, bandwidth=CLUSTER_FABRIC_BANDWIDTH
         )
         self.underlay = Underlay(self.network)
-        self.verify_reads = verify_reads
         self.hold_acks = hold_acks
         self.hook_technology = hook_technology
 
@@ -236,29 +233,10 @@ class TensorSystem:
         origin = prober.name.split(":", 1)[1]
         self.controller.peer_ipsla_report(origin, target_name, reachable)
 
-    def create_pair(self, name, primary_machine, backup_machine, service_addr,
-                    local_as, router_id, neighbors, config_entries=100,
-                    preheat_backup=True, profile="tensor", mrai=None,
-                    mrai_mode="per_speaker", aggregate_snapshots=False,
-                    aggregates=()):
-        pair = TensorPair(
-            self,
-            name,
-            primary_machine,
-            backup_machine,
-            service_addr,
-            local_as,
-            router_id,
-            neighbors,
-            config_entries=config_entries,
-            preheat_backup=preheat_backup,
-            profile=profile,
-            mrai=mrai,
-            mrai_mode=mrai_mode,
-            aggregate_snapshots=aggregate_snapshots,
-            aggregates=aggregates,
-        )
-        self.pairs[name] = pair
+    def create_pair(self, name, *args, **kwargs):
+        """A :class:`TensorPair` (same arguments, minus ``system``),
+        registered with the controller."""
+        pair = self.pairs[name] = TensorPair(self, name, *args, **kwargs)
         self.controller.register_pair(pair)
         return pair
 
@@ -298,9 +276,8 @@ class TensorPair:
 
     def __init__(self, system, name, primary_machine, backup_machine, service_addr,
                  local_as, router_id, neighbors, config_entries=100,
-                 preheat_backup=True, profile="tensor", mrai=None,
-                 mrai_mode="per_speaker", aggregate_snapshots=False,
-                 aggregates=()):
+                 preheat_backup=True, mrai=None, mrai_mode="per_speaker",
+                 aggregate_snapshots=False):
         self.system = system
         self.engine = system.engine
         self.name = name
@@ -310,14 +287,11 @@ class TensorPair:
         self.neighbors = list(neighbors)
         self.config_entries = config_entries
         self.preheat_backup = preheat_backup
-        self.profile = profile
         self.mrai = mrai
         self.mrai_mode = mrai_mode
-        # DRAGON aggregation knobs (DESIGN.md §14), both default-off:
-        # snapshot aggregation collapses uniform subtrees in the KV
-        # snapshot chunks; ``aggregates`` enables export aggregation.
+        # DRAGON snapshot aggregation (DESIGN.md §14), default-off:
+        # collapses uniform subtrees in the KV snapshot chunks.
         self.aggregate_snapshots = aggregate_snapshots
-        self.aggregates = tuple(aggregates)
 
         self.active_machine = primary_machine
         self.standby_machine = backup_machine
@@ -425,14 +399,12 @@ class TensorPair:
             self.engine,
             self.stack,
             SpeakerConfig(
-                self.name, self.local_as, self.router_id, profile=self.profile,
+                self.name, self.local_as, self.router_id, profile="tensor",
                 mrai=self.mrai if self.mrai is not None else DEFAULT_MRAI,
                 mrai_mode=self.mrai_mode,
-                aggregates=self.aggregates,
             ),
             self.pipeline,
             self.name,
-            verify_reads=self.system.verify_reads,
             hold_acks=self.system.hold_acks,
         )
         self.bfd = BfdProcess(
@@ -442,26 +414,25 @@ class TensorPair:
             if not recovered:
                 self.speaker.add_vrf(neighbor.vrf_name)
                 self.speaker.add_peer(neighbor.to_peer_config())
-            if neighbor.bfd:
-                prior = self._bfd_disc_registry.get((neighbor.vrf_name, neighbor.remote_addr))
-                bfd_kwargs = {}
-                if neighbor.bfd_tx_interval is not None:
-                    bfd_kwargs["tx_interval"] = neighbor.bfd_tx_interval
-                if neighbor.bfd_detect_mult is not None:
-                    bfd_kwargs["detect_mult"] = neighbor.bfd_detect_mult
-                session = self.bfd.add_session(
-                    neighbor.vrf_name,
-                    neighbor.remote_addr,
-                    on_state_change=self._on_bfd_state,
-                    my_disc=prior[0] if prior else None,
-                    your_disc=prior[1] if prior else 0,
-                    initial_state=BfdState.UP if (recovered and prior) else BfdState.DOWN,
-                    **bfd_kwargs,
-                )
-                self._bfd_disc_registry[(neighbor.vrf_name, neighbor.remote_addr)] = (
-                    session.my_disc,
-                    session.your_disc,
-                )
+            prior = self._bfd_disc_registry.get((neighbor.vrf_name, neighbor.remote_addr))
+            bfd_kwargs = {}
+            if neighbor.bfd_tx_interval is not None:
+                bfd_kwargs["tx_interval"] = neighbor.bfd_tx_interval
+            if neighbor.bfd_detect_mult is not None:
+                bfd_kwargs["detect_mult"] = neighbor.bfd_detect_mult
+            session = self.bfd.add_session(
+                neighbor.vrf_name,
+                neighbor.remote_addr,
+                on_state_change=self._on_bfd_state,
+                my_disc=prior[0] if prior else None,
+                your_disc=prior[1] if prior else 0,
+                initial_state=BfdState.UP if (recovered and prior) else BfdState.DOWN,
+                **bfd_kwargs,
+            )
+            self._bfd_disc_registry[(neighbor.vrf_name, neighbor.remote_addr)] = (
+                session.my_disc,
+                session.your_disc,
+            )
         self.speaker.on_exit = self.bfd.on_exit = self._process_exited
         container.add_process("bgp", _BgpApp(self.speaker, self.stack))
         container.add_process("bfd", self.bfd)

@@ -25,7 +25,7 @@ class TensorBgpSpeaker(BgpSpeaker):
     """One TENSOR BGP process (runs inside one container)."""
 
     def __init__(self, engine, stack, config, pipeline, pair_name,
-                 verify_reads=True, hold_acks=True):
+                 hold_acks=True):
         super().__init__(engine, stack, config)
         self.pipeline = pipeline
         self.pair_name = pair_name
@@ -33,7 +33,7 @@ class TensorBgpSpeaker(BgpSpeaker):
         #: is skipped entirely, reproducing the §3.1.1 inconsistency (ACKs
         #: escape before replication commits).
         self.hold_acks = hold_acks
-        self.tcp_queue = TcpQueueThread(engine, pipeline, verify_reads=verify_reads)
+        self.tcp_queue = TcpQueueThread(engine, pipeline)
         self._conn_keys = {}  # peer_id -> ConnectionKeys
         self._out_pos = {}  # peer_id -> stream offset after last queued msg
         self._out_unpruned = {}  # peer_id -> sorted [(pos, key_pos)] pending prune

@@ -11,8 +11,9 @@ harness; a *scenario* is either object, and supplies only what differs:
 
 - ``seed``, ``initial_routes``, ``injections``, ``workload``,
   ``duration`` — the shared event schema (times relative to arming);
-- ``build(hold_acks, tracing)`` — the converged system, as ``(system,
-  [(pair, remote indices, import policies)], remotes)``;
+- ``deployment(hold_acks, tracing)`` — the :mod:`repro.config` spec of
+  the system to run it on, a plain dict the harness builds with
+  :func:`~repro.config.build_system` (:func:`build_scenario`);
 - ``uniform_attributes`` — whether a burst shares one attribute set;
 - ``validate()``, ``to_dict()`` / ``from_dict()``, ``copy()``;
 - ``config_shrink_passes()``, ``profile_shape()`` and ``kind`` /
@@ -29,6 +30,7 @@ what :mod:`repro.failures.shrink` relies on.
 import hashlib
 import json
 
+from repro.config import build_system
 from repro.failures.injector import FailureInjector
 from repro.failures.oracles import OracleSuite, Violation
 from repro.sim.rand import DeterministicRandom
@@ -102,6 +104,25 @@ class ScenarioResult:
             f"{len(violations)} violation(s); first: {head.oracle}"
             f" @{head.time:.3f} — {head.detail}"
         )
+
+
+def build_scenario(scenario, hold_acks=True, tracing=False):
+    """The converged deployment: ``(system, [(pair, remote indices,
+    import policies)] in each pair's neighbor order, [(RemotePeerAs,
+    session)])``."""
+    system, pairs, remotes = build_system(
+        scenario.deployment(hold_acks=hold_acks, tracing=tracing))
+    system.run(10.0)
+    index_of = {remote.host.address: index
+                for index, remote in enumerate(remotes.values())}
+    placed = [
+        (pair,
+         [index_of[neighbor.remote_addr] for neighbor in pair.neighbors],
+         [neighbor.import_policy for neighbor in pair.neighbors])
+        for pair in pairs.values()
+    ]
+    return system, placed, [(remote, remote.sessions[0])
+                            for remote in remotes.values()]
 
 
 class _WorkloadDriver:
@@ -180,8 +201,8 @@ class _PreparedRun:
                  tracing=False):
         self.scenario = scenario
         rand = DeterministicRandom(scenario.seed)
-        self.system, placed, self.remotes = scenario.build(
-            hold_acks=hold_acks, tracing=tracing
+        self.system, placed, self.remotes = build_scenario(
+            scenario, hold_acks=hold_acks, tracing=tracing
         )
         engine = self.system.engine
         self.pairs = [pair for pair, _members, _policies in placed]

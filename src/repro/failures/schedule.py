@@ -18,9 +18,8 @@ budget.  Soft injections may land anywhere — including deliberately
 inside the recovery window of a hard one.
 """
 
-from repro.core.system import PeerNeighborSpec, TensorSystem
+from repro.config.loader import SYSTEM_DEFAULTS, lab_spec, non_default
 from repro.sim.rand import DeterministicRandom
-from repro.workloads.topology import build_remote_peer
 
 #: Hard injections are spaced at least this far apart so each recovery
 #: (detection + migration + TCP repair + route resync) completes.
@@ -137,49 +136,16 @@ class ChaosSchedule:
         generator's, and the shrinker only ever removes from it."""
         return self
 
-    def build(self, hold_acks=True, tracing=False):
-        """A converged system for the schedule's topology knobs: one
-        pair at ``10.10.0.1`` carrying every neighbor, however many VRFs
-        (the fuzzer's split planner would give each VRF its own pair).
-
-        Returns ``(system, [(pair, remote indices, import policies)],
-        remotes)`` with ``remotes`` the ``(RemotePeerAs, session)`` list.
-        """
-        system = TensorSystem(
-            seed=self.seed, hold_acks=hold_acks, tracing=tracing,
-            controller_replicas=self.controller_replicas,
-        )
-        m1 = system.add_machine("gw-1", "10.1.0.1")
-        m2 = system.add_machine("gw-2", "10.2.0.1")
-        vrf_of = (
-            (lambda i: "v0") if self.shared_vrf else (lambda i: f"v{i}")
-        )
-        specs = [
-            PeerNeighborSpec(
-                f"192.0.2.{i + 1}", 64512 + i, vrf_name=vrf_of(i), mode="passive"
-            )
-            for i in range(self.neighbors)
-        ]
-        pair = system.create_pair(
-            "pair0", m1, m2, service_addr="10.10.0.1", local_as=65001,
-            router_id="10.10.0.1", neighbors=specs,
-        )
-        remotes = []
-        for i in range(self.neighbors):
-            remote = build_remote_peer(
-                system, f"remote{i}", f"192.0.2.{i + 1}", 64512 + i,
-                link_machines=[m1, m2],
-            )
-            session = remote.peer_with(
-                "10.10.0.1", 65001, vrf_name=vrf_of(i), mode="active"
-            )
-            remotes.append((remote, session))
-        pair.start()
-        for remote, _session in remotes:
-            remote.start()
-        system.engine.advance(10.0)
-        members = list(range(self.neighbors))
-        return system, [(pair, members, [None] * self.neighbors)], remotes
+    def deployment(self, hold_acks=True, tracing=False):
+        """The standard lab for the schedule's topology knobs: one pair
+        at ``10.10.0.1`` carrying every neighbor, however many VRFs (the
+        fuzzer's split planner would give each VRF its own pair)."""
+        return {
+            **lab_spec(self.seed, self.neighbors, self.shared_vrf),
+            **non_default(SYSTEM_DEFAULTS, hold_acks=hold_acks,
+                          tracing=tracing,
+                          controller_replicas=self.controller_replicas),
+        }
 
     def config_shrink_passes(self):
         """The config/topology mutators the shrinker may try, in order."""

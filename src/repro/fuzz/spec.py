@@ -2,17 +2,17 @@
 
 A spec fully determines a run — :func:`generate_fuzz_spec` and
 :func:`mutate_fuzz_spec` are pure functions of their seeds, and
-:meth:`FuzzSpec.build` materializes the spec deterministically — so every
+:meth:`FuzzSpec.deployment` turns the spec into a plain
+:mod:`repro.config` spec the harness builds — so every
 corpus entry and every repro script replays bit-identically.  A spec is
 a *scenario* of the harness (:mod:`repro.failures.harness`), like a
-chaos schedule: it supplies the topology builder, its shrink passes and
-its coverage shape, and the harness does everything else.
+chaos schedule: it supplies its deployment, its shrink passes and its
+coverage shape, and the harness does everything else.
 
 The differences the fuzzer introduces — multiple split pairs from
 :func:`~repro.core.splitting.plan_split`, per-neighbor BFD/MRAI timers,
-routing policies — each get their own knob threaded through the existing
-:class:`PeerNeighborSpec` / ``create_pair`` surface, so a fuzz topology
-is an ordinary deployment the config loader could also have built.  Each
+routing policies — each map to a key of the :mod:`repro.config` spec, so
+a fuzz topology is an ordinary deployment the config loader builds.  Each
 pair gets its own oracle suite (the wire-tap ACK oracle filters by
 service address, so suites do not cross-talk), handed the pair's import
 policies so convergence is judged against workload intent *filtered
@@ -35,19 +35,29 @@ guarantees to the new dimensions:
 
 from functools import partial
 
-from repro.bgp.policy import policy_from_dict
 from repro.bgp.speaker import MRAI_MODES
+from repro.config.loader import (
+    NEIGHBOR_DEFAULTS,
+    PAIR_DEFAULTS,
+    PEER_DEFAULTS,
+    SYSTEM_DEFAULTS,
+    lab_spec,
+    non_default,
+)
 from repro.core.splitting import PeeringSpec, plan_split
-from repro.core.system import PeerNeighborSpec, TensorSystem
 from repro.failures.schedule import (
     HARD_SPACING,
     SETTLE_TAIL,
     zero_initial_routes,
 )
 from repro.sim.rand import DeterministicRandom
-from repro.workloads.topology import build_remote_peer
 
 VRF_LAYOUTS = ("shared", "per_peer", "grouped")
+
+#: The per-neighbor knobs a spec passes through to the deployment.
+NEIGHBOR_KNOBS = ("hold_time", "keepalive_interval", "mrai",
+                  "bfd_tx_interval", "bfd_detect_mult", "import_policy",
+                  "export_policy")
 
 #: Prefix-density of the workload bursts (DESIGN.md §14): how deep the
 #: burst prefixes sit in the trie.  ``standard`` keeps the chaos /24
@@ -209,83 +219,48 @@ class FuzzSpec:
     def validate(self):
         return validate_fuzz_spec(self)
 
-    def build(self, hold_acks=True, tracing=False):
-        """A converged system for the spec: one TensorPair per planned
-        split container at ``10.10.<p>.1``, remotes linked to both
-        machines.
-
-        Returns ``(system, [(pair, remote indices, import policies)],
-        remotes)`` with ``remotes`` the ``(RemotePeerAs, session)`` list.
-        """
+    def deployment(self, hold_acks=True, tracing=False):
+        """The standard lab's machines and remotes with one pair per
+        planned split container at ``10.10.<p>.1``; each remote peers
+        with the pair its neighbor was planned into."""
         validate_fuzz_spec(self)
-        system = TensorSystem(
-            seed=self.seed, hold_acks=hold_acks, tracing=tracing
-        )
-        m1 = system.add_machine("gw-1", "10.1.0.1")
-        m2 = system.add_machine("gw-2", "10.2.0.1")
-        addr_to_index = {
-            self.remote_addr(index): index
-            for index in range(len(self.neighbors))
+        spec = {
+            **lab_spec(self.seed, len(self.neighbors)),
+            **non_default(SYSTEM_DEFAULTS, hold_acks=hold_acks,
+                          tracing=tracing),
+            "pairs": [],
         }
-        placed = []
-        pair_of_index = {}
+        index_of = {self.remote_addr(index): index
+                    for index in range(len(self.neighbors))}
         for p, assignment in enumerate(self.split_plan().assignments):
-            members = [addr_to_index[peering.remote_addr]
-                       for peering in assignment.peerings]
-            policies = [
-                policy_from_dict(self.neighbors[index]["import_policy"])
-                for index in members
-            ]
-            specs = []
-            for index, import_policy in zip(members, policies):
+            addr = f"10.10.{p}.1"
+            pair = {
+                "name": f"pair{p}", "primary": "gw-1", "backup": "gw-2",
+                "service_addr": addr, "local_as": 65001, "router_id": addr,
+                "neighbors": [],
+                **non_default(
+                    PAIR_DEFAULTS, mrai=self.mrai, mrai_mode=self.mrai_mode,
+                    aggregate_snapshots=self.aggregation_layout == "snapshot"),
+            }
+            for peering in assignment.peerings:
+                index = index_of[peering.remote_addr]
                 neighbor = self.neighbors[index]
-                specs.append(PeerNeighborSpec(
-                    self.remote_addr(index),
-                    neighbor["remote_as"],
-                    vrf_name=neighbor["vrf"],
-                    mode="passive",
-                    hold_time=neighbor["hold_time"],
-                    keepalive_interval=neighbor["keepalive_interval"],
-                    bfd_tx_interval=neighbor["bfd_tx_interval"],
-                    bfd_detect_mult=neighbor["bfd_detect_mult"],
-                    mrai=neighbor["mrai"],
-                    import_policy=import_policy,
-                    export_policy=policy_from_dict(neighbor["export_policy"]),
-                ))
-            pair = system.create_pair(
-                f"pair{p}", m1, m2,
-                service_addr=f"10.10.{p}.1",
-                local_as=65001,
-                router_id=f"10.10.{p}.1",
-                neighbors=specs,
-                mrai=self.mrai,
-                mrai_mode=self.mrai_mode,
-                aggregate_snapshots=self.aggregation_layout == "snapshot",
-            )
-            placed.append((pair, members, policies))
-            for index in members:
-                pair_of_index[index] = pair
-
-        remotes = []
-        for index, neighbor in enumerate(self.neighbors):
-            remote = build_remote_peer(
-                system, f"remote{index}", self.remote_addr(index),
-                neighbor["remote_as"], link_machines=[m1, m2],
-            )
-            session = remote.peer_with(
-                pair_of_index[index].service_addr, 65001,
-                vrf_name=neighbor["vrf"], mode="active",
-                hold_time=neighbor["hold_time"],
-                keepalive_interval=neighbor["keepalive_interval"],
-            )
-            remotes.append((remote, session))
-
-        for pair, _members, _policies in placed:
-            pair.start()
-        for remote, _session in remotes:
-            remote.start()
-        system.engine.advance(10.0)
-        return system, placed, remotes
+                pair["neighbors"].append({
+                    "remote_addr": peering.remote_addr,
+                    "remote_as": neighbor["remote_as"],
+                    "vrf": neighbor["vrf"],
+                    **non_default(NEIGHBOR_DEFAULTS, **{
+                        key: neighbor[key] for key in NEIGHBOR_KNOBS}),
+                })
+                remote = spec["remotes"][index]
+                remote["asn"] = neighbor["remote_as"]
+                remote["peer"].update(
+                    gateway=addr, vrf=neighbor["vrf"],
+                    **non_default(
+                        PEER_DEFAULTS, hold_time=neighbor["hold_time"],
+                        keepalive_interval=neighbor["keepalive_interval"]))
+            spec["pairs"].append(pair)
+        return spec
 
     def config_shrink_passes(self):
         """The config/topology mutators the shrinker may try, in order:

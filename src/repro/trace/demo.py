@@ -7,9 +7,8 @@ delayed-ACK invariant check.  The same fixture builder backs the
 Fig. 5(a) per-phase latency benchmark.
 """
 
-from repro.core.system import PeerNeighborSpec, TensorSystem
+from repro.config import build_system, lab_spec
 from repro.sim import DeterministicRandom
-from repro.workloads.topology import build_remote_peer
 from repro.workloads.updates import RouteGenerator
 
 
@@ -19,34 +18,12 @@ def build_traced_system(seed=7, routes=40, neighbors=2):
     re-propagates to every other remote and all five hot-path phases
     (receive, replicate, ack_release, apply, propagate) appear in the
     trace."""
-    system = TensorSystem(seed=seed, tracing=True)
+    system, pairs, remotes = build_system(
+        {**lab_spec(seed, neighbors, shared_vrf=True), "tracing": True})
     engine = system.engine
-    m1 = system.add_machine("gw-1", "10.1.0.1")
-    m2 = system.add_machine("gw-2", "10.2.0.1")
-    specs = [
-        PeerNeighborSpec(
-            f"192.0.2.{i + 1}", 64512 + i, vrf_name="v0", mode="passive"
-        )
-        for i in range(neighbors)
-    ]
-    pair = system.create_pair(
-        "pair0", m1, m2, service_addr="10.10.0.1", local_as=65001,
-        router_id="10.10.0.1", neighbors=specs,
-    )
-    remotes = []
-    for i in range(neighbors):
-        remote = build_remote_peer(
-            system, f"remote{i}", f"192.0.2.{i + 1}", 64512 + i,
-            link_machines=[m1, m2],
-        )
-        session = remote.peer_with(
-            "10.10.0.1", 65001, vrf_name="v0", mode="active"
-        )
-        remotes.append((remote, session))
-    pair.start()
-    for remote, _session in remotes:
-        remote.start()
     engine.advance(10.0)
+    pair = pairs["pair0"]
+    remotes = [(remote, remote.sessions[0]) for remote in remotes.values()]
 
     # Originate in paced waves rather than one burst: the breakdown
     # should show steady-state phase latencies, not the transient

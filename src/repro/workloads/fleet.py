@@ -18,12 +18,11 @@ every cross-shard byte flows through the windowed barriers.
 
 from repro.bgp.peer import PeerConfig
 from repro.bgp.speaker import BgpSpeaker, SpeakerConfig
-from repro.core.system import PeerNeighborSpec, TensorSystem
+from repro.config import build_system
 from repro.sim.parallel.boundary import BoundaryLink
 from repro.sim.parallel.runtime import ShardSpec
 from repro.sim.rand import DeterministicRandom
 from repro.tcpsim.stack import TcpStack
-from repro.workloads.topology import build_remote_peer
 from repro.workloads.updates import RouteGenerator
 
 #: WAN latency between sites — the parallel lookahead bound.
@@ -63,8 +62,38 @@ def _ring_neighbors(site, sites):
     return sorted(neighbors)
 
 
+def site_spec(site, seed, pairs, machine_count, tracing):
+    """One site's cluster as a :mod:`repro.config` spec: pair ``i``
+    primary on machine ``i`` and backup on the next (round robin), each
+    serving one remote AS that links to every machine."""
+    machines = [f"s{site}-gw-{m + 1}" for m in range(max(2, machine_count))]
+    return {
+        "seed": seed * 1009 + site,
+        "tracing": tracing,
+        "machines": [{"name": name, "address": f"10.{m + 1}.0.1"}
+                     for m, name in enumerate(machines)],
+        "pairs": [
+            {"name": f"s{site}p{i}",
+             "primary": machines[i % len(machines)],
+             "backup": machines[(i + 1) % len(machines)],
+             "service_addr": f"10.10.{i}.1", "local_as": 65001,
+             "router_id": f"10.10.{i}.1",
+             "neighbors": [{"remote_addr": f"192.0.2.{i + 1}",
+                            "remote_as": 64512 + i, "vrf": "v0"}]}
+            for i in range(pairs)
+        ],
+        "remotes": [
+            {"name": f"s{site}r{i}", "address": f"192.0.2.{i + 1}",
+             "asn": 64512 + i, "links": machines,
+             "peer": {"gateway": f"10.10.{i}.1", "gateway_as": 65001,
+                      "vrf": "v0"}}
+            for i in range(pairs)
+        ],
+    }
+
+
 class FleetSiteProgram:
-    """One site: a TensorSystem plus a border router on the WAN ring."""
+    """One site: a :func:`site_spec` cluster plus a WAN border router."""
 
     def __init__(self, shard_id, params, boundary):
         site = params["site"]
@@ -82,38 +111,12 @@ class FleetSiteProgram:
         churn_at = params.get("churn_at", CHURN_AT)
 
         self.site = site
-        self.system = TensorSystem(seed=seed * 1009 + site, tracing=tracing)
-        self.engine = self.system.engine
-        engine = self.engine
-        machines = [
-            self.system.add_machine(f"s{site}-gw-{m + 1}", f"10.{m + 1}.0.1")
-            for m in range(max(2, machine_count))
-        ]
+        self.system, _pairs, remotes = build_system(
+            site_spec(site, seed, pairs, machine_count, tracing))
+        self.engine = engine = self.system.engine
         rand = DeterministicRandom(seed * 7919 + site)
-        self.remotes = []
-        for i in range(pairs):
-            pair = self.system.create_pair(
-                f"s{site}p{i}",
-                machines[i % len(machines)],
-                machines[(i + 1) % len(machines)],
-                service_addr=f"10.10.{i}.1",
-                local_as=65001,
-                router_id=f"10.10.{i}.1",
-                neighbors=[
-                    PeerNeighborSpec(
-                        f"192.0.2.{i + 1}", 64512 + i, vrf_name="v0", mode="passive"
-                    )
-                ],
-            )
-            remote = build_remote_peer(
-                self.system, f"s{site}r{i}", f"192.0.2.{i + 1}", 64512 + i,
-                link_machines=machines,
-            )
-            session = remote.peer_with(f"10.10.{i}.1", 65001, vrf_name="v0",
-                                       mode="active")
-            pair.start()
-            remote.start()
-            self.remotes.append((remote, session))
+        self.remotes = [(remote, remote.sessions[0])
+                        for remote in remotes.values()]
 
         # intra-site route load + a deterministic churn block per remote
         self._route_sets = []

@@ -163,27 +163,15 @@ def replay_through_pair(size=2_000, churn_ops=300, seed=3,
     durations, snapshot counters, and the digest for determinism
     checks).
     """
-    from repro.core.system import PeerNeighborSpec, TensorSystem
-    from repro.workloads.topology import build_remote_peer
+    from repro.config import build_system, lab_spec
 
     workload = FullTableWorkload(seed=seed, size=size)
-    system = TensorSystem(seed=seed)
-    m1 = system.add_machine("gw-1", "10.1.0.1")
-    m2 = system.add_machine("gw-2", "10.2.0.1")
-    pair = system.create_pair(
-        "pair0", m1, m2,
-        service_addr="10.10.0.1", local_as=65001, router_id="10.10.0.1",
-        neighbors=[PeerNeighborSpec("192.0.2.1", 64512, vrf_name="v0",
-                                    mode="passive")],
-        aggregate_snapshots=aggregate_snapshots,
-    )
-    remote = build_remote_peer(system, "remote0", "192.0.2.1", 64512,
-                               link_machines=[m1, m2])
-    session = remote.peer_with("10.10.0.1", 65001, vrf_name="v0",
-                               mode="active")
-    pair.start()
-    remote.start()
+    spec = lab_spec(seed)
+    spec["pairs"][0]["aggregate_snapshots"] = aggregate_snapshots
+    system, pairs, remotes = build_system(spec)
     system.run(10.0)
+    pair, remote = pairs["pair0"], remotes["remote0"]
+    session = remote.sessions[0]
 
     load_start = system.engine.now
     remote.speaker.originate_many(

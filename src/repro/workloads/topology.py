@@ -22,7 +22,7 @@ from repro.tcpsim.stack import TcpStack
 class RemotePeerAs:
     """The peering AS's border router."""
 
-    def __init__(self, engine, network, name, address, asn, rng=None, profile="frr"):
+    def __init__(self, engine, network, name, address, asn, rng=None):
         self.engine = engine
         self.network = network
         self.name = name
@@ -32,13 +32,13 @@ class RemotePeerAs:
         self.speaker = BgpSpeaker(
             engine,
             self.stack,
-            SpeakerConfig(name, asn, address, profile=profile),
+            SpeakerConfig(name, asn, address, profile="frr"),
         )
         self.bfd = BfdProcess(engine, self.host, rng=rng)
         self.sessions = []
 
     def peer_with(self, gateway_addr, gateway_as, vrf_name="default", mode="active",
-                  hold_time=90, keepalive_interval=30, bfd=True):
+                  hold_time=90, keepalive_interval=30):
         """Configure the session towards the gateway."""
         self.speaker.add_vrf(vrf_name)
         session = self.speaker.add_peer(
@@ -52,8 +52,7 @@ class RemotePeerAs:
             )
         )
         self.sessions.append(session)
-        if bfd:
-            self.bfd.add_session(vrf_name, gateway_addr)
+        self.bfd.add_session(vrf_name, gateway_addr)
         return session
 
     def start(self):
@@ -67,7 +66,7 @@ class RemotePeerAs:
         )
 
 
-def build_remote_peer(system, name, address, asn, link_machines=(), profile="frr"):
+def build_remote_peer(system, name, address, asn, link_machines=()):
     """Create a remote AS inside a :class:`~repro.core.system.TensorSystem`
     and link it to the given gateway machines (and the agent server)."""
     peer = RemotePeerAs(
@@ -77,7 +76,6 @@ def build_remote_peer(system, name, address, asn, link_machines=(), profile="frr
         address,
         asn,
         rng=system.rng.stream(f"remote:{name}"),
-        profile=profile,
     )
     for machine in link_machines:
         peer.link_to(machine.host)

@@ -55,48 +55,26 @@ def make_tcp_pair(engine, stack_a, stack_b, port=7000, payload=b""):
 def build_tensor_fixture(seed=7, routes=1000, neighbors=1, preheat=True,
                          rand=None, tracing=False, shared_vrf=False,
                          controller_replicas=1):
-    """A full TensorSystem with one pair and one remote AS, converged.
+    """The standard lab (:func:`repro.config.lab_spec`) with
+    ``neighbors`` remote ASes, converged, each remote preloaded with
+    ``routes`` routes.
 
     ``rand`` overrides the :class:`DeterministicRandom` namespace the
     workload draws from (the chaos engine forks its schedule namespace
     into here); by default it derives from ``seed``.
     ``controller_replicas`` sizes the controller panel (DESIGN.md §15).
     """
-    from repro.core.system import PeerNeighborSpec, TensorSystem
-    from repro.workloads.topology import build_remote_peer
+    from repro.config import build_system, lab_spec
     from repro.workloads.updates import RouteGenerator
 
-    system = TensorSystem(seed=seed, tracing=tracing,
-                          controller_replicas=controller_replicas)
+    spec = {**lab_spec(seed, neighbors, shared_vrf), "tracing": tracing,
+            "controller_replicas": controller_replicas}
+    spec["pairs"][0]["preheat_backup"] = preheat
+    system, pairs, remotes = build_system(spec)
     engine = system.engine
-    m1 = system.add_machine("gw-1", "10.1.0.1")
-    m2 = system.add_machine("gw-2", "10.2.0.1")
-    vrf_of = (lambda i: "v0") if shared_vrf else (lambda i: f"v{i}")
-    specs = [
-        PeerNeighborSpec(f"192.0.2.{i + 1}", 64512 + i, vrf_name=vrf_of(i), mode="passive")
-        for i in range(neighbors)
-    ]
-    pair = system.create_pair(
-        "pair0",
-        m1,
-        m2,
-        service_addr="10.10.0.1",
-        local_as=65001,
-        router_id="10.10.0.1",
-        neighbors=specs,
-        preheat_backup=preheat,
-    )
-    remotes = []
-    for i in range(neighbors):
-        remote = build_remote_peer(
-            system, f"remote{i}", f"192.0.2.{i + 1}", 64512 + i, link_machines=[m1, m2]
-        )
-        session = remote.peer_with("10.10.0.1", 65001, vrf_name=vrf_of(i), mode="active")
-        remotes.append((remote, session))
-    pair.start()
-    for remote, _session in remotes:
-        remote.start()
     engine.advance(10.0)
+    pair = pairs["pair0"]
+    remotes = [(remote, remote.sessions[0]) for remote in remotes.values()]
     if routes:
         if rand is None:
             rand = DeterministicRandom(seed)

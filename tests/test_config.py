@@ -52,6 +52,16 @@ def test_valid_spec_passes():
     (lambda s: s["remotes"][0]["links"].append("ghost"), "links"),
     (lambda s: s.update(hook_technology="dpdk"), "hook_technology"),
     (lambda s: s.update(remote_db={"mode": "sync"}), "latency"),
+    # cross-references: a remote whose session could never establish
+    (lambda s: s["remotes"][0]["peer"].update(gateway="10.10.0.9"),
+     "remotes[0].peer.gateway"),
+    (lambda s: s["remotes"][0]["peer"].update(gateway_as=65002),
+     "remotes[0].peer.gateway_as"),
+    (lambda s: s["remotes"][0].update(asn=64513), "remotes[0].asn"),
+    (lambda s: s["remotes"].append(dict(s["remotes"][0], address="192.0.2.9")),
+     "remotes[1].name"),
+    (lambda s: s["remotes"].append(dict(s["remotes"][0], name="remote1")),
+     "remotes[1].address"),
 ])
 def test_invalid_specs_rejected(mutate, path_fragment):
     spec = good_spec()
@@ -88,11 +98,17 @@ def test_build_system_without_start():
 
 def test_build_system_carries_options():
     spec = good_spec()
-    spec["hook_technology"] = "ebpf"
-    spec["remote_db"] = {"latency": 0.003, "mode": "async"}
-    system, _pairs, _remotes = build_system(spec, start=False)
+    spec.update(hook_technology="ebpf", tracing=True, controller_replicas=3,
+                remote_db={"latency": 0.003, "mode": "async"})
+    spec["pairs"][0]["aggregate_snapshots"] = True
+    spec["remotes"][0]["peer"].update(hold_time=30, keepalive_interval=10)
+    system, pairs, remotes = build_system(spec, start=False)
     assert system.hook_technology == "ebpf"
     assert system.remote_db is not None
+    assert system.trace_store is not None
+    assert len(system.controller_hosts) == 3
+    assert pairs["pair0"].aggregate_snapshots
+    assert remotes["remote0"].sessions[0].config.hold_time == 30
 
 
 def test_load_json(tmp_path):

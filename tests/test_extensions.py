@@ -6,29 +6,23 @@ recovery.
 
 import pytest
 
-from repro.core.system import PeerNeighborSpec, TensorSystem
+from repro.config import build_system, lab_spec
 from repro.failures import FailureInjector
-from repro.workloads.topology import build_remote_peer
 from repro.workloads.updates import RouteGenerator
 from repro.sim.rand import DeterministicRandom
 
 
-def _system(routes=500, **kwargs):
-    system = TensorSystem(seed=400, **kwargs)
-    m1 = system.add_machine("gw-1", "10.1.0.1")
-    m2 = system.add_machine("gw-2", "10.2.0.1")
-    pair = system.create_pair(
-        "pair0", m1, m2, service_addr="10.10.0.1", local_as=65001,
-        router_id="10.10.0.1",
-        neighbors=[PeerNeighborSpec("192.0.2.1", 64512, vrf_name="v0",
-                                    mode="passive")],
-    )
-    remote = build_remote_peer(system, "remote0", "192.0.2.1", 64512,
-                               link_machines=[m1, m2])
-    session = remote.peer_with("10.10.0.1", 65001, vrf_name="v0", mode="active")
-    pair.start()
-    remote.start()
+def _lab(seed, **options):
+    """The standard lab with system ``options``, converged:
+    ``(system, pair, remote, session)``."""
+    system, pairs, remotes = build_system({**lab_spec(seed), **options})
     system.engine.advance(10.0)
+    remote = remotes["remote0"]
+    return system, pairs["pair0"], remote, remote.sessions[0]
+
+
+def _system(routes=500, **kwargs):
+    system, pair, remote, session = _lab(400, **kwargs)
     if routes:
         gen = RouteGenerator(DeterministicRandom(4), 64512, next_hop="192.0.2.1")
         remote.speaker.originate_many("v0", gen.routes(routes))
@@ -81,20 +75,7 @@ def _fully_acked_time(routes=20_000, **kwargs):
     WAN round trips of synchronous remote replication actually slow down
     (the §5 trade-off; apply time is CPU-bound and hides the effect).
     """
-    system = TensorSystem(seed=401, **kwargs)
-    m1 = system.add_machine("gw-1", "10.1.0.1")
-    m2 = system.add_machine("gw-2", "10.2.0.1")
-    pair = system.create_pair(
-        "pair0", m1, m2, service_addr="10.10.0.1", local_as=65001,
-        router_id="10.10.0.1",
-        neighbors=[PeerNeighborSpec("192.0.2.1", 64512, vrf_name="v0",
-                                    mode="passive")],
-    )
-    remote = build_remote_peer(system, "remote0", "192.0.2.1", 64512,
-                               link_machines=[m1, m2])
-    session = remote.peer_with("10.10.0.1", 65001, vrf_name="v0", mode="active")
-    pair.start(); remote.start()
-    system.engine.advance(10.0)
+    system, pair, remote, session = _lab(401, **kwargs)
     gen = RouteGenerator(DeterministicRandom(4), 64512, next_hop="192.0.2.1")
     remote.speaker.originate_many("v0", gen.routes(routes))
     start = system.engine.now

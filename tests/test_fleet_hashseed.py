@@ -8,7 +8,9 @@ pins that it stays so: a fresh interpreter per hash seed runs a 2-site x
 controller chaos — the schedule with an application failure, a migration
 and a lying monitor — and must print the same bytes every time: the
 shard-result digest, the verdict bitmap, the migration rows, the
-``rib_digest`` and the number of events the engine executed.
+``rib_digest`` and the number of events the engine executed.  The
+failover drill example, which seeds each failure class from a table
+rather than from ``hash(kind)``, must print the same report too.
 """
 
 import os
@@ -48,13 +50,14 @@ print("chaos events", chaos.events_executed, chaos.completed)
 """
 
 
-def _probe(hash_seed):
+def _probe(hash_seed, *args):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src"), str(REPO_ROOT)])
-    done = subprocess.run([sys.executable, "-c", PROBE], cwd=REPO_ROOT,
-                          env=env, capture_output=True, timeout=120)
+    done = subprocess.run([sys.executable, *(args or ("-c", PROBE))],
+                          cwd=REPO_ROOT, env=env, capture_output=True,
+                          timeout=120)
     assert done.returncode == 0, done.stderr.decode()
     return done.stdout
 
@@ -67,3 +70,10 @@ def test_fleet_and_chaos_identical_under_hash_seeds():
     assert b"chaos events" in reference
     for seed, output in outputs.items():
         assert output == reference, f"PYTHONHASHSEED={seed} diverged"
+
+
+def test_failover_drill_identical_under_hash_seeds():
+    outputs = [_probe(seed, "examples/failover_drill.py")
+               for seed in ("1", "2")]
+    assert b"transient 1.5 s network jitter" in outputs[0], outputs[0]
+    assert outputs[0] == outputs[1]

@@ -9,9 +9,9 @@ and total remote-visible downtime must stay zero.
 
 import pytest
 
-from repro.core.system import PeerNeighborSpec, TensorSystem
+from repro.config import build_system
 from repro.failures import FailureInjector
-from repro.workloads.topology import DowntimeObserver, build_remote_peer
+from repro.workloads.topology import DowntimeObserver
 from repro.workloads.updates import RouteGenerator
 from repro.sim.rand import DeterministicRandom
 
@@ -20,31 +20,31 @@ ROUTES = 100
 
 
 def build_fleet(seed=700):
-    system = TensorSystem(seed=seed)
-    machines = [
-        system.add_machine("gw-1", "10.1.0.1"),
-        system.add_machine("gw-2", "10.2.0.1"),
-        system.add_machine("gw-3", "10.3.0.1"),
-    ]
-    pairs = []
+    machines = ["gw-1", "gw-2", "gw-3"]
+    system, built_pairs, remotes = build_system({
+        "seed": seed,
+        "machines": [{"name": name, "address": f"10.{m + 1}.0.1"}
+                     for m, name in enumerate(machines)],
+        "pairs": [
+            {"name": f"pair{i}", "primary": machines[i % 3],
+             "backup": machines[(i + 1) % 3],
+             "service_addr": f"10.10.{i}.1", "local_as": 65001,
+             "router_id": f"10.10.{i}.1",
+             "neighbors": [{"remote_addr": f"192.0.2.{i + 1}",
+                            "remote_as": 64512 + i, "vrf": "v0"}]}
+            for i in range(PAIRS)
+        ],
+        "remotes": [
+            {"name": f"remote{i}", "address": f"192.0.2.{i + 1}",
+             "asn": 64512 + i, "links": machines,
+             "peer": {"gateway": f"10.10.{i}.1", "gateway_as": 65001,
+                      "vrf": "v0"}}
+            for i in range(PAIRS)
+        ],
+    })
+    pairs = [(pair, remote, remote.sessions[0])
+             for pair, remote in zip(built_pairs.values(), remotes.values())]
     observers = []
-    for i in range(PAIRS):
-        primary = machines[i % 3]
-        backup = machines[(i + 1) % 3]
-        pair = system.create_pair(
-            f"pair{i}", primary, backup,
-            service_addr=f"10.10.{i}.1", local_as=65001,
-            router_id=f"10.10.{i}.1",
-            neighbors=[PeerNeighborSpec(f"192.0.2.{i + 1}", 64512 + i,
-                                        vrf_name="v0", mode="passive")],
-        )
-        remote = build_remote_peer(system, f"remote{i}", f"192.0.2.{i + 1}",
-                                   64512 + i, link_machines=machines)
-        session = remote.peer_with(f"10.10.{i}.1", 65001, vrf_name="v0",
-                                   mode="active")
-        pair.start()
-        remote.start()
-        pairs.append((pair, remote, session))
     system.engine.advance(12.0)
     gen = RouteGenerator(DeterministicRandom(seed), 64512, next_hop="192.0.2.1")
     for _pair, remote, session in pairs:

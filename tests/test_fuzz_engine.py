@@ -156,9 +156,10 @@ def _equivalent_spec(schedule):
 @pytest.mark.parametrize("seed", (2, 4))
 def test_chaos_schedule_and_equivalent_fuzz_spec_run_identically(seed):
     """One harness: the chaos corpus is the fixed-topology special case
-    of a fuzz spec, so the two scenario kinds must not differ in
-    anything but the system they build."""
+    of a fuzz spec: the two scenario kinds describe the same deployment
+    and run identically on it."""
     schedule = generate_schedule(seed)
+    assert _equivalent_spec(schedule).deployment() == schedule.deployment()
     chaos = run_fuzz_spec(schedule)
     fuzz = run_fuzz_spec(_equivalent_spec(schedule))
     assert fuzz.summary() == chaos.summary() == "all oracles passed"

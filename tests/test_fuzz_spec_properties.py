@@ -17,6 +17,7 @@ covers the same properties without it.
 
 import pytest
 
+from repro.failures.harness import build_scenario
 from repro.fuzz.spec import (
     FuzzSpec,
     generate_fuzz_spec,
@@ -63,7 +64,7 @@ def _assert_deterministic(seed):
 def _assert_builds_valid_system(seed):
     spec = generate_fuzz_spec(seed)
     validate_fuzz_spec(spec)
-    system, pairs, remotes = spec.build()
+    system, pairs, remotes = build_scenario(spec)
     # every neighbor's session established against its assigned pair
     assert len(remotes) == len(spec.neighbors)
     for remote, session in remotes:

@@ -10,9 +10,8 @@ TCP retransmission; (3) without the delayed ACK (the ablation), the
 
 import pytest
 
-from repro.core.system import PeerNeighborSpec, TensorSystem
+from repro.config import build_system, lab_spec
 from repro.failures import FailureInjector
-from repro.workloads.topology import build_remote_peer
 from repro.workloads.updates import RouteGenerator
 
 from conftest import build_tensor_fixture
@@ -85,22 +84,12 @@ def test_ablation_no_delayed_ack_loses_data():
     """
 
     def run(hold_acks):
-        system = TensorSystem(seed=202, hold_acks=hold_acks)
+        system, pairs, remotes = build_system(
+            {**lab_spec(202), "hold_acks": hold_acks})
         engine = system.engine
-        m1 = system.add_machine("gw-1", "10.1.0.1")
-        m2 = system.add_machine("gw-2", "10.2.0.1")
-        pair = system.create_pair(
-            "pair0", m1, m2, service_addr="10.10.0.1", local_as=65001,
-            router_id="10.10.0.1",
-            neighbors=[PeerNeighborSpec("192.0.2.1", 64512, vrf_name="v0",
-                                        mode="passive")],
-        )
-        remote = build_remote_peer(system, "remote0", "192.0.2.1", 64512,
-                                   link_machines=[m1, m2])
-        session = remote.peer_with("10.10.0.1", 65001, vrf_name="v0", mode="active")
-        pair.start()
-        remote.start()
         engine.advance(10.0)
+        pair, remote = pairs["pair0"], remotes["remote0"]
+        session = remote.sessions[0]
         gen = RouteGenerator(DeterministicRandom(11), 64512, next_hop="192.0.2.1")
         remote.speaker.originate_many("v0", gen.routes(800))
         # database dies just as the updates arrive: writes never commit
