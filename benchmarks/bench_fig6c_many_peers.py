@@ -10,7 +10,7 @@ TENSOR outperforms BIRD when the number of peering ASes is greater than
 import random
 
 from conftest import PROFILES, PROFILE_LABELS, run_once
-from repro.bgp import PeerConfig, SpeakerConfig
+from repro.bgp import Path, PeerConfig, SpeakerConfig
 from repro.bgp.speaker import BgpSpeaker
 from repro.core.replication import ReplicationPipeline
 from repro.core.tensor_process import TensorBgpSpeaker
@@ -65,7 +65,14 @@ def fanout_time(profile, peer_count):
     assert len(established) == peer_count
 
     gen = RouteGenerator(random.Random(5), 65001, next_hop="10.0.0.1")
-    routes = gen.uniform_routes(UPDATES_PER_PEER)
+    routes = []
+    paths = {}  # id(attributes) -> the one Path its routes share
+    for prefix, attributes in gen.uniform_routes(UPDATES_PER_PEER):
+        path = paths.get(id(attributes))
+        if path is None:
+            path = paths[id(attributes)] = Path(attributes, gw.local_peer_id,
+                                                "local")
+        routes.append((prefix, path))
     target = peer_count * UPDATES_PER_PEER
     done_at = [None]
     original = gw._transmit

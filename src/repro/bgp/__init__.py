@@ -11,7 +11,6 @@ are genuine.
 
 from repro.bgp.prefixes import Prefix
 from repro.bgp.radix import RadixTrie
-from repro.bgp.aggregation import ExportAggregator
 from repro.bgp.attributes import (
     AsPath,
     Origin,
@@ -38,7 +37,6 @@ from repro.bgp.speaker import BgpSpeaker, SpeakerConfig
 __all__ = [
     "Prefix",
     "RadixTrie",
-    "ExportAggregator",
     "AsPath",
     "Origin",
     "PathAttributes",

@@ -18,7 +18,7 @@ Two distinct economies fall out of packing:
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import HEADER_SIZE, MAX_MESSAGE_SIZE, UpdateMessage
-from repro.bgp.multiprotocol import attach_mp_unreach
+from repro.bgp.multiprotocol import attach_mp_reach, attach_mp_unreach
 from repro.bgp.prefixes import (
     AFI_IPV4,
     AFI_IPV6,
@@ -113,6 +113,26 @@ def pack_group(attributes, prefixes, max_message_size=MAX_MESSAGE_SIZE):
                       nlri_wire=b"".join(wires[start:stop]))
         for start, stop in _cuts(wires, budget)
     ]
+
+
+def pack_mp_group(attributes, prefixes, next_hop_v6,
+                  max_message_size=MAX_MESSAGE_SIZE):
+    """Pack IPv6 ``prefixes`` sharing ``attributes`` into minimal
+    UPDATEs, each carrying its share in MP_REACH_NLRI (RFC 4760).
+    Returns ``[(message, prefixes), ...]``.
+
+    The budget is sized with an empty MP_REACH_NLRI in place of any the
+    attributes were learned with, plus the extended-length byte a full
+    one takes.
+    """
+    bare = attach_mp_reach(attributes, next_hop_v6, ())
+    budget = max_message_size - HEADER_SIZE - 4 - len(bare.to_wire()) - 1
+    packed = []
+    for start, stop in _cuts(nlri_wires(prefixes), budget):
+        share = prefixes[start:stop]
+        packed.append((UpdateMessage(attributes=attach_mp_reach(
+            attributes, next_hop_v6, share)), share))
+    return packed
 
 
 def pack_routes(routes, max_message_size=MAX_MESSAGE_SIZE):

@@ -445,7 +445,6 @@ class PeerSession:
                 self.gr_timer.start(gr_time)
             else:
                 self._purge_learned_routes()
-            self.speaker.session_down(self)
         if self.config.mode == "active" and self.speaker.running:
             self.retry_timer.start(CONNECT_RETRY_INTERVAL)
 

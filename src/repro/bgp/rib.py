@@ -484,9 +484,6 @@ class AdjRibOut:
     def advertised(self, prefix):
         return self._routes.get(prefix)
 
-    def record_advertise(self, prefix, attributes):
-        self._routes[prefix] = attributes
-
     def record_advertised(self, prefixes, attributes):
         """One UPDATE's worth: ``prefixes`` all went out with
         ``attributes``."""

@@ -18,15 +18,15 @@ from repro.bgp.messages import (
     UpdateMessage,
 )
 from repro.bgp.attributes import PathAttributes, ipv4_to_int
-from repro.bgp.multiprotocol import attach_mp_reach
 from repro.bgp.packing import (
     group_paths,
     group_routes,
     pack_group,
+    pack_mp_group,
     pack_withdrawals,
 )
 from repro.bgp.peer import PeerConfig, PeerSession
-from repro.bgp.prefixes import AFI_IPV4, AFI_IPV6, prefix_afi
+from repro.bgp.prefixes import AFI_IPV4, AFI_IPV6
 from repro.bgp.rib import Path
 from repro.bgp.vrf import Vrf
 from repro.sim.calibration import (
@@ -69,7 +69,6 @@ class SpeakerConfig:
         mrai=DEFAULT_MRAI,
         mrai_mode="per_speaker",
         graceful_restart_time=None,
-        aggregates=(),
     ):
         self.name = name
         self.local_as = local_as
@@ -84,11 +83,6 @@ class SpeakerConfig:
             raise ValueError(f"bad mrai_mode {mrai_mode!r}")
         self.mrai_mode = mrai_mode
         self.graceful_restart_time = graceful_restart_time
-        # DRAGON-style export aggregation (DESIGN.md §14): aggregate
-        # prefixes this speaker advertises in place of uniform covered
-        # more-specifics, punching holes for divergent ones.  Empty
-        # (the default) leaves the export path bit-identical.
-        self.aggregates = tuple(aggregates)
 
     @property
     def router_id_int(self):
@@ -104,6 +98,10 @@ class SpeakerConfig:
 
     @property
     def packed_copy_cost(self):
+        """What a copy of an UPDATE generated for another peer costs per
+        route: without update packing, a full generation."""
+        if not self.update_packing:
+            return self.send_cost
         return PACKED_COPY_COST_PER_UPDATE.get(self.profile, self.send_cost)
 
     @property
@@ -114,58 +112,46 @@ class SpeakerConfig:
 class _FanoutPlan:
     """Shared per-export state for one advertisement fan-out.
 
-    Holds one export — the routes after export policy, grouped by
-    address family and attribute set — and memoizes the UPDATE messages
-    built from it, so a group of sessions with identical exports
-    exports, groups, packs and serializes exactly once; per-peer state
+    Holds one export — the ``(afi, attributes, prefixes)`` groups of
+    :meth:`BgpSpeaker._plan` — and memoizes the UPDATE messages built
+    from it, so a group of sessions with identical exports exports,
+    groups, packs and serializes exactly once; per-peer state
     (Adj-RIB-Out records, CPU charges) stays per session.
     """
 
-    __slots__ = ("v4", "v6", "_v4_messages", "_v6_messages")
+    __slots__ = ("groups", "_messages")
 
-    def __init__(self, v4, v6):
-        #: IPv4 routes (classic NLRI).  With update packing, one
-        #: ``(attributes, prefixes)`` group per attribute set; without,
-        #: the flat ``(prefix, attributes)`` pairs in table order.
-        self.v4 = v4
-        #: IPv6 routes (MP_REACH_NLRI), always grouped.
-        self.v6 = v6
-        self._v4_messages = None
-        self._v6_messages = None
-
-    @classmethod
-    def of_groups(cls, groups):
-        """The plan of :func:`~repro.bgp.packing.group_routes`-shaped
-        ``(afi, attributes, prefixes)`` groups, split by family."""
-        return cls(
-            [(attributes, prefixes) for afi, attributes, prefixes in groups
-             if afi == AFI_IPV4],
-            [(attributes, prefixes) for afi, attributes, prefixes in groups
-             if afi == AFI_IPV6])
+    def __init__(self, groups):
+        self.groups = groups
+        self._messages = None
 
     def __bool__(self):
-        return bool(self.v4 or self.v6)
+        return bool(self.groups)
 
-    def v4_messages(self):
-        """The packed UPDATEs of the IPv4 groups."""
-        if self._v4_messages is None:
-            self._v4_messages = [
-                message
-                for attributes, prefixes in self.v4
-                for message in pack_group(attributes, prefixes)
+    def messages(self, next_hop_v6, packing):
+        """``(UPDATE, prefixes)`` pairs: the IPv6 groups first, riding
+        MP_REACH_NLRI cut to the size limit, then the IPv4 groups,
+        packed, or one route per UPDATE without ``packing``."""
+        if self._messages is None:
+            messages = [
+                pair for afi, attributes, prefixes in self.groups
+                if afi == AFI_IPV6
+                for pair in pack_mp_group(attributes, prefixes, next_hop_v6)
             ]
-        return self._v4_messages
-
-    def v6_messages(self, next_hop_v6):
-        """One ``(UPDATE, prefixes)`` per IPv6 group, the prefixes
-        riding in the message's MP_REACH_NLRI attribute."""
-        if self._v6_messages is None:
-            self._v6_messages = [
-                (UpdateMessage(attributes=attach_mp_reach(
-                    attributes, next_hop_v6, prefixes)), prefixes)
-                for attributes, prefixes in self.v6
-            ]
-        return self._v6_messages
+            for afi, attributes, prefixes in self.groups:
+                if afi != AFI_IPV4:
+                    continue
+                if packing:
+                    messages.extend(
+                        (message, message.nlri)
+                        for message in pack_group(attributes, prefixes))
+                else:
+                    for prefix in prefixes:
+                        message = UpdateMessage(attributes=attributes,
+                                                nlri=(prefix,))
+                        messages.append((message, message.nlri))
+            self._messages = messages
+        return self._messages
 
 
 class BgpSpeaker:
@@ -203,13 +189,6 @@ class BgpSpeaker:
         # peers that advertised fan-out work already paid generation for,
         # keyed by packed-attribute identity (cross-peer update packing).
         self._generation_cache = set()
-        # DRAGON export aggregation, active only when configured.
-        if config.aggregates:
-            from repro.bgp.aggregation import ExportAggregator
-
-            self.aggregator = ExportAggregator(config.name, config.aggregates)
-        else:
-            self.aggregator = None
 
     # ------------------------------------------------------------------
     # configuration
@@ -409,51 +388,11 @@ class BgpSpeaker:
         self.charge(self.config.per_peer_cost, lambda: None)
         self.readvertise(session)
 
-    def session_down(self, session):
-        """Hook: a session left ESTABLISHED (failure or admin)."""
-        if self.aggregator is not None:
-            self.aggregator.drop_session(session.peer_id)
-
     def readvertise(self, session):
-        """Advertise the whole table to ``session``.
-
-        A packed export with no aggregator, under a policy that cannot
-        tell one prefix from another, is planned per path
-        (:meth:`_table_plan`); anything else goes route by route.
-        """
-        if (self.config.update_packing and self.aggregator is None
-                and session.config.export_policy.prefix_independent):
-            plan = self._table_plan(session)
-        else:
-            plan = self._plan_fanout(session, self._full_table_for(session))
-        self._advertise_plan(session, plan)
-
-    def _table_plan(self, session):
-        """The packed plan of the whole table for ``session``: the
-        groups :meth:`_plan_fanout` makes of :meth:`_full_table_for`'s
-        routes, exported once per path and address family
-        (:func:`~repro.bgp.packing.group_paths`) — the session's own
-        paths are skipped like denied ones."""
-        export = self._exporter(session)
-        own = session.peer_id
-        return _FanoutPlan.of_groups(group_paths(
-            session.vrf.loc_rib.items(),
-            lambda path: (None if path.peer_id == own
-                          else export(None, path.attributes))))
-
-    def _full_table_for(self, session):
-        """The (prefix, attributes) pairs of every best route ``session``
-        did not itself supply; good for one iteration."""
-        vrf = session.vrf
-        peer_id = session.peer_id
-        routes = (
-            (prefix, path.attributes)
-            for prefix, path in vrf.loc_rib.items()
-            if path.peer_id != peer_id
-        )
-        if self.aggregator is not None:
-            routes = self.aggregator.transform_table(vrf.loc_rib, session, routes)
-        return routes
+        """Advertise the whole table to ``session``: every best route it
+        did not itself supply."""
+        self._advertise_plan(session, _FanoutPlan(self._plan(
+            session, session.vrf.loc_rib.items(), own=session.peer_id)))
 
     def resync_session(self, session, dead_prefixes=()):
         """Outbound resync after NSR adoption.
@@ -605,13 +544,6 @@ class BgpSpeaker:
             session = self.sessions.get(peer_id)
             if session is None or not session.established:
                 continue
-            if self.aggregator is not None:
-                # Aggregation rewrites each session's change-set (member
-                # suppression, hole punching), trading the identical-set
-                # fan-out grouping below for fewer advertised routes.
-                changes = self.aggregator.transform_changes(
-                    session.vrf.loc_rib, session, changes
-                )
             announcements = []
             withdrawals = []
             for prefix, path in changes.items():
@@ -619,12 +551,12 @@ class BgpSpeaker:
                     if session.adj_rib_out.advertised(prefix) is not None:
                         withdrawals.append(prefix)
                 else:
-                    announcements.append((prefix, path.attributes))
+                    announcements.append((prefix, path))
             if withdrawals:
                 self._send_withdrawals(session, withdrawals)
             if announcements:
                 signature = tuple(
-                    (prefix, id(attributes)) for prefix, attributes in announcements
+                    (prefix, id(path)) for prefix, path in announcements
                 )
                 group = groups.get(signature)
                 if group is None:
@@ -641,7 +573,7 @@ class BgpSpeaker:
             session.send_message(message)
 
     def advertise_routes_to_sessions(self, routes, sessions):
-        """Fan out ``(prefix, attributes)`` pairs to ``sessions``.
+        """Fan out ``(prefix, path)`` pairs to ``sessions``.
 
         With update packing, generation cost is paid once per distinct
         packed attribute set; further peers pay only the copy cost
@@ -650,9 +582,9 @@ class BgpSpeaker:
 
         Pack-once: sessions sharing an export policy and session kind
         produce identical exports, so the export, its grouping by
-        attribute set and the packed UPDATE messages are computed once
-        per distinct (policy, kind) pair and the *same* message objects
-        fan out to every matching peer — their memoized ``to_wire``
+        attribute set and the UPDATE messages are computed once per
+        distinct (policy, kind) pair and the *same* message objects fan
+        out to every matching peer — their memoized ``to_wire``
         serializes once.  ``routes`` is read once per such pair: hand
         over a sequence unless there is a single session.
         """
@@ -661,38 +593,30 @@ class BgpSpeaker:
             plan_key = (id(session.config.export_policy), session.source_kind)
             plan = shared.get(plan_key)
             if plan is None:
-                plan = shared[plan_key] = self._plan_fanout(session, routes)
+                plan = shared[plan_key] = _FanoutPlan(
+                    self._plan(session, routes))
             self._advertise_plan(session, plan)
 
-    def _advertise_plan(self, session, plan):
-        """Send one session its share of ``plan``."""
-        if not plan:
-            return
-        self.charge(self._per_peer_fanout_cost(), lambda: None)
-        if self.config.update_packing:
-            self._advertise_packed(session, plan)
-        else:
-            self._advertise_unpacked(session, plan)
-
-    def _per_peer_fanout_cost(self):
-        cost = self.config.per_peer_cost
-        if self.config.profile == "bird":
-            cost += BIRD_PER_PEER_SUPERLINEAR * len(self.sessions)
-        return cost
-
-    def _plan_fanout(self, session, routes):
-        """Export ``routes`` for ``session`` and split the result: v4
-        rides classic NLRI, v6 rides MP_REACH_NLRI (RFC 4760)."""
-        exported = self._export_routes(session, routes)
-        if self.config.update_packing:
-            return _FanoutPlan.of_groups(group_routes(exported))
-        # One UPDATE per v4 route, in table order: nothing to group.
-        exported = list(exported)
-        v6 = group_routes(pair for pair in exported
-                          if prefix_afi(pair[0]) == AFI_IPV6)
-        return _FanoutPlan(
-            [pair for pair in exported if prefix_afi(pair[0]) == AFI_IPV4],
-            [(attributes, prefixes) for _afi, attributes, prefixes in v6])
+    def _plan(self, session, routes, own=None):
+        """Export ``routes``, ``(prefix, path)`` pairs, for ``session``:
+        the survivors grouped by address family and exported attributes,
+        ``[(afi, attributes, prefixes), ...]`` in the order of each
+        group's first route (:func:`~repro.bgp.packing.group_routes`).
+        Routes whose path peer ``own`` supplied are skipped like denied
+        ones.  A policy that cannot tell one prefix from another is
+        evaluated once per path and address family
+        (:func:`~repro.bgp.packing.group_paths`); any other, per route.
+        """
+        export = self._exporter(session)
+        if session.config.export_policy.prefix_independent:
+            return group_paths(routes, lambda path: (
+                None if path.peer_id == own
+                else export(None, path.attributes)))
+        exported = ((prefix, export(prefix, path.attributes))
+                    for prefix, path in routes if path.peer_id != own)
+        return group_routes((prefix, attributes)
+                            for prefix, attributes in exported
+                            if attributes is not None)
 
     def _exporter(self, session):
         """``export(prefix, attributes)``: export policy + eBGP attribute
@@ -724,68 +648,46 @@ class BgpSpeaker:
 
         return export
 
-    def _export_routes(self, session, routes):
-        """Export ``routes`` for one peer (:meth:`_exporter`); yields the
-        surviving ``(prefix, exported attributes)`` pairs.
-
-        The verdict is memoized per distinct attribute object when no
-        clause of the export policy can tell one prefix from another
-        (routes packed into one received UPDATE share their
-        ``PathAttributes``).
-        """
-        export = self._exporter(session)
-        # A verdict holds for every route sharing the attribute object
-        # unless some clause can tell prefixes apart.
-        memoize = session.config.export_policy.prefix_independent
-        verdicts = {}  # id(attributes) -> exported attributes, or None
-        seen = []  # every object whose id is a key above: ids stay unique
-        for prefix, attributes in routes:
-            key = id(attributes)
-            if key in verdicts:
-                exported = verdicts[key]
-            else:
-                exported = export(prefix, attributes)
-                if memoize:
-                    verdicts[key] = exported
-                    seen.append(attributes)
-            if exported is not None:
-                yield prefix, exported
-
     def _next_hop_v6(self):
         """v4-mapped next hop of this speaker (a real deployment would
         use the interface's global v6 address)."""
         return (0xFFFF << 32) | ipv4_to_int(self.stack.host.address)
 
-    def _advertise_packed(self, session, plan):
+    def _advertise_plan(self, session, plan):
+        """Send one session its share of ``plan``, recording each UPDATE
+        in its Adj-RIB-Out.  Each UPDATE pays the send cost per route,
+        except that an IPv4 one already generated for another peer
+        travels again as the same bytes at the copy cost, which without
+        update packing (GoBGP) is the send cost."""
+        if not plan:
+            return
+        self.charge(self._per_peer_fanout_cost(), lambda: None)
         record = session.adj_rib_out.record_advertised
         send_cost = self.config.send_cost
-        for message, prefixes in plan.v6_messages(self._next_hop_v6()):
-            record(prefixes, message.attributes)
-            cost = CONTROL_MESSAGE_COST + send_cost * len(prefixes)
-            self.dispatch_send(session, message, generation_cost=cost)
+        copy_cost = self.config.packed_copy_cost
         generated = self._generation_cache
-        for message in plan.v4_messages():
-            # A message already generated for another peer travels again
-            # as the same bytes: its two variable blocks are its identity.
-            key = message.attributes.to_wire(), message.nlri_wire
-            if key in generated:
-                cost = CONTROL_MESSAGE_COST + self.config.packed_copy_cost * len(message.nlri)
-            else:
-                generated.add(key)
-                if len(generated) > 4096:
-                    generated.clear()
-                cost = None  # full generation cost
-            record(message.nlri, message.attributes)
-            self.dispatch_send(session, message, generation_cost=cost)
+        for message, prefixes in plan.messages(self._next_hop_v6(),
+                                               self.config.update_packing):
+            cost = send_cost
+            if message.nlri:
+                # The two variable blocks are the message's identity.
+                key = message.attributes.to_wire(), message.nlri_wire
+                if key in generated:
+                    cost = copy_cost
+                else:
+                    generated.add(key)
+                    if len(generated) > 4096:
+                        generated.clear()
+            record(prefixes, message.attributes)
+            self.dispatch_send(
+                session, message,
+                generation_cost=CONTROL_MESSAGE_COST + cost * len(prefixes))
 
-    def _advertise_unpacked(self, session, plan):
-        send_cost = self.config.send_cost
-        for message, prefixes in plan.v6_messages(self._next_hop_v6()):
-            cost = CONTROL_MESSAGE_COST + send_cost * len(prefixes)
-            self.dispatch_send(session, message, generation_cost=cost)
-        for prefix, attributes in plan.v4:
-            session.adj_rib_out.record_advertise(prefix, attributes)
-            self.dispatch_send(session, UpdateMessage(attributes=attributes, nlri=[prefix]))
+    def _per_peer_fanout_cost(self):
+        cost = self.config.per_peer_cost
+        if self.config.profile == "bird":
+            cost += BIRD_PER_PEER_SUPERLINEAR * len(self.sessions)
+        return cost
 
     # ------------------------------------------------------------------
     # misc

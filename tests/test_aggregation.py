@@ -1,22 +1,20 @@
-"""DRAGON-style aggregation (DESIGN.md §14): snapshot collapse/expand,
-pipeline integration, and export aggregation on a live speaker mesh."""
+"""DRAGON-style snapshot aggregation (DESIGN.md §14): collapse/expand
+and pipeline integration."""
 
 import pytest
 
-from repro.bgp import BgpSpeaker, LocRib, PeerConfig, Prefix, SpeakerConfig
+from repro.bgp import LocRib, Prefix
 from repro.bgp.aggregation import (
-    ExportAggregator,
     aggregate_root,
     encode_chunk,
     expand_snapshot_entries,
 )
 from repro.bgp.attributes import AsPath, PathAttributes
-from repro.bgp.rib import AdjRibOut, Path
+from repro.bgp.rib import Path
 from repro.core.recovery import BackupRecovery
 from repro.core.replication import ReplicationPipeline
 from repro.kvstore import KvClient, KvServer
 from repro.sim import DeterministicRandom, Engine, Network
-from repro.tcpsim import TcpStack
 
 from tests.rib_reference import collapse_prefix_entries
 
@@ -259,251 +257,3 @@ def test_unaggregated_pipeline_counts_match():
     chunks = server.store.scan("tensor:pair0:rib:v1:s:")
     assert sum(len(entries) for _k, entries in chunks) == 32
     assert all("prefix" in rec for _k, entries in chunks for rec in entries)
-
-
-# ---------------------------------------------------------------------------
-# export aggregation: unit-level transform_table
-# ---------------------------------------------------------------------------
-
-class _StubSession:
-    def __init__(self, peer_id="stub-peer", source_kind="ebgp"):
-        self.peer_id = peer_id
-        self.source_kind = source_kind
-        self.adj_rib_out = AdjRibOut(peer_id)
-
-
-def test_transform_table_collapses_uniform_members():
-    rib = LocRib()
-    aggregate = Prefix.parse("10.1.0.0/22")
-    members = _block(aggregate.value, 4)
-    _fill(rib, members)
-    aggregator = ExportAggregator("spk", [aggregate])
-    session = _StubSession()
-    routes = [(prefix, path.attributes) for prefix, path in rib.items()]
-    out = aggregator.transform_table(rib, session, routes)
-    assert [prefix for prefix, _ in out] == [aggregate]
-    assert aggregator.aggregates_advertised == 1
-
-
-def test_transform_table_punches_hole_for_divergent_member():
-    rib = LocRib()
-    aggregate = Prefix.parse("10.1.0.0/22")
-    members = _block(aggregate.value, 4)
-    _fill(rib, members[:3])
-    divergent = _attrs(med=50)
-    _fill(rib, members[3:], attrs=divergent)
-    aggregator = ExportAggregator("spk", [aggregate])
-    out = aggregator.transform_table(rib, _StubSession(), [
-        (prefix, path.attributes) for prefix, path in rib.items()
-    ])
-    exported = dict(out)
-    assert set(exported) == {aggregate, members[3]}
-    assert exported[members[3]] == divergent
-    assert exported[aggregate] == _attrs()  # the uniform majority's attrs
-    assert aggregator.holes_punched == 1
-
-
-def test_transform_table_inert_below_min_members():
-    rib = LocRib()
-    aggregate = Prefix.parse("10.1.0.0/22")
-    only = Prefix.parse("10.1.2.0/24")
-    _fill(rib, [only])
-    aggregator = ExportAggregator("spk", [aggregate])
-    out = aggregator.transform_table(rib, _StubSession(), [
-        (prefix, path.attributes) for prefix, path in rib.items()
-    ])
-    assert [prefix for prefix, _ in out] == [only]
-    assert aggregator.aggregates_advertised == 0
-
-
-def test_transform_table_inert_when_real_aggregate_route_exists():
-    rib = LocRib()
-    aggregate = Prefix.parse("10.1.0.0/22")
-    members = _block(aggregate.value, 4)
-    _fill(rib, members)
-    real = _attrs(local_pref=200)
-    rib.offer(aggregate, Path(real, "p7", "ebgp"))
-    aggregator = ExportAggregator("spk", [aggregate])
-    out = aggregator.transform_table(rib, _StubSession(), [
-        (prefix, path.attributes) for prefix, path in rib.items()
-    ])
-    exported = dict(out)
-    # the real /22 route passes through; members export individually
-    assert set(exported) == {aggregate} | set(members)
-    assert exported[aggregate] == real
-
-
-def test_broken_aggregate_reexports_and_withdraws_members_ascending():
-    """``transform_changes`` output is walked in insertion order to build
-    the UPDATEs, so members leaving an aggregate's state come out in
-    prefix order, never in set order (which the key's hash decides)."""
-    rib = LocRib()
-    aggregate = Prefix.parse("10.0.0.0/16")
-    members = _block(aggregate.value, 12)
-    _fill(rib, members)
-    aggregator = ExportAggregator("spk", [aggregate])
-    session = _StubSession()
-    aggregator.transform_table(rib, session, [])
-    # Three members leave the table while the aggregate stands: withdrawn.
-    gone = [members[9], members[2], members[5]]
-    for prefix in gone:
-        rib.retract(prefix, "p1")
-    out = aggregator.transform_changes(rib, session, dict.fromkeys(gone))
-    assert list(out) == sorted(gone) and set(out.values()) == {None}
-    # A real route at the aggregate's own prefix breaks it: the aggregate
-    # is withdrawn and every surviving member re-exported.
-    rib.offer(aggregate, Path(_attrs(local_pref=200), "p7", "ebgp"))
-    out = aggregator.transform_changes(rib, session, {members[0]: None})
-    survivors = sorted(set(members) - set(gone))
-    assert list(out) == [aggregate] + survivors
-    assert out.pop(aggregate) is None
-    assert all(out[prefix] is rib.best(prefix) for prefix in survivors)
-
-
-# ---------------------------------------------------------------------------
-# export aggregation: live speaker mesh (delta path)
-# ---------------------------------------------------------------------------
-
-def _mesh(engine, network, specs):
-    network.enable_fabric(latency=5e-5)
-    speakers = {}
-    for name, (addr, asn, aggregates) in specs.items():
-        host = network.add_host(name, addr)
-        speakers[name] = BgpSpeaker(
-            engine, TcpStack(engine, host),
-            SpeakerConfig(name, asn, addr, aggregates=aggregates),
-        )
-        speakers[name].add_vrf("v")
-    return speakers
-
-
-def _connect(engine, speakers, active, passive):
-    passive_speaker = speakers[passive]
-    active_speaker = speakers[active]
-    passive_speaker.add_peer(PeerConfig(
-        active_speaker.stack.host.address,
-        active_speaker.config.local_as, vrf_name="v", mode="passive"))
-    return active_speaker.add_peer(PeerConfig(
-        passive_speaker.stack.host.address,
-        passive_speaker.config.local_as, vrf_name="v", mode="active"))
-
-
-@pytest.fixture
-def agg_mesh(engine, network):
-    """src --eBGP--> agg (aggregates 10.1.0.0/22) --eBGP--> dst."""
-    speakers = _mesh(engine, network, {
-        "src": ("10.0.0.1", 64496, ()),
-        "agg": ("10.0.0.2", 65001, (Prefix.parse("10.1.0.0/22"),)),
-        "dst": ("10.0.0.3", 65010, ()),
-    })
-    _connect(engine, speakers, "src", "agg")
-    _connect(engine, speakers, "dst", "agg")
-    for speaker in speakers.values():
-        speaker.start()
-    engine.advance(3.0)
-    return speakers
-
-
-AGGREGATE = Prefix.parse("10.1.0.0/22")
-MEMBERS = _block(AGGREGATE.value, 4)
-
-
-def _originate_members(engine, speakers, members=MEMBERS, med=None):
-    for prefix in members:
-        attrs = _attrs() if med is None else _attrs(med=med)
-        speakers["src"].originate("v", prefix, attrs)
-    engine.advance(3.0)
-
-
-def test_uniform_members_export_as_one_aggregate(agg_mesh, engine):
-    speakers = agg_mesh
-    _originate_members(engine, speakers)
-    dst_rib = speakers["dst"].vrfs["v"].loc_rib
-    assert dst_rib.best(AGGREGATE) is not None
-    for member in MEMBERS:
-        assert dst_rib.best(member) is None
-    # LPM at the receiver still resolves every member destination
-    for member in MEMBERS:
-        route = dst_rib.lookup(Prefix(member.value, 32))
-        assert route is not None and route.prefix == AGGREGATE
-    # the aggregate is an export-side artifact: agg's own Loc-RIB (and
-    # hence rib_digest / the convergence oracles) never contains it
-    assert speakers["agg"].vrfs["v"].loc_rib.best(AGGREGATE) is None
-    # ...and the upstream peer is not told about its own members' cover
-    assert speakers["src"].vrfs["v"].loc_rib.best(AGGREGATE) is None
-
-
-def test_divergent_member_punches_hole(agg_mesh, engine):
-    speakers = agg_mesh
-    _originate_members(engine, speakers)
-    speakers["src"].originate("v", MEMBERS[2], _attrs(med=50))
-    engine.advance(3.0)
-    dst_rib = speakers["dst"].vrfs["v"].loc_rib
-    assert dst_rib.best(AGGREGATE) is not None
-    assert dst_rib.best(MEMBERS[2]) is not None  # the hole
-    for member in (MEMBERS[0], MEMBERS[1], MEMBERS[3]):
-        assert dst_rib.best(member) is None
-    # LPM: the divergent destination hits the hole, others the aggregate
-    assert dst_rib.lookup(Prefix(MEMBERS[2].value, 32)).prefix == MEMBERS[2]
-    assert dst_rib.lookup(Prefix(MEMBERS[1].value, 32)).prefix == AGGREGATE
-    assert speakers["agg"].aggregator.holes_punched >= 1
-
-
-def test_hole_heals_when_member_reconverges(agg_mesh, engine):
-    speakers = agg_mesh
-    _originate_members(engine, speakers)
-    speakers["src"].originate("v", MEMBERS[2], _attrs(med=50))
-    engine.advance(3.0)
-    speakers["src"].originate("v", MEMBERS[2], _attrs())
-    engine.advance(3.0)
-    dst_rib = speakers["dst"].vrfs["v"].loc_rib
-    assert dst_rib.best(AGGREGATE) is not None
-    assert dst_rib.best(MEMBERS[2]) is None  # hole withdrawn
-
-
-def test_completeness_break_withdraws_aggregate(agg_mesh, engine):
-    speakers = agg_mesh
-    _originate_members(engine, speakers)
-    for member in MEMBERS[1:]:
-        speakers["src"].withdraw_originated("v", member)
-    engine.advance(3.0)
-    dst_rib = speakers["dst"].vrfs["v"].loc_rib
-    # one member left (< min_members): aggregate gone, member re-exported
-    assert dst_rib.best(AGGREGATE) is None
-    assert dst_rib.best(MEMBERS[0]) is not None
-    for member in MEMBERS[1:]:
-        assert dst_rib.best(member) is None
-
-
-def test_all_members_withdrawn_leaves_clean_table(agg_mesh, engine):
-    speakers = agg_mesh
-    _originate_members(engine, speakers)
-    for member in MEMBERS:
-        speakers["src"].withdraw_originated("v", member)
-    engine.advance(3.0)
-    dst_rib = speakers["dst"].vrfs["v"].loc_rib
-    assert dst_rib.best(AGGREGATE) is None
-    for member in MEMBERS:
-        assert dst_rib.best(member) is None
-    assert len(dst_rib) == 0
-
-
-def test_session_establishment_advertises_aggregated_table(engine, network):
-    # routes first, session after: the full-table path (transform_table)
-    speakers = _mesh(engine, network, {
-        "src": ("10.0.0.1", 64496, ()),
-        "agg": ("10.0.0.2", 65001, (AGGREGATE,)),
-        "late": ("10.0.0.4", 65020, ()),
-    })
-    _connect(engine, speakers, "src", "agg")
-    _connect(engine, speakers, "late", "agg")
-    speakers["src"].start()
-    speakers["agg"].start()
-    engine.advance(3.0)
-    _originate_members(engine, speakers)
-    speakers["late"].start()
-    engine.advance(3.0)
-    late_rib = speakers["late"].vrfs["v"].loc_rib
-    assert late_rib.best(AGGREGATE) is not None
-    for member in MEMBERS:
-        assert late_rib.best(member) is None

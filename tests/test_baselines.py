@@ -10,6 +10,8 @@ from repro.baselines import (
     NsrEnabledRouter,
     baseline_recovery_row,
 )
+from repro.bgp import AsPath, PathAttributes, Prefix
+from repro.bgp.messages import MAX_MESSAGE_SIZE
 from repro.sim import DeterministicRandom, Engine, Network
 from repro.workloads.updates import RouteGenerator
 from repro.sim.rand import DeterministicRandom
@@ -72,6 +74,49 @@ def test_frr_packs_shared_attributes(engine, net):
     a.speaker.readvertise(gw_session)
     engine.advance(3.0)
     assert gw_session.messages_sent - messages_before <= 2  # one packed UPDATE
+
+
+@pytest.mark.parametrize("cls", [FrrDaemon, GoBgpDaemon])
+def test_withdrawals_reach_the_peer_in_both_families(engine, net, cls):
+    """The IPv6 advertisement is recorded in the Adj-RIB-Out like the
+    IPv4 one, so its withdrawal is sent too, with or without packing."""
+    a, b, _sess = _daemon_pair(engine, net, cls)
+    attrs = PathAttributes(as_path=AsPath.sequence(65001), next_hop="10.0.0.1")
+    prefixes = [Prefix.parse("198.51.100.0/24"), Prefix.parse("2001:db8:1::/48")]
+    for prefix in prefixes:
+        a.speaker.originate("v1", prefix, attrs)
+    engine.advance(3.0)
+    peer_rib = b.speaker.vrfs["v1"].loc_rib
+    assert all(peer_rib.best(prefix) is not None for prefix in prefixes)
+    for prefix in prefixes:
+        a.speaker.withdraw_originated("v1", prefix)
+    engine.advance(3.0)
+    assert [str(prefix) for prefix in prefixes
+            if peer_rib.best(prefix) is not None] == []
+
+
+@pytest.mark.parametrize("cls", [FrrDaemon, GoBgpDaemon])
+def test_ipv6_table_is_cut_to_the_message_size_limit(engine, net, cls):
+    """1,000 IPv6 /48s under one attribute set overflow one MP_REACH_NLRI:
+    the readvertise cuts them into UPDATEs that each fit."""
+    a, b, _sess = _daemon_pair(engine, net, cls)
+    attrs = PathAttributes(as_path=AsPath.sequence(65001), next_hop="10.0.0.1")
+    base = Prefix.parse("2001:db8::/32").value
+    a.speaker.originate_many("v1", [
+        (Prefix(base + (index << 80), 48, Prefix.AFI_IPV6), attrs)
+        for index in range(1_000)])
+    sizes = []
+    send = a.speaker.dispatch_send
+
+    def sizing_send(session, message, generation_cost=None):
+        sizes.append(len(message.to_wire()))
+        send(session, message, generation_cost)
+
+    a.speaker.dispatch_send = sizing_send
+    a.speaker.readvertise(next(iter(a.speaker.sessions.values())))
+    engine.advance(3.0)
+    assert len(sizes) > 1 and max(sizes) <= MAX_MESSAGE_SIZE
+    assert len(b.speaker.vrfs["v1"].loc_rib) == 1_000
 
 
 def test_crash_leads_to_peer_withdrawal(engine, net):

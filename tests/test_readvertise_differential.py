@@ -1,25 +1,31 @@
-"""Full-table readvertise against the per-route reference (DESIGN.md §14).
+"""Table and change exports against the per-route reference (DESIGN.md §14).
 
-``BgpSpeaker.readvertise`` plans a packed export per *path*: it walks
-the Loc-RIB once, exports each (path, address family) on first sight and
+``BgpSpeaker._plan`` is the speaker's one export planner.  Under a
+policy that cannot tell prefixes apart it exports per *path*: it walks
+the routes once, exports each (path, address family) on first sight and
 appends every later route of that path to its shared group
 (:func:`repro.bgp.packing.group_paths`).  :func:`reference_updates` is
-the plan it replaced, route by route: every best route the session did
-not supply, exported one at a time, grouped by
-:func:`repro.bgp.packing.group_routes` and packed.  The two must send the
-same UPDATEs, message by message — attributes, NLRI bytes and order — on
-a table holding every case the grouping distinguishes: two paths from
-different peers whose different attribute objects export to one set,
-interleaved; IPv4 and IPv6 under one path; a path the export policy
-denies; the session's own routes; contested prefixes; and a
-prefix-dependent policy, which takes the per-route plan.
+the plan route by route: every best route the session may hear,
+exported one at a time, grouped by :func:`repro.bgp.packing.group_routes`
+and turned into UPDATEs — the IPv6 groups first, each cut into the
+longest runs that fit one message, then the IPv4 groups, packed, or one
+route per UPDATE without update packing.  The two must send the same
+UPDATEs, message by message — attributes, NLRI bytes and order — through
+both entry points: ``readvertise``, which skips the session's own
+routes, and ``advertise_routes_to_sessions`` handed the same table as
+``(prefix, path)`` pairs, which does not.  The table holds every case
+the grouping distinguishes: two paths from different peers whose
+different attribute objects export to one set, interleaved; IPv4 and
+IPv6 under one path; an IPv6 group over the message size limit; a path
+the export policy denies; the session's own routes; contested prefixes;
+and a prefix-dependent policy, which takes the per-route plan.
 """
 
 import pytest
 
 from repro.bgp import BgpSpeaker, PeerConfig, SpeakerConfig
 from repro.bgp.attributes import AsPath, PathAttributes
-from repro.bgp.messages import UpdateMessage
+from repro.bgp.messages import HEADER_SIZE, MAX_MESSAGE_SIZE, UpdateMessage
 from repro.bgp.multiprotocol import attach_mp_reach, mp_routes_of
 from repro.bgp.packing import group_paths, group_routes, pack_group
 from repro.bgp.policy import PrefixList, RouteMap, RouteMapEntry
@@ -52,9 +58,10 @@ def _v6(index):
     return prefix_key((0x20010DB8 << 96) + (index << 80), 48, AFI_IPV6)
 
 
-def _speaker(engine, two_hosts):
+def _speaker(engine, two_hosts, packing=True):
     speaker = BgpSpeaker(engine, TcpStack(engine, two_hosts[0]),
-                         SpeakerConfig("gw", LOCAL_AS, "10.0.0.1"))
+                         SpeakerConfig("gw", LOCAL_AS, "10.0.0.1",
+                                       update_packing=packing))
     for address, remote_as in PEERS.items():
         speaker.add_peer(PeerConfig(address, remote_as), autostart=False)
     return speaker
@@ -79,18 +86,46 @@ def _load(speaker):
     for index in range(0, 6_000, 7):  # contested: B's rival wins at 150
         offer(_v4(index), rivals[index % 2])
     offer(_v6(6_001), from_b)
+    # 700 /48s under one local path: one MP_REACH_NLRI cannot hold them.
+    local = Path(_attrs(64515, 100), speaker.local_peer_id, "local")
+    for index in range(7_000, 7_700):
+        offer(_v6(index), local)
 
 
-def reference_updates(speaker, session):
-    """The per-route readvertise: each best route ``session`` did not
-    supply, exported on its own (policy, then the eBGP or iBGP
-    attribute rules), grouped by :func:`group_routes` and packed — the
-    IPv6 groups' MP_REACH UPDATEs first, then the IPv4 groups'."""
+def _mp_update(attributes, next_hop, prefixes):
+    return UpdateMessage(attributes=attach_mp_reach(attributes, next_hop,
+                                                    prefixes))
+
+
+def _mp_updates(attributes, next_hop, prefixes):
+    """``prefixes`` in MP_REACH UPDATEs, each the longest run of the
+    rest whose encoding fits one message."""
+    messages = []
+    while prefixes:
+        fit, unfit = 1, len(prefixes) + 1  # the longest run is in [fit, unfit)
+        while unfit - fit > 1:
+            middle = (fit + unfit) // 2
+            size = HEADER_SIZE + 4 + len(_mp_update(
+                attributes, next_hop, prefixes[:middle]).attributes.to_wire())
+            if size <= MAX_MESSAGE_SIZE:
+                fit = middle
+            else:
+                unfit = middle
+        messages.append(_mp_update(attributes, next_hop, prefixes[:fit]))
+        prefixes = prefixes[fit:]
+    return messages
+
+
+def reference_updates(speaker, session, packing=True, own=None):
+    """The per-route export: each best route not supplied by ``own``,
+    exported on its own (policy, then the eBGP or iBGP attribute rules),
+    grouped by :func:`group_routes` — the IPv6 groups' MP_REACH UPDATEs
+    first, then the IPv4 groups' UPDATEs, packed or one per route."""
     policy = session.config.export_policy
     next_hop = speaker.stack.host.address
     exported = []
     for prefix, path in speaker.vrfs["default"].loc_rib.items():
-        if path.peer_id == session.peer_id:
+        if path.peer_id == own:
             continue
         attributes = policy.evaluate(prefix, path.attributes)
         if attributes is None:
@@ -103,15 +138,19 @@ def reference_updates(speaker, session):
             attributes = attributes.replace(next_hop=next_hop)
         exported.append((prefix, attributes))
     groups = group_routes(exported)
-    return [
-        UpdateMessage(attributes=attach_mp_reach(
-            attributes, speaker._next_hop_v6(), prefixes))
-        for afi, attributes, prefixes in groups if afi == AFI_IPV6
-    ] + [
+    messages = [
         message
-        for afi, attributes, prefixes in groups if afi == AFI_IPV4
-        for message in pack_group(attributes, prefixes)
+        for afi, attributes, prefixes in groups if afi == AFI_IPV6
+        for message in _mp_updates(attributes, speaker._next_hop_v6(),
+                                   prefixes)
     ]
+    for afi, attributes, prefixes in groups:
+        if afi == AFI_IPV4:
+            messages.extend(
+                pack_group(attributes, prefixes) if packing else
+                [UpdateMessage(attributes=attributes, nlri=[prefix])
+                 for prefix in prefixes])
+    return messages
 
 
 class _Counting(RouteMap):
@@ -143,30 +182,48 @@ def _wire(message):
             message.to_wire())
 
 
+def _readvertise(speaker, session):
+    speaker.readvertise(session)
+    return session.peer_id
+
+
+def _fan_out(speaker, session):
+    speaker.advertise_routes_to_sessions(
+        list(speaker.vrfs["default"].loc_rib.items()), [session])
+    return None
+
+
+#: Each sends the table and returns the peer whose routes it skipped.
+ENTRY_POINTS = {"readvertise": _readvertise, "fan-out": _fan_out}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("packing", [True, False],
+                         ids=["packed", "unpacked"])
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("address", sorted(PEERS))
 def test_readvertise_sends_the_per_route_updates(engine, two_hosts, address,
-                                                 policy):
-    speaker = _speaker(engine, two_hosts)
+                                                 policy, packing, entry):
+    speaker = _speaker(engine, two_hosts, packing)
     _load(speaker)
     session = speaker.sessions[f"default:{address}"]
     session.config.export_policy = POLICIES[policy]()
-    expected = [_wire(message) for message in reference_updates(speaker, session)]
-    session.config.export_policy.calls.clear()
     sent = []
     speaker.dispatch_send = lambda session, message, generation_cost=None: (
         sent.append(message))
-    speaker.readvertise(session)
+    own = ENTRY_POINTS[entry](speaker, session)
+    calls = list(session.config.export_policy.calls)
+    expected = [_wire(message) for message in
+                reference_updates(speaker, session, packing, own)]
     assert [_wire(message) for message in sent] == expected
     assert len(expected) > len({wire[0] for wire in expected})  # cut groups
     assert set(session.adj_rib_out.prefixes()) == {
         prefix for message in sent
         for prefix in (message.nlri or mp_routes_of(message.attributes)[0].nlri)}
-    calls = session.config.export_policy.calls
     if policy == "prefix-dependent":
         # The per-route plan: one verdict per route the session may hear.
         assert len(calls) == sum(
-            path.peer_id != session.peer_id
+            path.peer_id != own
             for _prefix, path in speaker.vrfs["default"].loc_rib.items())
     else:
         # The per-path plan: one verdict per (path, family) on first sight.
