@@ -16,24 +16,26 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks --benchmark-only
 
+# The wall-clock benches below print their results; each rewrites its
+# committed BENCH_*.json baseline only when run by hand with --write.
 bench-hotpath:
 	$(PYTHON) -m pytest benchmarks/bench_hotpath.py -q
 
 # The 112-container fleet under the conservative parallel runtime at
 # workers=1/2/4 (best of 3 each), the frame-heavy border row at
-# workers=1/2 and the 1024-container row; writes BENCH_parallel.json
+# workers=1/2 and the 1024-container row; the BENCH_parallel.json rows
 # (determinism, measured speedup, quiet-window reduction).
 bench-parallel:
 	$(PYTHON) benchmarks/bench_parallel_fleet.py
 
 # Kill the KV primary mid-burst at several seeds; measures detection+
-# promotion and kill->last-held-ACK drain, writes BENCH_failover.json.
+# promotion and kill->last-held-ACK drain: the BENCH_failover.json rows.
 bench-failover:
 	$(PYTHON) benchmarks/bench_failover.py
 
 # Internet-scale table (DESIGN.md §14): 100k vs 1M prefixes through the
-# radix-trie Loc-RIB, churn reselect, aggregated snapshot compaction,
-# and a slice through a real NSR pair; writes BENCH_fulltable.json.
+# Loc-RIB (load, first lookup, LPM), churn reselect, aggregated snapshot compaction,
+# and a slice through a real NSR pair: the BENCH_fulltable.json rows.
 bench-fulltable:
 	$(PYTHON) benchmarks/bench_fulltable.py
 
@@ -47,9 +49,10 @@ fulltable-smoke:
 kv-failover:
 	$(PYTHON) benchmarks/bench_failover.py --smoke
 
-# Fails (non-zero) when any metric in a fresh run regresses past its
-# suite threshold against the committed BENCH_*.json baselines, or when
-# the parallel suite's determinism/speedup invariants break.
+# Fails (non-zero) when any metric in a fresh run (written to a temporary
+# directory) regresses past its suite threshold against the committed
+# BENCH_*.json baselines, or when the parallel suite's
+# determinism/speedup invariants break.
 bench-gate:
 	$(PYTHON) benchmarks/check_bench_regression.py
 

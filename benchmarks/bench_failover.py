@@ -16,17 +16,18 @@ all the data" — this benchmark holds the automatic half of that promise
 to a number: the drain must complete well inside the chaos liveness
 oracle's 6 s held-ACK streak limit.
 
-Writes ``BENCH_failover.json`` at the repo root for the regression gate
-(metrics are inverted to ops/s: recoveries per second, so *slower*
-recovery gates as a regression).  ``--smoke`` runs one reduced scenario
-and only asserts the invariants, for ``make verify``.
+With ``--write`` it rewrites ``BENCH_failover.json`` at the repo root,
+the regression gate's baseline (metrics are inverted to ops/s:
+recoveries per second, so *slower* recovery gates as a regression);
+``--out PATH`` writes the results elsewhere.  ``--smoke`` runs one
+reduced scenario and only asserts the invariants, for ``make verify``.
 
 Usage:
-    PYTHONPATH=src python benchmarks/bench_failover.py [--smoke]
+    PYTHONPATH=src python benchmarks/bench_failover.py
+        [--smoke | --write | --out PATH]
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from repro.config import build_system, lab_spec  # noqa: E402
 from repro.failures import FailureInjector  # noqa: E402
 from repro.sim import DeterministicRandom  # noqa: E402
 from repro.workloads.updates import RouteGenerator  # noqa: E402
+from results_file import add_output_options, write_results  # noqa: E402
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_failover.json"
 
@@ -109,6 +111,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="one reduced scenario, asserts only (no JSON)")
+    add_output_options(parser, OUT_PATH)
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -146,8 +149,7 @@ def main(argv=None):
             "failover_drain": {"ops_per_sec": round(1.0 / mean_drain, 4)},
         },
     }
-    OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {OUT_PATH.name}")
+    write_results(payload, OUT_PATH, args.write, args.out)
     return 0
 
 

@@ -5,17 +5,17 @@ Builds the synthetic DFZ-style table (workloads/fulltable.py) at two
 sizes and holds DESIGN.md §14's scaling claims to numbers:
 
 - ``table_load``: Loc-RIB build throughput at the large size — the
-  exact-match dict alone, since the prefix store is a derived index;
+  table dict, which is all a Loc-RIB keeps;
 - ``bytes_per_route`` / ``tracked_objects_per_route`` at both sizes:
   resident bytes and GC-tracked objects the loaded table adds per route
   (what every snapshot, recovery and full collection pays for holding
   it) — lower is better, and the gate ratchets them like the rates;
-- ``materialise``: the first ordered query on the loaded table, which
-  builds that index from the dict (routes indexed per second), and
-  ``lpm``: longest-prefix-match lookups per second once it exists;
+- ``materialise``: the first ``lookup`` on the loaded table, which
+  counts the prefix lengths present in one pass over its keys (routes
+  counted per second), and ``lpm``: longest-prefix-match lookups per
+  second after it, one table probe per length present;
 - ``trie_insert``: eager inserts per second into a bare ``RadixTrie`` —
-  what every insert costs when the structure *is* maintained (after the
-  first query, in prefix lists, in the FIB);
+  what every insert costs in prefix lists and the FIB;
 - ``reselect_small`` / ``reselect_large``: incremental churn throughput
   at both sizes — **sub-linear** means the per-operation cost barely
   moves when the table grows 10x (a linear structure would slow ~10x);
@@ -34,19 +34,21 @@ sizes and holds DESIGN.md §14's scaling claims to numbers:
   (remote AS -> gateway -> replication pipeline -> KV snapshot) on the
   virtual clock.
 
-Writes ``BENCH_fulltable.json`` at the repo root for the regression
-gate (``check_bench_regression.py --suite fulltable``); a ``before``
-block in that file (rows measured at an earlier commit on the same host
-with this bench file) is carried over unchanged.  ``--smoke`` runs
-reduced sizes and asserts the invariants only, for ``make verify``.
+``--write`` rewrites ``BENCH_fulltable.json`` at the repo root, the
+regression gate's baseline (``check_bench_regression.py --suite
+fulltable``), and ``--out PATH`` writes the results elsewhere; a
+``before`` block in the committed file (rows measured at an earlier
+commit on the same host with this bench file) is carried over
+unchanged.  ``--smoke`` runs reduced sizes and asserts the invariants
+only, for ``make verify``.
 
 Usage:
-    PYTHONPATH=src python benchmarks/bench_fulltable.py [--smoke]
+    PYTHONPATH=src python benchmarks/bench_fulltable.py
+        [--smoke | --write | --out PATH]
 """
 
 import argparse
 import gc
-import json
 import random
 import resource
 import sys
@@ -66,6 +68,7 @@ from repro.workloads.fulltable import (  # noqa: E402
     FullTableWorkload,
     replay_through_pair,
 )
+from results_file import add_output_options, write_results  # noqa: E402
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fulltable.json"
 
@@ -159,15 +162,12 @@ def measure_table(size):
     rss_before, tracked_before = _rss_bytes(), len(gc.get_objects())
     rib, load_s = _timed(workload.build)
     routes = len(rib)
-    # Memory before the index exists: what a receive-path table costs.
     rss_after, tracked_after = _rss_bytes(), len(gc.get_objects())
 
-    # The first ordered query derives the structural index from the
-    # loaded table; everything below runs with it live and maintained,
-    # as an aggregating speaker's Loc-RIB would.
-    index, materialise_s = _timed(lambda: rib.store)
-    assert len(index) == routes
+    # The first lookup counts the table's prefix lengths; everything
+    # below runs with that census live and kept up to date by offer.
     probes = _lpm_probes(workload)
+    _, materialise_s = _timed(lambda: rib.lookup(probes[0]))
     missed, lpm_s = _timed(
         lambda: sum(rib.lookup(probe) is None for probe in probes))
     assert missed == 0, f"{missed} probes missed a table with a default"
@@ -318,6 +318,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="reduced sizes, invariants only, no JSON")
+    add_output_options(parser, OUT_PATH)
     args = parser.parse_args()
 
     if args.smoke:
@@ -400,12 +401,7 @@ def main():
                               "tracked_objects_per_route")},
         },
     }
-    if OUT_PATH.exists():
-        before = json.loads(OUT_PATH.read_text()).get("before")
-        if before is not None:
-            payload["before"] = before
-    OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {OUT_PATH.name}")
+    write_results(payload, OUT_PATH, args.write, args.out)
     return 0
 
 

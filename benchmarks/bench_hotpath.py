@@ -29,15 +29,15 @@ of the code paths the hot-path overhauls target:
   and, under ``packed_update_receive``, UPDATEs against delta records —
   the gate fails unless they are one to one.
 
-Results land in ``BENCH_hotpath.json`` at the repo root; the committed
-baseline is what ``benchmarks/check_bench_regression.py`` (the
-``make bench-gate`` target) compares against.  A ``before`` block in
-that file (rows measured at earlier commits on the same host, kept
-beside ``results`` as the before/after pairs ROADMAP aim 1 asks for) is
-carried over unchanged when the file is rewritten.
+``--write`` rewrites ``BENCH_hotpath.json`` at the repo root, the
+committed baseline ``benchmarks/check_bench_regression.py`` (the
+``make bench-gate`` target) compares against; ``--out PATH`` writes the
+results elsewhere, and with neither nothing is written.  A
+``before`` block in the committed file (rows measured at earlier
+commits on the same host, kept beside ``results`` as the before/after
+pairs ROADMAP aim 1 asks for) is carried over unchanged.
 """
 
-import json
 import pathlib
 
 from conftest import run_once
@@ -48,6 +48,7 @@ from repro.core.replication import WriteCoalescer
 from repro.kvstore import KvClient, KvServer
 from repro.sim import DeterministicRandom, Engine, Network, Process
 from repro.workloads import RouteGenerator
+from results_file import write_results
 
 OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
@@ -279,7 +280,10 @@ def test_packed_update_receive(benchmark):
     _record("packed_update_receive", benchmark, count)
 
 
-def test_write_results_and_interning_speedup(benchmark):
+def test_write_results_and_interning_speedup(benchmark, request):
+    config = request.config
+    write, out = config.getoption("write"), config.getoption("out")
+    assert not (write and out), "--write and --out are exclusive"
     expected = {
         "codec_to_wire_uncached",
         "codec_to_wire_interned",
@@ -309,13 +313,9 @@ def test_write_results_and_interning_speedup(benchmark):
             "small_update_receive": SMALL_UPDATE_RECEIVE,
             "packed_update_receive": PACKED_UPDATE_RECEIVE,
         }
-        if OUT_PATH.exists():
-            before = json.loads(OUT_PATH.read_text()).get("before")
-            if before is not None:
-                payload["before"] = before
-        OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        write_results(payload, OUT_PATH, write, out)
         return speedup
 
     speedup = run_once(benchmark, finalize)
-    print(f"\ncodec interning speedup: {speedup:.1f}x (wrote {OUT_PATH.name})")
+    print(f"\ncodec interning speedup: {speedup:.1f}x")
     assert speedup >= 2.0  # the acceptance floor for the wire-cache hit

@@ -3,8 +3,9 @@
 
 Runs the 8-site / 112-container fleet workload under the conservative
 parallel runtime at workers = 1, 2 and 4, verifies that every
-configuration produces bit-identical shard results, and writes
-``BENCH_parallel.json`` at the repository root for the regression gate.
+configuration produces bit-identical shard results; ``--write``
+rewrites ``BENCH_parallel.json`` at the repository root, the regression
+gate's baseline, and ``--out PATH`` writes the results elsewhere.
 Each configuration's wall is the best of three runs, so one noisy run
 cannot move the gate.
 
@@ -45,11 +46,11 @@ second is not gated — it *falls* when the fleet gets faster by doing
 less — and the event counts stay under ``workload`` and ``fleet1k``.
 
 Usage:
-    PYTHONPATH=src python benchmarks/bench_parallel_fleet.py [--quick]
+    PYTHONPATH=src python benchmarks/bench_parallel_fleet.py
+        [--quick] [--write | --out PATH]
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -63,6 +64,7 @@ from repro.workloads.fleet import (  # noqa: E402
     fleet_1k_specs,
     fleet_site_specs,
 )
+from results_file import add_output_options, write_results  # noqa: E402
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
@@ -151,7 +153,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="small 4-site variant for iterating on the bench")
+    add_output_options(parser, OUT_PATH)
     args = parser.parse_args(argv)
+    if args.quick and args.write:
+        parser.error("a --quick run is not a baseline: use --out")
 
     runs = {}
     determinism_ok = True
@@ -300,13 +305,7 @@ def main(argv=None):
     }
     if fleet1k is not None:
         payload["fleet1k"] = fleet1k
-    if not args.quick:
-        if OUT_PATH.exists():
-            before = json.loads(OUT_PATH.read_text()).get("before")
-            if before is not None:
-                payload["before"] = before
-        OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {OUT_PATH.name}")
+    write_results(payload, OUT_PATH, args.write, args.out)
 
     if not determinism_ok:
         return 1

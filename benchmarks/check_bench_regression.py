@@ -1,25 +1,26 @@
 #!/usr/bin/env python
 """Benchmark regression gate (``make bench-gate``).
 
-Runs every registered benchmark suite to regenerate its ``BENCH_*.json``
-at the repo root, then compares each ``results.*.ops_per_sec`` figure
-(higher is better) and each ``results.*.per_route`` figure (a cost per
-route, lower is better) against the committed baseline: any metric more
-than the suite's threshold worse fails with a non-zero exit.  Only rows
-both files have are compared; a row one side lacks (a metric renamed or
-redefined) is printed, not failed, and gates again once the regenerated
-file is the committed one.
-Better-than-baseline results are reported but never fail — commit the
-regenerated files to ratchet the baselines.  Suites may also register a
-validator for non-throughput invariants (the parallel suite checks
-determinism and the measured speedup floor).
+Runs every registered benchmark suite into a temporary directory
+(``--out``; the committed ``BENCH_*.json`` files are never touched),
+then compares each ``results.*.ops_per_sec`` figure (higher is better)
+and each ``results.*.per_route`` figure (a cost per route, lower is
+better) against the committed baseline: any metric more than the
+suite's threshold worse fails with a non-zero exit.  Only rows both
+files have are compared; a row one side lacks (a metric renamed or
+redefined) is printed, not failed, and gates again once a re-baselined
+file is committed.  Better-than-baseline results are reported but never
+fail — re-run a bench with ``--write`` and commit the file to ratchet
+its baseline.  Suites may also register a validator for non-throughput
+invariants (the parallel suite checks determinism and the measured
+speedup floor).
 
 Usage:
     python benchmarks/check_bench_regression.py [--suite NAME]
         [--baseline PATH] [--skip-run]
 
-``--skip-run`` compares already-generated JSON instead of re-running
-the benchmarks (useful when iterating on the gate itself).
+``--skip-run`` compares the working-tree ``BENCH_*.json`` (say, one a
+``--write`` run just produced) instead of re-running the benchmarks.
 ``--baseline`` overrides the committed baseline (single suite only).
 """
 
@@ -28,6 +29,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -274,12 +276,14 @@ SUITES = {
 }
 
 
-def run_suite(suite):
+def run_suite(suite, out):
+    """Run ``suite`` with its results written to ``out``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    completed = subprocess.run(suite["run"], cwd=REPO_ROOT, env=env)
+    completed = subprocess.run(suite["run"] + ["--out", str(out)],
+                               cwd=REPO_ROOT, env=env)
     if completed.returncode != 0:
         sys.exit("bench-gate: benchmark run failed")
 
@@ -315,8 +319,8 @@ def compare(baseline, fresh, threshold):
 
 
 def committed_baseline(json_name):
-    # The working-tree file is about to be overwritten by the fresh
-    # run, so the committed copy is the baseline of record.
+    # The committed copy is the baseline of record, whatever the
+    # working tree holds.
     show = subprocess.run(
         ["git", "show", f"HEAD:{json_name}"],
         cwd=REPO_ROOT, capture_output=True, text=True,
@@ -326,14 +330,16 @@ def committed_baseline(json_name):
     return json.loads(show.stdout)
 
 
-def check_suite(name, suite, skip_run, baseline_override):
-    results_path = REPO_ROOT / suite["json"]
+def check_suite(name, suite, skip_run, baseline_override, workdir):
     if baseline_override is not None:
         baseline = json.loads(baseline_override.read_text())
     else:
         baseline = committed_baseline(suite["json"])
-    if not skip_run:
-        run_suite(suite)
+    if skip_run:
+        results_path = REPO_ROOT / suite["json"]
+    else:
+        results_path = Path(workdir) / suite["json"]
+        run_suite(suite, results_path)
     fresh = json.loads(results_path.read_text())
 
     if baseline is None:
@@ -342,7 +348,8 @@ def check_suite(name, suite, skip_run, baseline_override):
         # for the JSON to be committed.  Established suites always have
         # a committed baseline, so this never weakens them.
         print(f"bench-gate[{name}]: BOOTSTRAP — no committed "
-              f"{suite['json']}; commit it to start the ratchet")
+              f"{suite['json']}; write it with the bench's --write and "
+              f"commit it to start the ratchet")
         baseline = fresh
 
     print(f"bench-gate[{name}]: threshold {suite['threshold']:.0%} against "
@@ -374,12 +381,13 @@ def main():
               + ", ".join(p.name for p in artifacts))
 
     failures = []
-    for name in names:
-        failures.extend(
-            f"[{name}] {line}"
-            for line in check_suite(name, SUITES[name], args.skip_run,
-                                    args.baseline)
-        )
+    with tempfile.TemporaryDirectory(prefix="bench-gate-") as workdir:
+        for name in names:
+            failures.extend(
+                f"[{name}] {line}"
+                for line in check_suite(name, SUITES[name], args.skip_run,
+                                        args.baseline, workdir)
+            )
     if failures:
         print("bench-gate: FAILED")
         for line in failures:

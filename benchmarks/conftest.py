@@ -25,6 +25,16 @@ from repro.tcpsim import TcpStack
 from repro.workloads.updates import RouteGenerator
 
 
+def pytest_addoption(parser):
+    """``bench_hotpath.py``'s results file, taken as the script benches
+    take theirs (``results_file.py``)."""
+    group = parser.getgroup("bench results")
+    group.addoption("--write", action="store_true",
+                    help="rewrite the committed BENCH_hotpath.json")
+    group.addoption("--out", default=None,
+                    help="write BENCH_hotpath.json's results to this path")
+
+
 def run_once(benchmark, fn):
     """Run a deterministic simulation experiment once under pytest-benchmark."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -5,7 +5,8 @@ wire encoding (RFC 4271 §4.3) is a length octet followed by the minimum
 number of prefix octets, and a run of them back to back is an NLRI
 block — decoded whole by :func:`decode_nlri_block`, wherever it sits
 (withdrawn routes, NLRI, MP_REACH/MP_UNREACH, a stored RIB delta).
-Longest-prefix matching is :class:`repro.bgp.radix.RadixTrie`.
+Longest-prefix matching is :meth:`repro.bgp.rib.LocRib.lookup` over a
+table and :class:`repro.bgp.radix.RadixTrie` in prefix lists and the FIB.
 
 A prefix is one packed ``int``, the *key* every table holds (DESIGN.md
 §14): ``(afi - 1) << 136 | value << 8 | length`` orders natively as

@@ -1,13 +1,14 @@
 """Path-compressed binary radix (Patricia) trie keyed by packed prefix
 ints (:mod:`repro.bgp.prefixes`).
 
-The structural index behind the Loc-RIB, prefix lists and the FIB.  A
-flat dict answers exact-match queries but nothing else; real tables
-need the order-dependent queries too:
-longest-prefix match (which candidate covers a destination), covered
-walks (every more-specific under an aggregate — the DRAGON aggregation
-engine lives on this), covering chains (every less-specific over a
-route), and deterministic sorted iteration for snapshot export.
+The structural index behind prefix lists and the FIB.  A flat dict
+answers exact-match queries but nothing else; a prefix list and a
+forwarding table need the order-dependent queries too: longest-prefix
+match (which entry covers a destination), covered walks (every
+more-specific under an aggregate), covering chains (every less-specific
+over a prefix), and sorted iteration.  The Loc-RIB keeps no such index:
+it sorts its keys for a whole-table read and probes one hash per prefix
+length for a match (:mod:`repro.bgp.rib`).
 
 Structure
 ---------
@@ -24,17 +25,16 @@ index dict gives O(1) lookup, and nodes carry parent pointers so removal
 prunes locally.  Descent (insert, LPM, covering, covered) runs on the
 nodes' plain-int ``value``/``length`` with shifts and xors.  The shape
 is canonical for the key set: whatever order entries arrive in, the same
-nodes result, which is what lets the Loc-RIB build this structure late
-(DESIGN.md §14).
+nodes result.
 
 Iteration order is pre-order (node, 0-child, 1-child), which for this
 bit layout is exactly ascending ``(value, length)`` — a parent's value
 is its child's value with trailing bits cleared, so the parent sorts
 first, and the 0-subtree's values all precede the 1-subtree's.  Walking
 AFIs in ascending order makes the full walk equal ``sorted(keys)`` —
-the keys' native int order; the Loc-RIB's snapshot determinism rides
-on this (property-tested against sorted() in test_radix_properties.py,
-whose flat-dict reference store lives in tests/rib_reference.py).
+the keys' native int order, the order the Loc-RIB exports in
+(property-tested against sorted() in test_radix_properties.py, whose
+flat-dict reference store lives in tests/rib_reference.py).
 """
 
 from repro.bgp.prefixes import AFI_IPV4, AFI_IPV6, prefix_fields

@@ -13,8 +13,7 @@ snapshot record, one originated attribute set) makes one path and hands
 it to every key, so a table of N routes holds N keys and a handful of
 paths — nothing per route the collector has to walk.  :class:`Route`,
 a path bound to its prefix, exists only at the edges that hand one out
-(:meth:`LocRib.lookup`, :meth:`LocRib.covered_best`,
-:meth:`LocRib.covering_best`, :meth:`LocRib.best_routes`).
+(:meth:`LocRib.lookup`, :meth:`LocRib.best_routes`).
 
 The Loc-RIB is a table plus a record of the contests.  The table — key
 to selected path, insertion-ordered — is all a prefix with one path
@@ -24,13 +23,14 @@ second peer offered it — also has an entry in the contested map, a bare
 ``{peer_id: Path}`` dict created on that offer and dropped by the
 retract that leaves one path.  MED-group membership is read off that
 dict by scanning it when a decision needs it; nothing is counted ahead.
-``offer``/``retract`` touch these two dicts and nothing else.
 
-Longest-prefix match, covered-subtree walks and sorted iteration come
-from a prefix store — the path-compressed radix trie
-(:class:`repro.bgp.radix.RadixTrie`), or whatever ``LocRib(store=...)``
-is handed — holding the table's *keys*, derived from it at the first
-ordered query; whatever it matches is then read from the table.
+There is no second index over the table.  A whole-table read walks
+``sorted(table)``: packed keys sort in C as ``(afi, value, length)``,
+the order a prefix trie's walk gives.  Longest-prefix match probes the
+table once per prefix length present in the key's family, longest
+first; those lengths — at most 33 for IPv4 and 129 for IPv6 — are
+counted by the first :meth:`LocRib.lookup` and kept up to date by
+``offer`` from then on.
 """
 
 from repro.bgp.decision import (
@@ -40,14 +40,26 @@ from repro.bgp.decision import (
     med_group_shared,
     prefer,
 )
-from repro.bgp.prefixes import parse_prefix, prefix_text
-from repro.bgp.radix import RadixTrie
+from repro.bgp.prefixes import AFI_SHIFT, parse_prefix, prefix_text
 
-__all__ = ["Path", "Route", "AdjRibIn", "LocRib", "AdjRibOut", "RadixTrie"]
+__all__ = ["Path", "Route", "AdjRibIn", "LocRib", "AdjRibOut"]
+
+#: The bits of a key that say its family and length, value cleared.
+_SHAPE = 1 << AFI_SHIFT | 255
 
 
 def _peer_order(path):
     return str(path.peer_id)
+
+
+def _entry(text, path):
+    """One :meth:`LocRib.export_entries` record."""
+    return {
+        "prefix": text,
+        "peer_id": path.peer_id,
+        "source_kind": path.source_kind,
+        "attributes": path.attributes.to_wire(),
+    }
 
 
 class Path:
@@ -150,7 +162,7 @@ class AdjRibIn:
 class LocRib:
     """The selected best path per prefix, plus all candidate paths."""
 
-    def __init__(self, local_as=0, router_id=0, store=None):
+    def __init__(self, local_as=0, router_id=0):
         self.local_as = local_as
         self.router_id = router_id
         # The table: every prefix with at least one path, mapped to its
@@ -163,13 +175,11 @@ class LocRib:
         # an entry appears when a second peer offers a prefix and goes
         # when a retract leaves one path.
         self._contested = {}  # prefix -> {peer_id: Path}, >= 2 paths
-        # The structural index over the table's keys (LPM, covered
-        # walks, sorted iteration).  It stays empty until the first
-        # ordered query asks for it (see :attr:`store`); only from then
-        # on do offer/retract mirror prefix arrivals and departures
-        # into it.
-        self._store = store if store is not None else RadixTrie()
-        self._indexed = False
+        # The prefix lengths present, per family (index ``key >>
+        # AFI_SHIFT``), longest first: None until the first lookup
+        # counts them, then grown by offer.  A length whose last prefix
+        # leaves stays, at the cost of one missed probe.
+        self._lengths = None
         #: Number of best-path selections actually executed: incremental
         #: challenger-vs-incumbent comparisons and full re-scans.  No-op
         #: retracts and trivial single-candidate adoptions do not count.
@@ -212,8 +222,12 @@ class LocRib:
         old = best.get(prefix)
         if old is None:
             best[prefix] = path
-            if self._indexed:
-                self._store.insert(prefix, None)
+            lengths = self._lengths
+            if lengths is not None:
+                family = lengths[prefix >> AFI_SHIFT]
+                if prefix & 255 not in family:
+                    family.append(prefix & 255)
+                    family.sort(reverse=True)
             return None, path
         peer_id = path.peer_id
         candidates = self._contested.get(prefix)
@@ -264,8 +278,6 @@ class LocRib:
             if self._changed is not None:
                 self._changed[prefix] = self.export_seq
             del best[prefix]
-            if self._indexed:
-                self._store.remove(prefix)
             return old, None
         removed = candidates.pop(peer_id, None)
         if removed is None:
@@ -323,60 +335,60 @@ class LocRib:
     def __len__(self):
         return len(self._best)
 
-    # -- trie-backed queries ------------------------------------------------
-
-    @property
-    def store(self):
-        """The prefix store (read-only use: aggregation, snapshot
-        walks).  It holds the table's keys only; read :meth:`best` or
-        :meth:`candidates` for a matched prefix.
-
-        Built here, once, from the table in sorted prefix order — so
-        what it holds depends on the table alone, never on the
-        offer/retract history that produced it — and maintained
-        incrementally afterwards.
-        """
-        store = self._store
-        if not self._indexed:
-            self._indexed = True
-            for prefix in sorted(self._best):
-                store.insert(prefix, None)
-        return store
-
     def lookup(self, prefix):
         """Longest-prefix match over *selected* routes: the best route
         of the most specific prefix covering ``prefix``, or None.
 
         More-specific-wins receiver semantics — the property that makes
-        DRAGON deaggregation holes sound (DESIGN.md §14).
+        DRAGON deaggregation holes sound (DESIGN.md §14).  One table
+        probe per prefix length present in the family, longest first.
         """
-        match = self.store.longest_match(prefix)
-        if match is None:
-            return None
-        return self._best[match[0]].at(match[0])
-
-    def covered_best(self, prefix):
-        """(prefix, best route) for selected routes within ``prefix``,
-        in ascending prefix order (includes ``prefix`` itself)."""
+        lengths = self._lengths
+        if lengths is None:
+            lengths = self._lengths = ([], [])
+            for shape in {key & _SHAPE for key in self._best}:
+                lengths[shape >> AFI_SHIFT].append(shape & 255)
+            for family in lengths:
+                family.sort(reverse=True)
         best = self._best
-        return [(stored, best[stored].at(stored))
-                for stored, _ in self.store.covered(prefix)]
-
-    def covering_best(self, prefix):
-        """(prefix, best route) for selected routes covering ``prefix``,
-        shortest first (includes ``prefix`` itself)."""
-        best = self._best
-        return [(stored, best[stored].at(stored))
-                for stored, _ in self.store.covering(prefix)]
+        family = prefix >> AFI_SHIFT
+        width = 136 if family else 40  # address bits plus the length byte
+        length = prefix & 255
+        for candidate in lengths[family]:
+            if candidate <= length:
+                keep = width - candidate
+                key = prefix >> keep << keep | candidate
+                path = best.get(key)
+                if path is not None:
+                    return path.at(key)
+        return None
 
     # -- snapshot support (TENSOR backs the table up in the database) ------
 
+    def entry_paths(self):
+        """``(prefix, path)`` for every candidate path, in export order:
+        ascending prefix, a contested prefix's paths by peer."""
+        best, contested = self._best, self._contested
+        for prefix in sorted(best):
+            paths = contested.get(prefix) if contested else None
+            if paths is None:
+                yield prefix, best[prefix]
+            else:
+                for path in sorted(paths.values(), key=_peer_order):
+                    yield prefix, path
+
     def export_entries(self):
         """Serializable view of every candidate path (sorted for determinism)."""
-        entries = []
-        for prefix in self.store:
-            entries.extend(self.export_prefix_entries(prefix))
-        return entries
+        return [_entry(prefix_text(prefix), path)
+                for prefix, path in self.entry_paths()]
+
+    def digest(self):
+        """Every candidate path as a ``(prefix text, peer id text,
+        source kind, attributes wire)`` row, in export order: one RIB's
+        slice of ``TensorSystem.rib_digest``."""
+        return tuple((prefix_text(prefix), str(path.peer_id), path.source_kind,
+                      path.attributes.to_wire())
+                     for prefix, path in self.entry_paths())
 
     def export_prefix_entries(self, prefix):
         """The :meth:`export_entries` records for one prefix (possibly [])."""
@@ -389,15 +401,7 @@ class LocRib:
                 return []
             paths = (path,)
         text = prefix_text(prefix)
-        return [
-            {
-                "prefix": text,
-                "peer_id": path.peer_id,
-                "source_kind": path.source_kind,
-                "attributes": path.attributes.to_wire(),
-            }
-            for path in paths
-        ]
+        return [_entry(text, path) for path in paths]
 
     def export_paths(self, prefixes):
         """Bulk read for the snapshot chunk encoder: every path of the

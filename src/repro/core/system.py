@@ -247,7 +247,7 @@ class TensorSystem:
         """Canonical, picklable snapshot of every pair's Loc-RIBs.
 
         ``{(pair, vrf): ((prefix, peer_id, source_kind, attrs_wire), ...)}``
-        built from :meth:`LocRib.export_entries`, attributes in wire form —
+        from :meth:`LocRib.digest`, rows streamed from the shared paths —
         two runs of the same scenario are equivalent iff their digests are
         equal, which is the comparison the parallel runtime's bit-identical
         guarantee is checked against (workers=1 vs workers=N).
@@ -258,16 +258,8 @@ class TensorSystem:
             if speaker is None:
                 continue
             for vrf_name in sorted(speaker.vrfs):
-                entries = speaker.vrfs[vrf_name].loc_rib.export_entries()
-                digest[(pair_name, vrf_name)] = tuple(
-                    (
-                        entry["prefix"],
-                        str(entry["peer_id"]),
-                        entry["source_kind"],
-                        bytes(entry["attributes"]),
-                    )
-                    for entry in entries
-                )
+                digest[(pair_name, vrf_name)] = (
+                    speaker.vrfs[vrf_name].loc_rib.digest())
         return digest
 
 

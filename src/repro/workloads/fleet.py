@@ -203,15 +203,10 @@ class FleetSiteProgram:
         return self.engine.next_event_time(BORDER_SCOPE)
 
     def results(self):
-        wan_rib = tuple(
-            (entry["prefix"], str(entry["peer_id"]), entry["source_kind"],
-             bytes(entry["attributes"]))
-            for entry in self.border.vrfs["wan"].loc_rib.export_entries()
-        )
         out = {
             "site": self.site,
             "rib": self.system.rib_digest(),
-            "border_rib": wan_rib,
+            "border_rib": self.border.vrfs["wan"].loc_rib.digest(),
             "border_established": len(self.border.established_sessions()),
             "containers": sum(
                 len(machine.containers) for machine in self.system.machines.values()

@@ -3,8 +3,8 @@
 :class:`ReferenceRib` reimplements the Loc-RIB's observable contract
 with the dumbest data structures that can possibly work: a flat dict of
 candidate maps, a full :func:`best_path` re-scan after *every* mutation
-(no incremental shortcuts, no MED-group counters), and linear scans for
-every tree query (LPM, covered, covering).  Roughly 40 lines of logic
+(no incremental shortcuts, no MED-group counters), and a linear scan
+for longest-prefix match.  Roughly 40 lines of logic
 with no clever state to get wrong — the point is that any divergence
 from :class:`repro.bgp.rib.LocRib` under churn indicts the optimized
 implementation, not the oracle (DESIGN.md §14).
@@ -28,9 +28,7 @@ checks ``path_counts_since`` against it.
 """
 
 import zlib
-from unittest import mock
 
-from repro.bgp import rib as rib_module
 from repro.bgp.aggregation import aggregate_root
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.decision import best_path, med_group, prefer
@@ -123,7 +121,7 @@ class ReferenceRib:
     def __len__(self):
         return len(self._candidates)
 
-    # -- tree queries, by linear scan (these hand out Routes) ----------------
+    # -- longest-prefix match, by linear scan (hands out a Route) ------------
 
     def lookup(self, prefix):
         """Longest-prefix match over selected routes."""
@@ -132,20 +130,6 @@ class ReferenceRib:
             return None
         match = max(covers, key=prefix_length)
         return self.best(match).at(match)
-
-    def covered_best(self, prefix):
-        return [
-            (stored, self.best(stored).at(stored))
-            for stored in sorted(self._candidates)
-            if prefix_contains(prefix, stored)
-        ]
-
-    def covering_best(self, prefix):
-        return [
-            (stored, self.best(stored).at(stored))
-            for stored in sorted(self._candidates, key=prefix_length)
-            if prefix_contains(stored, prefix)
-        ]
 
     # -- snapshot ------------------------------------------------------------
 
@@ -180,21 +164,12 @@ class ReferenceRib:
         )
 
 
-def rib_digest_of(loc_rib):
-    """The :meth:`ReferenceRib.digest` projection of a real LocRib."""
-    return tuple(
-        (entry["prefix"], str(entry["peer_id"]), entry["source_kind"],
-         entry["attributes"])
-        for entry in loc_rib.export_entries()
-    )
-
-
-# -- the flat-dict prefix store (the seed Loc-RIB's data layout) -------------
+# -- the flat-dict prefix store (the RadixTrie reference) --------------------
 
 class DictPrefixStore:
     """Same interface as :class:`repro.bgp.radix.RadixTrie`, the tree
     queries by linear scan and :meth:`walk` by a sort — what the trie is
-    pinned against, directly and behind whole chaos and fuzz runs."""
+    pinned against (``tests/test_radix_properties.py``)."""
 
     def __init__(self):
         self._entries = {}
@@ -233,13 +208,6 @@ class DictPrefixStore:
 
     def walk(self):
         yield from sorted(self._entries.items())
-
-
-def use_prefix_store(factory):
-    """Context manager: Loc-RIBs constructed inside are backed by
-    ``factory()`` — a patch of the one name ``LocRib.__init__``
-    constructs; ``LocRib(store=...)`` injects a single one."""
-    return mock.patch.object(rib_module, "RadixTrie", factory)
 
 
 # -- snapshot chunks (the encoder compact() used before encode_chunk) --------
@@ -395,15 +363,15 @@ def _contest_attributes(rng):
     )
 
 
-def contested_churn(seed, steps=500, index_at=None):
+def contested_churn(seed, steps=500, lookup_at=None):
     """Drive a LocRib and a ReferenceRib through one seeded offer/retract
     sequence over five prefixes and three peers, so every prefix keeps
     crossing 1 -> 2 -> 1 -> 0 paths (same peer re-offering — a new path
     or the very path object it already has there — MED-group joins and
     evictions, retracts of best and non-best), asserting agreement on
     everything observable after every step, returns by identity.
-    ``index_at`` is the step before which the derived prefix store is
-    first read (None: only the periodic ``export_entries`` reads it).
+    ``lookup_at`` is the step before which every prefix is first looked
+    up, which counts the table's prefix lengths (None: never).
     Returns the trace of observations, for determinism pins.
     """
     rng = DeterministicRandom(seed).stream("rib-contested")
@@ -412,8 +380,9 @@ def contested_churn(seed, steps=500, index_at=None):
     watermark, crossings = 0, set()
     restored_best = 0
     for step in range(steps):
-        if step == index_at:
-            assert list(rib.store) == sorted(reference.prefixes())
+        if step == lookup_at:
+            for probe in CONTEST_PREFIXES:
+                assert rib.lookup(probe) == reference.lookup(probe)
         prefix = rng.choice(CONTEST_PREFIXES)
         peer = rng.choice(CONTEST_PEERS)
         before = reference.candidates(prefix)
@@ -446,6 +415,9 @@ def contested_churn(seed, steps=500, index_at=None):
         if step % 40 == 39:
             entries = reference.export_entries()
             assert rib.export_entries() == entries
+            if lookup_at is not None and step >= lookup_at:
+                for probe in CONTEST_PREFIXES:
+                    assert rib.lookup(probe) == reference.lookup(probe)
             # The count walk and its entry-list wrapper read the same
             # change records: the first call prunes, the second (same
             # watermark) must still see every prefix it reported.

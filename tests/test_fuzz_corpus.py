@@ -70,23 +70,6 @@ def test_replayed_entries_reproduce_their_coverage_keys(manifest):
         assert coverage_key(profile) == expected_key
 
 
-def test_corpus_replay_identical_under_dict_prefix_store(manifest):
-    """§14 differential: a corpus entry replayed with the brute-force
-    DictPrefixStore Loc-RIB backend must reproduce the trie run's
-    digest, verdict, profile and coverage key bit-for-bit."""
-    from tests.rib_reference import DictPrefixStore, use_prefix_store
-
-    spec, expected_key, expected_profile = manifest_entries(manifest)[0]
-    trie_result = run_fuzz_spec(spec, tracing=True)
-    with use_prefix_store(DictPrefixStore):
-        dict_result = run_fuzz_spec(spec, tracing=True)
-    assert dict_result.summary() == trie_result.summary()
-    assert dict_result.system.rib_digest() == trie_result.system.rib_digest()
-    assert run_profile(dict_result) == run_profile(trie_result)
-    assert run_profile(trie_result) == expected_profile
-    assert coverage_key(run_profile(dict_result)) == expected_key
-
-
 def test_baseline_spot_check_matches_fresh_chaos_profiles(manifest):
     """The stored chaos baseline must equal freshly computed profiles
     (spot check two plain seeds; the full baseline regenerates with

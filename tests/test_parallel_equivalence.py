@@ -297,59 +297,3 @@ def test_chaos_shard_matches_plain_run_schedule():
         )
         assert shard["executed"] == plain.events_executed
         assert shard["rib"] == plain.system.rib_digest()
-
-
-# ----------------------------------------------------------------------
-# prefix-store differential: trie vs dict backend (DESIGN.md §14)
-# ----------------------------------------------------------------------
-#
-# The radix-trie Loc-RIB store must be observationally invisible: the
-# same chaos schedules and fuzz specs, re-run with the brute-force
-# DictPrefixStore backend, must produce bit-identical rib_digest
-# snapshots, oracle verdicts, and event counts.  These pins catch any
-# trie bug that changes selection order, export order, or timing.
-
-def test_chaos_corpus_identical_under_dict_prefix_store():
-    from tests.rib_reference import DictPrefixStore, use_prefix_store
-
-    trie = chaos_run(1)
-    for seed in CHAOS_SEEDS:
-        with use_prefix_store(DictPrefixStore):
-            reference = run_schedule(generate_schedule(seed))
-        shard = trie.shard_results[f"chaos{seed}"]
-        assert shard["verdict"] == reference.summary()
-        assert shard["executed"] == reference.events_executed
-        assert shard["rib"] == reference.system.rib_digest()
-
-
-def test_db_failover_chaos_identical_under_dict_prefix_store():
-    from tests.rib_reference import DictPrefixStore, use_prefix_store
-
-    trie = db_failover_run(1)
-    for seed in DB_FAILOVER_SEEDS:
-        with use_prefix_store(DictPrefixStore):
-            reference = run_schedule(
-                generate_schedule(seed, db_failover=True))
-        shard = trie.shard_results[f"chaos{seed}"]
-        assert shard["verdict"] == reference.summary()
-        assert shard["executed"] == reference.events_executed
-        assert shard["rib"] == reference.system.rib_digest()
-
-
-def test_fuzz_runs_identical_under_dict_prefix_store():
-    from tests.rib_reference import DictPrefixStore, use_prefix_store
-    from repro.fuzz import (
-        coverage_key,
-        generate_fuzz_spec,
-        run_fuzz_spec,
-        run_profile,
-    )
-
-    trie = fuzz_run(1)
-    for seed in FUZZ_SEEDS:
-        with use_prefix_store(DictPrefixStore):
-            reference = run_fuzz_spec(generate_fuzz_spec(seed), tracing=True)
-        shard = trie.shard_results[f"fuzz{seed}"]
-        assert shard["verdict"] == reference.summary()
-        assert shard["rib"] == reference.system.rib_digest()
-        assert shard["coverage_key"] == coverage_key(run_profile(reference))

@@ -43,7 +43,7 @@ from repro.sim import DeterministicRandom
 from repro.workloads.fulltable import FullTableWorkload
 from repro.workloads.updates import RouteGenerator
 
-from tests.rib_reference import MemoryKv, rib_digest_of
+from tests.rib_reference import MemoryKv
 
 
 @st.composite
@@ -118,7 +118,7 @@ def test_default_route_is_the_falsy_key_and_still_a_member():
     assert default == 0 and prefix_text(default) == "0.0.0.0/0"
     rib = LocRib()
     rib.offer(default, Path(_ATTRS, "p1"))
-    assert rib.best(default) is not None and default in rib.store
+    assert rib.best(default) is not None and default in rib.prefixes()
     assert rib.lookup(parse_prefix("203.0.113.9/32")).prefix == default
     assert [e["prefix"] for e in rib.export_entries()] == ["0.0.0.0/0"]
     trie = RadixTrie()
@@ -172,11 +172,12 @@ def test_bulk_producers_yield_plain_ints():
     rib = workload.build()
     assert _all_plain(rib.prefixes())
     assert _all_plain(key for key, _path in rib.items())
-    assert _all_plain(rib.store) and _all_plain(key for key, _ in rib.store.walk())
-    assert _all_plain(key for key, _ in rib.covered_best(parse_prefix("8.0.0.0/8")))
+    assert _all_plain(key for key, _path in rib.entry_paths())
+    assert _all_plain(rib.lookup(key).prefix for key in rib.prefixes())
     rebuilt = _rebuilt(_snapshot(rib))
     assert len(rebuilt) == len(rib)
-    assert _all_plain(rebuilt.prefixes()) and _all_plain(rebuilt.store)
+    assert _all_plain(rebuilt.prefixes())
+    assert _all_plain(key for key, _path in rebuilt.entry_paths())
 
 
 # -- one table, whatever the provenance of its keys ---------------------------
@@ -202,7 +203,7 @@ def test_named_and_decoded_keys_give_one_digest_and_one_store():
     assert [e["prefix"] for e in first.export_entries()[:1]] == ["0.0.0.0/0"]
     for rib in ribs[1:]:
         assert rib.export_entries() == first.export_entries()
-        assert rib_digest_of(rib) == rib_digest_of(first)
+        assert rib.digest() == first.digest()
         for aggregate in (False, True):
             assert _snapshot(rib, aggregate) == _snapshot(first, aggregate)
     # ... and a key of either type probes a table built from the other.
@@ -228,7 +229,6 @@ def test_loaded_table_adds_no_tracked_object_per_route():
     assert added <= 0.05 * len(rib), added / len(rib)
     assert not any(map(gc.is_tracked, rib.prefixes()))
     assert rib._changed is None  # no snapshot read it: nothing recorded
-    assert not any(gc.is_tracked(key) for key in rib.store)
 
 
 @pytest.mark.parametrize("aggregate", [False, True], ids=["plain", "aggregated"])

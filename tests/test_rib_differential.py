@@ -1,22 +1,21 @@
-"""Differential Loc-RIB harness (DESIGN.md §14): trie vs reference.
+"""Differential Loc-RIB harness (DESIGN.md §14): LocRib vs reference.
 
-Three implementations run in lockstep under seeded insert/retract
-churn — the production :class:`LocRib` on its radix-trie store, the
-same LocRib on the seed-era flat-dict store, and the brute-force
-:class:`ReferenceRib` oracle — and must agree at every step on best
-routes, and at every checkpoint on snapshot exports, digest
-bit-identity, LPM answers, and covered/covering subtree walks.
+The production :class:`LocRib` and the brute-force :class:`ReferenceRib`
+oracle run in lockstep under seeded insert/retract churn and must agree
+at every step on best routes, and at every checkpoint on snapshot
+exports, digest bit-identity and longest-prefix-match answers.
 
-The workload is adversarial for the trie: clustered prefixes (sibling
+The workload is adversarial for the match: clustered prefixes (sibling
 splits, shared stems), MED-group attribute mixes (exercises the
 incremental-reselect fallbacks), covering chains (/8 over /16 over /24
-over /32), the default route, and bursts of retract-to-empty that force
-node pruning.
+over /32), the default route, and bursts of retract-to-empty.
 
-The prefix store is a *derived* index: nothing is inserted into it
-until the first ordered query (``store``, ``lookup``, ``covered_best``,
-``covering_best``, ``export_entries``), which fills it from the
-exact-match dict; the second half of this file pins that rule.
+The Loc-RIB keeps no index.  ``lookup`` probes the table once per prefix
+length present in the family, from a census of lengths that the first
+``lookup`` takes and ``offer`` grows; the second half of this file pins
+that rule — nothing else takes the census, a length first seen after it
+is still found, and a length whose prefixes all left costs a missed
+probe, never a wrong answer.
 """
 
 import gc
@@ -24,18 +23,11 @@ import gc
 import pytest
 
 from repro.bgp import AsPath, LocRib, Origin, PathAttributes, Prefix
-from repro.bgp.radix import RadixTrie
+from repro.bgp.prefixes import AFI_IPV6, AFI_SHIFT, prefix_length
 from repro.bgp.rib import Path
 from repro.sim.rand import DeterministicRandom
 
-from tests.rib_reference import (
-    DictPrefixStore,
-    ReferenceRib,
-    contested_churn,
-    probe_points,
-    rib_digest_of,
-    use_prefix_store,
-)
+from tests.rib_reference import ReferenceRib, contested_churn, probe_points
 
 PEERS = [f"peer{i}" for i in range(6)]
 
@@ -70,57 +62,78 @@ def _prefix_pool(rng, size):
     return pool
 
 
-def _assert_checkpoint(trie_rib, dict_rib, reference, pool, rng):
-    exports = reference.export_entries()
-    assert trie_rib.export_entries() == exports
-    assert dict_rib.export_entries() == exports
-    digest = reference.digest()
-    assert rib_digest_of(trie_rib) == digest
-    assert rib_digest_of(dict_rib) == digest
-    assert set(trie_rib.prefixes()) == reference.prefixes()
-    for point in probe_points(pool, rng):
-        expected = reference.lookup(point)
-        assert trie_rib.lookup(point) == expected
-        assert dict_rib.lookup(point) == expected
-        assert trie_rib.covered_best(point) == reference.covered_best(point)
-        assert (trie_rib.covering_best(point)
-                == reference.covering_best(point))
+def _v6_pool(rng, size):
+    """IPv6 covering chains under 2001:db8::/32, and the v6 default."""
+    pool = [Prefix(0, 0, AFI_IPV6)]
+    base = 0x20010DB8 << 96
+    while len(pool) < size:
+        site = base | rng.randrange(16) << 80
+        pool.append(Prefix(site, 48, AFI_IPV6))
+        pool.append(Prefix(site | rng.randrange(4) << 64, 64, AFI_IPV6))
+        pool.append(Prefix(site | rng.randrange(2**64), 128, AFI_IPV6))
+    return pool
+
+
+def _v6_probes(pool, rng, extra=8):
+    """Each v6 prefix, its parent, a one-longer child and random hosts."""
+    points = set()
+    for prefix in pool:
+        points.add(prefix)
+        length = prefix_length(prefix)
+        if length:
+            points.add(Prefix(prefix.value, length - 1, AFI_IPV6))
+        if length < 128:
+            points.add(Prefix(prefix.value | 1 << (127 - length), length + 1,
+                              AFI_IPV6))
+    for _ in range(extra):
+        points.add(Prefix((0x20010DB8 << 96) | rng.randrange(2**96), 128,
+                          AFI_IPV6))
+    return sorted(points)
+
+
+def _assert_checkpoint(rib, reference, probes):
+    assert rib.export_entries() == reference.export_entries()
+    assert rib.digest() == reference.digest()
+    assert set(rib.prefixes()) == reference.prefixes()
+    for point in probes:
+        assert rib.lookup(point) == reference.lookup(point)
+
+
+def _churn_step(rng, pool, rib, reference, retract_bias=0.35):
+    """One seeded offer or retract applied to both ribs; returns the
+    prefix touched.  Every return value must match the reference's."""
+    prefix = rng.choice(pool)
+    peer = rng.choice(PEERS)
+    if rng.random() < retract_bias:
+        expected = reference.retract(prefix, peer)
+        assert rib.retract(prefix, peer) == expected
+    else:
+        path = Path(_attributes(rng), peer,
+                    rng.choice(["ebgp", "ebgp", "ibgp"]))
+        expected = reference.offer(prefix, path)
+        assert rib.offer(prefix, path) == expected
+    return prefix
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_lockstep_churn(seed):
     rng = DeterministicRandom(seed).stream("rib-differential")
     pool = _prefix_pool(rng, 30)
-    trie_rib = LocRib()
-    dict_rib = LocRib(store=DictPrefixStore())
-    reference = ReferenceRib()
+    rib, reference = LocRib(), ReferenceRib()
     steps = 400
     for step in range(steps):
-        prefix = rng.choice(pool)
-        peer = rng.choice(PEERS)
-        retract_bias = 0.65 if step > steps * 0.7 else 0.3
-        if rng.random() < retract_bias:
-            expected = reference.retract(prefix, peer)
-            assert trie_rib.retract(prefix, peer) == expected
-            assert dict_rib.retract(prefix, peer) == expected
-        else:
-            path = Path(_attributes(rng), peer,
-                        rng.choice(["ebgp", "ebgp", "ibgp"]))
-            expected = reference.offer(prefix, path)
-            assert trie_rib.offer(prefix, path) == expected
-            assert dict_rib.offer(prefix, path) == expected
-        assert trie_rib.best(prefix) == reference.best(prefix)
+        prefix = _churn_step(rng, pool, rib, reference,
+                             retract_bias=0.65 if step > steps * 0.7 else 0.3)
+        assert rib.best(prefix) == reference.best(prefix)
         if step % 80 == 79:
-            _assert_checkpoint(trie_rib, dict_rib, reference, pool, rng)
-    # Drain to empty: maximum pruning pressure on the trie.
+            _assert_checkpoint(rib, reference, probe_points(pool, rng))
+    # Drain to empty: every length the census counted is now absent.
     for prefix in list(pool):
         for peer in PEERS:
-            expected = reference.retract(prefix, peer)
-            assert trie_rib.retract(prefix, peer) == expected
-            assert dict_rib.retract(prefix, peer) == expected
-    assert len(trie_rib) == len(reference) == 0
-    assert trie_rib.export_entries() == []
-    assert len(trie_rib.store) == 0
+            assert rib.retract(prefix, peer) == reference.retract(prefix, peer)
+    assert len(rib) == len(reference) == 0
+    assert rib.export_entries() == [] and rib.digest() == ()
+    assert all(rib.lookup(point) is None for point in probe_points(pool, rng))
 
 
 def test_incremental_matches_reference_decisions():
@@ -128,18 +141,16 @@ def test_incremental_matches_reference_decisions():
     route the full re-scan picks, across a dense same-prefix battle."""
     rng = DeterministicRandom(99).stream("rib-med-battle")
     prefix = Prefix.parse("10.0.0.0/8")
-    trie_rib, reference = LocRib(), ReferenceRib()
+    rib, reference = LocRib(), ReferenceRib()
     for _ in range(300):
         peer = rng.choice(PEERS)
         if rng.random() < 0.35:
-            assert (trie_rib.retract(prefix, peer)
-                    == reference.retract(prefix, peer))
+            assert rib.retract(prefix, peer) == reference.retract(prefix, peer)
         else:
             path = Path(_attributes(rng), peer)
-            assert (trie_rib.offer(prefix, path)
-                    == reference.offer(prefix, path))
-        assert trie_rib.best(prefix) == reference.best(prefix)
-        assert trie_rib.candidates(prefix) == reference.candidates(prefix)
+            assert rib.offer(prefix, path) == reference.offer(prefix, path)
+        assert rib.best(prefix) == reference.best(prefix)
+        assert rib.candidates(prefix) == reference.candidates(prefix)
 
 
 def test_import_entries_round_trip_via_trie():
@@ -149,56 +160,23 @@ def test_import_entries_round_trip_via_trie():
         rib.offer(prefix, Path(_attributes(rng), rng.choice(PEERS)))
     clone = LocRib.import_entries(rib.export_entries())
     assert clone.export_entries() == rib.export_entries()
-    assert rib_digest_of(clone) == rib_digest_of(rib)
+    assert clone.digest() == rib.digest()
 
 
-# -- the derived index ------------------------------------------------------
+# -- the length census --------------------------------------------------------
 
 
-class RecordingStore(RadixTrie):
-    """A RadixTrie that logs every mutation the Loc-RIB makes to it."""
-
-    def __init__(self):
-        super().__init__()
-        self.log = []
-
-    def insert(self, prefix, value):
-        self.log.append(("insert", prefix))
-        return super().insert(prefix, value)
-
-    def remove(self, prefix):
-        self.log.append(("remove", prefix))
-        return super().remove(prefix)
-
-
-def _churn_step(rng, pool, ribs, reference, retract_bias=0.35):
-    """One seeded offer or retract applied to every rib; returns the
-    prefix touched.  Every return value must match the reference's."""
-    prefix = rng.choice(pool)
-    peer = rng.choice(PEERS)
-    if rng.random() < retract_bias:
-        expected = reference.retract(prefix, peer)
-        for rib in ribs:
-            assert rib.retract(prefix, peer) == expected
-    else:
-        path = Path(_attributes(rng), peer)
-        expected = reference.offer(prefix, path)
-        for rib in ribs:
-            assert rib.offer(prefix, path) == expected
-    return prefix
-
-
-def test_receive_path_never_touches_the_store():
-    """offer/retract/best, delta replication and per-prefix snapshot
-    export — everything the NSR receive path calls — run on the
-    exact-match dict alone."""
-    rng = DeterministicRandom(21).stream("rib-derived")
-    pool = _prefix_pool(rng, 30)
-    recorder = RecordingStore()
-    rib, reference = LocRib(store=recorder), ReferenceRib()
+def test_receive_path_and_table_reads_take_no_census():
+    """offer/retract/best, delta replication, per-prefix and whole-table
+    snapshot export and the digest — everything but ``lookup`` — leave
+    the census untaken; the first ``lookup`` counts exactly the lengths
+    present, per family."""
+    rng = DeterministicRandom(21).stream("rib-census")
+    pool = _prefix_pool(rng, 30) + _v6_pool(rng, 10)
+    rib, reference = LocRib(), ReferenceRib()
     watermark = 0
     for step in range(300):
-        prefix = _churn_step(rng, pool, [rib], reference)
+        prefix = _churn_step(rng, pool, rib, reference)
         assert rib.best(prefix) == reference.best(prefix)
         assert (rib.export_prefix_entries(prefix)
                 == reference.export_prefix_entries(prefix))
@@ -207,107 +185,126 @@ def test_receive_path_never_touches_the_store():
             assert dirty and all(
                 entries == reference.export_prefix_entries(changed)
                 for changed, entries in dirty.items())
+            assert rib.export_entries() == reference.export_entries()
+            assert rib.digest() == reference.digest()
     assert len(rib) == len(reference) > 0
-    assert recorder.log == [] and len(recorder) == 0
-    # The first ordered query fills it, once, in sorted prefix order...
-    assert rib.export_entries() == reference.export_entries()
-    filled = [prefix for op, prefix in recorder.log if op == "insert"]
-    assert filled == sorted(reference.prefixes()) and len(filled) == len(rib)
-    assert len(recorder.log) == len(filled)
-    # ...later queries add nothing, later mutations are mirrored one by one.
+    assert rib._lengths is None
     rib.lookup(pool[1])
-    rib.covered_best(pool[0])
-    assert len(recorder.log) == len(filled)
-    newcomer = Prefix.parse("203.0.113.0/24")
-    rib.offer(newcomer, Path(_attributes(rng), "peer0"))
-    rib.retract(newcomer, "peer0")
-    assert recorder.log[len(filled):] == [("insert", newcomer),
-                                          ("remove", newcomer)]
+    for family in (0, 1):
+        present = {prefix_length(p) for p in reference.prefixes()
+                   if p >> AFI_SHIFT == family}
+        assert rib._lengths[family] == sorted(present, reverse=True)
 
 
-@pytest.mark.parametrize("first_query", ["store", "lookup", "covered_best",
-                                         "covering_best", "export_entries"])
+@pytest.mark.parametrize("first_query", ["lookup", "export_entries"])
 @pytest.mark.parametrize("seed", range(3))
 def test_churn_before_and_after_first_ordered_query(seed, first_query):
     """Whichever ordered query comes first, and however much history
     precedes it, answers match the reference at every step after."""
     rng = DeterministicRandom(seed).stream("rib-derived-churn")
     pool = _prefix_pool(rng, 24)
-    trie_rib, dict_rib = LocRib(), LocRib(store=DictPrefixStore())
-    reference = ReferenceRib()
-    ribs = [trie_rib, dict_rib]
+    rib, reference = LocRib(), ReferenceRib()
     for _ in range(150):
-        _churn_step(rng, pool, ribs, reference)
-    assert not trie_rib._indexed and not dict_rib._indexed
-    for rib in ribs:
-        if first_query == "store":
-            assert len(rib.store) == len(reference)
-        elif first_query == "export_entries":
-            assert rib.export_entries() == reference.export_entries()
-        else:
-            point = pool[3]
-            assert (getattr(rib, first_query)(point)
-                    == getattr(reference, first_query)(point))
-        assert rib._indexed
+        _churn_step(rng, pool, rib, reference)
+    if first_query == "export_entries":
+        assert rib.export_entries() == reference.export_entries()
+    else:
+        point = pool[3]
+        assert rib.lookup(point) == reference.lookup(point)
     for step in range(150):
-        _churn_step(rng, pool, ribs, reference,
+        _churn_step(rng, pool, rib, reference,
                     retract_bias=0.7 if step > 100 else 0.35)
-        for rib in ribs:
-            assert rib.export_entries() == reference.export_entries()
-            assert len(rib.store) == len(reference)
+        assert rib.export_entries() == reference.export_entries()
         for point in probe_points(pool, rng, extra=2)[:10]:
-            for rib in ribs:
+            assert rib.lookup(point) == reference.lookup(point)
+    assert rib.digest() == reference.digest()
+
+
+@pytest.mark.parametrize("when", ["before", "during", "after"])
+@pytest.mark.parametrize("seed", range(3))
+def test_first_lookup_before_during_or_after_churn(seed, when):
+    """Mixed-family churn with the census taken on the empty table, half
+    way through, or only at the end: every lookup, export and digest
+    equals the reference's from then on."""
+    rng = DeterministicRandom(seed).stream("rib-census-churn")
+    v4, v6 = _prefix_pool(rng, 24), _v6_pool(rng, 13)
+    pool = v4 + v6
+    probes = probe_points(v4, rng, extra=4) + _v6_probes(v6, rng)
+    rib, reference = LocRib(), ReferenceRib()
+    first = {"before": 0, "during": 150, "after": 300}[when]
+    for step in range(301):
+        if step >= first:
+            for point in (probes if step in (first, 300)
+                          else rng.sample(probes, 6)):
                 assert rib.lookup(point) == reference.lookup(point)
-                assert (rib.covered_best(point)
-                        == reference.covered_best(point))
-                assert (rib.covering_best(point)
-                        == reference.covering_best(point))
-    assert rib_digest_of(trie_rib) == rib_digest_of(dict_rib) \
-        == reference.digest()
+        if step == 300:
+            break
+        _churn_step(rng, pool, rib, reference,
+                    retract_bias=0.6 if step > 200 else 0.3)
+    _assert_checkpoint(rib, reference, probes)
+
+
+_SLASH_24S = [Prefix.parse(f"198.51.{i}.0/24") for i in range(8)]
+
+
+@pytest.mark.parametrize("newcomer, inside, outside", [
+    ("198.51.3.7/32", "198.51.3.7/32", "198.51.3.8/32"),
+    ("2001:db8:1::/48", "2001:db8:1:2::1/128", "2001:db8:2::1/128"),
+    ("0.0.0.0/0", "203.0.113.9/32", "2001:db8::1/128"),
+], ids=["host_route", "ipv6_after_ipv4", "default_route"])
+def test_length_new_after_census_is_found(newcomer, inside, outside):
+    """A length the census did not count when it was taken — a /32 in a
+    table of /24s, a first IPv6 prefix, the default route — is matched
+    as soon as it is offered, and forgotten by nothing but a missed
+    probe once it is retracted."""
+    rib, reference = LocRib(), ReferenceRib()
+    attributes = _attributes(DeterministicRandom(4).stream("rib-newcomer"))
+    for prefix in _SLASH_24S:
+        for table in (rib, reference):
+            table.offer(prefix, Path(attributes, "peer0"))
+    newcomer, inside, outside = map(Prefix.parse, (newcomer, inside, outside))
+    probes = _SLASH_24S + [newcomer, inside, outside,
+                           Prefix.parse("198.51.3.0/25")]
+    for point in probes:
+        assert rib.lookup(point) == reference.lookup(point)
+    path = Path(attributes, "peer1")
+    rib.offer(newcomer, path)
+    reference.offer(newcomer, path)
+    assert rib.lookup(inside) == path.at(newcomer)
+    for point in probes:
+        assert rib.lookup(point) == reference.lookup(point)
+    rib.retract(newcomer, "peer1")
+    reference.retract(newcomer, "peer1")
+    assert prefix_length(newcomer) in rib._lengths[newcomer >> AFI_SHIFT]
+    for point in probes:
+        assert rib.lookup(point) == reference.lookup(point)
 
 
 def test_retract_to_empty_before_first_query_leaves_nothing_behind():
     rng = DeterministicRandom(5).stream("rib-derived-empty")
     pool = _prefix_pool(rng, 20)
-    recorder = RecordingStore()
-    rib = LocRib(store=recorder)
+    rib, reference = LocRib(), ReferenceRib()
     survivor, doomed = pool[0], pool[1:]
     for prefix in pool:
         for peer in PEERS[:2]:
-            rib.offer(prefix, Path(_attributes(rng), peer))
+            path = Path(_attributes(rng), peer)
+            rib.offer(prefix, path)
+            reference.offer(prefix, path)
     for prefix in doomed:
         for peer in PEERS[:2]:
             rib.retract(prefix, peer)
-    assert recorder.log == []
-    assert [p for p, _slot in rib.store.walk()] == [survivor]
-    assert recorder.log == [("insert", survivor)]
+            reference.retract(prefix, peer)
+    assert rib._lengths is None
+    assert list(rib.prefixes()) == [survivor]
     assert {e["prefix"] for e in rib.export_entries()} == {str(survivor)}
-    for prefix in set(doomed):
-        assert prefix not in rib.store
-        assert rib.covering_best(prefix) == (
-            [(survivor, rib.best(survivor).at(survivor))]
-            if survivor.contains(prefix)
-            else [])
+    probes = probe_points(pool, rng)
+    for point in probes:
+        assert rib.lookup(point) == reference.lookup(point)
+    # Retract the last prefix with the census taken: every probe misses.
     for peer in PEERS[:2]:
         rib.retract(survivor, peer)
-    assert len(rib.store) == 0 and rib.export_entries() == []
-
-
-def test_backend_is_captured_at_construction_not_at_first_query():
-    rng = DeterministicRandom(9).stream("rib-derived-backend")
-    pool = _prefix_pool(rng, 12)
-    with use_prefix_store(DictPrefixStore):
-        inside = LocRib()
-    outside = LocRib()
-    for prefix in pool:
-        path = Path(_attributes(rng), "peer0")
-        inside.offer(prefix, path)
-        outside.offer(prefix, path)
-    # Queried after the context exited: still the backend it was built on.
-    assert type(inside.store) is DictPrefixStore
-    assert type(outside.store) is RadixTrie
-    assert len(inside.store) == len(outside.store) == len(set(pool))
-    assert inside.export_entries() == outside.export_entries()
+    assert len(rib) == 0 and rib.export_entries() == [] and rib.digest() == ()
+    assert all(rib.lookup(point) is None for point in probes)
 
 
 # -- the table-plus-contested layout -----------------------------------------
@@ -315,15 +312,16 @@ def test_backend_is_captured_at_construction_not_at_first_query():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_contested_layout_matches_reference(seed):
-    """Prefixes crossing 1 -> 2 -> 1 -> 0 paths, with the derived index
-    never built, built first, and built mid-run: returns (by identity),
-    ``decision_runs``, ``candidates()``, best-map order, the contested
-    map's key set, ``export_entries()`` and ``export_entries_since()``
-    all follow the brute-force reference (asserted inside the driver)."""
-    trace = contested_churn(seed, index_at=None)
-    # When the index is built does not show in anything observable.
-    assert contested_churn(seed, index_at=0) == trace
-    assert contested_churn(seed, index_at=250) == trace
+    """Prefixes crossing 1 -> 2 -> 1 -> 0 paths, with the census never
+    taken, taken on the empty table, and taken mid-run: returns (by
+    identity), ``decision_runs``, ``candidates()``, best-map order, the
+    contested map's key set, ``export_entries()``, ``lookup()`` and
+    ``export_entries_since()`` all follow the brute-force reference
+    (asserted inside ``contested_churn``)."""
+    trace = contested_churn(seed, lookup_at=None)
+    # When the census is taken does not show in anything observable.
+    assert contested_churn(seed, lookup_at=0) == trace
+    assert contested_churn(seed, lookup_at=250) == trace
 
 
 def test_single_path_load_adds_no_tracked_object_per_route():

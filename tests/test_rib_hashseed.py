@@ -4,8 +4,8 @@ A prefix is a packed int, whose hash is process-independent, while peer
 ids are strings, whose hashes are not; the Loc-RIB keys its table by the
 one and its contested records by the other.  Nothing that reaches a digest, a snapshot or a return value may
 depend on either: a fresh interpreter per ``PYTHONHASHSEED`` value runs
-a 2,000-route pair replay (``rib_digest`` is ``export_entries()`` of
-every Loc-RIB, attributes in wire form), the contested-prefix
+a 2,000-route pair replay (``rib_digest`` is a row per candidate path
+of every Loc-RIB, attributes in wire form), the contested-prefix
 differential, a snapshot compaction — whose chunk membership lives
 in sets of prefix keys and whose merge groups are keyed by tuples holding
 peer-id strings — and a packed receive through a prefix-matching import
@@ -38,9 +38,9 @@ print("pair stats", sorted(stats.items()))
 for key in sorted(digest):
     print("rib_digest", key, len(digest[key]), sha(digest[key]))
 for seed in range(3):
-    for index_at in (None, 100):
-        trace = contested_churn(seed, index_at=index_at)
-        print("contested", seed, index_at, len(trace), sha(trace))
+    for lookup_at in (None, 100):
+        trace = contested_churn(seed, lookup_at=lookup_at)
+        print("contested", seed, lookup_at, len(trace), sha(trace))
 
 
 # A table slice with every seventh prefix contested, compacted in full
