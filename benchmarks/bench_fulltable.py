@@ -14,8 +14,8 @@ sizes and holds DESIGN.md §14's scaling claims to numbers:
   counts the prefix lengths present in one pass over its keys (routes
   counted per second), and ``lpm``: longest-prefix-match lookups per
   second after it, one table probe per length present;
-- ``trie_insert``: eager inserts per second into a bare ``RadixTrie`` —
-  what every insert costs in prefix lists and the FIB;
+- ``fib_program``: ``Fib.program`` calls per second into an empty FIB
+  at the large size — what the RIB->FIB download pays per route;
 - ``reselect_small`` / ``reselect_large``: incremental churn throughput
   at both sizes — **sub-linear** means the per-operation cost barely
   moves when the table grows 10x (a linear structure would slow ~10x);
@@ -58,12 +58,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bgp.prefixes import prefix_key  # noqa: E402
-from repro.bgp.radix import RadixTrie  # noqa: E402
 from repro.core.recovery import RecoveredState  # noqa: E402
 from repro.core.replication import (  # noqa: E402
     ReplicationPipeline,
     rib_snapshot_key,
 )
+from repro.forwarding.fib import Fib  # noqa: E402
 from repro.workloads.fulltable import (  # noqa: E402
     FullTableWorkload,
     replay_through_pair,
@@ -248,19 +248,19 @@ def _lpm_probes(workload):
     return probes
 
 
-def measure_trie_insert(size):
-    """Eager inserts into a bare trie, table order; inserts per second."""
+def measure_fib_program(size):
+    """Programs into an empty FIB, table order; programs per second."""
     workload = FullTableWorkload(seed=SEED, size=size)
     prefixes = [workload.prefix_at(i) for i in range(workload.total)]
-    trie = RadixTrie()
+    fib = Fib()
 
     def fill():
-        insert = trie.insert
+        program = fib.program
         for prefix in prefixes:
-            insert(prefix, prefix)
+            program(prefix, "192.0.2.1")
 
     _, elapsed = _timed(fill)
-    assert len(trie) == len(prefixes)
+    assert len(fib) == len(prefixes)
     return len(prefixes) / elapsed
 
 
@@ -330,8 +330,8 @@ def main():
     _print_table("small", small)
     large = measure_table(large_size)
     _print_table("large", large)
-    trie_insert = measure_trie_insert(large_size)
-    print(f"trie-insert: {trie_insert:,.0f} inserts/s into a bare trie "
+    fib_program = measure_fib_program(large_size)
+    print(f"fib-program: {fib_program:,.0f} programs/s into an empty FIB "
           f"at {large_size:,}")
 
     pair_stats, pair_wall = _timed(
@@ -377,7 +377,7 @@ def main():
             "materialise": {
                 "ops_per_sec": round(large["materialise_ops_per_sec"], 1)},
             "lpm": {"ops_per_sec": round(large["lpm_ops_per_sec"], 1)},
-            "trie_insert": {"ops_per_sec": round(trie_insert, 1)},
+            "fib_program": {"ops_per_sec": round(fib_program, 1)},
             "reselect_small": {
                 "ops_per_sec": round(small["churn_ops_per_sec"], 1)},
             "reselect_large": {

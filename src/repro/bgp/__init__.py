@@ -10,7 +10,6 @@ are genuine.
 """
 
 from repro.bgp.prefixes import Prefix
-from repro.bgp.radix import RadixTrie
 from repro.bgp.attributes import (
     AsPath,
     Origin,
@@ -36,7 +35,6 @@ from repro.bgp.speaker import BgpSpeaker, SpeakerConfig
 
 __all__ = [
     "Prefix",
-    "RadixTrie",
     "AsPath",
     "Origin",
     "PathAttributes",

@@ -8,34 +8,31 @@ export (Adj-RIB-Out) time, as the centralized controller would push them
 to the gateway's BGP containers.
 """
 
-from repro.bgp.prefixes import parse_prefix, prefix_text
-from repro.bgp.radix import RadixTrie
+from repro.bgp.prefixes import longest_match, note_length, parse_prefix
 
 
 class PrefixList:
-    """Named list of prefixes; matches exact or covering prefixes.
+    """Named list of prefixes; matches a prefix that an entry covers,
+    itself included.
 
-    Backed by the path-compressed radix trie (DESIGN.md §14), so match
-    cost is bounded by the queried prefix's length regardless of list
-    size — full-table export policies stay O(32) per route.
+    A longest-prefix-match table (:func:`repro.bgp.prefixes.longest_match`),
+    so a match costs one probe per entry length present, whatever the
+    list's size.
     """
 
-    def __init__(self, name, entries=(), match_longer=True):
+    def __init__(self, name, entries=()):
         self.name = name
-        self.match_longer = match_longer
-        self.entries = []
-        self._trie = RadixTrie()
+        self._table = {}  # prefix -> True
+        self._lengths = ([], [])  # the census of the table's lengths
         for prefix in entries:
             self.add(prefix)
 
     def add(self, prefix):
-        self.entries.append(prefix)
-        self._trie.insert(prefix, True)
+        self._table[prefix] = True
+        note_length(self._lengths, prefix)
 
     def matches(self, prefix):
-        if self.match_longer:
-            return self._trie.longest_match(prefix) is not None
-        return self._trie.get(prefix) is not None
+        return longest_match(self._table, self._lengths, prefix) is not None
 
 
 class PolicyAction:
@@ -137,41 +134,13 @@ PERMIT_ALL = RouteMap("permit-all", default_permit=True)
 
 
 # ----------------------------------------------------------------------
-# serialization (deployment specs, fuzzer corpus entries)
+# from a spec (deployment specs, fuzzer corpus entries)
 # ----------------------------------------------------------------------
 
-def policy_to_dict(route_map):
-    """A JSON-safe description of ``route_map`` (inverse of
-    :func:`policy_from_dict`).  Prefix-list matches serialize as prefix
-    strings; ``None`` stays ``None`` (no policy configured)."""
-    if route_map is None:
-        return None
-    entries = []
-    for entry in route_map.entries:
-        action = entry.action
-        entries.append({
-            "permit": entry.permit,
-            "match_prefixes": (
-                None if entry.match_prefix_list is None
-                else sorted(map(prefix_text, entry.match_prefix_list.entries))
-            ),
-            "match_community": entry.match_community,
-            "match_as": entry.match_as,
-            "set_local_pref": action.set_local_pref,
-            "set_med": action.set_med,
-            "add_communities": list(action.add_communities),
-            "prepend_as": action.prepend_as,
-            "prepend_count": action.prepend_count,
-        })
-    return {
-        "name": route_map.name,
-        "default_permit": route_map.default_permit,
-        "entries": entries,
-    }
-
-
 def policy_from_dict(data):
-    """Rebuild a :class:`RouteMap` from :func:`policy_to_dict` output."""
+    """A :class:`RouteMap` from the JSON-safe description a deployment
+    spec or a fuzzer corpus entry carries (prefix-list matches as prefix
+    strings); ``None`` stays ``None`` (no policy configured)."""
     if data is None:
         return None
     entries = []

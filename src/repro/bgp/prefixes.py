@@ -5,8 +5,6 @@ wire encoding (RFC 4271 §4.3) is a length octet followed by the minimum
 number of prefix octets, and a run of them back to back is an NLRI
 block — decoded whole by :func:`decode_nlri_block`, wherever it sits
 (withdrawn routes, NLRI, MP_REACH/MP_UNREACH, a stored RIB delta).
-Longest-prefix matching is :meth:`repro.bgp.rib.LocRib.lookup` over a
-table and :class:`repro.bgp.radix.RadixTrie` in prefix lists and the FIB.
 
 A prefix is one packed ``int``, the *key* every table holds (DESIGN.md
 §14): ``(afi - 1) << 136 | value << 8 | length`` orders natively as
@@ -15,6 +13,14 @@ collector.  ``0.0.0.0/0`` is the key ``0``: test keys with ``is None``,
 never for truth.  Bulk producers yield plain ints; :class:`Prefix` is
 the same int with names on it, for the edges.  A stored key may be
 either, so read one through the ``prefix_*`` functions only.
+
+Longest-prefix match is :func:`longest_match`, for every table that
+needs it — the Loc-RIB, the FIB, prefix lists: a plain dict keyed by
+prefix, probed once per prefix length present in the queried key's
+family, longest first.  Those lengths are the table's *census*
+(:func:`prefix_lengths`, grown by :func:`note_length`): at most 33 for
+IPv4 and 129 for IPv6.  A length whose last prefix has left may stay in
+it; it costs one missed probe, never a wrong answer.
 """
 
 from repro.bgp.errors import BgpError, NotificationCode, UpdateSubcode
@@ -24,6 +30,12 @@ AFI_IPV6 = 2
 #: ``key >> AFI_SHIFT`` is the key's ``afi - 1``: 0 for IPv4, 1 for IPv6.
 AFI_SHIFT = 136
 _VALUE_MASK = (1 << 128) - 1
+#: The bits of a key that say its family and length, value cleared.
+_SHAPE = 1 << AFI_SHIFT | 255
+#: Per family, per length n: the mask that keeps a key's family and the
+#: top n bits of its value (address bits plus the length byte below).
+_COVER_MASKS = (tuple(-1 << 40 - n for n in range(33)),
+                tuple(-1 << 136 - n for n in range(129)))
 _DECIMAL = tuple(map(str, range(256)))  # rendering an int costs twice this
 
 
@@ -80,6 +92,46 @@ def prefix_contains(key, other):
     the two agree above ``key``'s host bits, family included."""
     shift = prefix_bits(key) - (key & 255) + 8
     return key & 255 <= other & 255 and key >> shift == other >> shift
+
+
+def prefix_lengths(keys):
+    """The census of ``keys``: per family (index ``key >> AFI_SHIFT``),
+    the prefix lengths present, longest first."""
+    lengths = ([], [])
+    for shape in {key & _SHAPE for key in keys}:
+        lengths[shape >> AFI_SHIFT].append(shape & 255)
+    for family in lengths:
+        family.sort(reverse=True)
+    return lengths
+
+
+def note_length(lengths, key):
+    """Grow the census ``lengths`` by ``key``'s length, if it is new."""
+    family = lengths[key >> AFI_SHIFT]
+    if key & 255 not in family:
+        family.append(key & 255)
+        family.sort(reverse=True)
+
+
+def longest_match(table, lengths, key):
+    """``(covering key, value)`` of the most specific key in ``table``
+    that covers ``key`` (itself included), or None.
+
+    ``lengths`` is the census of ``table``'s keys; one ``dict.get`` per
+    length in it no longer than ``key``'s.  A value of None reads as
+    no entry.
+    """
+    family = key >> AFI_SHIFT
+    masks = _COVER_MASKS[family]
+    length = key & 255
+    get = table.get
+    for candidate in lengths[family]:
+        if candidate <= length:
+            cover = key & masks[candidate] | candidate
+            value = get(cover)
+            if value is not None:
+                return cover, value
+    return None
 
 
 def prefix_text(key):

@@ -25,12 +25,10 @@ retract that leaves one path.  MED-group membership is read off that
 dict by scanning it when a decision needs it; nothing is counted ahead.
 
 There is no second index over the table.  A whole-table read walks
-``sorted(table)``: packed keys sort in C as ``(afi, value, length)``,
-the order a prefix trie's walk gives.  Longest-prefix match probes the
-table once per prefix length present in the key's family, longest
-first; those lengths — at most 33 for IPv4 and 129 for IPv6 — are
-counted by the first :meth:`LocRib.lookup` and kept up to date by
-``offer`` from then on.
+``sorted(table)``: packed keys sort in C as ``(afi, value, length)``.
+Longest-prefix match is :func:`repro.bgp.prefixes.longest_match` over
+the table, with a census of its prefix lengths taken by the first
+:meth:`LocRib.lookup` and kept up to date by ``offer`` from then on.
 """
 
 from repro.bgp.decision import (
@@ -40,12 +38,15 @@ from repro.bgp.decision import (
     med_group_shared,
     prefer,
 )
-from repro.bgp.prefixes import AFI_SHIFT, parse_prefix, prefix_text
+from repro.bgp.prefixes import (
+    longest_match,
+    note_length,
+    parse_prefix,
+    prefix_lengths,
+    prefix_text,
+)
 
 __all__ = ["Path", "Route", "AdjRibIn", "LocRib", "AdjRibOut"]
-
-#: The bits of a key that say its family and length, value cleared.
-_SHAPE = 1 << AFI_SHIFT | 255
 
 
 def _peer_order(path):
@@ -175,10 +176,8 @@ class LocRib:
         # an entry appears when a second peer offers a prefix and goes
         # when a retract leaves one path.
         self._contested = {}  # prefix -> {peer_id: Path}, >= 2 paths
-        # The prefix lengths present, per family (index ``key >>
-        # AFI_SHIFT``), longest first: None until the first lookup
-        # counts them, then grown by offer.  A length whose last prefix
-        # leaves stays, at the cost of one missed probe.
+        # The census of the table's prefix lengths (prefix_lengths):
+        # None until the first lookup takes it, then grown by offer.
         self._lengths = None
         #: Number of best-path selections actually executed: incremental
         #: challenger-vs-incumbent comparisons and full re-scans.  No-op
@@ -222,12 +221,8 @@ class LocRib:
         old = best.get(prefix)
         if old is None:
             best[prefix] = path
-            lengths = self._lengths
-            if lengths is not None:
-                family = lengths[prefix >> AFI_SHIFT]
-                if prefix & 255 not in family:
-                    family.append(prefix & 255)
-                    family.sort(reverse=True)
+            if self._lengths is not None:
+                note_length(self._lengths, prefix)
             return None, path
         peer_id = path.peer_id
         candidates = self._contested.get(prefix)
@@ -345,23 +340,9 @@ class LocRib:
         """
         lengths = self._lengths
         if lengths is None:
-            lengths = self._lengths = ([], [])
-            for shape in {key & _SHAPE for key in self._best}:
-                lengths[shape >> AFI_SHIFT].append(shape & 255)
-            for family in lengths:
-                family.sort(reverse=True)
-        best = self._best
-        family = prefix >> AFI_SHIFT
-        width = 136 if family else 40  # address bits plus the length byte
-        length = prefix & 255
-        for candidate in lengths[family]:
-            if candidate <= length:
-                keep = width - candidate
-                key = prefix >> keep << keep | candidate
-                path = best.get(key)
-                if path is not None:
-                    return path.at(key)
-        return None
+            lengths = self._lengths = prefix_lengths(self._best)
+        match = longest_match(self._best, lengths, prefix)
+        return None if match is None else match[1].at(match[0])
 
     # -- snapshot support (TENSOR backs the table up in the database) ------
 

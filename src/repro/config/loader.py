@@ -37,6 +37,7 @@ Optional keys and their defaults are the ``*_DEFAULTS`` tables below.
 import json
 
 from repro.bgp.policy import policy_from_dict
+from repro.bgp.prefixes import parse_prefix
 from repro.bgp.speaker import MRAI_MODES
 from repro.core.system import PeerNeighborSpec, TensorSystem
 from repro.workloads.topology import build_remote_peer
@@ -129,6 +130,30 @@ def _optional(mapping, key, path, types, what):
         raise ConfigError(f"{path}.{key}", f"must be {what}")
 
 
+def _validate_policy(policy, path):
+    """A route-map block, as :func:`policy_from_dict` reads it."""
+    _require(policy, "name", path, str)
+    entries = policy.get("entries", [])
+    if not isinstance(entries, list) or not all(
+            isinstance(entry, dict) for entry in entries):
+        raise ConfigError(f"{path}.entries", "must be a list of objects")
+    for index, entry in enumerate(entries):
+        e_path = f"{path}.entries[{index}].match_prefixes"
+        prefixes = entry.get("match_prefixes")
+        if prefixes is None:
+            continue
+        if not isinstance(prefixes, list):
+            raise ConfigError(e_path, "must be null or a list of prefixes")
+        for p_index, text in enumerate(prefixes):
+            try:
+                if not isinstance(text, str):
+                    raise ValueError("not a string")
+                parse_prefix(text)
+            except ValueError as exc:
+                raise ConfigError(f"{e_path}[{p_index}]",
+                                  f"bad prefix {text!r}: {exc}") from None
+
+
 def validate_spec(spec):
     """Validate a deployment spec; raises :class:`ConfigError`."""
     if not isinstance(spec, dict):
@@ -191,7 +216,7 @@ def validate_spec(spec):
             for side in ("import_policy", "export_policy"):
                 policy = neighbor.get(side)
                 if policy is not None:
-                    _require(policy, "name", f"{n_path}.{side}", str)
+                    _validate_policy(policy, f"{n_path}.{side}")
 
     remote_names = set()
     remote_addrs = set()

@@ -27,10 +27,11 @@ class HealthServer:
         self.status_fn = status_fn or (lambda: {})
         self.rpc = RpcServer(engine, host, port, self._handle, protocol="grpc")
 
-    def _handle(self, method, _body):
+    def _handle(self, method, _body, respond):
         if method == "health":
-            return {"ok": True, "status": self.status_fn()}
-        return {"ok": False}
+            respond({"ok": True, "status": self.status_fn()})
+        else:
+            respond({"ok": False})
 
     def close(self):
         self.rpc.close()

@@ -22,7 +22,11 @@ class IpSlaResponder:
     """The echo endpoint every probed entity runs."""
 
     def __init__(self, engine, host, port=IPSLA_PORT):
-        self.rpc = RpcServer(engine, host, port, lambda m, b: {"echo": True}, protocol="ipsla")
+        self.rpc = RpcServer(engine, host, port, self._echo, protocol="ipsla")
+
+    @staticmethod
+    def _echo(_method, _body, respond):
+        respond({"echo": True})
 
     def close(self):
         self.rpc.close()

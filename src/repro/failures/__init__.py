@@ -11,7 +11,6 @@ package does not import it.
 from repro.failures.harness import run_scenario
 from repro.failures.injector import FailureInjector
 from repro.failures.oracles import OracleSuite, Violation
-from repro.failures.scenarios import SCENARIOS, Scenario, scenarios_by_severity
 from repro.failures.schedule import ChaosSchedule, generate_schedule
 from repro.failures.shrink import shrink_scenario, write_repro_script
 
@@ -19,12 +18,9 @@ __all__ = [
     "ChaosSchedule",
     "FailureInjector",
     "OracleSuite",
-    "SCENARIOS",
-    "Scenario",
     "Violation",
     "generate_schedule",
     "run_scenario",
-    "scenarios_by_severity",
     "shrink_scenario",
     "write_repro_script",
 ]

@@ -1,8 +1,8 @@
 """Chaos schedules: seed-deterministic multi-failure scenarios.
 
 :func:`generate_schedule` derives a :class:`ChaosSchedule` from a seed:
-2–5 overlapping injections from the scenario registry at randomized
-instants, under a randomized advertise/withdraw workload across 1–3
+2–5 overlapping injections of the failure kinds the harness fires
+(:func:`repro.failures.harness._fire_injection`) at randomized instants, under a randomized advertise/withdraw workload across 1–3
 neighbors.  Generation is a pure function of the seed.  A schedule is
 one of the two scenario kinds the harness
 (:mod:`repro.failures.harness`) runs; the other is the fuzzer's

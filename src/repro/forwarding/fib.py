@@ -1,15 +1,21 @@
 """Forwarding information base: the RIB's data-plane shadow.
 
 The FIB holds longest-prefix-match entries derived from a Loc-RIB's best
-routes.  A :class:`FibSyncer` models the RIB->FIB download path: it
+routes: a plain dict keyed by prefix plus a census of its prefix lengths,
+matched by :func:`repro.bgp.prefixes.longest_match` like every other
+table.  A :class:`FibSyncer` models the RIB->FIB download path: it
 periodically diffs the Loc-RIB against the programmed FIB, so data-plane
 convergence lags control-plane convergence by (at most) one sync period —
 and, crucially for NSR, the FIB keeps forwarding from its last programmed
 state while the control plane is dead or migrating.
 """
 
-from repro.bgp.prefixes import parse_prefix, prefix_text
-from repro.bgp.radix import RadixTrie
+from repro.bgp.prefixes import (
+    longest_match,
+    note_length,
+    parse_prefix,
+    prefix_text,
+)
 from repro.sim.process import Process
 
 #: default RIB->FIB download period (hardware programming latency class)
@@ -35,20 +41,23 @@ class Fib:
 
     def __init__(self, name="fib"):
         self.name = name
-        self._trie = RadixTrie()
+        self._table = {}  # prefix -> FibEntry
+        self._lengths = ([], [])  # the census of the table's lengths
         self.lookups = 0
         self.misses = 0
 
     def program(self, prefix, next_hop, now=0.0):
-        self._trie.insert(prefix, FibEntry(prefix, next_hop, now))
+        self._table[prefix] = FibEntry(prefix, next_hop, now)
+        note_length(self._lengths, prefix)
 
     def unprogram(self, prefix):
-        self._trie.remove(prefix)
+        self._table.pop(prefix, None)
 
     def lookup(self, address):
         """Longest-prefix match for a destination address string."""
         self.lookups += 1
-        match = self._trie.longest_match(parse_prefix(address))
+        match = longest_match(self._table, self._lengths,
+                              parse_prefix(address))
         if match is None:
             self.misses += 1
             return None
@@ -56,13 +65,14 @@ class Fib:
 
     def entries(self):
         """``{prefix: FibEntry}`` in ascending prefix order."""
-        return dict(self._trie.walk())
+        table = self._table
+        return {prefix: table[prefix] for prefix in sorted(table)}
 
     def __len__(self):
-        return len(self._trie)
+        return len(self._table)
 
     def __contains__(self, prefix):
-        return prefix in self._trie
+        return prefix in self._table
 
 
 class FibSyncer:

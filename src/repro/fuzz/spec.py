@@ -59,11 +59,11 @@ NEIGHBOR_KNOBS = ("hold_time", "keepalive_interval", "mrai",
                   "bfd_tx_interval", "bfd_detect_mult", "import_policy",
                   "export_policy")
 
-#: Prefix-density of the workload bursts (DESIGN.md §14): how deep the
-#: burst prefixes sit in the trie.  ``standard`` keeps the chaos /24
-#: scheme, ``dense`` packs /26 more-specifics into the same blocks,
-#: ``mixed`` cycles /24-/26 per block so covering and covered prefixes
-#: coexist in one Loc-RIB.
+#: Prefix-density of the workload bursts (DESIGN.md §14): how long the
+#: burst prefixes are.  ``standard`` keeps the chaos /24 scheme,
+#: ``dense`` packs /26 more-specifics into the same blocks, ``mixed``
+#: cycles /24-/26 per block so covering and covered prefixes coexist in
+#: one Loc-RIB.
 PREFIX_DENSITIES = ("standard", "dense", "mixed")
 
 #: Attribute layout across a burst, the aggregation axis (§14):

@@ -10,7 +10,7 @@ are then withheld until the replica confirms (see
 :mod:`repro.kvstore.replication`).
 """
 
-from repro.sim.rpc import AsyncRpcServer, RpcClient
+from repro.sim.rpc import RpcClient, RpcServer
 from repro.kvstore.store import (
     KeyValueStore,
     fixed_latency,
@@ -33,7 +33,7 @@ class KvServer:
         self._busy_until = 0.0
         self._replica_client = None
         self.replica_addr = None
-        self.rpc = AsyncRpcServer(
+        self.rpc = RpcServer(
             engine, host, port, self._handle, service_time=self._service_time
         )
         self.failed = False

@@ -1,11 +1,9 @@
-"""Measurement helpers: collectors, statistics, paper-style reports."""
+"""Measurement helpers: statistics and paper-style reports."""
 
-from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import mean, median, stdev, summarize
 from repro.metrics.report import format_series, format_table
 
 __all__ = [
-    "MetricsCollector",
     "mean",
     "median",
     "stdev",

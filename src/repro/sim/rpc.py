@@ -10,6 +10,7 @@ expects them.
 """
 
 import itertools
+from functools import partial
 
 from repro.sim.engine import SimulationError
 from repro.sim.network import Packet
@@ -109,12 +110,17 @@ class RefusalResponder:
 class RpcServer:
     """Serves requests on (host, port).
 
-    ``handler(method, body) -> reply_body`` runs application logic; a
-    ``service_time(method, body) -> seconds`` hook models server-side
-    processing cost (the KV store uses it for its calibrated op costs).
-    A server without the hook answers inside the event that delivered
-    the request — one engine event per RPC direction, not two; with it,
-    the reply waits out the service time on an event of its own.
+    ``handler(method, body, respond)`` runs application logic and must
+    call ``respond(reply_body)`` exactly once, then or later — possibly
+    after further network round trips (the KV store's synchronous
+    replication replies only once its replica has confirmed the write).
+    A ``service_time(method, body) -> seconds`` hook models server-side
+    processing cost (the KV store uses it for its calibrated op costs):
+    the handler then runs on an event of its own once the service time
+    has passed, under the server's trace span.  A server without the
+    hook runs the handler inside the event that delivered the request,
+    in that event's trace context — one engine event per RPC direction,
+    not two.
     """
 
     def __init__(self, engine, host, port, handler, service_time=None, protocol="rpc"):
@@ -131,88 +137,39 @@ class RpcServer:
         if frame.kind != "req":
             return
         if self.service_time is None:
-            self._finish(src_addr, src_port, frame, self.engine.now)
+            self._serve(src_addr, src_port, frame, self.engine.now)
             return
         self.engine.schedule(
             self.service_time(frame.method, frame.body),
-            self._finish, src_addr, src_port, frame, self.engine.now
+            self._serve, src_addr, src_port, frame, self.engine.now
         )
 
-    def _finish(self, src_addr, src_port, frame, received_at):
-        tracer = tracer_of(self.engine)
-        if tracer.enabled:
-            span = tracer.begin_from(
-                frame.trace, "rpc.server." + frame.method, port=self.port
-            )
-            span.begin = received_at  # service time counts as server work
-            with tracer.activate(span):
-                reply_body = self.handler(frame.method, frame.body)
-            span.finish()
-        else:
-            reply_body = self.handler(frame.method, frame.body)
-        self.requests_served += 1
-        reply = _RpcFrame("rep", frame.req_id, frame.method, reply_body)
-        self.socket.sendto(src_addr, src_port, reply, size=_body_size(reply_body))
-
-    def close(self):
-        self.socket.close()
-
-
-class AsyncRpcServer:
-    """Like :class:`RpcServer`, but the handler replies asynchronously.
-
-    ``handler(method, body, respond)`` must eventually call
-    ``respond(reply_body)`` exactly once — possibly after further network
-    round trips (the KV store's synchronous replication uses this to reply
-    only after its replica has confirmed the write).
-    """
-
-    def __init__(self, engine, host, port, handler, service_time=None, protocol="rpc"):
-        self.engine = engine
-        self.host = host
-        self.port = port
-        self.handler = handler
-        self.service_time = service_time
-        self.socket = DatagramSocket(host, port, protocol=protocol)
-        self.socket.on_receive = self._on_frame
-        self.requests_served = 0
-
-    def _on_frame(self, src_addr, src_port, frame):
-        if frame.kind != "req":
-            return
-        delay = 0.0
-        if self.service_time is not None:
-            delay = self.service_time(frame.method, frame.body)
-        self.engine.schedule(
-            delay, self._dispatch, src_addr, src_port, frame, self.engine.now
-        )
-
-    def _dispatch(self, src_addr, src_port, frame, received_at):
+    def _serve(self, src_addr, src_port, frame, received_at):
         tracer = tracer_of(self.engine)
         span = None
         if tracer.enabled:
             span = tracer.begin_from(
                 frame.trace, "rpc.server." + frame.method, port=self.port
             )
-            span.begin = received_at
-
-        def respond(reply_body):
-            if span is not None:
-                span.finish()
-            if self.socket._closed:
-                return  # server exited mid-request (e.g. failover demotion)
-            self.requests_served += 1
-            reply = _RpcFrame("rep", frame.req_id, frame.method, reply_body)
-            self.socket.sendto(src_addr, src_port, reply, size=_body_size(reply_body))
-
-        if span is not None:
-            # The handler (and any replica round trip it schedules, e.g.
-            # the KV store's synchronous replication) runs under the
-            # propagated context.
-            with tracer.activate(span):
-                self.handler(frame.method, frame.body, respond)
-        else:
+            span.begin = received_at  # service time counts as server work
+        respond = partial(self._respond, src_addr, src_port, frame, span)
+        if span is None or self.service_time is None:
             self.handler(frame.method, frame.body, respond)
+            return
+        # On its own event the handler (and any replica round trip it
+        # starts, e.g. the KV store's synchronous replication) runs under
+        # the propagated context.
+        with tracer.activate(span):
+            self.handler(frame.method, frame.body, respond)
+
+    def _respond(self, src_addr, src_port, frame, span, reply_body):
+        if span is not None:
+            span.finish()
+        if self.socket._closed:
+            return  # server exited mid-request (e.g. failover demotion)
+        self.requests_served += 1
+        reply = _RpcFrame("rep", frame.req_id, frame.method, reply_body)
+        self.socket.sendto(src_addr, src_port, reply, size=_body_size(reply_body))
 
     def close(self):
         self.socket.close()

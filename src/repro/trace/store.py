@@ -146,15 +146,6 @@ class TraceStore:
         bounds = list(buckets) + [float("inf")]
         return list(zip(bounds, counts))
 
-    def export_phase_metrics(self, collector, names=PHASES,
-                             prefix="trace.phase"):
-        """Feed per-phase durations into a MetricsCollector as the series
-        ``{prefix}.{phase}`` (one sample per ended span)."""
-        for name in names:
-            for span in self.spans(name, ended=True):
-                collector.record(f"{prefix}.{name}", span.end - span.begin)
-        return collector
-
     # -- the delayed-ACK phase invariant ---------------------------------
 
     def delayed_ack_violations(self, slop=1e-9):

@@ -164,27 +164,18 @@ class ReferenceRib:
         )
 
 
-# -- the flat-dict prefix store (the RadixTrie reference) --------------------
+# -- the flat-dict prefix store (the longest-prefix-match reference) --------
 
 class DictPrefixStore:
-    """Same interface as :class:`repro.bgp.radix.RadixTrie`, the tree
-    queries by linear scan and :meth:`walk` by a sort — what the trie is
-    pinned against (``tests/test_radix_properties.py``)."""
+    """Prefix -> value, matched by scanning every key: what the Loc-RIB,
+    the FIB and prefix lists are pinned against
+    (``tests/test_radix_properties.py``)."""
 
     def __init__(self):
         self._entries = {}
 
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, prefix):
-        return prefix in self._entries
-
     def __iter__(self):
         return iter(sorted(self._entries))
-
-    def get(self, prefix, default=None):
-        return self._entries.get(prefix, default)
 
     def insert(self, prefix, value):
         self._entries[prefix] = value
@@ -193,21 +184,10 @@ class DictPrefixStore:
         return self._entries.pop(prefix, None) is not None
 
     def longest_match(self, prefix):
-        found = list(self.covering(prefix))
-        return found[-1] if found else None
-
-    def covering(self, prefix):
-        found = [item for item in self._entries.items()
-                 if prefix_contains(item[0], prefix)]
-        found.sort(key=lambda item: prefix_length(item[0]))
-        yield from found
-
-    def covered(self, prefix):
-        yield from sorted(item for item in self._entries.items()
-                          if prefix_contains(prefix, item[0]))
-
-    def walk(self):
-        yield from sorted(self._entries.items())
+        """``(covering key, value)`` of the longest cover, or None."""
+        return max((item for item in self._entries.items()
+                    if prefix_contains(item[0], prefix)),
+                   key=lambda item: prefix_length(item[0]), default=None)
 
 
 # -- snapshot chunks (the encoder compact() used before encode_chunk) --------

@@ -16,12 +16,6 @@ def test_prefix_list_matches_covered():
     assert not plist.matches(P_OUT)
 
 
-def test_prefix_list_exact_mode():
-    plist = PrefixList("p", [Prefix.parse("10.0.0.0/8")], match_longer=False)
-    assert plist.matches(Prefix.parse("10.0.0.0/8"))
-    assert not plist.matches(P_IN)
-
-
 def test_permit_all_passes_unchanged():
     assert PERMIT_ALL.evaluate(P_IN, ATTRS) is ATTRS
 

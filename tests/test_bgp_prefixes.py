@@ -1,12 +1,13 @@
-"""Prefix parsing, wire format, containment, and the trie."""
+"""Prefix parsing, wire format, containment, and longest-prefix match."""
 
 import ipaddress
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.bgp import BgpError, Prefix, RadixTrie
-from repro.bgp.prefixes import decode_nlri_block
+from repro.bgp import BgpError, Prefix
+from repro.bgp.prefixes import decode_nlri_block, longest_match, prefix_lengths
+from repro.forwarding.fib import Fib
 
 
 def test_parse_ipv4():
@@ -139,69 +140,69 @@ def test_str_parse_roundtrip_property_v6(value, length):
     assert str(Prefix.parse(text)) == text
 
 
-# -- trie ---------------------------------------------------------------------
+# -- longest-prefix match (the FIB, and longest_match over a bare dict) -------
+
+
+def _match(table, key):
+    return longest_match(table, prefix_lengths(table), Prefix.parse(key))
 
 
 def test_trie_exact_and_remove():
-    trie = RadixTrie()
+    fib = Fib()
     p = Prefix.parse("10.0.0.0/8")
-    trie.insert(p, "A")
-    assert trie.get(p) == "A"
-    assert len(trie) == 1
-    assert trie.remove(p)
-    assert trie.get(p) is None
-    assert not trie.remove(p)
-    assert len(trie) == 0
+    fib.program(p, "A")
+    assert fib.entries()[p].next_hop == "A"
+    assert p in fib and len(fib) == 1
+    fib.unprogram(p)
+    assert p not in fib and fib.lookup("10.0.0.1") is None
+    fib.unprogram(p)  # a second unprogram is a no-op
+    assert len(fib) == 0
 
 
 def test_trie_longest_match():
-    trie = RadixTrie()
-    trie.insert(Prefix.parse("10.0.0.0/8"), "eight")
-    trie.insert(Prefix.parse("10.1.0.0/16"), "sixteen")
     eight, sixteen = Prefix.parse("10.0.0.0/8"), Prefix.parse("10.1.0.0/16")
-    assert trie.longest_match(Prefix.parse("10.1.2.0/24")) == (sixteen, "sixteen")
+    table = {eight: "eight", sixteen: "sixteen"}
+    assert _match(table, "10.1.2.0/24") == (sixteen, "sixteen")
     # LPM falls back to the shorter cover when the /16 does not apply.
-    assert trie.longest_match(Prefix.parse("10.2.0.0/24")) == (eight, "eight")
-    assert trie.longest_match(Prefix.parse("11.0.0.0/24")) is None
+    assert _match(table, "10.2.0.0/24") == (eight, "eight")
+    assert _match(table, "11.0.0.0/24") is None
 
 
 def test_trie_default_route_matches_everything():
-    trie = RadixTrie()
-    trie.insert(Prefix.parse("0.0.0.0/0"), "default")
-    assert trie.longest_match(Prefix.parse("192.0.2.1/32")) == (
+    table = {Prefix.parse("0.0.0.0/0"): "default"}
+    assert _match(table, "192.0.2.1/32") == (
         Prefix.parse("0.0.0.0/0"), "default")
 
 
 def test_trie_host_route_and_remove_then_miss():
-    trie = RadixTrie()
+    fib = Fib()
     host = Prefix.parse("192.0.2.1/32")
-    trie.insert(host, "host")
-    assert trie.longest_match(host) == (host, "host")
-    assert trie.longest_match(Prefix.parse("192.0.2.0/32")) is None
-    assert trie.remove(host)
-    assert trie.longest_match(host) is None
+    fib.program(host, "host")
+    assert fib.lookup("192.0.2.1").prefix == host
+    assert fib.lookup("192.0.2.0") is None
+    fib.unprogram(host)
+    assert fib.lookup("192.0.2.1") is None
+    assert fib.misses == 2 and fib.lookups == 3
 
 
 def test_trie_update_in_place():
-    trie = RadixTrie()
+    fib = Fib()
     p = Prefix.parse("10.0.0.0/8")
-    trie.insert(p, "one")
-    trie.insert(p, "two")
-    assert trie.get(p) == "two"
-    assert len(trie) == 1
+    fib.program(p, "one")
+    fib.program(p, "two", now=1.0)
+    assert fib.lookup("10.0.0.1").next_hop == "two"
+    assert len(fib) == 1
 
 
 def test_trie_v4_v6_independent():
-    trie = RadixTrie()
-    trie.insert(Prefix.parse("0.0.0.0/0"), "v4")
-    trie.insert(Prefix.parse("::/0"), "v6")
-    assert trie.longest_match(Prefix.parse("1.2.3.4/32"))[1] == "v4"
-    assert trie.longest_match(Prefix.parse("2001:db8::1/128"))[1] == "v6"
+    table = {Prefix.parse("0.0.0.0/0"): "v4", Prefix.parse("::/0"): "v6"}
+    assert _match(table, "1.2.3.4/32")[1] == "v4"
+    assert _match(table, "2001:db8::1/128")[1] == "v6"
 
 
 # ----------------------------------------------------------------------
-# length-0 / max-length edge cases (DESIGN.md §14: the radix trie leans
-# on these invariants at its root and leaf extremes)
+# length-0 / max-length edge cases (DESIGN.md §14: longest-prefix match
+# leans on these invariants at the shortest and longest lengths)
 # ----------------------------------------------------------------------
 
 def test_default_route_contains_everything_including_itself():

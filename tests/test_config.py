@@ -36,6 +36,11 @@ def good_spec():
     }
 
 
+def _import_policy(spec, entries):
+    spec["pairs"][0]["neighbors"][0]["import_policy"] = {
+        "name": "p", "entries": entries}
+
+
 def test_valid_spec_passes():
     assert validate_spec(good_spec()) is not None
 
@@ -62,6 +67,17 @@ def test_valid_spec_passes():
      "remotes[1].name"),
     (lambda s: s["remotes"].append(dict(s["remotes"][0], name="remote1")),
      "remotes[1].address"),
+    # policy blocks: read by policy_from_dict, so checked to its shape
+    (lambda s: _import_policy(s, [{"match_prefixes": ["10.0.0.0/33"]}]),
+     "$.pairs[0].neighbors[0].import_policy.entries[0].match_prefixes[0]"),
+    (lambda s: _import_policy(s, [{"match_prefixes": "10.0.0.0/8"}]),
+     "$.pairs[0].neighbors[0].import_policy.entries[0].match_prefixes:"),
+    (lambda s: _import_policy(s, [{"match_prefixes": ["10.0.0.0/8", 7]}]),
+     "import_policy.entries[0].match_prefixes[1]"),
+    (lambda s: _import_policy(s, "x"),
+     "$.pairs[0].neighbors[0].import_policy.entries:"),
+    (lambda s: _import_policy(s, ["x"]),
+     "$.pairs[0].neighbors[0].import_policy.entries:"),
 ])
 def test_invalid_specs_rejected(mutate, path_fragment):
     spec = good_spec()

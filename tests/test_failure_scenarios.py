@@ -1,10 +1,10 @@
-"""Every registered failure scenario, judged by the oracle suite.
+"""Every failure kind alone, judged by the oracle suite.
 
-The scenario registry (Table 1 plus the soft classes) is the chaos
-engine's vocabulary; this file runs each entry in isolation under the
-same continuous oracles a chaos schedule uses, so a scenario that breaks
-an NSR invariant is caught here with a one-failure trace before any
-randomized composition ever hits it.
+Each kind a chaos schedule composes (Table 1 plus the soft classes) runs
+here as a one-injection :class:`ChaosSchedule` through the scenario
+harness, under the same continuous oracles, so a kind that breaks an
+NSR invariant is caught with a one-failure trace before any randomized
+composition ever hits it.
 
 Also the regression net for :meth:`FailureInjector.stamp_records`: each
 controller record must be stamped with the ground truth of the failure
@@ -14,82 +14,43 @@ target and unrelated near-in-time injections.
 
 import pytest
 
-from repro.failures import FailureInjector, OracleSuite
-from repro.failures.scenarios import SCENARIOS, scenario, scenarios_by_severity
-from repro.sim import DeterministicRandom
-from repro.workloads.updates import RouteGenerator
+from repro.failures import ChaosSchedule, FailureInjector, run_scenario
 
 from conftest import build_tensor_fixture
 
-CHECK_QUANTUM = 0.05
+#: ``(kind, target, duration, hard)``: a hard kind destroys state and
+#: must end in one migration; a soft one must be survived in place.
+CASES = [
+    ("application", "active", None, True),
+    ("container", "active", None, True),
+    ("host_machine", "active", None, True),
+    ("host_network", "active", None, True),
+    ("container_network", "active", None, True),
+    ("transient_network", "active", 1.0, False),
+    ("database_blip", None, 0.8, False),
+    ("agent", None, None, False),
+]
 
 
-def _oracle_fixture(seed, routes=150):
-    """A converged system plus an armed OracleSuite that knows the
-    workload intent (the originated prefixes)."""
-    system, pair, remotes = build_tensor_fixture(seed=seed, routes=0)
-    suite = OracleSuite(system, pair, remotes)
-    rand = DeterministicRandom(seed)
-    gen = RouteGenerator(rand.fork("workload"), 64512, next_hop="192.0.2.1")
-    generated = gen.routes(routes)
-    for index, (remote, session) in enumerate(remotes):
-        remote.speaker.originate_many(session.config.vrf_name, generated)
-        remote.speaker.readvertise(session)
-        suite.note_originate(index, [p for p, _a in generated])
-    system.engine.advance(5.0)
-    suite.arm()
-    return system, pair, remotes, suite
-
-
-def _target_for(entry, system, pair):
-    if entry.target_kind == "pair":
-        return pair
-    if entry.target_kind == "machine":
-        return pair.active_machine
-    return None  # "system" scenarios ignore the target
-
-
-@pytest.mark.parametrize("entry", SCENARIOS, ids=lambda entry: entry.name)
-def test_scenario_passes_oracle_suite(entry):
-    system, pair, remotes, suite = _oracle_fixture(seed=500)
-    engine = system.engine
-    injector = FailureInjector(system)
-
-    def fire():
-        target = _target_for(entry, system, pair)
-        duration = 1.0 if entry.name == "transient_network" else 0.8
-        suite.note_injection(
-            entry.name,
-            target_name=target.name if hasattr(target, "name") else None,
-            duration=duration,
-        )
-        entry.inject(injector, target)
-
-    engine.schedule(2.0, fire)
-    engine.run_stepped(engine.now + 35.0, suite.check, quantum=CHECK_QUANTUM)
-    assert suite.first_violation is None, suite.summary()
-
-    injector.stamp_records()
-    completed = system.controller.completed_records()
-    if entry.severity == "hard":
-        assert completed, "hard scenario must produce a migration record"
-        assert completed[0].failed_at == pytest.approx(
-            injector.injections[0].injected_at
-        )
+@pytest.mark.parametrize("kind,target,duration,hard", CASES,
+                         ids=[case[0] for case in CASES])
+def test_scenario_passes_oracle_suite(kind, target, duration, hard):
+    schedule = ChaosSchedule(
+        500, initial_routes=150, duration=35.0,
+        injections=[{"at": 2.0, "scenario": kind, "target": target,
+                     "duration": duration}],
+    )
+    result = run_scenario(schedule)
+    assert result.completed and result.first_violation is None, \
+        result.summary()
+    (injected,) = result.suite._injected_truth
+    assert injected["kind"] == kind
+    controller = result.system.controller
+    if hard:
+        (record,) = controller.completed_records()
+        assert record.failed_at == pytest.approx(injected["at"])
     else:
-        # soft scenarios are survived in place: no migration at all
-        assert not system.controller.records
-
-
-def test_registry_covers_both_severities():
-    names = {entry.name for entry in SCENARIOS}
-    assert {"application", "container", "host_machine", "host_network"} <= names
-    assert {entry.name for entry in scenarios_by_severity("soft")} == {
-        "transient_network", "database_blip", "agent"
-    }
-    assert scenario("container").severity == "hard"
-    with pytest.raises(KeyError):
-        scenario("nope")
+        assert not controller.records
 
 
 # ----------------------------------------------------------------------

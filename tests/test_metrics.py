@@ -1,9 +1,8 @@
-"""Metrics helpers: collector, statistics, report formatting."""
+"""Metrics helpers: statistics, report formatting."""
 
 import pytest
 
 from repro.metrics import (
-    MetricsCollector,
     format_series,
     format_table,
     mean,
@@ -11,45 +10,6 @@ from repro.metrics import (
     stdev,
     summarize,
 )
-from repro.sim import Engine
-
-
-def test_collector_records_with_time(engine):
-    metrics = MetricsCollector(engine)
-    engine.advance(1.0)
-    metrics.record("x", 10)
-    engine.advance(1.0)
-    metrics.record("x", 20)
-    assert metrics.series("x") == [(1.0, 10), (2.0, 20)]
-    assert metrics.values("x") == [10, 20]
-    assert metrics.latest("x") == 20
-    assert metrics.latest("missing", default=-1) == -1
-
-
-def test_collector_counters(engine):
-    metrics = MetricsCollector(engine)
-    metrics.increment("events")
-    metrics.increment("events", 5)
-    assert metrics.counter("events") == 6
-    assert metrics.counter("other") == 0
-
-
-def test_collector_sample_every(engine):
-    metrics = MetricsCollector(engine)
-    value = {"v": 0}
-    metrics.sample_every("gauge", 1.0, lambda: value["v"], duration=5.0)
-    value["v"] = 7
-    engine.run(until=10.0)
-    samples = metrics.series("gauge")
-    assert len(samples) == 5
-    assert all(v == 7 for _t, v in samples)
-
-
-def test_collector_names(engine):
-    metrics = MetricsCollector(engine)
-    metrics.record("b", 1)
-    metrics.increment("a")
-    assert metrics.names() == ["a", "b"]
 
 
 def test_mean_median_stdev():

@@ -24,6 +24,7 @@ from repro.bgp.prefixes import (
     Prefix,
     decode_nlri_block,
     encode_nlri_block,
+    longest_match,
     parse_prefix,
     prefix_afi,
     prefix_ancestor,
@@ -32,13 +33,14 @@ from repro.bgp.prefixes import (
     prefix_fields,
     prefix_key,
     prefix_length,
+    prefix_lengths,
     prefix_text,
     prefix_value,
 )
-from repro.bgp.radix import RadixTrie
 from repro.bgp.rib import LocRib, Path
 from repro.core.recovery import BackupRecovery
 from repro.core.replication import ReplicationPipeline
+from repro.forwarding.fib import Fib
 from repro.sim import DeterministicRandom
 from repro.workloads.fulltable import FullTableWorkload
 from repro.workloads.updates import RouteGenerator
@@ -121,10 +123,12 @@ def test_default_route_is_the_falsy_key_and_still_a_member():
     assert rib.best(default) is not None and default in rib.prefixes()
     assert rib.lookup(parse_prefix("203.0.113.9/32")).prefix == default
     assert [e["prefix"] for e in rib.export_entries()] == ["0.0.0.0/0"]
-    trie = RadixTrie()
-    trie.insert(default, None)
-    assert list(trie.walk()) == [(0, None)]
-    assert trie.longest_match(parse_prefix("10.0.0.0/8")) == (0, None)
+    fib = Fib()
+    fib.program(default, "192.0.2.1")
+    assert list(fib.entries()) == [0]
+    assert fib.lookup("10.0.0.1").prefix == default
+    assert longest_match({default: "d"}, prefix_lengths([default]),
+                         parse_prefix("10.0.0.0/8")) == (0, "d")
 
 
 def test_prefix_survives_pickle_and_copy():

@@ -1,9 +1,11 @@
 """Additional property-based tests: KV store model, coalescer durability,
-prefix trie vs brute force, packing/attribute interactions."""
+FIB longest-prefix match vs brute force, packing/attribute interactions."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bgp import Prefix, RadixTrie
+from repro.bgp import Prefix
+from repro.bgp.prefixes import prefix_text
+from repro.forwarding.fib import Fib
 from repro.core.replication import WriteCoalescer
 from repro.kvstore import KeyValueStore, KvClient, KvServer
 from repro.sim import DeterministicRandom, Engine, Network
@@ -78,7 +80,7 @@ def test_coalescer_converges_to_sequential_semantics(operations):
     assert coalescer.backlog == 0
 
 
-# -- prefix trie vs brute force ----------------------------------------------------
+# -- FIB longest-prefix match vs brute force ----------------------------------------------------
 
 
 @st.composite
@@ -92,11 +94,11 @@ def prefix_strategy(draw):
        queries=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=10))
 @settings(**_SETTINGS)
 def test_trie_longest_match_equals_bruteforce(entries, queries):
-    trie = RadixTrie()
+    fib = Fib()
     table = {}
     for index, prefix in enumerate(entries):
-        trie.insert(prefix, index)
-        table[prefix] = index  # duplicate prefixes: last wins, like the trie
+        fib.program(prefix, index)
+        table[prefix] = index  # duplicate prefixes: last wins, like the FIB
     for address in queries:
         host = Prefix(address, 32)
         expected = None
@@ -104,20 +106,24 @@ def test_trie_longest_match_equals_bruteforce(entries, queries):
             if prefix.contains(host):
                 if expected is None or prefix.length > expected[0].length:
                     expected = (prefix, value)
-        assert trie.longest_match(host) == expected
+        entry = fib.lookup(prefix_text(host))
+        assert (None if entry is None
+                else (entry.prefix, entry.next_hop)) == expected
 
 
 @given(entries=st.lists(prefix_strategy(), max_size=25, unique_by=lambda p: (p.value, p.length)))
 @settings(**_SETTINGS)
 def test_trie_remove_restores_previous_state(entries):
-    trie = RadixTrie()
+    fib = Fib()
     for index, prefix in enumerate(entries):
-        trie.insert(prefix, index)
+        fib.program(prefix, index)
     for prefix in entries:
-        assert trie.remove(prefix)
-    assert len(trie) == 0
+        assert prefix in fib
+        fib.unprogram(prefix)
+    assert len(fib) == 0 and fib.entries() == {}
     for prefix in entries:
-        assert trie.get(prefix) is None
+        assert prefix not in fib
+        assert fib.lookup(prefix_text(prefix)) is None
 
 
 # -- BFD timing property --------------------------------------------------------------

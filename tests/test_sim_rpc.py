@@ -3,7 +3,12 @@
 import pytest
 
 from repro.sim import DeterministicRandom, Engine, Network
-from repro.sim.rpc import AsyncRpcServer, DatagramSocket, RpcClient, RpcServer
+from repro.sim.rpc import DatagramSocket, RpcClient, RpcServer
+
+
+def answer(fn):
+    """A handler that replies at once with ``fn(method, body)``."""
+    return lambda method, body, respond: respond(fn(method, body))
 
 
 @pytest.fixture
@@ -49,7 +54,8 @@ def test_closed_socket_rejects_send(engine, hosts):
 
 def test_rpc_reply(engine, hosts):
     a, b = hosts
-    RpcServer(engine, b, 7000, lambda method, body: {"method": method, "x": body["x"] + 1})
+    RpcServer(engine, b, 7000,
+              answer(lambda method, body: {"method": method, "x": body["x"] + 1}))
     client = RpcClient(engine, a, "1.1.1.2", 7000)
     got = []
     client.call("inc", {"x": 1}, on_reply=got.append)
@@ -60,7 +66,7 @@ def test_rpc_reply(engine, hosts):
 
 def test_rpc_service_time_delays_reply(engine, hosts):
     a, b = hosts
-    RpcServer(engine, b, 7000, lambda m, body: {}, service_time=lambda m, b_: 0.05)
+    RpcServer(engine, b, 7000, answer(lambda m, body: {}), service_time=lambda m, b_: 0.05)
     client = RpcClient(engine, a, "1.1.1.2", 7000)
     times = []
     client.call("op", {}, on_reply=lambda rep: times.append(engine.now))
@@ -70,7 +76,7 @@ def test_rpc_service_time_delays_reply(engine, hosts):
 
 def test_rpc_timeout_on_dead_server(engine, hosts):
     a, b = hosts
-    RpcServer(engine, b, 7000, lambda m, body: {})
+    RpcServer(engine, b, 7000, answer(lambda m, body: {}))
     b.fail()
     client = RpcClient(engine, a, "1.1.1.2", 7000)
     outcomes = []
@@ -85,7 +91,7 @@ def test_rpc_timeout_on_dead_server(engine, hosts):
 
 def test_rpc_late_reply_after_timeout_dropped(engine, hosts):
     a, b = hosts
-    RpcServer(engine, b, 7000, lambda m, body: {}, service_time=lambda m, b_: 1.0)
+    RpcServer(engine, b, 7000, answer(lambda m, body: {}), service_time=lambda m, b_: 1.0)
     client = RpcClient(engine, a, "1.1.1.2", 7000)
     outcomes = []
     client.call(
@@ -98,7 +104,7 @@ def test_rpc_late_reply_after_timeout_dropped(engine, hosts):
 
 def test_rpc_concurrent_requests_matched_by_id(engine, hosts):
     a, b = hosts
-    RpcServer(engine, b, 7000, lambda m, body: {"id": body["id"]})
+    RpcServer(engine, b, 7000, answer(lambda m, body: {"id": body["id"]}))
     client = RpcClient(engine, a, "1.1.1.2", 7000)
     got = []
     for i in range(5):
@@ -109,7 +115,7 @@ def test_rpc_concurrent_requests_matched_by_id(engine, hosts):
 
 def test_rpc_cancel_all(engine, hosts):
     a, b = hosts
-    RpcServer(engine, b, 7000, lambda m, body: {}, service_time=lambda m, b_: 0.5)
+    RpcServer(engine, b, 7000, answer(lambda m, body: {}), service_time=lambda m, b_: 0.5)
     client = RpcClient(engine, a, "1.1.1.2", 7000)
     outcomes = []
     client.call("op", {}, on_reply=lambda rep: outcomes.append("reply"),
@@ -125,7 +131,7 @@ def test_async_rpc_server_deferred_reply(engine, hosts):
     def handler(method, body, respond):
         engine.schedule(0.3, respond, {"deferred": True})
 
-    AsyncRpcServer(engine, b, 7000, handler)
+    RpcServer(engine, b, 7000, handler)
     client = RpcClient(engine, a, "1.1.1.2", 7000)
     times = []
     client.call("op", {}, on_reply=lambda rep: times.append((engine.now, rep)))
@@ -134,10 +140,35 @@ def test_async_rpc_server_deferred_reply(engine, hosts):
     assert times[0][1]["deferred"] is True
 
 
+def test_rpc_handler_runs_in_the_delivering_event_or_after_service_time(
+        engine, hosts):
+    a, b = hosts
+    ran = []
+
+    def handler(method, body, respond):
+        ran.append(engine.now)
+        respond({})
+
+    RpcServer(engine, b, 7000, handler)
+    RpcServer(engine, b, 7001, handler, service_time=lambda m, body: 0.25)
+    # no service time: one event per direction, the handler inside the
+    # request's delivery
+    client = RpcClient(engine, a, "1.1.1.2", 7000)
+    client.call("op", {}, on_reply=lambda rep: None)
+    assert engine.run_until_idle() == 2
+    # a service time: the handler on an event of its own, that much later
+    sent = engine.now
+    served = RpcClient(engine, a, "1.1.1.2", 7001)
+    served.call("op", {}, on_reply=lambda rep: None)
+    assert engine.run_until_idle() == 3
+    one_way = ran[0]
+    assert ran[1] == pytest.approx(sent + one_way + 0.25)
+
+
 def test_rpc_across_partition_times_out(engine, net):
     a = net.add_host("a", "1.1.1.1")
     b = net.add_host("b", "1.1.1.2")
-    RpcServer(engine, b, 7000, lambda m, body: {})
+    RpcServer(engine, b, 7000, answer(lambda m, body: {}))
     b.fail_network()
     client = RpcClient(engine, a, "1.1.1.2", 7000)
     outcomes = []

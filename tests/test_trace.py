@@ -10,7 +10,7 @@ context), and determinism of the recorded span stream under
 import pytest
 
 from repro.sim import DeterministicRandom, Engine, Network
-from repro.sim.rpc import AsyncRpcServer, RpcClient, RpcServer
+from repro.sim.rpc import RpcClient, RpcServer
 from repro.trace import (
     AMBIENT,
     NULL_SPAN,
@@ -129,7 +129,8 @@ def test_context_does_not_leak_between_events(traced_engine):
 
 def test_rpc_server_span_joins_client_trace(rpc_net):
     engine, tracer, a, b = rpc_net
-    RpcServer(engine, b, 7000, lambda method, body: {"ok": True})
+    RpcServer(engine, b, 7000,
+              lambda method, body, respond: respond({"ok": True}))
     client = RpcClient(engine, a, "1.1.1.2", 7000)
     with tracer.span("root") as root:
         client.call("ping", {}, on_reply=lambda _r: None)
@@ -150,7 +151,7 @@ def test_async_rpc_server_span_covers_deferred_reply(rpc_net):
     def handler(method, body, respond):
         engine.schedule(0.5, respond, {"deferred": True})
 
-    AsyncRpcServer(engine, b, 7000, handler)
+    RpcServer(engine, b, 7000, handler)
     client = RpcClient(engine, a, "1.1.1.2", 7000)
     with tracer.span("root") as root:
         client.call("work", {}, on_reply=lambda _r: None)

@@ -9,7 +9,6 @@ begins before its update's replication span closed.
 
 import pytest
 
-from repro.metrics import MetricsCollector
 from repro.metrics.show import show_trace
 from repro.trace import DEFAULT_BUCKETS, PHASES
 
@@ -98,16 +97,12 @@ def test_held_acks_outlive_their_replication_write(traced):
 def test_phase_metrics_export_and_histogram(traced):
     system, _pair, _remotes = traced
     store = system.trace_store
-    collector = MetricsCollector(system.engine)
-    store.export_phase_metrics(collector)
     for phase in PHASES:
-        values = collector.values(f"trace.phase.{phase}")
-        assert values, f"no exported samples for {phase}"
-        assert all(v >= 0.0 for v in values)
-    hist = store.histogram("replicate", buckets=DEFAULT_BUCKETS)
-    assert sum(count for _bound, count in hist) == len(
-        store.spans(name="replicate", ended=True)
-    )
+        durations = store.durations(phase)
+        assert durations, f"no ended spans for {phase}"
+        assert all(value >= 0.0 for value in durations)
+        hist = store.histogram(phase, buckets=DEFAULT_BUCKETS)
+        assert sum(count for _bound, count in hist) == len(durations)
 
 
 def test_show_trace_renders_summary_and_chain(traced):
