@@ -141,5 +141,8 @@ loc:
 # The full gate: tier-1 tests, perf regression (hot path, parallel,
 # failover drain), chaos corpus, controller-plane chaos, the parallel
 # determinism smoke, the database failover smoke, the bounded fuzz
-# smoke, the full-table scaling smoke, and the nsrbench smoke.
+# smoke, the full-table scaling smoke, the nsrbench smoke, and
+# nsrbench's own tests (among them: every by-name tracing boundary
+# still resolves; `make bench` skips them under --benchmark-only).
 verify: test bench-gate chaos-corpus controller-chaos parallel-smoke kv-failover fuzz-smoke fulltable-smoke nsrbench-smoke
+	$(PYTHON) -m pytest benchmarks/nsrbench -q

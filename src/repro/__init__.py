@@ -12,7 +12,7 @@ The package is organized bottom-up (see DESIGN.md for the full map):
 - :mod:`repro.control` — controller, probes, failure localization;
 - :mod:`repro.core` — TENSOR itself (replication, tcp_queue, recovery,
   splitting, agent, full-system assembly);
-- :mod:`repro.baselines` — FRRouting/GoBGP/BIRD profiles + cost models;
+- :mod:`repro.baselines` — baseline recovery and cost models;
 - :mod:`repro.failures` / :mod:`repro.workloads` / :mod:`repro.metrics` —
   injection, workload generation and measurement.
 

@@ -1,25 +1,18 @@
-"""Baseline BGP implementations and comparison models.
+"""Baseline recovery and cost models.
 
-FRRouting, GoBGP and BIRD stand-ins share the repository's BGP stack but
-carry per-implementation processing profiles calibrated to Fig. 6 (and
-GoBGP's missing update packing).  None of them support NSR: on failure
+The FRRouting, GoBGP and BIRD baselines of Fig. 6 are the repository's
+own BGP speaker run under a per-implementation processing profile
+(``SpeakerConfig(profile=...)``, calibrated in :mod:`repro.sim.calibration`,
+GoBGP without update packing).  None of them support NSR: on failure
 the session drops, routes are withdrawn, and recovery is the manual
-process Table 1 brackets.  The NSR-enabled hardware router appears as a
-cost/SLA model (Table 2).
+process Table 1 brackets (:func:`baseline_recovery_row`).  The
+NSR-enabled hardware router appears as a cost/SLA model (Table 2).
 """
 
-from repro.baselines.daemon import BaselineDaemon
-from repro.baselines.frr import FrrDaemon
-from repro.baselines.gobgp import GoBgpDaemon
-from repro.baselines.bird import BirdDaemon
 from repro.baselines.nsr_router import NsrEnabledRouter
 from repro.baselines.recovery_model import baseline_recovery_row
 
 __all__ = [
-    "BaselineDaemon",
-    "FrrDaemon",
-    "GoBgpDaemon",
-    "BirdDaemon",
     "NsrEnabledRouter",
     "baseline_recovery_row",
 ]

@@ -20,18 +20,6 @@ class NsrEnabledRouter:
     def recovery_class(self):
         return self.costs["recovery"]  # "(Online) Seconds"
 
-    def recovery_time_seconds(self, failure_kind):
-        """Order-of-seconds online recovery, like TENSOR's SLA."""
-        return {
-            "application": 2.5,
-            "host_machine": 8.0,
-            "host_network": 8.0,
-        }.get(failure_kind, 5.0)
-
-    def link_downtime_seconds(self, _failure_kind):
-        """NSR-enabled: recovery is transparent to peers."""
-        return 0.0
-
     def development_cost(self):
         return {
             "time_months": self.costs["dev_time_months"],

@@ -56,7 +56,6 @@ class BfdSession:
         self.packets_sent = 0
         self.packets_received = 0
         self.state_changes = []  # (time, old, new)
-        self.last_up_at = None
         self.last_down_at = None
 
     # ------------------------------------------------------------------
@@ -148,9 +147,7 @@ class BfdSession:
             return
         old, self.state = self.state, new_state
         self.state_changes.append((self.engine.now, old, new_state))
-        if new_state is BfdState.UP:
-            self.last_up_at = self.engine.now
-        elif old is BfdState.UP:
+        if old is BfdState.UP:
             self.last_down_at = self.engine.now
         if self.on_state_change is not None:
             self.on_state_change(self, old, new_state)

@@ -29,7 +29,6 @@ from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, Path, Route
 from repro.bgp.decision import best_path
 from repro.bgp.policy import PolicyAction, RouteMap, RouteMapEntry
 from repro.bgp.vrf import Vrf
-from repro.bgp.packing import pack_routes
 from repro.bgp.peer import PeerConfig, PeerSession
 from repro.bgp.speaker import BgpSpeaker, SpeakerConfig
 
@@ -57,7 +56,6 @@ __all__ = [
     "RouteMapEntry",
     "PolicyAction",
     "Vrf",
-    "pack_routes",
     "PeerConfig",
     "PeerSession",
     "BgpSpeaker",

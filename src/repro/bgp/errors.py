@@ -39,13 +39,6 @@ class UpdateSubcode(enum.IntEnum):
     MALFORMED_AS_PATH = 11
 
 
-class CeaseSubcode(enum.IntEnum):
-    ADMIN_SHUTDOWN = 2
-    PEER_DECONFIGURED = 3
-    ADMIN_RESET = 4
-    CONNECTION_REJECTED = 5
-
-
 class BgpError(Exception):
     """A protocol error that maps to a NOTIFICATION message."""
 

@@ -290,18 +290,6 @@ _BODY_DECODERS = {
 }
 
 
-def decode_message(wire):
-    """Decode exactly one whole message from ``wire`` bytes."""
-    messages = list(MessageDecoder().feed(wire))
-    if len(messages) != 1:
-        raise BgpError(
-            NotificationCode.MESSAGE_HEADER_ERROR,
-            HeaderSubcode.BAD_MESSAGE_LENGTH,
-            message=f"expected 1 message, decoded {len(messages)}",
-        )
-    return messages[0][0]
-
-
 class MessageDecoder:
     """Incremental decoder over a TCP byte stream.
 

@@ -8,7 +8,7 @@ Two distinct economies fall out of packing:
 
 1. **Per-message packing** — routes sharing a ``PathAttributes`` set are
    grouped into as few UPDATE messages as fit in 4096 bytes
-   (:func:`pack_routes`).
+   (:func:`group_routes`, then :func:`pack_group` per group).
 2. **Cross-peer copying** — a packed UPDATE built for one peer is reused
    for other peers whose export policy produced identical attributes; only
    the "header information" is rewritten, at
@@ -133,20 +133,6 @@ def pack_mp_group(attributes, prefixes, next_hop_v6,
         packed.append((UpdateMessage(attributes=attach_mp_reach(
             attributes, next_hop_v6, share)), share))
     return packed
-
-
-def pack_routes(routes, max_message_size=MAX_MESSAGE_SIZE):
-    """Group (prefix, attributes) pairs into minimal UPDATE messages.
-
-    Routes with equal attributes share messages; each message stays within
-    ``max_message_size`` on the wire.  Returns a list of
-    :class:`UpdateMessage`.
-    """
-    return [
-        message
-        for _afi, attributes, prefixes in group_routes(routes)
-        for message in pack_group(attributes, prefixes, max_message_size)
-    ]
 
 
 def pack_withdrawals(prefixes, max_message_size=MAX_MESSAGE_SIZE):

@@ -101,7 +101,6 @@ class PeerSession:
         self.messages_received = 0
         self.messages_sent = 0
         self.updates_received = 0
-        self.updates_sent = 0
         self.routes_learned = 0
         self.established_at = None
         self.last_down_at = None
@@ -393,8 +392,6 @@ class PeerSession:
             self._set_state(fsm.SessionState.OPEN_SENT)
         self.cumulative_sent += len(wire)
         self.messages_sent += 1
-        if isinstance(message, UpdateMessage):
-            self.updates_sent += message.route_count()
         self.conn.send(wire)
 
     def _keepalive_interval(self):

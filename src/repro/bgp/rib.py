@@ -41,7 +41,6 @@ from repro.bgp.decision import (
 from repro.bgp.prefixes import (
     longest_match,
     note_length,
-    parse_prefix,
     prefix_lengths,
     prefix_text,
 )
@@ -443,20 +442,6 @@ class LocRib:
         export_seq, counts = self.path_counts_since(seq)
         return export_seq, {prefix: self.export_prefix_entries(prefix)
                             for prefix in counts}
-
-    @classmethod
-    def import_entries(cls, entries, local_as=0, router_id=0):
-        """Rebuild a LocRib from :meth:`export_entries` output."""
-        from repro.bgp.attributes import PathAttributes
-
-        rib = cls(local_as=local_as, router_id=router_id)
-        for entry in entries:
-            rib.offer(parse_prefix(entry["prefix"]), Path(
-                PathAttributes.from_wire(entry["attributes"]),
-                entry["peer_id"],
-                entry["source_kind"],
-            ))
-        return rib
 
 
 class AdjRibOut:

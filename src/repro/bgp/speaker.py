@@ -167,7 +167,7 @@ class BgpSpeaker:
         self.vrfs = {}
         self.sessions = {}
         self.running = False
-        self.on_exit = None  # called when the process dies (crash or shutdown)
+        self.on_exit = None  # called when the process dies
         self._listening = False
         self._cpu_busy_until = 0.0
         self._pending_adverts = {}  # session.peer_id -> {prefix: path-or-None}
@@ -263,15 +263,6 @@ class BgpSpeaker:
             session.gr_timer.stop()
             session.state = type(session.state).IDLE
             session.conn = None
-        if self.on_exit is not None:
-            self.on_exit()
-
-    def graceful_shutdown(self):
-        """Administrative shutdown: CEASE to every peer."""
-        self.running = False
-        for session in list(self.sessions.values()):
-            session.stop(notify_peer=True)
-        self.process.kill()
         if self.on_exit is not None:
             self.on_exit()
 

@@ -34,8 +34,6 @@ Example spec::
 Optional keys and their defaults are the ``*_DEFAULTS`` tables below.
 """
 
-import json
-
 from repro.bgp.policy import policy_from_dict
 from repro.bgp.prefixes import parse_prefix
 from repro.bgp.speaker import MRAI_MODES
@@ -130,6 +128,28 @@ def _optional(mapping, key, path, types, what):
         raise ConfigError(f"{path}.{key}", f"must be {what}")
 
 
+def _positive(mapping, key, path, what="a positive number"):
+    """An optional number that must be > 0 (a timer period or count)."""
+    value = mapping.get(key)
+    if value is None:
+        return
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not value > 0):
+        raise ConfigError(f"{path}.{key}", f"must be {what}")
+
+
+def _session_timers(mapping, path):
+    """A session's hold time (RFC 4271 §4.2: 0 or 3..65535 s, it rides a
+    2-octet OPEN field) and keepalive interval."""
+    hold = mapping.get("hold_time")
+    if hold is not None and (
+            isinstance(hold, bool) or not isinstance(hold, (int, float))
+            or not (hold == 0 or 3 <= hold <= 65535)):
+        raise ConfigError(f"{path}.hold_time",
+                          "must be 0 or 3..65535 seconds (RFC 4271)")
+    _positive(mapping, "keepalive_interval", path, "a positive number of seconds")
+
+
 def _validate_policy(policy, path):
     """A route-map block, as :func:`policy_from_dict` reads it."""
     _require(policy, "name", path, str)
@@ -162,13 +182,18 @@ def validate_spec(spec):
     if not machines:
         raise ConfigError("$.machines", "at least one machine is required")
     machine_names = set()
+    host_addrs = set()  # every address the network answers for
     for index, machine in enumerate(machines):
         path = f"$.machines[{index}]"
         name = _require(machine, "name", path, str)
-        _require(machine, "address", path, str)
+        address = _require(machine, "address", path, str)
         if name in machine_names:
             raise ConfigError(f"{path}.name", f"duplicate machine {name!r}")
         machine_names.add(name)
+        if address in host_addrs:
+            raise ConfigError(f"{path}.address",
+                              f"duplicate address {address!r}")
+        host_addrs.add(address)
 
     pairs = _require(spec, "pairs", "$", list)
     pair_names = set()
@@ -189,8 +214,9 @@ def validate_spec(spec):
                 " (the whole point of the pair)"
             )
         addr = _require(pair, "service_addr", path, str)
-        if addr in pair_at:
+        if addr in host_addrs:
             raise ConfigError(f"{path}.service_addr", f"duplicate address {addr!r}")
+        host_addrs.add(addr)
         pair_at[addr] = pair
         _require(pair, "local_as", path, int)
         _require(pair, "router_id", path, str)
@@ -211,15 +237,15 @@ def validate_spec(spec):
                 raise ConfigError(f"{n_path}.mode", f"bad mode {mode!r}")
             _optional(neighbor, "mrai", n_path, (int, float),
                       "a number of seconds")
+            _session_timers(neighbor, n_path)
             for knob in ("bfd_tx_interval", "bfd_detect_mult"):
-                _optional(neighbor, knob, n_path, (int, float), "a number")
+                _positive(neighbor, knob, n_path)
             for side in ("import_policy", "export_policy"):
                 policy = neighbor.get(side)
                 if policy is not None:
                     _validate_policy(policy, f"{n_path}.{side}")
 
     remote_names = set()
-    remote_addrs = set()
     for index, remote in enumerate(spec.get("remotes", ())):
         path = f"$.remotes[{index}]"
         name = _require(remote, "name", path, str)
@@ -227,10 +253,10 @@ def validate_spec(spec):
             raise ConfigError(f"{path}.name", f"duplicate remote {name!r}")
         remote_names.add(name)
         address = _require(remote, "address", path, str)
-        if address in remote_addrs:
+        if address in host_addrs:
             raise ConfigError(f"{path}.address",
                               f"duplicate address {address!r}")
-        remote_addrs.add(address)
+        host_addrs.add(address)
         asn = _require(remote, "asn", path, int)
         for link in remote.get("links", ()):
             if link not in machine_names:
@@ -241,8 +267,10 @@ def validate_spec(spec):
         p_path = f"{path}.peer"
         gateway = _require(peer, "gateway", p_path, str)
         gateway_as = _require(peer, "gateway_as", p_path, int)
-        for knob in ("hold_time", "keepalive_interval"):
-            _optional(peer, knob, p_path, (int, float), "a number of seconds")
+        _session_timers(peer, p_path)
+        mode = peer.get("mode", PEER_DEFAULTS["mode"])
+        if mode not in ("active", "passive"):
+            raise ConfigError(f"{p_path}.mode", f"bad mode {mode!r}")
         # a session that cannot establish is a spec error, not a silent
         # dead peer: the gateway must be a pair that expects this remote
         pair = pair_at.get(gateway)
@@ -252,23 +280,35 @@ def validate_spec(spec):
         if gateway_as != pair["local_as"]:
             raise ConfigError(f"{p_path}.gateway_as",
                               f"{pair['name']} is AS {pair['local_as']}")
-        expected = [n["remote_as"] for n in pair["neighbors"]
-                    if n["remote_addr"] == address]
-        if asn not in expected:
+        expected = [n for n in pair["neighbors"] if n["remote_addr"] == address]
+        if asn not in [n["remote_as"] for n in expected]:
             raise ConfigError(
                 f"{path}.asn", f"{pair['name']} expects {address} as AS"
-                f" {expected[0] if expected else '(no neighbor)'}, not {asn}")
+                f" {expected[0]['remote_as'] if expected else '(no neighbor)'},"
+                f" not {asn}")
+        if mode == "passive" and all(
+                n.get("mode", NEIGHBOR_DEFAULTS["mode"]) == "passive"
+                for n in expected):
+            raise ConfigError(f"{p_path}.mode",
+                              f"{pair['name']} is passive towards {address}"
+                              " too: nobody opens the session")
 
     tech = spec.get("hook_technology", "netfilter")
     if tech not in ("netfilter", "ebpf"):
         raise ConfigError("$.hook_technology", f"unknown technology {tech!r}")
     remote_db = spec.get("remote_db")
     if remote_db is not None:
-        _require(remote_db, "latency", "$.remote_db", (int, float))
+        latency = _require(remote_db, "latency", "$.remote_db", (int, float))
+        if not latency >= 0:
+            raise ConfigError("$.remote_db.latency", "must be >= 0 seconds")
         if remote_db.get("mode", "sync") not in ("sync", "async"):
             raise ConfigError("$.remote_db.mode", "must be 'sync' or 'async'")
     _optional(spec, "tracing", "$", bool, "a boolean")
-    _optional(spec, "controller_replicas", "$", int, "an int")
+    replicas = spec.get("controller_replicas")
+    if replicas is not None and (
+            isinstance(replicas, bool) or not isinstance(replicas, int)
+            or replicas < 1):
+        raise ConfigError("$.controller_replicas", "must be an int >= 1")
     return spec
 
 
@@ -340,10 +380,3 @@ def build_system(spec, start=True):
         for remote in remotes.values():
             remote.start()
     return system, pairs, remotes
-
-
-def load_json(path, start=True):
-    """Build a system from a JSON spec file."""
-    with open(path) as handle:
-        spec = json.load(handle)
-    return build_system(spec, start=start)

@@ -44,7 +44,6 @@ class Container:
         self.state = ContainerState.CREATED
         self.endpoint = None  # management Host; created at boot
         self.processes = {}
-        self.booted_at = None
         self.failed_at = None
         self.boot_count = 0
         self._boot_callbacks = []
@@ -76,7 +75,6 @@ class Container:
         if self.state is not ContainerState.BOOTING or not self.machine.alive:
             return
         self.state = ContainerState.RUNNING
-        self.booted_at = self.engine.now
         self.boot_count += 1
         if self.endpoint is None:
             self.endpoint = self.machine.attach_endpoint(f"{self.name}.mgmt")
@@ -108,9 +106,6 @@ class Container:
         if alive is None:
             alive = getattr(process, "running", False)
         return bool(alive)
-
-    def any_process_dead(self):
-        return any(not self.process_alive(name) for name in self.processes)
 
     # ------------------------------------------------------------------
     # failure levers (paper E1/E2/E4)

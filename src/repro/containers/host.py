@@ -114,12 +114,11 @@ class ProcessMonitor:
         self.on_event = on_event
         self.interval = interval
         self.process = Process(engine, f"dockerd:{machine.name}")
-        self._task = None
         self._reported = set()
         machine.monitor = self
 
     def start(self):
-        self._task = self.process.every(self.interval, self._poll)
+        self.process.every(self.interval, self._poll)
 
     def _poll(self):
         if not self.machine.alive:

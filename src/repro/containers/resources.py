@@ -9,8 +9,6 @@ from repro.sim.calibration import (
     CONTAINER_CPU_FRACTION,
     CONTAINER_MEMORY_BASE,
     CONTAINER_MEMORY_PER_CONFIG,
-    HOST_CORES,
-    HOST_MEMORY_BYTES,
 )
 
 
@@ -35,12 +33,3 @@ class ResourceModel:
         """Fraction of one host's CPU one idle-ish container consumes."""
         return self.cpu_fraction
 
-    def host_capacity_containers(self, config_entries=1000):
-        """How many containers fit on one host (memory- or CPU-bound)."""
-        by_memory = HOST_MEMORY_BYTES // self.container_memory(config_entries)
-        by_cpu = int(1.0 / self.cpu_fraction)
-        return int(min(by_memory, by_cpu))
-
-    @staticmethod
-    def host_cores():
-        return HOST_CORES

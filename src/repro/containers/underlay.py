@@ -104,12 +104,5 @@ class Underlay:
     def binding(self, address):
         return self._bindings.get(address)
 
-    def owner_machine(self, address):
-        binding = self._bindings.get(address)
-        return binding.machine if binding else None
-
-    def addresses_on(self, machine):
-        return [a for a, b in self._bindings.items() if b.machine is machine]
-
     def __len__(self):
         return len(self._bindings)

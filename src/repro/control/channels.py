@@ -75,10 +75,9 @@ class GrpcChannel:
         self.healthy = True
         self.last_status = {}
         self.last_reply_at = None
-        self._task = None
 
     def start(self):
-        self._task = self.process.every(self.interval, self._beat)
+        self.process.every(self.interval, self._beat)
 
     def _beat(self):
         self.client.call(

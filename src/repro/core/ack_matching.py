@@ -87,11 +87,11 @@ class TcpQueueThread:
                 and (segment.rst or segment.fin)
             )
 
-        ack_rule = stack.output_chain.append(
+        stack.output_chain.append(
             Rule(match_ack, Verdict.QUEUE, queue_num=TENSOR_ACK_QUEUE,
                  comment=f"tensor-ack {keys.conn_id}")
         )
-        guard_rule = stack.output_chain.append(
+        stack.output_chain.append(
             Rule(match_teardown, Verdict.DROP, comment=f"tensor-guard {keys.conn_id}")
         )
         self._conns[tup] = {
@@ -99,22 +99,7 @@ class TcpQueueThread:
             "held": [],  # FIFO of (ack_number, QueuedPacket)
             "confirmed_pos": 0,  # highest ACK number verified in the DB
             "waiters": [],  # (ack_number, callback) run once confirmed
-            "rules": (ack_rule, guard_rule),
-            "stack": stack,
         }
-
-    def uninstall_connection(self, conn):
-        tup = (conn.local_port, conn.remote_addr, conn.remote_port)
-        entry = self._conns.pop(tup, None)
-        if entry is not None:
-            for rule in entry["rules"]:
-                entry["stack"].output_chain.delete(rule)
-            for _ack, queued in entry["held"]:
-                queued.drop()
-            # The connection is being torn down deliberately: pending
-            # deferred work (record prunes) may run now.
-            for _ack, callback in entry["waiters"]:
-                callback()
 
     # ------------------------------------------------------------------
     # the FIFO queue

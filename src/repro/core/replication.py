@@ -71,9 +71,6 @@ class ConnectionKeys:
     def message(self, direction, position):
         return f"{self._base}:msg:{self.conn_id}:{direction}:{position:016d}"
 
-    def message_prefix(self, direction):
-        return f"{self._base}:msg:{self.conn_id}:{direction}:"
-
     def __repr__(self):
         return f"<ConnectionKeys {self.conn_id}>"
 

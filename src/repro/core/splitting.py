@@ -63,16 +63,6 @@ class SplitPlan:
         self.assignments = assignments
         self.joints = joints
 
-    def container_count(self):
-        return len(self.assignments) + len(self.joints)
-
-    def assignment_of(self, client, asn):
-        for assignment in self.assignments:
-            for peering in assignment.peerings:
-                if peering.client == client and peering.asn == asn:
-                    return assignment
-        return None
-
     def __repr__(self):
         return f"<SplitPlan containers={len(self.assignments)} joints={len(self.joints)}>"
 

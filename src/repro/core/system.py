@@ -524,13 +524,19 @@ class TensorPair:
         self.active_container.stop()
         return True
 
-    def _standby_machine_healthy(self):
-        machine = self.standby_machine
-        return (
-            machine.alive
-            and machine.host.network_up
-            and not self.system.fencing.is_fenced(machine.name)
-        )
+    def _serviceable_standby(self):
+        """The machine a standby should live on: the current standby
+        machine when it can serve (alive, network up, not fenced), else
+        the first other machine that can, or None."""
+        def serviceable(machine):
+            return (machine.alive and machine.host.network_up
+                    and not self.system.fencing.is_fenced(machine.name))
+
+        if serviceable(self.standby_machine):
+            return self.standby_machine
+        return next((machine for machine in self.system.machines.values()
+                     if machine is not self.active_machine
+                     and serviceable(machine)), None)
 
     def _ensure_healthy_standby(self):
         """Re-home the standby when its machine is fenced or dead.
@@ -539,19 +545,15 @@ class TensorPair:
         underlay; this guarantees the *target* of a migration is a
         machine that can actually serve.
         """
-        if self._standby_machine_healthy():
-            return True
-        for machine in self.system.machines.values():
-            if machine is self.active_machine:
-                continue
-            if (machine.alive and machine.host.network_up
-                    and not self.system.fencing.is_fenced(machine.name)):
-                self.standby_machine = machine
-                self.standby_container = machine.create_container(
-                    f"{self.name}-{self.activations + 1}r", self.config_entries
-                )
-                return True
-        return False  # nowhere to go: stay on the (possibly dead) primary
+        machine = self._serviceable_standby()
+        if machine is None:
+            return False  # nowhere to go: stay on the (possibly dead) primary
+        if machine is not self.standby_machine:
+            self.standby_machine = machine
+            self.standby_container = machine.create_container(
+                f"{self.name}-{self.activations + 1}r", self.config_entries
+            )
+        return True
 
     def activate_backup(self, record, on_done, cold=False, epoch=None):
         if not self._epoch_accepted("activate_backup", epoch):
@@ -588,15 +590,7 @@ class TensorPair:
         """
         if not self._epoch_accepted("refresh_standby", epoch):
             return False
-        machine = self.standby_machine if self._standby_machine_healthy() else None
-        if machine is None:
-            for candidate in self.system.machines.values():
-                if candidate is self.active_machine:
-                    continue
-                if (candidate.alive and candidate.host.network_up
-                        and not self.system.fencing.is_fenced(candidate.name)):
-                    machine = candidate
-                    break
+        machine = self._serviceable_standby()
         if machine is None:
             return None
         self._standby_refreshes += 1

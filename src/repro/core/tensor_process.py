@@ -41,7 +41,6 @@ class TensorBgpSpeaker(BgpSpeaker):
         self._partial_outstanding = set()  # peer_ids with a live partial record
         self.replicated_in_messages = 0
         self.replicated_out_messages = 0
-        self.pruned_messages = 0
         #: Exactly-once apply accounting: per-connection high-water mark of
         #: applied incoming stream positions.  Positions strictly increase
         #: within one process incarnation (recovery replay resumes above
@@ -226,7 +225,6 @@ class TensorBgpSpeaker(BgpSpeaker):
                 keys, ack,
                 lambda: self.pipeline.delete_message(keys, "i", position),
             )
-        self.pruned_messages += 1
         self.pipeline.update_tcp_status(
             keys,
             {
@@ -320,7 +318,6 @@ class TensorBgpSpeaker(BgpSpeaker):
         while len(unpruned) > 1 and unpruned[0] <= acked_stream_pos:
             position = unpruned.pop(0)
             self.pipeline.delete_message(keys, "o", position)
-            self.pruned_messages += 1
             pruned_to = position
         self._out_pruned_pos[session.peer_id] = pruned_to
 

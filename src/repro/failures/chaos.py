@@ -25,7 +25,6 @@ from repro.failures.harness import (  # noqa: F401  (chaos-facing names)
     ScenarioResult,
     _PreparedRun,
     run_scenario as run_schedule,
-    scenario_shard_specs,
 )
 from repro.failures.schedule import (  # noqa: F401
     CONTROLLER_CORPUS_SEEDS,
@@ -42,29 +41,6 @@ from repro.failures.shrink import (  # noqa: F401
     shrink_scenario as shrink_schedule,
     write_repro_script,
 )
-
-
-def chaos_corpus_specs(seeds=CORPUS_SEEDS, hold_acks=True, tracing=False,
-                       db_failover=False, controller_chaos=False):
-    """ShardSpecs running one chaos seed per shard (all closed shards)."""
-    return scenario_shard_specs(
-        [generate_schedule(seed, db_failover=db_failover,
-                           controller_chaos=controller_chaos)
-         for seed in seeds],
-        hold_acks=hold_acks, tracing=tracing,
-    )
-
-
-def chaos_corpus_horizon(seeds=CORPUS_SEEDS, db_failover=False,
-                         controller_chaos=False):
-    """A run duration covering every seed's deadline under the parallel
-    runner's shared clock (schedule generation is pure, so this is
-    cheap and exact)."""
-    return max(
-        generate_schedule(seed, db_failover=db_failover,
-                          controller_chaos=controller_chaos).duration
-        for seed in seeds
-    ) + 1.0
 
 
 # ----------------------------------------------------------------------

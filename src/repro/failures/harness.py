@@ -18,7 +18,7 @@ harness; a *scenario* is either object, and supplies only what differs:
 - ``validate()``, ``to_dict()`` / ``from_dict()``, ``copy()``;
 - ``config_shrink_passes()``, ``profile_shape()`` and ``kind`` /
   ``describe()`` for the shrinker, the coverage profile and the names
-  and header of shards and repro scripts.
+  and header of repro scripts.
 
 :func:`run_scenario` builds a fresh system, replays the scenario, and
 checks one :class:`~repro.failures.oracles.OracleSuite` per pair after
@@ -191,10 +191,8 @@ class _PreparedRun:
 
     Splits :func:`run_scenario` into *prepare* (build the system, preload
     routes, arm the oracles, schedule every injection and workload burst)
-    and *advance* (:meth:`step_to`), so a scenario can be driven either
-    in one shot (:func:`run_scenario`) or window-by-window as a closed
-    shard under the parallel runtime (:class:`ScenarioShardProgram`) —
-    the two drivers execute the identical event sequence.
+    and *advance* (:meth:`step_to`), so a benchmark can time the two
+    apart.
     """
 
     def __init__(self, scenario, hold_acks=True, stop_on_violation=True,
@@ -401,8 +399,7 @@ def run_profile(result):
 
     Two runs with the same :func:`coverage_key` behaved the same way at
     this granularity; novelty search keeps one exemplar per key.  The
-    profile is a pure function of deterministic run state, so the key is
-    identical under ``workers=1`` and ``workers=N`` — that is tested.
+    profile is a pure function of deterministic run state.
     """
     scenario = result.scenario
     store = result.system.trace_store
@@ -423,80 +420,3 @@ def coverage_key(profile):
     """A short stable hash of a canonicalized profile."""
     canonical = json.dumps(profile, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-# ----------------------------------------------------------------------
-# scenarios as parallel-runtime shards
-# ----------------------------------------------------------------------
-
-class ScenarioShardProgram:
-    """One scenario as a *closed* shard (no cross-shard links).
-
-    A closed shard free-runs to the horizon in a single window, so the
-    execution is literally the single-process :func:`run_scenario` — the
-    parallel runtime only distributes the scenarios across workers.
-    """
-
-    def __init__(self, shard_id, params, boundary):
-        from repro.sim.parallel.runtime import _resolve_builder
-
-        self.prepared = _PreparedRun(
-            _resolve_builder(params["scenario"]).from_dict(params["data"]),
-            hold_acks=params.get("hold_acks", True),
-            stop_on_violation=params.get("stop_on_violation", True),
-            tracing=params.get("tracing", False),
-        )
-        self.engine = self.prepared.system.engine
-        self._result = None
-
-    def run_window(self, until):
-        return self.prepared.step_to(until)
-
-    def finalize(self):
-        self._result = self.prepared.finish()
-
-    def results(self):
-        result = self._result or self.prepared.finish()
-        profile = run_profile(result)
-        out = {
-            "seed": result.scenario.seed,
-            "verdict": result.summary(),
-            "violations": tuple(
-                (v.time, v.oracle, v.detail) for v in result.violations
-            ),
-            "rib": result.system.rib_digest(),
-            "executed": result.events_executed,
-            "completed": result.completed,
-            "profile": profile,
-            "coverage_key": coverage_key(profile),
-        }
-        store = result.system.trace_store
-        if store is not None:
-            out["phase_summary"] = store.phase_summary()
-        return out
-
-
-def build_scenario_shard(shard_id, params, boundary):
-    """Spawn-safe builder (``repro.failures.harness:build_scenario_shard``)."""
-    return ScenarioShardProgram(shard_id, params, boundary)
-
-
-def scenario_shard_specs(scenarios, hold_acks=True, tracing=False):
-    """ShardSpecs running one scenario per shard (all closed shards),
-    named ``<kind><seed>``."""
-    from repro.sim.parallel.runtime import ShardSpec
-
-    return [
-        ShardSpec(
-            f"{scenario.kind}{scenario.seed}",
-            "repro.failures.harness:build_scenario_shard",
-            params={
-                "scenario": f"{type(scenario).__module__}"
-                            f":{type(scenario).__name__}",
-                "data": scenario.to_dict(),
-                "hold_acks": hold_acks,
-                "tracing": tracing,
-            },
-        )
-        for scenario in scenarios
-    ]

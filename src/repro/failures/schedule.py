@@ -84,7 +84,7 @@ class ChaosSchedule:
          "base": "10.0.0.0", "length": 24, "count": 120}
     """
 
-    #: names the scenario kind in shard ids and repro scripts
+    #: names the scenario kind in repro scripts
     kind = "chaos"
     #: bursts draw per-route attributes from the generator pool
     uniform_attributes = False

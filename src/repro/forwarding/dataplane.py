@@ -39,10 +39,6 @@ class DataPlane:
         self.forwarded_packets += 1
         return True
 
-    @property
-    def dropped_packets(self):
-        return self.dropped_no_route + self.dropped_next_hop_down
-
 
 class TrafficFlow:
     """A constant-rate flow offered to a data plane.
@@ -103,10 +99,6 @@ class TrafficFlow:
     @property
     def lost_bytes(self):
         return self.lost_packets * self.packet_bytes
-
-    @property
-    def delivered_bytes(self):
-        return self.delivered_packets * self.packet_bytes
 
     def total_loss_time(self):
         closed = sum(end - start for start, end in self.loss_intervals)

@@ -90,8 +90,6 @@ class FibSyncer:
         self.loc_rib_provider = loc_rib_provider
         self.interval = interval
         self.process = Process(engine, f"fib-sync:{fib.name}")
-        self.sync_count = 0
-        self.last_changes = 0
 
     def start(self):
         self.process.every(self.interval, self.sync_now)
@@ -101,7 +99,6 @@ class FibSyncer:
         loc_rib = self.loc_rib_provider()
         if loc_rib is None:
             return 0  # control plane down: hold the programmed state
-        self.sync_count += 1
         desired = {
             prefix: path.attributes.next_hop
             for prefix, path in loc_rib.items()
@@ -119,7 +116,6 @@ class FibSyncer:
             if prefix not in self.fib:
                 self.fib.program(prefix, next_hop, self.engine.now)
                 changes += 1
-        self.last_changes = changes
         return changes
 
     def stop(self):

@@ -116,7 +116,7 @@ class FuzzSpec:
     ``workload`` entries are identical to the chaos schema.
     """
 
-    #: names the scenario kind in shard ids and repro scripts
+    #: names the scenario kind in repro scripts
     kind = "fuzz"
 
     def __init__(self, seed, neighbors=(), vrf_layout="per_peer",

@@ -46,7 +46,6 @@ class KvClient:
         self.epoch = epoch
         self.endpoint_generation = 0
         self.on_repoint = None
-        self.fenced_errors = 0
 
     def repoint(self, server_addr, epoch=None, server_port=None):
         """Move the client to a new endpoint (controller failover push).
@@ -85,7 +84,6 @@ class KvClient:
                 # The server refused to apply: our epoch is stale.  Never
                 # surface this through on_done — the caller would treat
                 # the write as durable.
-                self.fenced_errors += 1
                 if on_error is not None:
                     on_error(method, CAUSE_FENCED)
                 return

@@ -56,8 +56,5 @@ class LockManager:
     def holder(self, key):
         return self._holders.get(key)
 
-    def queue_length(self, key):
-        return len(self._waiters.get(key, ()))
-
     def held_keys(self):
         return set(self._holders)

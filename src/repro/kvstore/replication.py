@@ -9,13 +9,11 @@ re-synchronizing all the data."
 The cluster wires a primary :class:`~repro.kvstore.server.KvServer` to a
 synchronous replica on a different host and provides the failover levers
 a single-point database failure needs: promote the replica under a new
-**cluster epoch**, fence the old primary, repoint clients, and later
-re-synchronize the rebooted node back in as the new replica without
-losing writes acknowledged mid-copy (DESIGN.md §12).
+**cluster epoch**, fence the old primary and repoint clients (DESIGN.md
+§12).  A failed-over primary stays out: nothing re-synchronizes it.
 """
 
 from repro.kvstore.server import KV_PORT, KvServer
-from repro.kvstore.store import operation_cost
 from repro.sim.rpc import RefusalResponder
 
 
@@ -45,12 +43,8 @@ class ReplicatedKvCluster:
         # server process fails fast as "refused" rather than timing out,
         # which is what lets client retry loops spin cheaply during the
         # detection window.
-        self._refusers = (
-            RefusalResponder(engine, primary_host),
-            RefusalResponder(engine, replica_host),
-        )
-        self.resyncs = 0
-        self._resync_inflight = False
+        for host in (primary_host, replica_host):
+            RefusalResponder(engine, host)
 
     @property
     def primary_addr(self):
@@ -93,35 +87,3 @@ class ReplicatedKvCluster:
         self.primary.epoch = self.epoch
         self.primary.detach_replica()  # old peer is dead; no sync channel
         return self.primary.host.address
-
-    def resync_replica(self, on_done=None):
-        """Copy primary data to the (rebooted) replica and re-attach.
-
-        The copy takes simulated time proportional to the record count
-        (one bulk read plus one bulk write).  Writes acknowledged on the
-        primary *during* the copy land in a resync journal and are
-        replayed onto the replica before it re-attaches, closing the
-        snapshot->load lost-write window.
-        """
-        if self._resync_inflight:
-            raise RuntimeError("resync already in progress")
-        self._resync_inflight = True
-        self.replica.reboot()
-        snapshot = self.primary.store.snapshot()
-        self.primary.begin_resync_journal()
-        records = len(snapshot)
-        copy_time = operation_cost("mget", records) + operation_cost(
-            "mset", records
-        )
-        self.engine.schedule(copy_time, self._finish_resync, snapshot, on_done)
-
-    def _finish_resync(self, snapshot, on_done):
-        self.replica.store.load(snapshot)
-        for method, body in self.primary.end_resync_journal():
-            self.replica._apply(method, body)
-        self.replica.epoch = self.epoch
-        self.primary.attach_replica(self.replica.host.address, self.port)
-        self.resyncs += 1
-        self._resync_inflight = False
-        if on_done is not None:
-            on_done()

@@ -43,7 +43,6 @@ class KvServer:
         # cluster" — every stamped write passes (raw-server back-compat).
         self.epoch = 0
         self.fenced_writes = 0
-        self._resync_journal = None
 
     # -- replication wiring ----------------------------------------------
 
@@ -108,22 +107,7 @@ class KvServer:
             timeout=0.5,
         )
 
-    # -- resync journal ----------------------------------------------------
-
-    def begin_resync_journal(self):
-        """Start recording writes applied here, for replay onto a replica
-        being re-synchronized (closes the snapshot()->load() lost-write
-        window)."""
-        self._resync_journal = []
-
-    def end_resync_journal(self):
-        journal = self._resync_journal or []
-        self._resync_journal = None
-        return journal
-
     def _apply(self, method, body):
-        if self._resync_journal is not None and method in WRITE_METHODS:
-            self._resync_journal.append((method, body))
         if method == "get":
             return {"value": self.store.get(body["key"])}
         if method == "mget":

@@ -59,10 +59,6 @@ class KeyValueStore:
             (key, value) for key, value in self._data.items() if key.startswith(prefix)
         )
 
-    def delete_prefix(self, prefix):
-        doomed = [key for key in self._data if key.startswith(prefix)]
-        return self.delete(doomed)
-
     def __len__(self):
         return len(self._data)
 
@@ -87,29 +83,12 @@ class KeyValueStore:
                 total += 8
         return total
 
-    def snapshot(self):
-        """A shallow copy of the data, for replica bootstrap."""
-        return dict(self._data)
-
-    def load(self, data):
-        self._data = dict(data)
-
 
 #: The serializing (single-threaded CPU) share of the per-operation base;
 #: the rest is protocol/syscall latency that overlaps across clients.
 #: Real Redis sustains ~100K simple ops/s on one core, i.e. ~10-50 us of
 #: CPU per command, while a client still observes ~0.4-1 ms round trips.
 KV_CPU_BASE_FRACTION = 0.08
-
-
-def operation_cost(method, record_count):
-    """Client-observed server time for one batched operation (Fig. 5(b))."""
-    n = max(record_count, 1)
-    if method in ("get", "mget", "scan"):
-        return KV_READ_BASE + n * KV_READ_PER_RECORD
-    if method in ("set", "mset", "delete"):
-        return KV_WRITE_BASE + n * KV_WRITE_PER_RECORD
-    return KV_READ_BASE
 
 
 def server_cpu_cost(method, record_count):

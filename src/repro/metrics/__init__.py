@@ -1,7 +1,7 @@
 """Measurement helpers: statistics and paper-style reports."""
 
 from repro.metrics.stats import mean, median, stdev, summarize
-from repro.metrics.report import format_series, format_table
+from repro.metrics.report import format_table
 
 __all__ = [
     "mean",
@@ -9,5 +9,4 @@ __all__ = [
     "stdev",
     "summarize",
     "format_table",
-    "format_series",
 ]

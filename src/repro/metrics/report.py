@@ -26,9 +26,3 @@ def format_table(headers, rows, title=None, precision=3):
     for row in text_rows:
         lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(row))))
     return "\n".join(lines)
-
-
-def format_series(name, xs, ys, x_label="x", y_label="y", precision=3):
-    """Render one figure series as aligned columns."""
-    rows = list(zip(xs, ys))
-    return format_table([x_label, y_label], rows, title=name, precision=precision)

@@ -90,9 +90,6 @@ class NfQueue:
     def unbind(self, queue_num):
         self._consumers.pop(queue_num, None)
 
-    def is_bound(self, queue_num):
-        return queue_num in self._consumers
-
     def enqueue(self, queue_num, packet, release):
         """Suspend ``packet``; deliver it to the bound consumer.
 

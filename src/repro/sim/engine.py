@@ -127,15 +127,6 @@ class Engine:
         heappush(self._queue, (time, seq, event))
         return event
 
-    def schedule_at(self, when, callback, *args):
-        """Schedule ``callback(*args)`` at absolute virtual time ``when``."""
-        return self.schedule(when - self._now, callback, *args)
-
-    def call_soon(self, callback, *args):
-        """Schedule ``callback(*args)`` at the current instant (after the
-        currently-firing event and anything already queued for now)."""
-        return self.schedule(0.0, callback, *args)
-
     @contextlib.contextmanager
     def scoped(self, scope):
         """Tag every event scheduled inside the ``with`` block with ``scope``.

@@ -149,9 +149,6 @@ class Host:
     def unbind(self, protocol, port):
         self._ports.pop((protocol, port), None)
 
-    def is_bound(self, protocol, port):
-        return (protocol, port) in self._ports
-
     # -- reachability -------------------------------------------------------
 
     def anchor(self):

@@ -87,8 +87,6 @@ class ShardBoundary:
         self.network = None
         self._outbox = {}  # dst_shard -> [CrossShardFrame]
         self._seq = 0
-        self.frames_exported = 0
-        self.frames_injected = 0
         #: Event scope (see ``Engine.scoped``) applied to injected frames.
         #: A program that narrows its ``next_outbound_time()`` to a scope
         #: must set this to the same token, so the causal closure of
@@ -139,7 +137,6 @@ class ShardBoundary:
     def _exporter(self, dst_shard):
         def export(packet, arrival_time):
             self._seq += 1
-            self.frames_exported += 1
             self._outbox.setdefault(dst_shard, []).append(
                 CrossShardFrame(
                     dst_shard, arrival_time, self.shard_id, self._seq, packet
@@ -167,11 +164,9 @@ class ShardBoundary:
         if self.inject_scope is not None:
             with engine.scoped(self.inject_scope):
                 for frame in sorted(frames, key=MERGE_KEY):
-                    self.frames_injected += 1
                     engine.inject(frame.arrival_time, self._deliver, frame.packet)
             return
         for frame in sorted(frames, key=MERGE_KEY):
-            self.frames_injected += 1
             engine.inject(frame.arrival_time, self._deliver, frame.packet)
 
     def _deliver(self, packet):

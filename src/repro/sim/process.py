@@ -75,10 +75,6 @@ class Process:
     #: ``crash()`` method; for a bare simulated process they coincide.
     crash = kill
 
-    def revive(self):
-        """Allow a killed process object to schedule again (restart)."""
-        self.alive = True
-
     def __repr__(self):
         state = "alive" if self.alive else "dead"
         return f"<{type(self).__name__} {self.name!r} {state}>"

@@ -20,7 +20,7 @@ from repro.tcpsim.state import TcpState
 from repro.tcpsim.congestion import RenoCongestionControl
 from repro.tcpsim.connection import TcpConnection
 from repro.tcpsim.stack import TcpStack, TcpStackConfig
-from repro.tcpsim.repair import TcpRepairState, export_tcp_state, import_tcp_state
+from repro.tcpsim.repair import TcpRepairState, import_tcp_state
 from repro.tcpsim.throughput_model import max_throughput
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "TcpStack",
     "TcpStackConfig",
     "TcpRepairState",
-    "export_tcp_state",
     "import_tcp_state",
     "max_throughput",
 ]

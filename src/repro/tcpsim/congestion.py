@@ -20,7 +20,6 @@ class RenoCongestionControl:
         self.fast_recovery = False
         self._avoidance_acc = 0
         # counters for tests/diagnostics
-        self.slow_start_exits = 0
         self.loss_events = 0
         self.timeout_events = 0
 
@@ -37,8 +36,6 @@ class RenoCongestionControl:
             return
         if self.in_slow_start:
             self.cwnd += min(acked_bytes, self.mss)
-            if not self.in_slow_start:
-                self.slow_start_exits += 1
         else:
             # Congestion avoidance: one MSS per cwnd of acked bytes.
             self._avoidance_acc += acked_bytes

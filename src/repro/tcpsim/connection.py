@@ -86,9 +86,7 @@ class TcpConnection:
 
         # Statistics (read by tests and benchmarks).
         self.segments_sent = 0
-        self.segments_received = 0
         self.retransmissions = 0
-        self.bytes_sent = 0
         self.bytes_delivered = 0
         self.established_at = None
 
@@ -111,20 +109,6 @@ class TcpConnection:
     @property
     def bytes_unsent(self):
         return len(self._send_buffer) - self.bytes_in_flight
-
-    @property
-    def cumulative_bytes_received(self):
-        """App-stream bytes received so far — the quantity the paper's main
-        thread adds to the initial SEQ number to infer ACK numbers."""
-        if self.rcv_nxt is None or self.irs is None:
-            return 0
-        fin_adjust = 1 if self.state in (
-            TcpState.CLOSE_WAIT,
-            TcpState.CLOSING,
-            TcpState.LAST_ACK,
-            TcpState.TIME_WAIT,
-        ) else 0
-        return self.rcv_nxt - (self.irs + 1) - fin_adjust
 
     # ------------------------------------------------------------------
     # opening
@@ -226,7 +210,6 @@ class TcpConnection:
             payload = bytes(self._send_buffer[offset : offset + chunk])
             seg = Segment(self.snd_nxt, self.rcv_nxt, Segment.ACK, self.rcv_wnd, payload)
             self._emit(seg)
-            self.bytes_sent += chunk
             self._take_rtt_sample(self.snd_nxt + chunk)
             self.snd_nxt += chunk
             if not self._rexmit_timer.armed:
@@ -239,7 +222,6 @@ class TcpConnection:
 
     def on_segment(self, seg):
         """Entry point for every segment the stack demuxes to us."""
-        self.segments_received += 1
         if seg.rst:
             self._handle_rst(seg)
             return

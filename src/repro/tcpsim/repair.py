@@ -6,8 +6,9 @@ without any packets being exchanged.  The paper uses it at connection
 start to learn the initial SEQ/ACK numbers (§3.1.2) and, by extension, to
 rebuild the connection on the backup router during migration.
 
-``export_tcp_state`` snapshots a connection; ``import_tcp_state`` rebuilds
-it inside another stack.  The imported connection restarts with nothing in
+A :class:`TcpRepairState` snapshots a connection (recovery rebuilds one
+from the database); ``import_tcp_state`` rebuilds the connection inside
+another stack.  The imported connection restarts with nothing in
 flight: every byte past the peer's last cumulative ACK is queued for
 (re)transmission, and the peer's own retransmissions cover the opposite
 direction.  This is exactly why TENSOR only needs the *unapplied* messages
@@ -57,25 +58,6 @@ class TcpRepairState:
             f"{self.remote_addr}:{self.remote_port} una={self.snd_una}"
             f" rcv={self.rcv_nxt} queued={len(self.send_queue)}B>"
         )
-
-
-def export_tcp_state(conn):
-    """Snapshot ``conn`` (must be synchronized)."""
-    if not conn.state.is_synchronized():
-        raise ValueError(f"cannot export {conn.state.value} connection")
-    return TcpRepairState(
-        local_addr=conn.local_addr,
-        local_port=conn.local_port,
-        remote_addr=conn.remote_addr,
-        remote_port=conn.remote_port,
-        iss=conn.iss,
-        irs=conn.irs,
-        snd_una=conn.snd_una,
-        rcv_nxt=conn.rcv_nxt,
-        snd_wnd=conn.snd_wnd,
-        mss=conn.mss,
-        send_queue=bytes(conn._send_buffer),
-    )
 
 
 def import_tcp_state(stack, state, on_data=None, on_close=None, on_reset=None):

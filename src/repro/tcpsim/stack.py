@@ -59,8 +59,6 @@ class TcpStack:
         self._ephemeral = itertools.count(49152)
         self._cpu_busy_until = 0.0
         self.destroyed = False
-        self.segments_emitted = 0
-        self.segments_dropped_by_hooks = 0
 
     # ------------------------------------------------------------------
     # socket API
@@ -143,7 +141,6 @@ class TcpStack:
         )
         verdict, queue_num = self.output_chain.evaluate(packet)
         if verdict is Verdict.DROP:
-            self.segments_dropped_by_hooks += 1
             return
         if verdict is Verdict.QUEUE:
             self.nfqueue.enqueue(queue_num, packet, self._transmit)
@@ -163,7 +160,6 @@ class TcpStack:
         now = self.engine.now
         start = max(now, self._cpu_busy_until)
         self._cpu_busy_until = start + cost
-        self.segments_emitted += 1
         self.engine.schedule(self._cpu_busy_until - now, self.host.send, packet)
 
     # ------------------------------------------------------------------
@@ -175,7 +171,6 @@ class TcpStack:
             return
         verdict, queue_num = self.input_chain.evaluate(packet)
         if verdict is Verdict.DROP:
-            self.segments_dropped_by_hooks += 1
             return
         if verdict is Verdict.QUEUE:
             self.nfqueue.enqueue(queue_num, packet, self._demux)

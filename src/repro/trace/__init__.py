@@ -1,6 +1,6 @@
 """Causal tracing for the NSR hot path (DESIGN.md §10)."""
 
-from repro.trace.store import DEFAULT_BUCKETS, PHASES, TraceStore
+from repro.trace.store import PHASES, TraceStore
 from repro.trace.tracer import (
     AMBIENT,
     NULL_SPAN,
@@ -13,7 +13,6 @@ from repro.trace.tracer import (
 
 __all__ = [
     "AMBIENT",
-    "DEFAULT_BUCKETS",
     "NULL_SPAN",
     "NULL_TRACER",
     "NullTracer",

@@ -25,10 +25,6 @@ from repro.metrics.stats import summarize
 #: Span names of the five-phase receive pipeline, in causal order.
 PHASES = ("receive", "replicate", "ack_release", "apply", "propagate")
 
-#: Histogram bucket upper bounds (seconds); the last bucket is +inf.
-DEFAULT_BUCKETS = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 1.0)
-
-
 class TraceStore:
     """Holds every span a :class:`~repro.trace.tracer.Tracer` records."""
 
@@ -132,19 +128,6 @@ class TraceStore:
             if count:
                 shape.append((name, count.bit_length()))
         return tuple(shape)
-
-    def histogram(self, name, buckets=DEFAULT_BUCKETS):
-        """[(upper_bound_or_inf, count)] over ended-span durations."""
-        counts = [0] * (len(buckets) + 1)
-        for value in self.durations(name):
-            for index, bound in enumerate(buckets):
-                if value <= bound:
-                    counts[index] += 1
-                    break
-            else:
-                counts[-1] += 1
-        bounds = list(buckets) + [float("inf")]
-        return list(zip(bounds, counts))
 
     # -- the delayed-ACK phase invariant ---------------------------------
 

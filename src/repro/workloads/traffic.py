@@ -64,23 +64,6 @@ class TrafficModel:
         large_mean = math.exp(self.large_mu + self.large_sigma**2 / 2)
         return self.small_weight * small_mean + (1 - self.small_weight) * large_mean
 
-    def theoretical_fraction_above(self, threshold_bps):
-        """P[X > threshold] of the mixture."""
-        def tail(mu, sigma):
-            z = (math.log(threshold_bps) - mu) / sigma
-            return 0.5 * math.erfc(z / math.sqrt(2))
-
-        return self.small_weight * tail(self.small_mu, self.small_sigma) + (
-            1 - self.small_weight
-        ) * tail(self.large_mu, self.large_sigma)
-
-
-def empirical_cdf(samples):
-    """Sorted (value, cumulative_fraction) points for plotting/reporting."""
-    ordered = sorted(samples)
-    n = len(ordered)
-    return [(value, (i + 1) / n) for i, value in enumerate(ordered)]
-
 
 def percentile(samples, fraction):
     ordered = sorted(samples)

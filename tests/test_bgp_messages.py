@@ -16,7 +16,7 @@ from repro.bgp import (
 from repro.bgp.attributes import AsPath
 from repro.bgp.capabilities import Capabilities
 from repro.bgp.errors import BgpError, NotificationCode, UpdateSubcode
-from repro.bgp.messages import HEADER_SIZE, MAX_MESSAGE_SIZE, decode_message
+from repro.bgp.messages import HEADER_SIZE, MAX_MESSAGE_SIZE
 from repro.bgp.prefixes import decode_nlri_block, encode_nlri_block
 
 from nlri_reference import decode_block_reference
@@ -25,7 +25,8 @@ from nlri_reference import decode_block_reference
 def test_keepalive_is_bare_header():
     wire = KeepaliveMessage().to_wire()
     assert len(wire) == HEADER_SIZE
-    assert decode_message(wire) == KeepaliveMessage()
+    [(decoded, _)] = MessageDecoder().feed(wire)
+    assert decoded == KeepaliveMessage()
 
 
 def test_open_roundtrip_with_capabilities():
@@ -34,7 +35,7 @@ def test_open_roundtrip_with_capabilities():
         Capabilities(four_octet_as=65001, route_refresh=True,
                      graceful_restart_time=120),
     )
-    decoded = decode_message(msg.to_wire())
+    [(decoded, _)] = MessageDecoder().feed(msg.to_wire())
     assert decoded == msg
     assert decoded.capabilities.graceful_restart_time == 120
 
@@ -43,7 +44,8 @@ def test_open_4_octet_asn_uses_as_trans():
     msg = OpenMessage(70000, 90, 1, Capabilities(four_octet_as=70000))
     wire = msg.to_wire()
     # 2-octet field carries AS_TRANS; decoder recovers the real ASN
-    assert decode_message(wire).asn == 70000
+    [(decoded, _)] = MessageDecoder().feed(wire)
+    assert decoded.asn == 70000
 
 
 def test_update_roundtrip():
@@ -52,13 +54,14 @@ def test_update_roundtrip():
         attributes=PathAttributes(as_path=AsPath.sequence(65001), next_hop="1.2.3.4"),
         nlri=[Prefix.parse("10.0.0.0/8"), Prefix.parse("192.0.2.0/24")],
     )
-    assert decode_message(msg.to_wire()) == msg
+    [(decoded, _)] = MessageDecoder().feed(msg.to_wire())
+    assert decoded == msg
     assert msg.route_count() == 3
 
 
 def test_pure_withdrawal_update():
     msg = UpdateMessage(withdrawn=[Prefix.parse("10.0.0.0/8")])
-    decoded = decode_message(msg.to_wire())
+    [(decoded, _)] = MessageDecoder().feed(msg.to_wire())
     assert decoded.attributes is None
     assert decoded.withdrawn == msg.withdrawn
 
@@ -72,13 +75,14 @@ def test_update_over_4096_rejected():
 
 def test_notification_roundtrip():
     msg = NotificationMessage(NotificationCode.CEASE, 2, b"shutdown")
-    decoded = decode_message(msg.to_wire())
+    [(decoded, _)] = MessageDecoder().feed(msg.to_wire())
     assert decoded == msg
 
 
 def test_route_refresh_roundtrip():
     msg = RouteRefreshMessage(afi=2, safi=1)
-    assert decode_message(msg.to_wire()) == msg
+    [(decoded, _)] = MessageDecoder().feed(msg.to_wire())
+    assert decoded == msg
 
 
 def test_decoder_yields_sizes():
@@ -136,7 +140,7 @@ def test_decoder_bad_type_raises():
 def test_decode_message_rejects_trailing_garbage():
     wire = KeepaliveMessage().to_wire()
     with pytest.raises(BgpError):
-        decode_message(wire + wire)
+        list(MessageDecoder().feed(wire + bytes(HEADER_SIZE)))
 
 
 def test_interleaved_message_types_stream():
@@ -179,7 +183,8 @@ def update_strategy(draw):
 
 @given(msg=update_strategy())
 def test_update_wire_roundtrip_property(msg):
-    assert decode_message(msg.to_wire()) == msg
+    [(decoded, _)] = MessageDecoder().feed(msg.to_wire())
+    assert decoded == msg
 
 
 @given(splits=st.lists(st.integers(min_value=1, max_value=64), min_size=0, max_size=30),
@@ -292,7 +297,7 @@ def test_update_keeps_the_blocks_that_arrived():
         attributes=PathAttributes(next_hop="1.2.3.4"),
         nlri=[Prefix.parse("10.1.0.0/16"), Prefix.parse("10.2.3.0/24")],
     )
-    decoded = decode_message(msg.to_wire())
+    [(decoded, _)] = MessageDecoder().feed(msg.to_wire())
     assert decoded.withdrawn_wire == msg.withdrawn_wire == b"\x10\x0a\x09"
     assert decoded.nlri_wire == msg.nlri_wire == b"\x10\x0a\x01\x18\x0a\x02\x03"
     assert decoded.to_wire() == msg.to_wire()

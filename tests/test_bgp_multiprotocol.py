@@ -5,7 +5,7 @@ import pytest
 from repro.bgp import PathAttributes, Prefix
 from repro.bgp.attributes import AsPath
 from repro.bgp.errors import BgpError
-from repro.bgp.messages import UpdateMessage, decode_message
+from repro.bgp.messages import MessageDecoder, UpdateMessage
 from repro.bgp.multiprotocol import (
     MpReach,
     MpUnreach,
@@ -58,7 +58,7 @@ def test_attach_mp_reach_travels_in_update():
     attrs = PathAttributes(as_path=AsPath.sequence(65001), next_hop="1.2.3.4")
     v6_attrs = attach_mp_reach(attrs, V6_NH, V6_PREFIXES)
     message = UpdateMessage(attributes=v6_attrs, nlri=[Prefix.parse("10.0.0.0/8")])
-    decoded = decode_message(message.to_wire())
+    [(decoded, _)] = MessageDecoder().feed(message.to_wire())
     reach, unreach = mp_routes_of(decoded.attributes)
     assert unreach is None
     assert reach.next_hop == V6_NH

@@ -2,13 +2,20 @@
 
 from hypothesis import given, strategies as st
 
-from repro.bgp import PathAttributes, Prefix, pack_routes
+from repro.bgp import PathAttributes, Prefix
 from repro.bgp.attributes import AsPath
-from repro.bgp.messages import MAX_MESSAGE_SIZE, decode_message
-from repro.bgp.packing import pack_withdrawals
+from repro.bgp.messages import MAX_MESSAGE_SIZE, MessageDecoder
+from repro.bgp.packing import group_routes, pack_group, pack_withdrawals
 
 A1 = PathAttributes(as_path=AsPath.sequence(65001), next_hop="1.1.1.1")
 A2 = PathAttributes(as_path=AsPath.sequence(65002), next_hop="1.1.1.1")
+
+
+def _pack(routes):
+    """Group ``routes`` by attribute set and pack each group, as the
+    speaker's advertisement plan does."""
+    return [message for _afi, attributes, prefixes in group_routes(routes)
+            for message in pack_group(attributes, prefixes)]
 
 
 def _prefixes(n, length=24):
@@ -17,21 +24,21 @@ def _prefixes(n, length=24):
 
 def test_shared_attributes_pack_into_one_message():
     routes = [(p, A1) for p in _prefixes(100)]
-    messages = pack_routes(routes)
+    messages = _pack(routes)
     assert len(messages) == 1
     assert len(messages[0].nlri) == 100
 
 
 def test_distinct_attributes_split_messages():
     routes = [(p, A1 if i % 2 == 0 else A2) for i, p in enumerate(_prefixes(10))]
-    messages = pack_routes(routes)
+    messages = _pack(routes)
     assert len(messages) == 2
     assert {len(m.nlri) for m in messages} == {5}
 
 
 def test_messages_respect_size_limit():
     routes = [(p, A1) for p in _prefixes(3000)]
-    messages = pack_routes(routes)
+    messages = _pack(routes)
     assert len(messages) > 1
     for message in messages:
         assert len(message.to_wire()) <= MAX_MESSAGE_SIZE
@@ -39,7 +46,7 @@ def test_messages_respect_size_limit():
 
 def test_no_prefix_lost_or_duplicated():
     routes = [(p, A1 if i % 3 else A2) for i, p in enumerate(_prefixes(2500))]
-    messages = pack_routes(routes)
+    messages = _pack(routes)
     packed = [p for m in messages for p in m.nlri]
     assert sorted(packed) == sorted(p for p, _a in routes)
     assert len(set(packed)) == len(packed)
@@ -47,8 +54,9 @@ def test_no_prefix_lost_or_duplicated():
 
 def test_packed_messages_decode():
     routes = [(p, A1) for p in _prefixes(1500)]
-    for message in pack_routes(routes):
-        assert decode_message(message.to_wire()) == message
+    for message in _pack(routes):
+        [(decoded, _)] = MessageDecoder().feed(message.to_wire())
+        assert decoded == message
 
 
 def test_pack_withdrawals_batches():
@@ -62,13 +70,13 @@ def test_pack_withdrawals_batches():
 
 
 def test_empty_input():
-    assert pack_routes([]) == []
+    assert _pack([]) == []
     assert pack_withdrawals([]) == []
 
 
 def test_order_of_first_appearance_preserved():
     routes = [(Prefix(1 << 8, 24), A2), (Prefix(2 << 8, 24), A1), (Prefix(3 << 8, 24), A2)]
-    messages = pack_routes(routes)
+    messages = _pack(routes)
     assert messages[0].attributes == A2
     assert messages[1].attributes == A1
 
@@ -81,7 +89,7 @@ def test_packing_property_complete_and_bounded(n, pool):
         for i in range(pool)
     ]
     routes = [(p, attrs[i % pool]) for i, p in enumerate(_prefixes(n))]
-    messages = pack_routes(routes)
+    messages = _pack(routes)
     packed = [p for m in messages for p in m.nlri]
     assert len(packed) == n
     for message in messages:

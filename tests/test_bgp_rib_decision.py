@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.bgp import AdjRibIn, AsPath, LocRib, Origin, PathAttributes, Prefix
+from repro.bgp.aggregation import expand_snapshot_paths
 from repro.bgp.decision import best_path
 from repro.bgp.rib import Path, Route
 from repro.sim.rand import DeterministicRandom
@@ -213,8 +214,10 @@ def test_loc_rib_export_import_roundtrip():
     rib.offer(P1, _path("a", local_pref=100))
     rib.offer(P1, _path("b", local_pref=200))
     rib.offer(P2, _path("a"))
-    entries = rib.export_entries()
-    rebuilt = LocRib.import_entries(entries, 65001, 7)
+    # recovery's path: records decoded into paths, offered to a new table
+    rebuilt = LocRib(local_as=65001, router_id=7)
+    for prefix, path in expand_snapshot_paths(rib.export_entries()):
+        rebuilt.offer(prefix, path)
     assert len(rebuilt) == len(rib)
     assert rebuilt.best(P1).peer_id == rib.best(P1).peer_id
     assert set(rebuilt.candidates(P1)) == set(rib.candidates(P1))

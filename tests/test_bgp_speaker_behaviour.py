@@ -50,18 +50,6 @@ def test_vrf_isolation(engine, network):
     assert blue_session.updates_received == 0
 
 
-def test_graceful_shutdown_notifies_peers(engine, network):
-    gw, remotes = _two_vrf_setup(engine, network)
-    sessions = [list(r.sessions.values())[0] for r in remotes.values()]
-    assert all(s.established for s in sessions)
-    gw.graceful_shutdown()
-    engine.advance(2.0)
-    # peers saw CEASE and dropped cleanly (no hold-timer wait)
-    assert all(not s.established for s in sessions)
-    assert all(s.session_drops == 1 for s in sessions)
-    assert not gw.running
-
-
 def test_mrai_batches_changes_into_few_updates(engine, network):
     """Many loc-rib changes inside one MRAI window leave as packed
     UPDATEs, not one message per prefix."""

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.config import ConfigError, build_system, load_json, validate_spec
+from repro.config import ConfigError, build_system, validate_spec
 
 
 def good_spec():
@@ -39,6 +39,10 @@ def good_spec():
 def _import_policy(spec, entries):
     spec["pairs"][0]["neighbors"][0]["import_policy"] = {
         "name": "p", "entries": entries}
+
+
+def _neighbor(spec):
+    return spec["pairs"][0]["neighbors"][0]
 
 
 def test_valid_spec_passes():
@@ -78,6 +82,24 @@ def test_valid_spec_passes():
      "$.pairs[0].neighbors[0].import_policy.entries:"),
     (lambda s: _import_policy(s, ["x"]),
      "$.pairs[0].neighbors[0].import_policy.entries:"),
+    # specs that build but cannot run
+    (lambda s: _neighbor(s).update(bfd_tx_interval=0),
+     "$.pairs[0].neighbors[0].bfd_tx_interval"),
+    (lambda s: _neighbor(s).update(bfd_tx_interval=-1),
+     "$.pairs[0].neighbors[0].bfd_tx_interval"),
+    (lambda s: _neighbor(s).update(hold_time=-1),
+     "$.pairs[0].neighbors[0].hold_time"),
+    (lambda s: s["remotes"][0]["peer"].update(hold_time=-1),
+     "$.remotes[0].peer.hold_time"),
+    (lambda s: _neighbor(s).update(hold_time=1),
+     "$.pairs[0].neighbors[0].hold_time"),
+    (lambda s: s["remotes"][0]["peer"].update(mode="passive"),
+     "$.remotes[0].peer.mode"),
+    (lambda s: s.update(controller_replicas=0), "$.controller_replicas"),
+    (lambda s: s.update(controller_replicas=True), "$.controller_replicas"),
+    (lambda s: s["machines"].append({"name": "gw-3", "address": "10.1.0.1"}),
+     "$.machines[2].address"),
+    (lambda s: s.update(remote_db={"latency": -1}), "$.remote_db.latency"),
 ])
 def test_invalid_specs_rejected(mutate, path_fragment):
     spec = good_spec()
@@ -130,6 +152,6 @@ def test_build_system_carries_options():
 def test_load_json(tmp_path):
     path = tmp_path / "gateway.json"
     path.write_text(json.dumps(good_spec()))
-    system, pairs, remotes = load_json(str(path))
+    system, pairs, remotes = build_system(json.loads(path.read_text()))
     system.run(10.0)
     assert pairs["pair0"].established_session_count() == 1

@@ -14,6 +14,7 @@ from repro.sim import DeterministicRandom, Engine, Network
 from repro.sim.calibration import (
     CONFIG_LOAD_TIME_PER_ENTRY,
     CONTAINER_BASE_BOOT_TIME,
+    HOST_MEMORY_BYTES,
 )
 
 
@@ -87,7 +88,7 @@ def test_container_fail_crashes_processes(engine, machine):
     proc = container.add_process("bgp", FakeProc())
     container.fail()
     assert not proc.alive
-    assert container.any_process_dead()
+    assert not container.process_alive("bgp")
 
 
 def test_container_network_failure_keeps_processes(engine, machine):
@@ -102,7 +103,7 @@ def test_container_network_failure_keeps_processes(engine, machine):
     container.fail_network()
     assert container.state is ContainerState.RUNNING
     assert not container.endpoint.reachable()
-    assert not container.any_process_dead()
+    assert container.process_alive("bgp")
 
 
 def test_process_alive_handles_running_attribute(engine, machine):
@@ -193,7 +194,9 @@ def test_machine_resource_accounting(engine, machine):
 
 def test_host_capacity_bounds():
     model = ResourceModel()
-    assert model.host_capacity_containers(1000) >= 1000  # CPU bound ~ 1785
+    # a host fits >= 1000 containers of 1000 entries, by memory and by CPU
+    assert HOST_MEMORY_BYTES // model.container_memory(1000) >= 1000
+    assert int(1.0 / model.container_cpu_fraction()) >= 1000  # ~ 1785
 
 
 # -- underlay -----------------------------------------------------------------
@@ -207,7 +210,7 @@ def test_underlay_claim_binds_address(engine, network, machine):
     binding = underlay.claim("10.99.0.1", machine, container, "v1")
     assert network.host_by_address("10.99.0.1") is binding.endpoint
     assert binding.endpoint.anchor() is machine.host
-    assert underlay.owner_machine("10.99.0.1") is machine
+    assert underlay.binding("10.99.0.1").machine is machine
 
 
 def test_underlay_move_rebinds_exclusively(engine, network, machine):
@@ -222,7 +225,8 @@ def test_underlay_move_rebinds_exclusively(engine, network, machine):
     assert network.host_by_address("10.99.0.1") is moved.endpoint
     assert moved.endpoint.anchor() is other.host
     assert underlay.moves == 1
-    assert underlay.addresses_on(machine) == []
+    assert underlay.binding("10.99.0.1").machine is other
+    assert len(underlay) == 1
 
 
 def test_underlay_release(engine, network, machine):

@@ -146,17 +146,3 @@ def test_crash_drops_held_acks_forever(env):
     # the remote never got the ACK: its send buffer still holds the data
     assert client.snd_una < client.snd_nxt
     assert client.retransmissions > 0
-
-
-def test_uninstall_removes_rules_and_drops_held(env):
-    engine, _net, server, pipeline, sa, sb = env
-    tq = TcpQueueThread(engine, pipeline, verify_reads=False)
-    client, gw_conn, _rx = _establish(engine, sa, sb)
-    keys = ConnectionKeys("pair0", "v1", "10.0.0.2", 179, "10.0.0.1", client.local_port)
-    tq.install_for_connection(sb, gw_conn, keys)
-    rules_before = len(sb.output_chain.rules)
-    client.send(b"M")
-    engine.advance(0.3)
-    tq.uninstall_connection(gw_conn)
-    assert len(sb.output_chain.rules) == rules_before - 2
-    assert tq.held_count() == 0

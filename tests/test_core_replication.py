@@ -29,7 +29,8 @@ def test_connection_keys_schema():
     keys = ConnectionKeys("pair0", "v1", "10.0.0.1", 179, "192.0.2.1", 49152)
     assert keys.session == "tensor:pair0:sess:v1|10.0.0.1:179|192.0.2.1:49152"
     assert keys.message("i", 42).endswith(":i:0000000000000042")
-    assert keys.message("o", 7).startswith(keys.message_prefix("o"))
+    assert keys.message("o", 7) == (
+        "tensor:pair0:msg:v1|10.0.0.1:179|192.0.2.1:49152:o:0000000000000007")
 
 
 def test_coalescer_writes_and_fires_callbacks(kv_env):

@@ -1,12 +1,26 @@
-"""The examples must stay runnable — they are executable documentation."""
+"""The examples must stay runnable — they are executable documentation.
+
+Each example's stdout is pinned byte for byte to its golden in
+``tests/example_goldens/`` (the simulation is deterministic), so a
+change that alters what an example shows fails here.  Rewrite a golden
+only for a change that means to alter that output.
+"""
 
 import pathlib
 import runpy
-import sys
 
 import pytest
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+GOLDENS = pathlib.Path(__file__).resolve().parent / "example_goldens"
+
+
+def _run(script, capsys):
+    runpy.run_path(str(EXAMPLES / script), run_name="__main__")
+    out = capsys.readouterr().out
+    golden = (GOLDENS / script).with_suffix(".txt").read_text(encoding="utf-8")
+    assert out == golden
+    return out
 
 
 @pytest.mark.parametrize(
@@ -15,13 +29,10 @@ EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
      "declarative_gateway.py"],
 )
 def test_example_runs(script, capsys):
-    runpy.run_path(str(EXAMPLES / script), run_name="__main__")
-    out = capsys.readouterr().out
-    assert out.strip()  # every example prints its story
+    _run(script, capsys)
 
 
 def test_failover_drill_runs(capsys):
-    runpy.run_path(str(EXAMPLES / "failover_drill.py"), run_name="__main__")
-    out = capsys.readouterr().out
+    out = _run("failover_drill.py", capsys)
     assert "host_machine" in out
     assert "transient" in out

@@ -1,13 +1,11 @@
-"""Automatic database failover: epoch fencing, delta-safe resync,
-client repoint, and the controller-side health monitor (DESIGN.md §12).
+"""Automatic database failover: epoch fencing, client repoint, and the
+controller-side health monitor (DESIGN.md §12).
 
-These pin the three bugfixes this subsystem shipped with:
+These pin the bugfixes this subsystem shipped with:
 
 - promote_replica used to leave the old primary's replication channel
   and epoch untouched, so a client that never repointed kept writing
   into the cluster (split brain);
-- resync_replica used to copy a point-in-time snapshot, silently losing
-  writes acknowledged mid-copy;
 - the coalescer's fire-and-forget delete pruning used to drop exhausted
   batches on the floor, leaking snapshot-store records forever.
 """
@@ -91,49 +89,7 @@ def test_unstamped_writes_pass_the_fence(cluster):
     assert done and cluster.primary.store.get("k") == "v"
 
 
-# -- satellite 2: delta-safe resync -------------------------------------------
-
-
-def test_write_during_resync_survives_next_failover(cluster):
-    """A set acknowledged while the bulk copy is in flight must land on
-    the re-synchronized replica (journal replay), so a *second* failover
-    does not lose it."""
-    engine, cluster, client = cluster
-    client.mset([(f"k{i}", i) for i in range(2000)], on_done=lambda: None)
-    engine.run_until_idle()
-
-    cluster.fail_primary()
-    new_addr = cluster.promote_replica()
-    client.repoint(new_addr, epoch=cluster.epoch)
-
-    finished = []
-    cluster.resync_replica(on_done=lambda: finished.append(engine.now))
-    started = engine.now
-    # issued immediately: the 2000-record copy takes ~0.1 s of simulated
-    # time, so this write is acknowledged strictly inside the window
-    client.set("mid", "copy", on_done=lambda: None)
-    engine.run_until_idle()
-
-    assert finished and finished[0] > started
-    assert cluster.resyncs == 1
-    assert cluster.replica.store.get("mid") == "copy"
-
-    cluster.fail_primary()
-    cluster.promote_replica()
-    assert cluster.primary.store.get("mid") == "copy"
-    assert cluster.primary.store.get("k1999") == 1999
-
-
-def test_resync_rejects_concurrent_resync(cluster):
-    engine, cluster, _client = cluster
-    cluster.resync_replica()
-    with pytest.raises(RuntimeError):
-        cluster.resync_replica()
-    engine.run_until_idle()
-    assert cluster.resyncs == 1
-
-
-# -- satellite 3: exhausted delete batches re-queue ---------------------------
+# -- satellite 2: exhausted delete batches re-queue ---------------------------
 
 
 def test_exhausted_delete_batch_requeues_not_drops(engine):

@@ -62,8 +62,8 @@ def test_queue_length():
     locks.acquire("c", "a", lambda: None)
     locks.acquire("c", "b", lambda: None)
     locks.acquire("c", "d", lambda: None)
-    assert locks.queue_length("c") == 2
-    assert locks.queue_length("other") == 0
+    assert locks.contentions == 2  # b and d wait behind a
+    assert locks.holder("other") is None
 
 
 def test_held_keys():

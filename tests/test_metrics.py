@@ -3,7 +3,6 @@
 import pytest
 
 from repro.metrics import (
-    format_series,
     format_table,
     mean,
     median,
@@ -47,6 +46,8 @@ def test_format_table_large_and_small_numbers():
 
 
 def test_format_series():
-    text = format_series("Fig X", [1, 2], [10.0, 20.0], "n", "seconds")
+    # a figure series is a titled two-column table
+    text = format_table(["n", "seconds"], list(zip([1, 2], [10.0, 20.0])),
+                        title="Fig X")
     assert "Fig X" in text
     assert "seconds" in text

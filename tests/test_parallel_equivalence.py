@@ -1,11 +1,11 @@
 """Seeded equivalence: sharded parallel execution is bit-identical.
 
 The conservative runtime's core guarantee (DESIGN.md §11): for a fixed
-scenario and seed, ``workers=1`` and ``workers=4`` produce identical
-Loc-RIB contents, chaos oracle verdicts, and trace phase summaries —
+workload and seed, ``workers=1`` and ``workers=4`` produce identical
+Loc-RIB contents, event counts, windows and trace phase summaries —
 sharding changes wall-clock, never results.  These tests pin that
-guarantee on the two shard programs the repo ships: the container-fleet
-workload (cross-shard BGP ring) and the chaos corpus (closed shards).
+guarantee on the shard program the repo ships, the container-fleet
+workload (cross-shard BGP ring), and on a bursty test program.
 """
 
 import functools
@@ -13,12 +13,6 @@ import math
 
 import pytest
 
-from repro.failures.chaos import (
-    chaos_corpus_horizon,
-    chaos_corpus_specs,
-    generate_schedule,
-    run_schedule,
-)
 from repro.sim import Engine, Network
 from repro.sim.network import Packet
 from repro.sim.parallel import BoundaryLink, ParallelRunner, ShardSpec
@@ -29,32 +23,12 @@ pytestmark = pytest.mark.slow
 FLEET_KW = dict(pairs=2, routes=20, border_routes=10, seed=3,
                 churn_ticks=2, churn_interval=2.0, tracing=True)
 FLEET_DURATION = 22.0
-CHAOS_SEEDS = (0, 1, 2)
 
 
 @functools.lru_cache(maxsize=None)
 def fleet_run(workers):
     specs = fleet_site_specs(2, **FLEET_KW)
     return ParallelRunner(specs, workers=workers).run(FLEET_DURATION)
-
-
-@functools.lru_cache(maxsize=None)
-def chaos_run(workers):
-    specs = chaos_corpus_specs(CHAOS_SEEDS)
-    return ParallelRunner(specs, workers=workers).run(
-        chaos_corpus_horizon(CHAOS_SEEDS)
-    )
-
-
-DB_FAILOVER_SEEDS = (10, 11, 12)
-
-
-@functools.lru_cache(maxsize=None)
-def db_failover_run(workers):
-    specs = chaos_corpus_specs(DB_FAILOVER_SEEDS, db_failover=True)
-    return ParallelRunner(specs, workers=workers).run(
-        chaos_corpus_horizon(DB_FAILOVER_SEEDS, db_failover=True)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -91,31 +65,6 @@ def test_fleet_trace_phase_summaries_match_across_worker_counts():
         summary = sequential.shard_results[site]["phase_summary"]
         assert summary  # tracing was on and captured phases
         assert summary == sharded.shard_results[site]["phase_summary"]
-
-
-# ----------------------------------------------------------------------
-# chaos corpus: closed shards, oracle verdicts
-# ----------------------------------------------------------------------
-
-def test_chaos_corpus_verdicts_identical_across_worker_counts():
-    sequential, two, four = chaos_run(1), chaos_run(2), chaos_run(4)
-    assert sequential.shard_results == two.shard_results
-    assert sequential.shard_results == four.shard_results
-    for seed in CHAOS_SEEDS:
-        verdict = sequential.shard_results[f"chaos{seed}"]["verdict"]
-        assert verdict == "all oracles passed"
-
-
-def test_db_failover_chaos_identical_across_worker_counts():
-    """The automatic-failover machinery (monitor pings, promotion,
-    client repoints, retry backoff) is all virtual-time events; sharding
-    must not perturb any of it — verdicts and RIBs stay bit-identical
-    and every seed fails over exactly once, cleanly."""
-    sequential, sharded = db_failover_run(1), db_failover_run(4)
-    assert sequential.shard_results == sharded.shard_results
-    for seed in DB_FAILOVER_SEEDS:
-        verdict = sequential.shard_results[f"chaos{seed}"]["verdict"]
-        assert verdict == "all oracles passed"
 
 
 # ----------------------------------------------------------------------
@@ -228,72 +177,3 @@ def test_burst_scenario_windows_collapse_in_quiet_gaps():
     assert any(
         width <= BURST_LOOKAHEAD * 1.5 for width in result.window_widths()
     )
-
-
-# ----------------------------------------------------------------------
-# fuzz specs as closed shards: coverage keys are worker-count stable
-# ----------------------------------------------------------------------
-
-FUZZ_SEEDS = (1, 4)
-
-
-@functools.lru_cache(maxsize=None)
-def fuzz_run(workers):
-    from repro.failures.harness import scenario_shard_specs
-    from repro.fuzz import generate_fuzz_spec
-
-    specs = [generate_fuzz_spec(seed) for seed in FUZZ_SEEDS]
-    horizon = max(spec.duration for spec in specs) + 20.0
-    return ParallelRunner(
-        scenario_shard_specs(specs, tracing=True), workers=workers
-    ).run(horizon)
-
-
-def test_fuzz_coverage_keys_identical_across_worker_counts():
-    """DESIGN.md §13 (S4): the coverage signal is a pure function of
-    deterministic run state, so the same spec + seed yields the same
-    profile and coverage key under workers=1 and workers=4 — full shard
-    results (RIBs, verdicts, phase shapes) included."""
-    sequential, sharded = fuzz_run(1), fuzz_run(4)
-    assert sequential.shard_results == sharded.shard_results
-    for seed in FUZZ_SEEDS:
-        shard = sequential.shard_results[f"fuzz{seed}"]
-        assert shard["verdict"] == "all oracles passed"
-        assert shard["completed"] is True
-        assert shard["coverage_key"] == (
-            sharded.shard_results[f"fuzz{seed}"]["coverage_key"]
-        )
-
-
-def test_fuzz_shard_matches_plain_run_fuzz_spec():
-    from repro.fuzz import (
-        coverage_key,
-        generate_fuzz_spec,
-        run_fuzz_spec,
-        run_profile,
-    )
-
-    sharded = fuzz_run(1)
-    for seed in FUZZ_SEEDS:
-        plain = run_fuzz_spec(generate_fuzz_spec(seed), tracing=True)
-        shard = sharded.shard_results[f"fuzz{seed}"]
-        assert shard["verdict"] == plain.summary()
-        assert shard["executed"] == plain.events_executed
-        assert shard["rib"] == plain.system.rib_digest()
-        assert shard["profile"] == run_profile(plain)
-        assert shard["coverage_key"] == coverage_key(run_profile(plain))
-
-
-def test_chaos_shard_matches_plain_run_schedule():
-    # a closed shard under the windowed runner is literally run_schedule:
-    # same verdict, same violation list, same event count, same RIBs
-    sharded = chaos_run(1)
-    for seed in CHAOS_SEEDS:
-        plain = run_schedule(generate_schedule(seed))
-        shard = sharded.shard_results[f"chaos{seed}"]
-        assert shard["verdict"] == plain.summary()
-        assert shard["violations"] == tuple(
-            (v.time, v.oracle, v.detail) for v in plain.suite.violations
-        )
-        assert shard["executed"] == plain.events_executed
-        assert shard["rib"] == plain.system.rib_digest()

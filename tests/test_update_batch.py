@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.bgp import PathAttributes, PeerConfig, Prefix, SpeakerConfig
 from repro.bgp import fsm
 from repro.bgp.attributes import AsPath
-from repro.bgp.messages import MARKER, UpdateMessage, decode_message
+from repro.bgp.messages import MARKER, MessageDecoder, UpdateMessage
 from repro.bgp.multiprotocol import attach_mp_reach, attach_mp_unreach
 from repro.bgp.policy import PolicyAction, PrefixList, RouteMap, RouteMapEntry
 from repro.core.recovery import BackupRecovery, RecoveredState
@@ -139,7 +139,7 @@ class _Gateway:
     def receive(self, message):
         wire = message.to_wire()
         self.position += len(wire)
-        decoded = decode_message(wire)
+        [(decoded, _)] = MessageDecoder().feed(wire)
         applied = self.session.handle_message(decoded, len(wire))
         self.speaker._persist_rib_delta(self.session, applied, self.position)
         delta = self.plain_kv.store[rib_delta_key(
