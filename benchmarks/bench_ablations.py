@@ -24,7 +24,7 @@ from repro.core.tensor_process import TensorBgpSpeaker
 from repro.failures import FailureInjector
 from repro.kvstore import KvClient, KvServer
 from repro.metrics import format_table
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 from repro.tcpsim import TcpStack
 from repro.workloads.updates import RouteGenerator
 
@@ -91,7 +91,7 @@ def ablation_bfd_relay():
 
 def _monolithic_receive(as_count, updates_each):
     engine = Engine()
-    network = Network(engine, DeterministicRandom(17))
+    network = Network(engine)
     network.enable_fabric(latency=5e-5)
     gw_host = network.add_host("gw", "10.0.0.1")
     db_host = network.add_host("db", "10.254.0.1")
@@ -141,7 +141,7 @@ def _split_receive(as_count, updates_each):
     """Each AS gets its own TENSOR process (its own CPU): the makespan is
     the slowest single container, not the sum."""
     engine = Engine()
-    network = Network(engine, DeterministicRandom(18))
+    network = Network(engine)
     network.enable_fabric(latency=5e-5)
     db_host = network.add_host("db", "10.254.0.1")
     KvServer(engine, db_host)
@@ -197,7 +197,7 @@ def ablation_split(as_count=50, updates_each=10_000):
 
 def ablation_boot_time():
     engine = Engine()
-    network = Network(engine, DeterministicRandom(1))
+    network = Network(engine)
     machine = HostMachine(engine, network, "m", "10.1.0.1")
     monolith = machine.create_container("monolith", config_entries=100_000)
     containers = [

@@ -13,7 +13,7 @@ Netfilter OUTPUT -> NFQUEUE hook.
 from conftest import run_once
 from repro.metrics import format_table, summarize
 from repro.netfilter import Rule, Verdict
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 from repro.tcpsim import TcpStack, max_throughput
 from repro.tcpsim.throughput_model import average_segment_bytes, delay_threshold
 from repro.trace import PHASES
@@ -33,7 +33,7 @@ def measure_throughput(write_size, ack_delay, duration=None, warmup=0.15):
     if duration is None:
         duration = max(0.25, 25 * (RTT + ack_delay))
     engine = Engine()
-    network = Network(engine, DeterministicRandom(7))
+    network = Network(engine)
     sender = network.add_host("sender", "10.0.0.1")
     receiver = network.add_host("receiver", "10.0.0.2")
     network.connect(sender, receiver, latency=100e-6, bandwidth=100e9)

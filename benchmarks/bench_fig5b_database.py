@@ -9,7 +9,7 @@ maximal BGP message).
 from conftest import run_once
 from repro.kvstore import KvClient, KvServer
 from repro.metrics import format_table
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 from repro.sim.calibration import KV_KEY_BYTES, KV_VALUE_BYTES_MAX
 
 RECORD_COUNTS = (1, 10, 70, 100, 1000, 10_000)
@@ -17,7 +17,7 @@ RECORD_COUNTS = (1, 10, 70, 100, 1000, 10_000)
 
 def run_experiment():
     engine = Engine()
-    network = Network(engine, DeterministicRandom(3))
+    network = Network(engine)
     network.enable_fabric(latency=5e-5)
     gateway = network.add_host("gw", "10.0.0.1")
     db_host = network.add_host("db", "10.0.0.2")

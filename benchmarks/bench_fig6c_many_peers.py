@@ -16,7 +16,7 @@ from repro.core.replication import ReplicationPipeline
 from repro.core.tensor_process import TensorBgpSpeaker
 from repro.kvstore import KvClient, KvServer
 from repro.metrics import format_table
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 from repro.tcpsim import TcpStack
 from repro.workloads.updates import RouteGenerator
 
@@ -26,7 +26,7 @@ UPDATES_PER_PEER = 100
 
 def fanout_time(profile, peer_count):
     engine = Engine()
-    network = Network(engine, DeterministicRandom(11))
+    network = Network(engine)
     network.enable_fabric(latency=5e-5)
     gw_host = network.add_host("gw", "10.0.0.1")
     gw_stack = TcpStack(engine, gw_host)

@@ -8,7 +8,7 @@ containers only costs 25 GB of memory and 5.6% of the CPU."
 from conftest import run_once
 from repro.containers import HostMachine
 from repro.metrics import format_table
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 
 CONTAINER_COUNTS = (1, 10, 25, 50, 75, 100)
 CONFIG_ENTRIES = 1000  # ~1K configurations per container (paper's scale)
@@ -16,7 +16,7 @@ CONFIG_ENTRIES = 1000  # ~1K configurations per container (paper's scale)
 
 def run_experiment():
     engine = Engine()
-    network = Network(engine, DeterministicRandom(1))
+    network = Network(engine)
     machine = HostMachine(engine, network, "gw-1", "10.1.0.1")
     points = []
     booted = 0

@@ -128,7 +128,7 @@ def test_coalescer_flush(benchmark):
 
     def run():
         engine = Engine()
-        network = Network(engine, DeterministicRandom(11))
+        network = Network(engine)
         network.enable_fabric(latency=5e-5)
         client_host = network.add_host("c", "1.1.1.1")
         db_host = network.add_host("s", "1.1.1.2")

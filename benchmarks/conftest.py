@@ -20,7 +20,7 @@ from repro.bgp.speaker import BgpSpeaker
 from repro.core.replication import ReplicationPipeline
 from repro.core.tensor_process import TensorBgpSpeaker
 from repro.kvstore import KvClient, KvServer
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 from repro.tcpsim import TcpStack
 from repro.workloads.updates import RouteGenerator
 
@@ -50,7 +50,7 @@ class DaemonLab:
 
     def __init__(self, profile, seed=7):
         self.engine = Engine()
-        self.network = Network(self.engine, DeterministicRandom(seed))
+        self.network = Network(self.engine)
         self.network.enable_fabric(latency=5e-5)
         self.gw_host = self.network.add_host("gw", "10.0.0.1")
         self.peer_host = self.network.add_host("peer", "10.0.0.2")

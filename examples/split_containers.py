@@ -15,7 +15,7 @@ from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.prefixes import Prefix
 from repro.core.splitting import PeeringSpec, plan_split
 from repro.metrics import format_table
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 from repro.tcpsim import TcpStack
 
 
@@ -45,7 +45,7 @@ def plan_demo():
 
 def joint_routing_demo():
     engine = Engine()
-    network = Network(engine, DeterministicRandom(3))
+    network = Network(engine)
     network.enable_fabric(latency=5e-5)
     speakers = {}
     for name, addr in (("member-1", "10.0.1.1"), ("member-2", "10.0.1.2"),

@@ -18,12 +18,9 @@ from repro.sim.calibration import (
 )
 
 
-def baseline_recovery_row(failure_kind, workload_factor=1.0):
+def baseline_recovery_row(failure_kind):
     """Table 1 bracketed row for one failure kind.
 
-    ``workload_factor`` scales the BGP recovery phase: "in case of high
-    workload, it might take other implementations several minutes to
-    recover" (re-convergence is table-size dependent).
     Container failures return None throughout — "Container failure is
     unique to TENSOR since no virtualization is used in other BGP
     implementations."
@@ -40,7 +37,7 @@ def baseline_recovery_row(failure_kind, workload_factor=1.0):
     detection = BASELINE_MANUAL_DETECT[failure_kind]
     reboot = BASELINE_MANUAL_REBOOT[failure_kind]
     reconnect = BASELINE_TCP_RECONNECT[failure_kind]
-    recovery = BASELINE_BGP_RECOVERY[failure_kind] * workload_factor
+    recovery = BASELINE_BGP_RECOVERY[failure_kind]
     return {
         "failure": failure_kind,
         "detection": detection,

@@ -168,8 +168,8 @@ class BfdRelay:
         self._timers.clear()
 
 
-def _relay_port(engine, base=34784):
+def _relay_port(engine):
     """Relays source packets from distinct local ports (they never need
     replies; the spoofed source address is the point).  Engine-scoped so
     co-hosted simulations never share allocation state."""
-    return base + ((40001 + engine.next_id("bfd.relay_port")) % 20000)
+    return 34784 + ((40001 + engine.next_id("bfd.relay_port")) % 20000)

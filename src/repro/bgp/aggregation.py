@@ -33,10 +33,10 @@ from repro.bgp.rib import Path
 AGGREGATE_ROOT_LEN = 16
 
 
-def aggregate_root(prefix, span=AGGREGATE_ROOT_LEN):
-    """The chunk-bucketing root for ``prefix``: its ancestor at ``span``
-    (or the prefix itself when already shorter)."""
-    return prefix_ancestor(prefix, span)
+def aggregate_root(prefix):
+    """The chunk-bucketing root for ``prefix``: its ancestor at
+    ``AGGREGATE_ROOT_LEN`` (or the prefix itself when already shorter)."""
+    return prefix_ancestor(prefix, AGGREGATE_ROOT_LEN)
 
 
 def encode_chunk(loc_rib, prefixes, collapse):

@@ -292,16 +292,14 @@ class PathAttributes:
         return bytes(out)
 
     @classmethod
-    def from_wire(cls, data, intern=True):
-        """Decode ``data``; with ``intern`` (the default) equal attribute
-        sets decoded repeatedly resolve to one shared flyweight instance,
-        which makes the receive hot path O(1) per already-seen set."""
-        if intern:
-            cached = cls._intern_table.get(data)
-            if cached is not None:
-                return cached
-        decoded = cls._decode(data)
-        return cls.intern(decoded) if intern else decoded
+    def from_wire(cls, data):
+        """Decode ``data``; equal attribute sets decoded repeatedly
+        resolve to one shared flyweight instance, which makes the receive
+        hot path O(1) per already-seen set."""
+        cached = cls._intern_table.get(data)
+        if cached is not None:
+            return cached
+        return cls.intern(cls._decode(data))
 
     @classmethod
     def _decode(cls, data):

@@ -2,14 +2,13 @@
 
 We implement the capabilities the paper's environment depends on:
 multiprotocol (IPv4/IPv6 unicast — the paper's key layout uses
-"IPv6-based TCP connection"s), route refresh, 4-octet AS numbers, and
-graceful restart (§2.1 discusses GR as the *planned*-restart mechanism
-that NSR complements).
+"IPv6-based TCP connection"s), route refresh and 4-octet AS numbers.
+Graceful restart (§2.1) is the planned-restart mechanism NSR replaces,
+so a peer's GR capability is skipped like any other unknown one.
 """
 
 CAP_MULTIPROTOCOL = 1
 CAP_ROUTE_REFRESH = 2
-CAP_GRACEFUL_RESTART = 64
 CAP_FOUR_OCTET_AS = 65
 
 SAFI_UNICAST = 1
@@ -23,12 +22,10 @@ class Capabilities:
         afis=((1, SAFI_UNICAST),),
         route_refresh=True,
         four_octet_as=None,
-        graceful_restart_time=None,
     ):
         self.afis = tuple(afis)  # (afi, safi) pairs for multiprotocol
         self.route_refresh = route_refresh
         self.four_octet_as = four_octet_as  # the 4-byte ASN, or None
-        self.graceful_restart_time = graceful_restart_time  # seconds or None
 
     def to_wire(self):
         """Encode as one OPEN optional parameter (type 2, capabilities)."""
@@ -40,9 +37,6 @@ class Capabilities:
             caps += bytes([CAP_ROUTE_REFRESH, 0])
         if self.four_octet_as is not None:
             caps += bytes([CAP_FOUR_OCTET_AS, 4]) + self.four_octet_as.to_bytes(4, "big")
-        if self.graceful_restart_time is not None:
-            value = (min(self.graceful_restart_time, 0xFFF)).to_bytes(2, "big")
-            caps += bytes([CAP_GRACEFUL_RESTART, len(value)]) + value
         if not caps:
             return b""
         return bytes([2, len(caps)]) + bytes(caps)
@@ -53,7 +47,6 @@ class Capabilities:
         afis = []
         route_refresh = False
         four_octet_as = None
-        graceful_restart_time = None
         offset = 0
         while offset + 2 <= len(data):
             param_type = data[offset]
@@ -74,13 +67,10 @@ class Capabilities:
                     route_refresh = True
                 elif cap_code == CAP_FOUR_OCTET_AS and len(value) == 4:
                     four_octet_as = int.from_bytes(value, "big")
-                elif cap_code == CAP_GRACEFUL_RESTART and len(value) >= 2:
-                    graceful_restart_time = int.from_bytes(value[:2], "big") & 0xFFF
         return cls(
             afis=tuple(afis) or ((1, SAFI_UNICAST),),
             route_refresh=route_refresh,
             four_octet_as=four_octet_as,
-            graceful_restart_time=graceful_restart_time,
         )
 
     def __eq__(self, other):
@@ -88,16 +78,14 @@ class Capabilities:
             self.afis,
             self.route_refresh,
             self.four_octet_as,
-            self.graceful_restart_time,
         ) == (
             other.afis,
             other.route_refresh,
             other.four_octet_as,
-            other.graceful_restart_time,
         )
 
     def __repr__(self):
         return (
             f"<Capabilities afis={self.afis} rr={self.route_refresh}"
-            f" as4={self.four_octet_as} gr={self.graceful_restart_time}>"
+            f" as4={self.four_octet_as}>"
         )

@@ -77,7 +77,7 @@ def _v6_block(prefixes):
     return encode_nlri_block(prefixes)
 
 
-def encode_mp_reach(next_hop_v6, nlri, safi=SAFI_UNICAST):
+def encode_mp_reach(next_hop_v6, nlri):
     """Encode an MP_REACH_NLRI attribute for IPv6 unicast.
 
     ``next_hop_v6`` is a 128-bit int (use Prefix.parse("...") .value);
@@ -85,7 +85,7 @@ def encode_mp_reach(next_hop_v6, nlri, safi=SAFI_UNICAST):
     """
     body = bytearray()
     body += AFI_IPV6.to_bytes(2, "big")
-    body.append(safi)
+    body.append(SAFI_UNICAST)
     body.append(16)  # next-hop length
     body += next_hop_v6.to_bytes(16, "big")
     body.append(0)  # reserved (SNPA count)
@@ -93,11 +93,11 @@ def encode_mp_reach(next_hop_v6, nlri, safi=SAFI_UNICAST):
     return _encode_attr(FLAG_OPTIONAL, TYPE_MP_REACH_NLRI, bytes(body))
 
 
-def encode_mp_unreach(withdrawn, safi=SAFI_UNICAST):
+def encode_mp_unreach(withdrawn):
     """Encode an MP_UNREACH_NLRI attribute for IPv6 unicast."""
     body = bytearray()
     body += AFI_IPV6.to_bytes(2, "big")
-    body.append(safi)
+    body.append(SAFI_UNICAST)
     body += _v6_block(withdrawn)
     return _encode_attr(FLAG_OPTIONAL, TYPE_MP_UNREACH_NLRI, bytes(body))
 
@@ -152,16 +152,16 @@ def mp_routes_of(attributes):
     return reach, unreach
 
 
-def attach_mp_reach(attributes, next_hop_v6, nlri, safi=SAFI_UNICAST):
+def attach_mp_reach(attributes, next_hop_v6, nlri):
     """Return a copy of ``attributes`` carrying the given v6 NLRI."""
     return _attach(attributes, TYPE_MP_REACH_NLRI,
-                   encode_mp_reach(next_hop_v6, nlri, safi))
+                   encode_mp_reach(next_hop_v6, nlri))
 
 
-def attach_mp_unreach(attributes, withdrawn, safi=SAFI_UNICAST):
+def attach_mp_unreach(attributes, withdrawn):
     """Return a copy of ``attributes`` withdrawing the given v6 prefixes."""
     return _attach(attributes, TYPE_MP_UNREACH_NLRI,
-                   encode_mp_unreach(withdrawn, safi))
+                   encode_mp_unreach(withdrawn))
 
 
 def _attach(attributes, attr_type, wire):

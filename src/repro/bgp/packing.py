@@ -100,13 +100,13 @@ def _cuts(wires, budget):
         yield start, len(wires)
 
 
-def pack_group(attributes, prefixes, max_message_size=MAX_MESSAGE_SIZE):
+def pack_group(attributes, prefixes):
     """Pack ``prefixes`` sharing ``attributes`` into minimal UPDATEs.
 
     Each prefix is encoded once: its wire length fills the budget and
     the same bytes, joined, are the message's NLRI block.
     """
-    budget = max_message_size - HEADER_SIZE - 4 - len(attributes.to_wire())
+    budget = MAX_MESSAGE_SIZE - HEADER_SIZE - 4 - len(attributes.to_wire())
     wires = nlri_wires(prefixes)
     return [
         UpdateMessage(attributes=attributes, nlri=prefixes[start:stop],
@@ -115,8 +115,7 @@ def pack_group(attributes, prefixes, max_message_size=MAX_MESSAGE_SIZE):
     ]
 
 
-def pack_mp_group(attributes, prefixes, next_hop_v6,
-                  max_message_size=MAX_MESSAGE_SIZE):
+def pack_mp_group(attributes, prefixes, next_hop_v6):
     """Pack IPv6 ``prefixes`` sharing ``attributes`` into minimal
     UPDATEs, each carrying its share in MP_REACH_NLRI (RFC 4760).
     Returns ``[(message, prefixes), ...]``.
@@ -126,7 +125,7 @@ def pack_mp_group(attributes, prefixes, next_hop_v6,
     one takes.
     """
     bare = attach_mp_reach(attributes, next_hop_v6, ())
-    budget = max_message_size - HEADER_SIZE - 4 - len(bare.to_wire()) - 1
+    budget = MAX_MESSAGE_SIZE - HEADER_SIZE - 4 - len(bare.to_wire()) - 1
     packed = []
     for start, stop in _cuts(nlri_wires(prefixes), budget):
         share = prefixes[start:stop]
@@ -135,13 +134,13 @@ def pack_mp_group(attributes, prefixes, next_hop_v6,
     return packed
 
 
-def pack_withdrawals(prefixes, max_message_size=MAX_MESSAGE_SIZE):
+def pack_withdrawals(prefixes):
     """Group withdrawn prefixes into minimal UPDATE messages: IPv4 ones
     in the withdrawn-routes field, IPv6 ones in MP_UNREACH_NLRI
     attributes (RFC 4760)."""
     v4 = [prefix for prefix in prefixes if prefix_afi(prefix) == AFI_IPV4]
     v6 = [prefix for prefix in prefixes if prefix_afi(prefix) == AFI_IPV6]
-    room = max_message_size - HEADER_SIZE - 4
+    room = MAX_MESSAGE_SIZE - HEADER_SIZE - 4
     v4_wires = nlri_wires(v4)
     messages = [
         UpdateMessage(withdrawn=v4[start:stop],

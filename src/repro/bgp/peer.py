@@ -40,7 +40,6 @@ class PeerConfig:
         keepalive_interval=30,
         import_policy=None,
         export_policy=None,
-        graceful_restart_time=None,
         mrai=None,
     ):
         if mode not in ("active", "passive"):
@@ -54,7 +53,6 @@ class PeerConfig:
         self.keepalive_interval = keepalive_interval
         self.import_policy = import_policy or PERMIT_ALL
         self.export_policy = export_policy or PERMIT_ALL
-        self.graceful_restart_time = graceful_restart_time
         #: Per-peer MRAI override, effective when the owning speaker runs
         #: in a per-peer mode (``SpeakerConfig.mrai_mode != "per_speaker"``);
         #: ``None`` inherits the speaker-level interval.
@@ -78,12 +76,10 @@ class PeerSession:
         self.adj_rib_in = AdjRibIn(config.peer_id)
         self.adj_rib_out = AdjRibOut(config.peer_id)
         self.negotiated_hold_time = config.hold_time
-        self.peer_open = None
 
         self.hold_timer = Timer(self.engine, self._on_hold_expired, "bgp-hold")
         self.keepalive_timer = Timer(self.engine, self._on_keepalive_due, "bgp-ka")
         self.retry_timer = Timer(self.engine, self._retry_connect, "bgp-retry")
-        self.gr_timer = Timer(self.engine, self._on_gr_expired, "bgp-gr")
 
         # Stream accounting for TENSOR's ACK inference.
         self.initial_seq = None  # our iss (from TCP repair at connect)
@@ -207,7 +203,7 @@ class PeerSession:
             self.speaker.log(f"{self.peer_id}: protocol error: {error}")
             self.send_message(NotificationMessage(error.code, error.subcode,
                                                   bytes(error.data)))
-            self._drop_session(notify_peer=False)
+            self._drop_session()
             return
         if tracing and self.decoder.pending_bytes == 0:
             self._trace_rx_since = None
@@ -238,7 +234,7 @@ class PeerSession:
             self._handle_keepalive()
         elif isinstance(message, NotificationMessage):
             self.speaker.log(f"{self.peer_id}: NOTIFICATION {message!r}")
-            self._drop_session(notify_peer=False)
+            self._drop_session()
         elif isinstance(message, RouteRefreshMessage):
             self.speaker.readvertise(self)
 
@@ -249,9 +245,8 @@ class PeerSession:
                     NotificationCode.OPEN_MESSAGE_ERROR, OpenSubcode.BAD_PEER_AS
                 )
             )
-            self._drop_session(notify_peer=False)
+            self._drop_session()
             return
-        self.peer_open = message
         self.negotiated_hold_time = min(self.config.hold_time, message.hold_time)
         self._set_state(fsm.SessionState.OPEN_CONFIRM)
         self.send_message(KeepaliveMessage())
@@ -260,7 +255,6 @@ class PeerSession:
         if self.state is fsm.SessionState.OPEN_CONFIRM:
             self._set_state(fsm.SessionState.ESTABLISHED)
             self.established_at = self.engine.now
-            self.gr_timer.stop()
             if self.negotiated_hold_time:
                 self.hold_timer.start(self.negotiated_hold_time)
                 self.keepalive_timer.start(self._keepalive_interval())
@@ -410,20 +404,18 @@ class PeerSession:
     def _on_hold_expired(self):
         self.speaker.log(f"{self.peer_id}: hold timer expired")
         self.send_message(NotificationMessage(NotificationCode.HOLD_TIMER_EXPIRED))
-        self._drop_session(notify_peer=False)
+        self._drop_session()
 
     def _on_tcp_reset(self, _conn, reason):
         self.speaker.log(f"{self.peer_id}: TCP reset ({reason})")
-        self._drop_session(notify_peer=False)
+        self._drop_session()
 
     def _on_tcp_closed(self, _conn):
         if self.state is not fsm.SessionState.IDLE:
-            self._drop_session(notify_peer=False)
+            self._drop_session()
 
-    def _drop_session(self, notify_peer=True):
-        """Session teardown: withdraw learned routes (or hold under GR)."""
-        if notify_peer and self.conn is not None:
-            self.send_message(NotificationMessage(NotificationCode.CEASE))
+    def _drop_session(self):
+        """Session teardown: withdraw learned routes."""
         was_established = self.established
         if was_established:
             self.session_drops += 1
@@ -436,25 +428,9 @@ class PeerSession:
             conn.on_data = conn.on_reset = conn.on_close = None
             conn.abort()
         if was_established:
-            gr_time = self._effective_gr_time()
-            if gr_time:
-                # Graceful restart: keep routes stale, purge only on expiry.
-                self.gr_timer.start(gr_time)
-            else:
-                self._purge_learned_routes()
+            self._purge_learned_routes()
         if self.config.mode == "active" and self.speaker.running:
             self.retry_timer.start(CONNECT_RETRY_INTERVAL)
-
-    def _effective_gr_time(self):
-        if self.config.graceful_restart_time is None:
-            return None
-        if self.peer_open is None or self.peer_open.capabilities.graceful_restart_time is None:
-            return None  # peer did not negotiate GR
-        return self.config.graceful_restart_time
-
-    def _on_gr_expired(self):
-        if not self.established:
-            self._purge_learned_routes()
 
     def _purge_learned_routes(self):
         vrf = self.vrf
@@ -466,7 +442,7 @@ class PeerSession:
             self.speaker.best_paths_changed(self, changes)
 
     def force_resume(self, conn, initial_seq, initial_ack,
-                     cumulative_received, cumulative_sent, peer_open=None):
+                     cumulative_received, cumulative_sent):
         """Adopt a repaired TCP connection directly in ESTABLISHED.
 
         This is the NSR takeover path: the backup container inherits a
@@ -480,19 +456,11 @@ class PeerSession:
         self.decoder = MessageDecoder()
         self.cumulative_received = cumulative_received
         self.cumulative_sent = cumulative_sent
-        self.peer_open = peer_open
         self.state = fsm.SessionState.ESTABLISHED
         self.established_at = self.engine.now
         if self.negotiated_hold_time:
             self.hold_timer.start(self.negotiated_hold_time)
             self.keepalive_timer.start(self._keepalive_interval())
-
-    def stop(self, notify_peer=True):
-        """Administrative stop."""
-        self.retry_timer.stop()
-        self.gr_timer.stop()
-        if self.state is not fsm.SessionState.IDLE:
-            self._drop_session(notify_peer=notify_peer)
 
     def __repr__(self):
         return f"<PeerSession {self.peer_id} {self.state.value}>"

@@ -45,14 +45,12 @@ class PolicyAction:
         add_communities=(),
         prepend_as=None,
         prepend_count=1,
-        set_next_hop=None,
     ):
         self.set_local_pref = set_local_pref
         self.set_med = set_med
         self.add_communities = tuple(add_communities)
         self.prepend_as = prepend_as
         self.prepend_count = prepend_count
-        self.set_next_hop = set_next_hop
 
     def apply(self, attributes):
         overrides = {}
@@ -67,8 +65,6 @@ class PolicyAction:
             overrides["as_path"] = attributes.as_path.prepend(
                 self.prepend_as, self.prepend_count
             )
-        if self.set_next_hop is not None:
-            overrides["next_hop"] = self.set_next_hop
         return attributes.replace(**overrides) if overrides else attributes
 
 

@@ -65,24 +65,19 @@ class SpeakerConfig:
         local_as,
         router_id,
         profile="frr",
-        update_packing=None,
         mrai=DEFAULT_MRAI,
         mrai_mode="per_speaker",
-        graceful_restart_time=None,
     ):
         self.name = name
         self.local_as = local_as
         self.router_id = router_id  # dotted-quad string
         self.profile = profile
-        if update_packing is None:
-            # GoBGP is the implementation without update packing (§4.2).
-            update_packing = profile != "gobgp"
-        self.update_packing = update_packing
+        # GoBGP is the implementation without update packing (§4.2).
+        self.update_packing = profile != "gobgp"
         self.mrai = mrai
         if mrai_mode not in MRAI_MODES:
             raise ValueError(f"bad mrai_mode {mrai_mode!r}")
         self.mrai_mode = mrai_mode
-        self.graceful_restart_time = graceful_restart_time
 
     @property
     def router_id_int(self):
@@ -194,13 +189,8 @@ class BgpSpeaker:
     # configuration
     # ------------------------------------------------------------------
 
-    def add_vrf(self, name, local_as=None, router_id=None, vxlan_vni=None):
-        vrf = Vrf(
-            name,
-            local_as if local_as is not None else self.config.local_as,
-            router_id if router_id is not None else self.config.router_id_int,
-            vxlan_vni,
-        )
+    def add_vrf(self, name):
+        vrf = Vrf(name, self.config.local_as, self.config.router_id_int)
         self.vrfs[name] = vrf
         return vrf
 
@@ -218,7 +208,6 @@ class BgpSpeaker:
         return Capabilities(
             four_octet_as=self.config.local_as,
             route_refresh=True,
-            graceful_restart_time=self.config.graceful_restart_time,
         )
 
     # ------------------------------------------------------------------
@@ -260,7 +249,6 @@ class BgpSpeaker:
             session.hold_timer.stop()
             session.keepalive_timer.stop()
             session.retry_timer.stop()
-            session.gr_timer.stop()
             session.state = type(session.state).IDLE
             session.conn = None
         if self.on_exit is not None:

@@ -17,7 +17,7 @@ Example spec::
           "primary": "gw-1", "backup": "gw-2",
           "service_addr": "10.10.0.1",
           "local_as": 65001, "router_id": "10.10.0.1",
-          "config_entries": 100, "preheat_backup": true,
+          "config_entries": 100,
           "neighbors": [
             {"remote_addr": "192.0.2.1", "remote_as": 64512,
              "vrf": "v0", "mode": "passive"}
@@ -40,13 +40,16 @@ from repro.bgp.speaker import MRAI_MODES
 from repro.core.system import PeerNeighborSpec, TensorSystem
 from repro.workloads.topology import build_remote_peer
 
+#: The largest AS number a 4-octet AS field carries (RFC 6793).
+MAX_ASN = 2**32 - 1
+
 #: Top-level keys: exactly the parameters of :class:`TensorSystem`.
 SYSTEM_DEFAULTS = {
     "seed": 0, "hold_acks": True, "hook_technology": "netfilter",
     "remote_db": None, "tracing": False, "controller_replicas": 1,
 }
 PAIR_DEFAULTS = {
-    "config_entries": 100, "preheat_backup": True, "mrai": None,
+    "config_entries": 100, "mrai": None,
     "mrai_mode": "per_speaker", "aggregate_snapshots": False,
 }
 NEIGHBOR_DEFAULTS = {
@@ -124,8 +127,38 @@ def _require(mapping, key, path, types=None):
 
 
 def _optional(mapping, key, path, types, what):
-    if mapping.get(key) is not None and not isinstance(mapping[key], types):
+    """An optional value of ``types``; a bool passes only as a bool."""
+    types = types if isinstance(types, tuple) else (types,)
+    value = mapping.get(key)
+    if value is not None and (not isinstance(value, types) or (
+            isinstance(value, bool) and bool not in types)):
         raise ConfigError(f"{path}.{key}", f"must be {what}")
+
+
+def _at_least_zero(mapping, key, path, types, what):
+    """An optional number (never a bool) that must be >= 0."""
+    _optional(mapping, key, path, types, what)
+    if mapping.get(key) is not None and mapping[key] < 0:
+        raise ConfigError(f"{path}.{key}", f"must be {what}")
+
+
+def _asn(mapping, key, path):
+    """A required AS number: an int (never a bool) that fits the
+    4-octet OPEN field."""
+    value = _require(mapping, key, path, int)
+    if isinstance(value, bool) or not 0 <= value <= MAX_ASN:
+        raise ConfigError(f"{path}.{key}",
+                          f"must be an AS number in 0..{MAX_ASN}")
+    return value
+
+
+def _dotted_quad(mapping, key, path):
+    value = _require(mapping, key, path, str)
+    parts = value.split(".")
+    if len(parts) != 4 or not all(
+            part.isdigit() and int(part) <= 255 for part in parts):
+        raise ConfigError(f"{path}.{key}",
+                          f"must be a dotted-quad IPv4 address, not {value!r}")
 
 
 def _positive(mapping, key, path, what="a positive number"):
@@ -218,12 +251,13 @@ def validate_spec(spec):
             raise ConfigError(f"{path}.service_addr", f"duplicate address {addr!r}")
         host_addrs.add(addr)
         pair_at[addr] = pair
-        _require(pair, "local_as", path, int)
-        _require(pair, "router_id", path, str)
+        _asn(pair, "local_as", path)
+        _dotted_quad(pair, "router_id", path)
         mrai_mode = pair.get("mrai_mode", "per_speaker")
         if mrai_mode not in MRAI_MODES:
             raise ConfigError(f"{path}.mrai_mode", f"unknown mode {mrai_mode!r}")
-        _optional(pair, "mrai", path, (int, float), "a number of seconds")
+        _at_least_zero(pair, "mrai", path, (int, float), "seconds >= 0")
+        _at_least_zero(pair, "config_entries", path, int, "an int >= 0")
         _optional(pair, "aggregate_snapshots", path, bool, "a boolean")
         neighbors = _require(pair, "neighbors", path, list)
         if not neighbors:
@@ -231,12 +265,12 @@ def validate_spec(spec):
         for n_index, neighbor in enumerate(neighbors):
             n_path = f"{path}.neighbors[{n_index}]"
             _require(neighbor, "remote_addr", n_path, str)
-            _require(neighbor, "remote_as", n_path, int)
+            _asn(neighbor, "remote_as", n_path)
             mode = neighbor.get("mode", "passive")
             if mode not in ("active", "passive"):
                 raise ConfigError(f"{n_path}.mode", f"bad mode {mode!r}")
-            _optional(neighbor, "mrai", n_path, (int, float),
-                      "a number of seconds")
+            _at_least_zero(neighbor, "mrai", n_path, (int, float),
+                           "seconds >= 0")
             _session_timers(neighbor, n_path)
             for knob in ("bfd_tx_interval", "bfd_detect_mult"):
                 _positive(neighbor, knob, n_path)
@@ -257,7 +291,7 @@ def validate_spec(spec):
             raise ConfigError(f"{path}.address",
                               f"duplicate address {address!r}")
         host_addrs.add(address)
-        asn = _require(remote, "asn", path, int)
+        asn = _asn(remote, "asn", path)
         for link in remote.get("links", ()):
             if link not in machine_names:
                 raise ConfigError(f"{path}.links", f"unknown machine {link!r}")
@@ -266,7 +300,7 @@ def validate_spec(spec):
             continue
         p_path = f"{path}.peer"
         gateway = _require(peer, "gateway", p_path, str)
-        gateway_as = _require(peer, "gateway_as", p_path, int)
+        gateway_as = _asn(peer, "gateway_as", p_path)
         _session_timers(peer, p_path)
         mode = peer.get("mode", PEER_DEFAULTS["mode"])
         if mode not in ("active", "passive"):
@@ -303,6 +337,8 @@ def validate_spec(spec):
             raise ConfigError("$.remote_db.latency", "must be >= 0 seconds")
         if remote_db.get("mode", "sync") not in ("sync", "async"):
             raise ConfigError("$.remote_db.mode", "must be 'sync' or 'async'")
+    _optional(spec, "seed", "$", int, "an int")
+    _optional(spec, "hold_acks", "$", bool, "a boolean")
     _optional(spec, "tracing", "$", bool, "a boolean")
     replicas = spec.get("controller_replicas")
     if replicas is not None and (
@@ -312,13 +348,13 @@ def validate_spec(spec):
     return spec
 
 
-def build_system(spec, start=True):
-    """Build (system, pairs, remotes) from a validated spec.
+def build_system(spec):
+    """Build (system, pairs, remotes) from a validated spec and boot
+    every pair and remote.
 
-    ``pairs`` and ``remotes`` are dicts by name, in spec order.
-    ``start=True`` also boots every pair and remote; advance the engine
-    afterwards to let sessions establish.  A remote's session towards
-    its gateway is ``remote.sessions[0]``.
+    ``pairs`` and ``remotes`` are dicts by name, in spec order.  Advance
+    the engine afterwards to let sessions establish.  A remote's session
+    towards its gateway is ``remote.sessions[0]``.
     """
     validate_spec(spec)
     system = TensorSystem(
@@ -374,9 +410,8 @@ def build_system(spec, start=True):
                 keepalive_interval=peer["keepalive_interval"],
             )
         remotes[remote_spec["name"]] = remote
-    if start:
-        for pair in pairs.values():
-            pair.start()
-        for remote in remotes.values():
-            remote.start()
+    for pair in pairs.values():
+        pair.start()
+    for remote in remotes.values():
+        remote.start()
     return system, pairs, remotes

@@ -47,6 +47,9 @@ class Container:
         self.failed_at = None
         self.boot_count = 0
         self._boot_callbacks = []
+        #: set by the pair the first time it activates on this container:
+        #: the controller channel, IP SLA responder and agent probe exist
+        self.monitoring_registered = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -58,7 +61,7 @@ class Container:
             return CONTAINER_PREHEAT_RESUME_TIME
         return CONTAINER_BASE_BOOT_TIME + self.config_entries * CONFIG_LOAD_TIME_PER_ENTRY
 
-    def start(self, on_running=None, preheated=False):
+    def start(self, on_running=None):
         """Boot the container; ``on_running(container)`` fires when up."""
         if self.state is ContainerState.RUNNING:
             if on_running is not None:
@@ -69,7 +72,7 @@ class Container:
         self.state = ContainerState.BOOTING
         if on_running is not None:
             self._boot_callbacks.append(on_running)
-        self.engine.schedule(self.boot_time(preheated), self._finish_boot)
+        self.engine.schedule(self.boot_time(), self._finish_boot)
 
     def _finish_boot(self):
         if self.state is not ContainerState.BOOTING or not self.machine.alive:

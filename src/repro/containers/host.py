@@ -108,17 +108,16 @@ class ProcessMonitor:
     detector (i) for container failures in §3.3.3.
     """
 
-    def __init__(self, engine, machine, on_event, interval=DOCKER_MONITOR_INTERVAL):
+    def __init__(self, engine, machine, on_event):
         self.engine = engine
         self.machine = machine
         self.on_event = on_event
-        self.interval = interval
         self.process = Process(engine, f"dockerd:{machine.name}")
         self._reported = set()
         machine.monitor = self
 
     def start(self):
-        self.process.every(self.interval, self._poll)
+        self.process.every(DOCKER_MONITOR_INTERVAL, self._poll)
 
     def _poll(self):
         if not self.machine.alive:

@@ -15,21 +15,12 @@ from repro.sim.calibration import (
 class ResourceModel:
     """Linear memory/CPU model for containerized BGP."""
 
-    def __init__(
-        self,
-        memory_base=CONTAINER_MEMORY_BASE,
-        memory_per_config=CONTAINER_MEMORY_PER_CONFIG,
-        cpu_fraction=CONTAINER_CPU_FRACTION,
-    ):
-        self.memory_base = memory_base
-        self.memory_per_config = memory_per_config
-        self.cpu_fraction = cpu_fraction
-
     def container_memory(self, config_entries):
         """Bytes of RSS for one running BGP+BFD container."""
-        return self.memory_base + config_entries * self.memory_per_config
+        return (CONTAINER_MEMORY_BASE
+                + config_entries * CONTAINER_MEMORY_PER_CONFIG)
 
     def container_cpu_fraction(self):
         """Fraction of one host's CPU one idle-ish container consumes."""
-        return self.cpu_fraction
+        return CONTAINER_CPU_FRACTION
 

@@ -95,14 +95,5 @@ class Underlay:
         self._bindings[address] = binding
         return binding
 
-    def release(self, address):
-        binding = self._bindings.pop(address, None)
-        if binding is not None:
-            self.network.remove_host(binding.endpoint)
-        return binding
-
-    def binding(self, address):
-        return self._bindings.get(address)
-
     def __len__(self):
         return len(self._bindings)

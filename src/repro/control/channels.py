@@ -11,6 +11,9 @@ from repro.sim.rpc import RpcClient, RpcServer
 
 GRPC_PORT_BASE = 50051
 
+#: Consecutive heartbeat timeouts before a channel reports unhealthy.
+GRPC_MISS_THRESHOLD = 2
+
 
 class HealthServer:
     """The gRPC health endpoint running on a monitored entity.
@@ -40,7 +43,8 @@ class HealthServer:
 class GrpcChannel:
     """A controller-side heartbeat channel to one health server.
 
-    After ``miss_threshold`` consecutive timeouts the channel reports
+    A heartbeat goes out every ``GRPC_HEARTBEAT_INTERVAL``.  After
+    :data:`GRPC_MISS_THRESHOLD` consecutive timeouts the channel reports
     unhealthy via ``on_unhealthy(channel)``; a later success reports
     ``on_healthy(channel)``.  Healthy replies stream their status dict to
     ``on_status(channel, status)``.
@@ -53,9 +57,6 @@ class GrpcChannel:
         target_name,
         target_addr,
         target_port=GRPC_PORT_BASE,
-        interval=GRPC_HEARTBEAT_INTERVAL,
-        timeout=GRPC_HEARTBEAT_TIMEOUT,
-        miss_threshold=2,
         on_unhealthy=None,
         on_healthy=None,
         on_status=None,
@@ -63,9 +64,6 @@ class GrpcChannel:
         self.engine = engine
         self.target_name = target_name
         self.target_addr = target_addr
-        self.interval = interval
-        self.timeout = timeout
-        self.miss_threshold = miss_threshold
         self.on_unhealthy = on_unhealthy
         self.on_healthy = on_healthy
         self.on_status = on_status
@@ -77,7 +75,7 @@ class GrpcChannel:
         self.last_reply_at = None
 
     def start(self):
-        self.process.every(self.interval, self._beat)
+        self.process.every(GRPC_HEARTBEAT_INTERVAL, self._beat)
 
     def _beat(self):
         self.client.call(
@@ -85,7 +83,7 @@ class GrpcChannel:
             {},
             on_reply=self._on_reply,
             on_timeout=self._on_miss,
-            timeout=self.timeout,
+            timeout=GRPC_HEARTBEAT_TIMEOUT,
         )
 
     def _on_reply(self, reply):
@@ -101,7 +99,7 @@ class GrpcChannel:
 
     def _on_miss(self):
         self.consecutive_misses += 1
-        if self.healthy and self.consecutive_misses >= self.miss_threshold:
+        if self.healthy and self.consecutive_misses >= GRPC_MISS_THRESHOLD:
             self.healthy = False
             if self.on_unhealthy is not None:
                 self.on_unhealthy(self)

@@ -117,7 +117,7 @@ class RecoveryActions:
             self.events.append((now, "backup-unreachable",
                                 (pair.name, report.target_name)))
             return
-        if getattr(pair, "backup_degraded", False):
+        if pair.backup_degraded:
             return
         pair.backup_degraded = True
         self.events.append((now, "backup-degraded",
@@ -136,10 +136,7 @@ class RecoveryActions:
             return
         if pair.name in self._recovering:
             return  # a primary failure raced in; the migration owns the pair
-        refresh = getattr(pair, "refresh_standby", None)
-        if refresh is None:
-            return
-        ok = refresh(epoch=epoch)
+        ok = pair.refresh_standby(epoch=epoch)
         if ok is False:
             self.events.append(
                 (self.engine.now, "action-rejected",
@@ -203,7 +200,7 @@ class RecoveryActions:
             self._action_rejected(pair, record, "machine", "stale-epoch")
 
     def _recovery_done(self, pair, record):
-        if getattr(record, "abandoned", False):
+        if record.abandoned:
             # the deadline already gave up on this migration; the pair's
             # state was re-armed, so only note the straggler completion
             record.note("late completion after abandonment")
@@ -230,8 +227,8 @@ class RecoveryActions:
         load on full-table pairs, where a legitimate cold boot takes
         minutes — those must not be falsely abandoned.
         """
-        entries = getattr(pair, "config_entries", 0) or 0
-        return RECOVERY_DEADLINE + CONFIG_LOAD_TIME_PER_ENTRY * entries
+        return (RECOVERY_DEADLINE
+                + CONFIG_LOAD_TIME_PER_ENTRY * pair.config_entries)
 
     def _check_recovery_deadline(self, pair, record):
         if record.recovered_at is not None:
@@ -260,16 +257,13 @@ class RecoveryActions:
         for machine_name in (pair.primary_machine_name,
                              pair.backup_machine_name):
             machine = self.machines.get(machine_name)
-            if machine is not None and getattr(machine, "monitor", None) is not None:
+            if machine is not None and machine.monitor is not None:
                 machine.monitor.clear_reported()
             self._rearm_target(machine_name)
-        supervisor = getattr(pair, "supervisor", None)
-        if supervisor is not None:
-            supervisor._reported = False
+        if pair.supervisor is not None:
+            pair.supervisor._reported = False
         self._rearm_target(pair.primary_container_name)
-        backup_name = getattr(pair, "backup_container_name", None)
-        if backup_name is not None:
-            self._rearm_target(backup_name)
+        self._rearm_target(pair.backup_container_name)
 
     def _action_rejected(self, pair, record, kind, reason):
         """An epoch-fenced receiver (or a validity recheck) refused us."""
@@ -289,7 +283,7 @@ class RecoveryActions:
         for pair in self.pairs.values():
             if pair.primary_container_name == container_name:
                 return pair, "active"
-            if getattr(pair, "backup_container_name", None) == container_name:
+            if pair.backup_container_name == container_name:
                 return pair, "standby"
         return None, None
 

@@ -19,8 +19,8 @@ was issued against: after a repoint (or stop) a straggler reply from the
 old — possibly fenced — primary must neither clear ``_first_miss`` and
 mask a real outage, nor count as a miss against the new primary.
 
-Under the replicated controller panel (DESIGN.md §15) each replica runs
-its own monitor as a *witness*: instead of promoting directly it hands a
+Each replica of the controller panel (DESIGN.md §15) runs its own
+monitor as a *witness*: it does not promote directly but hands a
 verdict to the panel via ``propose``, and the quorum leader calls
 :meth:`execute_promotion` with its leadership epoch.  The losing
 replicas are then told about the outcome via :meth:`note_promoted` so
@@ -37,12 +37,12 @@ CONFIRM_WINDOW = 2.5
 class DbFailoverMonitor:
     """Pings the KV primary; promotes the replica on confirmed death."""
 
-    def __init__(self, engine, host, cluster, on_failover=None, propose=None):
+    def __init__(self, engine, host, cluster, propose):
         self.engine = engine
         self.host = host
         self.cluster = cluster
-        self.on_failover = on_failover
-        #: panel mode — called with (monitor) instead of promoting locally
+        #: called with (monitor) on a confirmed death: the panel decides
+        #: and its leader calls :meth:`execute_promotion`
         self.propose = propose
         self.client = KvClient(engine, host, cluster.primary_addr,
                                cluster.port)
@@ -91,12 +91,8 @@ class DbFailoverMonitor:
         return cluster.replica is not None and not cluster.replica.failed
 
     def _promote(self):
-        if not self.promotion_viable():
-            return
-        if self.propose is not None:
+        if self.promotion_viable():
             self.propose(self)
-            return
-        self.execute_promotion()
 
     def execute_promotion(self, controller_epoch=None):
         """Promote the replica; the quorum leader's entry point.
@@ -113,8 +109,6 @@ class DbFailoverMonitor:
         self.failovers += 1
         self._first_miss = None
         self.client.repoint(new_addr, epoch=self.cluster.epoch)
-        if self.on_failover is not None:
-            self.on_failover(new_addr, self.cluster.epoch)
         return new_addr
 
     def note_promoted(self, new_addr, epoch):

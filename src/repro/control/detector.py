@@ -73,10 +73,9 @@ class _ContainerSignals:
 class FailureDetector:
     """Aggregates raw signals into confirmed :class:`FailureReport`\\ s."""
 
-    def __init__(self, engine, on_failure, confirm_timer=HOST_FAILURE_CONFIRM_TIMER):
+    def __init__(self, engine, on_failure):
         self.engine = engine
         self.on_failure = on_failure
-        self.confirm_timer = confirm_timer
         self._machines = {}
         self._containers = {}
         #: machine_name -> status dict from its last healthy gRPC heartbeat
@@ -173,7 +172,7 @@ class FailureDetector:
                     lambda: self._confirm_machine(machine_name),
                     f"confirm:{machine_name}",
                 )
-                state.timer.start(self.confirm_timer)
+                state.timer.start(HOST_FAILURE_CONFIRM_TIMER)
         else:
             # Any recovering signal disarms the confirmation (transient
             # jitter must not trigger a mass migration).

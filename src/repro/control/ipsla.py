@@ -17,6 +17,9 @@ from repro.sim.rpc import RpcClient, RpcServer
 
 IPSLA_PORT = 5005
 
+#: Consecutive probe timeouts before a target is reported unreachable.
+IPSLA_MISS_THRESHOLD = 2
+
 
 class IpSlaResponder:
     """The echo endpoint every probed entity runs."""
@@ -33,31 +36,21 @@ class IpSlaResponder:
 
 
 class IpSlaProber:
-    """Probes a set of targets; reports reachability transitions."""
+    """Probes a set of targets every ``IPSLA_PROBE_INTERVAL``; reports
+    reachability transitions."""
 
-    def __init__(
-        self,
-        engine,
-        host,
-        name,
-        interval=IPSLA_PROBE_INTERVAL,
-        timeout=IPSLA_PROBE_TIMEOUT,
-        miss_threshold=2,
-        on_change=None,
-    ):
+    def __init__(self, engine, host, name, on_change=None):
         self.engine = engine
         self.host = host
         self.name = name
-        self.interval = interval
-        self.timeout = timeout
-        self.miss_threshold = miss_threshold
         self.on_change = on_change  # fn(prober, target_name, reachable)
         self.process = Process(engine, f"ipsla:{name}")
         self._targets = {}  # name -> dict(client, misses, reachable)
         self._started = False
 
-    def add_target(self, target_name, target_addr, port=IPSLA_PORT):
-        client = RpcClient(self.engine, self.host, target_addr, port, protocol="ipsla")
+    def add_target(self, target_name, target_addr):
+        client = RpcClient(self.engine, self.host, target_addr, IPSLA_PORT,
+                           protocol="ipsla")
         self._targets[target_name] = {
             "client": client,
             "misses": 0,
@@ -70,14 +63,14 @@ class IpSlaProber:
         if entry is not None:
             entry["client"].close()
 
-    def retarget(self, target_name, new_addr, port=IPSLA_PORT):
+    def retarget(self, target_name, new_addr):
         self.remove_target(target_name)
-        self.add_target(target_name, new_addr, port)
+        self.add_target(target_name, new_addr)
 
     def start(self):
         if not self._started:
             self._started = True
-            self.process.every(self.interval, self._probe_all)
+            self.process.every(IPSLA_PROBE_INTERVAL, self._probe_all)
 
     def _probe_all(self):
         if not self.host.reachable():
@@ -88,7 +81,7 @@ class IpSlaProber:
                 {},
                 on_reply=lambda _rep, n=target_name: self._mark(n, True),
                 on_timeout=lambda n=target_name: self._miss(n),
-                timeout=self.timeout,
+                timeout=IPSLA_PROBE_TIMEOUT,
             )
 
     def _miss(self, target_name):
@@ -96,7 +89,7 @@ class IpSlaProber:
         if entry is None:
             return
         entry["misses"] += 1
-        if entry["reachable"] and entry["misses"] >= self.miss_threshold:
+        if entry["reachable"] and entry["misses"] >= IPSLA_MISS_THRESHOLD:
             self._mark(target_name, False)
 
     def _mark(self, target_name, reachable):

@@ -14,10 +14,10 @@ observer — for TENSOR it must be zero even while these phases run.
 class MigrationRecord:
     """Phase timestamps for one recovery action."""
 
-    def __init__(self, failure_kind, target_name, failed_at=None):
+    def __init__(self, failure_kind, target_name):
         self.failure_kind = failure_kind
         self.target_name = target_name
-        self.failed_at = failed_at  # ground truth (set by the injector)
+        self.failed_at = None  # ground truth (set by the injector)
         self.detected_at = None  # detector confirmation
         self.initiated_at = None  # controller decision done, action started
         self.rebooted_at = None  # backup container up / app restarted

@@ -295,9 +295,7 @@ class ControllerPanel(RecoveryActions):
     def _pair_recovered(self, pair):
         # a closed incident must not block re-detection of a recurrence
         self.quorum.reset_target(pair.primary_container_name)
-        backup_name = getattr(pair, "backup_container_name", None)
-        if backup_name is not None:
-            self.quorum.reset_target(backup_name)
+        self.quorum.reset_target(pair.backup_container_name)
 
     # ------------------------------------------------------------------
     # registration / wiring

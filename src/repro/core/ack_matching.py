@@ -41,10 +41,9 @@ def _is_pure_ack(segment):
 class TcpQueueThread:
     """One per TENSOR BGP process; consumes the process's NFQUEUE."""
 
-    def __init__(self, engine, pipeline, verify_reads=True):
+    def __init__(self, engine, pipeline):
         self.engine = engine
         self.pipeline = pipeline
-        self.verify_reads = verify_reads
         self._conns = {}  # (local_port, remote_addr, remote_port) -> entry
         self.crashed = False
         self.acks_held = 0
@@ -127,7 +126,7 @@ class TcpQueueThread:
     def note_replicated(self, keys, ack_position, record_key, span=None):
         """The main/keepalive thread committed a message record.
 
-        Verify it in the database (unless configured off), then release
+        Verify it in the database, then release
         all held ACKs the position covers.  ``span`` is the caller's open
         ``ack_release`` trace span: it brackets the verify-read and the
         verdict, and released hold spans are linked back to its trace.
@@ -136,9 +135,6 @@ class TcpQueueThread:
         if entry is None:
             if span is not None:
                 span.finish(outcome="unmanaged")
-            return
-        if not self.verify_reads:
-            self._confirm(entry, ack_position, span)
             return
         self._verify(keys, ack_position, record_key, span, attempts=0)
 

@@ -49,6 +49,10 @@ SNAPSHOT_CHUNK_ROUTES = 500
 WRITE_RETRIES = 3
 #: First retry delay; doubles per attempt (0.2, 0.4, 0.8 for 3 retries).
 RETRY_BACKOFF_BASE = 0.2
+#: A coalescer's resting batch size, and the most its adaptive limit
+#: grows to while a backlog outruns it.
+MAX_BATCH = 512
+MAX_BATCH_CAP = MAX_BATCH * 8
 
 
 class ConnectionKeys:
@@ -136,9 +140,9 @@ class WriteCoalescer:
     through ``on_unavailable``, on which the caller keeps ACKs held (the
     fail-safe direction).
 
-    Batch sizing is adaptive: ``batch_limit`` starts at ``max_batch``,
-    doubles (up to ``max_batch_cap``) while the backlog outruns it, and
-    decays back toward ``max_batch`` once the queue drains — amortizing
+    Batch sizing is adaptive: ``batch_limit`` starts at ``MAX_BATCH``,
+    doubles (up to ``MAX_BATCH_CAP``) while the backlog outruns it, and
+    decays back toward ``MAX_BATCH`` once the queue drains — amortizing
     per-operation base cost under load without letting an idle channel
     hold huge batches.
 
@@ -157,14 +161,11 @@ class WriteCoalescer:
       prune leaks snapshot-store records forever.
     """
 
-    def __init__(self, client, max_batch=512, on_unavailable=None,
-                 max_batch_cap=None, name=""):
+    def __init__(self, client, on_unavailable=None, name=""):
         self.client = client
         self.name = name  # channel label ("fast"/"bulk"/"remote") for traces
         self.engine = getattr(client, "engine", None)
-        self.max_batch = max_batch
-        self.max_batch_cap = max_batch_cap if max_batch_cap is not None else max_batch * 8
-        self.batch_limit = max_batch
+        self.batch_limit = MAX_BATCH
         self.on_unavailable = on_unavailable
         # ("set", key, value, cb) | ("delete", key, None, cb)
         # | ("mdelete", keys_tuple, None, cb)
@@ -200,20 +201,17 @@ class WriteCoalescer:
         self.backlog += 1
         self._maybe_flush()
 
-    def delete_many(self, keys, on_done=None):
+    def delete_many(self, keys):
         """Enqueue one pre-batched delete of ``keys`` (a ranged purge).
 
         The whole group travels as a single queue entry — enqueueing N
         keys costs one append instead of N — and flushes inside a normal
         delete run, so ordering against neighbouring sets still holds.
-        ``on_done`` fires once for the group.
         """
         keys = tuple(keys)
         if not keys:
-            if on_done is not None:
-                on_done()
             return
-        self._pending.append(("mdelete", keys, None, on_done))
+        self._pending.append(("mdelete", keys, None, None))
         self.backlog += len(keys)
         self._maybe_flush()
 
@@ -225,9 +223,9 @@ class WriteCoalescer:
     def _adapt_batch_limit(self):
         backlog = len(self._pending)
         if backlog > self.batch_limit:
-            self.batch_limit = min(self.batch_limit * 2, self.max_batch_cap)
-        elif backlog <= self.max_batch and self.batch_limit > self.max_batch:
-            self.batch_limit = max(self.max_batch, self.batch_limit // 2)
+            self.batch_limit = min(self.batch_limit * 2, MAX_BATCH_CAP)
+        elif backlog <= MAX_BATCH and self.batch_limit > MAX_BATCH:
+            self.batch_limit = max(MAX_BATCH, self.batch_limit // 2)
 
     def _take_run(self):
         """Pop the longest same-kind prefix of the queue (<= batch_limit
@@ -394,7 +392,7 @@ class ReplicationPipeline:
     only *within* a connection), RIB delta sequencing and compaction.
     """
 
-    def __init__(self, pair_name, fast_client, bulk_client, on_unavailable=None,
+    def __init__(self, pair_name, fast_client, bulk_client,
                  remote_client=None, remote_mode="sync",
                  aggregate_snapshots=False):
         self.pair_name = pair_name
@@ -403,16 +401,10 @@ class ReplicationPipeline:
         # records, and prefixes bucket by aggregate root so siblings
         # co-locate.  Lossless — recovery expands to the same table.
         self.aggregate_snapshots = aggregate_snapshots
-        self.fast = WriteCoalescer(fast_client, on_unavailable=on_unavailable,
-                                   name="fast")
-
-        def bulk_unavailable(records):
-            self._snapshots_went_stale()
-            if on_unavailable is not None:
-                on_unavailable(records)
-
-        self.bulk = WriteCoalescer(bulk_client, on_unavailable=bulk_unavailable,
-                                   name="bulk")
+        self.fast = WriteCoalescer(fast_client, name="fast")
+        self.bulk = WriteCoalescer(
+            bulk_client, name="bulk",
+            on_unavailable=lambda _records: self._snapshots_went_stale())
         self.fast_client = fast_client
         self.bulk_client = bulk_client
         # §5 "Remote replication for disaster recovery": an optional second
@@ -423,8 +415,7 @@ class ReplicationPipeline:
         if remote_mode not in ("sync", "async"):
             raise ValueError(f"unknown remote_mode {remote_mode!r}")
         self.remote = (
-            WriteCoalescer(remote_client, on_unavailable=on_unavailable,
-                           name="remote")
+            WriteCoalescer(remote_client, name="remote")
             if remote_client is not None
             else None
         )
@@ -497,8 +488,8 @@ class ReplicationPipeline:
         self.locks.release(lock_key, holder)
         on_committed()
 
-    def write_session_record(self, keys, record, on_done=None):
-        self.fast.set(keys.session, record, on_done=on_done)
+    def write_session_record(self, keys, record):
+        self.fast.set(keys.session, record)
 
     def verify_read(self, key, on_value, on_error=None):
         """tcp_queue's confirmation read before releasing an ACK."""
@@ -508,22 +499,22 @@ class ReplicationPipeline:
     # application-side pruning and RIB deltas (bulk channel)
     # ------------------------------------------------------------------
 
-    def record_rib_delta(self, vrf, delta, on_done=None):
+    def record_rib_delta(self, vrf, delta):
         """Persist the effect of one applied UPDATE message: ``delta``
         is a :func:`rib_delta` record.  One call is one KV set, whatever
         the UPDATE carried.  Returns the delta's sequence number."""
         seq = self._delta_seq.get(vrf, 0)
         self._delta_seq[vrf] = seq + 1
         self.deltas_recorded += 1
-        self.bulk.set(rib_delta_key(self.pair_name, vrf, seq), delta, on_done=on_done)
+        self.bulk.set(rib_delta_key(self.pair_name, vrf, seq), delta)
         return seq
 
-    def delete_message(self, keys, direction, position, on_done=None):
+    def delete_message(self, keys, direction, position):
         """Prune an applied (or remote-acknowledged) message record."""
-        self.bulk.delete(keys.message(direction, position), on_done=on_done)
+        self.bulk.delete(keys.message(direction, position))
 
-    def update_tcp_status(self, keys, status, on_done=None):
-        self.bulk.set(keys.tcp_status, status, on_done=on_done)
+    def update_tcp_status(self, keys, status):
+        self.bulk.set(keys.tcp_status, status)
 
     # ------------------------------------------------------------------
     # compaction (bounds storage and recovery work)
@@ -543,13 +534,13 @@ class ReplicationPipeline:
         # process had recorded them itself.
         self._delta_started[vrf] = next_seq - live
 
-    def needs_compaction(self, vrf, threshold=COMPACTION_THRESHOLD):
-        """True once ``threshold`` deltas were recorded since the newest
-        compaction *started* — not since one committed: a compaction
-        whose marker is still queued has already folded them, and
+    def needs_compaction(self, vrf):
+        """True once ``COMPACTION_THRESHOLD`` deltas were recorded since
+        the newest compaction *started* — not since one committed: a
+        compaction whose marker is still queued has already folded them, and
         starting another would fold, write and purge the same range."""
         return (self._delta_seq.get(vrf, 0)
-                - self._delta_started.get(vrf, 0)) >= threshold
+                - self._delta_started.get(vrf, 0)) >= COMPACTION_THRESHOLD
 
     def _snapshots_went_stale(self):
         """A bulk set batch was dropped: some chunk, marker or delta may
@@ -682,8 +673,8 @@ class ReplicationPipeline:
         delta is deleted exactly once, as ranged key batches.
         """
         floor = self._delta_floor.get(vrf, 0)
-        for start in range(floor, ceiling, self.bulk.max_batch):
-            end = min(start + self.bulk.max_batch, ceiling)
+        for start in range(floor, ceiling, MAX_BATCH):
+            end = min(start + MAX_BATCH, ceiling)
             self.bulk.delete_many(
                 rib_delta_key(self.pair_name, vrf, seq) for seq in range(start, end)
             )

@@ -42,7 +42,7 @@ from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.rand import DeterministicRandom
 from repro.tcpsim.repair import import_tcp_state, resume_connection
-from repro.tcpsim.stack import TcpStack, TcpStackConfig
+from repro.tcpsim.stack import TcpStack
 
 
 class PeerNeighborSpec:
@@ -98,7 +98,7 @@ class TensorSystem:
 
             self.tracer = Tracer(self.engine)
         self.rng = DeterministicRandom(seed)
-        self.network = Network(self.engine, self.rng)
+        self.network = Network(self.engine)
         self.network.enable_fabric(
             latency=CLUSTER_FABRIC_LATENCY, bandwidth=CLUSTER_FABRIC_BANDWIDTH
         )
@@ -268,7 +268,7 @@ class TensorPair:
 
     def __init__(self, system, name, primary_machine, backup_machine, service_addr,
                  local_as, router_id, neighbors, config_entries=100,
-                 preheat_backup=True, mrai=None, mrai_mode="per_speaker",
+                 mrai=None, mrai_mode="per_speaker",
                  aggregate_snapshots=False):
         self.system = system
         self.engine = system.engine
@@ -278,7 +278,6 @@ class TensorPair:
         self.router_id = router_id
         self.neighbors = list(neighbors)
         self.config_entries = config_entries
-        self.preheat_backup = preheat_backup
         self.mrai = mrai
         self.mrai_mode = mrai_mode
         # DRAGON snapshot aggregation (DESIGN.md §14), default-off:
@@ -333,8 +332,8 @@ class TensorPair:
 
     def _epoch_accepted(self, action, epoch):
         """Receiver-side epoch fence on controller-driven actions."""
-        gate = getattr(self.system, "controller_epoch_gate", None)
-        if gate is None or gate.accepts(epoch):
+        gate = self.system.controller_epoch_gate
+        if gate.accepts(epoch):
             return True
         gate.reject((action, self.name), epoch)
         return False
@@ -348,8 +347,7 @@ class TensorPair:
         self.active_container.start(
             on_running=lambda _c: self._activate_fresh(on_ready)
         )
-        if self.preheat_backup:
-            self.standby_container.start()
+        self.standby_container.start()
 
     def _activate_fresh(self, on_ready):
         self._build_runtime(self.active_container, self.active_machine)
@@ -369,7 +367,7 @@ class TensorPair:
         self.stack = TcpStack(
             self.engine,
             self.service_endpoint,
-            TcpStackConfig(hook_technology=self.system.hook_technology),
+            hook_technology=self.system.hook_technology,
         )
         fast = self.system.kv_client(container.endpoint)
         bulk = self.system.kv_client(container.endpoint)
@@ -435,8 +433,8 @@ class TensorPair:
 
     def _register_monitoring(self):
         container = self.active_container
-        if not getattr(container, "_monitoring_registered", False):
-            container._monitoring_registered = True
+        if not container.monitoring_registered:
+            container.monitoring_registered = True
             self.system.controller.register_container_channel(
                 container, self.active_machine
             )
@@ -484,7 +482,7 @@ class TensorPair:
         self._migration_span = tracer.begin(
             "migration", parent=None,
             pair=self.name, kind=kind,
-            failure=getattr(record, "failure_kind", None),
+            failure=record.failure_kind,
             from_container=self.active_container.name,
         )
 
@@ -598,8 +596,7 @@ class TensorPair:
         self.standby_container = machine.create_container(
             f"{self.name}-f{self._standby_refreshes}", self.config_entries
         )
-        if self.preheat_backup:
-            self.standby_container.start()
+        self.standby_container.start()
         self.backup_degraded = False
         return True
 
@@ -629,8 +626,7 @@ class TensorPair:
             )
             self.standby_container = replacement
             self.backup_degraded = False
-            if self.preheat_backup:
-                replacement.start()
+            replacement.start()
         else:
             self.standby_container = old_container  # dead placeholder
             self.backup_degraded = True
@@ -821,16 +817,15 @@ class AppSupervisor:
     poll pending for it, is seen at the next one.
     """
 
-    def __init__(self, pair, interval=APP_MONITOR_INTERVAL):
+    def __init__(self, pair):
         self.pair = pair
-        self.interval = interval
         self.process = Process(pair.engine, f"supervisor:{pair.name}")
         self._reported = False
         self._next = None  # the next grid instant; None until start()
         self._armed = False  # an engine event is pending for _next
 
     def start(self):
-        self._arm(self.interval)
+        self._arm(APP_MONITOR_INTERVAL)
 
     def _arm(self, delay):
         self._next = self.pair.engine.now + delay
@@ -844,7 +839,7 @@ class AppSupervisor:
         now = self.pair.engine.now
         nxt = self._next
         while nxt <= now:
-            nxt += self.interval
+            nxt += APP_MONITOR_INTERVAL
         # nxt - now is exact (Sterbenz: now >= interval after the first
         # poll, so nxt <= 2 * now) and the event lands on the grid
         delay = nxt - now
@@ -855,9 +850,9 @@ class AppSupervisor:
         self._armed = False
         self._poll()
         if self._dead_process(self.pair.active_container) is None:
-            self._next = self.pair.engine.now + self.interval  # dormant
+            self._next = self.pair.engine.now + APP_MONITOR_INTERVAL  # dormant
         else:
-            self._arm(self.interval)
+            self._arm(APP_MONITOR_INTERVAL)
 
     @staticmethod
     def _dead_process(container):

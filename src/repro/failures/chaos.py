@@ -47,7 +47,7 @@ from repro.failures.shrink import (  # noqa: F401
 # CLI: python -m repro.failures.chaos
 # ----------------------------------------------------------------------
 
-def _run_one(seed, hold_acks=True, out_dir=".", tracing=False,
+def _run_one(seed, out_dir=".", tracing=False,
              db_failover=False, stop_on_violation=True,
              controller_chaos=False):
     """Run one seed; returns ``"ok"``, ``"violation"`` or ``"partial"``.
@@ -58,7 +58,7 @@ def _run_one(seed, hold_acks=True, out_dir=".", tracing=False,
     """
     schedule = generate_schedule(seed, db_failover=db_failover,
                                  controller_chaos=controller_chaos)
-    result = run_schedule(schedule, hold_acks=hold_acks, tracing=tracing,
+    result = run_schedule(schedule, hold_acks=True, tracing=tracing,
                           stop_on_violation=stop_on_violation)
     if result.first_violation is None:
         if result.partial:
@@ -83,12 +83,12 @@ def _run_one(seed, hold_acks=True, out_dir=".", tracing=False,
         )
         return "ok"
     prefix = "panel_repro" if controller_chaos else "chaos_repro"
-    shrink_and_report(schedule, result, hold_acks, tracing=tracing,
+    shrink_and_report(schedule, result, True, tracing=tracing,
                       out_dir=out_dir, prefix=prefix)
     return "violation"
 
 
-def main(argv=None):
+def main():
     parser = argparse.ArgumentParser(
         description="Randomized multi-failure NSR testing (DESIGN.md §9)"
     )
@@ -109,7 +109,7 @@ def main(argv=None):
                         help="do not halt a run at its first violation"
                              " (collect them all; partial runs exit 2)")
     parser.add_argument("--out", default=".", help="repro script directory")
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     stop_on_violation = not args.keep_going
 
     if args.ablation:

@@ -12,8 +12,8 @@ Oracles (names are stable; repro scripts and docs reference them):
   address acknowledging bytes the database does not yet cover (session
   watermark, stored incoming messages, or the replicated partial tail).
   This is the §3.1.1 invariant; disabling delayed ACKs trips it.
-- ``session_continuity`` — once established, a remote session is at
-  every step either ESTABLISHED or held by graceful restart.
+- ``session_continuity`` — once established, a remote session is
+  ESTABLISHED at every step.
 - ``zero_downtime`` — the cumulative time the continuity predicate is
   false must stay zero (the paper's link-downtime metric).
 - ``ack_release_liveness`` — held ACKs must drain: a non-empty hold
@@ -56,6 +56,10 @@ LIVENESS_STREAK_LIMIT = 6.0
 #: Per-connection storage bound (§3.1.2).
 STORAGE_BOUND_BYTES = 65536
 
+#: Quiet time before the settle-point oracles (convergence, BFD,
+#: storage, phase latency) judge the system.
+SETTLE_GRACE = 4.0
+
 #: How long after a transient blip *ends* its lingering consequences may
 #: still legitimately surface as failure verdicts: the detector's
 #: recovery sweep can classify a container whose probes lag the heal
@@ -90,8 +94,7 @@ class OracleSuite:
     model even when a policy censors a block.
     """
 
-    def __init__(self, system, pair, remotes, settle_grace=4.0,
-                 check_bfd=True, stop_on_violation=True,
+    def __init__(self, system, pair, remotes, stop_on_violation=True,
                  import_policies=None):
         self.system = system
         self.pair = pair
@@ -103,8 +106,7 @@ class OracleSuite:
         # prefix -> PathAttributes per policy-filtered remote, recorded
         # at origination time so policy evaluation replays the intent
         self.attrs = [dict() for _ in self.remotes]
-        self.settle_grace = settle_grace
-        self.check_bfd = check_bfd
+        self.check_bfd = True  # until the agent (and its BFD relay) dies
         self.stop_on_violation = stop_on_violation
         self.violations = []
         # Coverage signal (DESIGN.md §13): which oracles actually judged
@@ -132,7 +134,7 @@ class OracleSuite:
         self._tap_installed = False
         # Trace-driven oracle (DESIGN.md §10): present only when the
         # system runs under a Tracer.
-        self.trace_store = getattr(system, "trace_store", None)
+        self.trace_store = system.trace_store
         self._reported_phase_violations = 0
 
     # ------------------------------------------------------------------
@@ -209,7 +211,7 @@ class OracleSuite:
                 if pending:
                     return False
             for session in speaker.sessions.values():
-                conn = getattr(session, "conn", None)
+                conn = session.conn
                 if conn is not None and conn.snd_una < conn.snd_nxt:
                     return False
         return True
@@ -268,7 +270,7 @@ class OracleSuite:
 
     def check(self, now):
         """Run every continuous oracle; settle-point oracles fire when the
-        system has been quiet for ``settle_grace``.  Returns the list of
+        system has been quiet for ``SETTLE_GRACE``.  Returns the list of
         all violations so far (the driver stops on the first)."""
         if self._armed_at is None:
             return self.violations
@@ -285,7 +287,7 @@ class OracleSuite:
             self._last_busy = now
         settled_since = max(self._last_activity, self._last_busy)
         if (
-            now - settled_since >= self.settle_grace
+            now - settled_since >= SETTLE_GRACE
             and now - self._last_settle_check >= 1.0
         ):
             self._last_settle_check = now
@@ -297,8 +299,7 @@ class OracleSuite:
 
     def _check_continuity(self, now):
         for index, (_remote, session) in enumerate(self.remotes):
-            up = session.established or session.gr_timer.armed
-            if up:
+            if session.established:
                 self._seen_established[index] = True
                 self.exercised.add("session_continuity")
                 if self._down_since[index] is not None:
@@ -359,7 +360,7 @@ class OracleSuite:
 
     def _check_exactly_once(self, _now):
         speaker = self.pair.speaker
-        duplicates = getattr(speaker, "duplicate_applies", 0)
+        duplicates = speaker.duplicate_applies if speaker is not None else 0
         if duplicates:
             self._violate(
                 "exactly_once_apply",
@@ -523,7 +524,7 @@ class OracleSuite:
 
     def _check_storage(self, _now):
         speaker = self.pair.speaker
-        if speaker is None or not hasattr(speaker, "storage_footprint"):
+        if speaker is None:
             return
         bound = STORAGE_BOUND_BYTES * max(1, len(self.remotes))
         self.exercised.add("storage_bound")

@@ -69,7 +69,7 @@ class ShrinkBudget:
 
 
 def shrink_scenario(scenario, hold_acks=True, tracing=False,
-                    expect_oracle=None, max_runs=40, budget=None):
+                    expect_oracle=None, budget=None):
     """Minimize ``scenario`` while it still trips an oracle.
 
     Deterministic greedy reduction: drop injections, drop workload
@@ -83,11 +83,11 @@ def shrink_scenario(scenario, hold_acks=True, tracing=False,
     Schedule-shaped passes (injections, bursts, instants, horizon) and
     config/topology passes draw from separate pools of a
     :class:`ShrinkBudget` — pass your own ``budget`` to control the
-    split and inspect which dimension exhausted it afterwards;
-    ``max_runs`` alone uses :meth:`ShrinkBudget.split`.
+    split and inspect which dimension exhausted it afterwards; the
+    default is ``ShrinkBudget.split(40)``.
     """
     if budget is None:
-        budget = ShrinkBudget.split(max_runs)
+        budget = ShrinkBudget.split(40)
 
     def still_fails(candidate, dimension):
         if not budget.take(dimension):
@@ -240,7 +240,7 @@ def write_repro_script(scenario, violation, hold_acks, path, tracing=False):
 
 
 def shrink_and_report(scenario, first_result, hold_acks, tracing=False,
-                      out_dir=".", prefix=None, budget=None, log=print):
+                      out_dir=".", prefix=None, budget=None):
     """The failure path of a sweep: shrink, write the repro, describe it.
 
     Returns ``(shrunk, path)``; the script is ``<prefix>_<seed>.py``
@@ -255,11 +255,11 @@ def shrink_and_report(scenario, first_result, hold_acks, tracing=False,
     )
     path = f"{out_dir}/{prefix or scenario.kind + '_repro'}_{scenario.seed}.py"
     write_repro_script(shrunk, violation, hold_acks, path, tracing=tracing)
-    log(
+    print(
         f"seed {scenario.seed}: VIOLATION {violation.oracle}"
         f" @{violation.time:.3f} — {violation.detail}"
     )
-    log(
+    print(
         f"  shrunk to {shrunk.describe()} in {runs} rerun(s)"
         f" [{budget.describe()}]; repro: {path}"
     )

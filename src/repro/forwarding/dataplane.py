@@ -13,15 +13,17 @@ failures, which one hop captures exactly.
 
 from repro.sim.process import Process
 
+#: A flow's accounting batch (s): one engine event per tick.
+FLOW_TICK_INTERVAL = 0.01
+
 
 class DataPlane:
     """Forwards packets by FIB lookup on one router."""
 
-    def __init__(self, engine, network, fib, name="dataplane"):
+    def __init__(self, engine, network, fib):
         self.engine = engine
         self.network = network
         self.fib = fib
-        self.name = name
         self.forwarded_packets = 0
         self.dropped_no_route = 0
         self.dropped_next_hop_down = 0
@@ -45,19 +47,18 @@ class TrafficFlow:
 
     ``rate_pps`` packets per second of ``packet_bytes`` each toward
     ``dst_address``.  Accounting happens in simulated batches (one tick
-    per ``tick_interval``), which keeps event counts sane at high rates.
+    per ``FLOW_TICK_INTERVAL``), which keeps event counts sane at high
+    rates.
     """
 
     def __init__(self, engine, dataplane, dst_address, rate_pps,
-                 packet_bytes=1000, tick_interval=0.01, name="flow"):
+                 packet_bytes=1000):
         self.engine = engine
         self.dataplane = dataplane
         self.dst_address = dst_address
         self.rate_pps = rate_pps
         self.packet_bytes = packet_bytes
-        self.tick_interval = tick_interval
-        self.name = name
-        self.process = Process(engine, f"flow:{name}")
+        self.process = Process(engine, "flow")
         self.offered_packets = 0
         self.delivered_packets = 0
         self.lost_packets = 0
@@ -66,10 +67,10 @@ class TrafficFlow:
         self._carry = 0.0
 
     def start(self):
-        self.process.every(self.tick_interval, self._tick)
+        self.process.every(FLOW_TICK_INTERVAL, self._tick)
 
     def _tick(self):
-        self._carry += self.rate_pps * self.tick_interval
+        self._carry += self.rate_pps * FLOW_TICK_INTERVAL
         batch = int(self._carry)
         self._carry -= batch
         if batch <= 0:

@@ -84,15 +84,14 @@ class FibSyncer:
     work on the data plane).
     """
 
-    def __init__(self, engine, fib, loc_rib_provider, interval=DEFAULT_SYNC_INTERVAL):
+    def __init__(self, engine, fib, loc_rib_provider):
         self.engine = engine
         self.fib = fib
         self.loc_rib_provider = loc_rib_provider
-        self.interval = interval
         self.process = Process(engine, f"fib-sync:{fib.name}")
 
     def start(self):
-        self.process.every(self.interval, self.sync_now)
+        self.process.every(DEFAULT_SYNC_INTERVAL, self.sync_now)
 
     def sync_now(self):
         """One diff-and-program pass; returns the number of changes."""

@@ -70,7 +70,7 @@ def _replay(path):
     return 1 if mismatches else 0
 
 
-def main(argv=None):
+def main():
     parser = argparse.ArgumentParser(
         description="Coverage-guided config/topology fuzzing (DESIGN.md §13)"
     )
@@ -87,7 +87,7 @@ def main(argv=None):
     parser.add_argument("--no-tracing", action="store_true",
                         help="drop the phase-shape coverage axis (faster)")
     parser.add_argument("--out", default=".", help="repro script directory")
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
 
     if args.smoke:
         return _smoke(args.out)

@@ -40,8 +40,8 @@ class FuzzReport:
         )
 
 
-def fuzz_loop(seed=0, iterations=10, baseline_keys=(), hold_acks=True,
-              tracing=True, out_dir=".", max_duration=None, log=print):
+def fuzz_loop(seed=0, iterations=10, baseline_keys=(), tracing=True,
+              out_dir=".", max_duration=None):
     """Run one coverage-guided campaign; pure function of its arguments.
 
     ``baseline_keys``: coverage keys the fixed chaos corpus produces —
@@ -72,15 +72,15 @@ def fuzz_loop(seed=0, iterations=10, baseline_keys=(), hold_acks=True,
             if not spec.injections:
                 spec = generate_fuzz_spec(spec_seed)
 
-        result = run_scenario(spec, hold_acks=hold_acks, tracing=tracing)
+        result = run_scenario(spec, hold_acks=True, tracing=tracing)
         report.runs += 1
         if result.partial:
             report.partial += 1
         violation = result.first_violation
         if violation is not None:
             shrunk, path = shrink_and_report(
-                spec, result, hold_acks, tracing=tracing, out_dir=out_dir,
-                budget=ShrinkBudget.split(40, config_share=0.4), log=log,
+                spec, result, True, tracing=tracing, out_dir=out_dir,
+                budget=ShrinkBudget.split(40, config_share=0.4),
             )
             report.violations.append({
                 "spec": shrunk, "oracle": violation.oracle, "repro": path,
@@ -95,13 +95,13 @@ def fuzz_loop(seed=0, iterations=10, baseline_keys=(), hold_acks=True,
                 "spec": spec, "profile": profile, "key": key,
                 "novel": key not in baseline_keys,
             })
-            log(
+            print(
                 f"[{iteration}] seed {spec.seed} ({origin}): NEW coverage"
                 f" {key} — pairs={spec.pair_count()}"
                 f" mode={spec.mrai_mode} layout={spec.vrf_layout}"
             )
         else:
-            log(f"[{iteration}] seed {spec.seed} ({origin}): known"
+            print(f"[{iteration}] seed {spec.seed} ({origin}): known"
                 f" coverage {key}")
     return report
 

@@ -102,46 +102,32 @@ class KvClient:
             "get", {"key": key}, lambda rep: on_done(rep["value"]), on_error, timeout
         )
 
-    def mget(self, keys, on_done, on_error=None, timeout=DEFAULT_TIMEOUT):
+    def mget(self, keys, on_done):
         """``on_done(list_of_values)``"""
-        self._call(
-            "mget",
-            {"keys": list(keys)},
-            lambda rep: on_done(rep["values"]),
-            on_error,
-            timeout,
-        )
+        self._call("mget", {"keys": list(keys)},
+                   lambda rep: on_done(rep["values"]), None, DEFAULT_TIMEOUT)
 
-    def set(self, key, value, on_done, on_error=None, timeout=DEFAULT_TIMEOUT):
+    def set(self, key, value, on_done):
         """``on_done()`` after the write (and its sync replication) commit."""
-        self._call(
-            "set",
-            {"key": key, "value": value},
-            lambda _rep: on_done(),
-            on_error,
-            timeout,
-        )
+        self._call("set", {"key": key, "value": value},
+                   lambda _rep: on_done(), None, DEFAULT_TIMEOUT)
 
-    def mset(self, items, on_done, on_error=None, timeout=DEFAULT_TIMEOUT):
+    def mset(self, items, on_done, on_error=None):
         """Batched write of ``[(key, value), ...]``; ``on_done()``."""
-        self._call(
-            "mset", {"items": list(items)}, lambda _rep: on_done(), on_error, timeout
-        )
+        self._call("mset", {"items": list(items)}, lambda _rep: on_done(),
+                   on_error, DEFAULT_TIMEOUT)
 
-    def delete(self, keys, on_done=None, on_error=None, timeout=DEFAULT_TIMEOUT):
+    def delete(self, keys, on_done=None, on_error=None):
         """``on_done(removed_count)`` (callback optional for fire-and-forget)."""
         done = (lambda rep: on_done(rep["removed"])) if on_done else _ignore_reply
-        self._call("delete", {"keys": list(keys)}, done, on_error, timeout)
+        self._call("delete", {"keys": list(keys)}, done, on_error,
+                   DEFAULT_TIMEOUT)
 
-    def scan(self, prefix, on_done, on_error=None, timeout=DEFAULT_TIMEOUT, estimated=64):
+    def scan(self, prefix, on_done, on_error=None, estimated=64):
         """``on_done(sorted_pairs)`` for keys under ``prefix``."""
-        self._call(
-            "scan",
-            {"prefix": prefix, "estimated": estimated},
-            lambda rep: on_done(rep["pairs"]),
-            on_error,
-            timeout,
-        )
+        self._call("scan", {"prefix": prefix, "estimated": estimated},
+                   lambda rep: on_done(rep["pairs"]), on_error,
+                   DEFAULT_TIMEOUT)
 
     def ping(self, on_done, on_error=None, timeout=DEFAULT_TIMEOUT):
         self._call("ping", {}, lambda _rep: on_done(), on_error, timeout)

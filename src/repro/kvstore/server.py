@@ -25,11 +25,11 @@ WRITE_METHODS = frozenset(("set", "mset", "delete"))
 class KvServer:
     """One KV node: store + RPC front end + optional sync replication."""
 
-    def __init__(self, engine, host, port=KV_PORT, store=None):
+    def __init__(self, engine, host, port=KV_PORT):
         self.engine = engine
         self.host = host
         self.port = port
-        self.store = store or KeyValueStore()
+        self.store = KeyValueStore()
         self._busy_until = 0.0
         self._replica_client = None
         self.replica_addr = None
@@ -130,23 +130,14 @@ class KvServer:
 
     def fail(self, permanent=False):
         """Kill the server.  ``permanent=True`` marks it beyond the reach
-        of :meth:`recover` — only an operator :meth:`reboot` brings it
-        back (a chaos blip's scheduled recovery must not resurrect a
-        primary the failover machinery already wrote off)."""
+        of :meth:`recover` (a chaos blip's scheduled recovery must not
+        resurrect a primary the failover machinery already wrote off)."""
         self.failed = True
         self._permanent = self._permanent or permanent
 
     def recover(self):
         if self._permanent:
             return
-        self.failed = False
-
-    def reboot(self):
-        """Operator-level restart: clears even a permanent failure.  The
-        store contents survive (RAM-intact model, consistent with
-        fail/recover); the epoch fence installed at promotion does not
-        reset, so a stale rebooted primary still rejects old writes."""
-        self._permanent = False
         self.failed = False
 
     def close(self):

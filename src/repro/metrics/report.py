@@ -1,19 +1,20 @@
 """Paper-style table and series formatting for the benchmark harness."""
 
 
-def _fmt(value, precision=3):
+def _fmt(value):
     if value is None:
         return "N/A"
     if isinstance(value, float):
         if value != 0 and (abs(value) >= 10000 or abs(value) < 0.001):
             return f"{value:.3g}"
-        return f"{value:.{precision}f}"
+        return f"{value:.3f}"
     return str(value)
 
 
-def format_table(headers, rows, title=None, precision=3):
-    """Render an aligned text table (the rows the paper reports)."""
-    text_rows = [[_fmt(cell, precision) for cell in row] for row in rows]
+def format_table(headers, rows, title=None):
+    """Render an aligned text table (the rows the paper reports); floats
+    print with three decimals."""
+    text_rows = [[_fmt(cell) for cell in row] for row in rows]
     widths = [
         max(len(headers[i]), *(len(row[i]) for row in text_rows)) if text_rows else len(headers[i])
         for i in range(len(headers))

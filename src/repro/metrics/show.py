@@ -10,6 +10,9 @@ benchmark harness uses.
 from repro.bgp.prefixes import prefix_text
 from repro.metrics.report import format_table
 
+#: Rows a table view prints before its "... N more" marker.
+SHOW_LIMIT = 20
+
 
 def show_bgp_summary(speaker):
     """`show bgp summary` for one BGP process."""
@@ -41,8 +44,8 @@ def show_bgp_summary(speaker):
     )
 
 
-def show_rib(vrf, limit=20):
-    """`show bgp vrf <name>`: best routes (truncated at ``limit``)."""
+def show_rib(vrf):
+    """`show bgp vrf <name>`: best routes (truncated at ``SHOW_LIMIT``)."""
     rows = []
     loc_rib = vrf.loc_rib
     for prefix in sorted(loc_rib.prefixes()):
@@ -56,8 +59,9 @@ def show_rib(vrf, limit=20):
             path.source_kind,
             path.peer_id,
         ])
-        if len(rows) >= limit:
-            rows.append([f"... {len(vrf.loc_rib) - limit} more", "", "", "", "", ""])
+        if len(rows) >= SHOW_LIMIT:
+            rows.append([f"... {len(vrf.loc_rib) - SHOW_LIMIT} more",
+                         "", "", "", "", ""])
             break
     return format_table(
         ["prefix", "next hop", "AS path", "local-pref", "source", "from"],
@@ -86,13 +90,13 @@ def show_bfd(process):
     )
 
 
-def show_fib(fib, limit=20):
+def show_fib(fib):
     """`show ip fib` for one forwarding table."""
     rows = []
     for prefix, entry in sorted(fib.entries().items(), key=lambda kv: kv[0]):
         rows.append([prefix_text(prefix), entry.next_hop, f"{entry.programmed_at:.3f}"])
-        if len(rows) >= limit:
-            rows.append([f"... {len(fib) - limit} more", "", ""])
+        if len(rows) >= SHOW_LIMIT:
+            rows.append([f"... {len(fib) - SHOW_LIMIT} more", "", ""])
             break
     return format_table(
         ["prefix", "next hop", "programmed at"],

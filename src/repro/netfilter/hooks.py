@@ -11,7 +11,7 @@ import enum
 
 
 class HookPoint(enum.Enum):
-    """The five classic Netfilter hook points (we exercise OUTPUT/INPUT)."""
+    """The five classic Netfilter hook points (we exercise OUTPUT)."""
 
     PREROUTING = "PREROUTING"
     INPUT = "INPUT"
@@ -54,14 +54,12 @@ class Rule:
 class HookChain:
     """An ordered rule chain for one hook point.
 
-    The default policy is ACCEPT, like an unconfigured iptables chain.
+    A packet no rule matches is accepted, like an unconfigured iptables
+    chain.
     """
 
-    def __init__(self, hook_point, policy=Verdict.ACCEPT):
-        if policy is Verdict.QUEUE:
-            raise ValueError("chain policy cannot be QUEUE")
+    def __init__(self, hook_point):
         self.hook_point = hook_point
-        self.policy = policy
         self.rules = []
         self.evaluations = 0
 
@@ -70,22 +68,6 @@ class HookChain:
         self.rules.append(rule)
         return rule
 
-    def insert(self, rule, index=0):
-        """Add a rule at ``index`` (iptables -I)."""
-        self.rules.insert(index, rule)
-        return rule
-
-    def delete(self, rule):
-        """Remove a rule (iptables -D).  Missing rules are ignored."""
-        try:
-            self.rules.remove(rule)
-        except ValueError:
-            pass
-
-    def flush(self):
-        """Remove all rules (iptables -F)."""
-        self.rules.clear()
-
     def evaluate(self, packet):
         """Return (verdict, queue_num) for ``packet``."""
         self.evaluations += 1
@@ -93,7 +75,7 @@ class HookChain:
             if rule.matches(packet):
                 rule.hits += 1
                 return rule.verdict, rule.queue_num
-        return self.policy, None
+        return Verdict.ACCEPT, None
 
     def __repr__(self):
         return f"<HookChain {self.hook_point.value} rules={len(self.rules)}>"

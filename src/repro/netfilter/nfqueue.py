@@ -87,9 +87,6 @@ class NfQueue:
         """Bind ``consumer(queued_packet)`` to ``queue_num``."""
         self._consumers[queue_num] = consumer
 
-    def unbind(self, queue_num):
-        self._consumers.pop(queue_num, None)
-
     def enqueue(self, queue_num, packet, release):
         """Suspend ``packet``; deliver it to the bound consumer.
 

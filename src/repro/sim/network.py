@@ -15,7 +15,6 @@ throughput caps in the Fig. 5(a) reproduction rather than a hand-wave.
 """
 
 from repro.sim.engine import SimulationError
-from repro.sim.rand import DeterministicRandom
 
 
 class Packet:
@@ -83,12 +82,11 @@ class _Path:
 class Link:
     """A bidirectional point-to-point link between two physical hosts."""
 
-    def __init__(self, a, b, latency, bandwidth, loss=0.0):
+    def __init__(self, a, b, latency, bandwidth):
         self.a = a
         self.b = b
         self.latency = latency
         self.bandwidth = bandwidth
-        self.loss = loss
         self.up = True
         self._tx = {a.name: _TxQueue(bandwidth), b.name: _TxQueue(bandwidth)}
         self.packets_carried = 0
@@ -224,9 +222,8 @@ class Network:
     #: (veth/bridge hop — effectively a memory copy).
     LOCAL_LATENCY = 5e-6
 
-    def __init__(self, engine, rng=None):
+    def __init__(self, engine):
         self.engine = engine
-        self.rng = (rng or DeterministicRandom(0)).stream("network.loss")
         self.hosts = {}
         self._links = {}
         self.fabric_latency = None
@@ -270,10 +267,10 @@ class Network:
     def host_by_address(self, address):
         return self.hosts.get(address)
 
-    def connect(self, a, b, latency=100e-6, bandwidth=100e9, loss=0.0):
+    def connect(self, a, b, latency=100e-6, bandwidth=100e9):
         """Create a dedicated point-to-point link between physical hosts."""
         key = frozenset((a.name, b.name))
-        link = Link(a, b, latency, bandwidth, loss)
+        link = Link(a, b, latency, bandwidth)
         self._links[key] = link
         self._paths.clear()
         return link
@@ -304,7 +301,7 @@ class Network:
         """Schedule delivery of ``packet`` from ``src_host``.
 
         Drops silently (like a real network) when the destination is
-        unknown/unreachable, the path is down, or the loss model fires.
+        unknown/unreachable or the path is down.
 
         What only a topology change can alter — which endpoint owns the
         destination address, its anchor chain, the link or fabric between
@@ -312,7 +309,7 @@ class Network:
         resolved on a flow's first packet and kept until ``add_host``,
         ``remove_host``, ``connect`` or ``enable_fabric`` runs.  State is
         never kept: ``up``/``network_up`` of every hop, ``link.up``, the
-        loss draw, the partition set and the queue's backlog are read for
+        partition set and the queue's backlog are read for
         each packet, so no failure lever has to announce itself.
         """
         self.packets_sent += 1
@@ -365,19 +362,17 @@ class Network:
         return path
 
     def _path_delay(self, path, size):
-        """Latency+serialization for one packet, or None if down/lost."""
+        """Latency+serialization for one packet, or None if down."""
         key = path.partition_key
         if key is None:
             return path.latency
         # fast path: the set is empty except while a chaos partition is
-        # active, and membership checks never touch the loss rng
+        # active
         if self._partitions and key in self._partitions:
             return None
         link, tx = path.link, path.tx
         if link is not None:
             if not link.up:
-                return None
-            if link.loss and self.rng.random() < link.loss:
                 return None
             link.packets_carried += 1
             link.bytes_carried += size

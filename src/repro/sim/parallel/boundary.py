@@ -5,7 +5,7 @@ A shard is an independent simulation universe (its own ``Engine`` and
 :class:`BoundaryLink`: a point-to-point edge whose far endpoint lives in
 another shard.  Inside the local network the far endpoint is represented
 by a *stub host* carrying the remote address; the fabric routes packets
-to the stub exactly like any local host (link up/down, loss, bandwidth
+to the stub exactly like any local host (link up/down, bandwidth
 serialization and queueing are all computed in the sending shard), but
 instead of local delivery the stub's ``boundary_export`` hook captures
 ``(arrival_time, packet)`` into a per-destination-shard mailbox.

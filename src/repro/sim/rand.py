@@ -1,6 +1,6 @@
 """Deterministic random streams.
 
-Each consumer (loss model, workload generator, failure injector) gets its
+Each consumer (workload generator, failure injector, BFD jitter) gets its
 own named stream derived from a root seed, so adding a new consumer never
 perturbs the draws seen by existing ones — simulations stay reproducible
 across code changes.

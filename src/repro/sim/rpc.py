@@ -83,12 +83,11 @@ class RefusalResponder:
     no bound socket claimed first.
     """
 
-    def __init__(self, engine, host, protocol="rpc"):
+    def __init__(self, engine, host):
         self.engine = engine
         self.host = host
-        self.protocol = protocol
         self.refusals = 0
-        host.bind(protocol, None, self._on_packet)
+        host.bind("rpc", None, self._on_packet)
 
     def _on_packet(self, packet):
         frame = packet.payload
@@ -99,7 +98,7 @@ class RefusalResponder:
         self.host.send(Packet(
             src=self.host.address,
             dst=packet.src,
-            protocol=self.protocol,
+            protocol="rpc",
             sport=packet.dport,
             dport=packet.sport,
             payload=reply,
@@ -296,8 +295,9 @@ class RpcClient:
         self.socket.close()
 
 
-def _body_size(body, default=256):
-    """Estimate the wire size of an RPC body."""
+def _body_size(body):
+    """Estimate the wire size of an RPC body (256 bytes when it is
+    neither bytes nor a dict)."""
     if isinstance(body, (bytes, bytearray)):
         return 64 + len(body)
     if isinstance(body, dict):
@@ -309,4 +309,4 @@ def _body_size(body, default=256):
             else:
                 total += 8
         return total
-    return default
+    return 256

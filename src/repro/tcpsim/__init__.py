@@ -19,7 +19,7 @@ from repro.tcpsim.segment import Segment
 from repro.tcpsim.state import TcpState
 from repro.tcpsim.congestion import RenoCongestionControl
 from repro.tcpsim.connection import TcpConnection
-from repro.tcpsim.stack import TcpStack, TcpStackConfig
+from repro.tcpsim.stack import TcpStack
 from repro.tcpsim.repair import TcpRepairState, import_tcp_state
 from repro.tcpsim.throughput_model import max_throughput
 
@@ -29,7 +29,6 @@ __all__ = [
     "RenoCongestionControl",
     "TcpConnection",
     "TcpStack",
-    "TcpStackConfig",
     "TcpRepairState",
     "import_tcp_state",
     "max_throughput",

@@ -13,9 +13,9 @@ from repro.sim.calibration import TCP_INITIAL_CWND_SEGMENTS
 class RenoCongestionControl:
     """RFC 5681 congestion control, byte-counted."""
 
-    def __init__(self, mss, initial_window_segments=TCP_INITIAL_CWND_SEGMENTS):
+    def __init__(self, mss):
         self.mss = mss
-        self.cwnd = initial_window_segments * mss
+        self.cwnd = TCP_INITIAL_CWND_SEGMENTS * mss
         self.ssthresh = float("inf")
         self.fast_recovery = False
         self._avoidance_acc = 0

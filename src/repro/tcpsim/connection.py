@@ -15,6 +15,7 @@ from repro.sim.calibration import (
     TCP_USER_TIMEOUT,
 )
 from repro.sim.process import Timer
+from repro.tcpsim.congestion import RenoCongestionControl
 from repro.tcpsim.segment import Segment
 from repro.tcpsim.state import TcpState
 
@@ -64,7 +65,7 @@ class TcpConnection:
         self._fin_pending = False
         self._fin_seq = None  # sequence number our FIN occupies
 
-        self.cc = stack.make_congestion_control(self.mss)
+        self.cc = RenoCongestionControl(self.mss)
 
         # RTO estimation (RFC 6298).
         self.srtt = None

@@ -60,7 +60,7 @@ class TcpRepairState:
         )
 
 
-def import_tcp_state(stack, state, on_data=None, on_close=None, on_reset=None):
+def import_tcp_state(stack, state):
     """Rebuild a connection inside ``stack`` from a repair snapshot.
 
     The stack's host must answer for ``state.local_addr`` (the underlay
@@ -84,9 +84,6 @@ def import_tcp_state(stack, state, on_data=None, on_close=None, on_reset=None):
     conn._send_buffer = bytearray(state.send_queue)
     conn.state = TcpState.ESTABLISHED
     conn.established_at = stack.engine.now
-    conn.on_data = on_data
-    conn.on_close = on_close
-    conn.on_reset = on_reset
     stack.adopt(conn)
     return conn
 

@@ -12,43 +12,29 @@ import itertools
 from repro.netfilter import HookChain, HookPoint, NfQueue, Verdict
 from repro.sim.calibration import TCP_SENDER_SEGMENT_RATE
 from repro.sim.network import Packet
-from repro.tcpsim.congestion import RenoCongestionControl
 from repro.tcpsim.connection import TcpConnection
 from repro.tcpsim.segment import Segment
 from repro.tcpsim.state import TcpState
 
 
-class TcpStackConfig:
-    """Tunables for one stack.
-
-    ``segment_rate`` is the CPU-bound segment emission rate (segments/s);
-    pure control segments (ACK/SYN/FIN without payload) cost an eighth of
-    a data segment.  ``congestion_control`` is a factory accepting mss.
-    """
-
-    def __init__(self, segment_rate=TCP_SENDER_SEGMENT_RATE, congestion_control=None,
-                 hook_technology="netfilter"):
-        self.segment_rate = segment_rate
-        self.congestion_control = congestion_control or RenoCongestionControl
-        self.hook_technology = hook_technology
-
-    def data_segment_cost(self):
-        return 1.0 / self.segment_rate
-
-    def control_segment_cost(self):
-        return 1.0 / (8.0 * self.segment_rate)
+#: CPU cost of emitting one data segment at the CPU-bound segment rate;
+#: a pure control segment (ACK/SYN/FIN without payload) costs an eighth.
+DATA_SEGMENT_COST = 1.0 / TCP_SENDER_SEGMENT_RATE
+CONTROL_SEGMENT_COST = DATA_SEGMENT_COST / 8.0
 
 
 class TcpStack:
-    """TCP for one host: sockets, demux, Netfilter chains, CPU pacing."""
+    """TCP for one host: sockets, demux, Netfilter chains, CPU pacing.
 
-    def __init__(self, engine, host, config=None):
+    ``hook_technology`` is how the NFQUEUE hands packets to user space
+    (``"netfilter"`` or ``"ebpf"``).
+    """
+
+    def __init__(self, engine, host, hook_technology="netfilter"):
         self.engine = engine
         self.host = host
-        self.config = config or TcpStackConfig()
         self.output_chain = HookChain(HookPoint.OUTPUT)
-        self.input_chain = HookChain(HookPoint.INPUT)
-        self.nfqueue = NfQueue(engine, technology=self.config.hook_technology)
+        self.nfqueue = NfQueue(engine, technology=hook_technology)
         self._listeners = {}
         self._connections = {}
         self._bound_ports = set()
@@ -96,12 +82,6 @@ class TcpStack:
         if self._connections.get(key) is conn:
             del self._connections[key]
 
-    def connections(self):
-        return list(self._connections.values())
-
-    def lookup(self, local_port, remote_addr, remote_port):
-        return self._connections.get((local_port, remote_addr, remote_port))
-
     def notify_accepted(self, conn):
         on_accept = self._listeners.get(conn.local_port)
         if on_accept is not None:
@@ -114,9 +94,6 @@ class TcpStack:
         and independent of other simulations sharing the OS process.
         """
         return 1_000_000 + 64_000 * self.engine.next_id("tcp.isn", 1)
-
-    def make_congestion_control(self, mss):
-        return self.config.congestion_control(mss)
 
     def adopt(self, conn):
         """Register an externally built connection (TCP repair import)."""
@@ -152,32 +129,19 @@ class TcpStack:
         if self.destroyed:
             return
         segment = packet.payload
-        cost = (
-            self.config.data_segment_cost()
-            if segment.payload
-            else self.config.control_segment_cost()
-        )
+        cost = DATA_SEGMENT_COST if segment.payload else CONTROL_SEGMENT_COST
         now = self.engine.now
         start = max(now, self._cpu_busy_until)
         self._cpu_busy_until = start + cost
         self.engine.schedule(self._cpu_busy_until - now, self.host.send, packet)
 
     # ------------------------------------------------------------------
-    # ingress: INPUT hook chain -> demux
+    # ingress: demux
     # ------------------------------------------------------------------
 
     def _on_packet(self, packet):
         if self.destroyed:
             return
-        verdict, queue_num = self.input_chain.evaluate(packet)
-        if verdict is Verdict.DROP:
-            return
-        if verdict is Verdict.QUEUE:
-            self.nfqueue.enqueue(queue_num, packet, self._demux)
-            return
-        self._demux(packet)
-
-    def _demux(self, packet):
         segment = packet.payload
         key = (packet.dport, packet.src, packet.sport)
         conn = self._connections.get(key)

@@ -26,41 +26,28 @@ from repro.sim.calibration import (
 )
 
 
-def average_segment_bytes(write_size, mss=TCP_MSS):
+def average_segment_bytes(write_size):
     """Useful payload bytes per segment for an app writing ``write_size``."""
     if write_size <= 0:
         raise ValueError("write_size must be positive")
-    segments = math.ceil(write_size / mss)
+    segments = math.ceil(write_size / TCP_MSS)
     return write_size / segments
 
 
-def max_throughput(
-    write_size,
-    ack_delay,
-    rtt,
-    window=TCP_RECEIVE_WINDOW,
-    segment_rate=TCP_SENDER_SEGMENT_RATE,
-    mss=TCP_MSS,
-    link_bandwidth=PEERING_LINK_BANDWIDTH,
-):
+def max_throughput(write_size, ack_delay, rtt):
     """Maximum steady-state throughput in bits/second."""
-    seg_bytes = average_segment_bytes(write_size, mss)
-    cpu_cap = segment_rate * seg_bytes * 8.0
-    window_cap = window * 8.0 / (rtt + ack_delay)
-    return min(cpu_cap, window_cap, link_bandwidth)
+    seg_bytes = average_segment_bytes(write_size)
+    cpu_cap = TCP_SENDER_SEGMENT_RATE * seg_bytes * 8.0
+    window_cap = TCP_RECEIVE_WINDOW * 8.0 / (rtt + ack_delay)
+    return min(cpu_cap, window_cap, PEERING_LINK_BANDWIDTH)
 
 
-def delay_threshold(
-    write_size,
-    rtt,
-    window=TCP_RECEIVE_WINDOW,
-    segment_rate=TCP_SENDER_SEGMENT_RATE,
-    mss=TCP_MSS,
-):
+def delay_threshold(write_size, rtt):
     """The largest ack delay that does not reduce throughput (Fig. 5a).
 
     Returns 0.0 when even an undelayed ACK path is window-limited.
     """
-    seg_bytes = average_segment_bytes(write_size, mss)
-    threshold = window / (segment_rate * seg_bytes) - rtt
+    seg_bytes = average_segment_bytes(write_size)
+    cpu_rate = TCP_SENDER_SEGMENT_RATE * seg_bytes
+    threshold = TCP_RECEIVE_WINDOW / cpu_rate - rtt
     return max(threshold, 0.0)

@@ -12,14 +12,14 @@ from repro.sim import DeterministicRandom
 from repro.workloads.updates import RouteGenerator
 
 
-def build_traced_system(seed=7, routes=40, neighbors=2):
-    """A converged, traced TensorSystem with ``neighbors`` remotes in a
+def build_traced_system(seed=7, routes=40):
+    """A converged, traced TensorSystem with two remotes in a
     shared VRF, each originating ``routes`` routes — so every update
     re-propagates to every other remote and all five hot-path phases
     (receive, replicate, ack_release, apply, propagate) appear in the
     trace."""
     system, pairs, remotes = build_system(
-        {**lab_spec(seed, neighbors, shared_vrf=True), "tracing": True})
+        {**lab_spec(seed, 2, shared_vrf=True), "tracing": True})
     engine = system.engine
     engine.advance(10.0)
     pair = pairs["pair0"]
@@ -33,7 +33,7 @@ def build_traced_system(seed=7, routes=40, neighbors=2):
         RouteGenerator(
             rand.fork(f"demo{i}"), 64512 + i, next_hop=f"192.0.2.{i + 1}"
         )
-        for i in range(neighbors)
+        for i in range(len(remotes))
     ]
     wave = 8
     sent = 0

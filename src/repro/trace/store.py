@@ -25,6 +25,9 @@ from repro.metrics.stats import summarize
 #: Span names of the five-phase receive pipeline, in causal order.
 PHASES = ("receive", "replicate", "ack_release", "apply", "propagate")
 
+#: Float tolerance of the delayed-ACK ordering checks (s).
+SLOP = 1e-9
+
 class TraceStore:
     """Holds every span a :class:`~repro.trace.tracer.Tracer` records."""
 
@@ -100,16 +103,16 @@ class TraceStore:
         return [s.end - s.begin
                 for s in self.spans(name, ended=True, **attr_filters)]
 
-    def phase_summary(self, names=PHASES):
+    def phase_summary(self):
         """{phase: summarize(durations)} for phases with ended spans."""
         out = {}
-        for name in names:
+        for name in PHASES:
             values = self.durations(name)
             if values:
                 out[name] = summarize(values)
         return out
 
-    def phase_shape(self, names=PHASES):
+    def phase_shape(self):
         """The *shape* of a run's phase activity, for coverage keys
         (DESIGN.md §13): ``(phase, log2-bucketed span count)`` pairs over
         phases that recorded at least one ended span.
@@ -123,7 +126,7 @@ class TraceStore:
         mutant look novel.
         """
         shape = []
-        for name in names:
+        for name in PHASES:
             count = len(self.spans(name, ended=True))
             if count:
                 shape.append((name, count.bit_length()))
@@ -131,7 +134,7 @@ class TraceStore:
 
     # -- the delayed-ACK phase invariant ---------------------------------
 
-    def delayed_ack_violations(self, slop=1e-9):
+    def delayed_ack_violations(self):
         """Spans that contradict §3.1.1: an ACK observable on the wire
         before the replication write it acknowledges became durable.
 
@@ -154,7 +157,7 @@ class TraceStore:
                         f"ack_release span #{span.span_id} (trace "
                         f"{span.trace_id}) has no closed replicate span"
                     )
-                elif span.begin < end - slop:
+                elif span.begin < end - SLOP:
                     problems.append(
                         f"ack_release span #{span.span_id} begins at "
                         f"{span.begin:.6f}, before its replicate span "
@@ -170,7 +173,7 @@ class TraceStore:
                         f"nfq.hold span #{span.span_id} released by trace "
                         f"{released_by}, which has no closed replicate span"
                     )
-                elif span.end < end - slop:
+                elif span.end < end - SLOP:
                     problems.append(
                         f"nfq.hold span #{span.span_id} released at "
                         f"{span.end:.6f}, before trace {released_by} was "

@@ -159,11 +159,11 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, engine, store=None):
+    def __init__(self, engine):
         from repro.trace.store import TraceStore
 
         self.engine = engine
-        self.store = store if store is not None else TraceStore()
+        self.store = TraceStore()
         self.current = None  # the ambient span (engine restores per event)
         self._ids = itertools.count(1)
         engine.set_trace_hook(self)

@@ -62,14 +62,13 @@ def _ring_neighbors(site, sites):
     return sorted(neighbors)
 
 
-def site_spec(site, seed, pairs, machine_count, tracing):
+def site_spec(site, seed, pairs, machine_count):
     """One site's cluster as a :mod:`repro.config` spec: pair ``i``
     primary on machine ``i`` and backup on the next (round robin), each
     serving one remote AS that links to every machine."""
     machines = [f"s{site}-gw-{m + 1}" for m in range(max(2, machine_count))]
     return {
         "seed": seed * 1009 + site,
-        "tracing": tracing,
         "machines": [{"name": name, "address": f"10.{m + 1}.0.1"}
                      for m, name in enumerate(machines)],
         "pairs": [
@@ -105,14 +104,13 @@ class FleetSiteProgram:
         churn_ticks = params.get("churn_ticks", 4)
         churn_interval = params.get("churn_interval", 5.0)
         seed = params.get("seed", 0)
-        tracing = params.get("tracing", False)
         routes_at = params.get("routes_at", ROUTES_AT)
         border_at = params.get("border_at", BORDER_AT)
         churn_at = params.get("churn_at", CHURN_AT)
 
         self.site = site
         self.system, _pairs, remotes = build_system(
-            site_spec(site, seed, pairs, machine_count, tracing))
+            site_spec(site, seed, pairs, machine_count))
         self.engine = engine = self.system.engine
         rand = DeterministicRandom(seed * 7919 + site)
         self.remotes = [(remote, remote.sessions[0])
@@ -203,7 +201,7 @@ class FleetSiteProgram:
         return self.engine.next_event_time(BORDER_SCOPE)
 
     def results(self):
-        out = {
+        return {
             "site": self.site,
             "rib": self.system.rib_digest(),
             "border_rib": self.border.vrfs["wan"].loc_rib.digest(),
@@ -213,10 +211,6 @@ class FleetSiteProgram:
             ),
             "packets_sent": self.system.network.packets_sent,
         }
-        store = self.system.trace_store
-        if store is not None:
-            out["phase_summary"] = store.phase_summary()
-        return out
 
 
 def build_fleet_site(shard_id, params, boundary):
@@ -225,8 +219,8 @@ def build_fleet_site(shard_id, params, boundary):
 
 
 def fleet_site_specs(sites, pairs=4, routes=50, border_routes=20, seed=0,
-                     churn_ticks=4, churn_interval=5.0, tracing=False,
-                     machines=2, routes_at=ROUTES_AT, border_at=BORDER_AT,
+                     churn_ticks=4, churn_interval=5.0, machines=2,
+                     routes_at=ROUTES_AT, border_at=BORDER_AT,
                      churn_at=CHURN_AT):
     """ShardSpecs for a ``sites``-site fleet on a WAN ring.
 
@@ -261,7 +255,6 @@ def fleet_site_specs(sites, pairs=4, routes=50, border_routes=20, seed=0,
                 "seed": seed,
                 "churn_ticks": churn_ticks,
                 "churn_interval": churn_interval,
-                "tracing": tracing,
                 "routes_at": routes_at,
                 "border_at": border_at,
                 "churn_at": churn_at,
@@ -278,7 +271,7 @@ def fleet_site_specs(sites, pairs=4, routes=50, border_routes=20, seed=0,
 FLEET_1K_DURATION = 8.0
 
 
-def fleet_1k_specs(seed=0, tracing=False):
+def fleet_1k_specs():
     """ShardSpecs for the 1024-container fleet row of BENCH_parallel.
 
     Route counts are trimmed per pair (the point is container/session
@@ -287,7 +280,7 @@ def fleet_1k_specs(seed=0, tracing=False):
     ``FLEET_1K_DURATION`` virtual seconds.
     """
     return fleet_site_specs(
-        16, pairs=32, machines=8, routes=12, border_routes=8, seed=seed,
-        churn_ticks=2, churn_interval=2.0, tracing=tracing,
+        16, pairs=32, machines=8, routes=12, border_routes=8, seed=0,
+        churn_ticks=2, churn_interval=2.0,
         routes_at=3.0, border_at=4.0, churn_at=6.0,
     )

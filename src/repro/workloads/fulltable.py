@@ -41,21 +41,26 @@ SCATTER_LENGTHS = (24, 24, 24, 23, 24, 22, 24, 25, 20, 24, 26, 21, 24, 28)
 
 HOST_ROUTES = 8  # /32s appended to every table
 
+#: Share of the routed prefixes that form complete uniform /20 blocks.
+AGGREGATABLE_FRACTION = 0.5
+#: The peer the table is learned from, and the one churn competes with.
+TABLE_PEER = "edge0"
+COMPETITOR = "edge1"
+
 
 class FullTableWorkload:
     """Deterministic synthetic table + churn generator.
 
     ``size`` counts routed prefixes (the default route and host-route
-    band ride on top).  ``aggregatable_fraction`` of them form complete
-    uniform /20 blocks; the rest scatter.
+    band ride on top).  ``AGGREGATABLE_FRACTION`` of them form complete
+    uniform /20 blocks; the rest scatter.  All are learned from
+    ``TABLE_PEER``.
     """
 
-    def __init__(self, seed=1, size=1_000_000, aggregatable_fraction=0.5,
-                 peer_id="edge0"):
+    def __init__(self, seed=1, size=1_000_000):
         self.seed = seed
         self.size = size
-        self.peer_id = peer_id
-        blocks = int(size * aggregatable_fraction) >> BLOCK_MEMBER_BITS
+        blocks = int(size * AGGREGATABLE_FRACTION) >> BLOCK_MEMBER_BITS
         self.aggregatable_count = blocks << BLOCK_MEMBER_BITS
         self.scattered_count = size - self.aggregatable_count
         generator = RouteGenerator(DeterministicRandom(seed), 64496,
@@ -106,7 +111,7 @@ class FullTableWorkload:
         """Offer the whole table; returns the number of routes."""
         offer = loc_rib.offer
         prefix_at, pool_index = self.prefix_at, self._pool_index
-        paths = self._paths(self.peer_id)
+        paths = self._paths(TABLE_PEER)
         for index in range(self.total):
             offer(prefix_at(index), paths[pool_index(index)])
         return self.total
@@ -118,7 +123,7 @@ class FullTableWorkload:
 
     # -- churn replay -------------------------------------------------------
 
-    def churn(self, loc_rib, ops, seed=None, competitor="edge1"):
+    def churn(self, loc_rib, ops, seed=None):
         """Replay ``ops`` deterministic churn operations.
 
         Cycles competing-route offers (forces a reselect among
@@ -128,7 +133,7 @@ class FullTableWorkload:
         """
         rng = DeterministicRandom(self.seed if seed is None
                                   else seed).stream("churn")
-        rivals, primaries = self._paths(competitor), self._paths(self.peer_id)
+        rivals, primaries = self._paths(COMPETITOR), self._paths(TABLE_PEER)
         applied = 0
         for op in range(ops):
             # Groups of three share a multiplicatively-scattered base
@@ -140,7 +145,7 @@ class FullTableWorkload:
                 loc_rib.offer(self.prefix_at(base),
                               rivals[rng.randrange(len(rivals))])
             elif kind == 1:
-                loc_rib.retract(self.prefix_at(base), competitor)
+                loc_rib.retract(self.prefix_at(base), COMPETITOR)
             else:
                 loc_rib.offer(self.prefix_at((base + 1) % self.size),
                               primaries[rng.randrange(len(primaries))])
@@ -152,8 +157,7 @@ class FullTableWorkload:
 # end-to-end: a table slice through a real NSR pair
 # ---------------------------------------------------------------------------
 
-def replay_through_pair(size=2_000, churn_ops=300, seed=3,
-                        aggregate_snapshots=True):
+def replay_through_pair(size=2_000, churn_ops=300, seed=3):
     """Push a full-table slice through an NSR pair and snapshot it.
 
     Builds the standard one-pair topology (remote AS -> gateway), has
@@ -167,7 +171,7 @@ def replay_through_pair(size=2_000, churn_ops=300, seed=3,
 
     workload = FullTableWorkload(seed=seed, size=size)
     spec = lab_spec(seed)
-    spec["pairs"][0]["aggregate_snapshots"] = aggregate_snapshots
+    spec["pairs"][0]["aggregate_snapshots"] = True
     system, pairs, remotes = build_system(spec)
     system.run(10.0)
     pair, remote = pairs["pair0"], remotes["remote0"]

@@ -26,6 +26,12 @@ TIMELINE_MONTHS = 30
 DEPLOY_START_MONTH = 5  # June 2020 (0-indexed from Jan 2020)
 FULL_MIGRATION_MONTH = 23  # December 2021
 
+#: Calibrated against §4.4: ~34 TB impacted per month pre-TENSOR over
+#: ~6000 links whose expected per-failure impact is downtime (~65 s,
+#: Table 1 mix) x link throughput — i.e. ~120 failure-minutes a month
+#: fleet-wide, or ~0.02 failures per link per month.
+FAILURES_PER_LINK_PER_MONTH = 0.02
+
 
 def default_adoption_curve(total_ases=FLEET_PEERING_ASES):
     """ASes on TENSOR per month: 0 until June 2020, 100 during the
@@ -49,19 +55,9 @@ def default_adoption_curve(total_ases=FLEET_PEERING_ASES):
 class OperationalModel:
     """Monthly impacted-data series under a given NSR posture."""
 
-    #: Calibrated against §4.4: ~34 TB impacted per month pre-TENSOR over
-    #: ~6000 links whose expected per-failure impact is downtime (~65 s,
-    #: Table 1 mix) x link throughput — i.e. ~120 failure-minutes a month
-    #: fleet-wide, or ~0.02 failures per link per month.
-    DEFAULT_FAILURES_PER_LINK_PER_MONTH = 0.02
-
-    def __init__(self, rng, links=FLEET_PEERING_ASES,
-                 failures_per_link_per_month=DEFAULT_FAILURES_PER_LINK_PER_MONTH,
-                 update_frequency_factor=1.0):
+    def __init__(self, rng, links=FLEET_PEERING_ASES):
         self.rng = rng
         self.links = links
-        self.failures_per_link_per_month = failures_per_link_per_month
-        self.update_frequency_factor = update_frequency_factor
         self.traffic = TrafficModel(rng)
         self._link_throughput = self.traffic.sample_links(links)
 
@@ -92,7 +88,7 @@ class OperationalModel:
         expected_downtime = self.baseline_downtime_seconds()
         series = []
         for month, migrated in enumerate(adoption):
-            frequency_factor = self.update_frequency_factor
+            frequency_factor = 1.0
             if month >= FULL_MIGRATION_MONTH:
                 frequency_factor *= 3.0  # "we have tripled the update frequency"
             impacted = 0.0
@@ -100,7 +96,7 @@ class OperationalModel:
                 if link_index < migrated:
                     continue  # TENSOR: zero downtime
                 failures = self._poisson(
-                    self.failures_per_link_per_month * frequency_factor
+                    FAILURES_PER_LINK_PER_MONTH * frequency_factor
                 )
                 if failures:
                     throughput_bps = self._link_throughput[link_index]

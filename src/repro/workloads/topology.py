@@ -18,6 +18,9 @@ from repro.bgp.speaker import BgpSpeaker, SpeakerConfig
 from repro.sim.calibration import PEERING_LINK_BANDWIDTH, PEERING_LINK_LATENCY
 from repro.tcpsim.stack import TcpStack
 
+#: How often a :class:`DowntimeObserver` samples the remote's view (s).
+DOWNTIME_POLL_INTERVAL = 0.01
+
 
 class RemotePeerAs:
     """The peering AS's border router."""
@@ -59,10 +62,10 @@ class RemotePeerAs:
         self.speaker.start()
         self.bfd.start()
 
-    def link_to(self, machine_host, bandwidth=PEERING_LINK_BANDWIDTH,
-                latency=PEERING_LINK_LATENCY, loss=0.0):
+    def link_to(self, machine_host, latency=PEERING_LINK_LATENCY):
         return self.network.connect(
-            self.host, machine_host, latency=latency, bandwidth=bandwidth, loss=loss
+            self.host, machine_host, latency=latency,
+            bandwidth=PEERING_LINK_BANDWIDTH,
         )
 
 
@@ -86,17 +89,17 @@ def build_remote_peer(system, name, address, asn, link_machines=()):
 class DowntimeObserver:
     """Accumulates remote-visible link downtime.
 
-    Polls the remote router's view: the link is *up* when the BGP session
-    is established (or held by graceful restart) AND the learned routes
-    are still present.  ``total_downtime`` is the paper's headline metric.
+    Polls the remote router's view every :data:`DOWNTIME_POLL_INTERVAL`:
+    the link is *up* when the BGP session is established AND the learned
+    routes are still present.  ``total_downtime`` is the paper's headline
+    metric.
     """
 
-    def __init__(self, engine, remote_session, vrf, expect_routes=1, interval=0.01):
+    def __init__(self, engine, remote_session, vrf, expect_routes=1):
         self.engine = engine
         self.session = remote_session
         self.vrf = vrf
         self.expect_routes = expect_routes
-        self.interval = interval
         self.total_downtime = 0.0
         self.transitions = []  # (time, up->down | down->up)
         self._down_since = None
@@ -107,9 +110,7 @@ class DowntimeObserver:
 
     def _is_up(self):
         if not self.session.established:
-            # graceful restart holds routes while the session re-forms
-            if not self.session.gr_timer.armed:
-                return False
+            return False
         return len(self.vrf.loc_rib) >= self.expect_routes
 
     def _poll(self):
@@ -122,7 +123,8 @@ class DowntimeObserver:
         elif not up and self._down_since is None:
             self._down_since = now
             self.transitions.append((now, "up->down"))
-        self._polling = self.engine.schedule(self.interval, self._poll)
+        self._polling = self.engine.schedule(DOWNTIME_POLL_INTERVAL,
+                                             self._poll)
 
     def stop(self):
         if self._polling is not None:

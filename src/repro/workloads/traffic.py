@@ -30,39 +30,31 @@ from repro.sim.calibration import (
 )
 
 
+SMALL_MU = math.log(TRAFFIC_SMALL_MEDIAN_BPS)
+LARGE_MU = math.log(TRAFFIC_LARGE_MEDIAN_BPS)
+
+
 class TrafficModel:
     """Draws per-link average throughput samples (bits/second)."""
 
-    def __init__(
-        self,
-        rng,
-        small_weight=TRAFFIC_MIX_SMALL_WEIGHT,
-        small_median=TRAFFIC_SMALL_MEDIAN_BPS,
-        small_sigma=TRAFFIC_SMALL_SIGMA,
-        large_median=TRAFFIC_LARGE_MEDIAN_BPS,
-        large_sigma=TRAFFIC_LARGE_SIGMA,
-    ):
+    def __init__(self, rng):
         self.rng = rng
-        self.small_weight = small_weight
-        self.small_mu = math.log(small_median)
-        self.small_sigma = small_sigma
-        self.large_mu = math.log(large_median)
-        self.large_sigma = large_sigma
 
     def sample(self):
         """One link's 24-hour average throughput in bps."""
-        if self.rng.random() < self.small_weight:
-            return self.rng.lognormvariate(self.small_mu, self.small_sigma)
-        return self.rng.lognormvariate(self.large_mu, self.large_sigma)
+        if self.rng.random() < TRAFFIC_MIX_SMALL_WEIGHT:
+            return self.rng.lognormvariate(SMALL_MU, TRAFFIC_SMALL_SIGMA)
+        return self.rng.lognormvariate(LARGE_MU, TRAFFIC_LARGE_SIGMA)
 
     def sample_links(self, count):
         return [self.sample() for _ in range(count)]
 
     def theoretical_mean(self):
         """E[X] of the mixture (bps)."""
-        small_mean = math.exp(self.small_mu + self.small_sigma**2 / 2)
-        large_mean = math.exp(self.large_mu + self.large_sigma**2 / 2)
-        return self.small_weight * small_mean + (1 - self.small_weight) * large_mean
+        small_mean = math.exp(SMALL_MU + TRAFFIC_SMALL_SIGMA**2 / 2)
+        large_mean = math.exp(LARGE_MU + TRAFFIC_LARGE_SIGMA**2 / 2)
+        return (TRAFFIC_MIX_SMALL_WEIGHT * small_mean
+                + (1 - TRAFFIC_MIX_SMALL_WEIGHT) * large_mean)
 
 
 def percentile(samples, fraction):

@@ -71,10 +71,10 @@ class RouteGenerator:
         attrs = self.attr_pool[0]
         return [(prefix, attrs) for prefix in prefixes]
 
-    def distinct_routes(self, count, base="10.0.0.0", length=24):
-        """``count`` pairs with pairwise distinct attribute sets
-        (worst-case packing: exactly one UPDATE per route)."""
-        prefixes = self.prefixes(count, base=base, length=length)
+    def distinct_routes(self, count):
+        """``count`` /24s from 10.0.0.0 with pairwise distinct attribute
+        sets (worst-case packing: exactly one UPDATE per route)."""
+        prefixes = self.prefixes(count)
         return [
             (prefix, PathAttributes(as_path=AsPath.sequence(self.origin_as),
                                     next_hop=self.next_hop, med=index))

@@ -13,7 +13,7 @@ def engine():
 
 @pytest.fixture
 def network(engine):
-    return Network(engine, DeterministicRandom(1234))
+    return Network(engine)
 
 
 @pytest.fixture
@@ -52,8 +52,26 @@ def make_tcp_pair(engine, stack_a, stack_b, port=7000, payload=b""):
     return client, accepted, received
 
 
-def build_tensor_fixture(seed=7, routes=1000, neighbors=1, preheat=True,
-                         rand=None, tracing=False, shared_vrf=False,
+def drop_randomly(network, link, loss, seed):
+    """Lose each packet crossing ``link`` with probability ``loss``.
+
+    The simulated fabric has no loss model (no deployment sets one), so
+    the tests of TCP's loss recovery install one on the instance; the
+    draws come from ``seed``'s ``network.loss`` stream.
+    """
+    rng = DeterministicRandom(seed).stream("network.loss")
+    path_delay = network._path_delay
+
+    def lossy(path, size):
+        if path.link is link and link.up and rng.random() < loss:
+            return None
+        return path_delay(path, size)
+
+    network._path_delay = lossy
+
+
+def build_tensor_fixture(seed=7, routes=1000, neighbors=1, rand=None,
+                         tracing=False, shared_vrf=False,
                          controller_replicas=1):
     """The standard lab (:func:`repro.config.lab_spec`) with
     ``neighbors`` remote ASes, converged, each remote preloaded with
@@ -69,7 +87,6 @@ def build_tensor_fixture(seed=7, routes=1000, neighbors=1, preheat=True,
 
     spec = {**lab_spec(seed, neighbors, shared_vrf), "tracing": tracing,
             "controller_replicas": controller_replicas}
-    spec["pairs"][0]["preheat_backup"] = preheat
     system, pairs, remotes = build_system(spec)
     engine = system.engine
     engine.advance(10.0)

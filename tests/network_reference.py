@@ -72,7 +72,7 @@ class ReferenceNetwork(Network):
         return delivered
 
     def _path_delay(self, src_anchor, dst_anchor, size):
-        """Latency+serialization for the physical path, or None if down/lost."""
+        """Latency+serialization for the physical path, or None if down."""
         if src_anchor is dst_anchor:
             return self.LOCAL_LATENCY
         if (self._partitions
@@ -82,8 +82,6 @@ class ReferenceNetwork(Network):
         now = self.engine.now
         if link is not None:
             if not link.up:
-                return None
-            if link.loss and self.rng.random() < link.loss:
                 return None
             link.packets_carried += 1
             link.bytes_carried += size

@@ -55,9 +55,9 @@ def shadowed(real_reports, reference_reports, supervisors=None):
     ``supervisors``, when given, collects the instances."""
 
     class ShadowedSupervisor(AppSupervisor):
-        def __init__(self, pair, interval=APP_MONITOR_INTERVAL):
-            self.reference = ReferencePoller(pair, reference_reports, interval)
-            super().__init__(pair, interval)
+        def __init__(self, pair):
+            self.reference = ReferencePoller(pair, reference_reports)
+            super().__init__(pair)
             self.polls = 0
             if supervisors is not None:
                 supervisors.append(self)

@@ -22,7 +22,7 @@ DAEMONS = {"FrrDaemon": "frr", "GoBgpDaemon": "gobgp", "BirdDaemon": "bird"}
 
 @pytest.fixture
 def net(engine):
-    return Network(engine, DeterministicRandom(12))
+    return Network(engine)
 
 
 def _daemon(engine, net, name, address, local_as, profile):
@@ -171,13 +171,6 @@ def test_baseline_recovery_rows_match_table1():
 def test_baseline_container_row_is_na():
     row = baseline_recovery_row("container")
     assert row["total"] is None
-
-
-def test_workload_factor_scales_bgp_recovery():
-    light = baseline_recovery_row("application", workload_factor=1.0)
-    heavy = baseline_recovery_row("application", workload_factor=10.0)
-    assert heavy["recovery"] == 10 * light["recovery"]
-    assert heavy["detection"] == light["detection"]
 
 
 # -- NSR-enabled router model ---------------------------------------------------

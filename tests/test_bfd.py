@@ -8,7 +8,7 @@ from repro.sim import DeterministicRandom, Engine, Network
 
 @pytest.fixture
 def bfd_pair(engine):
-    network = Network(engine, DeterministicRandom(17))
+    network = Network(engine)
     a = network.add_host("a", "10.0.0.1")
     b = network.add_host("b", "10.0.0.2")
     network.connect(a, b, latency=100e-6, bandwidth=100e9)

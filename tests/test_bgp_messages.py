@@ -32,12 +32,18 @@ def test_keepalive_is_bare_header():
 def test_open_roundtrip_with_capabilities():
     msg = OpenMessage(
         65001, 90, 0x0A0B0C0D,
-        Capabilities(four_octet_as=65001, route_refresh=True,
-                     graceful_restart_time=120),
+        Capabilities(four_octet_as=65001, route_refresh=True),
     )
     [(decoded, _)] = MessageDecoder().feed(msg.to_wire())
     assert decoded == msg
-    assert decoded.capabilities.graceful_restart_time == 120
+
+
+def test_unknown_capability_is_skipped():
+    caps = Capabilities(four_octet_as=65001)
+    wire = caps.to_wire()
+    graceful_restart = bytes([64, 2, 0x00, 0x78])  # code 64, 120 s
+    blob = bytes([2, wire[1] + len(graceful_restart)]) + wire[2:] + graceful_restart
+    assert Capabilities.from_wire(blob) == caps
 
 
 def test_open_4_octet_asn_uses_as_trans():

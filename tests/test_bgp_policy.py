@@ -58,12 +58,10 @@ def test_add_communities_merges_sorted():
     assert out.communities == (50, 100)
 
 
-def test_set_med_and_next_hop():
-    rmap = RouteMap("m", [
-        RouteMapEntry(action=PolicyAction(set_med=5, set_next_hop="9.9.9.9"))
-    ])
+def test_set_med():
+    rmap = RouteMap("m", [RouteMapEntry(action=PolicyAction(set_med=5))])
     out = rmap.evaluate(P_IN, ATTRS)
-    assert out.med == 5 and out.next_hop == "9.9.9.9"
+    assert out.med == 5 and out.next_hop == ATTRS.next_hop
 
 
 def test_match_community():

@@ -28,6 +28,13 @@ from repro.failures.chaos import (
     write_repro_script,
 )
 
+
+def _main(monkeypatch, chaos, *argv):
+    """``python -m repro.failures.chaos *argv``, in process."""
+    monkeypatch.setattr(sys, "argv", ["chaos", *argv])
+    return chaos.main()
+
+
 # ----------------------------------------------------------------------
 # generation: pure function of the seed
 # ----------------------------------------------------------------------
@@ -268,7 +275,8 @@ def test_traced_violation_shrinks_and_replays_traced(tmp_path, monkeypatch):
     assert run_schedule(schedule).first_violation is None
 
     shrunk, final, runs = shrink_schedule(
-        schedule, tracing=True, expect_oracle="phase_latency", max_runs=16,
+        schedule, tracing=True, expect_oracle="phase_latency",
+        budget=ShrinkBudget.split(16),
     )
     assert final is not None and runs > 1
     assert final.first_violation.oracle == "phase_latency"
@@ -376,9 +384,9 @@ def test_cli_exit_codes_distinguish_partial_runs(monkeypatch, capsys):
         )
 
     monkeypatch.setattr(chaos, "run_schedule", fake_run)
-    assert chaos.main(["--seed", "0"]) == 0
-    assert chaos.main(["--seed", "0", "--keep-going"]) == 2
-    assert chaos.main(["--corpus", "--keep-going"]) == 2
+    assert _main(monkeypatch, chaos, "--seed", "0") == 0
+    assert _main(monkeypatch, chaos, "--seed", "0", "--keep-going") == 2
+    assert _main(monkeypatch, chaos, "--corpus", "--keep-going") == 2
     out = capsys.readouterr().out
     assert "PARTIAL" in out
 
@@ -401,9 +409,9 @@ def test_cli_single_seed_runs_in_its_corpus_flavour(monkeypatch, capsys):
         return real_run(schedule, **options)
 
     monkeypatch.setattr(chaos, "run_schedule", spy)
-    assert chaos.main(["--seed", "14", "--controller-corpus"]) == 0
-    assert chaos.main(["--seed", "14"]) == 0
-    assert chaos.main(["--seed", "20", "--controller-corpus"]) == 0
+    assert _main(monkeypatch, chaos, "--seed", "14", "--controller-corpus") == 0
+    assert _main(monkeypatch, chaos, "--seed", "14") == 0
+    assert _main(monkeypatch, chaos, "--seed", "20", "--controller-corpus") == 0
     for schedule, _options in seen:
         assert schedule.controller_replicas == 3
         assert schedule.to_dict() == generate_schedule(
@@ -411,9 +419,9 @@ def test_cli_single_seed_runs_in_its_corpus_flavour(monkeypatch, capsys):
     assert "panel x3" in capsys.readouterr().out
 
     del seen[:]
-    assert chaos.main(["--seed", "6"]) == 0    # a traced corpus seed
-    assert chaos.main(["--seed", "10"]) == 0   # a db-failover corpus seed
-    assert chaos.main(["--seed", "3"]) == 0    # a plain one
+    assert _main(monkeypatch, chaos, "--seed", "6") == 0   # traced corpus seed
+    assert _main(monkeypatch, chaos, "--seed", "10") == 0  # db-failover seed
+    assert _main(monkeypatch, chaos, "--seed", "3") == 0    # a plain one
     (traced, t_opts), (failover, f_opts), (plain, p_opts) = seen
     assert t_opts["tracing"] and not f_opts["tracing"] and not p_opts["tracing"]
     assert any(e["scenario"] == "database_failover"

@@ -100,7 +100,7 @@ if HAVE_HYPOTHESIS:
     @given(attrs=path_attributes)
     def test_path_attributes_roundtrip(attrs):
         wire = attrs.to_wire()
-        decoded = PathAttributes.from_wire(wire, intern=False)
+        decoded = PathAttributes._decode(wire)
         assert decoded == attrs
         assert decoded.to_wire() == wire
 
@@ -186,7 +186,7 @@ def test_seeded_codec_roundtrip_corpus():
     for _ in range(150):
         attrs = _random_attributes(rng)
         wire = attrs.to_wire()
-        assert PathAttributes.from_wire(wire, intern=False) == attrs
+        assert PathAttributes._decode(wire) == attrs
         assert PathAttributes.from_wire(wire) is PathAttributes.from_wire(wire)
 
         message = UpdateMessage(

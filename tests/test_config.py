@@ -100,6 +100,31 @@ def test_valid_spec_passes():
     (lambda s: s["machines"].append({"name": "gw-3", "address": "10.1.0.1"}),
      "$.machines[2].address"),
     (lambda s: s.update(remote_db={"latency": -1}), "$.remote_db.latency"),
+    # numbers that build but cannot run, and values of the wrong type
+    (lambda s: s["pairs"][0].update(mrai=-0.5), "$.pairs[0].mrai"),
+    (lambda s: (s["pairs"][0].update(mrai_mode="per_peer"),
+                _neighbor(s).update(mrai=-0.5)),
+     "$.pairs[0].neighbors[0].mrai"),
+    (lambda s: s["pairs"][0].update(config_entries=-100),
+     "$.pairs[0].config_entries"),
+    (lambda s: s["pairs"][0].update(config_entries="x"),
+     "$.pairs[0].config_entries"),
+    (lambda s: (s["pairs"][0].update(local_as=2**32),
+                s["remotes"][0]["peer"].update(gateway_as=2**32)),
+     "$.pairs[0].local_as"),
+    (lambda s: (s["pairs"][0].update(local_as=-1),
+                s["remotes"][0]["peer"].update(gateway_as=-1)),
+     "$.pairs[0].local_as"),
+    (lambda s: (_neighbor(s).update(remote_as=-5),
+                s["remotes"][0].update(asn=-5)),
+     "$.pairs[0].neighbors[0].remote_as"),
+    (lambda s: s["pairs"][0].update(router_id="bogus"), "$.pairs[0].router_id"),
+    (lambda s: s.update(seed="x"), "$.seed"),
+    (lambda s: (s["pairs"][0].update(local_as=True),
+                s["remotes"][0]["peer"].update(gateway_as=True)),
+     "$.pairs[0].local_as"),
+    (lambda s: s["pairs"][0].update(mrai=True), "$.pairs[0].mrai"),
+    (lambda s: s.update(hold_acks="no"), "$.hold_acks"),
 ])
 def test_invalid_specs_rejected(mutate, path_fragment):
     spec = good_spec()
@@ -128,19 +153,13 @@ def test_build_system_end_to_end():
     assert system.machines.keys() == {"gw-1", "gw-2"}
 
 
-def test_build_system_without_start():
-    system, pairs, _remotes = build_system(good_spec(), start=False)
-    system.run(5.0)
-    assert pairs["pair0"].speaker is None  # never started
-
-
 def test_build_system_carries_options():
     spec = good_spec()
     spec.update(hook_technology="ebpf", tracing=True, controller_replicas=3,
                 remote_db={"latency": 0.003, "mode": "async"})
     spec["pairs"][0]["aggregate_snapshots"] = True
     spec["remotes"][0]["peer"].update(hold_time=30, keepalive_interval=10)
-    system, pairs, remotes = build_system(spec, start=False)
+    system, pairs, remotes = build_system(spec)
     assert system.hook_technology == "ebpf"
     assert system.remote_db is not None
     assert system.trace_store is not None

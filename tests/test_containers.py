@@ -10,7 +10,7 @@ from repro.containers import (
     ResourceModel,
     Underlay,
 )
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 from repro.sim.calibration import (
     CONFIG_LOAD_TIME_PER_ENTRY,
     CONTAINER_BASE_BOOT_TIME,
@@ -35,7 +35,7 @@ def test_boot_time_scales_with_configs(engine, machine):
 def test_monolithic_config_load_is_20_minutes():
     """~100K configs -> ~20 minutes (the §3.2.1 motivation)."""
     engine = Engine()
-    network = Network(engine, DeterministicRandom(0))
+    network = Network(engine)
     machine = HostMachine(engine, network, "m", "10.1.0.1")
     monolith = machine.create_container("monolith", config_entries=100_000)
     assert 1100 < monolith.boot_time() < 1500  # ~20 min
@@ -210,7 +210,7 @@ def test_underlay_claim_binds_address(engine, network, machine):
     binding = underlay.claim("10.99.0.1", machine, container, "v1")
     assert network.host_by_address("10.99.0.1") is binding.endpoint
     assert binding.endpoint.anchor() is machine.host
-    assert underlay.binding("10.99.0.1").machine is machine
+    assert underlay._bindings["10.99.0.1"].machine is machine
 
 
 def test_underlay_move_rebinds_exclusively(engine, network, machine):
@@ -225,19 +225,8 @@ def test_underlay_move_rebinds_exclusively(engine, network, machine):
     assert network.host_by_address("10.99.0.1") is moved.endpoint
     assert moved.endpoint.anchor() is other.host
     assert underlay.moves == 1
-    assert underlay.binding("10.99.0.1").machine is other
+    assert underlay._bindings["10.99.0.1"].machine is other
     assert len(underlay) == 1
-
-
-def test_underlay_release(engine, network, machine):
-    underlay = Underlay(network)
-    container = machine.create_container("c1")
-    container.start()
-    engine.run_until_idle()
-    underlay.claim("10.99.0.1", machine, container, "v1")
-    underlay.release("10.99.0.1")
-    assert network.host_by_address("10.99.0.1") is None
-    assert len(underlay) == 0
 
 
 def test_underlay_vxlan_veth_plumbing_names(engine, network, machine):

@@ -4,12 +4,12 @@ import pytest
 
 from repro.control.channels import GrpcChannel, HealthServer
 from repro.control.ipsla import IpSlaProber, IpSlaResponder
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 
 
 @pytest.fixture
 def net(engine):
-    network = Network(engine, DeterministicRandom(8))
+    network = Network(engine)
     network.enable_fabric(latency=1e-4)
     return network
 

@@ -11,7 +11,7 @@ from repro.sim import Engine
 @pytest.fixture
 def detector(engine):
     reports = []
-    det = FailureDetector(engine, on_failure=reports.append, confirm_timer=3.0)
+    det = FailureDetector(engine, on_failure=reports.append)
     return det, reports, engine
 
 
@@ -157,7 +157,8 @@ def test_fencing_lifecycle(engine):
 
 
 def test_migration_record_phases():
-    record = MigrationRecord("container", "c1", failed_at=10.0)
+    record = MigrationRecord("container", "c1")
+    record.failed_at = 10.0
     record.detected_at = 10.31
     record.initiated_at = 10.41
     record.rebooted_at = 11.60

@@ -17,7 +17,7 @@ from repro.control.quorum import EpochGate, LeaderLease, QuorumTracker
 from repro.failures.injector import FailureInjector
 from repro.failures.oracles import OracleSuite
 from repro.kvstore import ReplicatedKvCluster
-from repro.sim import DeterministicRandom, Network
+from repro.sim import Network
 from repro.sim.calibration import RECOVERY_DEADLINE
 
 
@@ -236,13 +236,14 @@ def test_backup_container_failure_detected_and_standby_refreshed():
 
 @pytest.fixture
 def monitor(engine):
-    network = Network(engine, DeterministicRandom(9))
+    network = Network(engine)
     network.enable_fabric(latency=50e-6)
     controller_host = network.add_host("ctl", "9.9.9.1")
     primary_host = network.add_host("p", "9.9.9.2")
     replica_host = network.add_host("r", "9.9.9.3")
     cluster = ReplicatedKvCluster(engine, primary_host, replica_host)
-    return DbFailoverMonitor(engine, controller_host, cluster)
+    return DbFailoverMonitor(engine, controller_host, cluster,
+                             propose=lambda _monitor: None)
 
 
 def test_stale_generation_pong_does_not_clear_miss_window(monitor):

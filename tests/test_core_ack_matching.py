@@ -5,7 +5,7 @@ import pytest
 from repro.core.ack_matching import TENSOR_ACK_QUEUE, TcpQueueThread
 from repro.core.replication import ConnectionKeys, ReplicationPipeline
 from repro.kvstore import KvClient, KvServer
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 from repro.tcpsim import TcpStack
 
 from conftest import make_tcp_pair
@@ -13,7 +13,7 @@ from conftest import make_tcp_pair
 
 @pytest.fixture
 def env(engine):
-    network = Network(engine, DeterministicRandom(6))
+    network = Network(engine)
     network.enable_fabric(latency=5e-5)
     a = network.add_host("a", "10.0.0.1")  # remote peer
     b = network.add_host("b", "10.0.0.2")  # gateway
@@ -68,23 +68,9 @@ def test_verify_read_failure_keeps_holding(env):
     assert tq.held_count() == 1  # fail-safe: still held
 
 
-def test_verify_reads_can_be_disabled(env):
-    engine, _net, server, pipeline, sa, sb = env
-    tq = TcpQueueThread(engine, pipeline, verify_reads=False)
-    client, gw_conn, _rx = _establish(engine, sa, sb)
-    keys = ConnectionKeys("pair0", "v1", "10.0.0.2", 179, "10.0.0.1", client.local_port)
-    tq.install_for_connection(sb, gw_conn, keys)
-    client.send(b"M" * 100)
-    engine.advance(0.3)
-    tq.note_replicated(keys, gw_conn.rcv_nxt, keys.message("i", 100))
-    engine.run_until_idle()
-    assert tq.held_count() == 0
-    assert tq.verify_read_count == 0
-
-
 def test_redundant_older_acks_dropped(env):
     engine, _net, server, pipeline, sa, sb = env
-    tq = TcpQueueThread(engine, pipeline, verify_reads=False)
+    tq = TcpQueueThread(engine, pipeline)
     client, gw_conn, _rx = _establish(engine, sa, sb)
     keys = ConnectionKeys("pair0", "v1", "10.0.0.2", 179, "10.0.0.1", client.local_port)
     tq.install_for_connection(sb, gw_conn, keys)
@@ -92,8 +78,11 @@ def test_redundant_older_acks_dropped(env):
     client.send(b"M" * 300)  # three segments -> three held ACKs
     engine.advance(0.5)
     assert tq.held_count() >= 2
+    pipeline.fast.set(keys.session, {"ack": gw_conn.rcv_nxt})
+    engine.advance(0.1)
     tq.note_replicated(keys, gw_conn.rcv_nxt, keys.session)
-    engine.run_until_idle()
+    engine.advance(0.1)
+    assert tq.verify_read_count == 1
     assert tq.held_count() == 0
     assert tq.acks_dropped_redundant >= 1  # only the newest hit the wire
     assert client.snd_una == client.snd_nxt
@@ -118,7 +107,7 @@ def test_unmanaged_connection_acks_pass_through(env):
 
 def test_guard_rule_drops_rst_fin(env):
     engine, _net, server, pipeline, sa, sb = env
-    tq = TcpQueueThread(engine, pipeline, verify_reads=False)
+    tq = TcpQueueThread(engine, pipeline)
     client, gw_conn, _rx = _establish(engine, sa, sb)
     keys = ConnectionKeys("pair0", "v1", "10.0.0.2", 179, "10.0.0.1", client.local_port)
     tq.install_for_connection(sb, gw_conn, keys)
@@ -133,7 +122,7 @@ def test_guard_rule_drops_rst_fin(env):
 
 def test_crash_drops_held_acks_forever(env):
     engine, _net, server, pipeline, sa, sb = env
-    tq = TcpQueueThread(engine, pipeline, verify_reads=False)
+    tq = TcpQueueThread(engine, pipeline)
     client, gw_conn, _rx = _establish(engine, sa, sb)
     keys = ConnectionKeys("pair0", "v1", "10.0.0.2", 179, "10.0.0.1", client.local_port)
     tq.install_for_connection(sb, gw_conn, keys)

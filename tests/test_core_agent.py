@@ -10,7 +10,7 @@ from repro.sim import DeterministicRandom, Engine, Network
 
 @pytest.fixture
 def env(engine):
-    network = Network(engine, DeterministicRandom(21))
+    network = Network(engine)
     network.enable_fabric(latency=5e-5)
     controller_host = network.add_host("ctrl", "10.255.0.1")
     controller = ControllerPanel(engine, [controller_host])

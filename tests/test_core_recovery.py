@@ -14,7 +14,7 @@ from repro.core.replication import (
     rib_snapshot_key,
 )
 from repro.kvstore import KvClient, KvServer
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 
 
 def _attrs(lp=None):
@@ -118,7 +118,7 @@ def test_tcp_repair_state_math():
 
 
 def test_backup_recovery_load_parses_keyspace(engine):
-    network = Network(engine, DeterministicRandom(3))
+    network = Network(engine)
     network.enable_fabric(latency=5e-5)
     client_host = network.add_host("c", "1.1.1.1")
     db_host = network.add_host("db", "1.1.1.2")

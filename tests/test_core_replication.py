@@ -10,12 +10,12 @@ from repro.core.replication import (
     rib_delta_key,
 )
 from repro.kvstore import KvClient, KvServer
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 
 
 @pytest.fixture
 def kv_env(engine):
-    network = Network(engine, DeterministicRandom(4))
+    network = Network(engine)
     network.enable_fabric(latency=5e-5)
     client_host = network.add_host("c", "1.1.1.1")
     server_host = network.add_host("s", "1.1.1.2")
@@ -128,7 +128,7 @@ def test_rib_delta_sequencing(kv_env):
     assert rib_delta_key("pair0", "v1", 0) in server.store
 
 
-def test_compaction_replaces_deltas_with_snapshot(kv_env):
+def test_compaction_replaces_deltas_with_snapshot(kv_env, monkeypatch):
     from repro.bgp import LocRib, PathAttributes, Prefix
     from repro.bgp.rib import Path
 
@@ -139,11 +139,12 @@ def test_compaction_replaces_deltas_with_snapshot(kv_env):
         rib.offer(Prefix(i << 8, 24), Path(PathAttributes(next_hop="1.1.1.1"), "p"))
         pipeline.record_rib_delta("v1", rib_delta(i))
     engine.run_until_idle()
-    assert pipeline.needs_compaction("v1", threshold=500)
+    monkeypatch.setattr("repro.core.replication.COMPACTION_THRESHOLD", 500)
+    assert pipeline.needs_compaction("v1")
     pipeline.compact("v1", rib)
     engine.run_until_idle()
     assert pipeline.compactions == 1
-    assert not pipeline.needs_compaction("v1", threshold=500)
+    assert not pipeline.needs_compaction("v1")
     # deltas purged, snapshot chunks + marker present
     pairs = server.store.scan("tensor:pair0:rib:v1:d:")
     assert pairs == []
@@ -181,7 +182,7 @@ def test_coalescer_retry_exhaustion_drops_and_resumes(kv_env):
     assert server.store.get("x") is None
 
 
-def test_compaction_marker_floor_is_first_live_delta(kv_env):
+def test_compaction_marker_floor_is_first_live_delta(kv_env, monkeypatch):
     from repro.bgp import LocRib, PathAttributes, Prefix
     from repro.bgp.rib import Path
 
@@ -208,7 +209,8 @@ def test_compaction_marker_floor_is_first_live_delta(kv_env):
     marker = server.store.get("tensor:pair0:rib:v1:marker")
     assert marker["delta_floor"] == 13
     assert server.store.scan("tensor:pair0:rib:v1:d:") == []
-    assert not pipeline.needs_compaction("v1", threshold=1)
+    monkeypatch.setattr("repro.core.replication.COMPACTION_THRESHOLD", 1)
+    assert not pipeline.needs_compaction("v1")
 
 
 def test_incremental_compaction_rewrites_only_dirty_chunks(kv_env):
@@ -347,7 +349,7 @@ def test_overlapping_compactions_purge_disjoint_ranges(kv_env):
     assert server.store.scan("tensor:pair0:rib:v1:d:") == []
 
 
-def test_resumed_delta_log_seeds_both_watermarks(kv_env):
+def test_resumed_delta_log_seeds_both_watermarks(kv_env, monkeypatch):
     from repro.bgp import LocRib
 
     engine, server, fast, bulk = kv_env
@@ -360,7 +362,8 @@ def test_resumed_delta_log_seeds_both_watermarks(kv_env):
     rib = LocRib()
     assert _offer_and_record(pipeline, rib, _route(0), 1) == 5000
     assert not pipeline.needs_compaction("v1")  # 11 live, not 5,001
-    assert pipeline.needs_compaction("v1", threshold=11)
+    monkeypatch.setattr("repro.core.replication.COMPACTION_THRESHOLD", 11)
+    assert pipeline.needs_compaction("v1")
     # ... and the first compaction purges from the recovered floor, not
     # from zero.
     pipeline.compact("v1", rib)

@@ -16,7 +16,7 @@ from repro.sim.rand import DeterministicRandom
 
 @pytest.fixture
 def env(engine):
-    network = Network(engine, DeterministicRandom(10))
+    network = Network(engine)
     network.enable_fabric(latency=5e-5)
     gw = network.add_host("gw", "10.0.0.1")
     remote = network.add_host("remote", "10.0.0.2")

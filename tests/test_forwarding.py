@@ -8,7 +8,8 @@ from repro.bgp import LocRib, PathAttributes, Prefix
 from repro.bgp.attributes import AsPath
 from repro.bgp.rib import Path
 from repro.forwarding import DataPlane, Fib, FibSyncer, TrafficFlow
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.forwarding.fib import DEFAULT_SYNC_INTERVAL
+from repro.sim import Engine, Network
 
 
 def _route(prefix_text, next_hop, peer="p1", lp=None):
@@ -96,11 +97,11 @@ def test_syncer_holds_state_when_control_plane_down(engine):
 def test_syncer_periodic(engine):
     rib = LocRib()
     fib = Fib()
-    syncer = FibSyncer(engine, fib, lambda: rib, interval=0.1)
+    syncer = FibSyncer(engine, fib, lambda: rib)
     syncer.start()
-    engine.advance(0.05)
+    engine.advance(0.5 * DEFAULT_SYNC_INTERVAL)
     rib.offer(*_route("10.0.0.0/8", "1.1.1.1"))
-    engine.advance(0.2)
+    engine.advance(2 * DEFAULT_SYNC_INTERVAL)
     assert len(fib) == 1
 
 
@@ -109,7 +110,7 @@ def test_syncer_periodic(engine):
 
 @pytest.fixture
 def plane(engine):
-    network = Network(engine, DeterministicRandom(5))
+    network = Network(engine)
     network.enable_fabric(latency=5e-5)
     network.add_host("nh", "1.1.1.1")
     fib = Fib()

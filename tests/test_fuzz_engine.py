@@ -119,12 +119,12 @@ def test_partial_fuzz_run_is_not_a_pass():
     assert result.first_violation is None
 
 
-def test_fuzz_loop_is_seed_deterministic(tmp_path):
-    logs = []
+def test_fuzz_loop_is_seed_deterministic(tmp_path, capsys):
     first = fuzz_loop(seed=5, iterations=3, tracing=False,
-                      out_dir=str(tmp_path), log=logs.append)
+                      out_dir=str(tmp_path))
+    logs = capsys.readouterr().out.splitlines()
     second = fuzz_loop(seed=5, iterations=3, tracing=False,
-                       out_dir=str(tmp_path), log=lambda _m: None)
+                       out_dir=str(tmp_path))
     assert [e["key"] for e in first.corpus] == [e["key"] for e in second.corpus]
     assert first.runs == second.runs == 3
     assert len(logs) == 3

@@ -25,7 +25,7 @@ from repro.workloads.updates import RouteGenerator
 
 @pytest.fixture
 def cluster(engine):
-    network = Network(engine, DeterministicRandom(5))
+    network = Network(engine)
     network.enable_fabric(latency=50e-6)
     client_host = network.add_host("c", "1.1.1.1")
     primary_host = network.add_host("p", "1.1.1.2")
@@ -41,17 +41,17 @@ def cluster(engine):
 
 def test_stale_client_fenced_after_failover(cluster):
     """A client that never learns about the failover keeps writing to the
-    old primary; the rebooted old primary must reject those writes."""
+    old primary; the recovered old primary must reject those writes."""
     engine, cluster, stale = cluster
     stale.set("before", 1, on_done=lambda: None)
     engine.run_until_idle()
     cluster.fail_primary()
     old_primary = cluster.primary
     cluster.promote_replica()
-    old_primary.reboot()  # comes back with RAM intact — and the fence
+    old_primary.recover()  # comes back with RAM intact — and the fence
     outcomes = []
-    stale.set("split", "brain", on_done=lambda: outcomes.append("ok"),
-              on_error=lambda _m, cause: outcomes.append(cause))
+    stale.mset([("split", "brain")], on_done=lambda: outcomes.append("ok"),
+               on_error=lambda _m, cause: outcomes.append(cause))
     engine.run_until_idle()
     assert outcomes == [CAUSE_FENCED]
     assert old_primary.fenced_writes == 1
@@ -70,8 +70,8 @@ def test_fence_applies_on_new_primary_too(cluster):
     any_host = cluster.primary.host
     stale = KvClient(engine, any_host, new_addr, epoch=1)
     outcomes = []
-    stale.set("k", 1, on_done=lambda: outcomes.append("ok"),
-              on_error=lambda _m, cause: outcomes.append(cause))
+    stale.mset([("k", 1)], on_done=lambda: outcomes.append("ok"),
+               on_error=lambda _m, cause: outcomes.append(cause))
     engine.run_until_idle()
     assert outcomes == [CAUSE_FENCED]
 
@@ -95,7 +95,7 @@ def test_unstamped_writes_pass_the_fence(cluster):
 def test_exhausted_delete_batch_requeues_not_drops(engine):
     """Prune deletes are fire-and-forget; before the fix an exhausted
     batch vanished and the snapshot-store records leaked forever."""
-    network = Network(engine, DeterministicRandom(6))
+    network = Network(engine)
     network.enable_fabric(latency=50e-6)
     client_host = network.add_host("c", "1.1.1.1")
     server_host = network.add_host("s", "1.1.1.2")
@@ -125,7 +125,7 @@ def test_exhausted_delete_batch_requeues_not_drops(engine):
 def test_closed_port_refuses_fast(engine):
     """A truly closed KV port answers with a reset, not silence: the
     client sees CAUSE_REFUSED well before its timeout would fire."""
-    network = Network(engine, DeterministicRandom(7))
+    network = Network(engine)
     network.enable_fabric(latency=50e-6)
     client_host = network.add_host("c", "1.1.1.1")
     server_host = network.add_host("s", "1.1.1.2")
@@ -135,10 +135,9 @@ def test_closed_port_refuses_fast(engine):
     server.close()
     outcomes = []
     start = engine.now
-    client.set("k", 1, on_done=lambda: outcomes.append("ok"),
-               on_error=lambda _m, cause: outcomes.append(
-                   (cause, engine.now - start)),
-               timeout=5.0)
+    client.mset([("k", 1)], on_done=lambda: outcomes.append("ok"),
+                on_error=lambda _m, cause: outcomes.append(
+                    (cause, engine.now - start)))
     engine.run_until_idle()
     cause, elapsed = outcomes[0]
     assert cause == CAUSE_REFUSED
@@ -171,7 +170,7 @@ def test_repoint_reissues_in_flight_batch(cluster):
 
 
 def _monitored_cluster(engine, seed=8):
-    network = Network(engine, DeterministicRandom(seed))
+    network = Network(engine)
     network.enable_fabric(latency=50e-6)
     monitor_host = network.add_host("ctl", "1.1.1.9")
     primary_host = network.add_host("p", "1.1.1.2")
@@ -181,8 +180,8 @@ def _monitored_cluster(engine, seed=8):
     events = []
     monitor = DbFailoverMonitor(
         engine, monitor_host, cluster,
-        on_failover=lambda addr, epoch: events.append(
-            (engine.now, addr, epoch)),
+        propose=lambda monitor: events.append(
+            (engine.now, monitor.execute_promotion(), cluster.epoch)),
     )
     client = KvClient(engine, client_host, cluster.primary_addr,
                       epoch=cluster.epoch)
@@ -270,15 +269,16 @@ def test_automatic_failover_drains_held_acks_mid_burst():
     assert pair.speaker.tcp_queue.held_count() == 0
     assert session.established
 
-    # the rebooted old primary is fenced against never-repointed writers
+    # the old primary, restarted by an operator with RAM intact, is
+    # fenced against never-repointed writers
     old_primary = system.db_cluster.replica
     assert old_primary.failed
-    old_primary.reboot()
+    old_primary.failed = False
     stale = KvClient(engine, pair.active_container.endpoint,
                      old_primary.host.address, epoch=1)
     outcomes = []
-    stale.set("tensor:stale", 1, on_done=lambda: outcomes.append("ok"),
-              on_error=lambda _m, c: outcomes.append(c))
+    stale.mset([("tensor:stale", 1)], on_done=lambda: outcomes.append("ok"),
+               on_error=lambda _m, c: outcomes.append(c))
     engine.advance(2.0)
     assert outcomes == [CAUSE_FENCED]
     assert old_primary.store.get("tensor:stale") is None

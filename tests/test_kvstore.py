@@ -4,7 +4,7 @@ import pytest
 
 from repro.kvstore import KeyValueStore, KvClient, KvServer, ReplicatedKvCluster
 from repro.kvstore.store import fixed_latency, record_count_of, server_cpu_cost
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 from repro.sim.calibration import (
     KV_READ_BASE,
     KV_READ_PER_RECORD,
@@ -91,7 +91,7 @@ def test_record_count_of():
 
 @pytest.fixture
 def kv(engine):
-    network = Network(engine, DeterministicRandom(2))
+    network = Network(engine)
     network.enable_fabric(latency=50e-6)
     client_host = network.add_host("c", "1.1.1.1")
     server_host = network.add_host("s", "1.1.1.2")
@@ -168,8 +168,8 @@ def test_failed_server_times_out(kv):
     engine, server, client = kv
     server.fail()
     outcomes = []
-    client.set("k", b"v", on_done=lambda: outcomes.append("ok"),
-               on_error=lambda m, cause: outcomes.append(cause), timeout=0.3)
+    client.mset([("k", b"v")], on_done=lambda: outcomes.append("ok"),
+                on_error=lambda m, cause: outcomes.append(cause))
     engine.run_until_idle()
     assert outcomes == ["timeout"]
 
@@ -199,7 +199,7 @@ def test_scan_rpc(kv):
 
 @pytest.fixture
 def cluster(engine):
-    network = Network(engine, DeterministicRandom(3))
+    network = Network(engine)
     network.enable_fabric(latency=50e-6)
     client_host = network.add_host("c", "1.1.1.1")
     primary_host = network.add_host("p", "1.1.1.2")

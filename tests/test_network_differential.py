@@ -7,15 +7,15 @@ to.  One seeded random script — sends interleaved with every topology
 and failure lever — runs on both, op by op, and everything observable
 must agree: the verdict of each send (or the ``SimulationError`` of a
 reachable destination with no path), every tap and boundary-export call,
-every arrival and its instant bit for bit, the number of draws taken from
-the loss stream, and every counter on the network, its hosts and links.
+every arrival and its instant bit for bit, and every counter on the
+network, its hosts and links.
 """
 
 import random
 
 import pytest
 
-from repro.sim import DeterministicRandom, Engine, Network, Packet
+from repro.sim import Engine, Network, Packet
 from repro.sim.engine import SimulationError
 from tests.network_reference import ReferenceNetwork
 
@@ -24,25 +24,12 @@ SERVICE = ("9.9.9.1", "9.9.9.2")
 LEVERS = ("fail", "recover", "fail_network", "recover_network")
 
 
-class _CountingStream:
-    """The loss stream, counting the draws taken from it."""
-
-    def __init__(self, stream):
-        self.stream = stream
-        self.draws = 0
-
-    def random(self):
-        self.draws += 1
-        return self.stream.random()
-
-
 class World:
     """One network, the fixed starting topology and a record of all it did."""
 
     def __init__(self, network_cls):
         self.engine = Engine()
-        self.net = network_cls(self.engine, DeterministicRandom(5))
-        self.net.rng = _CountingStream(self.net.rng)
+        self.net = network_cls(self.engine)
         self.arrivals, self.taps, self.exports = [], [], []
         self.net.tap(lambda packet, delivered:
                      self.taps.append((packet.payload, delivered)))
@@ -52,8 +39,7 @@ class World:
         self.machines = [self._host(f"m{i}", f"10.0.0.{i + 1}") for i in range(4)]
         m0, m1, m2, _m3 = self.machines
         self.links.append(self.net.connect(m0, m1, latency=1e-4, bandwidth=1e9))
-        self.links.append(self.net.connect(m1, m2, latency=3e-4, bandwidth=1e7,
-                                           loss=0.3))
+        self.links.append(self.net.connect(m1, m2, latency=3e-4, bandwidth=1e7))
         self._host("c0", "10.1.0.1", anchor=m0)
         self._host("c1", "10.1.0.2", anchor=m0)  # same anchor as c0
         c2 = self._host("c2", "10.1.0.3", anchor=m1)
@@ -94,10 +80,10 @@ class World:
         elif kind == "remove":
             self.net.remove_host(self.hosts[args[0]])
         elif kind == "connect":
-            a, b, latency, bandwidth, loss = args
+            a, b, latency, bandwidth = args
             self.links.append(self.net.connect(
                 self.machines[a], self.machines[b], latency=latency,
-                bandwidth=bandwidth, loss=loss))
+                bandwidth=bandwidth))
         elif kind == "fabric":
             self.net.enable_fabric(latency=args[0], bandwidth=args[1])
         elif kind == "link":
@@ -112,7 +98,7 @@ class World:
         net = self.net
         return {
             "now": self.engine.now,
-            "network": (net.packets_sent, net.packets_dropped, net.rng.draws),
+            "network": (net.packets_sent, net.packets_dropped),
             "owners": {address: host.name for address, host in net.hosts.items()},
             "hosts": [(h.name, h.tx_packets, h.rx_packets, h.dropped_unbound)
                       for h in self.hosts],
@@ -154,7 +140,7 @@ def script(seed, steps):
         elif roll < 0.77:
             a, b = rng.sample(range(4), 2)
             op = ("connect", a, b, rng.choice((5e-5, 1e-3)),
-                  rng.choice((1e6, 1e9)), rng.choice((0.0, 0.0, 0.4)))
+                  rng.choice((1e6, 1e9)))
         elif roll < 0.79:
             op = ("fabric", rng.choice((5e-5, 4e-4)), rng.choice((25e9, 1e7)))
         elif roll < 0.85:
@@ -188,7 +174,6 @@ def test_transmit_matches_the_reference_resolver(seed):
         assert new.state() == old.state(), op
     assert new.engine.run_until_idle() == old.engine.run_until_idle()
     assert new.state() == old.state()
-    assert new.net.rng.stream.getstate() == old.net.rng.stream.getstate()
     # not vacuous: every kind of op, and plenty delivered and dropped
     state = new.state()
     assert len(kinds) == 10
@@ -196,8 +181,8 @@ def test_transmit_matches_the_reference_resolver(seed):
 
 
 @pytest.mark.parametrize("change", [
-    ("connect", 0, 3, 1e-3, 1e6, 0.0),  # a link where the fabric carried it
-    ("connect", 0, 1, 1e-3, 1e6, 0.4),  # a link replaced by a slower, lossy one
+    ("connect", 0, 3, 1e-3, 1e6),  # a link where the fabric carried it
+    ("connect", 0, 1, 1e-3, 1e6),  # a link replaced by a slower one
     ("fabric", 4e-4, 1e7),
     ("replace", SERVICE[0], 3, "moved"),
     ("replace", SERVICE[1], 0, "new"),  # an address nobody owned
@@ -225,8 +210,8 @@ def test_topology_change_after_every_flow_has_resolved(change):
 def test_scripts_reach_every_verdict():
     """The scripts above are not vacuous: between them they raise on a
     pathless destination, deliver over a link, over the fabric and inside
-    one machine, export across a shard boundary, lose a packet to the
-    loss model and drop one at a stale owner of a moved address."""
+    one machine, export across a shard boundary and drop one at a stale
+    owner of a moved address."""
     seen = set()
     for seed in range(12):
         world = World(Network)
@@ -235,7 +220,7 @@ def test_scripts_reach_every_verdict():
                 world.apply(op)
                 continue
             src, dst = world.hosts[op[1]], world.net.host_by_address(op[2])
-            draws, queues = world.net.rng.draws, len(world.net._fabric_tx)
+            queues = len(world.net._fabric_tx)
             exports = len(world.exports)
             result = world.apply(op)
             if result == "no path":
@@ -251,9 +236,7 @@ def test_scripts_reach_every_verdict():
                 seen.add("remote")
             if len(world.net._fabric_tx) > queues:
                 seen.add("fabric")
-            if world.net.rng.draws > draws and not delivered:
-                seen.add("lost")
             if dst is None and op[2] in SERVICE:
                 seen.add("released")
-    assert seen == {"no path", "local", "export", "remote", "fabric", "lost",
+    assert seen == {"no path", "local", "export", "remote", "fabric",
                     "released"}

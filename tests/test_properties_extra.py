@@ -61,7 +61,7 @@ def test_coalescer_converges_to_sequential_semantics(operations):
     """Whatever interleaving of sets/deletes is enqueued, after the engine
     drains, the server holds exactly what last-write-wins predicts."""
     engine = Engine()
-    network = Network(engine, DeterministicRandom(1))
+    network = Network(engine)
     network.enable_fabric(latency=5e-5)
     client_host = network.add_host("c", "1.1.1.1")
     server = KvServer(engine, network.add_host("s", "1.1.1.2"))
@@ -138,7 +138,7 @@ def test_bfd_detection_bounded_by_mult_times_interval(tx_interval, detect_mult, 
 
     engine = Engine()
     rng = DeterministicRandom(seed)
-    network = Network(engine, rng)
+    network = Network(engine)
     a = network.add_host("a", "10.0.0.1")
     b = network.add_host("b", "10.0.0.2")
     network.connect(a, b, latency=1e-4, bandwidth=1e9)

@@ -61,7 +61,7 @@ def _v6(index):
 def _speaker(engine, two_hosts, packing=True):
     speaker = BgpSpeaker(engine, TcpStack(engine, two_hosts[0]),
                          SpeakerConfig("gw", LOCAL_AS, "10.0.0.1",
-                                       update_packing=packing))
+                                       profile="frr" if packing else "gobgp"))
     for address, remote_as in PEERS.items():
         speaker.add_peer(PeerConfig(address, remote_as), autostart=False)
     return speaker

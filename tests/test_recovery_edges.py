@@ -168,10 +168,10 @@ def test_second_recovery_survives_delta_log_resume():
 # ----------------------------------------------------------------------
 
 
-def _one_route_updates(count, base="10.64.0.0"):
+def _one_route_updates(count):
     return RouteGenerator(
         DeterministicRandom(0), 64512, next_hop="192.0.2.1", attr_pool_size=1
-    ).distinct_routes(count, base=base)
+    ).distinct_routes(count)
 
 
 def _recovered_state(system, pair):
@@ -231,12 +231,7 @@ def test_crash_between_overlapping_compactions(monkeypatch):
     marker 1, chunks partly rewritten by compaction 2, and every delta
     from marker 1's floor up — recovery must rebuild the exact table and
     resume the log past it."""
-    from repro.core.replication import ReplicationPipeline
-
-    due = ReplicationPipeline.needs_compaction
-    monkeypatch.setattr(
-        ReplicationPipeline, "needs_compaction",
-        lambda self, vrf, threshold=100: due(self, vrf, threshold))
+    monkeypatch.setattr("repro.core.replication.COMPACTION_THRESHOLD", 100)
     system, pair, remotes = build_tensor_fixture(seed=606, routes=0)
     engine = system.engine
     remote, session = remotes[0]

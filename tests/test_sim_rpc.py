@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 from repro.sim.rpc import DatagramSocket, RpcClient, RpcServer
 
 
@@ -13,7 +13,7 @@ def answer(fn):
 
 @pytest.fixture
 def net(engine):
-    network = Network(engine, DeterministicRandom(5))
+    network = Network(engine)
     network.enable_fabric(latency=1e-4)
     return network
 

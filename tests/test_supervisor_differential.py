@@ -16,6 +16,7 @@ import pytest
 
 import repro.core.system as system_module
 from repro.failures.chaos import generate_schedule, run_schedule
+from repro.sim.calibration import APP_MONITOR_INTERVAL
 from repro.sim.process import Process
 
 from conftest import build_tensor_fixture
@@ -65,7 +66,7 @@ def test_death_while_supervision_is_suppressed(shadow, pair):
     pair.engine.advance(0.0313)
     assert len(real) == 1 and real == reference
     assert real[0][1:] == ("pair0-a", "bgp")
-    assert 0.5 < real[0][0] - died < 0.5 + pair.supervisor.interval
+    assert 0.5 < real[0][0] - died < 0.5 + APP_MONITOR_INTERVAL
 
 
 def test_death_during_restart_application(shadow, pair):
@@ -105,7 +106,7 @@ def test_death_after_twenty_quiet_seconds(shadow, pair):
     died = pair.engine.now
     pair.engine.advance(0.05)
     assert len(real) == 1 and real == reference
-    assert 0.0 < real[0][0] - died <= pair.supervisor.interval
+    assert 0.0 < real[0][0] - died <= APP_MONITOR_INTERVAL
 
 
 def test_death_before_start(shadow, pair):
@@ -119,7 +120,7 @@ def test_death_before_start(shadow, pair):
     started = pair.engine.now
     pair.engine.advance(0.05)
     assert real == reference
-    assert [entry[0] for entry in real] == [started + pair.supervisor.interval]
+    assert [entry[0] for entry in real] == [started + APP_MONITOR_INTERVAL]
 
 
 @pytest.mark.parametrize("gap", [0.004, 0.013])
@@ -132,7 +133,7 @@ def test_container_killed_under_a_dead_process(shadow, pair, gap):
     assert real == reference
     # a poll between the two deaths reports the process; one after both
     # leaves the dead container to the Docker monitor
-    if gap > pair.supervisor.interval:
+    if gap > APP_MONITOR_INTERVAL:
         assert [entry[2] for entry in real] == ["bgp"]
     assert len(real) <= 1
     assert pair.established_session_count() == 1

@@ -196,7 +196,7 @@ def test_stack_destroy_silences_everything(engine, two_stacks):
     sa, sb = two_stacks
     client, accepted, _ = make_tcp_pair(engine, sa, sb, payload=b"x")
     sb.destroy()
-    assert sb.connections() == []
+    assert sb._connections == {}
     client.send(b"more")
     engine.advance(3.0)
     # no replies, client retransmits

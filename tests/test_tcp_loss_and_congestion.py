@@ -2,18 +2,19 @@
 
 import pytest
 
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 from repro.tcpsim import RenoCongestionControl, TcpStack
 from repro.tcpsim.state import TcpState
 
-from conftest import make_tcp_pair
+from conftest import drop_randomly, make_tcp_pair
 
 
 def lossy_pair(engine, loss, seed=3):
-    network = Network(engine, DeterministicRandom(seed))
+    network = Network(engine)
     a = network.add_host("a", "10.0.0.1")
     b = network.add_host("b", "10.0.0.2")
-    network.connect(a, b, latency=100e-6, bandwidth=1e9, loss=loss)
+    link = network.connect(a, b, latency=100e-6, bandwidth=1e9)
+    drop_randomly(network, link, loss, seed)
     return TcpStack(engine, a), TcpStack(engine, b)
 
 

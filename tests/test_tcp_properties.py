@@ -7,9 +7,10 @@ that down for the simulated stack.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 from repro.tcpsim import TcpStack, import_tcp_state
 from repro.tcpsim.repair import resume_connection
+from conftest import drop_randomly
 from tcp_repair_reference import export_tcp_state
 
 _SETTINGS = dict(
@@ -21,10 +22,11 @@ _SETTINGS = dict(
 
 def _run_transfer(chunks, loss, seed):
     engine = Engine()
-    network = Network(engine, DeterministicRandom(seed))
+    network = Network(engine)
     a = network.add_host("a", "10.0.0.1")
     b = network.add_host("b", "10.0.0.2")
-    network.connect(a, b, latency=100e-6, bandwidth=1e9, loss=loss)
+    link = network.connect(a, b, latency=100e-6, bandwidth=1e9)
+    drop_randomly(network, link, loss, seed)
     sa, sb = TcpStack(engine, a), TcpStack(engine, b)
     received = bytearray()
 
@@ -64,7 +66,7 @@ def test_stream_integrity_across_migration(payload_size, crash_after, seed):
     """Whatever instant the server is snapshotted and killed, the client's
     bytes all arrive exactly once across old + new server."""
     engine = Engine()
-    network = Network(engine, DeterministicRandom(seed))
+    network = Network(engine)
     a = network.add_host("a", "10.0.0.1")
     b = network.add_host("b", "10.0.0.2")
     network.connect(a, b, latency=100e-6, bandwidth=1e9)
@@ -93,9 +95,8 @@ def test_stream_integrity_across_migration(payload_size, crash_after, seed):
     network.connect(a, b2, latency=100e-6, bandwidth=1e9)
     sb2 = TcpStack(engine, b2)
     received_new = bytearray()
-    conn2 = import_tcp_state(
-        sb2, state, on_data=lambda _c, data: received_new.extend(data)
-    )
+    conn2 = import_tcp_state(sb2, state)
+    conn2.on_data = lambda _c, data: received_new.extend(data)
     resume_connection(conn2)
     engine.run(until=300.0)
     # the snapshot's receive position splits the stream exactly
@@ -111,10 +112,11 @@ def test_stream_integrity_across_migration(payload_size, crash_after, seed):
 @settings(**_SETTINGS)
 def test_bidirectional_integrity(sizes, seed):
     engine = Engine()
-    network = Network(engine, DeterministicRandom(seed))
+    network = Network(engine)
     a = network.add_host("a", "10.0.0.1")
     b = network.add_host("b", "10.0.0.2")
-    network.connect(a, b, latency=100e-6, bandwidth=1e9, loss=0.02)
+    link = network.connect(a, b, latency=100e-6, bandwidth=1e9)
+    drop_randomly(network, link, 0.02, seed)
     sa, sb = TcpStack(engine, a), TcpStack(engine, b)
     got_a, got_b = bytearray(), bytearray()
 

@@ -46,7 +46,8 @@ def _migrate_server(engine, network, sb, server_conn):
                     latency=100e-6, bandwidth=100e9)
     sb2 = TcpStack(engine, b2)
     received = bytearray()
-    conn2 = import_tcp_state(sb2, state, on_data=lambda _c, d: received.extend(d))
+    conn2 = import_tcp_state(sb2, state)
+    conn2.on_data = lambda _c, d: received.extend(d)
     resume_connection(conn2)
     return conn2, received
 

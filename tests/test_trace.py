@@ -9,7 +9,7 @@ context), and determinism of the recorded span stream under
 
 import pytest
 
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 from repro.sim.rpc import RpcClient, RpcServer
 from repro.trace import (
     AMBIENT,
@@ -33,7 +33,7 @@ def traced_engine():
 @pytest.fixture
 def rpc_net(traced_engine):
     engine, tracer = traced_engine
-    network = Network(engine, DeterministicRandom(5))
+    network = Network(engine)
     network.enable_fabric(latency=1e-4)
     a = network.add_host("a", "1.1.1.1")
     b = network.add_host("b", "1.1.1.2")
@@ -242,18 +242,18 @@ def test_store_filters_and_histogram(traced_engine):
     engine, tracer = traced_engine
     store = tracer.store
     for i in range(3):
-        span = tracer.begin("work", parent=None, shard=i % 2)
+        span = tracer.begin("apply", parent=None, shard=i % 2)
         engine.advance(0.001 * (i + 1))
         span.finish()
-    open_span = tracer.begin("work", parent=None, shard=0)
+    open_span = tracer.begin("apply", parent=None, shard=0)
 
-    assert len(store.spans(name="work")) == 4
-    assert len(store.spans(name="work", shard=0)) == 3
-    assert len(store.spans(name="work", ended=True)) == 3
-    assert store.spans(name="work", ended=False) == [open_span]
-    assert store.durations("work") == pytest.approx([0.001, 0.002, 0.003])
+    assert len(store.spans(name="apply")) == 4
+    assert len(store.spans(name="apply", shard=0)) == 3
+    assert len(store.spans(name="apply", ended=True)) == 3
+    assert store.spans(name="apply", ended=False) == [open_span]
+    assert store.durations("apply") == pytest.approx([0.001, 0.002, 0.003])
 
-    summary = store.phase_summary(names=("work",))["work"]
+    summary = store.phase_summary()["apply"]
     assert summary["count"] == 3
     assert (summary["min"], summary["max"]) == pytest.approx((0.001, 0.003))
 

@@ -22,7 +22,7 @@ from repro.core.recovery import BackupRecovery, RecoveredState
 from repro.core.replication import ReplicationPipeline, rib_delta_key
 from repro.core.tensor_process import TensorBgpSpeaker
 from repro.failures import FailureInjector
-from repro.sim import DeterministicRandom, Engine, Network
+from repro.sim import Engine, Network
 from repro.tcpsim import TcpStack
 
 from conftest import build_tensor_fixture
@@ -119,7 +119,7 @@ class _Gateway:
 
     def __init__(self, import_policy):
         engine = Engine()
-        network = Network(engine, DeterministicRandom(5))
+        network = Network(engine)
         stack = TcpStack(engine, network.add_host("gw", "10.10.0.1"))
         self.plain_kv, self.compacted_kv = MemoryKv(), MemoryKv()
         self.shadow = ReplicationPipeline("pair0", self.compacted_kv,
