@@ -8,7 +8,13 @@ SEEDS ?= 25
 FUZZ_SEED ?= 0
 FUZZ_ITERATIONS ?= 10
 
-.PHONY: test bench bench-hotpath bench-parallel bench-failover bench-fulltable bench-gate fulltable-smoke profile profile-parallel profile-packed parallel-smoke kv-failover chaos chaos-corpus chaos-ablation controller-chaos fuzz fuzz-corpus fuzz-smoke trace-demo nsrbench nsrbench-smoke loc verify
+# What `make ab` compares: the working tree against AB_BASE on one
+# nsrbench workload, AB_RUNS alternating invocations per side.
+AB_BASE ?= HEAD
+AB_WORKLOAD ?= failover_chaos
+AB_RUNS ?= 6
+
+.PHONY: test bench bench-hotpath bench-parallel bench-failover bench-fulltable bench-gate fulltable-smoke profile profile-parallel profile-packed parallel-smoke kv-failover chaos chaos-corpus chaos-ablation controller-chaos fuzz fuzz-corpus fuzz-smoke trace-demo nsrbench nsrbench-smoke ab loc verify
 
 test:
 	$(PYTHON) -m pytest tests -x -q
@@ -132,6 +138,13 @@ nsrbench:
 # under 30 s, non-zero exit if any check failed.
 nsrbench-smoke:
 	$(PYTHON) benchmarks/nsrbench --smoke
+
+# Paired A/B of the working tree against a git ref (benchmarks/ab.py):
+# per end-to-end metric, the median ratio, the wins out of AB_RUNS and
+# the base's IQR.  The ref is extracted with `git archive` to a
+# temporary directory; the working tree is not touched.
+ab:
+	$(PYTHON) benchmarks/ab.py --base $(AB_BASE) --workload $(AB_WORKLOAD) --runs $(AB_RUNS)
 
 # ROADMAP aim 2's metric: Python line totals of src/ and tests/.
 loc:

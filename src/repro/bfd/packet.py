@@ -21,7 +21,7 @@ class BfdState(enum.IntEnum):
 
 
 class BfdPacket:
-    """One BFD control packet."""
+    """One BFD control packet; ``state`` is a :class:`BfdState`."""
 
     __slots__ = (
         "state",
@@ -43,7 +43,7 @@ class BfdPacket:
         detect_mult,
         vrf,
     ):
-        self.state = BfdState(state)
+        self.state = state
         self.my_disc = my_disc
         self.your_disc = your_disc
         self.desired_min_tx = desired_min_tx

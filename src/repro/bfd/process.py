@@ -8,6 +8,8 @@ end-host does not acknowledge the local failures" while the primary is
 being migrated (§3.3.2).
 """
 
+from functools import partial
+
 from repro.bfd.packet import BFD_PACKET_SIZE, BFD_PORT, BfdPacket, BfdState
 from repro.bfd.session import BfdSession
 from repro.sim.calibration import BFD_DETECT_MULT, BFD_TX_INTERVAL
@@ -56,10 +58,11 @@ class BfdProcess:
         if self.alive:
             self.socket.sendto(remote_addr, self.port, packet, size=BFD_PACKET_SIZE)
 
-    def _on_datagram(self, src_addr, _src_port, packet):
+    def _on_datagram(self, datagram):
         if not self.alive:
             return
-        session = self.sessions.get((packet.vrf, src_addr))
+        packet = datagram.payload
+        session = self.sessions.get((packet.vrf, datagram.src))
         if session is not None:
             session.on_packet(packet)
 
@@ -115,20 +118,21 @@ class BfdRelay:
         self.rng = rng
         self.socket = DatagramSocket(host, _relay_port(engine), protocol="udp")
         self.specs = list(specs)
-        self._timers = []
+        self._timers = []  # one per spec, in the order of specs
         self.running = False
         self.packets_sent = 0
 
     def start(self):
         self.running = True
-        for spec in self.specs:
-            timer = Timer(self.engine, lambda s=spec: self._tx(s), "bfd-relay")
-            self._timers.append((timer, spec))
+        for index in range(len(self.specs)):
+            timer = Timer(self.engine, partial(self._tx, index), "bfd-relay")
+            self._timers.append(timer)
             timer.start(0.0)
 
-    def _tx(self, spec):
+    def _tx(self, index):
         if not self.running:
             return
+        spec = self.specs[index]
         packet = BfdPacket(
             state=BfdState.UP,
             my_disc=spec["my_disc"],
@@ -147,10 +151,7 @@ class BfdRelay:
             src_override=spec["source_addr"],
         )
         jitter = self._jitter()
-        for timer, timer_spec in self._timers:
-            if timer_spec is spec:
-                timer.start(spec["tx_interval"] * (1.0 - jitter))
-                return
+        self._timers[index].start(spec["tx_interval"] * (1.0 - jitter))
 
     def _jitter(self):
         return self.rng.random() * 0.25 if self.rng else 0.125
@@ -163,7 +164,7 @@ class BfdRelay:
 
     def stop(self):
         self.running = False
-        for timer, _spec in self._timers:
+        for timer in self._timers:
             timer.stop()
         self._timers.clear()
 

@@ -18,16 +18,16 @@ GRPC_MISS_THRESHOLD = 2
 class HealthServer:
     """The gRPC health endpoint running on a monitored entity.
 
-    ``status_fn()`` returns a dict (process states etc.) included in every
-    heartbeat reply; the controller's application-layer management reads
-    it.
+    ``status_fn()`` returns a dict (a machine's container states) included
+    in every heartbeat reply; the controller's application-layer
+    management reads it.  Without one the reply carries an empty status.
     """
 
     def __init__(self, engine, host, status_fn=None, port=GRPC_PORT_BASE):
         self.engine = engine
         self.host = host
         self.port = port
-        self.status_fn = status_fn or (lambda: {})
+        self.status_fn = status_fn or dict
         self.rpc = RpcServer(engine, host, port, self._handle, protocol="grpc")
 
     def _handle(self, method, _body, respond):
@@ -71,7 +71,6 @@ class GrpcChannel:
         self.process = Process(engine, f"grpc:{target_name}")
         self.consecutive_misses = 0
         self.healthy = True
-        self.last_status = {}
         self.last_reply_at = None
 
     def start(self):
@@ -89,13 +88,12 @@ class GrpcChannel:
     def _on_reply(self, reply):
         self.consecutive_misses = 0
         self.last_reply_at = self.engine.now
-        self.last_status = reply.get("status", {})
         if not self.healthy:
             self.healthy = True
             if self.on_healthy is not None:
                 self.on_healthy(self)
         if self.on_status is not None:
-            self.on_status(self, self.last_status)
+            self.on_status(self, reply["status"])
 
     def _on_miss(self):
         self.consecutive_misses += 1

@@ -45,17 +45,19 @@ class IpSlaProber:
         self.name = name
         self.on_change = on_change  # fn(prober, target_name, reachable)
         self.process = Process(engine, f"ipsla:{name}")
-        self._targets = {}  # name -> dict(client, misses, reachable)
+        self._targets = {}  # name -> dict(client, misses, reachable, ...)
         self._started = False
 
     def add_target(self, target_name, target_addr):
         client = RpcClient(self.engine, self.host, target_addr, IPSLA_PORT,
                            protocol="ipsla")
+        # a target's probe callbacks are made once, not once per probe
         self._targets[target_name] = {
             "client": client,
             "misses": 0,
             "reachable": True,
-            "addr": target_addr,
+            "on_reply": lambda _rep: self._mark(target_name, True),
+            "on_timeout": lambda: self._miss(target_name),
         }
 
     def remove_target(self, target_name):
@@ -75,12 +77,12 @@ class IpSlaProber:
     def _probe_all(self):
         if not self.host.reachable():
             return  # our own network is down; we cannot observe anything
-        for target_name, entry in list(self._targets.items()):
+        for entry in self._targets.values():
             entry["client"].call(
                 "echo",
                 {},
-                on_reply=lambda _rep, n=target_name: self._mark(n, True),
-                on_timeout=lambda n=target_name: self._miss(n),
+                on_reply=entry["on_reply"],
+                on_timeout=entry["on_timeout"],
                 timeout=IPSLA_PROBE_TIMEOUT,
             )
 

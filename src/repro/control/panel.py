@@ -323,12 +323,8 @@ class ControllerPanel(RecoveryActions):
                 f"container {container.name} has no endpoint (not booted)"
             )
         port = next_grpc_port(self.engine)
-        HealthServer(
-            self.engine,
-            container.endpoint,
-            status_fn=lambda c=container: _container_status(c),
-            port=port,
-        )
+        # no status: a container channel's heartbeat answers liveness only
+        HealthServer(self.engine, container.endpoint, port=port)
         self._container_registry[container.name] = (container, machine, port)
         for replica in self.replicas:
             if replica.alive:
@@ -497,24 +493,10 @@ class ControllerPanel(RecoveryActions):
 
 
 def _machine_status(machine):
+    # what FailureDetector._evaluate_container reads, and nothing more
     return {
         "containers": {
-            name: {
-                "running": container.running,
-                "processes": {
-                    pname: container.process_alive(pname)
-                    for pname in container.processes
-                },
-            }
+            name: {"running": container.running}
             for name, container in machine.containers.items()
-        },
-    }
-
-
-def _container_status(container):
-    return {
-        "running": container.running,
-        "processes": {
-            name: container.process_alive(name) for name in container.processes
         },
     }

@@ -69,7 +69,8 @@ class Engine:
     def __init__(self):
         self._queue = []  # heap of (time, seq, Event)
         self._counter = itertools.count()
-        self._now = 0.0
+        #: current virtual time in seconds; only :meth:`run` writes it
+        self.now = 0.0
         self._running = False
         self._stopped = False
         self._trace_hook = None  # a repro.trace.Tracer when tracing is on
@@ -103,11 +104,6 @@ class Engine:
         """
         self._trace_hook = hook
 
-    @property
-    def now(self):
-        """Current virtual time in seconds."""
-        return self._now
-
     def schedule(self, delay, callback, *args):
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
@@ -115,7 +111,7 @@ class Engine:
         """
         if not 0.0 <= delay < _INF:  # negative, infinite or NaN
             raise _bad_delay(delay)
-        time = self._now + delay
+        time = self.now + delay
         seq = next(self._counter)
         hook = self._trace_hook
         scope = self._ambient_scope
@@ -217,7 +213,7 @@ class Engine:
                 if time > horizon:
                     break
                 heappop(queue)
-                self._now = time
+                self.now = time
                 event.fired = True
                 self._ambient_scope = event.scope
                 if hook is None or event.ctx is None:
@@ -232,8 +228,8 @@ class Engine:
             # fired events made their scope ambient; don't leak the last
             # one into schedules made after the loop (e.g. at barriers)
             self._ambient_scope = entry_scope
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
+        if until is not None and self.now < until and not self._stopped:
+            self.now = until
         return executed
 
     def inject(self, when, callback, *args):
@@ -249,11 +245,11 @@ class Engine:
         not lie in the past (the lookahead bound guarantees this for
         conservative synchronization).
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"inject into the past (when={when} < now={self._now})"
+                f"inject into the past (when={when} < now={self.now})"
             )
-        return self.schedule(when - self._now, callback, *args)
+        return self.schedule(when - self.now, callback, *args)
 
     def run_window(self, until):
         """Run one conservative window: fire every event with
@@ -265,9 +261,9 @@ class Engine:
         relies on every shard's clock sitting exactly on the barrier
         when the window returns.  Returns the number of events executed.
         """
-        if until < self._now:
+        if until < self.now:
             raise SimulationError(
-                f"window ends in the past (until={until} < now={self._now})"
+                f"window ends in the past (until={until} < now={self.now})"
             )
         return self.run(until=until)
 
@@ -282,7 +278,7 @@ class Engine:
 
     def advance(self, duration):
         """Run for ``duration`` seconds of virtual time."""
-        return self.run(until=self._now + duration)
+        return self.run(until=self.now + duration)
 
     def run_stepped(self, until, on_step, quantum=0.05):
         """Run to ``until`` in ``quantum``-sized slices, calling
@@ -297,13 +293,13 @@ class Engine:
         if quantum <= 0:
             raise SimulationError(f"quantum must be positive (quantum={quantum})")
         executed = 0
-        while self._now < until:
-            slice_end = min(self._now + quantum, until)
+        while self.now < until:
+            slice_end = min(self.now + quantum, until)
             executed += self.run(until=slice_end)
-            on_step(self._now)
+            on_step(self.now)
             if self._stopped:
                 break
         return executed
 
     def __repr__(self):
-        return f"<Engine t={self._now:.6f} pending={self.pending()}>"
+        return f"<Engine t={self.now:.6f} pending={self.pending()}>"

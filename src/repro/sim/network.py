@@ -57,7 +57,9 @@ class _TxQueue:
 class _Path:
     """The topology half of one flow, resolved once (see ``transmit``).
 
-    ``hops`` is the destination endpoint's anchor chain, endpoint first;
+    ``deliver`` is the destination endpoint's bound ``deliver``, so a
+    packet schedules it without binding a method of its own.  ``hops``
+    is the destination endpoint's anchor chain, endpoint first;
     ``src_name`` names the source's physical host.  ``partition_key`` is
     None when both ends sit on one physical host; otherwise the flow
     crosses ``link``, or the fabric when there is no link, or nothing at
@@ -65,12 +67,13 @@ class _Path:
     takes its ``tx`` queue when its first packet needs one.
     """
 
-    __slots__ = ("endpoint", "hops", "src_name", "partition_key", "link",
-                 "tx", "latency")
+    __slots__ = ("endpoint", "deliver", "hops", "src_name", "partition_key",
+                 "link", "tx", "latency")
 
     def __init__(self, endpoint, hops, src_name, partition_key, link, tx,
                  latency):
         self.endpoint = endpoint
+        self.deliver = endpoint.deliver
         self.hops = hops
         self.src_name = src_name
         self.partition_key = partition_key
@@ -330,7 +333,7 @@ class Network:
             if export is not None:
                 export(packet, self.engine.now + delay)
             else:
-                self.engine.schedule(delay, path.endpoint.deliver, packet)
+                self.engine.schedule(delay, path.deliver, packet)
         else:
             self.packets_dropped += 1
         for tap in self.taps:

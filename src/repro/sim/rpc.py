@@ -14,11 +14,14 @@ from functools import partial
 
 from repro.sim.engine import SimulationError
 from repro.sim.network import Packet
-from repro.trace.tracer import tracer_of
 
 
 class DatagramSocket:
-    """A connectionless socket bound to (protocol, port) on a host."""
+    """A connectionless socket bound to (protocol, port) on a host.
+
+    ``on_receive(packet)`` gets each datagram as the packet itself: its
+    ``src``, ``sport`` and ``payload`` are read where they are needed.
+    """
 
     def __init__(self, host, port, protocol="udp"):
         self.host = host
@@ -45,7 +48,7 @@ class DatagramSocket:
 
     def _deliver(self, packet):
         if self.on_receive is not None:
-            self.on_receive(packet.src, packet.sport, packet.payload)
+            self.on_receive(packet)
 
     def close(self):
         if not self._closed:
@@ -132,26 +135,28 @@ class RpcServer:
         self.socket.on_receive = self._on_frame
         self.requests_served = 0
 
-    def _on_frame(self, src_addr, src_port, frame):
+    def _on_frame(self, packet):
+        frame = packet.payload
         if frame.kind != "req":
             return
         if self.service_time is None:
-            self._serve(src_addr, src_port, frame, self.engine.now)
+            self._serve(packet, self.engine.now)
             return
         self.engine.schedule(
             self.service_time(frame.method, frame.body),
-            self._serve, src_addr, src_port, frame, self.engine.now
+            self._serve, packet, self.engine.now
         )
 
-    def _serve(self, src_addr, src_port, frame, received_at):
-        tracer = tracer_of(self.engine)
+    def _serve(self, packet, received_at):
+        frame = packet.payload
+        tracer = self.engine._trace_hook
         span = None
-        if tracer.enabled:
+        if tracer is not None:
             span = tracer.begin_from(
                 frame.trace, "rpc.server." + frame.method, port=self.port
             )
             span.begin = received_at  # service time counts as server work
-        respond = partial(self._respond, src_addr, src_port, frame, span)
+        respond = partial(self._respond, packet, span)
         if span is None or self.service_time is None:
             self.handler(frame.method, frame.body, respond)
             return
@@ -161,14 +166,16 @@ class RpcServer:
         with tracer.activate(span):
             self.handler(frame.method, frame.body, respond)
 
-    def _respond(self, src_addr, src_port, frame, span, reply_body):
+    def _respond(self, packet, span, reply_body):
         if span is not None:
             span.finish()
         if self.socket._closed:
             return  # server exited mid-request (e.g. failover demotion)
         self.requests_served += 1
+        frame = packet.payload
         reply = _RpcFrame("rep", frame.req_id, frame.method, reply_body)
-        self.socket.sendto(src_addr, src_port, reply, size=_body_size(reply_body))
+        self.socket.sendto(packet.src, packet.sport, reply,
+                           size=_body_size(reply_body))
 
     def close(self):
         self.socket.close()
@@ -206,11 +213,15 @@ class RpcClient:
         ``on_refused`` fires when the endpoint actively refuses the
         request (a :class:`RefusalResponder` answered for a closed
         port, or :meth:`retarget` abandoned the old endpoint); without
-        it, refusals fall back to ``on_timeout``.
+        it, refusals fall back to ``on_timeout``.  A call on a closed
+        client raises before anything is recorded or scheduled.
         """
+        sock, engine = self.socket, self.engine
+        if sock._closed:
+            raise SimulationError("call on closed RpcClient")
         req_id = next(self._req_counter)
-        tracer = tracer_of(self.engine)
-        if tracer.enabled:
+        tracer = engine._trace_hook
+        if tracer is not None:
             span = tracer.begin("rpc." + method, server=self.server_addr)
             frame = _RpcFrame(
                 "req", req_id, method, body,
@@ -219,14 +230,15 @@ class RpcClient:
         else:
             frame = _RpcFrame("req", req_id, method, body)
             span = None
-        timer = self.engine.schedule(timeout, self._expire, req_id)
+        timer = engine.schedule(timeout, self._expire, req_id)
         self._pending[req_id] = (on_reply, on_timeout, on_refused, timer, span)
-        self.socket.sendto(
+        sock.sendto(
             self.server_addr, self.server_port, frame, size=_body_size(body)
         )
         return req_id
 
-    def _on_frame(self, src_addr, src_port, frame):
+    def _on_frame(self, packet):
+        frame = packet.payload
         if frame.kind == "refused":
             self._refuse(frame.req_id)
             return
@@ -297,11 +309,11 @@ class RpcClient:
 
 def _body_size(body):
     """Estimate the wire size of an RPC body (256 bytes when it is
-    neither bytes nor a dict)."""
-    if isinstance(body, (bytes, bytearray)):
-        return 64 + len(body)
+    neither bytes nor a dict).  A dict counts its top-level keys only."""
     if isinstance(body, dict):
         total = 64
+        if not body:
+            return total  # the health and echo request: most RPC traffic
         for key, value in body.items():
             total += len(key if type(key) is str else str(key))
             if isinstance(value, (bytes, bytearray, str)):
@@ -309,4 +321,6 @@ def _body_size(body):
             else:
                 total += 8
         return total
+    if isinstance(body, (bytes, bytearray)):
+        return 64 + len(body)
     return 256

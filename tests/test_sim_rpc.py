@@ -3,7 +3,8 @@
 import pytest
 
 from repro.sim import Engine, Network
-from repro.sim.rpc import DatagramSocket, RpcClient, RpcServer
+from repro.sim.engine import SimulationError
+from repro.sim.rpc import DatagramSocket, RefusalResponder, RpcClient, RpcServer
 
 
 def answer(fn):
@@ -27,7 +28,7 @@ def test_datagram_roundtrip(engine, hosts):
     a, b = hosts
     sock_b = DatagramSocket(b, 9000)
     got = []
-    sock_b.on_receive = lambda src, sport, payload: got.append((src, payload))
+    sock_b.on_receive = lambda packet: got.append((packet.src, packet.payload))
     sock_a = DatagramSocket(a, 9001)
     sock_a.sendto("1.1.1.2", 9000, {"hello": 1})
     engine.run_until_idle()
@@ -38,7 +39,7 @@ def test_datagram_src_override(engine, hosts):
     a, b = hosts
     sock_b = DatagramSocket(b, 9000)
     got = []
-    sock_b.on_receive = lambda src, sport, payload: got.append(src)
+    sock_b.on_receive = lambda packet: got.append(packet.src)
     DatagramSocket(a, 9001).sendto("1.1.1.2", 9000, "x", src_override="9.9.9.9")
     engine.run_until_idle()
     assert got == ["9.9.9.9"]
@@ -176,3 +177,72 @@ def test_rpc_across_partition_times_out(engine, net):
                 on_timeout=lambda: outcomes.append("timeout"), timeout=0.2)
     engine.run_until_idle()
     assert outcomes == ["timeout"]
+
+
+def test_call_on_closed_client_raises_and_leaves_nothing_behind(engine, hosts):
+    a, b = hosts
+    RpcServer(engine, b, 7000, answer(lambda m, body: {}))
+    client = RpcClient(engine, a, "1.1.1.2", 7000)
+    client.close()
+    outcomes = []
+    with pytest.raises(SimulationError):
+        client.call("op", {}, on_reply=lambda rep: outcomes.append("reply"),
+                    on_timeout=lambda: outcomes.append("timeout"),
+                    timeout=1.0)
+    # no timer was armed for the refused call: nothing fires later
+    assert engine.pending() == 0
+    engine.run(until=5.0)
+    assert outcomes == []
+    assert (client.replies, client.timeouts, client.refusals) == (0, 0, 0)
+
+
+def test_refusal_responder_answers_an_unbound_port(engine, hosts):
+    a, b = hosts
+    responder = RefusalResponder(engine, b)
+    client = RpcClient(engine, a, "1.1.1.2", 7000)  # nothing serves 7000
+    outcomes = []
+    client.call("op", {}, on_reply=lambda rep: outcomes.append("reply"),
+                on_timeout=lambda: outcomes.append("timeout"),
+                on_refused=lambda: outcomes.append(("refused", engine.now)),
+                timeout=1.0)
+    engine.run_until_idle()
+    # refused after one round trip, long before the timeout
+    assert [o[0] for o in outcomes] == ["refused"]
+    assert outcomes[0][1] < 0.01
+    assert responder.refusals == 1
+    assert (client.replies, client.timeouts, client.refusals) == (0, 0, 1)
+
+
+def test_refusal_falls_back_to_on_timeout(engine, hosts):
+    a, b = hosts
+    RefusalResponder(engine, b)
+    client = RpcClient(engine, a, "1.1.1.2", 7000)
+    outcomes = []
+    client.call("op", {}, on_reply=lambda rep: outcomes.append("reply"),
+                on_timeout=lambda: outcomes.append(("timeout", engine.now)),
+                timeout=1.0)
+    engine.run_until_idle()
+    assert [o[0] for o in outcomes] == ["timeout"]
+    assert outcomes[0][1] < 0.01  # the refusal, not the timer
+    assert (client.timeouts, client.refusals) == (0, 1)
+
+
+def test_retarget_fails_in_flight_requests_at_once(engine, hosts):
+    a, b = hosts
+    RpcServer(engine, b, 7000, answer(lambda m, body: {}),
+              service_time=lambda m, body: 0.5)
+    client = RpcClient(engine, a, "1.1.1.2", 7000)
+    outcomes = []
+    client.call("op", {}, on_reply=lambda rep: outcomes.append("reply"),
+                on_refused=lambda: outcomes.append(("refused", engine.now)))
+    client.call("op", {}, on_reply=lambda rep: outcomes.append("reply"),
+                on_timeout=lambda: outcomes.append(("timeout", engine.now)))
+    engine.run(until=0.1)
+    client.retarget("1.1.1.1")
+    # both fail now, through refused or its timeout fallback
+    assert outcomes == [("refused", 0.1), ("timeout", 0.1)]
+    assert client.refusals == 2
+    # the old server's late replies and the cancelled timers change nothing
+    engine.run_until_idle()
+    assert len(outcomes) == 2
+    assert (client.replies, client.timeouts) == (0, 0)
