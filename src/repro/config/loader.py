@@ -126,6 +126,13 @@ def _require(mapping, key, path, types=None):
     return value
 
 
+def _mapping(value, path):
+    """Reject a ``value`` that is not an object (a dict)."""
+    if not isinstance(value, dict):
+        raise ConfigError(path,
+                          f"must be an object, got {type(value).__name__}")
+
+
 def _optional(mapping, key, path, types, what):
     """An optional value of ``types``; a bool passes only as a bool."""
     types = types if isinstance(types, tuple) else (types,)
@@ -185,6 +192,7 @@ def _session_timers(mapping, path):
 
 def _validate_policy(policy, path):
     """A route-map block, as :func:`policy_from_dict` reads it."""
+    _mapping(policy, path)
     _require(policy, "name", path, str)
     entries = policy.get("entries", [])
     if not isinstance(entries, list) or not all(
@@ -218,6 +226,7 @@ def validate_spec(spec):
     host_addrs = set()  # every address the network answers for
     for index, machine in enumerate(machines):
         path = f"$.machines[{index}]"
+        _mapping(machine, path)
         name = _require(machine, "name", path, str)
         address = _require(machine, "address", path, str)
         if name in machine_names:
@@ -233,6 +242,7 @@ def validate_spec(spec):
     pair_at = {}  # service address -> pair spec
     for index, pair in enumerate(pairs):
         path = f"$.pairs[{index}]"
+        _mapping(pair, path)
         name = _require(pair, "name", path, str)
         if name in pair_names:
             raise ConfigError(f"{path}.name", f"duplicate pair {name!r}")
@@ -264,6 +274,7 @@ def validate_spec(spec):
             raise ConfigError(f"{path}.neighbors", "a pair needs >= 1 neighbor")
         for n_index, neighbor in enumerate(neighbors):
             n_path = f"{path}.neighbors[{n_index}]"
+            _mapping(neighbor, n_path)
             _require(neighbor, "remote_addr", n_path, str)
             _asn(neighbor, "remote_as", n_path)
             mode = neighbor.get("mode", "passive")
@@ -279,9 +290,11 @@ def validate_spec(spec):
                 if policy is not None:
                     _validate_policy(policy, f"{n_path}.{side}")
 
+    _optional(spec, "remotes", "$", list, "a list")
     remote_names = set()
     for index, remote in enumerate(spec.get("remotes", ())):
         path = f"$.remotes[{index}]"
+        _mapping(remote, path)
         name = _require(remote, "name", path, str)
         if name in remote_names:
             raise ConfigError(f"{path}.name", f"duplicate remote {name!r}")
@@ -292,13 +305,15 @@ def validate_spec(spec):
                               f"duplicate address {address!r}")
         host_addrs.add(address)
         asn = _asn(remote, "asn", path)
+        _optional(remote, "links", path, list, "a list of machine names")
         for link in remote.get("links", ()):
-            if link not in machine_names:
+            if not isinstance(link, str) or link not in machine_names:
                 raise ConfigError(f"{path}.links", f"unknown machine {link!r}")
         peer = remote.get("peer")
         if peer is None:
             continue
         p_path = f"{path}.peer"
+        _mapping(peer, p_path)
         gateway = _require(peer, "gateway", p_path, str)
         gateway_as = _asn(peer, "gateway_as", p_path)
         _session_timers(peer, p_path)
@@ -332,6 +347,7 @@ def validate_spec(spec):
         raise ConfigError("$.hook_technology", f"unknown technology {tech!r}")
     remote_db = spec.get("remote_db")
     if remote_db is not None:
+        _mapping(remote_db, "$.remote_db")
         latency = _require(remote_db, "latency", "$.remote_db", (int, float))
         if not latency >= 0:
             raise ConfigError("$.remote_db.latency", "must be >= 0 seconds")

@@ -14,7 +14,6 @@ number is covered.
 """
 
 from repro.netfilter import Rule, Verdict
-from repro.trace.tracer import tracer_of
 
 TENSOR_ACK_QUEUE = 1
 
@@ -151,7 +150,7 @@ class TcpQueueThread:
         self.verify_read_count += 1
         verify_span = None
         if span is not None:
-            verify_span = tracer_of(self.engine).begin(
+            verify_span = self.engine._trace_hook.begin(
                 "verify_read", parent=span, key=record_key
             )
 

@@ -85,9 +85,6 @@ def rib_delta_key(pair_name, vrf, seq):
 def rib_snapshot_key(pair_name, vrf, chunk):
     return f"tensor:{pair_name}:rib:{vrf}:s:{chunk:08d}"
 
-def pair_prefix(pair_name):
-    return f"tensor:{pair_name}:"
-
 
 #: Version of the RIB delta record written by :func:`rib_delta`.  Layout
 #: 1 (no ``layout`` field) held one ``(prefix text, attrs_wire, peer_id,
@@ -264,10 +261,9 @@ class WriteCoalescer:
             self._issue_deletes(run, retries=WRITE_RETRIES)
 
     def _batch_span(self, kind, records):
-        tracer = (
-            getattr(self.engine, "_trace_hook", None)
-            if self.engine is not None else None
-        )
+        if self.engine is None:  # a client with no engine (MemoryKv)
+            return None
+        tracer = self.engine._trace_hook
         if tracer is None:
             return None
         return tracer.begin(

@@ -18,7 +18,6 @@ from repro.bgp.messages import UpdateMessage
 from repro.bgp.speaker import BgpSpeaker
 from repro.core.ack_matching import TcpQueueThread
 from repro.core.replication import ConnectionKeys, rib_delta
-from repro.trace.tracer import tracer_of
 
 
 class TensorBgpSpeaker(BgpSpeaker):
@@ -111,8 +110,8 @@ class TensorBgpSpeaker(BgpSpeaker):
         }
         self.replicated_in_messages += 1
         record_key = keys.message("i", position)
-        tracer = tracer_of(self.engine)
-        if tracer.enabled:
+        tracer = self.engine._trace_hook
+        if tracer is not None:
             # Root span: its trace id is the message id the query API uses.
             trace = tracer.begin(
                 "update", parent=None,
@@ -191,7 +190,7 @@ class TensorBgpSpeaker(BgpSpeaker):
             self._apply_and_prune_inner(session, message, size, keys, position,
                                         ack)
             return
-        tracer = tracer_of(self.engine)
+        tracer = self.engine._trace_hook
         # The apply phase runs in parallel with replication: it starts at
         # dispatch (when the CPU charge was queued) and ends here, after
         # Loc-RIB reselect and the RIB delta persist are enqueued.  The
@@ -267,9 +266,9 @@ class TensorBgpSpeaker(BgpSpeaker):
             "wire": wire,
         }
         self.replicated_out_messages += 1
-        tracer = tracer_of(self.engine)
+        tracer = self.engine._trace_hook
         span = None
-        if tracer.enabled and isinstance(message, UpdateMessage):
+        if tracer is not None and isinstance(message, UpdateMessage):
             # Outgoing UPDATEs are their own trace; ``links`` names the
             # received messages whose changes this advertisement carries
             # (empty for resync/initial-table sends).
@@ -372,9 +371,9 @@ class TensorBgpSpeaker(BgpSpeaker):
         message = record["message"]
         keys = self.keys_for(session)
         cost = self._receive_cost_of(message)
-        tracer = tracer_of(self.engine)
+        tracer = self.engine._trace_hook
         trace = None
-        if tracer.enabled:
+        if tracer is not None:
             # The replay is a fresh trace in the new process; ``replay``
             # plus (conn, pos) tie it to the original incarnation's trace.
             trace = tracer.begin(

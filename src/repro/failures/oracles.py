@@ -570,12 +570,3 @@ class OracleSuite:
     @property
     def first_violation(self):
         return self.violations[0] if self.violations else None
-
-    def summary(self):
-        if not self.violations:
-            return "all oracles passed"
-        head = self.violations[0]
-        return (
-            f"{len(self.violations)} violation(s); first: {head.oracle}"
-            f" @{head.time:.3f} — {head.detail}"
-        )

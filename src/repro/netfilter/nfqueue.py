@@ -103,7 +103,7 @@ class NfQueue:
             self.engine.schedule(self.verdict_delay, release, released_packet)
 
         span = None
-        tracer = getattr(self.engine, "_trace_hook", None)
+        tracer = self.engine._trace_hook
         if tracer is not None:
             segment = packet.payload
             span = tracer.begin(

@@ -94,13 +94,6 @@ class ShardBoundary:
         #: adaptive-lookahead safety argument holds (DESIGN.md §11).
         self.inject_scope = None
 
-    def lookahead(self):
-        """Minimum cross-shard latency, or None when the shard is closed
-        (no links — it can free-run to the horizon in one window)."""
-        if not self.links:
-            return None
-        return min(link.latency for link in self.links)
-
     # -- scenario-side wiring ------------------------------------------
 
     def attach(self, network):

@@ -40,9 +40,6 @@ class TraceStore:
     def __len__(self):
         return len(self._spans)
 
-    def clear(self):
-        del self._spans[:]
-
     # -- queries ---------------------------------------------------------
 
     def spans(self, name=None, trace_id=None, ended=None, **attr_filters):
@@ -65,12 +62,6 @@ class TraceStore:
                     continue
             out.append(span)
         return out
-
-    def trace(self, trace_id):
-        """All spans of one trace, sorted by (begin, span_id)."""
-        found = [s for s in self._spans if s.trace_id == trace_id]
-        found.sort(key=lambda s: (s.begin, s.span_id))
-        return found
 
     def update_ids(self, **attr_filters):
         """Message ids (root-span trace ids) of traced received messages."""

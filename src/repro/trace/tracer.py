@@ -10,11 +10,9 @@ CPU charges — without the instrumented code threading context by hand.
 Hot paths that need precise phase boundaries (the TENSOR receive
 pipeline) additionally pass spans explicitly.
 
-Disabled mode is the default everywhere: :data:`NULL_TRACER` is a
-singleton whose ``begin``/``complete``/``event`` return the shared
-:data:`NULL_SPAN` and allocate nothing, so a production-shaped benchmark
-run pays one attribute load and one ``None`` check per instrumentation
-site (``bench_hotpath.py`` gates the engine's share at <5%).
+Tracing is off unless a tracer is installed, and ``engine._trace_hook``
+is the only switch: each instrumentation site loads it and tests it
+with ``is not None``.  An untraced run never imports this package.
 
 Identity model: a span created without a parent starts a new *trace*
 whose id is the span's own id; children inherit the trace id.  The root
@@ -66,88 +64,10 @@ class Span:
                 self.attrs.update(attrs)
         return self
 
-    def __bool__(self):
-        return True
-
     def __repr__(self):
         end = f"{self.end:.6f}" if self.end is not None else "open"
         return (f"<Span #{self.span_id} {self.name} trace={self.trace_id}"
                 f" [{self.begin:.6f}..{end}]>")
-
-
-class _NullSpan:
-    """The shared no-op span returned by the disabled tracer."""
-
-    __slots__ = ()
-    span_id = 0
-    trace_id = 0
-    parent_id = None
-    name = ""
-    begin = 0.0
-    end = 0.0
-    duration = 0.0
-    attrs = {}
-
-    def annotate(self, **attrs):
-        return self
-
-    def finish(self, **attrs):
-        return self
-
-    def __bool__(self):
-        return False
-
-    def __repr__(self):
-        return "<NullSpan>"
-
-
-NULL_SPAN = _NullSpan()
-
-
-class _NullContext:
-    __slots__ = ()
-
-    def __enter__(self):
-        return NULL_SPAN
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_CONTEXT = _NullContext()
-
-
-class NullTracer:
-    """Disabled tracing: every operation is a shared-singleton no-op."""
-
-    __slots__ = ()
-    enabled = False
-    current = None
-    store = None
-
-    def begin(self, name, parent=AMBIENT, **attrs):
-        return NULL_SPAN
-
-    def complete(self, name, begin, parent=AMBIENT, **attrs):
-        return NULL_SPAN
-
-    def event(self, name, parent=AMBIENT, **attrs):
-        return NULL_SPAN
-
-    def begin_from(self, context_ref, name, **attrs):
-        return NULL_SPAN
-
-    def span(self, name, parent=AMBIENT, **attrs):
-        return _NULL_CONTEXT
-
-    def activate(self, span):
-        return _NULL_CONTEXT
-
-    def context(self):
-        return None
-
-
-NULL_TRACER = NullTracer()
 
 
 class Tracer:
@@ -156,8 +76,6 @@ class Tracer:
     Constructing a tracer installs it as the engine's trace hook, turning
     on ambient-context capture in ``Engine.schedule``.
     """
-
-    enabled = True
 
     def __init__(self, engine):
         from repro.trace.store import TraceStore
@@ -177,7 +95,7 @@ class Tracer:
         if parent is AMBIENT:
             parent = self.current
         span_id = next(self._ids)
-        if parent is not None and parent:
+        if parent is not None:
             trace_id = parent.trace_id
             parent_id = parent.span_id
         else:
@@ -195,14 +113,10 @@ class Tracer:
         span.end = self.engine.now
         return span
 
-    def event(self, name, parent=AMBIENT, **attrs):
-        """Record an instantaneous (zero-duration) span."""
-        return self.complete(name, self.engine.now, parent=parent, **attrs)
-
     def begin_from(self, context_ref, name, **attrs):
         """Open a span whose parent is a *serialized* context reference —
-        the ``(trace_id, span_id)`` tuple :meth:`context` produces, as
-        carried across process boundaries in RPC frame metadata."""
+        the ``(trace_id, span_id)`` tuple an RPC client carries across
+        process boundaries in its frame metadata."""
         span_id = next(self._ids)
         if context_ref is not None:
             trace_id, parent_id = context_ref
@@ -213,26 +127,7 @@ class Tracer:
         self.store._add(span)
         return span
 
-    def context(self):
-        """The ambient span as propagatable metadata, or None."""
-        current = self.current
-        if current is None:
-            return None
-        return (current.trace_id, current.span_id)
-
     # -- ambient-context management --------------------------------------
-
-    @contextmanager
-    def span(self, name, parent=AMBIENT, **attrs):
-        """Context manager: open a span, make it ambient, close on exit."""
-        opened = self.begin(name, parent=parent, **attrs)
-        previous = self.current
-        self.current = opened
-        try:
-            yield opened
-        finally:
-            self.current = previous
-            opened.finish()
 
     @contextmanager
     def activate(self, span):
@@ -243,9 +138,3 @@ class Tracer:
             yield span
         finally:
             self.current = previous
-
-
-def tracer_of(engine):
-    """The tracer installed on ``engine``, or :data:`NULL_TRACER`."""
-    hook = getattr(engine, "_trace_hook", None)
-    return hook if hook is not None else NULL_TRACER

@@ -8,6 +8,7 @@ delayed ACKs must trip ``ack_durability``, shrink to a tiny schedule,
 and emit a repro script that replays the violation deterministically.
 """
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -99,12 +100,35 @@ def test_corpus_seed_passes_all_oracles(seed):
     assert result.first_violation is None, result.summary()
 
 
+#: ``(span count, span-stream hash)`` of each traced corpus seed.  A
+#: refactor of tracing must move no span, id, instant or attribute;
+#: re-take these only for a change that means to alter the spans.
+TRACED_SPAN_STREAMS = {
+    6: (21704, "fc055e0b2b09587aeeea7c5a16ee020157daa2753455dc0f3022887244d7a664"),
+    7: (24067, "51246fdf4810ed1f20b652b21b594a771c635051a4500a654ebb9a00ea8dbcc1"),
+    8: (18080, "0e6b1c838c55867551360c88b58e5661fcea347c94e97d7fd291918527801af2"),
+    9: (16662, "8a045935e3ee17d9ae6ff73f4f8962ef8f186fb4f528495146fb047d72db53a5"),
+}
+
+
+def span_stream_hash(store):
+    """sha256 over every span's ids, name, instants and sorted attrs."""
+    digest = hashlib.sha256()
+    for span in store.spans():
+        row = (span.span_id, span.trace_id, span.parent_id, span.name,
+               span.begin, span.end, tuple(sorted(span.attrs.items())))
+        digest.update(repr(row).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("seed", TRACED_CORPUS_SEEDS)
 def test_traced_corpus_seed_passes_phase_latency_oracle(seed):
     """Seeds 6-9 run under the causal tracer (DESIGN.md §10): every
     standard oracle plus ``phase_latency``, which re-derives the
     delayed-ACK invariant from the recorded spans at each settle
-    point, must stay green through multi-failure schedules."""
+    point, must stay green through multi-failure schedules, and the
+    recorded span stream must match its golden bit for bit."""
     schedule = generate_schedule(seed)
     result = run_schedule(schedule, tracing=True)
     assert result.first_violation is None, result.summary()
@@ -119,6 +143,7 @@ def test_traced_corpus_seed_passes_phase_latency_oracle(seed):
             assert span.attrs["from_container"] != span.attrs["to_container"]
         else:
             assert span.attrs["from_container"] == span.attrs["to_container"]
+    assert (len(store), span_stream_hash(store)) == TRACED_SPAN_STREAMS[seed]
 
 
 @pytest.mark.parametrize("seed", DB_FAILOVER_CORPUS_SEEDS)

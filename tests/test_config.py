@@ -125,6 +125,31 @@ def test_valid_spec_passes():
      "$.pairs[0].local_as"),
     (lambda s: s["pairs"][0].update(mrai=True), "$.pairs[0].mrai"),
     (lambda s: s.update(hold_acks="no"), "$.hold_acks"),
+    # entries of the wrong type: a ConfigError with a path, no TypeError
+    (lambda s: s["machines"].__setitem__(0, "gw-1"),
+     "$.machines[0]: must be an object, got str"),
+    (lambda s: s["pairs"].__setitem__(0, "pair0"),
+     "$.pairs[0]: must be an object, got str"),
+    (lambda s: s["pairs"][0]["neighbors"].__setitem__(0, "192.0.2.1"),
+     "$.pairs[0].neighbors[0]: must be an object, got str"),
+    (lambda s: s["remotes"].__setitem__(0, "remote0"),
+     "$.remotes[0]: must be an object, got str"),
+    (lambda s: s["remotes"][0].update(peer="10.10.0.1"),
+     "$.remotes[0].peer: must be an object, got str"),
+    (lambda s: s.update(remote_db="sync"),
+     "$.remote_db: must be an object, got str"),
+    (lambda s: _neighbor(s).update(import_policy="p"),
+     "$.pairs[0].neighbors[0].import_policy: must be an object, got str"),
+    (lambda s: _neighbor(s).update(export_policy="p"),
+     "$.pairs[0].neighbors[0].export_policy: must be an object, got str"),
+    (lambda s: s["remotes"][0].update(links="gw-1"),
+     "$.remotes[0].links: must be a list"),
+    (lambda s: s["remotes"][0]["links"].append(["gw-1"]),
+     "$.remotes[0].links: unknown machine ['gw-1']"),
+    (lambda s: s.update(remotes={"remote0": s["remotes"][0]}),
+     "$.remotes: must be a list"),
+    (lambda s: s.update(remote_db=[{"latency": 0.001}]),
+     "$.remote_db: must be an object, got list"),
 ])
 def test_invalid_specs_rejected(mutate, path_fragment):
     spec = good_spec()

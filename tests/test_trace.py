@@ -2,25 +2,32 @@
 
 Covers span nesting and trace-id inheritance, ambient context capture
 through ``Engine.schedule``, cross-host propagation through the RPC
-metadata channel, the disabled-mode fast path (no allocation, no event
-context), and determinism of the recorded span stream under
+metadata channel, the disabled mode (no tracer, no event context), and
+determinism of the recorded span stream under
 ``DeterministicRandom`` seeds.
 """
+
+import os
+import pathlib
+import subprocess
+import sys
+from contextlib import contextmanager
 
 import pytest
 
 from repro.sim import Engine, Network
 from repro.sim.rpc import RpcClient, RpcServer
-from repro.trace import (
-    AMBIENT,
-    NULL_SPAN,
-    NULL_TRACER,
-    PHASES,
-    Span,
-    TraceStore,
-    Tracer,
-    tracer_of,
-)
+from repro.trace import PHASES, Tracer
+
+
+@contextmanager
+def span(tracer, name, **attrs):
+    """Open a span under the ambient one, make it ambient, and finish it
+    on exit."""
+    opened = tracer.begin(name, **attrs)
+    with tracer.activate(opened):
+        yield opened
+    opened.finish()
 
 
 @pytest.fixture
@@ -46,8 +53,8 @@ def rpc_net(traced_engine):
 
 def test_span_nesting_inherits_trace_id(traced_engine):
     engine, tracer = traced_engine
-    with tracer.span("outer", kind="root") as outer:
-        with tracer.span("inner") as inner:
+    with span(tracer, "outer", kind="root") as outer:
+        with span(tracer, "inner") as inner:
             assert inner.parent_id == outer.span_id
             assert inner.trace_id == outer.trace_id
             assert tracer.current is inner
@@ -60,7 +67,7 @@ def test_span_nesting_inherits_trace_id(traced_engine):
 
 def test_parent_none_forces_new_root(traced_engine):
     engine, tracer = traced_engine
-    with tracer.span("outer"):
+    with span(tracer, "outer"):
         detached = tracer.begin("detached", parent=None)
         assert detached.trace_id == detached.span_id
         detached.finish()
@@ -102,7 +109,7 @@ def test_schedule_captures_ambient_context(traced_engine):
         seen.append(child)
         child.finish()
 
-    with tracer.span("root") as root:
+    with span(tracer, "root") as root:
         engine.schedule(1.0, later)
     engine.run_until_idle()
     assert seen[0].trace_id == root.trace_id
@@ -116,7 +123,7 @@ def test_context_does_not_leak_between_events(traced_engine):
     def unrelated():
         seen.append(tracer.current)
 
-    with tracer.span("root"):
+    with span(tracer, "root"):
         engine.schedule(1.0, lambda: None)
     engine.schedule(2.0, unrelated)  # scheduled outside any span
     engine.run_until_idle()
@@ -132,7 +139,7 @@ def test_rpc_server_span_joins_client_trace(rpc_net):
     RpcServer(engine, b, 7000,
               lambda method, body, respond: respond({"ok": True}))
     client = RpcClient(engine, a, "1.1.1.2", 7000)
-    with tracer.span("root") as root:
+    with span(tracer, "root") as root:
         client.call("ping", {}, on_reply=lambda _r: None)
     engine.run_until_idle()
 
@@ -153,7 +160,7 @@ def test_async_rpc_server_span_covers_deferred_reply(rpc_net):
 
     RpcServer(engine, b, 7000, handler)
     client = RpcClient(engine, a, "1.1.1.2", 7000)
-    with tracer.span("root") as root:
+    with span(tracer, "root") as root:
         client.call("work", {}, on_reply=lambda _r: None)
     engine.run_until_idle()
 
@@ -186,21 +193,6 @@ def test_disabled_engine_records_no_event_context():
     engine.run_until_idle()
 
 
-def test_null_tracer_is_allocation_free():
-    assert tracer_of(Engine()) is NULL_TRACER
-    assert NULL_TRACER.enabled is False
-    assert NULL_TRACER.begin("x") is NULL_SPAN
-    assert NULL_TRACER.begin("y", attr=1) is NULL_SPAN  # same singleton
-    assert NULL_TRACER.complete("z", begin=0.0) is NULL_SPAN
-    assert not NULL_SPAN  # falsy, so `if span:` guards skip work
-    assert NULL_TRACER.context() is None
-    with NULL_TRACER.span("w") as span:
-        assert span is NULL_SPAN
-    NULL_SPAN.finish(outcome="ignored")
-    NULL_SPAN.annotate(extra=2)
-    assert NULL_SPAN.attrs == {}
-
-
 def test_disabled_fixture_produces_zero_spans():
     from conftest import build_tensor_fixture
 
@@ -208,6 +200,32 @@ def test_disabled_fixture_produces_zero_spans():
     assert system.tracer is None
     assert system.trace_store is None
     assert system.engine._trace_hook is None
+
+
+#: Builds and runs the standard lab untraced, then names every
+#: ``repro.trace`` module the run loaded.
+UNTRACED_LAB = """
+import sys
+from repro.config import build_system, lab_spec
+system, _pairs, _remotes = build_system(lab_spec(0))
+system.run(15)
+print(sorted(m for m in sys.modules
+             if m == "repro.trace" or m.startswith("repro.trace.")))
+"""
+
+
+def test_untraced_run_never_imports_trace():
+    """Off costs nothing structurally: with ``engine._trace_hook`` the
+    only switch, no module of an untraced deployment imports the
+    tracing package."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", UNTRACED_LAB],
+        capture_output=True, text=True, env=env, cwd=str(root),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------
