@@ -14,7 +14,7 @@ AB_BASE ?= HEAD
 AB_WORKLOAD ?= failover_chaos
 AB_RUNS ?= 6
 
-.PHONY: test bench bench-hotpath bench-parallel bench-failover bench-fulltable bench-gate fulltable-smoke profile profile-parallel profile-packed parallel-smoke kv-failover chaos chaos-corpus chaos-ablation controller-chaos fuzz fuzz-corpus fuzz-smoke trace-demo nsrbench nsrbench-smoke ab loc verify
+.PHONY: test bench bench-hotpath bench-parallel bench-failover bench-fulltable bench-gate fulltable-smoke profile profile-parallel profile-packed parallel-smoke kv-failover chaos chaos-corpus chaos-ablation controller-chaos fuzz fuzz-corpus fuzz-smoke trace-demo nsrbench nsrbench-smoke ab loc census verify
 
 test:
 	$(PYTHON) -m pytest tests -x -q
@@ -150,6 +150,13 @@ ab:
 loc:
 	@printf 'src/   %s\n' "$$(find src -name '*.py' -exec cat {} + | wc -l)"
 	@printf 'tests/ %s\n' "$$(find tests -name '*.py' -exec cat {} + | wc -l)"
+
+# The value census (tools/census.py, ROADMAP item 10(h)): every entry
+# point runs under a stdlib tracer; prints each defaulted src/repro
+# parameter no run varies and each function no run calls.  Takes
+# minutes, so it is in neither tier-1 nor `make verify`.
+census:
+	$(PYTHON) tools/census.py
 
 # The full gate: tier-1 tests, perf regression (hot path, parallel,
 # failover drain), chaos corpus, controller-plane chaos, the parallel

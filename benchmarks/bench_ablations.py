@@ -92,7 +92,7 @@ def ablation_bfd_relay():
 def _monolithic_receive(as_count, updates_each):
     engine = Engine()
     network = Network(engine)
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     gw_host = network.add_host("gw", "10.0.0.1")
     db_host = network.add_host("db", "10.254.0.1")
     KvServer(engine, db_host)
@@ -142,7 +142,7 @@ def _split_receive(as_count, updates_each):
     the slowest single container, not the sum."""
     engine = Engine()
     network = Network(engine)
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     db_host = network.add_host("db", "10.254.0.1")
     KvServer(engine, db_host)
     gen = RouteGenerator(random.Random(19), 64512, next_hop="192.0.2.1")

@@ -119,7 +119,7 @@ def test_fig5a_delayed_ack(benchmark):
 def run_phase_breakdown():
     """Drive real UPDATE traffic through a traced TENSOR gateway and
     return the causal tracer's per-phase latency statistics."""
-    system, _pair, _remotes = build_traced_system(seed=7, routes=40)
+    system, _pair, _remotes = build_traced_system()
     return system.trace_store
 
 

@@ -18,7 +18,7 @@ RECORD_COUNTS = (1, 10, 70, 100, 1000, 10_000)
 def run_experiment():
     engine = Engine()
     network = Network(engine)
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     gateway = network.add_host("gw", "10.0.0.1")
     db_host = network.add_host("db", "10.0.0.2")
     KvServer(engine, db_host)

@@ -27,7 +27,7 @@ UPDATES_PER_PEER = 100
 def fanout_time(profile, peer_count):
     engine = Engine()
     network = Network(engine)
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     gw_host = network.add_host("gw", "10.0.0.1")
     gw_stack = TcpStack(engine, gw_host)
     if profile == "tensor":

@@ -22,11 +22,9 @@ MONTH_LABELS_START = ("Jan-2020", )
 
 
 def run_experiment():
-    model = OperationalModel(
-        DeterministicRandom(2020).stream("fig7b"), links=FLEET_PEERING_ASES
-    )
-    adoption = default_adoption_curve(FLEET_PEERING_ASES)
-    impacted = model.monthly_impacted_bytes(adoption)
+    model = OperationalModel(DeterministicRandom(2020).stream("fig7b"))
+    adoption = default_adoption_curve()
+    impacted = model.monthly_impacted_bytes()
     return adoption, impacted
 
 

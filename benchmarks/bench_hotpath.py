@@ -129,7 +129,7 @@ def test_coalescer_flush(benchmark):
     def run():
         engine = Engine()
         network = Network(engine)
-        network.enable_fabric(latency=5e-5)
+        network.enable_fabric()
         client_host = network.add_host("c", "1.1.1.1")
         db_host = network.add_host("s", "1.1.1.2")
         KvServer(engine, db_host)

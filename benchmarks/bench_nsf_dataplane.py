@@ -19,12 +19,12 @@ from repro.baselines import baseline_recovery_row
 from repro.config import build_system, lab_spec
 from repro.failures import FailureInjector
 from repro.forwarding import DataPlane, Fib, FibSyncer, TrafficFlow
+from repro.forwarding.dataplane import FLOW_PACKET_BYTES as PACKET_BYTES
 from repro.metrics import format_table
 from repro.workloads.updates import RouteGenerator
 
 ROUTES = 500
 RATE_PPS = 50_000
-PACKET_BYTES = 1000
 
 
 def tensor_loss():
@@ -44,8 +44,7 @@ def tensor_loss():
     syncer.start()
     system.engine.advance(1.0)
     dataplane = DataPlane(system.engine, system.network, fib)
-    flow = TrafficFlow(system.engine, dataplane, "10.0.0.1",
-                       rate_pps=RATE_PPS, packet_bytes=PACKET_BYTES)
+    flow = TrafficFlow(system.engine, dataplane, "10.0.0.1", rate_pps=RATE_PPS)
     flow.start()
     system.engine.advance(1.0)
     FailureInjector(system).container_failure(pair)

@@ -51,7 +51,7 @@ class DaemonLab:
     def __init__(self, profile, seed=7):
         self.engine = Engine()
         self.network = Network(self.engine)
-        self.network.enable_fabric(latency=5e-5)
+        self.network.enable_fabric()
         self.gw_host = self.network.add_host("gw", "10.0.0.1")
         self.peer_host = self.network.add_host("peer", "10.0.0.2")
         self.network.connect(self.gw_host, self.peer_host,

@@ -44,9 +44,9 @@ def traffic_picture(rng):
 
 
 def adoption_picture(rng):
-    model = OperationalModel(rng.stream("ops"), links=FLEET_PEERING_ASES)
-    adoption = default_adoption_curve(FLEET_PEERING_ASES)
-    impacted = model.monthly_impacted_bytes(adoption)
+    model = OperationalModel(rng.stream("ops"))
+    adoption = default_adoption_curve()
+    impacted = model.monthly_impacted_bytes()
     rows = []
     for month in range(0, len(adoption), 3):
         year, mon = 2020 + month // 12, month % 12 + 1

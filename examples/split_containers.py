@@ -46,7 +46,7 @@ def plan_demo():
 def joint_routing_demo():
     engine = Engine()
     network = Network(engine)
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     speakers = {}
     for name, addr in (("member-1", "10.0.1.1"), ("member-2", "10.0.1.2"),
                        ("joint", "10.0.1.3")):

@@ -82,10 +82,8 @@ class PeerSession:
         self.retry_timer = Timer(self.engine, self._retry_connect, "bgp-retry")
 
         # Stream accounting for TENSOR's ACK inference.
-        self.initial_seq = None  # our iss (from TCP repair at connect)
         self.initial_ack = None  # peer's iss + 1
         self.cumulative_received = 0  # whole-message bytes consumed
-        self.cumulative_sent = 0
 
         # Tracing: when the bytes of the message currently being decoded
         # started arriving (spans TCP segment reassembly), and the arrival
@@ -156,14 +154,12 @@ class PeerSession:
         self.conn.on_close = self._on_tcp_closed
 
     def _on_tcp_established(self, conn):
-        # TCP_REPAIR at connect time: learn initial SEQ/ACK numbers
+        # TCP_REPAIR at connect time: learn the initial ACK number
         # ("we use the TCP_REPAIR option to obtain the initial SEQ and ACK
         #  numbers along with other necessary information", §3.1.2).
-        self.initial_seq = conn.iss + 1
         self.initial_ack = conn.irs + 1
         self.decoder = MessageDecoder()
         self.cumulative_received = 0
-        self.cumulative_sent = 0
         self.speaker.tcp_established(self)
         self._set_state(fsm.SessionState.OPEN_SENT)
         self.send_message(
@@ -384,7 +380,6 @@ class PeerSession:
             return
         if isinstance(message, OpenMessage) and self.state is fsm.SessionState.CONNECT:
             self._set_state(fsm.SessionState.OPEN_SENT)
-        self.cumulative_sent += len(wire)
         self.messages_sent += 1
         self.conn.send(wire)
 
@@ -441,8 +436,7 @@ class PeerSession:
         if changes:
             self.speaker.best_paths_changed(self, changes)
 
-    def force_resume(self, conn, initial_seq, initial_ack,
-                     cumulative_received, cumulative_sent):
+    def force_resume(self, conn, initial_ack, cumulative_received):
         """Adopt a repaired TCP connection directly in ESTABLISHED.
 
         This is the NSR takeover path: the backup container inherits a
@@ -451,11 +445,9 @@ class PeerSession:
         """
         self.conn = conn
         self._wire_conn_callbacks()
-        self.initial_seq = initial_seq
         self.initial_ack = initial_ack
         self.decoder = MessageDecoder()
         self.cumulative_received = cumulative_received
-        self.cumulative_sent = cumulative_sent
         self.state = fsm.SessionState.ESTABLISHED
         self.established_at = self.engine.now
         if self.negotiated_hold_time:

@@ -1,11 +1,10 @@
 """Routing policy: prefix lists and route maps.
 
 A :class:`RouteMap` is an ordered list of entries; each entry matches on
-prefix lists, communities or AS-path membership and either denies the
-route or permits it with attribute rewrites (local-pref, MED, community
-additions, AS-path prepending).  Applied at import (Adj-RIB-In) and
-export (Adj-RIB-Out) time, as the centralized controller would push them
-to the gateway's BGP containers.
+a prefix list (or everything) and either denies the route or permits it
+with attribute rewrites (community additions, AS-path prepending).
+Applied at import (Adj-RIB-In) and export (Adj-RIB-Out) time, as the
+centralized controller would push them to the gateway's BGP containers.
 """
 
 from repro.bgp.prefixes import longest_match, note_length, parse_prefix
@@ -38,26 +37,13 @@ class PrefixList:
 class PolicyAction:
     """Attribute rewrites applied by a permitting route-map entry."""
 
-    def __init__(
-        self,
-        set_local_pref=None,
-        set_med=None,
-        add_communities=(),
-        prepend_as=None,
-        prepend_count=1,
-    ):
-        self.set_local_pref = set_local_pref
-        self.set_med = set_med
+    def __init__(self, add_communities=(), prepend_as=None, prepend_count=1):
         self.add_communities = tuple(add_communities)
         self.prepend_as = prepend_as
         self.prepend_count = prepend_count
 
     def apply(self, attributes):
         overrides = {}
-        if self.set_local_pref is not None:
-            overrides["local_pref"] = self.set_local_pref
-        if self.set_med is not None:
-            overrides["med"] = self.set_med
         if self.add_communities:
             merged = tuple(sorted(set(attributes.communities) | set(self.add_communities)))
             overrides["communities"] = merged
@@ -69,30 +55,17 @@ class PolicyAction:
 
 
 class RouteMapEntry:
-    """One clause: match conditions -> permit (with action) or deny."""
+    """One clause: a prefix list (None matches every route) -> permit
+    (with action) or deny."""
 
-    def __init__(
-        self,
-        permit=True,
-        match_prefix_list=None,
-        match_community=None,
-        match_as=None,
-        action=None,
-    ):
+    def __init__(self, permit=True, match_prefix_list=None, action=None):
         self.permit = permit
         self.match_prefix_list = match_prefix_list
-        self.match_community = match_community
-        self.match_as = match_as
         self.action = action or PolicyAction()
 
-    def matches(self, prefix, attributes):
-        if self.match_prefix_list is not None and not self.match_prefix_list.matches(prefix):
-            return False
-        if self.match_community is not None and self.match_community not in attributes.communities:
-            return False
-        if self.match_as is not None and not attributes.as_path.contains(self.match_as):
-            return False
-        return True
+    def matches(self, prefix):
+        plist = self.match_prefix_list
+        return plist is None or plist.matches(prefix)
 
 
 class RouteMap:
@@ -117,7 +90,7 @@ class RouteMap:
     def evaluate(self, prefix, attributes):
         """Return rewritten attributes, or None when the route is denied."""
         for entry in self.entries:
-            if entry.matches(prefix, attributes):
+            if entry.matches(prefix):
                 if not entry.permit:
                     return None
                 return entry.action.apply(attributes)
@@ -133,34 +106,39 @@ PERMIT_ALL = RouteMap("permit-all", default_permit=True)
 # from a spec (deployment specs, fuzzer corpus entries)
 # ----------------------------------------------------------------------
 
+#: The optional keys of a route-map block (``name`` is required) and
+#: of each of its entries, with what an absent key means.
+POLICY_DEFAULTS = {"entries": (), "default_permit": False}
+ENTRY_DEFAULTS = {
+    "permit": True, "match_prefixes": None, "add_communities": (),
+    "prepend_as": None, "prepend_count": 1,
+}
+
+
 def policy_from_dict(data):
     """A :class:`RouteMap` from the JSON-safe description a deployment
     spec or a fuzzer corpus entry carries (prefix-list matches as prefix
     strings); ``None`` stays ``None`` (no policy configured)."""
     if data is None:
         return None
+    data = {**POLICY_DEFAULTS, **data}
     entries = []
-    for spec in data.get("entries", ()):
+    for spec in data["entries"]:
+        spec = {**ENTRY_DEFAULTS, **spec}
         prefix_list = None
-        if spec.get("match_prefixes") is not None:
+        if spec["match_prefixes"] is not None:
             prefix_list = PrefixList(
                 f"{data['name']}-pl",
                 entries=map(parse_prefix, spec["match_prefixes"]),
             )
         entries.append(RouteMapEntry(
-            permit=spec.get("permit", True),
+            permit=spec["permit"],
             match_prefix_list=prefix_list,
-            match_community=spec.get("match_community"),
-            match_as=spec.get("match_as"),
             action=PolicyAction(
-                set_local_pref=spec.get("set_local_pref"),
-                set_med=spec.get("set_med"),
-                add_communities=tuple(spec.get("add_communities", ())),
-                prepend_as=spec.get("prepend_as"),
-                prepend_count=spec.get("prepend_count", 1),
+                add_communities=tuple(spec["add_communities"]),
+                prepend_as=spec["prepend_as"],
+                prepend_count=spec["prepend_count"],
             ),
         ))
-    return RouteMap(
-        data["name"], entries=entries,
-        default_permit=data.get("default_permit", False),
-    )
+    return RouteMap(data["name"], entries=entries,
+                    default_permit=data["default_permit"])

@@ -31,10 +31,13 @@ Example spec::
       ]
     }
 
-Optional keys and their defaults are the ``*_DEFAULTS`` tables below.
+Optional keys and their defaults are the ``*_DEFAULTS`` tables below
+(a route-map block's are :mod:`repro.bgp.policy`'s); a key that is
+neither required nor in its block's table is rejected, since nothing
+would read it.
 """
 
-from repro.bgp.policy import policy_from_dict
+from repro.bgp.policy import ENTRY_DEFAULTS, POLICY_DEFAULTS, policy_from_dict
 from repro.bgp.prefixes import parse_prefix
 from repro.bgp.speaker import MRAI_MODES
 from repro.core.system import PeerNeighborSpec, TensorSystem
@@ -133,6 +136,14 @@ def _mapping(value, path):
                           f"must be an object, got {type(value).__name__}")
 
 
+def _known(mapping, path, required, optional):
+    """Reject a key of block ``mapping`` that nothing reads: one neither
+    ``required`` nor ``optional`` (the block's ``*_DEFAULTS`` table)."""
+    for key in mapping:
+        if key not in required and key not in optional:
+            raise ConfigError(path, f"unknown key {key!r}")
+
+
 def _optional(mapping, key, path, types, what):
     """An optional value of ``types``; a bool passes only as a bool."""
     types = types if isinstance(types, tuple) else (types,)
@@ -193,12 +204,14 @@ def _session_timers(mapping, path):
 def _validate_policy(policy, path):
     """A route-map block, as :func:`policy_from_dict` reads it."""
     _mapping(policy, path)
+    _known(policy, path, ("name",), POLICY_DEFAULTS)
     _require(policy, "name", path, str)
     entries = policy.get("entries", [])
     if not isinstance(entries, list) or not all(
             isinstance(entry, dict) for entry in entries):
         raise ConfigError(f"{path}.entries", "must be a list of objects")
     for index, entry in enumerate(entries):
+        _known(entry, f"{path}.entries[{index}]", (), ENTRY_DEFAULTS)
         e_path = f"{path}.entries[{index}].match_prefixes"
         prefixes = entry.get("match_prefixes")
         if prefixes is None:
@@ -219,6 +232,7 @@ def validate_spec(spec):
     """Validate a deployment spec; raises :class:`ConfigError`."""
     if not isinstance(spec, dict):
         raise ConfigError("$", "spec must be a mapping")
+    _known(spec, "$", ("machines", "pairs"), (*SYSTEM_DEFAULTS, "remotes"))
     machines = _require(spec, "machines", "$", list)
     if not machines:
         raise ConfigError("$.machines", "at least one machine is required")
@@ -227,6 +241,7 @@ def validate_spec(spec):
     for index, machine in enumerate(machines):
         path = f"$.machines[{index}]"
         _mapping(machine, path)
+        _known(machine, path, ("name", "address"), ())
         name = _require(machine, "name", path, str)
         address = _require(machine, "address", path, str)
         if name in machine_names:
@@ -243,6 +258,9 @@ def validate_spec(spec):
     for index, pair in enumerate(pairs):
         path = f"$.pairs[{index}]"
         _mapping(pair, path)
+        _known(pair, path, ("name", "primary", "backup", "service_addr",
+                            "local_as", "router_id", "neighbors"),
+               PAIR_DEFAULTS)
         name = _require(pair, "name", path, str)
         if name in pair_names:
             raise ConfigError(f"{path}.name", f"duplicate pair {name!r}")
@@ -275,6 +293,8 @@ def validate_spec(spec):
         for n_index, neighbor in enumerate(neighbors):
             n_path = f"{path}.neighbors[{n_index}]"
             _mapping(neighbor, n_path)
+            _known(neighbor, n_path, ("remote_addr", "remote_as"),
+                   NEIGHBOR_DEFAULTS)
             _require(neighbor, "remote_addr", n_path, str)
             _asn(neighbor, "remote_as", n_path)
             mode = neighbor.get("mode", "passive")
@@ -295,6 +315,7 @@ def validate_spec(spec):
     for index, remote in enumerate(spec.get("remotes", ())):
         path = f"$.remotes[{index}]"
         _mapping(remote, path)
+        _known(remote, path, ("name", "address", "asn"), ("links", "peer"))
         name = _require(remote, "name", path, str)
         if name in remote_names:
             raise ConfigError(f"{path}.name", f"duplicate remote {name!r}")
@@ -314,6 +335,7 @@ def validate_spec(spec):
             continue
         p_path = f"{path}.peer"
         _mapping(peer, p_path)
+        _known(peer, p_path, ("gateway", "gateway_as"), PEER_DEFAULTS)
         gateway = _require(peer, "gateway", p_path, str)
         gateway_as = _asn(peer, "gateway_as", p_path)
         _session_timers(peer, p_path)
@@ -348,6 +370,7 @@ def validate_spec(spec):
     remote_db = spec.get("remote_db")
     if remote_db is not None:
         _mapping(remote_db, "$.remote_db")
+        _known(remote_db, "$.remote_db", ("latency",), ("mode",))
         latency = _require(remote_db, "latency", "$.remote_db", (int, float))
         if not latency >= 0:
             raise ConfigError("$.remote_db.latency", "must be >= 0 seconds")

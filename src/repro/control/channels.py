@@ -63,7 +63,6 @@ class GrpcChannel:
     ):
         self.engine = engine
         self.target_name = target_name
-        self.target_addr = target_addr
         self.on_unhealthy = on_unhealthy
         self.on_healthy = on_healthy
         self.on_status = on_status

@@ -70,9 +70,6 @@ class QuorumTracker:
             return True
         return False
 
-    def votes(self, key):
-        return frozenset(self._votes.get(key, ()))
-
     def acted(self, key):
         return key in self._acted
 

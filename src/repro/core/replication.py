@@ -72,6 +72,15 @@ class ConnectionKeys:
     def tcp_status(self):
         return f"{self._base}:tcp:{self.conn_id}"
 
+    @property
+    def partial(self):
+        return f"{self._base}:part:{self.conn_id}"
+
+    @property
+    def inbound_prefix(self):
+        """The prefix of every incoming message record's key."""
+        return f"{self._base}:msg:{self.conn_id}:i:"
+
     def message(self, direction, position):
         return f"{self._base}:msg:{self.conn_id}:{direction}:{position:016d}"
 
@@ -193,8 +202,8 @@ class WriteCoalescer:
         self.backlog += 1
         self._maybe_flush()
 
-    def delete(self, key, on_done=None):
-        self._pending.append(("delete", key, None, on_done))
+    def delete(self, key):
+        self._pending.append(("delete", key, None, None))
         self.backlog += 1
         self._maybe_flush()
 
@@ -338,9 +347,6 @@ class WriteCoalescer:
                 span.finish(outcome="ok")
             self.batches_flushed += 1
             self.records_deleted += len(keys)
-            for _kind, _key, _value, callback in run:
-                if callback is not None:
-                    callback()
             self._flush_run()
 
         def on_error(_method, cause=None):
@@ -402,7 +408,6 @@ class ReplicationPipeline:
             bulk_client, name="bulk",
             on_unavailable=lambda _records: self._snapshots_went_stale())
         self.fast_client = fast_client
-        self.bulk_client = bulk_client
         # §5 "Remote replication for disaster recovery": an optional second
         # store in another facility.  "sync" gates ACK release on the
         # remote commit too (safe, slow — Fig. 5(a) shows why); "async"
@@ -574,7 +579,7 @@ class ReplicationPipeline:
 
         return assign
 
-    def compact(self, vrf, loc_rib, on_done=None):
+    def compact(self, vrf, loc_rib):
         """Replace accumulated deltas with chunked snapshot records.
 
         Prefixes are assigned to snapshot chunks by a stable hash, and
@@ -655,10 +660,10 @@ class ReplicationPipeline:
         self.bulk.set(
             f"tensor:{self.pair_name}:rib:{vrf}:marker",
             marker,
-            on_done=lambda: self._marker_committed(vrf, new_floor, on_done),
+            on_done=lambda: self._marker_committed(vrf, new_floor),
         )
 
-    def _marker_committed(self, vrf, ceiling, on_done):
+    def _marker_committed(self, vrf, ceiling):
         """Purge the deltas a now-durable marker supersedes.
 
         The range starts at the durable floor *as of this commit*, not as
@@ -676,8 +681,6 @@ class ReplicationPipeline:
             )
         self._delta_floor[vrf] = ceiling
         self.deltas_purged += ceiling - floor
-        if on_done is not None:
-            on_done()
 
     def backlog(self):
         return self.fast.backlog + self.bulk.backlog

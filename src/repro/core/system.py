@@ -32,8 +32,6 @@ from repro.containers.underlay import Underlay
 from repro.sim.calibration import (
     APP_MONITOR_INTERVAL,
     APP_RESTART_TIME,
-    CLUSTER_FABRIC_BANDWIDTH,
-    CLUSTER_FABRIC_LATENCY,
     PROCESS_START_TIME,
     TCP_REPAIR_RESUME_TIME,
 )
@@ -99,9 +97,7 @@ class TensorSystem:
             self.tracer = Tracer(self.engine)
         self.rng = DeterministicRandom(seed)
         self.network = Network(self.engine)
-        self.network.enable_fabric(
-            latency=CLUSTER_FABRIC_LATENCY, bandwidth=CLUSTER_FABRIC_BANDWIDTH
-        )
+        self.network.enable_fabric()
         self.underlay = Underlay(self.network)
         self.hold_acks = hold_acks
         self.hook_technology = hook_technology
@@ -342,21 +338,19 @@ class TensorPair:
     # bring-up
     # ------------------------------------------------------------------
 
-    def start(self, on_ready=None):
+    def start(self):
         """Boot the primary, start processes, preheat the backup."""
         self.active_container.start(
-            on_running=lambda _c: self._activate_fresh(on_ready)
+            on_running=lambda _c: self._activate_fresh()
         )
         self.standby_container.start()
 
-    def _activate_fresh(self, on_ready):
+    def _activate_fresh(self):
         self._build_runtime(self.active_container, self.active_machine)
         self.speaker.start()
         self.bfd.start()
         self._register_monitoring()
         self.engine.schedule(0.5, self._register_relay)
-        if on_ready is not None:
-            on_ready(self)
 
     def _build_runtime(self, container, machine, recovered=False):
         """Construct stack + pipeline + speaker + BFD inside ``container``."""

@@ -164,7 +164,7 @@ class TensorBgpSpeaker(BgpSpeaker):
             return
         decoder = session.decoder
         pending = decoder.pending_bytes
-        partial_key = f"tensor:{self.pair_name}:part:{keys.conn_id}"
+        partial_key = keys.partial
         if pending == 0:
             if session.peer_id in self._partial_outstanding:
                 self._partial_outstanding.discard(session.peer_id)
@@ -335,10 +335,8 @@ class TensorBgpSpeaker(BgpSpeaker):
         out_pos, unpruned, pruned_pos = out_state
         session.force_resume(
             conn,
-            initial_seq=meta["iss"] + 1,
             initial_ack=meta["irs"] + 1,
             cumulative_received=in_pos,
-            cumulative_sent=out_pos,
         )
         keys = ConnectionKeys(
             self.pair_name,

@@ -36,9 +36,6 @@ from repro.failures.oracles import OracleSuite, Violation
 from repro.sim.rand import DeterministicRandom
 from repro.workloads.updates import RouteGenerator
 
-#: The oracle-check granularity (virtual seconds).
-CHECK_QUANTUM = 0.05
-
 #: Injections whose blast radius is one pair: only the owning pair's
 #: oracle model hears of them.  Machine-level, database, agent and
 #: controller-plane injections reach every pair (fencing allowances,
@@ -257,9 +254,7 @@ class _PreparedRun:
         target = min(until, self.deadline)
         if self.halted or target <= engine.now:
             return 0
-        executed = engine.run_stepped(
-            target, self._check_all, quantum=CHECK_QUANTUM
-        )
+        executed = engine.run_stepped(target, self._check_all)
         self.executed += executed
         if any(
             suite.stop_on_violation and suite.first_violation is not None

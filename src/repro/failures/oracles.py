@@ -47,6 +47,7 @@ Oracles (names are stable; repro scripts and docs reference them):
 
 from repro.bfd.packet import BfdState
 from repro.bgp.prefixes import prefix_text
+from repro.core.replication import ConnectionKeys
 
 #: Held ACKs / locks may legitimately persist for a database blip plus
 #: the write-retry budget (client timeout x WRITE_RETRIES); anything
@@ -228,40 +229,34 @@ class OracleSuite:
         seg = packet.payload
         if seg.payload or seg.syn or seg.rst or seg.fin or not seg.has_ack:
             return
+        pair = self.pair
+        vrf = next((neighbor.vrf_name for neighbor in pair.neighbors
+                    if neighbor.remote_addr == packet.dst), None)
+        if vrf is None:
+            return
+        keys = ConnectionKeys(pair.name, vrf, packet.src, packet.sport,
+                              packet.dst, packet.dport)
         store = self.system.db.store
-        meta = None
-        for _key, value in store.scan(f"tensor:{self.pair.name}:sess:"):
-            if (
-                value["local_port"] == packet.sport
-                and value["remote_addr"] == packet.dst
-                and value["remote_port"] == packet.dport
-            ):
-                meta = value
-                break
+        meta = store.get(keys.session)
         if meta is None:
             return  # pre-session ACKs (handshake) carry no BGP data
         self.exercised.add("ack_durability")
-        conn_id = (
-            f"{meta['vrf']}|{meta['local_addr']}:{meta['local_port']}"
-            f"|{meta['remote_addr']}:{meta['remote_port']}"
-        )
         base = meta["irs"] + 1
         covered = 0
-        status = store.get(f"tensor:{self.pair.name}:tcp:{conn_id}")
+        status = store.get(keys.tcp_status)
         if status is not None:
             covered = status["in_pos"]
-        for _key, value in store.scan(
-            f"tensor:{self.pair.name}:msg:{conn_id}:i:"
-        ):
+        for _key, value in store.scan(keys.inbound_prefix):
             covered = max(covered, value["in_pos"])
-        partial = store.get(f"tensor:{self.pair.name}:part:{conn_id}")
+        partial = store.get(keys.partial)
         if partial is not None:
             covered = max(covered, partial["upto"])
         if seg.ack > base + covered:
             self._violate(
                 "ack_durability",
-                f"ACK {seg.ack} escaped on {conn_id} but the database only"
-                f" covers {base + covered} (irs+1={base}, covered={covered})",
+                f"ACK {seg.ack} escaped on {keys.conn_id} but the database"
+                f" only covers {base + covered} (irs+1={base},"
+                f" covered={covered})",
             )
 
     # ------------------------------------------------------------------

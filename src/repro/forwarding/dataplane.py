@@ -16,6 +16,9 @@ from repro.sim.process import Process
 #: A flow's accounting batch (s): one engine event per tick.
 FLOW_TICK_INTERVAL = 0.01
 
+#: The size of every packet a :class:`TrafficFlow` offers (bytes).
+FLOW_PACKET_BYTES = 1000
+
 
 class DataPlane:
     """Forwards packets by FIB lookup on one router."""
@@ -45,19 +48,17 @@ class DataPlane:
 class TrafficFlow:
     """A constant-rate flow offered to a data plane.
 
-    ``rate_pps`` packets per second of ``packet_bytes`` each toward
+    ``rate_pps`` packets per second of ``FLOW_PACKET_BYTES`` each toward
     ``dst_address``.  Accounting happens in simulated batches (one tick
     per ``FLOW_TICK_INTERVAL``), which keeps event counts sane at high
     rates.
     """
 
-    def __init__(self, engine, dataplane, dst_address, rate_pps,
-                 packet_bytes=1000):
+    def __init__(self, engine, dataplane, dst_address, rate_pps):
         self.engine = engine
         self.dataplane = dataplane
         self.dst_address = dst_address
         self.rate_pps = rate_pps
-        self.packet_bytes = packet_bytes
         self.process = Process(engine, "flow")
         self.offered_packets = 0
         self.delivered_packets = 0
@@ -77,7 +78,7 @@ class TrafficFlow:
             return
         # one representative lookup decides the whole tick's batch — the
         # FIB cannot change mid-tick in the simulation
-        delivered = self.dataplane.forward(self.dst_address, self.packet_bytes)
+        delivered = self.dataplane.forward(self.dst_address, FLOW_PACKET_BYTES)
         self.offered_packets += batch
         if delivered:
             # count the representative lookup once, then bulk-account
@@ -99,7 +100,7 @@ class TrafficFlow:
 
     @property
     def lost_bytes(self):
-        return self.lost_packets * self.packet_bytes
+        return self.lost_packets * FLOW_PACKET_BYTES
 
     def total_loss_time(self):
         closed = sum(end - start for start, end in self.loss_intervals)

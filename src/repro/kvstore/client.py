@@ -96,11 +96,10 @@ class KvClient:
 
     # -- operations --------------------------------------------------------
 
-    def get(self, key, on_done, on_error=None, timeout=DEFAULT_TIMEOUT):
+    def get(self, key, on_done, on_error=None):
         """``on_done(value_or_None)``"""
-        self._call(
-            "get", {"key": key}, lambda rep: on_done(rep["value"]), on_error, timeout
-        )
+        self._call("get", {"key": key}, lambda rep: on_done(rep["value"]),
+                   on_error, DEFAULT_TIMEOUT)
 
     def mget(self, keys, on_done):
         """``on_done(list_of_values)``"""

@@ -32,7 +32,6 @@ class KvServer:
         self.store = KeyValueStore()
         self._busy_until = 0.0
         self._replica_client = None
-        self.replica_addr = None
         self.rpc = RpcServer(
             engine, host, port, self._handle, service_time=self._service_time
         )
@@ -48,7 +47,6 @@ class KvServer:
 
     def attach_replica(self, replica_addr, replica_port=KV_PORT):
         """Synchronously replicate writes to another KV server."""
-        self.replica_addr = replica_addr
         self._replica_client = RpcClient(
             self.engine, self.host, replica_addr, replica_port
         )
@@ -57,7 +55,6 @@ class KvServer:
         """Stop replicating (demotion: the old primary must not keep a
         replication channel to its successor, or stale clients' writes
         would leak into the new primary's store)."""
-        self.replica_addr = None
         if self._replica_client is not None:
             self._replica_client.close()
             self._replica_client = None

@@ -11,6 +11,10 @@ from heapq import heappop, heappush
 
 _INF = float("inf")
 
+#: The slice :meth:`Engine.run_stepped` observes at (virtual seconds):
+#: the oracle-check granularity of a chaos or fuzz scenario.
+CHECK_QUANTUM = 0.05
+
 
 class SimulationError(Exception):
     """Raised for invalid uses of the simulation engine."""
@@ -280,8 +284,8 @@ class Engine:
         """Run for ``duration`` seconds of virtual time."""
         return self.run(until=self.now + duration)
 
-    def run_stepped(self, until, on_step, quantum=0.05):
-        """Run to ``until`` in ``quantum``-sized slices, calling
+    def run_stepped(self, until, on_step):
+        """Run to ``until`` in ``CHECK_QUANTUM``-sized slices, calling
         ``on_step(now)`` after each slice.
 
         The continuous-checking driver for invariant oracles: the oracle
@@ -290,11 +294,9 @@ class Engine:
         :meth:`stop` to abort the run early (e.g. on the first violation).
         Returns the number of events executed.
         """
-        if quantum <= 0:
-            raise SimulationError(f"quantum must be positive (quantum={quantum})")
         executed = 0
         while self.now < until:
-            slice_end = min(self.now + quantum, until)
+            slice_end = min(self.now + CHECK_QUANTUM, until)
             executed += self.run(until=slice_end)
             on_step(self.now)
             if self._stopped:

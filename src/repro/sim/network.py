@@ -14,6 +14,7 @@ delay plus queueing behind earlier packets), which is what produces real
 throughput caps in the Fig. 5(a) reproduction rather than a hand-wave.
 """
 
+from repro.sim.calibration import CLUSTER_FABRIC_BANDWIDTH, CLUSTER_FABRIC_LATENCY
 from repro.sim.engine import SimulationError
 
 
@@ -101,9 +102,6 @@ class Link:
     def fail(self):
         """Cut the link (paper failure class: link to the peering AS)."""
         self.up = False
-
-    def repair(self):
-        self.up = True
 
     def __repr__(self):
         state = "up" if self.up else "DOWN"
@@ -288,10 +286,11 @@ class Network:
     def heal_partition(self, a, b):
         self._partitions.discard(frozenset((a.name, b.name)))
 
-    def enable_fabric(self, latency=50e-6, bandwidth=25e9):
-        """Enable the non-blocking switch fallback between physical hosts."""
-        self.fabric_latency = latency
-        self.fabric_bandwidth = bandwidth
+    def enable_fabric(self):
+        """Enable the non-blocking switch fallback between physical hosts
+        (the cluster fabric of :mod:`repro.sim.calibration`)."""
+        self.fabric_latency = CLUSTER_FABRIC_LATENCY
+        self.fabric_bandwidth = CLUSTER_FABRIC_BANDWIDTH
         self._paths.clear()
 
     def tap(self, fn):

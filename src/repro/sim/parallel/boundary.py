@@ -34,6 +34,9 @@ CrossShardFrame = namedtuple(
 
 MERGE_KEY = lambda frame: (frame.arrival_time, frame.src_shard, frame.seq)  # noqa: E731
 
+#: The bandwidth of every cross-shard edge (a WAN link, bit/s).
+BOUNDARY_BANDWIDTH = 10e9
+
 
 class BoundaryLink:
     """A declared cross-shard edge (picklable, part of a ShardSpec).
@@ -45,9 +48,9 @@ class BoundaryLink:
     sent at local time ``t`` arrives no earlier than ``t + latency``.
     """
 
-    __slots__ = ("local_addr", "remote_addr", "remote_shard", "latency", "bandwidth")
+    __slots__ = ("local_addr", "remote_addr", "remote_shard", "latency")
 
-    def __init__(self, local_addr, remote_addr, remote_shard, latency, bandwidth=10e9):
+    def __init__(self, local_addr, remote_addr, remote_shard, latency):
         if latency <= 0:
             raise SimulationError(
                 f"cross-shard link needs positive latency (got {latency})"
@@ -56,7 +59,6 @@ class BoundaryLink:
         self.remote_addr = remote_addr
         self.remote_shard = remote_shard
         self.latency = latency
-        self.bandwidth = bandwidth
 
     def __getstate__(self):
         return {slot: getattr(self, slot) for slot in self.__slots__}
@@ -124,7 +126,8 @@ class ShardBoundary:
             anchor = local.anchor()
             if network.link_between(anchor, stub) is None:
                 network.connect(
-                    anchor, stub, latency=link.latency, bandwidth=link.bandwidth
+                    anchor, stub, latency=link.latency,
+                    bandwidth=BOUNDARY_BANDWIDTH,
                 )
 
     def _exporter(self, dst_shard):

@@ -53,9 +53,9 @@ class Process:
             owned[:] = [e for e in owned if not (e.fired or e.cancelled)]
             self._prune_at = max(self._PRUNE_FLOOR, 2 * len(owned))
 
-    def every(self, interval, callback, *args):
-        """Run ``callback`` every ``interval`` seconds until killed."""
-        task = PeriodicTask(self, interval, callback, args)
+    def every(self, interval, callback):
+        """Run ``callback()`` every ``interval`` seconds until killed."""
+        task = PeriodicTask(self, interval, callback)
         task.start()
         return task
 
@@ -141,13 +141,12 @@ class PeriodicTask:
     ``start()`` arms.
     """
 
-    def __init__(self, process, interval, callback, args=()):
+    def __init__(self, process, interval, callback):
         if interval <= 0:
             raise SimulationError(f"interval must be positive (got {interval})")
         self.process = process
         self.interval = interval
         self.callback = callback
-        self.args = args
         self.running = False
         self.ticks = 0
         self._generation = 0
@@ -171,7 +170,7 @@ class PeriodicTask:
         if generation != self._generation or not process.alive:
             return
         self.ticks += 1
-        self.callback(*self.args)
+        self.callback()
         if generation == self._generation and process.alive:
             process._own(process.engine.schedule(
                 self.interval, self._tick, generation))

@@ -11,15 +11,19 @@ from repro.config import build_system, lab_spec
 from repro.sim import DeterministicRandom
 from repro.workloads.updates import RouteGenerator
 
+#: The demo lab's seed and the routes each of its remotes originates.
+DEMO_SEED = 7
+DEMO_ROUTES = 40
 
-def build_traced_system(seed=7, routes=40):
-    """A converged, traced TensorSystem with two remotes in a
-    shared VRF, each originating ``routes`` routes — so every update
+
+def build_traced_system():
+    """A converged, traced TensorSystem with two remotes in a shared
+    VRF, each originating ``DEMO_ROUTES`` routes — so every update
     re-propagates to every other remote and all five hot-path phases
     (receive, replicate, ack_release, apply, propagate) appear in the
     trace."""
     system, pairs, remotes = build_system(
-        {**lab_spec(seed, 2, shared_vrf=True), "tracing": True})
+        {**lab_spec(DEMO_SEED, 2, shared_vrf=True), "tracing": True})
     engine = system.engine
     engine.advance(10.0)
     pair = pairs["pair0"]
@@ -28,7 +32,7 @@ def build_traced_system(seed=7, routes=40):
     # Originate in paced waves rather than one burst: the breakdown
     # should show steady-state phase latencies, not the transient
     # coalescer backlog a single 40-route dump creates.
-    rand = DeterministicRandom(seed)
+    rand = DeterministicRandom(DEMO_SEED)
     gens = [
         RouteGenerator(
             rand.fork(f"demo{i}"), 64512 + i, next_hop=f"192.0.2.{i + 1}"
@@ -38,8 +42,8 @@ def build_traced_system(seed=7, routes=40):
     wave = 8
     sent = 0
     wave_index = 0
-    while sent < routes:
-        batch = min(wave, routes - sent)
+    while sent < DEMO_ROUTES:
+        batch = min(wave, DEMO_ROUTES - sent)
         for i, (remote, session) in enumerate(remotes):
             routes_batch = gens[i].routes(
                 batch, base=f"{10 + i}.{wave_index * 16}.0.0"

@@ -42,14 +42,12 @@ class TraceStore:
 
     # -- queries ---------------------------------------------------------
 
-    def spans(self, name=None, trace_id=None, ended=None, **attr_filters):
-        """Spans filtered by name, trace id, open/ended state, and exact
-        attribute values; returned in deterministic creation order."""
+    def spans(self, name=None, ended=None, **attr_filters):
+        """Spans filtered by name, open/ended state, and exact attribute
+        values; returned in deterministic creation order."""
         out = []
         for span in self._spans:
             if name is not None and span.name != name:
-                continue
-            if trace_id is not None and span.trace_id != trace_id:
                 continue
             if ended is True and span.end is None:
                 continue

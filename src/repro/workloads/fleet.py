@@ -27,7 +27,6 @@ from repro.workloads.updates import RouteGenerator
 
 #: WAN latency between sites — the parallel lookahead bound.
 WAN_LATENCY = 0.02
-WAN_BANDWIDTH = 10e9
 
 #: Engine event scope tagging the WAN border subsystem — the only part
 #: of a site that can emit cross-shard frames.  The site's dense local
@@ -238,7 +237,6 @@ def fleet_site_specs(sites, pairs=4, routes=50, border_routes=20, seed=0,
                 border_address(neighbor),
                 f"site{neighbor}",
                 latency=WAN_LATENCY,
-                bandwidth=WAN_BANDWIDTH,
             )
             for neighbor in _ring_neighbors(site, sites)
         )

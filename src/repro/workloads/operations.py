@@ -33,7 +33,7 @@ FULL_MIGRATION_MONTH = 23  # December 2021
 FAILURES_PER_LINK_PER_MONTH = 0.02
 
 
-def default_adoption_curve(total_ases=FLEET_PEERING_ASES):
+def default_adoption_curve():
     """ASes on TENSOR per month: 0 until June 2020, 100 during the
     verification hold, then an accelerating ramp to full coverage."""
     curve = []
@@ -43,23 +43,22 @@ def default_adoption_curve(total_ases=FLEET_PEERING_ASES):
         elif month < DEPLOY_START_MONTH + 4:  # verification hold
             curve.append(100)
         elif month >= FULL_MIGRATION_MONTH:
-            curve.append(total_ases)
+            curve.append(FLEET_PEERING_ASES)
         else:
             ramp_months = FULL_MIGRATION_MONTH - (DEPLOY_START_MONTH + 4)
             progress = (month - (DEPLOY_START_MONTH + 4) + 1) / ramp_months
             # accelerating ramp ("we gradually sped up the deployment")
-            curve.append(int(100 + (total_ases - 100) * progress**2))
+            curve.append(int(100 + (FLEET_PEERING_ASES - 100) * progress**2))
     return curve
 
 
 class OperationalModel:
     """Monthly impacted-data series under a given NSR posture."""
 
-    def __init__(self, rng, links=FLEET_PEERING_ASES):
+    def __init__(self, rng):
         self.rng = rng
-        self.links = links
         self.traffic = TrafficModel(rng)
-        self._link_throughput = self.traffic.sample_links(links)
+        self._link_throughput = self.traffic.sample_links(FLEET_PEERING_ASES)
 
     def baseline_downtime_seconds(self):
         """Expected downtime of one non-NSR failure (Table 1 mix)."""
@@ -78,13 +77,13 @@ class OperationalModel:
             expected += frequency * downtime
         return expected
 
-    def monthly_impacted_bytes(self, adoption_curve=None):
+    def monthly_impacted_bytes(self):
         """Fig. 7(b): impacted bytes per month as adoption ramps.
 
         A failure on a TENSOR-migrated link impacts nothing (zero link
         downtime); on a legacy link it impacts throughput x downtime.
         """
-        adoption = adoption_curve or default_adoption_curve(self.links)
+        adoption = default_adoption_curve()
         expected_downtime = self.baseline_downtime_seconds()
         series = []
         for month, migrated in enumerate(adoption):
@@ -92,7 +91,7 @@ class OperationalModel:
             if month >= FULL_MIGRATION_MONTH:
                 frequency_factor *= 3.0  # "we have tripled the update frequency"
             impacted = 0.0
-            for link_index in range(self.links):
+            for link_index in range(FLEET_PEERING_ASES):
                 if link_index < migrated:
                     continue  # TENSOR: zero downtime
                 failures = self._poisson(

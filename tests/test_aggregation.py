@@ -181,7 +181,7 @@ def test_aggregate_root_bucketing():
 @pytest.fixture
 def kv_env(engine):
     network = Network(engine)
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     client_host = network.add_host("c", "1.1.1.1")
     server_host = network.add_host("s", "1.1.1.2")
     server = KvServer(engine, server_host)
@@ -244,7 +244,7 @@ def test_aggregated_incremental_compaction_stays_correct(kv_env):
 def test_unaggregated_pipeline_counts_match():
     engine = Engine()
     network = Network(engine)
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     server = KvServer(engine, network.add_host("s", "1.1.1.2"))
     client_host = network.add_host("c", "1.1.1.1")
     fast = KvClient(engine, client_host, "1.1.1.2")

@@ -35,13 +35,6 @@ def test_deny_entry():
     assert rmap.evaluate(P_OUT, ATTRS) == ATTRS
 
 
-def test_set_local_pref_action():
-    rmap = RouteMap("m", [RouteMapEntry(action=PolicyAction(set_local_pref=300))])
-    out = rmap.evaluate(P_IN, ATTRS)
-    assert out.local_pref == 300
-    assert ATTRS.local_pref is None  # original untouched
-
-
 def test_prepend_action():
     rmap = RouteMap("m", [
         RouteMapEntry(action=PolicyAction(prepend_as=65009, prepend_count=3))
@@ -56,52 +49,17 @@ def test_add_communities_merges_sorted():
     ])
     out = rmap.evaluate(P_IN, ATTRS)
     assert out.communities == (50, 100)
-
-
-def test_set_med():
-    rmap = RouteMap("m", [RouteMapEntry(action=PolicyAction(set_med=5))])
-    out = rmap.evaluate(P_IN, ATTRS)
-    assert out.med == 5 and out.next_hop == ATTRS.next_hop
-
-
-def test_match_community():
-    rmap = RouteMap("m", [
-        RouteMapEntry(match_community=100, action=PolicyAction(set_local_pref=999)),
-        RouteMapEntry(permit=True),
-    ])
-    assert rmap.evaluate(P_IN, ATTRS).local_pref == 999
-    other = ATTRS.replace(communities=())
-    assert rmap.evaluate(P_IN, other).local_pref is None
-
-
-def test_match_as_in_path():
-    rmap = RouteMap("m", [
-        RouteMapEntry(match_as=65001, permit=False),
-        RouteMapEntry(permit=True),
-    ])
-    assert rmap.evaluate(P_IN, ATTRS) is None
-    other = ATTRS.replace(as_path=AsPath.sequence(65002))
-    assert rmap.evaluate(P_IN, other) is other
+    assert ATTRS.communities == (100,)  # original untouched
 
 
 def test_first_match_wins_ordering():
     rmap = RouteMap("m", [
-        RouteMapEntry(action=PolicyAction(set_local_pref=1)),
-        RouteMapEntry(action=PolicyAction(set_local_pref=2)),
+        RouteMapEntry(action=PolicyAction(add_communities=(1,))),
+        RouteMapEntry(action=PolicyAction(add_communities=(2,))),
     ])
-    assert rmap.evaluate(P_IN, ATTRS).local_pref == 1
+    assert rmap.evaluate(P_IN, ATTRS).communities == (1, 100)
 
 
 def test_default_permit_route_map():
     rmap = RouteMap("m", [], default_permit=True)
     assert rmap.evaluate(P_IN, ATTRS) is ATTRS
-
-
-def test_combined_match_conditions_all_required():
-    entry = RouteMapEntry(
-        match_prefix_list=PrefixList("p", [Prefix.parse("10.0.0.0/8")]),
-        match_community=100,
-    )
-    assert entry.matches(P_IN, ATTRS)
-    assert not entry.matches(P_OUT, ATTRS)
-    assert not entry.matches(P_IN, ATTRS.replace(communities=()))

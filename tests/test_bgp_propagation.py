@@ -14,7 +14,7 @@ from repro.sim.rand import DeterministicRandom
 
 def _mesh(engine, network, specs):
     """Build speakers {name: (speaker, host)} from {name: (addr, asn)}."""
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     speakers = {}
     for name, (addr, asn) in specs.items():
         host = network.add_host(name, addr)

@@ -12,7 +12,7 @@ from repro.sim.rand import DeterministicRandom
 
 
 def _two_vrf_setup(engine, network):
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     gw_host = network.add_host("gw", "10.0.0.1")
     gw = BgpSpeaker(engine, TcpStack(engine, gw_host),
                     SpeakerConfig("gw", 65001, "10.0.0.1"))
@@ -53,7 +53,7 @@ def test_vrf_isolation(engine, network):
 def test_mrai_batches_changes_into_few_updates(engine, network):
     """Many loc-rib changes inside one MRAI window leave as packed
     UPDATEs, not one message per prefix."""
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     a_host = network.add_host("a", "10.0.0.1")
     b_host = network.add_host("b", "10.0.0.2")
     a = BgpSpeaker(engine, TcpStack(engine, a_host),
@@ -80,7 +80,7 @@ def test_mrai_batches_changes_into_few_updates(engine, network):
 
 
 def test_withdrawals_batch_through_mrai(engine, network):
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     a_host = network.add_host("a", "10.0.0.1")
     b_host = network.add_host("b", "10.0.0.2")
     a = BgpSpeaker(engine, TcpStack(engine, a_host),
@@ -116,7 +116,7 @@ def test_routes_of_one_update_share_one_peer_id(engine, network):
     from repro.bgp import AsPath, PathAttributes, Prefix
     from repro.bgp.multiprotocol import attach_mp_reach
 
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     a_host = network.add_host("a", "10.0.0.1")
     b_host = network.add_host("b", "10.0.0.2")
     a = BgpSpeaker(engine, TcpStack(engine, a_host),

@@ -150,6 +150,28 @@ def test_valid_spec_passes():
      "$.remotes: must be a list"),
     (lambda s: s.update(remote_db=[{"latency": 0.001}]),
      "$.remote_db: must be an object, got list"),
+    # a key nothing reads: a typo would otherwise pass as a no-op
+    (lambda s: s.update(tracng=True), "$: unknown key 'tracng'"),
+    (lambda s: s["machines"][0].update(adress="10.1.0.9"),
+     "$.machines[0]: unknown key 'adress'"),
+    (lambda s: s["pairs"][0].update(mria=5), "$.pairs[0]: unknown key 'mria'"),
+    (lambda s: _neighbor(s).update(hold_tme=30),
+     "$.pairs[0].neighbors[0]: unknown key 'hold_tme'"),
+    (lambda s: s["remotes"][0].update(link=["gw-1"]),
+     "$.remotes[0]: unknown key 'link'"),
+    (lambda s: s["remotes"][0]["peer"].update(keepalive=10),
+     "$.remotes[0].peer: unknown key 'keepalive'"),
+    (lambda s: s.update(remote_db={"latency": 0.001, "mod": "async"}),
+     "$.remote_db: unknown key 'mod'"),
+    (lambda s: _neighbor(s).update(
+        import_policy={"name": "p", "default_permits": True}),
+     "$.pairs[0].neighbors[0].import_policy: unknown key 'default_permits'"),
+    # a misspelt match would otherwise match, and deny, every route
+    (lambda s: _import_policy(
+        s, [{"permit": False, "match_prefix": ["10.0.0.0/8"]}]),
+     "import_policy.entries[0]: unknown key 'match_prefix'"),
+    (lambda s: _import_policy(s, [{"permit": False, "match_community": 100}]),
+     "import_policy.entries[0]: unknown key 'match_community'"),
 ])
 def test_invalid_specs_rejected(mutate, path_fragment):
     spec = good_spec()

@@ -10,7 +10,7 @@ from repro.sim import Engine, Network
 @pytest.fixture
 def net(engine):
     network = Network(engine)
-    network.enable_fabric(latency=1e-4)
+    network.enable_fabric()
     return network
 
 

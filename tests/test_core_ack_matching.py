@@ -14,7 +14,7 @@ from conftest import make_tcp_pair
 @pytest.fixture
 def env(engine):
     network = Network(engine)
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     a = network.add_host("a", "10.0.0.1")  # remote peer
     b = network.add_host("b", "10.0.0.2")  # gateway
     network.connect(a, b, latency=100e-6, bandwidth=100e9)

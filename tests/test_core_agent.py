@@ -11,7 +11,7 @@ from repro.sim import DeterministicRandom, Engine, Network
 @pytest.fixture
 def env(engine):
     network = Network(engine)
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     controller_host = network.add_host("ctrl", "10.255.0.1")
     controller = ControllerPanel(engine, [controller_host])
     agent_host = network.add_host("agent", "10.253.0.1")

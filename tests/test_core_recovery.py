@@ -119,7 +119,7 @@ def test_tcp_repair_state_math():
 
 def test_backup_recovery_load_parses_keyspace(engine):
     network = Network(engine)
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     client_host = network.add_host("c", "1.1.1.1")
     db_host = network.add_host("db", "1.1.1.2")
     db = KvServer(engine, db_host)

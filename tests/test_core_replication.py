@@ -16,7 +16,7 @@ from repro.sim import Engine, Network
 @pytest.fixture
 def kv_env(engine):
     network = Network(engine)
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     client_host = network.add_host("c", "1.1.1.1")
     server_host = network.add_host("s", "1.1.1.2")
     server = KvServer(engine, server_host)

@@ -86,7 +86,7 @@ def test_joint_containers_share_information_via_ibgp(engine, network):
     from repro.tcpsim import TcpStack
     from repro.workloads.updates import RouteGenerator
 
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     hosts = {
         name: network.add_host(name, addr)
         for name, addr in (

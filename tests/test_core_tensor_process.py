@@ -17,7 +17,7 @@ from repro.sim.rand import DeterministicRandom
 @pytest.fixture
 def env(engine):
     network = Network(engine)
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     gw = network.add_host("gw", "10.0.0.1")
     remote = network.add_host("remote", "10.0.0.2")
     network.connect(gw, remote, latency=100e-6, bandwidth=100e9)

@@ -111,7 +111,7 @@ def test_syncer_periodic(engine):
 @pytest.fixture
 def plane(engine):
     network = Network(engine)
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     network.add_host("nh", "1.1.1.1")
     fib = Fib()
     return engine, network, DataPlane(engine, network, fib)
@@ -141,7 +141,7 @@ def test_dataplane_drops_when_next_hop_down(plane):
 def test_traffic_flow_accounting(plane):
     engine, network, dp = plane
     dp.fib.program(Prefix.parse("10.0.0.0/8"), "1.1.1.1")
-    flow = TrafficFlow(engine, dp, "10.0.0.5", rate_pps=1000, packet_bytes=500)
+    flow = TrafficFlow(engine, dp, "10.0.0.5", rate_pps=1000)
     flow.start()
     engine.advance(1.0)
     flow.stop()

@@ -26,7 +26,7 @@ from repro.workloads.updates import RouteGenerator
 @pytest.fixture
 def cluster(engine):
     network = Network(engine)
-    network.enable_fabric(latency=50e-6)
+    network.enable_fabric()
     client_host = network.add_host("c", "1.1.1.1")
     primary_host = network.add_host("p", "1.1.1.2")
     replica_host = network.add_host("r", "1.1.1.3")
@@ -96,7 +96,7 @@ def test_exhausted_delete_batch_requeues_not_drops(engine):
     """Prune deletes are fire-and-forget; before the fix an exhausted
     batch vanished and the snapshot-store records leaked forever."""
     network = Network(engine)
-    network.enable_fabric(latency=50e-6)
+    network.enable_fabric()
     client_host = network.add_host("c", "1.1.1.1")
     server_host = network.add_host("s", "1.1.1.2")
     server = KvServer(engine, server_host)
@@ -126,7 +126,7 @@ def test_closed_port_refuses_fast(engine):
     """A truly closed KV port answers with a reset, not silence: the
     client sees CAUSE_REFUSED well before its timeout would fire."""
     network = Network(engine)
-    network.enable_fabric(latency=50e-6)
+    network.enable_fabric()
     client_host = network.add_host("c", "1.1.1.1")
     server_host = network.add_host("s", "1.1.1.2")
     server = KvServer(engine, server_host)
@@ -171,7 +171,7 @@ def test_repoint_reissues_in_flight_batch(cluster):
 
 def _monitored_cluster(engine, seed=8):
     network = Network(engine)
-    network.enable_fabric(latency=50e-6)
+    network.enable_fabric()
     monitor_host = network.add_host("ctl", "1.1.1.9")
     primary_host = network.add_host("p", "1.1.1.2")
     replica_host = network.add_host("r", "1.1.1.3")

@@ -92,7 +92,7 @@ def test_record_count_of():
 @pytest.fixture
 def kv(engine):
     network = Network(engine)
-    network.enable_fabric(latency=50e-6)
+    network.enable_fabric()
     client_host = network.add_host("c", "1.1.1.1")
     server_host = network.add_host("s", "1.1.1.2")
     server = KvServer(engine, server_host)
@@ -200,7 +200,7 @@ def test_scan_rpc(kv):
 @pytest.fixture
 def cluster(engine):
     network = Network(engine)
-    network.enable_fabric(latency=50e-6)
+    network.enable_fabric()
     client_host = network.add_host("c", "1.1.1.1")
     primary_host = network.add_host("p", "1.1.1.2")
     replica_host = network.add_host("r", "1.1.1.3")

@@ -62,7 +62,7 @@ def test_coalescer_converges_to_sequential_semantics(operations):
     drains, the server holds exactly what last-write-wins predicts."""
     engine = Engine()
     network = Network(engine)
-    network.enable_fabric(latency=5e-5)
+    network.enable_fabric()
     client_host = network.add_host("c", "1.1.1.1")
     server = KvServer(engine, network.add_host("s", "1.1.1.2"))
     coalescer = WriteCoalescer(KvClient(engine, client_host, "1.1.1.2"))

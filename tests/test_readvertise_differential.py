@@ -165,11 +165,17 @@ class _Counting(RouteMap):
         return super().evaluate(prefix, attributes)
 
 
+class _DenyCommunity(_Counting):
+    """Denies the routes that carry ``DENIED``, whatever their prefix."""
+
+    def evaluate(self, prefix, attributes):
+        self.calls.append(prefix)
+        return None if DENIED in attributes.communities else attributes
+
+
 POLICIES = {
     "permit-all": lambda: _Counting("all", default_permit=True),
-    "deny-one-path": lambda: _Counting("deny", [
-        RouteMapEntry(permit=False, match_community=DENIED),
-    ], default_permit=True),
+    "deny-one-path": lambda: _DenyCommunity("deny"),
     "prefix-dependent": lambda: _Counting("pl", [
         RouteMapEntry(permit=False, match_prefix_list=PrefixList(
             "some", [_v4(index) for index in range(0, 6_000, 11)])),

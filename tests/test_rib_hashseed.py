@@ -64,7 +64,7 @@ for aggregate in (True, False):
 
 # The delta records of a packed receive, as stored: 600 routes in full
 # UPDATEs, every fifth /24 of 10.0/16 denied on import and 10.1/16
-# re-preferred, so the log holds blocks cut into runs and re-joined.
+# re-stamped, so the log holds blocks cut into runs and re-joined.
 from repro.bgp import Prefix
 from repro.bgp.policy import PolicyAction, PrefixList, RouteMap, RouteMapEntry
 from repro.workloads.updates import RouteGenerator
@@ -75,7 +75,7 @@ gateway_session = next(iter(pair.speaker.sessions.values()))
 gateway_session.config.import_policy = RouteMap("split", [
     RouteMapEntry(permit=False, match_prefix_list=PrefixList(
         "fifth", [Prefix.parse(f"10.0.{i}.0/24") for i in range(0, 256, 5)])),
-    RouteMapEntry(action=PolicyAction(set_local_pref=200),
+    RouteMapEntry(action=PolicyAction(add_communities=(200,)),
                   match_prefix_list=PrefixList(
                       "ten-one", [Prefix.parse("10.1.0.0/16")])),
 ], default_permit=True)

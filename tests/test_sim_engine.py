@@ -172,13 +172,13 @@ def test_run_stepped_observes_every_quantum():
     engine = Engine()
     seen = []
     fired = []
-    engine.schedule(0.3, fired.append, "a")
-    engine.schedule(0.9, fired.append, "b")
-    executed = engine.run_stepped(1.0, seen.append, quantum=0.25)
+    engine.schedule(0.03, fired.append, "a")
+    engine.schedule(0.18, fired.append, "b")
+    executed = engine.run_stepped(0.2, seen.append)
     assert executed == 2
     assert fired == ["a", "b"]
-    assert seen == pytest.approx([0.25, 0.5, 0.75, 1.0])
-    assert engine.now == 1.0
+    assert seen == pytest.approx([0.05, 0.1, 0.15, 0.2])
+    assert engine.now == 0.2
 
 
 def test_run_stepped_stop_aborts_after_current_slice():
@@ -187,18 +187,12 @@ def test_run_stepped_stop_aborts_after_current_slice():
 
     def observer(now):
         seen.append(now)
-        if now >= 0.5:
+        if now >= 0.1:
             engine.stop()
 
-    engine.run_stepped(10.0, observer, quantum=0.25)
-    assert seen == pytest.approx([0.25, 0.5])
-    assert engine.now == 0.5
-
-
-def test_run_stepped_rejects_nonpositive_quantum():
-    engine = Engine()
-    with pytest.raises(SimulationError):
-        engine.run_stepped(1.0, lambda now: None, quantum=0.0)
+    engine.run_stepped(10.0, observer)
+    assert seen == pytest.approx([0.05, 0.1])
+    assert engine.now == 0.1
 
 
 # ----------------------------------------------------------------------

@@ -270,8 +270,8 @@ def test_kill_after_long_run_cancels_every_pending_event():
     engine = Engine()
     process = Process(engine, "p")
     fired = []
-    process.every(0.001, fired.append, "tick")
-    process.every(0.007, fired.append, "slow")
+    process.every(0.001, lambda: fired.append("tick"))
+    process.every(0.007, lambda: fired.append("slow"))
     engine.run(until=10.0005)
     far = [process.after(delay, fired.append, "far") for delay in (1.0, 50.0)]
     count = len(fired)
@@ -291,10 +291,10 @@ def test_revive_does_not_resurrect_pre_kill_events():
     process = Process(engine, "p")
     fired = []
     process.after(1.0, fired.append, "old")
-    process.every(0.5, fired.append, "old-tick")
+    process.every(0.5, lambda: fired.append("old-tick"))
     process.kill()
     restarted = Process(engine, "p")
     restarted.after(2.0, fired.append, "new")
-    restarted.every(2.0, fired.append, "new-tick")
+    restarted.every(2.0, lambda: fired.append("new-tick"))
     engine.run(until=5.0)
     assert fired == ["new", "new-tick", "new-tick"]

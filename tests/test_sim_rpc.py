@@ -15,7 +15,7 @@ def answer(fn):
 @pytest.fixture
 def net(engine):
     network = Network(engine)
-    network.enable_fabric(latency=1e-4)
+    network.enable_fabric()
     return network
 
 

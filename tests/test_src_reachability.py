@@ -20,24 +20,34 @@ above, an ``Attribute`` load or a string-constant word in ``tests/``,
 or a word under ``benchmarks/`` / ``examples/``.
 
 *Parameters.* Every defaulted parameter of a ``src/repro`` function is
-set by some call in ``src/``, ``benchmarks/`` or ``examples/``: passed
-by keyword, or positionally at or after its index (``*args`` and
-``**kwargs`` set every parameter).  Calls match by name: ``f(...)`` and
-``x.f(...)`` call every ``f``; ``Cls(...)``, ``cls(...)`` and
-``super().__init__(...)`` call ``Cls.__init__`` (or ``__new__``), also
-through a subclass without its own ``__init__``.  A function whose name
-is used as a value (a callback handed to ``schedule``, ``after`` or
-``charge``) is exempt: its arguments cannot be seen.  A value no system
-caller varies is a constant, not a parameter.
+set to another value by some call in ``src/``, ``benchmarks/`` or
+``examples/``: passed by keyword, or positionally at its index.  A value
+equal to the default — a literal, or a module-level constant that
+resolves to one — does not set it.  A ``*`` / ``**`` the scan cannot see
+into sets every parameter, but forwarding a function's own ``*args`` /
+``**kwargs`` passes on only what that function's callers put into them.
+Calls match by name: ``f(...)`` and ``x.f(...)`` call every ``f``;
+``Cls(...)``, ``cls(...)`` and ``super().__init__(...)`` call
+``Cls.__init__`` (or ``__new__``), also through a subclass without its
+own ``__init__``; a call through a local variable calls nothing.  A
+function whose name is used as a value (a callback handed to
+``schedule``, ``after`` or ``charge``) is exempt: its arguments cannot be
+seen.  A value no system caller varies is a constant, not a parameter.
+
+*Locals.* A load of a function's local variable references nothing; a
+load of a name a nested ``def`` binds references only that ``def``.
 
 *Spec keys.* Every key of a ``*_DEFAULTS`` dict table in ``src/`` (the
-optional keys of a deployment spec, ``repro/config/loader.py``) is set
-by some spec producer in ``src/``, ``benchmarks/`` or ``examples/``: a
-dict-literal key, a ``spec["key"] = ...`` store, or a keyword of
-``non_default(...)``.
+optional keys of a deployment spec, ``repro/config/loader.py``), and
+every key a ``*_from_dict`` reader reads (``x.get("key")``,
+``x["key"]``), is set by some spec producer in ``src/``, ``benchmarks/``
+or ``examples/``: a dict-literal key, a ``spec["key"] = ...`` store, or
+a keyword of ``non_default(...)``.
 
 Matching is by name, so a dead method that shares its name with a live
-one escapes the scan.
+one, or a parameter set by a call of a same-named method of another
+class, escapes the scan; ``make census`` (``tools/census.py``) finds
+those by running every entry point.
 """
 
 import ast
@@ -89,6 +99,23 @@ def _is_dunder(name):
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+class _Site:
+    """One call.  ``args`` are the values of its positional arguments
+    (before any ``*``), ``keywords`` maps a keyword to its value; a value
+    is ``("lit", v)`` for a literal, ``("name", n)`` for a global name
+    (a module constant if one resolves) or None when unseen.
+    ``unpacked``: a ``*`` / ``**`` passes values the scan cannot see.
+    ``forwarder``: ``(def node, its class or None, star, double star)``
+    when the call forwards its enclosing function's own ``*args`` /
+    ``**kwargs``."""
+
+    __slots__ = ("args", "keywords", "unpacked", "forwarder")
+
+    def __init__(self, args, keywords, unpacked=False, forwarder=None):
+        self.args, self.keywords = args, keywords
+        self.unpacked, self.forwarder = unpacked, forwarder
+
+
 class _Module:
     """What one walk over one module collects.
 
@@ -96,17 +123,23 @@ class _Module:
     :class:`ast.ClassDef` whose body defines a method, else None);
     ``references`` maps a word to the ``(line, column)`` places that
     reference it; ``stores`` is ``[(attr, line)]``; ``calls`` maps a
-    callee name to ``[(positional count, keywords, unpacked)]``;
-    ``values`` holds every name loaded other than as a callee;
-    ``spec_keys`` every string a dict literal, a subscript store or a
-    ``non_default(...)`` keyword sets; ``tables`` the ``*_DEFAULTS``
-    dicts as ``{name: [(key, line)]}``.
+    callee name to ``[_Site]``; ``values`` holds every name loaded other
+    than as a callee; ``spec_keys`` every string a dict literal, a
+    subscript store or a ``non_default(...)`` keyword sets; ``tables``
+    the ``*_DEFAULTS`` dicts as ``{name: [(key, line)]}``; ``spec_reads``
+    the keys a ``*_from_dict`` function reads, as ``[(function, key,
+    line)]``; ``constants`` the module-level ``NAME = literal`` values
+    (``(value,)``, None when assigned twice); ``nested_refs`` the loads of
+    a name a ``def`` inside a function binds, as ``[(name, place, the
+    function binding it, loaded as a value)]``: they reach only that
+    nested definition.  A load of a local variable references nothing.
     """
 
     def __init__(self):
         self.definitions, self.references, self.stores = [], {}, []
         self.calls, self.values, self.spec_keys = {}, set(), set()
-        self.tables = {}
+        self.tables, self.spec_reads, self.constants = {}, [], {}
+        self.nested_refs = []
 
 
 def _base_names(cls):
@@ -114,10 +147,70 @@ def _base_names(cls):
             for base in cls.bases if isinstance(base, (ast.Name, ast.Attribute))]
 
 
-def _callees(func, cls):
-    """The names a call through ``func`` inside class ``cls`` reaches."""
+def _local_names(node):
+    """``(variables, functions)``: the names a function or lambda binds
+    by a parameter or a store, and by a nested ``def`` / ``class`` (a
+    nested scope's own names excluded; an import names what it imports,
+    so it binds neither)."""
+    args = node.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    defined, declared = set(), set()
+    pending = list(node.body) if isinstance(node.body, list) else [node.body]
+    while pending:
+        child = pending.pop()
+        if isinstance(child, _DEFS + (ast.ClassDef,)):
+            defined.add(child.name)
+            continue
+        if isinstance(child, ast.Lambda):
+            continue
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Load):
+            names.add(child.id)
+        elif isinstance(child, (ast.Global, ast.Nonlocal)):
+            declared.update(child.names)
+        elif isinstance(child, ast.ExceptHandler) and child.name:
+            names.add(child.name)
+        pending.extend(ast.iter_child_nodes(child))
+    return names - defined - declared, defined - declared
+
+
+def _enter(node, local, nested):
+    """The local variables and nested defs in scope inside function or
+    lambda ``node``, given those around it."""
+    variables, defined = _local_names(node)
+    nested = {name: scope for name, scope in nested.items()
+              if name not in variables}
+    nested.update((name, node) for name in defined)
+    return (local - defined) | variables, nested
+
+
+def _nested_use(module, node, as_value=False):
+    """Whether a load inside the function binding nested definition
+    ``node`` reaches it (from outside its own body), as a value when
+    ``as_value``."""
+    start = (node.lineno, node.col_offset)
+    return any(name == node.name and _inside(scope, start)
+               and not _inside(node, place) and (value or not as_value)
+               for name, place, scope, value in module.nested_refs)
+
+
+def _value(node, local=frozenset()):
+    """A call argument or default as :class:`_Site` records it."""
+    if isinstance(node, ast.Name):
+        return None if node.id in local else ("name", node.id)
+    try:
+        return ("lit", ast.literal_eval(node))
+    except (ValueError, TypeError, SyntaxError, RecursionError):
+        return None
+
+
+def _callees(func, cls, local):
+    """The names a call through ``func`` inside class ``cls`` reaches; a
+    call through a local variable reaches no definition."""
     if isinstance(func, ast.Name):
-        return [cls.name if func.id == "cls" and cls is not None else func.id]
+        if func.id == "cls" and cls is not None:
+            return [cls.name]
+        return [] if func.id in local else [func.id]
     if not isinstance(func, ast.Attribute):
         return []
     value = func.value
@@ -128,6 +221,30 @@ def _callees(func, cls):
     return [func.attr]
 
 
+def _site(node, local, function):
+    """The :class:`_Site` of call ``node`` inside ``function`` (``(def
+    node, its class)`` or None)."""
+    stars = [a for a in node.args if isinstance(a, ast.Starred)]
+    double = [k for k in node.keywords if k.arg is None]
+    args = function[0].args if function is not None else None
+
+    def own(starred, vararg):
+        return (vararg is not None and isinstance(starred.value, ast.Name)
+                and starred.value.id == vararg.arg)
+
+    star = (bool(stars) and stars == node.args[-1:]
+            and own(stars[0], args and args.vararg))
+    dstar = len(double) == 1 and own(double[0], args and args.kwarg)
+    positional = [_value(a, local) for a in node.args
+                  if not isinstance(a, ast.Starred)]
+    keywords = {k.arg: _value(k.value, local) for k in node.keywords
+                if k.arg is not None}
+    if (stars and not star) or (double and not dstar):
+        return _Site(positional, keywords, unpacked=True)
+    forwarder = (*function, star, dstar) if star or dstar else None
+    return _Site(positional, keywords, forwarder=forwarder)
+
+
 def _scan(path):
     """One module, one pass: see :class:`_Module`."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -135,9 +252,11 @@ def _scan(path):
     refs = module.references
     skip = set()                     # docstrings and __all__ entries
     callees = set()                  # the func node of every call
-    pending = [(tree, "", None, None)]
+    # (node, scope, owner, cls, enclosing (def, class), local variables,
+    #  local def name -> the def binding it, *_from_dict reader)
+    pending = [(tree, "", None, None, None, frozenset(), {}, None)]
     while pending:
-        node, scope, owner, cls = pending.pop()
+        node, scope, owner, cls, function, local, nested, reader = pending.pop()
         if isinstance(node, (ast.Module, ast.ClassDef) + _DEFS):
             body = node.body
             if (body and isinstance(body[0], ast.Expr)
@@ -146,11 +265,23 @@ def _scan(path):
             if not isinstance(node, ast.Module):
                 module.definitions.append((f"{scope}{node.name}", node, owner))
                 scope = f"{scope}{node.name}."
-                owner = cls = node if isinstance(node, ast.ClassDef) else cls
                 if isinstance(node, _DEFS):
+                    function = (node, owner)
+                    local, nested = _enter(node, local, nested)
+                    reader = node.name if node.name.endswith("_from_dict") else None
                     owner = None
+                else:
+                    owner = cls = node
+        elif isinstance(node, ast.Lambda):
+            local, nested = _enter(node, local, nested)
         elif isinstance(node, ast.Name):
-            if isinstance(node.ctx, ast.Load):
+            if not isinstance(node.ctx, ast.Load) or node.id in local:
+                pass
+            elif node.id in nested:
+                module.nested_refs.append(
+                    (node.id, (node.lineno, node.col_offset), nested[node.id],
+                     id(node) not in callees))
+            else:
                 refs.setdefault(node.id, []).append((node.lineno, node.col_offset))
                 if id(node) not in callees:
                     module.values.add(node.id)
@@ -169,22 +300,27 @@ def _scan(path):
                         (node.lineno, node.col_offset))
         elif isinstance(node, ast.Call):
             callees.add(id(node.func))
-            unpacked = (any(isinstance(a, ast.Starred) for a in node.args)
-                        or any(k.arg is None for k in node.keywords))
-            keywords = {k.arg for k in node.keywords}
-            for name in _callees(node.func, cls):
-                module.calls.setdefault(name, []).append(
-                    (len(node.args), keywords, unpacked))
+            site = _site(node, local, function)
+            for name in _callees(node.func, cls, local):
+                module.calls.setdefault(name, []).append(site)
             if isinstance(node.func, ast.Name) and node.func.id == "non_default":
-                module.spec_keys.update(keywords)
+                module.spec_keys.update(site.keywords)
+            if (reader is not None and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get" and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                module.spec_reads.append(
+                    (reader, node.args[0].value, node.lineno))
         elif isinstance(node, ast.Dict):
             if id(node) not in skip:
                 module.spec_keys.update(key.value for key in node.keys
                                         if isinstance(key, ast.Constant))
         elif isinstance(node, ast.Subscript):
-            if (isinstance(node.ctx, ast.Store)
-                    and isinstance(node.slice, ast.Constant)):
-                module.spec_keys.add(node.slice.value)
+            if isinstance(node.slice, ast.Constant):
+                if isinstance(node.ctx, ast.Store):
+                    module.spec_keys.add(node.slice.value)
+                elif reader is not None and isinstance(node.slice.value, str):
+                    module.spec_reads.append(
+                        (reader, node.slice.value, node.lineno))
         elif isinstance(node, ast.Assign):
             target = node.targets[0]
             if isinstance(target, ast.Name) and target.id == "__all__":
@@ -195,8 +331,15 @@ def _scan(path):
                 skip.add(id(node.value))
                 module.tables[target.id] = [
                     (key.value, key.lineno) for key in node.value.keys]
-        pending.extend((child, scope, owner, cls)
-                       for child in ast.iter_child_nodes(node))
+            if (function is None and cls is None and len(node.targets) == 1
+                    and isinstance(target, ast.Name)):
+                value = _value(node.value)
+                constants = module.constants
+                literal = value[1:] if value and value[0] == "lit" else None
+                constants[target.id] = (
+                    None if target.id in constants else literal)
+        pending.extend((child, scope, owner, cls, function, local, nested,
+                        reader) for child in ast.iter_child_nodes(node))
     return module
 
 
@@ -258,7 +401,8 @@ def _findings(root=REPO_ROOT):
             name = node.name
             if _is_dunder(name) or name in outside or any(
                     other != rel or not _inside(node, place)
-                    for other, place in places.get(name, ())):
+                    for other, place in places.get(name, ())) or _nested_use(
+                        module, node):
                 continue
             unreached[qualname] = f"{rel}:{node.lineno}"
     reads = outside | _test_reads(root) | set(places)
@@ -287,20 +431,81 @@ def _constructor_names(classes):
     return names
 
 
+def _reached_by(node, owner, constructors):
+    """``(names, bound)``: the callee names that run function ``node``
+    defined in class ``owner`` (or None), and whether a call binds its
+    first parameter."""
+    if node.name in ("__init__", "__new__") and owner is not None:
+        names = constructors.get(owner.name, {owner.name})
+    else:
+        names = {node.name}
+    bound = owner is not None and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in node.decorator_list)
+    return names, bound
+
+
+def _concrete(site, calls, values, constructors, depth=0):
+    """The sites a call stands for: itself, or — when it forwards its
+    function's own ``*args`` / ``**kwargs`` — one per call of that
+    function, passing on what that call put into them."""
+    if site.forwarder is None:
+        return [site]
+    node, owner, star, dstar = site.forwarder
+    names, bound = _reached_by(node, owner, constructors)
+    if names & values or depth > 3:  # a callback: its callers are unseen
+        return [_Site(site.args, site.keywords, unpacked=True)]
+    positional = node.args.posonlyargs + node.args.args
+    named = {a.arg for a in positional + node.args.kwonlyargs}
+    out = []
+    for outer in (s for name in names for s in calls.get(name, ())):
+        for call in _concrete(outer, calls, values, constructors, depth + 1):
+            if call.unpacked:
+                out.append(_Site(site.args, site.keywords, unpacked=True))
+                continue
+            keywords = dict(site.keywords)
+            if dstar:
+                keywords.update((k, v) for k, v in call.keywords.items()
+                                if k not in named)
+            extra = call.args[len(positional) - bound:] if star else []
+            out.append(_Site(site.args + extra, keywords))
+    return out
+
+
+def _resolve(value, constants):
+    """``(literal,)`` for a value the scan can see, else None."""
+    if value is None:
+        return None
+    kind, item = value
+    return (item,) if kind == "lit" else constants.get(item)
+
+
+def _same(value, default):
+    return (value is not None and default is not None
+            and type(value[0]) is type(default[0]) and value[0] == default[0])
+
+
 @functools.lru_cache(maxsize=None)
 def _unset_params(root=REPO_ROOT):
-    """Defaulted parameters no call outside ``tests/`` sets:
-    ``Function.param`` -> ``[path:line]`` (one per same-named function)."""
+    """Defaulted parameters no call outside ``tests/`` sets to another
+    value: ``Function.param`` -> ``[path:line]`` (one per same-named
+    function)."""
     scans, callers = _modules(root)
-    calls, values = {}, set()
+    calls, values, constants = {}, set(), {}
     for module in callers:
         values |= module.values
         for name, sites in module.calls.items():
             calls.setdefault(name, []).extend(sites)
+        for name, value in module.constants.items():
+            constants[name] = (None if constants.get(name, value) != value
+                               else value)
     classes = {node.name: node for module in scans.values()
                for _, node, _ in module.definitions
                if isinstance(node, ast.ClassDef)}
     constructors = _constructor_names(classes)
+    calls = {name: [c for s in sites
+                    for c in _concrete(s, calls, values, constructors)]
+             for name, sites in calls.items()}
     unset = {}
     for rel, module in scans.items():
         for qualname, node, owner in module.definitions:
@@ -308,32 +513,31 @@ def _unset_params(root=REPO_ROOT):
                 continue
             args = node.args
             positional = args.posonlyargs + args.args
-            defaulted = [(index, arg.arg) for index, arg in enumerate(positional)
-                         if index >= len(positional) - len(args.defaults)]
-            defaulted += [(None, arg.arg) for arg, default
+            first = len(positional) - len(args.defaults)
+            defaulted = [(first + index, arg.arg, default) for index, (arg, default)
+                         in enumerate(zip(positional[first:], args.defaults))]
+            defaulted += [(None, arg.arg, default) for arg, default
                           in zip(args.kwonlyargs, args.kw_defaults)
                           if default is not None]
-            if not defaulted:
+            if not defaulted or (_is_dunder(node.name) and (
+                    owner is None or node.name not in ("__init__", "__new__"))):
                 continue
-            if node.name in ("__init__", "__new__") and owner is not None:
-                names = constructors.get(owner.name, {owner.name})
-                label = qualname.rsplit(".", 1)[0]
-            elif _is_dunder(node.name):
-                continue
-            else:
-                names = {node.name}
-                label = qualname
-            if names & values:
+            names, bound = _reached_by(node, owner, constructors)
+            if names & values or _nested_use(module, node, as_value=True):
                 continue             # a callback: its arguments are unseen
-            bound = owner is not None and not any(
-                isinstance(d, ast.Name) and d.id == "staticmethod"
-                for d in node.decorator_list)
+            label = (qualname.rsplit(".", 1)[0]
+                     if node.name in ("__init__", "__new__") else qualname)
             sites = [site for name in names for site in calls.get(name, ())]
-            for index, param in defaulted:
+            for index, param, default in defaulted:
                 at = None if index is None else index - bound
-                if not any(unpacked or param in keywords
-                           or (at is not None and count > at)
-                           for count, keywords, unpacked in sites):
+                default = _resolve(_value(default), constants)
+                if not any(
+                        site.unpacked
+                        or (param in site.keywords and not _same(
+                            _resolve(site.keywords[param], constants), default))
+                        or (at is not None and at < len(site.args) and not _same(
+                            _resolve(site.args[at], constants), default))
+                        for site in sites):
                     unset.setdefault(f"{label}.{param}", []).append(
                         f"{rel}:{node.lineno}")
     return unset
@@ -341,14 +545,20 @@ def _unset_params(root=REPO_ROOT):
 
 @functools.lru_cache(maxsize=None)
 def _unset_spec_keys(root=REPO_ROOT):
-    """Optional spec keys no producer outside ``tests/`` sets:
-    ``TABLE.key`` -> ``path:line``."""
+    """Spec keys no producer outside ``tests/`` sets: the optional keys
+    of a ``*_DEFAULTS`` table as ``TABLE.key``, the keys a
+    ``*_from_dict`` reader reads as ``function.key`` -> ``path:line``."""
     scans, callers = _modules(root)
     set_keys = set().union(*(module.spec_keys for module in callers))
-    return {f"{table}.{key}": f"{rel}:{line}"
-            for rel, module in scans.items()
-            for table, keys in module.tables.items()
-            for key, line in keys if key not in set_keys}
+    unset = {f"{table}.{key}": f"{rel}:{line}"
+             for rel, module in scans.items()
+             for table, keys in module.tables.items()
+             for key, line in keys if key not in set_keys}
+    unset.update((f"{reader}.{key}", f"{rel}:{line}")
+                 for rel, module in scans.items()
+                 for reader, key, line in module.spec_reads
+                 if key not in set_keys)
+    return unset
 
 
 def _check_names(root):
@@ -402,6 +612,8 @@ _PLANTED = """\"\"\"Offenders the guard must name.\"\"\"
 
 OPTIONS_DEFAULTS = {"depth": 1, "colour": "red"}
 
+BASE = 0.5
+
 
 class Knob:
     def __init__(self, width=3, height=4):
@@ -421,30 +633,83 @@ class Worker:
         return late
 
 
+class Ledger:
+    def __init__(self):
+        self._entries = {}
+
+    def record(self, key):
+        entries = self._entries.setdefault(key, [])
+        entries.append(key)
+        return len(entries)
+
+    def entries(self, key):
+        return list(self._entries.get(key, ()))
+
+
 def only_tests_call_me():
     return 1
+
+
+def wait(timeout=2.5):
+    return timeout
+
+
+def backoff(base=BASE):
+    return base
+
+
+def relay(*args, **kwargs):
+    return deliver(*args, **kwargs)
+
+
+def deliver(payload, urgent=False, copies=1):
+    return payload, urgent, copies
+
+
+def options_from_dict(data):
+    return data.get("depth", 1), data["shade"]
 """
 
-_PLANTED_CALLER = """from repro.planted import Knob, Worker
+_PLANTED_CALLER = """from repro.planted import BASE, Knob, Ledger, Worker, backoff
+from repro.planted import options_from_dict, relay, wait
 
 print(Knob(height=5).area(), {"depth": 2})
 Worker().start(None)
+wait(timeout=2.5)
+backoff(BASE)
+relay("x", copies=2)
+Ledger().record("k")
+options_from_dict({"depth": 3})
+
+
+def wrap(fn):
+    def deliver(*args):
+        return fn(*args)
+    return deliver
 """
 
 
 def test_the_guard_names_planted_offenders(tmp_path):
     """Each check fails on a tree with one offender of its kind, and
-    names it; a callback's unseen argument is not an offender."""
+    names it; a callback's unseen argument is not an offender.  Each
+    hiding shape is named too: (a) a value equal to the default, as a
+    literal or a module constant; (b) a forwarded ``*args`` /
+    ``**kwargs`` its callers put nothing into; (c) a local variable, or
+    a nested ``def``, named like a method; (d) a key a ``*_from_dict``
+    reader reads that no producer writes."""
     for top in ("src/repro", "tests", "benchmarks", "examples"):
         (tmp_path / top).mkdir(parents=True)
     (tmp_path / "src/repro/planted.py").write_text(_PLANTED)
     (tmp_path / "examples/run.py").write_text(_PLANTED_CALLER)
     (tmp_path / "tests/test_planted.py").write_text(
-        "from repro.planted import only_tests_call_me\n\n"
-        "def test_it():\n    assert only_tests_call_me() == 1\n")
+        "from repro.planted import Ledger, only_tests_call_me\n\n"
+        "def test_it():\n    assert only_tests_call_me() == 1\n"
+        "    assert Ledger().entries('k') == []\n")
 
-    with pytest.raises(AssertionError, match="only_tests_call_me"):
+    with pytest.raises(AssertionError) as names:
         _check_names(tmp_path)
+    assert "only_tests_call_me" in str(names.value)
+    assert "Ledger.entries" in str(names.value)                 # (c)
     with pytest.raises(AssertionError, match="written_never_read"):
         _check_state(tmp_path)
     with pytest.raises(AssertionError) as params:
@@ -452,5 +717,11 @@ def test_the_guard_names_planted_offenders(tmp_path):
     message = str(params.value)
     assert "Knob.width" in message
     assert "Knob.height" not in message and "on_tick" not in message
-    assert "OPTIONS_DEFAULTS.colour" in _unset_spec_keys(tmp_path)
-    assert "OPTIONS_DEFAULTS.depth" not in _unset_spec_keys(tmp_path)
+    assert "wait.timeout" in message and "backoff.base" in message  # (a)
+    assert "deliver.urgent" in message                           # (b), (c)
+    assert "deliver.copies" not in message
+    unset_keys = _unset_spec_keys(tmp_path)
+    assert "OPTIONS_DEFAULTS.colour" in unset_keys
+    assert "OPTIONS_DEFAULTS.depth" not in unset_keys
+    assert "options_from_dict.shade" in unset_keys               # (d)
+    assert "options_from_dict.depth" not in unset_keys

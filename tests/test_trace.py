@@ -41,7 +41,7 @@ def traced_engine():
 def rpc_net(traced_engine):
     engine, tracer = traced_engine
     network = Network(engine)
-    network.enable_fabric(latency=1e-4)
+    network.enable_fabric()
     a = network.add_host("a", "1.1.1.1")
     b = network.add_host("b", "1.1.1.2")
     return engine, tracer, a, b

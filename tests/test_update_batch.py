@@ -101,14 +101,14 @@ ATTR_POOL = [_attrs(i) for i in range(4)]
 
 
 def _split_policy():
-    """Denies one slice of the pool, re-prefs another, passes the rest:
+    """Denies one slice of the pool, re-stamps another, passes the rest:
     blocks that touch neither keep their bytes, the others are split."""
     denied = PrefixList("denied", [POOL[2], POOL[3], Prefix.parse("10.8.0.0/18")])
-    preferred = PrefixList("preferred", POOL[8:12] + [V6_POOL[1]])
+    stamped = PrefixList("stamped", POOL[8:12] + [V6_POOL[1]])
     return RouteMap("split", [
         RouteMapEntry(permit=False, match_prefix_list=denied),
-        RouteMapEntry(match_prefix_list=preferred,
-                      action=PolicyAction(set_local_pref=200)),
+        RouteMapEntry(match_prefix_list=stamped,
+                      action=PolicyAction(add_communities=(200,))),
     ], default_permit=True)
 
 
@@ -216,21 +216,21 @@ def test_uniform_block_keeps_its_bytes_and_split_block_is_rejoined():
     assert nlri_wire == b"".join(p.to_wire() for p in untouched)
     assert attrs_wire == ATTR_POOL[0].to_wire()
 
-    # POOL[2:4] denied, POOL[8:10] re-preferred, in the middle of the block
+    # POOL[2:4] denied, POOL[8:10] re-stamped, in the middle of the block
     block = [POOL[0], POOL[1], POOL[2], POOL[3], POOL[4], POOL[8], POOL[9],
              POOL[20]]
     _decoded, delta = gateway.receive(UpdateMessage(
         attributes=ATTR_POOL[1], nlri=block))
-    preferred = ATTR_POOL[1].replace(local_pref=200)
+    stamped = ATTR_POOL[1].replace(communities=(200,))
     assert [(run[1], run[2]) for run in delta["announce"]] == [
         (b"".join(p.to_wire() for p in (POOL[0], POOL[1], POOL[4])),
          ATTR_POOL[1].to_wire()),
-        (b"".join(p.to_wire() for p in (POOL[8], POOL[9])), preferred.to_wire()),
+        (b"".join(p.to_wire() for p in (POOL[8], POOL[9])), stamped.to_wire()),
         (POOL[20].to_wire(), ATTR_POOL[1].to_wire()),
     ]
     assert gateway.session.routes_learned == len(untouched) + 6
     assert gateway.loc_rib.best(POOL[2]) is None
-    assert gateway.loc_rib.best(POOL[8]).attributes.local_pref == 200
+    assert gateway.loc_rib.best(POOL[8]).attributes.communities == (200,)
 
 
 def test_route_map_is_evaluated_once_per_message_unless_it_matches_prefixes():
@@ -242,13 +242,13 @@ def test_route_map_is_evaluated_once_per_message_unless_it_matches_prefixes():
             return super().evaluate(prefix, attributes)
 
     by_attributes = Counting("lp", [
-        RouteMapEntry(match_as=64801, action=PolicyAction(set_local_pref=300)),
+        RouteMapEntry(action=PolicyAction(add_communities=(300,))),
     ], default_permit=True)
     gateway = _Gateway(by_attributes)
     gateway.receive(UpdateMessage(attributes=ATTR_POOL[1], nlri=POOL[:10]))
     assert calls == [None]
-    assert {route.attributes.local_pref
-            for route in gateway.loc_rib.best_routes()} == {300}
+    assert {route.attributes.communities
+            for route in gateway.loc_rib.best_routes()} == {(300,)}
     by_attributes.append(RouteMapEntry(
         permit=False, match_prefix_list=PrefixList("pl", [POOL[0]])))
     gateway.receive(UpdateMessage(attributes=ATTR_POOL[0], nlri=POOL[:10]))

@@ -105,7 +105,7 @@ def test_percentile_bounds(traffic):
 
 
 def test_adoption_curve_shape():
-    curve = default_adoption_curve(6000)
+    curve = default_adoption_curve()
     assert len(curve) == TIMELINE_MONTHS
     assert all(v == 0 for v in curve[:DEPLOY_START_MONTH])
     assert curve[DEPLOY_START_MONTH] == 100  # initial deployment
@@ -115,14 +115,14 @@ def test_adoption_curve_shape():
 
 
 def test_baseline_downtime_expectation():
-    model = OperationalModel(DeterministicRandom(1).stream("ops"), links=100)
+    model = OperationalModel(DeterministicRandom(1).stream("ops"))
     downtime = model.baseline_downtime_seconds()
     # Table 1 mix: dominated by host-network (25 s at 65%) + machine (240 s at 19%)
     assert 50 < downtime < 80
 
 
 def test_monthly_impact_drops_to_zero_after_migration():
-    model = OperationalModel(DeterministicRandom(2).stream("ops"), links=500)
+    model = OperationalModel(DeterministicRandom(2).stream("ops"))
     series = model.monthly_impacted_bytes()
     assert len(series) == TIMELINE_MONTHS
     pre = series[:DEPLOY_START_MONTH]
@@ -132,7 +132,7 @@ def test_monthly_impact_drops_to_zero_after_migration():
 
 def test_pre_deployment_impact_scale():
     """Paper: ~34 TB/month impacted before TENSOR, fleet-wide."""
-    model = OperationalModel(DeterministicRandom(3).stream("ops"), links=6000)
+    model = OperationalModel(DeterministicRandom(3).stream("ops"))
     series = model.monthly_impacted_bytes()
     pre_tb = sum(series[:DEPLOY_START_MONTH]) / DEPLOY_START_MONTH / 1e12
     assert 5 < pre_tb < 200  # order of tens of TB
