@@ -44,7 +44,7 @@ def _crash_with_lagging_db(hold_acks):
     remote.speaker.readvertise(session)
     system.engine.advance(2.0)
     injector = FailureInjector(system)
-    injector.container_failure(pair)
+    injector.inject("container", pair, {})
     system.db.recover()
     system.engine.advance(90.0)
     return len(pair.speaker.vrfs["v0"].loc_rib)
@@ -71,7 +71,7 @@ def _migration_bfd_flaps(relay_enabled):
     remote_bfd = list(remote.bfd.sessions.values())[0]
     flaps_before = len(remote_bfd.state_changes)
     injector = FailureInjector(system)
-    injector.container_failure(pair)
+    injector.inject("container", pair, {})
     system.engine.advance(30.0)
     from repro.bfd.packet import BfdState
 

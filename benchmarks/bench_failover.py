@@ -71,8 +71,7 @@ def run_failover_once(seed, routes=ROUTES, burst=BURST):
     remote.speaker.readvertise(session)
     engine.advance(0.05)  # the burst is in flight when the primary dies
 
-    injector = FailureInjector(system)
-    injector.database_failover()
+    FailureInjector(system).inject("database_failover", pair, {})
     killed_at = engine.now
 
     # sample the hold queue on the virtual clock: the drain instant is

@@ -47,7 +47,7 @@ def tensor_loss():
     flow = TrafficFlow(system.engine, dataplane, "10.0.0.1", rate_pps=RATE_PPS)
     flow.start()
     system.engine.advance(1.0)
-    FailureInjector(system).container_failure(pair)
+    FailureInjector(system).inject("container", pair, {})
     system.engine.advance(30.0)
     flow.stop()
     return flow

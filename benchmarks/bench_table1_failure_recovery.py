@@ -84,15 +84,8 @@ def run_scenario(kind):
     system, observers, watchers = build_deployment(KIND_SEEDS[kind],
                                                    pair_count)
     injector = FailureInjector(system)
-    pair0 = observers[0][0]
-    if kind == "application":
-        injector.application_failure(pair0)
-    elif kind == "container":
-        injector.container_failure(pair0)
-    elif kind == "host_machine":
-        injector.host_machine_failure(system.machines["gw-1"])
-    elif kind == "host_network":
-        injector.host_network_failure(system.machines["gw-1"])
+    # pair0's active side: its container, or its machine gw-1
+    injector.inject(kind, observers[0][0], {})
     system.engine.advance(45.0)
     injector.stamp_records()
     records = system.controller.completed_records()

@@ -80,7 +80,7 @@ def main():
     # opposite directions (each machine backs the other's pairs)
     injector = FailureInjector(system)
     for pair in pairs.values():
-        injector.container_failure(pair)
+        injector.inject("container", pair, {})
     system.run(40.0)
     print("after simultaneous container failures:")
     for name, pair in pairs.items():

@@ -43,14 +43,8 @@ def build(seed):
 def drill(kind, seed):
     system, pair, session, observer = build(seed)
     injector = FailureInjector(system)
-    if kind == "application":
-        injector.application_failure(pair)
-    elif kind == "container":
-        injector.container_failure(pair)
-    elif kind == "host_machine":
-        injector.host_machine_failure(system.machines["gw-1"])
-    elif kind == "host_network":
-        injector.host_network_failure(system.machines["gw-1"])
+    # the pair's active side: its container, or its machine gw-1
+    injector.inject(kind, pair, {})
     system.run(45.0)
     injector.stamp_records()
     observer.stop()
@@ -86,9 +80,8 @@ def main():
 
     # Bonus: transient jitter below the 3 s confirmation window -> no action.
     system, pair, session, observer = build(seed=99)
-    FailureInjector(system).transient_host_network_failure(
-        system.machines["gw-1"], duration=1.5
-    )
+    FailureInjector(system).inject("transient_network", pair,
+                                   {"duration": 1.5})
     system.run(20.0)
     observer.stop()
     migrated = bool(system.controller.completed_records())

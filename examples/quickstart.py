@@ -49,7 +49,7 @@ def main():
     observer.start()
     print(f"[t={system.engine.now:5.1f}s] killing primary container "
           f"{pair.active_container.name} on {pair.active_machine.name} ...")
-    FailureInjector(system).container_failure(pair)
+    FailureInjector(system).inject("container", pair, {})
     system.run(30.0)
     observer.stop()
 

@@ -13,7 +13,6 @@ from repro.bgp.errors import BgpError, NotificationCode, UpdateSubcode
 
 FLAG_OPTIONAL = 0x80
 FLAG_TRANSITIVE = 0x40
-FLAG_PARTIAL = 0x20
 FLAG_EXTENDED = 0x10
 
 TYPE_ORIGIN = 1

@@ -95,7 +95,7 @@ class Route:
 
     __slots__ = ("prefix", "attributes", "peer_id", "source_kind")
 
-    def __init__(self, prefix, attributes, peer_id, source_kind="ebgp"):
+    def __init__(self, prefix, attributes, peer_id, source_kind):
         self.prefix = prefix
         self.attributes = attributes
         self.peer_id = peer_id

@@ -29,7 +29,6 @@ class VethPair:
     """A vEth pair: host-side and container-side interface names."""
 
     def __init__(self, container, vrf_name):
-        self.container = container
         self.vrf_name = vrf_name
         self.host_if = f"veth-{container.name}-{vrf_name}"
         self.container_if = f"eth-{vrf_name}"
@@ -53,10 +52,9 @@ class Bridge:
 class ServiceBinding:
     """One service address currently answered by one machine."""
 
-    def __init__(self, address, machine, container, endpoint, vxlan, veth, bridge):
+    def __init__(self, address, machine, endpoint, vxlan, veth, bridge):
         self.address = address
         self.machine = machine
-        self.container = container
         self.endpoint = endpoint  # the network Host answering the address
         self.vxlan = vxlan
         self.veth = veth
@@ -91,7 +89,7 @@ class Underlay:
         endpoint = self.network.add_host(
             f"{container.name}.svc.{vrf_name}", address, anchor=machine.host, replace=True
         )
-        binding = ServiceBinding(address, machine, container, endpoint, vxlan, veth, bridge)
+        binding = ServiceBinding(address, machine, endpoint, vxlan, veth, bridge)
         self._bindings[address] = binding
         return binding
 

@@ -59,12 +59,11 @@ class _MachineSignals:
 
 
 class _ContainerSignals:
-    __slots__ = ("grpc_down", "ipsla_down", "dead_reported", "first_signal_at", "reported", "machine_name")
+    __slots__ = ("grpc_down", "ipsla_down", "first_signal_at", "reported", "machine_name")
 
     def __init__(self):
         self.grpc_down = False
         self.ipsla_down = False
-        self.dead_reported = False
         self.first_signal_at = None
         self.reported = False
         self.machine_name = None
@@ -248,6 +247,5 @@ class FailureDetector:
         container = self._containers.get(name)
         if container is not None:
             container.reported = False
-            container.dead_reported = False
             if container.machine_name is not None:
                 self._evaluate_container(name, container.machine_name)

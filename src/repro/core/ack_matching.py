@@ -45,7 +45,6 @@ class TcpQueueThread:
         self.pipeline = pipeline
         self._conns = {}  # (local_port, remote_addr, remote_port) -> entry
         self.crashed = False
-        self.acks_held = 0
         self.acks_released = 0
         self.acks_dropped_redundant = 0
         self.verify_read_count = 0
@@ -120,7 +119,6 @@ class TcpQueueThread:
             queued.accept()
             return
         entry["held"].append((ack, queued))
-        self.acks_held += 1
 
     def note_replicated(self, keys, ack_position, record_key, span=None):
         """The main/keepalive thread committed a message record.

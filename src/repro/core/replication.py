@@ -183,7 +183,6 @@ class WriteCoalescer:
         self.records_written = 0
         self.records_deleted = 0
         self.failures = 0
-        self.fenced = 0
         self.requeued_deletes = 0
         # On a failover repoint, resume flushing anything parked by a
         # fenced write or an exhausted delete batch.
@@ -291,7 +290,6 @@ class WriteCoalescer:
             # This endpoint was demoted; only a repoint can help.  Park
             # the batch at the head of the queue and wait for the
             # controller's push (client.on_repoint -> kick).
-            self.fenced += 1
             self._requeue(run)
             return True
         if self._generation() != generation:

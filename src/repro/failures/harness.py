@@ -36,13 +36,6 @@ from repro.failures.oracles import OracleSuite, Violation
 from repro.sim.rand import DeterministicRandom
 from repro.workloads.updates import RouteGenerator
 
-#: Injections whose blast radius is one pair: only the owning pair's
-#: oracle model hears of them.  Machine-level, database, agent and
-#: controller-plane injections reach every pair (fencing allowances,
-#: the BFD relay), so every suite is told.
-PAIR_SCOPED = ("application", "container", "container_network",
-               "backup_container")
-
 
 class ScenarioResult:
     """Outcome of one scenario run: per-pair suites, merged verdicts.
@@ -201,12 +194,13 @@ class _PreparedRun:
         )
         engine = self.system.engine
         self.pairs = [pair for pair, _members, _policies in placed]
+        self.injector = FailureInjector(self.system)
         self.suites = []
         suite_of_remote = {}
         for pair, members, policies in placed:
             suite = OracleSuite(
                 self.system, pair, [self.remotes[index] for index in members],
-                import_policies=policies,
+                self.injector, import_policies=policies,
                 stop_on_violation=stop_on_violation,
             )
             self.suites.append(suite)
@@ -223,7 +217,6 @@ class _PreparedRun:
         for suite in self.suites:
             suite.arm()
 
-        self.injector = FailureInjector(self.system)
         for event in scenario.injections:
             engine.schedule(event["at"], _fire_injection, self, event)
         for event in scenario.workload:
@@ -296,64 +289,13 @@ def run_scenario(scenario, hold_acks=True, stop_on_violation=True,
 
 
 def _fire_injection(prepared, event):
-    """Resolve the pair and machine *at fire time* (roles swap across
-    migrations), tell the oracle models, then pull the lever."""
-    kind = event["scenario"]
-    duration = event["duration"]
-    injector = prepared.injector
-    pair = prepared.pairs[event.get("pair", 0)]
-    machine = (
-        pair.standby_machine if event["target"] == "standby"
-        else pair.active_machine
-    )
-    truth = {"duration": duration or 0.0}
-    if kind == "controller_replica_crash":
-        truth["target_name"] = f"replica{event['target']}"
-    elif kind == "controller_partition":
-        truth["target_name"] = f"replica{event['target']}:{event['machine']}"
-    elif kind == "lying_monitor":
-        truth["target_name"] = f"replica{event['target']}:{event['mode']}"
-    else:
-        truth["target_name"] = machine.name
-        truth["container_name"] = (
-            pair.backup_container_name if kind == "backup_container"
-            else pair.primary_container_name
-        )
-        truth["pair_name"] = pair.name
+    """Resolve the pair *at fire time*, pull the lever, and tell the
+    oracle suites that hear of it."""
+    injection = prepared.injector.inject(
+        event["scenario"], prepared.pairs[event.get("pair", 0)], event)
     for suite in prepared.suites:
-        if kind not in PAIR_SCOPED or suite.pair is pair:
-            suite.note_injection(kind, **truth)
-    if kind == "application":
-        injector.application_failure(pair)
-    elif kind == "container":
-        injector.container_failure(pair)
-    elif kind == "container_network":
-        injector.container_network_failure(pair)
-    elif kind == "backup_container":
-        injector.backup_container_failure(pair)
-    elif kind == "host_machine":
-        injector.host_machine_failure(machine)
-    elif kind == "host_network":
-        injector.host_network_failure(machine)
-    elif kind == "transient_network":
-        injector.transient_host_network_failure(machine, duration)
-    elif kind == "database_blip":
-        injector.transient_database_failure(duration)
-    elif kind == "database_failover":
-        injector.database_failover()
-    elif kind == "agent":
-        injector.agent_failure()
-    elif kind == "controller_replica_crash":
-        injector.controller_replica_crash(event["target"],
-                                          reboot_after=duration)
-    elif kind == "controller_partition":
-        injector.controller_partition(event["target"], event["machine"],
-                                      duration=duration)
-    elif kind == "lying_monitor":
-        injector.lying_monitor(event["target"], mode=event["mode"],
-                               duration=duration)
-    else:
-        raise ValueError(f"unknown injection scenario {kind!r}")
+        if injection.reaches(suite.pair):
+            suite.note_activity()
 
 
 def _check_record_bookkeeping(injector, suite):

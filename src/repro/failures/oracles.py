@@ -48,6 +48,7 @@ Oracles (names are stable; repro scripts and docs reference them):
 from repro.bfd.packet import BfdState
 from repro.bgp.prefixes import prefix_text
 from repro.core.replication import ConnectionKeys
+from repro.failures.injector import KINDS
 
 #: Held ACKs / locks may legitimately persist for a database blip plus
 #: the write-retry budget (client timeout x WRITE_RETRIES); anything
@@ -86,7 +87,10 @@ class OracleSuite:
     The workload model (which prefixes each remote currently originates)
     is fed by the driver via :meth:`note_originate` / :meth:`note_withdraw`
     — the oracle RIB is *derived from intent*, never read back from the
-    system under test.
+    system under test.  The ground truth of what failed is ``injector``'s
+    ledger (:class:`~repro.failures.injector.FailureInjector`), read
+    through the kinds table: the fencing and ``wrong_failover`` oracles
+    and the BFD-relay skip judge the injections that reach this pair.
 
     ``import_policies[i]`` is the gateway's import RouteMap towards
     remote ``i`` (or None).  The expected Loc-RIB is then the live
@@ -95,11 +99,12 @@ class OracleSuite:
     model even when a policy censors a block.
     """
 
-    def __init__(self, system, pair, remotes, stop_on_violation=True,
-                 import_policies=None):
+    def __init__(self, system, pair, remotes, injector,
+                 stop_on_violation=True, import_policies=None):
         self.system = system
         self.pair = pair
         self.remotes = list(remotes)  # [(RemotePeerAs, remote session)]
+        self.injector = injector
         self.import_policies = (
             list(import_policies) if import_policies is not None
             else [None] * len(self.remotes)
@@ -107,7 +112,6 @@ class OracleSuite:
         # prefix -> PathAttributes per policy-filtered remote, recorded
         # at origination time so policy evaluation replays the intent
         self.attrs = [dict() for _ in self.remotes]
-        self.check_bfd = True  # until the agent (and its BFD relay) dies
         self.stop_on_violation = stop_on_violation
         self.violations = []
         # Coverage signal (DESIGN.md §13): which oracles actually judged
@@ -115,11 +119,7 @@ class OracleSuite:
         # An oracle that trips is always exercised; an exercised-but-green
         # oracle is a different behaviour than one that never engaged.
         self.exercised = set()
-        self.allowed_fences = set()
-        #: ground-truth injections (wrong_failover's justification base)
-        self._injected_truth = []
         self._wf_cursor = 0  # controller events judged so far
-        self.downtime = 0.0
         # workload model: per remote, {prefix: True} of live originations
         self.live = [dict() for _ in self.remotes]
         self.vrfs = [session.config.vrf_name for _r, session in self.remotes]
@@ -127,7 +127,6 @@ class OracleSuite:
         self._last_activity = 0.0
         self._last_busy = 0.0
         self._seen_established = [False] * len(self.remotes)
-        self._down_since = [None] * len(self.remotes)
         self._held_since = None
         self._locked_since = None
         self._watched_pipeline = None
@@ -170,29 +169,6 @@ class OracleSuite:
 
     def note_activity(self):
         self._last_activity = self.system.engine.now
-
-    def note_injection(self, kind, target_name=None, duration=0.0,
-                       container_name=None, pair_name=None):
-        """The driver reports each injection as it fires, so the fencing
-        oracle knows which fences are legitimate and the wrong_failover
-        oracle knows which verdicts have a real failure behind them."""
-        self.note_activity()
-        self._injected_truth.append({
-            "kind": kind,
-            "target": target_name,
-            "duration": duration or 0.0,
-            "container": container_name,
-            "pair": pair_name,
-            "at": self.system.engine.now,
-        })
-        if kind in ("host_machine", "host_network"):
-            self.allowed_fences.add(target_name)
-        if kind == "transient_network" and duration >= 3.0:
-            # outlives the confirmation timer: a migration (and fence)
-            # is the correct response
-            self.allowed_fences.add(target_name)
-        if kind == "agent":
-            self.check_bfd = False  # the BFD relay dies with the agent
 
     def _transport_quiet(self):
         """True when no BGP data is still in flight anywhere.
@@ -297,14 +273,9 @@ class OracleSuite:
             if session.established:
                 self._seen_established[index] = True
                 self.exercised.add("session_continuity")
-                if self._down_since[index] is not None:
-                    self.downtime += now - self._down_since[index]
-                    self._down_since[index] = None
                 continue
             if not self._seen_established[index]:
                 continue  # still in initial bring-up
-            if self._down_since[index] is None:
-                self._down_since[index] = now
             self._violate(
                 "session_continuity",
                 f"remote{index} session left ESTABLISHED (no GR hold)",
@@ -362,11 +333,18 @@ class OracleSuite:
                 f"active speaker applied {duplicates} duplicate position(s)",
             )
 
+    def _heard(self):
+        """The injections that reach this suite's pair, in firing order."""
+        return [injection for injection in self.injector.injections
+                if injection.reaches(self.pair)]
+
     def _check_fencing(self, _now):
         fenced = set(self.system.fencing.fenced_machines())
-        if fenced:
-            self.exercised.add("fencing")
-        stale = fenced - self.allowed_fences
+        if not fenced:
+            return
+        self.exercised.add("fencing")
+        stale = fenced - {injection.machine for injection in self._heard()
+                          if injection.licenses_fence()}
         if stale:
             self._violate(
                 "fencing",
@@ -374,32 +352,22 @@ class OracleSuite:
                 f"{sorted(stale)}",
             )
 
-    # justification bases per accepted-verdict class:
-    _WF_MACHINE_TRUTHS = ("host_machine", "host_network", "transient_network")
-    _WF_CONTAINER_TRUTHS = (
-        "application", "container", "container_network", "backup_container",
-        "host_machine", "host_network", "transient_network",
-    )
-    _WF_DB_TRUTHS = ("database", "database_failover")
-
-    def _truths_in_window(self, kinds, t, target=None):
-        """Injected truths of ``kinds`` whose consequences may still
-        legitimately surface at time ``t`` (transients get a grace
-        window past their heal; everything else persists)."""
-        matches = []
-        for truth in self._injected_truth:
-            if truth["kind"] not in kinds or truth["at"] > t:
+    def _justified(self, verdict, t, machine=None):
+        """Whether an injection of a kind that justifies ``verdict`` (on
+        ``machine``, when given) may still legitimately surface at time
+        ``t``: a failure that licenses a fence persists, other transients
+        get a grace window past their heal, everything else persists."""
+        for injection in self._heard():
+            if (verdict not in KINDS[injection.kind].justifies
+                    or injection.injected_at > t
+                    or machine is not None and injection.machine != machine):
                 continue
-            if target is not None and truth["target"] != target:
+            if (injection.duration and not injection.licenses_fence()
+                    and t > injection.injected_at + injection.duration
+                    + WRONG_FAILOVER_GRACE):
                 continue
-            if truth["duration"]:
-                if (truth["kind"] == "transient_network"
-                        and truth["duration"] >= 3.0):
-                    pass  # outlives the confirm timer: a real migration
-                elif t > truth["at"] + truth["duration"] + WRONG_FAILOVER_GRACE:
-                    continue
-            matches.append(truth)
-        return matches
+            return True
+        return False
 
     def _check_wrong_failover(self, _now):
         """No accepted verdict / promotion may target a healthy node.
@@ -419,19 +387,16 @@ class OracleSuite:
                 report = payload
                 if report.kind == "machine_unreachable":
                     self.exercised.add("wrong_failover")
-                    justified = self._truths_in_window(
-                        self._WF_MACHINE_TRUTHS, t, target=report.target_name
-                    )
+                    justified = self._justified(
+                        "machine", t, machine=report.target_name)
                 else:
                     # container-level verdicts: judge only this suite's
                     # pair (its containers share the pair-name prefix);
-                    # other pairs' truths live in their own suites
+                    # other pairs' pair-scoped truths never reach it
                     if not report.target_name.startswith(pair_prefix):
                         continue
                     self.exercised.add("wrong_failover")
-                    justified = self._truths_in_window(
-                        self._WF_CONTAINER_TRUTHS, t
-                    )
+                    justified = self._justified("container", t)
                 if not justified:
                     self._violate(
                         "wrong_failover",
@@ -441,7 +406,7 @@ class OracleSuite:
                     )
             elif label == "database-failover":
                 self.exercised.add("wrong_failover")
-                if not self._truths_in_window(self._WF_DB_TRUTHS, t):
+                if not self._justified("promotion", t):
                     self._violate(
                         "wrong_failover",
                         f"database promotion at {t:.3f} with no injected"
@@ -505,7 +470,8 @@ class OracleSuite:
                 )
 
     def _check_bfd(self, _now):
-        if not self.check_bfd:
+        if any(KINDS[injection.kind].kills_relay
+               for injection in self._heard()):
             return
         for index, (remote, _session) in enumerate(self.remotes):
             for bfd_session in remote.bfd.sessions.values():

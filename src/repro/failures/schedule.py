@@ -1,9 +1,10 @@
 """Chaos schedules: seed-deterministic multi-failure scenarios.
 
 :func:`generate_schedule` derives a :class:`ChaosSchedule` from a seed:
-2–5 overlapping injections of the failure kinds the harness fires
-(:func:`repro.failures.harness._fire_injection`) at randomized instants, under a randomized advertise/withdraw workload across 1–3
-neighbors.  Generation is a pure function of the seed.  A schedule is
+2–5 overlapping injections of the failure kinds of
+:data:`repro.failures.injector.KINDS` at randomized instants, under a
+randomized advertise/withdraw workload (:func:`compose_bursts`) across
+1–3 neighbors.  Generation is a pure function of the seed.  A schedule is
 one of the two scenario kinds the harness
 (:mod:`repro.failures.harness`) runs; the other is the fuzzer's
 :class:`~repro.fuzz.spec.FuzzSpec`, which widens the topology.
@@ -183,6 +184,54 @@ class ChaosSchedule:
 # generation
 # ----------------------------------------------------------------------
 
+def burst_length(density, base):
+    """The prefix length a burst at ``base`` uses under ``density``.
+
+    Pure function of (density, base) so an advertise event and the
+    withdraw that later pops its block always regenerate the same
+    prefixes, and so mutations that flip the density can rewrite every
+    event consistently."""
+    if density == "standard":
+        return 24
+    if density == "dense":
+        return 26
+    block_index = int(base.split(".")[1]) // 8
+    return (24, 25, 26)[block_index % 3]
+
+
+def compose_bursts(r, remotes, last_hard, density):
+    """The advertise/withdraw workload both generators draw from ``r``:
+    2-5 bursts before ``last_hard + 8`` s, each on a random one of
+    ``remotes``.  A remote with live blocks withdraws one 35% of the
+    time, else it advertises a fresh block of ``density`` prefixes."""
+    burst_times = sorted(
+        round(r.uniform(1.0, last_hard + 8.0), 3)
+        for _ in range(r.randint(2, 5))
+    )
+    workload = []
+    advertised = [[] for _ in range(remotes)]  # live blocks per remote
+    for at in burst_times:
+        remote = r.randrange(remotes)
+        if advertised[remote] and r.random() < 0.35:
+            block = advertised[remote].pop(r.randrange(len(advertised[remote])))
+            workload.append({"at": at, "remote": remote, "action": "withdraw",
+                             **block})
+        else:
+            index = sum(1 for event in workload if event["remote"] == remote)
+            # disjoint blocks per (remote, burst): remotes get distinct
+            # first octets, bursts distinct second octets
+            base = f"{10 + remote}.{(index * 8) % 248}.0.0"
+            block = {
+                "base": base,
+                "length": burst_length(density, base),
+                "count": r.choice((50, 120, 200)),
+            }
+            advertised[remote].append(block)
+            workload.append({"at": at, "remote": remote, "action": "advertise",
+                             **block})
+    return workload
+
+
 def generate_schedule(seed, db_failover=False, controller_chaos=False):
     """Derive a schedule from ``seed`` (pure function, no simulation).
 
@@ -298,31 +347,7 @@ def generate_schedule(seed, db_failover=False, controller_chaos=False):
             at += hold + cr.uniform(3.0, 6.0)
     injections.sort(key=lambda event: event["at"])
 
-    # -- workload bursts ---------------------------------------------------
-    burst_times = sorted(
-        round(r.uniform(1.0, last_hard + 8.0), 3)
-        for _ in range(r.randint(2, 5))
-    )
-    workload = []
-    advertised = [[] for _ in range(neighbors)]  # live blocks per remote
-    for at in burst_times:
-        remote = r.randrange(neighbors)
-        if advertised[remote] and r.random() < 0.35:
-            block = advertised[remote].pop(r.randrange(len(advertised[remote])))
-            workload.append({"at": at, "remote": remote, "action": "withdraw",
-                             **block})
-        else:
-            index = sum(1 for event in workload if event["remote"] == remote)
-            block = {
-                # disjoint /24 blocks per (remote, burst): remotes get
-                # distinct first octets, bursts distinct second octets
-                "base": f"{10 + remote}.{(index * 8) % 248}.0.0",
-                "length": 24,
-                "count": r.choice((50, 120, 200)),
-            }
-            advertised[remote].append(block)
-            workload.append({"at": at, "remote": remote, "action": "advertise",
-                             **block})
+    workload = compose_bursts(r, neighbors, last_hard, "standard")
 
     horizon = max(
         [event["at"] for event in injections]

@@ -45,9 +45,12 @@ from repro.config.loader import (
     non_default,
 )
 from repro.core.splitting import PeeringSpec, plan_split
+from repro.failures.injector import KINDS
 from repro.failures.schedule import (
     HARD_SPACING,
     SETTLE_TAIL,
+    burst_length,
+    compose_bursts,
     zero_initial_routes,
 )
 from repro.sim.rand import DeterministicRandom
@@ -73,10 +76,6 @@ PREFIX_DENSITIES = ("standard", "dense", "mixed")
 #: aggregation enabled on every pair.
 AGGREGATION_LAYOUTS = ("scattered", "uniform", "snapshot")
 
-#: Injection kinds that require a full recovery before the next one.
-HARD_KINDS = ("application", "container", "container_network",
-              "host_machine", "host_network")
-
 #: Blocks 0..3 (second octet 0, 8, 16, 24) are the burst address space a
 #: deny policy may censor; initial routes preload at second octet 248,
 #: far outside any censorable block.
@@ -85,21 +84,6 @@ DENY_BLOCKS = 4
 #: A burst block owns 8 second-octet units of one /8; its prefixes must
 #: never spill into the next block or the disjointness scheme breaks.
 BLOCK_SPAN = 8 << 16
-
-
-def burst_length(density, base):
-    """The prefix length a burst at ``base`` uses under ``density``.
-
-    Pure function of (density, base) so an advertise event and the
-    withdraw that later pops its block always regenerate the same
-    prefixes, and so mutations that flip the density can rewrite every
-    event consistently."""
-    if density == "standard":
-        return 24
-    if density == "dense":
-        return 26
-    block_index = int(base.split(".")[1]) // 8
-    return (24, 25, 26)[block_index % 3]
 
 
 class FuzzSpec:
@@ -338,9 +322,13 @@ def validate_fuzz_spec(spec):
                     f"VRF {peering.vrf_name!r} straddles containers"
                     f" {home} and {assignment.name}"
                 )
-    hard = [e for e in spec.injections if e["scenario"] in HARD_KINDS]
+    for event in spec.injections:
+        if event["scenario"] not in KINDS:
+            raise SpecError(f"unknown injection scenario {event['scenario']!r}")
+    hard = [e for e in spec.injections if KINDS[e["scenario"]].hard]
+    # machine-level: hard and fencing, which leaves one usable machine
     machine_level = [e for e in hard
-                     if e["scenario"] in ("host_machine", "host_network")]
+                     if KINDS[e["scenario"]].fence_after is not None]
     if len(machine_level) > 1:
         raise SpecError("at most one machine-level failure per spec")
     if machine_level and pairs > 1:
@@ -564,32 +552,7 @@ def generate_fuzz_spec(seed):
         injections.append(event)
     injections.sort(key=lambda event: event["at"])
 
-    # -- workload bursts (chaos block scheme: disjoint per remote/burst) ---
-    burst_times = sorted(
-        round(r.uniform(1.0, last_hard + 8.0), 3)
-        for _ in range(r.randint(2, 5))
-    )
-    workload = []
-    advertised = [[] for _ in range(count)]
-    for when in burst_times:
-        remote = r.randrange(count)
-        if advertised[remote] and r.random() < 0.35:
-            block = advertised[remote].pop(
-                r.randrange(len(advertised[remote]))
-            )
-            workload.append({"at": when, "remote": remote,
-                             "action": "withdraw", **block})
-        else:
-            index = sum(1 for event in workload if event["remote"] == remote)
-            base = f"{10 + remote}.{(index * 8) % 248}.0.0"
-            block = {
-                "base": base,
-                "length": burst_length(density, base),
-                "count": r.choice((50, 120, 200)),
-            }
-            advertised[remote].append(block)
-            workload.append({"at": when, "remote": remote,
-                             "action": "advertise", **block})
+    workload = compose_bursts(r, count, last_hard, density)
 
     horizon = max(
         [event["at"] for event in injections]
@@ -662,11 +625,11 @@ def mutate_fuzz_spec(spec, mutation_seed):
         event["count"] = r.choice((25, 50, 120, 200, 400))
     elif op == "injection_time":
         soft = [e for e in candidate.injections
-                if e["scenario"] not in HARD_KINDS]
+                if not KINDS[e["scenario"]].hard]
         if soft:
             event = soft[r.randrange(len(soft))]
             hard = [e["at"] for e in candidate.injections
-                    if e["scenario"] in HARD_KINDS]
+                    if KINDS[e["scenario"]].hard]
             last_hard = max(hard, default=0.0)
             earliest = (last_hard + 6.0 if event["scenario"] == "agent"
                         else 1.0)

@@ -22,29 +22,23 @@ class KeyValueStore:
 
     def __init__(self):
         self._data = {}
-        self.ops = {"get": 0, "set": 0, "delete": 0, "scan": 0}
 
     # -- data operations ------------------------------------------------
 
     def get(self, key):
-        self.ops["get"] += 1
         return self._data.get(key)
 
     def mget(self, keys):
-        self.ops["get"] += len(keys)
         return [self._data.get(key) for key in keys]
 
     def set(self, key, value):
-        self.ops["set"] += 1
         self._data[key] = value
 
     def mset(self, items):
-        self.ops["set"] += len(items)
         for key, value in items:
             self._data[key] = value
 
     def delete(self, keys):
-        self.ops["delete"] += len(keys)
         removed = 0
         for key in keys:
             if key in self._data:
@@ -54,7 +48,6 @@ class KeyValueStore:
 
     def scan(self, prefix):
         """All (key, value) pairs whose key starts with ``prefix``, sorted."""
-        self.ops["scan"] += 1
         return sorted(
             (key, value) for key, value in self._data.items() if key.startswith(prefix)
         )

@@ -80,7 +80,6 @@ class NfQueue:
             self.queue_delay = EBPF_QUEUE_DELAY
             self.verdict_delay = EBPF_VERDICT_DELAY
         self._consumers = {}
-        self.enqueued = 0
         self.dropped_unbound = 0
 
     def bind(self, queue_num, consumer):
@@ -115,6 +114,5 @@ class NfQueue:
         queued = QueuedPacket(
             packet, delayed_release, queued_at=self.engine.now, span=span
         )
-        self.enqueued += 1
         self.engine.schedule(self.queue_delay, consumer, queued)
         return queued

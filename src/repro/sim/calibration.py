@@ -14,8 +14,6 @@ All times are seconds, sizes bytes, rates bits/second unless stated.
 # 400 GB RAM ... connected via 100 Gbps Ethernet").
 # ---------------------------------------------------------------------------
 
-HOST_CORES = 96
-HOST_MEMORY_BYTES = 400 * 2**30
 PEERING_LINK_BANDWIDTH = 100e9
 PEERING_LINK_LATENCY = 100e-6  # intra-facility one-way delay
 CLUSTER_FABRIC_BANDWIDTH = 25e9
@@ -44,7 +42,6 @@ TCP_INITIAL_CWND_SEGMENTS = 10
 TCP_MIN_RTO = 0.2
 TCP_MAX_RTO = 60.0
 TCP_HEADER_BYTES = 54  # Ethernet+IP+TCP headers on the wire
-TCP_DELAYED_ACK_TIMEOUT = 0.0  # receivers ack every segment by default
 TCP_USER_TIMEOUT = 120.0  # give-up threshold for retransmissions
 
 # ---------------------------------------------------------------------------
@@ -80,7 +77,6 @@ KV_WRITE_BASE = 850e-6
 KV_WRITE_PER_RECORD = 48e-6  # 10K writes ~= 480 ms + base (paper: ~500 ms)
 KV_KEY_BYTES = 90  # "a 90B key": 16B VRF prefix + 36B four-tuple + 38B ids
 KV_VALUE_BYTES_MAX = 4096  # "maximum size limit of 4 KB" per BGP message
-KV_REPLICATION_FACTOR = 2  # primary + one sync replica
 
 # ---------------------------------------------------------------------------
 # BGP daemon processing profiles (repro.baselines / repro.core).
@@ -228,7 +224,6 @@ TRAFFIC_LARGE_SIGMA = 2.4
 FLEET_SERVERS = 400  # "a fleet of 400 servers"
 FLEET_BGP_CONNECTIONS = 31000  # "over 31,000 BGP peering connections"
 FLEET_PEERING_ASES = 6000  # "span over 6,000 ASes"
-FLEET_ENTERPRISE_CLIENTS = 3000
 
 # ---------------------------------------------------------------------------
 # Cost models (Table 2).

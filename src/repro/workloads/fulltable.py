@@ -26,7 +26,6 @@ from repro.workloads.updates import RouteGenerator
 
 #: 16 member /24s per aggregatable /20 block.
 BLOCK_MEMBER_BITS = 4
-BLOCK_MEMBERS = 1 << BLOCK_MEMBER_BITS
 
 #: Aggregatable /24s start here (8.0.0.0); each block owns one /20.
 AGG_BASE = 8 << 24

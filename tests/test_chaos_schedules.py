@@ -197,7 +197,7 @@ def test_trace_survives_primary_to_backup_migration():
     assert before > 0
     failed_name = pair.active_container.name
 
-    FailureInjector(system).container_failure(pair=pair)
+    FailureInjector(system).inject("container", pair, {})
     engine.advance(30.0)
 
     (span,) = store.spans(name="migration", ended=True)

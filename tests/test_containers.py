@@ -14,8 +14,11 @@ from repro.sim import Engine, Network
 from repro.sim.calibration import (
     CONFIG_LOAD_TIME_PER_ENTRY,
     CONTAINER_BASE_BOOT_TIME,
-    HOST_MEMORY_BYTES,
 )
+
+#: The paper's testbed host (§4: "a 96-core Intel Xeon CPU with 400 GB
+#: RAM").
+HOST_MEMORY_BYTES = 400 * 2**30
 
 
 @pytest.fixture

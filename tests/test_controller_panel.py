@@ -137,7 +137,7 @@ def test_crashed_leader_triggers_election_and_epoch_fence():
 
     # current-epoch actions still work: a real container failure is
     # confirmed by the two surviving replicas (2/3 quorum) and recovered
-    FailureInjector(system).container_failure(pair)
+    FailureInjector(system).inject("container", pair, {})
     system.engine.advance(20.0)
     assert pair.active_container.name == "pair0-b"
     assert remotes[0][1].established
@@ -152,7 +152,8 @@ def test_partitioned_replica_alone_cannot_fence_a_healthy_machine():
     )
     panel = system.controller
     injector = FailureInjector(system)
-    injector.controller_partition(2, "gw-1", duration=12.0)
+    injector.inject("controller_partition", pair,
+                    {"target": 2, "machine": "gw-1", "duration": 12.0})
     system.engine.advance(8.0)
     # replica 2 lost its heartbeats to gw-1 and may well have confirmed
     # "machine unreachable" — but it is a minority of one
@@ -169,7 +170,7 @@ def test_three_replica_panel_recovers_real_machine_failure():
     )
     panel = system.controller
     injector = FailureInjector(system)
-    injector.host_machine_failure(system.machines["gw-1"])
+    injector.inject("host_machine", pair, {})
     system.engine.advance(40.0)
     injector.stamp_records()
     assert system.fencing.is_fenced("gw-1")
@@ -190,7 +191,7 @@ def test_db_failover_needs_quorum_and_promotes_once():
     )
     panel = system.controller
     injector = FailureInjector(system)
-    injector.database_failover()
+    injector.inject("database_failover", pair, {})
     system.engine.advance(15.0)
     assert system.db_cluster.failovers == 1  # exactly one promotion
     events = [e for e in panel.events if e[1] == "database-failover"]
@@ -211,7 +212,7 @@ def test_backup_container_failure_detected_and_standby_refreshed():
     system, pair, remotes = build_tensor_fixture(seed=215, routes=50)
     controller = system.controller
     injector = FailureInjector(system)
-    injector.backup_container_failure(pair)
+    injector.inject("backup_container", pair, {"target": "standby"})
     system.engine.advance(15.0)
     labels = [e[1] for e in controller.events]
     assert "backup-degraded" in labels
@@ -222,7 +223,7 @@ def test_backup_container_failure_detected_and_standby_refreshed():
 
     # the regression this guards: a later primary failure must migrate
     # onto the *refreshed* standby, not the corpse
-    injector.container_failure(pair)
+    injector.inject("container", pair, {})
     system.engine.advance(20.0)
     assert pair.active_container.name == "pair0-f1"
     assert remotes[0][1].established
@@ -292,7 +293,7 @@ def test_stuck_recovery_abandoned_then_redetected():
         return True
 
     pair.activate_backup = wedged
-    injector.container_failure(pair)
+    injector.inject("container", pair, {})
     system.engine.advance(RECOVERY_DEADLINE + 10.0)
 
     assert controller.abandoned_records
@@ -320,7 +321,8 @@ def test_stuck_recovery_abandoned_then_redetected():
 
 def test_wrong_failover_trips_on_unjustified_verdict():
     system, pair, remotes = build_tensor_fixture(seed=217, routes=0)
-    suite = OracleSuite(system, pair, remotes, stop_on_violation=False)
+    suite = OracleSuite(system, pair, remotes, FailureInjector(system),
+                        stop_on_violation=False)
     suite.arm()
     now = system.engine.now
     system.controller.events.append(
@@ -333,10 +335,11 @@ def test_wrong_failover_trips_on_unjustified_verdict():
 
 def test_wrong_failover_accepts_justified_verdict():
     system, pair, remotes = build_tensor_fixture(seed=218, routes=0)
-    suite = OracleSuite(system, pair, remotes, stop_on_violation=False)
+    injector = FailureInjector(system)
+    suite = OracleSuite(system, pair, remotes, injector,
+                        stop_on_violation=False)
     suite.arm()
-    suite.note_injection("container", target_name="gw-1",
-                         container_name="pair0-a", pair_name="pair0")
+    injector.inject("container", pair, {})
     now = system.engine.now
     system.controller.events.append(
         (now, "failure-report",
@@ -352,3 +355,27 @@ def test_wrong_failover_accepts_justified_verdict():
     wrong = [v for v in suite.violations if v.oracle == "wrong_failover"]
     assert len(wrong) == 1
     assert "other-pair-c" in wrong[0].detail
+
+
+def test_wrong_failover_promotion_needs_a_database_failover():
+    """Only a permanent primary kill justifies a database promotion: a
+    blip recovers in place, so a promotion with only a blip behind it is
+    a wrong failover."""
+    system, pair, remotes = build_tensor_fixture(seed=219, routes=0)
+    injector = FailureInjector(system)
+    suite = OracleSuite(system, pair, remotes, injector,
+                        stop_on_violation=False)
+    suite.arm()
+    events = system.controller.events
+
+    def promote():
+        events.append((system.engine.now, "database-failover",
+                       ("10.250.0.2", 1)))
+        suite._check_wrong_failover(system.engine.now)
+        return [v for v in suite.violations if v.oracle == "wrong_failover"]
+
+    injector.inject("database_blip", pair, {"duration": 0.5})
+    (wrong,) = promote()
+    assert "database promotion" in wrong.detail
+    injector.inject("database_failover", pair, {})
+    assert promote() == [wrong]

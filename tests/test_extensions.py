@@ -45,7 +45,7 @@ def test_ebpf_system_works_end_to_end():
     assert len(pair.speaker.vrfs["v0"].loc_rib) == 300
     assert pair.stack.nfqueue.technology == "ebpf"
     # NSR still works on the eBPF path
-    FailureInjector(system).container_failure(pair)
+    FailureInjector(system).inject("container", pair, {})
     system.engine.advance(30.0)
     assert session.established
     assert len(pair.speaker.vrfs["v0"].loc_rib) == 300
@@ -123,7 +123,7 @@ def test_remote_mode_validated():
 def test_nsr_still_zero_loss_with_remote_sync():
     system, pair, remote, session, _t = _system(
         routes=300, remote_db={"latency": 0.005, "mode": "sync"})
-    FailureInjector(system).container_failure(pair)
+    FailureInjector(system).inject("container", pair, {})
     system.engine.advance(40.0)
     assert session.established
     assert len(pair.speaker.vrfs["v0"].loc_rib) == 300

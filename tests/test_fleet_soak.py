@@ -75,9 +75,9 @@ def test_fleet_survives_mixed_failure_stream():
         if kind in ("application", "container"):
             pair, _remote, _session = rng.choice(pairs)
             if kind == "application":
-                injector.application_failure(pair)
+                injector.inject("application", pair, {})
             else:
-                injector.container_failure(pair)
+                injector.inject("container", pair, {})
         else:
             candidates = [
                 m for m in system.machines.values()
@@ -87,7 +87,9 @@ def test_fleet_survives_mixed_failure_stream():
             ]
             if not candidates:
                 continue
-            injector.host_network_failure(rng.choice(candidates))
+            machine = rng.choice(candidates)
+            pair = next(p for p, _r, _s in pairs if p.active_machine is machine)
+            injector.inject("host_network", pair, {})
         system.engine.advance(25.0)
         # between failures the operators repair and unfence broken
         # machines (NSR's scope is single-point failures; §3.3.3 requires

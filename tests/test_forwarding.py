@@ -195,7 +195,7 @@ def test_nonstop_forwarding_through_nsr_migration():
     flow = TrafficFlow(engine, dp, "10.0.0.1", rate_pps=10_000)
     flow.start()
     engine.advance(1.0)
-    FailureInjector(system).container_failure(pair)
+    FailureInjector(system).inject("container", pair, {})
     engine.advance(30.0)
     flow.stop()
     assert flow.lost_packets == 0, flow.loss_intervals

@@ -250,7 +250,7 @@ def test_automatic_failover_drains_held_acks_mid_burst():
     engine.advance(0.05)  # the burst is in flight
 
     injector = FailureInjector(system)
-    injector.database_failover()
+    injector.inject("database_failover", pair, {})
     killed_at = engine.now
     engine.advance(20.0)
 
@@ -287,7 +287,7 @@ def test_automatic_failover_drains_held_acks_mid_burst():
 def test_database_blip_does_not_fail_over_system():
     system, pair, remotes = build_tensor_fixture(seed=506, routes=100)
     injector = FailureInjector(system)
-    injector.transient_database_failure(duration=1.2)
+    injector.inject("database_blip", pair, {"duration": 1.2})
     system.engine.advance(20.0)
     assert system.db_cluster.failovers == 0
     assert system.db_cluster.epoch == 1

@@ -30,7 +30,7 @@ def test_crash_during_transfer_loses_nothing(crash_delay):
     remote.speaker.readvertise(session)
     engine.advance(crash_delay)  # crash lands mid-transfer
     injector = FailureInjector(system)
-    injector.container_failure(pair)
+    injector.inject("container", pair, {})
     engine.advance(60.0)
     assert session.established
     assert len(pair.speaker.vrfs["v0"].loc_rib) == 3000
@@ -100,7 +100,7 @@ def test_ablation_no_delayed_ack_loses_data():
         # the primary crashes; then the database comes back (its RAM data
         # from before the failure intact), and the backup recovers
         injector = FailureInjector(system)
-        injector.container_failure(pair)
+        injector.inject("container", pair, {})
         system.db.recover()
         engine.advance(90.0)
         return system, pair, session, applied_live
@@ -143,7 +143,7 @@ def test_bfd_relay_keeps_remote_up_through_migration():
 
     assert remote_bfd.state is BfdState.UP
     injector = FailureInjector(system)
-    injector.container_failure(pair)
+    injector.inject("container", pair, {})
     engine.advance(40.0)
     downs = [t for t, _old, new in remote_bfd.state_changes if new is BfdState.DOWN]
     assert remote_bfd.state is BfdState.UP

@@ -55,7 +55,7 @@ def test_crash_mid_compaction_recovers_exact_table():
         # channel can flush the chunk/marker writes: the database holds
         # a half-written snapshot plus the full delta history.
         pair.pipeline.compact("v0", pair.speaker.vrfs["v0"].loc_rib)
-        injector.container_failure(pair)
+        injector.inject("container", pair, {})
 
     engine.schedule(1.0, compact_then_crash)
     engine.advance(25.0)
@@ -76,7 +76,7 @@ def test_crash_after_committed_compaction_uses_snapshot():
     marker = system.db.store.get("tensor:pair0:rib:v0:marker")
     assert marker is not None and marker["delta_floor"] > 0
 
-    FailureInjector(system).container_failure(pair)
+    FailureInjector(system).inject("container", pair, {})
     engine.advance(25.0)
     assert session.established
     assert _gateway_prefixes(pair) == {str(p) for p, _a in routes}
@@ -95,7 +95,7 @@ def test_crash_with_empty_loc_rib_recovers_live():
     system, pair, remotes = build_tensor_fixture(seed=603, routes=0)
     engine = system.engine
     remote, session = remotes[0]
-    FailureInjector(system).container_failure(pair)
+    FailureInjector(system).inject("container", pair, {})
     engine.advance(20.0)
     assert session.established
     assert _gateway_prefixes(pair) == set()
@@ -146,7 +146,7 @@ def test_second_recovery_survives_delta_log_resume():
     )
 
     injector = FailureInjector(system)
-    injector.container_failure(pair)
+    injector.inject("container", pair, {})
     engine.advance(20.0)
     assert session.established
     # the contract itself: the new pipeline appends past the stored log
@@ -157,7 +157,7 @@ def test_second_recovery_survives_delta_log_resume():
     remote.speaker.originate_many("v0", extra)
     remote.speaker.readvertise(session)
     engine.advance(5.0)
-    injector.container_failure(pair)
+    injector.inject("container", pair, {})
     engine.advance(20.0)
     assert session.established
     assert _gateway_prefixes(pair) == expected | {str(p) for p, _a in extra}
@@ -251,7 +251,7 @@ def test_crash_between_overlapping_compactions(monkeypatch):
     assert overlapped
     assert pipeline.compactions == 2
     assert marker["delta_floor"] == 100
-    FailureInjector(system).container_failure(pair)
+    FailureInjector(system).inject("container", pair, {})
 
     state = _recovered_state(system, pair)
     assert state.rib_markers["v0"]["delta_floor"] == 100

@@ -61,7 +61,7 @@ def test_show_nsr_status_and_history(fixture):
     before = show_nsr_status(system)
     assert "pair0" in before and "gw-1" in before
     assert "fenced machines: none" in before
-    FailureInjector(system).container_failure(pair)
+    FailureInjector(system).inject("container", pair, {})
     system.engine.advance(30.0)
     after = show_nsr_status(system)
     assert "gw-2" in after

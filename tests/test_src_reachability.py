@@ -15,9 +15,14 @@ by-name tracing boundaries).  Import aliases, ``__all__`` entries,
 docstrings and ``tests/`` do not count.
 
 *State.* Every attribute ``src/`` stores (``x.attr = ...``, including
-augmented assignment) is read somewhere: a reference in ``src/`` as
-above, an ``Attribute`` load or a string-constant word in ``tests/``,
-or a word under ``benchmarks/`` / ``examples/``.
+the target of an augmented assignment, ``x.attr += ...`` and
+``x.attr[k] += ...``) is read somewhere: an ``Attribute`` load in
+``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` that is not
+itself such a target.  A word in a string or a document reads nothing.
+
+*Constants.* Every module-level ``NAME = ...`` of ``src/repro`` is
+loaded (as a ``Name`` or an ``Attribute``) in ``src/``, ``benchmarks/``
+or ``examples/``.
 
 *Parameters.* Every defaulted parameter of a ``src/repro`` function is
 set to another value by some call in ``src/``, ``benchmarks/`` or
@@ -62,7 +67,9 @@ WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _SHOW = "operator render surface (ROADMAP aim 4; item 7 re-bases it)"
 
-#: Definitions no caller outside ``tests/`` reaches, kept on purpose.
+#: Definitions no caller outside ``tests/`` reaches, attributes nothing
+#: loads and module constants nothing outside ``tests/`` loads, kept on
+#: purpose.
 ALLOWED = {
     "show_bgp_summary": _SHOW,
     "show_rib": _SHOW,
@@ -73,6 +80,11 @@ ALLOWED = {
     # ControllerPanel inherits it; it reaches FencingRegistry.manual_reset
     "RecoveryActions.manual_reset_machine":
         "the operator's unfence, the only exit from fencing (paper §3.3.3)",
+    "desired_min_tx":
+        "RFC 5880 wire field: every BFD control packet carries it",
+    "SEGMENT_SET":
+        "RFC 4271 AS_SET segment type: a decoded AS_PATH may carry one"
+        " (path_length counts it as one hop)",
 }
 
 _PORT = "deployment setting: the port a deployment listens on or dials"
@@ -129,16 +141,21 @@ class _Module:
     the ``*_DEFAULTS`` dicts as ``{name: [(key, line)]}``; ``spec_reads``
     the keys a ``*_from_dict`` function reads, as ``[(function, key,
     line)]``; ``constants`` the module-level ``NAME = literal`` values
-    (``(value,)``, None when assigned twice); ``nested_refs`` the loads of
-    a name a ``def`` inside a function binds, as ``[(name, place, the
-    function binding it, loaded as a value)]``: they reach only that
-    nested definition.  A load of a local variable references nothing.
+    (``(value,)``, None when assigned twice) and ``assigned`` every
+    module-level ``NAME = ...`` as ``[(name, line)]``; ``attr_loads`` /
+    ``name_loads`` the attributes (augmented-assignment targets excepted)
+    and the names other than local variables it loads; ``nested_refs``
+    the loads of a name a ``def`` inside a function binds, as ``[(name,
+    place, the function binding it, loaded as a value)]``: they reach
+    only that nested definition.  A load of a local variable references
+    nothing.
     """
 
     def __init__(self):
         self.definitions, self.references, self.stores = [], {}, []
         self.calls, self.values, self.spec_keys = {}, set(), set()
         self.tables, self.spec_reads, self.constants = {}, [], {}
+        self.assigned, self.attr_loads, self.name_loads = [], set(), set()
         self.nested_refs = []
 
 
@@ -245,11 +262,35 @@ def _site(node, local, function):
     return _Site(positional, keywords, forwarder=forwarder)
 
 
+def _augmented_targets(tree):
+    """The ``Attribute`` node an augmented assignment stores through,
+    per assignment: ``x.a`` of ``x.a += 1`` and of ``x.a[k] += 1``."""
+    targets = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AugAssign):
+            target = node.target
+            while isinstance(target, ast.Subscript):
+                target = target.value
+            if isinstance(target, ast.Attribute):
+                targets[id(target)] = target
+    return targets
+
+
+def _attribute_loads(tree):
+    """The attribute names ``tree`` loads, augmented-assignment targets
+    excepted."""
+    targets = _augmented_targets(tree)
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and id(node) not in targets}
+
+
 def _scan(path):
     """One module, one pass: see :class:`_Module`."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     module = _Module()
     refs = module.references
+    augmented = _augmented_targets(tree)
     skip = set()                     # docstrings and __all__ entries
     callees = set()                  # the func node of every call
     # (node, scope, owner, cls, enclosing (def, class), local variables,
@@ -278,10 +319,12 @@ def _scan(path):
             if not isinstance(node.ctx, ast.Load) or node.id in local:
                 pass
             elif node.id in nested:
+                module.name_loads.add(node.id)
                 module.nested_refs.append(
                     (node.id, (node.lineno, node.col_offset), nested[node.id],
                      id(node) not in callees))
             else:
+                module.name_loads.add(node.id)
                 refs.setdefault(node.id, []).append((node.lineno, node.col_offset))
                 if id(node) not in callees:
                     module.values.add(node.id)
@@ -291,6 +334,8 @@ def _scan(path):
                     (node.lineno, node.col_offset))
                 if id(node) not in callees:
                     module.values.add(node.attr)
+            if isinstance(node.ctx, ast.Load) and id(node) not in augmented:
+                module.attr_loads.add(node.attr)
             else:
                 module.stores.append((node.attr, node.lineno))
         elif isinstance(node, ast.Constant):
@@ -331,6 +376,10 @@ def _scan(path):
                 skip.add(id(node.value))
                 module.tables[target.id] = [
                     (key.value, key.lineno) for key in node.value.keys]
+            if function is None and cls is None:
+                module.assigned.extend(
+                    (t.id, node.lineno) for t in node.targets
+                    if isinstance(t, ast.Name) and not _is_dunder(t.id))
             if (function is None and cls is None and len(node.targets) == 1
                     and isinstance(target, ast.Name)):
                 value = _value(node.value)
@@ -375,21 +424,18 @@ def _outside_words(root):
 
 
 def _test_reads(root):
-    """Attribute names ``tests/`` loads or names in a string."""
+    """Attribute names ``tests/`` loads."""
     reads = set()
     for path in (root / "tests").rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                reads.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                reads.update(WORD.findall(node.value))
+        reads |= _attribute_loads(ast.parse(path.read_text(encoding="utf-8")))
     return reads
 
 
 @functools.lru_cache(maxsize=None)
 def _findings(root=REPO_ROOT):
-    """``(unreached, unread)``: offending name -> ``path:line``."""
-    scans, _ = _modules(root)
+    """``(unreached, unread, unloaded)``: offending definition,
+    attribute and module constant -> ``path:line``."""
+    scans, callers = _modules(root)
     outside = _outside_words(root)
     places = {}                      # word -> [(module, place)] in src/
     for rel, module in scans.items():
@@ -405,13 +451,21 @@ def _findings(root=REPO_ROOT):
                         module, node):
                 continue
             unreached[qualname] = f"{rel}:{node.lineno}"
-    reads = outside | _test_reads(root) | set(places)
+    reads = _test_reads(root).union(*(m.attr_loads for m in callers))
     unread = {}
     for rel, module in scans.items():
         for attr, lineno in module.stores:
             if not _is_dunder(attr) and attr not in reads:
                 unread.setdefault(attr, f"{rel}:{lineno}")
-    return unreached, unread
+    loaded = set().union(*(m.name_loads | m.attr_loads for m in callers))
+    unloaded = {name: f"{rel}:{lineno}" for rel, module in scans.items()
+                for name, lineno in module.assigned if name not in loaded}
+    return unreached, unread, unloaded
+
+
+def _check_allowed(root):
+    stale = sorted(set(ALLOWED).difference(*_findings(root)))
+    assert not stale, f"ALLOWED entries that are reached or gone: {stale}"
 
 
 def _constructor_names(classes):
@@ -562,21 +616,31 @@ def _unset_spec_keys(root=REPO_ROOT):
 
 
 def _check_names(root):
-    unreached, _ = _findings(root)
+    unreached, _, _ = _findings(root)
     offenders = {q: where for q, where in unreached.items() if q not in ALLOWED}
     assert not offenders, (
         "defined in src/ but reached only from tests/ (delete it, or move "
         "a reference implementation to tests/): "
         + ", ".join(f"{q} ({where})" for q, where in sorted(offenders.items())))
-    stale = sorted(set(ALLOWED) - set(unreached))
-    assert not stale, f"ALLOWED entries that are reached or gone: {stale}"
+    _check_allowed(root)
 
 
 def _check_state(root):
-    _, unread = _findings(root)
-    assert not unread, (
+    _, unread, _ = _findings(root)
+    offenders = {a: where for a, where in unread.items() if a not in ALLOWED}
+    assert not offenders, (
         "attributes src/ stores that nothing reads: "
-        + ", ".join(f"{a} ({where})" for a, where in sorted(unread.items())))
+        + ", ".join(f"{a} ({where})" for a, where in sorted(offenders.items())))
+    _check_allowed(root)
+
+
+def _check_constants(root):
+    _, _, unloaded = _findings(root)
+    offenders = {c: where for c, where in unloaded.items() if c not in ALLOWED}
+    assert not offenders, (
+        "module constants of src/ nothing outside tests/ loads: "
+        + ", ".join(f"{c} ({where})" for c, where in sorted(offenders.items())))
+    _check_allowed(root)
 
 
 def _check_params(root):
@@ -604,6 +668,10 @@ def test_every_stored_attribute_is_read():
     _check_state(REPO_ROOT)
 
 
+def test_every_module_constant_is_loaded_outside_tests():
+    _check_constants(REPO_ROOT)
+
+
 def test_every_parameter_default_is_overridden_outside_tests():
     _check_params(REPO_ROOT)
 
@@ -614,6 +682,8 @@ OPTIONS_DEFAULTS = {"depth": 1, "colour": "red"}
 
 BASE = 0.5
 
+SPARE = 3
+
 
 class Knob:
     def __init__(self, width=3, height=4):
@@ -623,6 +693,20 @@ class Knob:
 
     def area(self):
         return self.width * self.height
+
+
+class Meter:
+    def __init__(self):
+        self.hits = 0
+        self.by_kind = {}
+        self.label = "meter"
+        self.noted = 0
+
+    def tick(self, kind):
+        self.hits += 1
+        self.by_kind[kind] += 1
+        if kind is None:
+            raise ValueError("label missing")
 
 
 class Worker:
@@ -670,10 +754,11 @@ def options_from_dict(data):
     return data.get("depth", 1), data["shade"]
 """
 
-_PLANTED_CALLER = """from repro.planted import BASE, Knob, Ledger, Worker, backoff
+_PLANTED_CALLER = """from repro.planted import BASE, Knob, Ledger, Meter, Worker, backoff
 from repro.planted import options_from_dict, relay, wait
 
 print(Knob(height=5).area(), {"depth": 2})
+Meter().tick("x")
 Worker().start(None)
 wait(timeout=2.5)
 backoff(BASE)
@@ -696,22 +781,36 @@ def test_the_guard_names_planted_offenders(tmp_path):
     literal or a module constant; (b) a forwarded ``*args`` /
     ``**kwargs`` its callers put nothing into; (c) a local variable, or
     a nested ``def``, named like a method; (d) a key a ``*_from_dict``
-    reader reads that no producer writes."""
+    reader reads that no producer writes; (e) an attribute only ever
+    incremented, as ``x.a += 1`` or ``x.a[k] += 1``; (f) an attribute
+    named only in a string or a document; (g) a module constant only
+    tests load."""
     for top in ("src/repro", "tests", "benchmarks", "examples"):
         (tmp_path / top).mkdir(parents=True)
     (tmp_path / "src/repro/planted.py").write_text(_PLANTED)
     (tmp_path / "examples/run.py").write_text(_PLANTED_CALLER)
+    (tmp_path / "benchmarks/README.md").write_text("Each run is noted.\n")
     (tmp_path / "tests/test_planted.py").write_text(
-        "from repro.planted import Ledger, only_tests_call_me\n\n"
+        "from repro.planted import SPARE, Ledger, only_tests_call_me\n\n"
         "def test_it():\n    assert only_tests_call_me() == 1\n"
-        "    assert Ledger().entries('k') == []\n")
+        "    assert Ledger().entries('k') == [] and SPARE == 3, 'hits'\n")
 
     with pytest.raises(AssertionError) as names:
         _check_names(tmp_path)
     assert "only_tests_call_me" in str(names.value)
     assert "Ledger.entries" in str(names.value)                 # (c)
-    with pytest.raises(AssertionError, match="written_never_read"):
+    with pytest.raises(AssertionError) as state:
         _check_state(tmp_path)
+    message = str(state.value)
+    assert "written_never_read" in message
+    assert "hits" in message and "by_kind" in message            # (e)
+    assert "label" in message and "noted" in message             # (f)
+    assert "width" not in message
+    with pytest.raises(AssertionError) as constants:
+        _check_constants(tmp_path)
+    message = str(constants.value)
+    assert "SPARE" in message                                    # (g)
+    assert "BASE" not in message
     with pytest.raises(AssertionError) as params:
         _check_params(tmp_path)
     message = str(params.value)

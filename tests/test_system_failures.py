@@ -43,7 +43,7 @@ def test_application_failure_recovery(request):
     system, pair, remotes = build_tensor_fixture(seed=101, routes=300)
     observer = _observe(system, remotes, 300)
     injector = FailureInjector(system)
-    injector.application_failure(pair)
+    injector.inject("application", pair, {})
     record = _settle_and_check(system, injector, observer, remotes, max_total=5.0)
     assert record.failure_kind == "application"
     assert record.detection_time < 0.1  # supervisor polls every 10 ms
@@ -55,7 +55,7 @@ def test_container_failure_migrates_to_backup():
     system, pair, remotes = build_tensor_fixture(seed=102, routes=300)
     observer = _observe(system, remotes, 300)
     injector = FailureInjector(system)
-    injector.container_failure(pair)
+    injector.inject("container", pair, {})
     record = _settle_and_check(system, injector, observer, remotes, max_total=6.0)
     assert record.failure_kind == "container"
     assert pair.active_container.name == "pair0-b"  # swapped to the backup
@@ -66,7 +66,7 @@ def test_host_machine_failure_fences_and_migrates():
     system, pair, remotes = build_tensor_fixture(seed=103, routes=300)
     observer = _observe(system, remotes, 300)
     injector = FailureInjector(system)
-    injector.host_machine_failure(system.machines["gw-1"])
+    injector.inject("host_machine", pair, {})
     record = _settle_and_check(system, injector, observer, remotes, max_total=15.0)
     assert record.failure_kind == "machine"
     assert system.fencing.is_fenced("gw-1")
@@ -78,7 +78,7 @@ def test_host_network_failure_behaves_like_machine_failure():
     system, pair, remotes = build_tensor_fixture(seed=104, routes=300)
     observer = _observe(system, remotes, 300)
     injector = FailureInjector(system)
-    injector.host_network_failure(system.machines["gw-1"])
+    injector.inject("host_network", pair, {})
     record = _settle_and_check(system, injector, observer, remotes, max_total=15.0)
     assert system.fencing.is_fenced("gw-1")
     # the machine itself is still alive — only its NIC died
@@ -89,7 +89,7 @@ def test_container_network_failure_kills_and_migrates():
     system, pair, remotes = build_tensor_fixture(seed=105, routes=300)
     observer = _observe(system, remotes, 300)
     injector = FailureInjector(system)
-    injector.container_network_failure(pair)
+    injector.inject("container_network", pair, {})
     record = _settle_and_check(system, injector, observer, remotes, max_total=6.0)
     assert record.failure_kind == "container_network"
     assert pair.active_machine.name == "gw-2"
@@ -99,7 +99,7 @@ def test_transient_jitter_does_not_migrate():
     system, pair, remotes = build_tensor_fixture(seed=106, routes=100)
     observer = _observe(system, remotes, 100)
     injector = FailureInjector(system)
-    injector.transient_host_network_failure(system.machines["gw-1"], duration=1.5)
+    injector.inject("transient_network", pair, {"duration": 1.5})
     system.engine.advance(20.0)
     assert not system.controller.completed_records()
     assert not system.fencing.is_fenced("gw-1")
@@ -111,7 +111,7 @@ def test_agent_failure_harmless_in_normal_times():
     system, pair, remotes = build_tensor_fixture(seed=107, routes=100)
     observer = _observe(system, remotes, 100)
     injector = FailureInjector(system)
-    injector.agent_failure()
+    injector.inject("agent", pair, {})
     system.engine.advance(20.0)
     observer.stop()
     _remote, session = remotes[0]
@@ -122,7 +122,7 @@ def test_agent_failure_harmless_in_normal_times():
 def test_fenced_machine_not_reused_until_manual_reset():
     system, pair, remotes = build_tensor_fixture(seed=108, routes=100)
     injector = FailureInjector(system)
-    injector.host_machine_failure(system.machines["gw-1"])
+    injector.inject("host_machine", pair, {})
     system.engine.advance(40.0)
     assert pair.active_machine.name == "gw-2"
     # machine comes back online on its own — must stay fenced
@@ -143,7 +143,7 @@ def test_split_brain_never_two_active_senders():
     system, pair, remotes = build_tensor_fixture(seed=109, routes=100)
     injector = FailureInjector(system)
     old_endpoint = pair.service_endpoint
-    injector.host_network_failure(system.machines["gw-1"])
+    injector.inject("host_network", pair, {})
     system.engine.advance(40.0)
     new_endpoint = pair.service_endpoint
     assert new_endpoint is not old_endpoint
@@ -160,7 +160,7 @@ def test_recovery_preserves_loc_rib_exactly():
         for route in pair.speaker.vrfs["v0"].loc_rib.best_routes()
     }
     injector = FailureInjector(system)
-    injector.container_failure(pair)
+    injector.inject("container", pair, {})
     system.engine.advance(40.0)
     after = {
         str(route.prefix): route.attributes.key()
@@ -196,7 +196,7 @@ def test_application_failure_rebuilds_adj_rib_in_with_contested_prefixes():
     assert contested > 40
     assert sorted(map(len, before.values())) == [200, 200 + contested]
     old_speaker = pair.speaker
-    FailureInjector(system).application_failure(pair)
+    FailureInjector(system).inject("application", pair, {})
     system.engine.advance(40.0)
     assert pair.speaker is not old_speaker
     assert adj_ribs_in() == before
@@ -212,10 +212,10 @@ def test_double_failure_primary_then_new_standby():
     re-provisioned standby on the original machine."""
     system, pair, remotes = build_tensor_fixture(seed=111, routes=100)
     injector = FailureInjector(system)
-    injector.container_failure(pair)
+    injector.inject("container", pair, {})
     system.engine.advance(40.0)
     assert pair.active_machine.name == "gw-2"
-    injector.container_failure(pair)
+    injector.inject("container", pair, {})
     system.engine.advance(40.0)
     assert pair.active_machine.name == "gw-1"
     _remote, session = remotes[0]

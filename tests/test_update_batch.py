@@ -81,7 +81,7 @@ def test_ipv6_routes_reach_the_delta_log_and_survive_failover():
     assert state.rebuild_loc_rib("v0").export_entries() == live
     assert state.recent_withdrawn_prefixes("v0") == {v6[1]}
 
-    FailureInjector(system).container_failure(pair)
+    FailureInjector(system).inject("container", pair, {})
     engine.advance(25.0)
     assert session.established
     rebuilt = pair.speaker.vrfs["v0"].loc_rib
