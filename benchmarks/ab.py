@@ -24,8 +24,10 @@ falls on both sides — and prints, for every end-to-end metric that
 A claimed gain needs wins in at least nine pairs of ten and a median
 ratio better by more than that IQR relative to the base median.  The
 script exits non-zero when any invocation failed an operation or
-printed no result.  Host speed drifts over minutes, so one run of each
-side says nothing; only alternating pairs do.
+printed no result, and when any metric's median ratio is worse than
+its ``BENCHMARK.json`` bound (a ``regression:`` line names each one).
+Host speed drifts over minutes, so one run of each side says nothing;
+only alternating pairs do.
 """
 
 import argparse
@@ -96,6 +98,30 @@ def quartiles(values):
     return low, high
 
 
+def ratio(base, change):
+    """change / base; a zero base reads 1 when the change is zero too,
+    and infinite otherwise."""
+    if base:
+        return change / base
+    return 1.0 if change == base else float("inf")
+
+
+def regressions(metrics, base_runs, change_runs):
+    """``(name, median ratio, bound)`` for every metric whose median
+    ratio is worse than its bound: below ``1 - bound`` where higher is
+    better, above ``1 + bound`` where lower is."""
+    worse = []
+    for metric in metrics:
+        name, bound = metric["name"], metric["bound"]
+        median = statistics.median(
+            ratio(base[name], change[name])
+            for base, change in zip(base_runs, change_runs))
+        if (median < 1 - bound if metric["better"] == "higher"
+                else median > 1 + bound):
+            worse.append((name, median, bound))
+    return worse
+
+
 def summarise(metrics, base_runs, change_runs):
     """One line per metric: median ratio, wins, base median and IQR."""
     lines = []
@@ -103,7 +129,7 @@ def summarise(metrics, base_runs, change_runs):
         name, higher = metric["name"], metric["better"] == "higher"
         base = [run[name] for run in base_runs]
         change = [run[name] for run in change_runs]
-        ratios = [c / b if b else float("nan") for b, c in zip(base, change)]
+        ratios = [ratio(b, c) for b, c in zip(base, change)]
         wins = sum(1 for b, c in zip(base, change)
                    if (c > b if higher else c < b))
         low, high = quartiles(base)
@@ -154,7 +180,11 @@ def main(argv=None):
           f" {args.runs} alternating pairs")
     for line in summarise(metrics, runs["base"], runs["change"]):
         print(line)
-    return 0
+    worse = regressions(metrics, runs["base"], runs["change"])
+    for name, median, bound in worse:
+        print(f"regression: {name} median ratio x{median:.4f} is worse"
+              f" than its bound of {bound:.0%}", file=sys.stderr)
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ Attributes are carried in UPDATE messages and drive the decision process.
 We implement the well-known and common optional attributes, 4-octet AS
 paths throughout (both ends of every simulated session negotiate the
 4-octet AS capability), and opaque passthrough for unknown optional
-transitive attributes.
+transitive attributes, with the Partial bit set as RFC 4271 §5 asks of
+a speaker that passes one on.
 """
 
 import enum
@@ -13,6 +14,7 @@ from repro.bgp.errors import BgpError, NotificationCode, UpdateSubcode
 
 FLAG_OPTIONAL = 0x80
 FLAG_TRANSITIVE = 0x40
+FLAG_PARTIAL = 0x20
 FLAG_EXTENDED = 0x10
 
 TYPE_ORIGIN = 1
@@ -338,7 +340,9 @@ class PathAttributes:
                     for i in range(0, len(value), 4)
                 )
             elif flags & FLAG_OPTIONAL and flags & FLAG_TRANSITIVE:
-                unknown.append((flags, attr_type, value))
+                # Unrecognised: kept and passed on, marked partial (RFC
+                # 4271 §5) — some speaker on the path did not read it.
+                unknown.append((flags | FLAG_PARTIAL, attr_type, value))
             elif flags & FLAG_OPTIONAL:
                 # optional non-transitive: normally dropped when unknown,
                 # but the multiprotocol attributes (RFC 4760) are known to

@@ -30,8 +30,9 @@ AFI_IPV6 = 2
 #: ``key >> AFI_SHIFT`` is the key's ``afi - 1``: 0 for IPv4, 1 for IPv6.
 AFI_SHIFT = 136
 _VALUE_MASK = (1 << 128) - 1
-#: The bits of a key that say its family and length, value cleared.
-_SHAPE = 1 << AFI_SHIFT | 255
+#: The bits of a key that say its family and length, value cleared: a
+#: key's *shape*.
+KEY_SHAPE = 1 << AFI_SHIFT | 255
 #: Per family, per length n: the mask that keeps a key's family and the
 #: top n bits of its value (address bits plus the length byte below).
 _COVER_MASKS = (tuple(-1 << 40 - n for n in range(33)),
@@ -98,7 +99,7 @@ def prefix_lengths(keys):
     """The census of ``keys``: per family (index ``key >> AFI_SHIFT``),
     the prefix lengths present, longest first."""
     lengths = ([], [])
-    for shape in {key & _SHAPE for key in keys}:
+    for shape in {key & KEY_SHAPE for key in keys}:
         lengths[shape >> AFI_SHIFT].append(shape & 255)
     for family in lengths:
         family.sort(reverse=True)

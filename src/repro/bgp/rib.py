@@ -383,23 +383,13 @@ class LocRib:
         text = prefix_text(prefix)
         return [_entry(text, path) for path in paths]
 
-    def export_paths(self, prefixes):
-        """Bulk read for the snapshot chunk encoder: every path of the
-        set ``prefixes``, each of which must be in the table.
-
-        Returns ``(lone, contested)``: an iterator over the ``(prefix,
-        path)`` pairs of the single-path prefixes, and a ``(prefix,
-        peer-ordered path list)`` pair per contested prefix — the paths
-        :meth:`export_prefix_entries` would render, in no particular
-        prefix order.
-        """
-        contested = self._contested
-        shared = contested.keys() & prefixes if contested else ()
-        if shared:
-            prefixes = prefixes - shared
-        return (zip(prefixes, map(self._best.__getitem__, prefixes)),
-                [(prefix, sorted(contested[prefix].values(), key=_peer_order))
-                 for prefix in shared])
+    def contested_paths(self):
+        """``{prefix: peer-ordered path list}`` for every prefix with
+        two or more paths: the paths :meth:`export_prefix_entries` would
+        render for it.  With :meth:`items` it is the snapshot encoder's
+        whole read of the table."""
+        return {prefix: sorted(paths.values(), key=_peer_order)
+                for prefix, paths in self._contested.items()}
 
     def path_counts_since(self, seq):
         """Incremental snapshot: what changed after change-counter ``seq``.

@@ -29,15 +29,13 @@ routing-table writes:
 A compaction (:meth:`ReplicationPipeline.compact`) asks the Loc-RIB only
 for the prefixes changed since the last one and patches each into its
 chunk's kept encoding (:class:`repro.bgp.aggregation.SnapshotChunk`);
-a full one encodes every chunk through the one chunk encoder,
-:func:`repro.bgp.aggregation.encode_chunk` (DESIGN.md §8).
+a full one encodes every chunk in one walk of the table,
+:func:`repro.bgp.aggregation.encode_snapshot` (DESIGN.md §14).
 """
 
-import zlib
 from collections import deque
 
-from repro.bgp.aggregation import SnapshotChunk, aggregate_root, encode_chunk
-from repro.bgp.prefixes import prefix_text
+from repro.bgp.aggregation import chunk_assigner, encode_snapshot
 from repro.kvstore.client import CAUSE_FENCED
 from repro.kvstore.locks import LockManager
 
@@ -550,33 +548,6 @@ class ReplicationPipeline:
         for state in self._snapshot_state.values():
             state["stale"] = True
 
-    def _chunk_assigner(self, buckets):
-        """Stable chunk assignment among ``buckets`` chunks, as a
-        function of the prefix good for one compaction.
-
-        Must be deterministic across processes and runs (recovery
-        re-reads chunks written by an earlier incarnation), so Python's
-        randomized ``hash()`` is out; CRC-32 of the textual prefix is
-        stable and cheap.  Under snapshot aggregation the text is the
-        aggregate root's (collapse needs siblings together), rendered
-        once per root and remembered until the compaction ends.
-        """
-        crc32 = zlib.crc32
-        by_full_prefix = not self.aggregate_snapshots
-        by_root = {}
-
-        def assign(prefix):
-            root = prefix if by_full_prefix else aggregate_root(prefix)
-            if root is prefix:  # its own root: no sibling shares the text
-                return crc32(prefix_text(prefix).encode()) % buckets
-            bucket = by_root.get(root)
-            if bucket is None:
-                bucket = by_root[root] = crc32(
-                    prefix_text(root).encode()) % buckets
-            return bucket
-
-        return assign
-
     def compact(self, vrf, loc_rib):
         """Replace accumulated deltas with chunked snapshot records.
 
@@ -604,7 +575,7 @@ class ReplicationPipeline:
         if chunks:
             # Patch first: the chunks' route counts then total the
             # post-change table, which sizes the buckets.
-            assign = self._chunk_assigner(written)
+            assign = chunk_assigner(written, collapse)
             dirty_buckets = set()
             for prefix in dirty:
                 bucket = assign(prefix)
@@ -618,14 +589,9 @@ class ReplicationPipeline:
         shrunk = written > 1 and total < (written // 2) * SNAPSHOT_CHUNK_ROUTES
         if not chunks or state["stale"] or grown or shrunk:
             buckets = max(1, -(-total // SNAPSHOT_CHUNK_ROUTES))
-            assign = self._chunk_assigner(buckets)
-            members = [set() for _ in range(buckets)]
-            for prefix in loc_rib.prefixes():
-                members[assign(prefix)].add(prefix)
             state["chunks"] = chunks = []  # let the old encodings go first
-            for prefixes in members:
-                chunks.append(SnapshotChunk(
-                    *encode_chunk(loc_rib, prefixes, collapse)))
+            state["chunks"] = chunks = encode_snapshot(
+                loc_rib, buckets, collapse)
             state["stale"] = False
             dirty_buckets = range(buckets)
             # Chunks past the new count are stale; readers ignore them,

@@ -9,13 +9,15 @@ with no clever state to get wrong — the point is that any divergence
 from :class:`repro.bgp.rib.LocRib` under churn indicts the optimized
 implementation, not the oracle (DESIGN.md §14).
 
-The snapshot half is the same idea: :func:`collapse_prefix_entries` is
-the chunk encoder the replication pipeline used before
-:func:`repro.bgp.aggregation.encode_chunk` replaced it (a record list
-per prefix, 5-tuple merge keys, a lambda sort), and
-:func:`reference_chunks` is a from-scratch compaction built on it — what
-the store must hold after *any* sequence of full, incremental,
-re-bucketing and stale-forced compactions.
+The snapshot half is the same idea: :func:`collapse_prefix_entries`
+encodes one chunk the plain way (a record list per prefix, 5-tuple
+merge keys, a lambda sort), and :func:`reference_chunks` is a
+from-scratch compaction built on it, chunk by chunk — what
+:func:`repro.bgp.aggregation.encode_snapshot` must produce in its one
+walk of the table, and what the store must hold after *any* sequence of
+full, incremental, re-bucketing and stale-forced compactions.
+:func:`reference_encodings` is what each kept
+:class:`~repro.bgp.aggregation.SnapshotChunk` must hold beside it.
 
 ``decision_runs`` is modeled as its specification, not its mechanism:
 an offer counts unless the prefix had no path or only the offering
@@ -29,11 +31,12 @@ checks ``path_counts_since`` against it.
 
 import zlib
 
-from repro.bgp.aggregation import aggregate_root
+from repro.bgp.aggregation import aggregate_root, expand_snapshot_entries
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.decision import best_path, med_group, prefer
 from repro.bgp.prefixes import (
     Prefix,
+    parse_prefix,
     prefix_afi,
     prefix_contains,
     prefix_length,
@@ -190,7 +193,7 @@ class DictPrefixStore:
                    key=lambda item: prefix_length(item[0]), default=None)
 
 
-# -- snapshot chunks (the encoder compact() used before encode_chunk) --------
+# -- snapshot chunks (a per-chunk encoder, one prefix at a time) -------------
 
 def collapse_prefix_entries(loc_rib, prefixes):
     """Encode one chunk's Loc-RIB entries, collapsing complete uniform
@@ -300,6 +303,25 @@ def reference_chunks(rib, buckets, aggregate):
             chunks[index] = [record for prefix in prefixes
                              for record in rib.export_prefix_entries(prefix)]
     return chunks
+
+
+def reference_encodings(chunks):
+    """Per chunk of ``chunks`` (:func:`reference_chunks`), in index
+    order, what its kept encoding holds: ``(records, texts, blocks,
+    routes)`` — each record's text, each block key mapped to the list of
+    records it holds in stored order, and the number of routes the chunk
+    encodes."""
+    encodings = []
+    for index in sorted(chunks):
+        records = chunks[index]
+        texts = [record.get("prefix") or record["aggregate"]
+                 for record in records]
+        blocks = {}
+        for text, record in zip(texts, records):
+            blocks.setdefault(parse_prefix(text), []).append(record)
+        routes = sum(1 for _ in expand_snapshot_entries(records))
+        encodings.append((records, texts, blocks, routes))
+    return encodings
 
 
 def probe_points(prefixes, rng, extra=8):

@@ -6,7 +6,7 @@ import pytest
 from repro.bgp import LocRib, Prefix
 from repro.bgp.aggregation import (
     aggregate_root,
-    encode_chunk,
+    encode_snapshot,
     expand_snapshot_entries,
 )
 from repro.bgp.attributes import AsPath, PathAttributes
@@ -48,7 +48,10 @@ def _plain_export(rib, prefixes):
 
 
 def _round_trip(rib, prefixes):
-    encoded, _keys, routes = encode_chunk(rib, set(prefixes), collapse=True)
+    """The whole table, ``prefixes``, encoded as one chunk."""
+    assert set(prefixes) == set(rib.prefixes())
+    [chunk] = encode_snapshot(rib, 1, collapse=True)
+    encoded, routes = chunk.records, chunk.routes
     assert encoded == collapse_prefix_entries(rib, prefixes)
     expanded = sorted(expand_snapshot_entries(encoded), key=_record_key)
     assert expanded == _plain_export(rib, prefixes)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from repro.bgp import AsPath, Origin, PathAttributes
 from repro.bgp.attributes import (
     FLAG_OPTIONAL,
+    FLAG_PARTIAL,
     FLAG_TRANSITIVE,
     SEGMENT_SEQUENCE,
     SEGMENT_SET,
@@ -94,13 +95,16 @@ def test_attributes_wire_roundtrip_minimal():
 
 
 def test_unknown_optional_transitive_passthrough():
+    """Type and value pass through verbatim; the flags gain the Partial
+    bit (RFC 4271 §5), once: passing the set on again changes nothing."""
     attrs = PathAttributes(
         next_hop="1.2.3.4",
         unknown=((FLAG_OPTIONAL | FLAG_TRANSITIVE, 99, b"opaque"),),
     )
     decoded = PathAttributes.from_wire(attrs.to_wire())
-    assert decoded.unknown[0][1] == 99
-    assert decoded.unknown[0][2] == b"opaque"
+    assert decoded.unknown == (
+        (FLAG_OPTIONAL | FLAG_TRANSITIVE | FLAG_PARTIAL, 99, b"opaque"),)
+    assert PathAttributes.from_wire(decoded.to_wire()) is decoded
 
 
 def test_unrecognized_wellknown_raises():

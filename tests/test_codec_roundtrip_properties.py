@@ -14,6 +14,7 @@ import pytest
 
 from repro.bgp.attributes import (
     FLAG_OPTIONAL,
+    FLAG_PARTIAL,
     FLAG_TRANSITIVE,
     AsPath,
     Origin,
@@ -39,7 +40,9 @@ needs_hypothesis = pytest.mark.skipif(
 # Unknown attributes must round-trip as opaque (flags, type, value)
 # triples; optional+transitive is the only class the decoder carries
 # through, and the type must avoid every code the codec understands.
-UNKNOWN_FLAGS = FLAG_OPTIONAL | FLAG_TRANSITIVE
+# The decoder marks what it passes on partial (RFC 4271 §5), so the
+# generated ones carry that bit already and decode unchanged.
+UNKNOWN_FLAGS = FLAG_OPTIONAL | FLAG_TRANSITIVE | FLAG_PARTIAL
 UNKNOWN_TYPES = (200, 201, 231, 240)
 
 

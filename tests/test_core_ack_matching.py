@@ -135,3 +135,61 @@ def test_crash_drops_held_acks_forever(env):
     # the remote never got the ACK: its send buffer still holds the data
     assert client.snd_una < client.snd_nxt
     assert client.retransmissions > 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a partial-tail record (TensorBgpSpeaker.stream_progress) is written"
+    " straight to the fast channel, past the per-connection lock the"
+    " whole-message records queue on, so its commit confirms ACK positions"
+    " over messages whose records have not landed (ROADMAP item 11)"))
+def test_no_ack_position_is_confirmed_over_an_undurable_message():
+    """The delayed-ACK invariant, read straight off the gateway: whenever
+    ``confirmed_pos`` advances, every whole received message it covers
+    has a committed record in the primary store.  One route per UPDATE,
+    300 of them, is enough for a partial tail to commit while a run of
+    whole-message records still waits on the connection lock."""
+    from repro.config import build_system, lab_spec
+    from repro.sim.rand import DeterministicRandom
+    from repro.workloads.updates import RouteGenerator
+
+    system, pairs, remotes = build_system(lab_spec(0))
+    system.engine.advance(10.0)
+    speaker = pairs["pair0"].speaker
+    pipeline, tcp_queue = speaker.pipeline, speaker.tcp_queue
+    durable = {}  # conn id -> {message's ACK number: record committed?}
+    replicate, confirm = pipeline.replicate_message, tcp_queue._confirm
+
+    def replicate_message(keys, direction, position, record, on_committed):
+        if direction != "i":
+            return replicate(keys, direction, position, record, on_committed)
+        ack, acks = record["ack"], durable.setdefault(keys.conn_id, {})
+        acks[ack] = False
+
+        def committed():
+            acks[ack] = True
+            on_committed()
+
+        return replicate(keys, direction, position, record, committed)
+
+    uncovered = []
+
+    def checked_confirm(entry, ack_position, span=None):
+        confirm(entry, ack_position, span)
+        confirmed = entry["confirmed_pos"]
+        pending = [ack for ack, done in durable.get(
+            entry["keys"].conn_id, {}).items() if not done and ack <= confirmed]
+        if pending:
+            uncovered.append((system.engine.now, confirmed, len(pending)))
+
+    pipeline.replicate_message = replicate_message
+    tcp_queue._confirm = checked_confirm
+    remote = remotes["remote0"]
+    generator = RouteGenerator(DeterministicRandom(7), 64512,
+                               next_hop="192.0.2.1", attr_pool_size=300)
+    remote.speaker.originate_many("v0", generator.routes(300, base="10.0.0.0"))
+    remote.speaker.readvertise(remote.sessions[0])
+    system.engine.advance(20.0)
+    assert len(speaker.vrfs["v0"].loc_rib) == 300
+    assert sum(map(len, durable.values())) > 250
+    assert tcp_queue.held_count() == 0
+    assert uncovered == []

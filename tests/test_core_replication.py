@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bgp.aggregation import chunk_assigner
 from repro.core.replication import (
     ConnectionKeys,
     ReplicationPipeline,
@@ -390,7 +391,7 @@ def test_dropped_snapshot_write_forces_a_full_rewrite(kv_env):
     buckets = len(pipeline._snapshot_state["v1"]["chunks"])
     assert buckets == 2
     by_bucket = {}
-    assign = pipeline._chunk_assigner(buckets)
+    assign = chunk_assigner(buckets, pipeline.aggregate_snapshots)
     for i in range(600):
         by_bucket.setdefault(assign(_route(i)[0]), i)
 

@@ -1,5 +1,6 @@
-"""Snapshot byte identity (DESIGN.md §8, §14): the encode-once chunk
-encoder and the count walk against their references.
+"""Snapshot byte identity (DESIGN.md §8, §14): the one-walk snapshot
+encoder, the kept chunk encodings and the count walk against their
+references.
 
 A seeded table holding every shape the encoder distinguishes — complete,
 broken, divergent-attribute and divergent-peer blocks, a /20 of /24s
@@ -10,10 +11,12 @@ route, a /32 band, IPv6 blocks, contested prefixes — is driven through a
 After every compaction (full, incremental after scattered and after
 localised churn, re-bucketing on growth and on shrinkage, stale-forced,
 and one with nothing to do) the store must hold exactly what
-:func:`tests.rib_reference.reference_chunks` — the encoder this one
-replaced, run from scratch over the reference — says it should: the same
-keys, the same record lists in the same order, nothing past the
-marker's chunk count.  An incremental compaction patches each chunk's
+:func:`tests.rib_reference.reference_chunks` — a per-chunk encoder run
+from scratch over the reference — says it should: the same keys, the
+same record lists in the same order, nothing past the marker's chunk
+count; and each kept :class:`~repro.bgp.aggregation.SnapshotChunk` must
+hold those records with their texts, block keys and route count.  An
+incremental compaction patches each chunk's
 kept encoding instead of re-encoding it; the patch corners (a block
 split and merged back, a member flipped, contested, or withdrawn under
 a twin text, the /1 pair's cross-root merge, an IPv6 split) each get
@@ -26,7 +29,7 @@ import copy
 import pytest
 
 from repro.bgp import AsPath, LocRib, PathAttributes, Prefix
-from repro.bgp.aggregation import encode_chunk, expand_snapshot_entries
+from repro.bgp.aggregation import encode_snapshot, expand_snapshot_entries
 from repro.bgp.rib import Path
 from repro.core import replication
 from repro.core.recovery import RecoveredState
@@ -38,6 +41,7 @@ from tests.rib_reference import (
     ReferenceRib,
     reference_chunk_of,
     reference_chunks,
+    reference_encodings,
 )
 
 CHUNK_ROUTES = 40  # stands in for SNAPSHOT_CHUNK_ROUTES: many chunks, small table
@@ -200,6 +204,7 @@ class Lockstep:
                   if ":s:" in key}
         assert stored == {rib_snapshot_key("p", "v", index): records
                           for index, records in expected.items()}
+        _assert_kept(pipeline._snapshot_state["v"]["chunks"], expected)
         raw = sum(len(reference.candidates(p)) for p in reference.prefixes()
                   if reference_chunk_of(p, self.buckets, self.aggregate)
                   in rewritten) if self.aggregate else 0
@@ -283,6 +288,67 @@ def test_store_matches_reference_across_compaction_kinds(
     run.check_round_trip(run.compact("incremental"))  # nothing changed
 
 
+def _stored_rank(record):
+    """Where ``record`` sits among the records of one text."""
+    return ("aggregate" in record, record.get("member_length", 0),
+            str(record["peer_id"]))
+
+
+def _assert_kept(chunks, expected):
+    """Each kept chunk holds the reference's records, with their texts,
+    block keys and route count beside them.  The records a block key
+    holds are compared as a set: a patch appends to them."""
+    assert len(chunks) == len(expected)
+    for chunk, (records, texts, blocks, routes) in zip(
+            chunks, reference_encodings(expected)):
+        assert chunk.records == records
+        assert chunk.texts == texts
+        assert {key: sorted((held,) if isinstance(held, dict) else held,
+                            key=_stored_rank)
+                for key, held in chunk.blocks.items()} == blocks
+        assert chunk.routes == routes
+
+
+def _contest(run, prefixes):
+    """Offer each of ``prefixes`` from two or three peers at once."""
+    for index, prefix in enumerate(prefixes):
+        for peer in PEERS[:2 + index % 2]:
+            run.offer(prefix, _attrs(index + 4), peer=peer,
+                      kind="ibgp" if peer == "edge2" else "ebgp")
+
+
+@pytest.mark.parametrize("aggregate", [True, False], ids=["aggregated", "plain"])
+@pytest.mark.parametrize("buckets", [1, 3, 17])
+def test_one_walk_equals_the_per_chunk_reference(buckets, aggregate):
+    """:func:`encode_snapshot` against the per-chunk reference, chunk by
+    chunk: on an empty table, then on one with the default route and its
+    /1 pair, the /32 band, the twin-text /22, complete and broken IPv4
+    and IPv6 blocks, and prefixes contested by two and by three peers
+    (the default route, a host route, block members, a /1, an IPv6
+    member among them)."""
+    run = Lockstep(1, aggregate)
+    empty = encode_snapshot(run.rib, buckets, aggregate)
+    assert [(chunk.records, chunk.routes)
+            for chunk in empty] == [([], 0)] * buckets
+    run.load_table(blocks=24)
+    _contest(run, [Prefix(0, 0), Prefix(0xC0A80010, 32), Prefix(0x0A000000, 24),
+                   Prefix(0x0A000100, 24), Prefix(0x80000000, 1),
+                   Prefix((0x20010DB8 << 96) + (5 << 84), 48, V6)])
+    counts = {len(run.reference.candidates(prefix))
+              for prefix in run.reference.prefixes()}
+    assert {1, 2, 3} <= counts
+    expected = reference_chunks(run.reference, buckets, aggregate)
+    _assert_kept(encode_snapshot(run.rib, buckets, aggregate), expected)
+    aggregates = {(record["aggregate"], record["member_length"])
+                  for records in expected.values() for record in records
+                  if "aggregate" in record}
+    if aggregate:  # the walk did reach the collapse corners
+        assert ("192.168.0.0/29", 32) in aggregates
+        assert any(":" in text for text, _length in aggregates)
+    else:
+        assert not aggregates
+
+
 def _aggregates(run):
     """``{(text, member length): record}`` of every aggregate stored."""
     return {(record["aggregate"], record["member_length"]): record
@@ -291,7 +357,7 @@ def _aggregates(run):
 
 
 def _refuse(*_args):
-    raise AssertionError("an incremental compaction re-encoded a chunk")
+    raise AssertionError("an incremental compaction re-encoded the table")
 
 
 def test_patch_corners_split_and_merge_back(monkeypatch):
@@ -300,8 +366,8 @@ def test_patch_corners_split_and_merge_back(monkeypatch):
     record, a member flipped and flipped back, contested and lone again,
     the /1 pair's cross-root merge broken and restored, a /25 withdrawn
     under a text two aggregates spell, an IPv6 block split.  None of
-    them calls the chunk encoder; a re-bucketing compaction calls it
-    once per chunk."""
+    them runs the full encoder; a re-bucketing compaction runs it
+    once."""
     routes = 70  # five chunks: the one count that puts both /1s in one
     monkeypatch.setattr(replication, "SNAPSHOT_CHUNK_ROUTES", routes)
     run = Lockstep(0, aggregate=True, chunk_routes=routes)
@@ -314,7 +380,7 @@ def test_patch_corners_split_and_merge_back(monkeypatch):
     v6_root = (0x20010DB8 << 96) + (5 << 84)
     v6 = (str(Prefix(v6_root, 44, V6)), 48)
     assert {block, pair, twin24, twin25, v6} <= set(before)
-    monkeypatch.setattr(replication, "encode_chunk", _refuse)
+    monkeypatch.setattr(replication, "encode_snapshot", _refuse)
 
     def step():
         run.check_round_trip(run.compact("incremental"))
@@ -374,14 +440,14 @@ def test_patch_corners_split_and_merge_back(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return encode_chunk(*args)
+        return encode_snapshot(*args)
 
-    monkeypatch.setattr(replication, "encode_chunk", counted)
+    monkeypatch.setattr(replication, "encode_snapshot", counted)
     for index in range(40, 70):  # grow past twice the chunk capacity
         for member in _block(0x0B000000 + (index << 12), 20, 24):
             run.offer(member, _attrs(index))
     run.check_round_trip(run.compact("full"))
-    assert len(calls) == run.buckets > 5
+    assert len(calls) == 1 and run.buckets > 5
 
 
 def test_count_walk_watermark_contract():
