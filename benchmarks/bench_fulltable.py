@@ -251,7 +251,7 @@ def _lpm_probes(workload):
 def measure_fib_program(size):
     """Programs into an empty FIB, table order; programs per second."""
     workload = FullTableWorkload(seed=SEED, size=size)
-    prefixes = [workload.prefix_at(i) for i in range(workload.total)]
+    prefixes = list(workload.keys())
     fib = Fib()
 
     def fill():

@@ -259,8 +259,9 @@ class LocRib:
 
         Removing a non-best candidate leaves the best untouched unless
         it was a MED group winner whose eviction restores a stronger
-        finalist; only then, or on losing the best itself, does a full
-        re-scan run.
+        finalist; only then, or on losing the best itself, does
+        selection run — a full re-scan, or adopting the one path left
+        (still counted in ``decision_runs``).
         """
         best = self._best
         old = best.get(prefix)
@@ -279,13 +280,18 @@ class LocRib:
         self.export_seq += 1
         if self._changed is not None:
             self._changed[prefix] = self.export_seq
+        remaining = candidates.values()
         if len(candidates) == 1:
             del self._contested[prefix]
         if (old.peer_id != peer_id
-                and not evicts_group_winner(candidates.values(), removed)):
+                and not evicts_group_winner(remaining, removed)):
             return old, old
         self.decision_runs += 1
-        new = best[prefix] = best_path(list(candidates.values()))
+        if len(candidates) == 1:
+            new, = remaining  # a lone path is the selection: no scan
+        else:
+            new = best_path(list(remaining))
+        best[prefix] = new
         return old, new
 
     def best(self, prefix):

@@ -18,6 +18,9 @@ speaker -> replication pipeline -> KV snapshot) for an end-to-end
 measurement on the virtual clock.
 """
 
+from itertools import chain, cycle
+from operator import or_
+
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.prefixes import prefix_key
 from repro.bgp.rib import LocRib, Path
@@ -29,10 +32,16 @@ BLOCK_MEMBER_BITS = 4
 
 #: Aggregatable /24s start here (8.0.0.0); each block owns one /20.
 AGG_BASE = 8 << 24
+#: The first aggregatable key, and the key distance between two
+#: consecutive /24s (a key is ``value << 8 | length``).
+AGG_KEY = AGG_BASE << 8 | 24
+AGG_KEY_STEP = 1 << 16
 
 #: Scattered prefixes start here (96.0.0.0); each owns one /20 slot.
 SCATTER_BASE = 96 << 24
 SCATTER_SLOT = 1 << 12  # /20 slots in units of the low 12 host bits
+#: How many /20 slots fit between SCATTER_BASE and the top of IPv4.
+SCATTER_SLOTS = ((1 << 32) - SCATTER_BASE) // SCATTER_SLOT
 
 #: Length cycle for the scattered region (weights favour /24 like a
 #: real table; /28 and the host-route band cover the long tail).
@@ -62,6 +71,13 @@ class FullTableWorkload:
         blocks = int(size * AGGREGATABLE_FRACTION) >> BLOCK_MEMBER_BITS
         self.aggregatable_count = blocks << BLOCK_MEMBER_BITS
         self.scattered_count = size - self.aggregatable_count
+        if self.scattered_count > SCATTER_SLOTS:
+            # Past the last slot the values would wrap round IPv4 and
+            # repeat earlier keys.
+            raise ValueError(
+                f"a table of {size:,} prefixes needs"
+                f" {self.scattered_count:,} scattered /20 slots;"
+                f" IPv4 holds {SCATTER_SLOTS:,}")
         generator = RouteGenerator(DeterministicRandom(seed), 64496,
                                    next_hop="192.0.2.1")
         self.attr_pool = generator.attr_pool
@@ -71,30 +87,42 @@ class FullTableWorkload:
     def prefix_at(self, index):
         """The ``index``-th table prefix, a plain key (aggregatable
         first, then scattered, then the host-route band, then the
-        default)."""
+        default).  Both routed regions have no host bits to clear, so
+        their keys are plain arithmetic."""
         if index < self.aggregatable_count:
-            return prefix_key(AGG_BASE + (index << 8), 24)
+            return AGG_KEY + index * AGG_KEY_STEP
         index -= self.aggregatable_count
         if index < self.scattered_count:
-            length = SCATTER_LENGTHS[index % len(SCATTER_LENGTHS)]
-            value = SCATTER_BASE + index * SCATTER_SLOT
-            return prefix_key(value, length)
+            return ((SCATTER_BASE + index * SCATTER_SLOT) << 8
+                    | SCATTER_LENGTHS[index % len(SCATTER_LENGTHS)])
         index -= self.scattered_count
         if index < HOST_ROUTES:
             return prefix_key(SCATTER_BASE - (index + 1) * 256, 32)
         return prefix_key(0, 0)
 
-    def _pool_index(self, index):
-        """Which attribute-pool entry the ``index``-th prefix carries:
-        block-uniform in the aggregatable region, per-prefix pooled in
-        the scattered one."""
-        if index < self.aggregatable_count:
-            return (index >> BLOCK_MEMBER_BITS) % len(self.attr_pool)
-        return (index * 7 + 3) % len(self.attr_pool)
+    def keys(self):
+        """Every table prefix in index order, what ``prefix_at(0)``,
+        ``prefix_at(1)``, ... return: the routed regions come from
+        C-level ``range``s (the scattered one OR'd with its length
+        cycle), the host-route band and the default from ``prefix_at``."""
+        scatter_key = SCATTER_BASE << 8
+        scatter_step = SCATTER_SLOT << 8
+        return chain(
+            range(AGG_KEY, AGG_KEY + self.aggregatable_count * AGG_KEY_STEP,
+                  AGG_KEY_STEP),
+            map(or_, range(scatter_key,
+                           scatter_key + self.scattered_count * scatter_step,
+                           scatter_step),
+                cycle(SCATTER_LENGTHS)),
+            map(self.prefix_at, range(self.size, self.total)))
 
     def attrs_at(self, index):
-        """The ``index``-th prefix's attributes."""
-        return self.attr_pool[self._pool_index(index)]
+        """The ``index``-th prefix's attributes: block-uniform in the
+        aggregatable region, per-prefix pooled in the scattered one."""
+        pool = self.attr_pool
+        if index < self.aggregatable_count:
+            return pool[(index >> BLOCK_MEMBER_BITS) % len(pool)]
+        return pool[(index * 7 + 3) % len(pool)]
 
     def _paths(self, peer_id):
         """One :class:`Path` per pool entry, learned from ``peer_id``:
@@ -107,12 +135,20 @@ class FullTableWorkload:
         return self.size + HOST_ROUTES + 1
 
     def load(self, loc_rib):
-        """Offer the whole table; returns the number of routes."""
+        """Offer the whole table; returns the number of routes.  One
+        walk of :meth:`keys`, each region picking its pool entries by
+        the rule of :meth:`attrs_at`."""
         offer = loc_rib.offer
-        prefix_at, pool_index = self.prefix_at, self._pool_index
         paths = self._paths(TABLE_PEER)
-        for index in range(self.total):
-            offer(prefix_at(index), paths[pool_index(index)])
+        pool = len(paths)
+        keys = self.keys()
+        # zip pulls the range first: the region's end leaves ``keys``
+        # at the next region's first key.
+        for index, prefix in zip(range(self.aggregatable_count), keys):
+            offer(prefix, paths[(index >> BLOCK_MEMBER_BITS) % pool])
+        for index, prefix in zip(range(self.aggregatable_count, self.total),
+                                 keys):
+            offer(prefix, paths[(index * 7 + 3) % pool])
         return self.total
 
     def build(self):
@@ -130,26 +166,27 @@ class FullTableWorkload:
         primary route, across a strided sample of the table.  Returns
         the number of operations applied.
         """
-        rng = DeterministicRandom(self.seed if seed is None
-                                  else seed).stream("churn")
+        # ``choice(seq)`` draws ``_randbelow(len(seq))`` exactly as
+        # ``seq[randrange(len(seq))]`` does: the same stream, draw for draw.
+        choice = DeterministicRandom(self.seed if seed is None
+                                     else seed).stream("churn").choice
+        offer, retract, prefix_at = (loc_rib.offer, loc_rib.retract,
+                                     self.prefix_at)
         rivals, primaries = self._paths(COMPETITOR), self._paths(TABLE_PEER)
-        applied = 0
+        size = self.size
         for op in range(ops):
             # Groups of three share a multiplicatively-scattered base
             # prefix: competitor offer, competitor retract (same
             # prefix — exercises candidate add/remove), primary flip.
-            base = ((op // 3) * 2654435761) % self.size
+            base = ((op // 3) * 2654435761) % size
             kind = op % 3
             if kind == 0:
-                loc_rib.offer(self.prefix_at(base),
-                              rivals[rng.randrange(len(rivals))])
+                offer(prefix_at(base), choice(rivals))
             elif kind == 1:
-                loc_rib.retract(self.prefix_at(base), COMPETITOR)
+                retract(prefix_at(base), COMPETITOR)
             else:
-                loc_rib.offer(self.prefix_at((base + 1) % self.size),
-                              primaries[rng.randrange(len(primaries))])
-            applied += 1
-        return applied
+                offer(prefix_at((base + 1) % size), choice(primaries))
+        return ops
 
 
 # ---------------------------------------------------------------------------

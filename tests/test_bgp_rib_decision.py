@@ -9,6 +9,8 @@ from repro.bgp.decision import best_path
 from repro.bgp.rib import Path, Route
 from repro.sim.rand import DeterministicRandom
 
+from tests.rib_reference import ReferenceRib
+
 P1 = Prefix.parse("10.0.0.0/8")
 P2 = Prefix.parse("192.0.2.0/24")
 
@@ -260,6 +262,42 @@ def test_decision_runs_counts_retract_selections():
     runs = rib.decision_runs
     rib.retract(P1, "b")
     assert rib.decision_runs == runs + 1  # best lost: full re-scan
+
+
+#: name -> (the two paths offered in turn, the peer retracted, the
+#: selections the retract runs).  Each retract leaves one path.
+ONE_PATH_RETRACTS = {
+    # the best path goes: the survivor is adopted, one selection
+    "best": (lambda: [_path("a", local_pref=100),
+                      _path("b", local_pref=200)], "b", 1),
+    # b is alone in its MED group (65002), so it won that group, and a
+    # beats it across groups: its eviction promotes nothing
+    "med_group_winner": (lambda: [_path("a", local_pref=200),
+                                  _path("b", path=(65002,))], "b", 0),
+    # b shares a's MED group and loses it on MED: it won nothing
+    "won_nothing": (lambda: [_path("a", med=10),
+                             _path("b", med=50)], "b", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_PATH_RETRACTS))
+def test_retract_that_leaves_one_path_matches_the_reference(case):
+    make, gone, runs = ONE_PATH_RETRACTS[case]
+    paths = make()
+    (survivor,) = [path for path in paths if path.peer_id != gone]
+    rib, reference = LocRib(), ReferenceRib()
+    for path in paths:
+        rib.offer(P1, path)
+        reference.offer(P1, path)
+    before = rib.decision_runs
+    assert before == reference.decision_runs
+    old, new = rib.retract(P1, gone)
+    expected_old, expected_new = reference.retract(P1, gone)
+    assert old is expected_old and new is expected_new
+    assert new is survivor and rib.best(P1) is survivor
+    assert rib.decision_runs == reference.decision_runs == before + runs
+    assert rib.candidates(P1) == {survivor.peer_id: survivor}
+    assert not rib._contested
 
 
 def test_incremental_reselect_matches_full_rescan_10k():

@@ -173,6 +173,7 @@ def test_bulk_producers_yield_plain_ints():
     assert _all_plain(prefix for prefix, _attrs in generator.routes(50))
     workload = FullTableWorkload(seed=1, size=640)
     assert _all_plain(workload.prefix_at(i) for i in range(workload.total))
+    assert _all_plain(workload.keys())
     rib = workload.build()
     assert _all_plain(rib.prefixes())
     assert _all_plain(key for key, _path in rib.items())
