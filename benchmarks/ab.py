@@ -7,14 +7,18 @@ Usage:
 
 ``REF`` is extracted with ``git archive`` into a temporary directory,
 and the working tree (tracked and untracked files that git does not
-ignore) is copied beside it, so both sides start from fresh files with
-no bytecode caches, on one file system, and edits made while the runs
-go on do not reach them.  Both copies are removed afterwards.  The
-script then alternates ``N`` invocations of
-``python3 benchmarks/nsrbench --workload W`` in each tree — base first
-in even pairs, change first in odd ones, so that a drift in host speed
-falls on both sides — and prints, for every end-to-end metric that
-``BENCHMARK.json`` declares:
+ignore) is copied beside it, so both sides start from fresh files on
+one file system, and edits made while the runs go on do not reach
+them.  Both copies are then byte-compiled (``compileall``) before the
+first pair, so neither side compiles its sources inside a run — with
+``PYTHONDONTWRITEBYTECODE`` set, nothing else would cache them and
+every run's ``setup_s`` would time the compiler on each side's source
+size; the header line says how many files of each side are compiled.
+Both copies are removed afterwards.  The script then alternates ``N``
+invocations of ``python3 benchmarks/nsrbench --workload W`` in each
+tree — base first in even pairs, change first in odd ones, so that a
+drift in host speed falls on both sides — and prints, for every
+end-to-end metric that ``BENCHMARK.json`` declares:
 
 - the median of the per-pair ratios change / base,
 - how many of the ``N`` pairs the change won (by the metric's
@@ -31,6 +35,8 @@ only alternating pairs do.
 """
 
 import argparse
+import compileall
+import importlib.util
 import io
 import json
 import os
@@ -69,6 +75,25 @@ def snapshot(into):
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, target)
     return into
+
+
+def prepare(ref, scratch):
+    """The two trees, ``{"base": REF's, "change": the working tree's}``,
+    under ``scratch``, each byte-compiled in place."""
+    sides = {"base": extract(ref, scratch / "base"),
+             "change": snapshot(scratch / "change")}
+    for tree in sides.values():
+        compileall.compile_dir(str(tree), quiet=2)
+    return sides
+
+
+def bytecode_state(tree):
+    """``(compiled, sources)``: how many of ``tree``'s ``.py`` files
+    have a cached bytecode file."""
+    sources = list(tree.rglob("*.py"))
+    compiled = sum(1 for source in sources
+                   if Path(importlib.util.cache_from_source(source)).is_file())
+    return compiled, len(sources)
 
 
 def invoke(tree, workload, seconds, seed):
@@ -159,8 +184,13 @@ def main(argv=None):
     metrics = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())[
         "end_to_end"]
     with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
-        sides = {"base": extract(args.base, Path(scratch) / "base"),
-                 "change": snapshot(Path(scratch) / "change")}
+        sides = prepare(args.base, Path(scratch))
+        state = ", ".join("{} {}/{}".format(side, *bytecode_state(tree))
+                          for side, tree in sides.items())
+        print(f"== bytecode compiled before the runs: {state} .py files"
+              f" (PYTHONDONTWRITEBYTECODE="
+              f"{os.environ.get('PYTHONDONTWRITEBYTECODE', '')!r})",
+              flush=True)
         runs = {"base": [], "change": []}
         for pair in range(args.runs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")

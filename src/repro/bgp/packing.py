@@ -23,6 +23,7 @@ from repro.bgp.prefixes import (
     AFI_IPV4,
     AFI_IPV6,
     AFI_SHIFT,
+    fixed_width_block,
     nlri_wires,
     prefix_afi,
 )
@@ -100,19 +101,32 @@ def _cuts(wires, budget):
         yield start, len(wires)
 
 
-def pack_group(attributes, prefixes):
-    """Pack ``prefixes`` sharing ``attributes`` into minimal UPDATEs.
+def _v4_batches(prefixes, budget):
+    """``(prefixes, NLRI block)`` per UPDATE: IPv4 ``prefixes`` cut into
+    the fewest consecutive batches of at most ``budget`` bytes each.
 
-    Each prefix is encoded once: its wire length fills the budget and
-    the same bytes, joined, are the message's NLRI block.
+    Each prefix is encoded once.  Prefixes of one length are one
+    fixed-width block, cut every ``budget // width`` prefixes — what
+    :func:`_cuts` gives for equal wires; others are cut by their wires.
     """
+    fixed = fixed_width_block(prefixes)
+    if fixed is None:
+        wires = nlri_wires(prefixes)
+        return [(prefixes[start:stop], b"".join(wires[start:stop]))
+                for start, stop in _cuts(wires, budget)]
+    width, block = fixed
+    step = max(budget // width, 1)
+    return [(prefixes[start:start + step],
+             block[start * width:(start + step) * width])
+            for start in range(0, len(prefixes), step)]
+
+
+def pack_group(attributes, prefixes):
+    """Pack ``prefixes`` sharing ``attributes`` into minimal UPDATEs,
+    each message keeping the NLRI block it was cut with."""
     budget = MAX_MESSAGE_SIZE - HEADER_SIZE - 4 - len(attributes.to_wire())
-    wires = nlri_wires(prefixes)
-    return [
-        UpdateMessage(attributes=attributes, nlri=prefixes[start:stop],
-                      nlri_wire=b"".join(wires[start:stop]))
-        for start, stop in _cuts(wires, budget)
-    ]
+    return [UpdateMessage(attributes=attributes, nlri=share, nlri_wire=wire)
+            for share, wire in _v4_batches(prefixes, budget)]
 
 
 def pack_mp_group(attributes, prefixes, next_hop_v6):
@@ -141,12 +155,8 @@ def pack_withdrawals(prefixes):
     v4 = [prefix for prefix in prefixes if prefix_afi(prefix) == AFI_IPV4]
     v6 = [prefix for prefix in prefixes if prefix_afi(prefix) == AFI_IPV6]
     room = MAX_MESSAGE_SIZE - HEADER_SIZE - 4
-    v4_wires = nlri_wires(v4)
-    messages = [
-        UpdateMessage(withdrawn=v4[start:stop],
-                      withdrawn_wire=b"".join(v4_wires[start:stop]))
-        for start, stop in _cuts(v4_wires, room)
-    ]
+    messages = [UpdateMessage(withdrawn=share, withdrawn_wire=wire)
+                for share, wire in _v4_batches(v4, room)]
     messages.extend(
         UpdateMessage(attributes=attach_mp_unreach(
             _BARE_ATTRIBUTES, v6[start:stop]))

@@ -21,7 +21,18 @@ family, longest first.  Those lengths are the table's *census*
 (:func:`prefix_lengths`, grown by :func:`note_length`): at most 33 for
 IPv4 and 129 for IPv6.  A length whose last prefix has left may stay in
 it; it costs one missed probe, never a wrong answer.
+
+An IPv4 key is below 2**40, so a list of them is an ``array("Q")`` of
+8-byte slots: big-endian, a slot's wire octets are its bytes 3 onward
+and its length octet is byte 7.  A run of prefixes of one length is
+then a fixed-width column on the wire, and :func:`fixed_width_block` /
+the run search in :func:`decode_nlri_block` move a whole run between
+slots and wire with one strided slice copy per octet — no Python step
+per prefix.  IPv6 and short or mixed runs take the per-prefix path.
 """
+
+from array import array
+from sys import byteorder
 
 from repro.bgp.errors import BgpError, NotificationCode, UpdateSubcode
 
@@ -210,8 +221,51 @@ def nlri_wires(prefixes):
     return wires
 
 
+#: The fewest prefixes of one IPv4 length in a row that the fixed-width
+#: kernel takes; a shorter run costs less one prefix at a time.
+RUN_MIN = 12
+_SWAP = byteorder == "little"
+#: Per count of prefix bits in a last, partial octet (1-7): the
+#: ``bytes.translate`` table that clears the octet's host bits.
+_TAIL_MASKS = (None,) + tuple(
+    bytes(octet & 0xFF00 >> kept for octet in range(256))
+    for kept in range(1, 8))
+
+
+def fixed_width_block(prefixes):
+    """``(width, block)``: the NLRI block of ``prefixes`` when they are at
+    least :data:`RUN_MIN` IPv4 prefixes of one length, ``width`` bytes
+    each, built by strided copies out of an ``array("Q")``; else None."""
+    if (len(prefixes) < RUN_MIN or prefixes[0] >> AFI_SHIFT
+            or prefixes[0] & 255 != prefixes[-1] & 255):
+        return None
+    try:
+        slots = array("Q", prefixes)
+    except OverflowError:  # an IPv6 key further on
+        return None
+    if _SWAP:
+        slots.byteswap()
+    raw = slots.tobytes()
+    lengths = raw[7::8]
+    length = lengths[0]
+    if length > 32 or lengths.lstrip(lengths[:1]):
+        return None
+    full, tail = length >> 3, length & 7
+    width = full + (tail > 0) + 1
+    block = bytearray(len(lengths) * width)
+    block[::width] = lengths
+    for index in range(full):
+        block[1 + index::width] = raw[3 + index::8]
+    if tail:
+        block[width - 1::width] = raw[3 + full::8].translate(_TAIL_MASKS[tail])
+    return width, bytes(block)
+
+
 def encode_nlri_block(prefixes):
     """``prefixes`` back to back on the wire."""
+    fixed = fixed_width_block(prefixes)
+    if fixed is not None:
+        return fixed[1]
     return b"".join(nlri_wires(prefixes))
 
 
@@ -221,17 +275,41 @@ def decode_nlri_block(data, afi=AFI_IPV4, offset=0, end=None):
     Every field a peer controls is checked: a length octet over the
     AFI's width, or a prefix running past ``end``, is the RFC 4271 §6.3
     "Invalid Network Field" UPDATE error.
+
+    In an IPv4 block with room for :data:`RUN_MIN` prefixes, a prefix
+    that repeats the previous one's length starts a probe for a run: a
+    run's length octets sit ``width`` bytes apart, so strided slices
+    say how far it goes (:func:`_run_length`).  A run of at least
+    :data:`RUN_MIN` is decoded whole by :func:`_decode_run`; after a
+    shorter one, no probe starts inside the window just read, so the
+    search stays linear whatever the lengths.  Everything else — and
+    every error — is the per-prefix loop.
     """
     if end is None:
         end = len(data)
     table = _V4_TABLE if afi == AFI_IPV4 else _WIDE_TABLE
     widest = len(table) - 1
     family = (afi - 1) << AFI_SHIFT
+    probe_from = offset if afi == AFI_IPV4 and end - offset >= RUN_MIN else end
     from_bytes = int.from_bytes
     prefixes = []
     append = prefixes.append
+    previous = None
     while offset < end:
         length = data[offset]
+        if length == previous and offset >= probe_from:
+            width = table[length][0] + 1
+            start = offset - width  # the previous prefix starts the run
+            probe_end = start + RUN_MIN * width
+            # A run of RUN_MIN has its last length octet here: one index
+            # rules most short runs out before a slice is made.
+            if probe_end <= end and data[probe_end - width] == length:
+                run = _run_length(data, start, width, end)
+                if run >= RUN_MIN:
+                    prefixes[-1:] = _decode_run(data, start, run, length)
+                    offset = start + run * width
+                    continue
+            probe_from = probe_end  # no other probe inside this window
         if length > widest:
             raise _invalid_network_field(
                 f"prefix length {length} exceeds AFI width {widest}")
@@ -243,7 +321,45 @@ def decode_nlri_block(data, afi=AFI_IPV4, offset=0, end=None):
         append(family | from_bytes(data[offset:stop], "big") << shift & mask
                | length)
         offset = stop
+        previous = length
     return prefixes
+
+
+def _run_length(data, start, width, end):
+    """How many whole ``width``-byte prefixes from ``start`` to ``end``
+    share the length octet at ``start``: strided slices that double in
+    size, so finding a run's end costs about what the run does."""
+    octet = data[start:start + 1]
+    last = end - (end - start) % width  # past the last whole prefix
+    run, size = 0, RUN_MIN
+    while True:
+        here = start + run * width
+        column = data[here:min(last, here + size * width):width]
+        same = len(column) - len(column.lstrip(octet))
+        run += same
+        if same < size:
+            return run
+        size *= 2
+
+
+def _decode_run(data, offset, run, length):
+    """The keys of the ``run`` IPv4 prefixes of ``length`` at
+    ``data[offset:]``: each octet column copied into its byte of the
+    8-byte slots, host bits cleared."""
+    full, tail = length >> 3, length & 7
+    width = full + (tail > 0) + 1
+    stop = offset + run * width
+    slots = bytearray(8 * run)
+    slots[7::8] = _LENGTH_OCTETS[length] * run
+    for index in range(full):
+        slots[3 + index::8] = data[offset + 1 + index:stop:width]
+    if tail:
+        slots[3 + full::8] = data[offset + width - 1:stop:width].translate(
+            _TAIL_MASKS[tail])
+    keys = array("Q", slots)
+    if _SWAP:
+        keys.byteswap()
+    return keys.tolist()
 
 
 def _invalid_network_field(message):

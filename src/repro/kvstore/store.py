@@ -5,6 +5,12 @@ recovery path needs.  Values are opaque Python objects (the simulated
 server never serializes them; sizes are accounted separately for the
 storage-bound invariant of §3.1.2).
 
+Stored bytes are counted per key *namespace* — a key's text through
+its third colon, ``tensor:<pair>:msg:`` — from the first
+:meth:`KeyValueStore.size_bytes` call on, so the storage-bound check
+reads a few counters instead of walking every record.  Values must not
+be edited in place once stored (the count is taken at ``set``).
+
 Operation costs reproduce Fig. 5(b): a batched operation over n records
 costs ``base + n * per_record`` of server CPU, with writes ≈2.5× reads.
 """
@@ -17,11 +23,36 @@ from repro.sim.calibration import (
 )
 
 
+#: Colons in a key namespace: ``tensor:<pair>:msg:``.
+NAMESPACE_DEPTH = 3
+
+
+def namespace(key):
+    """``key`` through its :data:`NAMESPACE_DEPTH`-th colon, or all of it."""
+    parts = key.split(":", NAMESPACE_DEPTH)
+    if len(parts) <= NAMESPACE_DEPTH:
+        return key
+    return key[:len(key) - len(parts[-1])]
+
+
+def entry_size(key, value):
+    """Approximate stored bytes of one record (key + value sizes)."""
+    if isinstance(value, (bytes, bytearray, str)):
+        return len(key) + len(value)
+    if isinstance(value, dict):
+        return len(key) + sum(
+            len(v) if isinstance(v, (bytes, bytearray, str)) else 8
+            for v in value.values())
+    return len(key) + 8
+
+
 class KeyValueStore:
     """The data plane of one KV node."""
 
     def __init__(self):
         self._data = {}
+        #: namespace -> stored bytes, kept from the first size_bytes on
+        self._sizes = None
 
     # -- data operations ------------------------------------------------
 
@@ -32,17 +63,33 @@ class KeyValueStore:
         return [self._data.get(key) for key in keys]
 
     def set(self, key, value):
+        if self._sizes is not None:
+            self._count(key, value)
         self._data[key] = value
 
     def mset(self, items):
+        counting = self._sizes is not None
         for key, value in items:
+            if counting:
+                self._count(key, value)
             self._data[key] = value
+
+    def _count(self, key, value):
+        """Move ``key``'s namespace count to ``value`` from what it holds."""
+        size = entry_size(key, value)
+        if key in self._data:
+            size -= entry_size(key, self._data[key])
+        space = namespace(key)
+        self._sizes[space] = self._sizes.get(space, 0) + size
 
     def delete(self, keys):
         removed = 0
+        sizes = self._sizes
         for key in keys:
             if key in self._data:
-                del self._data[key]
+                value = self._data.pop(key)
+                if sizes is not None:
+                    sizes[namespace(key)] -= entry_size(key, value)
                 removed += 1
         return removed
 
@@ -59,22 +106,24 @@ class KeyValueStore:
         return key in self._data
 
     def size_bytes(self, prefix=""):
-        """Approximate stored bytes under ``prefix`` (keys + value sizes)."""
-        total = 0
-        for key, value in self._data.items():
-            if not key.startswith(prefix):
-                continue
-            total += len(key)
-            if isinstance(value, (bytes, bytearray, str)):
-                total += len(value)
-            elif isinstance(value, dict):
-                total += sum(
-                    len(v) if isinstance(v, (bytes, bytearray, str)) else 8
-                    for v in value.values()
-                )
-            else:
-                total += 8
-        return total
+        """Approximate stored bytes under ``prefix`` (keys + value sizes).
+
+        A prefix that ends a namespace or an ancestor of one (``""``,
+        ``tensor:``, ``tensor:<pair>:``, ``tensor:<pair>:msg:``) sums
+        the counts of the namespaces under it; any other walks the
+        records.
+        """
+        sizes = self._sizes
+        if sizes is None:
+            sizes = self._sizes = {}
+            for key, value in self._data.items():
+                space = namespace(key)
+                sizes[space] = sizes.get(space, 0) + entry_size(key, value)
+        if prefix[-1:] in ("", ":") and prefix.count(":") <= NAMESPACE_DEPTH:
+            return sum(size for space, size in sizes.items()
+                       if space.startswith(prefix))
+        return sum(entry_size(key, value) for key, value in self._data.items()
+                   if key.startswith(prefix))
 
 
 #: The serializing (single-threaded CPU) share of the per-operation base;

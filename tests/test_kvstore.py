@@ -1,5 +1,7 @@
 """KV store: data operations, calibrated latencies, replication."""
 
+import random
+
 import pytest
 
 from repro.kvstore import KeyValueStore, KvClient, KvServer, ReplicatedKvCluster
@@ -48,6 +50,51 @@ def test_size_bytes_accounts_keys_and_values():
     store = KeyValueStore()
     store.set("k" * 90, b"v" * 4096)
     assert store.size_bytes() == 90 + 4096
+
+
+def _walked_size(store, prefix):
+    """``size_bytes`` as it was: every record under ``prefix`` sized."""
+    total = 0
+    for key, value in store.scan(prefix):
+        total += len(key)
+        if isinstance(value, (bytes, bytearray, str)):
+            total += len(value)
+        elif isinstance(value, dict):
+            total += sum(len(v) if isinstance(v, (bytes, bytearray, str))
+                         else 8 for v in value.values())
+        else:
+            total += 8
+    return total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_size_bytes_counts_equal_a_walk(seed):
+    rng = random.Random(seed)
+    keys = [f"tensor:pair{pair}:{kind}:c{conn}:i:{position:016d}"
+            for pair in range(2) for kind in ("msg", "rib", "ses")
+            for conn in range(2) for position in range(6)]
+    keys += ["tensor:pair0:msg", "tensor:pair0:", "tensor", "x", "",
+             "a:b:c:d:e:f"]
+    prefixes = ["", "tensor:", "tensor:pair0:", "tensor:pair1:msg:",
+                "tensor:pair0:msg:c1:", "tensor:pair0:m", "tensor:pair0:msg",
+                "a:b:c:", "a:b:c:d:", "x", "nothing:"]
+    values = [b"v" * 40, "text", {"wire": b"w" * 64, "in_pos": 7}, 12,
+              [1, 2, 3], None, {}]
+    store = KeyValueStore()
+    for step in range(400):
+        roll = rng.random()
+        if roll < 0.45:
+            store.set(rng.choice(keys), rng.choice(values))
+        elif roll < 0.7:
+            store.mset([(rng.choice(keys), rng.choice(values))
+                        for _ in range(rng.randrange(4))])
+        else:
+            store.delete(rng.sample(keys, rng.randrange(4)))
+        if step % 25 == seed:  # the counts start at the first call
+            prefix = rng.choice(prefixes)
+            assert store.size_bytes(prefix) == _walked_size(store, prefix)
+    for prefix in prefixes:
+        assert store.size_bytes(prefix) == _walked_size(store, prefix)
 
 
 # -- cost model ---------------------------------------------------------------
